@@ -12,7 +12,6 @@ from .errors import (
     DegeneracyMismatchError,
     DegenerateSampleError,
     DimensionError,
-    IllConditionedMetricError,
     InputError,
     NotMultiplicityFreeError,
     NumericError,
@@ -41,14 +40,7 @@ from .groups import (
     parse_permutation,
     reynolds_project,
 )
-from .numkernel import (
-    gevp_min,
-    herm_eig,
-    hungarian_max,
-    kron,
-    random_psd,
-    svd_singular_values,
-)
+from .numkernel import herm_eig, hungarian_max, random_psd
 from .transforms import (
     IntTransform,
     SynthesizedBasis,
@@ -90,7 +82,6 @@ from .discovery import (
     build_gevp,
     dc_gevp_step,
     discover_sequential,
-    double_commutator,
     match_library,
     round_to_permutation,
 )
@@ -108,7 +99,7 @@ __version__ = "0.1.0"
 __all__ = [
     "BasisError", "ClusterSet", "CandidateBasis", "DegeneracyMismatchError",
     "DegenerateSampleError", "DimensionError", "DiscoveryResult", "GroupAction",
-    "IllConditionedMetricError", "InputError", "IntTransform", "LibraryMatch",
+    "InputError", "IntTransform", "LibraryMatch",
     "LibraryReport", "MatchReport", "NotMultiplicityFreeError", "NumericError",
     "Permutation",
     "ReportDocument", "SearchExhausted", "StructuralMismatchError",
@@ -117,15 +108,15 @@ __all__ = [
     "arithmetic_matrix", "best_polarity", "build_gevp", "central_projection_basis",
     "circle_check", "closure_enumerate", "coloring_alpha", "compose_direct",
     "dc_gevp_step", "dct2_matrix", "dct_fold_cov", "dft_matrix",
-    "discover_sequential", "double_commutator", "eigen_clusters",
-    "even_extension_isometry", "fp_rm_matrix", "from_generators", "gevp_min",
+    "discover_sequential", "eigen_clusters",
+    "even_extension_isometry", "fp_rm_matrix", "from_generators",
     "haar_matrix", "hartley_matrix", "herm_eig", "hungarian_max", "is_invariant",
-    "kron", "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",
+    "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",
     "make_hybrid", "make_product", "make_trivial", "make_wreath", "match_library",
     "multiplicity_free_probe", "normal_rows", "pair_orbits", "parse_group_spec",
     "parse_matrix", "parse_permutation", "random_psd", "read_matrix_file",
     "render_matrix", "residual_delta", "reynolds_project", "rm_matrix",
     "round_to_permutation", "sample_invariant_cov", "semidirect_dct_cascade",
-    "subspace_match", "svd_singular_values", "synthesize_matched", "wht_matrix",
+    "subspace_match", "synthesize_matched", "wht_matrix",
     "wreath_matrix", "write_matrix_file",
 ]

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -23,6 +24,7 @@ from .errors import (
     BasisError,
     DimensionError,
     InputError,
+    NotMultiplicityFreeError,
     ToolkitError,
     UnsupportedGroupError,
 )
@@ -169,6 +171,8 @@ def cmd_verify(args) -> int:
 # discover
 
 def cmd_discover(args) -> int:
+    if not (math.isfinite(args.tau) and args.tau > 0):
+        return _fail(f"--tau must be finite and > 0, got {args.tau!r}", 2)
     r = matrixio.read_matrix_file(args.input)
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         return _fail(f"discover needs a square matrix, got {r.shape}", 2)
@@ -209,21 +213,19 @@ def cmd_discover(args) -> int:
     doc.add("rejected", result.rejected_count)
     doc.add("stop", result.stop_reason)
 
-    discovered = groups.from_generators(
-        list(result.generators) or [groups.Permutation.identity(r.shape[0])],
-        "discovered",
-    )
-    out_path = f"{args.input}.matched.mtx"
-    probe_pair = (
-        transforms._derived_seed(args.seed, 100),
-        transforms._derived_seed(args.seed, 101),
-    )
-    if diagnostics.multiplicity_free_probe(discovered, probe_pair):
-        basis = transforms.synthesize_matched(discovered, args.seed)
-        matrixio.write_matrix_file(out_path, basis.transform.matrix)
-        doc.add("matched_transform", out_path)
-    else:
-        doc.add("matched_transform", "-")
+    out_path = "-"
+    # without generators the action is trivial: synthesis would return a
+    # data-dependent KLT, not a matched transform
+    if result.generators:
+        discovered = groups.from_generators(result.generators, "discovered")
+        try:
+            basis = transforms.synthesize_matched(discovered, args.seed)
+        except NotMultiplicityFreeError:
+            pass
+        else:
+            out_path = f"{args.input}.matched.mtx"
+            matrixio.write_matrix_file(out_path, basis.transform.matrix)
+    doc.add("matched_transform", out_path)
     _emit(doc, args.json)
     return 0
 
@@ -264,11 +266,27 @@ def cmd_alpha(args) -> int:
     return 0
 
 
+def _split_library(text: str) -> list:
+    """Split --library at top-level commas, then join each piece without a
+    ':' back onto the spec before it, so hybrid:2,4 and wreath:4s,2c stay
+    whole."""
+    specs = []
+    for piece in groups._split_top_level(text):
+        piece = piece.strip()
+        if not piece:
+            continue
+        if specs and ":" not in piece:
+            specs[-1] += "," + piece
+        else:
+            specs.append(piece)
+    return specs
+
+
 def cmd_match_library(args) -> int:
     r = matrixio.read_matrix_file(args.input)
     if r.shape[0] != r.shape[1]:
         return _fail(f"match-library needs a square matrix, got {r.shape}", 2)
-    specs = [s.strip() for s in groups._split_top_level(args.library) if s.strip()]
+    specs = _split_library(args.library)
     if not specs:
         return _fail("empty --library", 2)
     actions = [_parse_group(s) for s in specs]
@@ -276,6 +294,8 @@ def cmd_match_library(args) -> int:
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     entries = report.matches
+    if not entries:
+        return _fail(f"no library entry has the matrix degree {r.shape[0]}", 2)
     if args.json:
         payload = []
         for rank, e in enumerate(entries, start=1):
@@ -385,6 +405,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # argparse drops an attached "--" value (--tau=--) and stores [] unconverted
+    for name, value in vars(args).items():
+        if value == []:
+            parser.error(f"{name}: expected one argument, got '--'")
     try:
         return args.func(args)
     except (InputError, DimensionError, UnsupportedGroupError, BasisError) as exc:

@@ -21,7 +21,13 @@ from .errors import (
     StructuralMismatchError,
     UndefinedResidualError,
 )
-from .groups import GroupAction, Permutation, make_dihedral, reynolds_project
+from .groups import (
+    GroupAction,
+    Permutation,
+    _generator_residual,
+    make_dihedral,
+    reynolds_project,
+)
 from .numkernel import as_cmatrix, herm_eig, random_psd
 from .transforms import UnitaryTransform, even_extension_isometry, semidirect_dct_cascade
 
@@ -59,10 +65,7 @@ def residual_delta(perm: Permutation, r) -> float:
     r_norm = float(np.linalg.norm(arr))
     if r_norm == 0.0:
         raise UndefinedResidualError("residual is undefined for the zero matrix")
-    p = perm.as_array()
-    pinv = perm.inverse().as_array()
-    comm = arr[pinv, :] - arr[:, p]
-    return float(np.linalg.norm(comm) / (np.sqrt(perm.degree) * r_norm))
+    return _generator_residual(arr, perm, r_norm)
 
 
 def coloring_alpha(action: GroupAction, r) -> float:

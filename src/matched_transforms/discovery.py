@@ -1,13 +1,16 @@
 """Symmetry discovery: which index permutations commute with a covariance?
 
 The continuous relaxation looks for directions A minimizing ||[R, A]||_F
-over a candidate span; by the double-commutator identity this is a
-generalized eigenproblem (the quadratic form of [R, [R, .]] against the
-basis Gram).  Near-null directions are rounded to permutations by an exact
-assignment, residual-checked, and either accepted as generators (their
-closure joins the deflation span) or deflated as continuous directions and
-retried.  The search stops once the smallest eigenvalue certifies that no
-permutation below the residual tolerance remains outside the span.
+over a candidate span.  The span is orthonormalized first, so this is a
+Hermitian eigenproblem for the quadratic form <[R, B_i], [R, B_j]>_F, which
+equals the double-commutator form Tr(B_i* [R, [R, B_j]]).  Near-null
+directions are rounded to permutations by an exact assignment,
+residual-checked, and either accepted as generators (their closure joins
+the deflation span) or deflated as continuous directions and retried.
+The search stops once the smallest eigenvalue shows that no direction
+below the residual tolerance remains outside the deflation span.  Rejected
+directions are deflated whole, so permutations with components along them
+can be missed: that stop does not prove the group complete.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .groups import (
     closure_enumerate,
     from_generators,
 )
-from .numkernel import _check_hermitian, as_cmatrix, gevp_min, hungarian_max
+from .numkernel import _check_hermitian, as_cmatrix, herm_eig, hungarian_max
 
 _RANK_TOL = 1e-10  # relative singular-value cutoff for the deflated span
 
@@ -35,11 +38,9 @@ class CandidateBasis:
 
     The Gram matrix must be positive definite (smallest eigenvalue above
     1e-10 * max entry), i.e. the directions are numerically independent.
-    kind is "matrix-units", "cyclic-shifts", or "custom".
     """
 
     stack: np.ndarray
-    kind: str = "custom"
 
     def __post_init__(self):
         stack = np.asarray(self.stack, dtype=np.complex128)
@@ -62,10 +63,7 @@ class CandidateBasis:
         """All degree^2 matrix units E_ab, row-major in (a, b)."""
         if degree < 1:
             raise DimensionError("degree must be >= 1")
-        return cls(
-            np.eye(degree * degree).reshape(degree * degree, degree, degree),
-            kind="matrix-units",
-        )
+        return cls(np.eye(degree * degree).reshape(degree * degree, degree, degree))
 
     @classmethod
     def cyclic_shifts(cls, degree: int) -> "CandidateBasis":
@@ -79,7 +77,7 @@ class CandidateBasis:
         for k in range(degree):
             stack[k] = mat
             mat = shift.to_matrix() @ mat
-        return cls(stack, kind="cyclic-shifts")
+        return cls(stack)
 
     @property
     def degree(self) -> int:
@@ -106,13 +104,12 @@ class DiscoveryResult:
     stop_reason: str
 
 
-def double_commutator(r, b) -> np.ndarray:
-    """[R, [R, B]] = R^2 B - 2 R B R + B R^2."""
-    r_arr = as_cmatrix(r, square=True)
-    b_arr = as_cmatrix(b, square=True)
-    if r_arr.shape != b_arr.shape:
-        raise DimensionError("R and B must have identical shapes")
-    return r_arr @ r_arr @ b_arr - 2.0 * (r_arr @ b_arr @ r_arr) + b_arr @ r_arr @ r_arr
+def _commutator_form(r_arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    # Hermitian matrix of <[R, B_i], [R, B_j]>_F over a (d, M, M) stack
+    comm = np.matmul(r_arr, mats) - np.matmul(mats, r_arr)
+    cv = comm.reshape(mats.shape[0], -1)
+    form = cv.conj() @ cv.T
+    return (form + form.conj().T) / 2.0
 
 
 def build_gevp(r, basis: CandidateBasis) -> tuple:
@@ -122,12 +119,9 @@ def build_gevp(r, basis: CandidateBasis) -> tuple:
     stack = basis.stack
     if stack.shape[1] != r_arr.shape[0]:
         raise DimensionError("basis degree does not match the matrix")
-    comm = np.matmul(r_arr, stack) - np.matmul(stack, r_arr)
-    cv = comm.reshape(stack.shape[0], -1)
-    m_mat = cv.conj() @ cv.T
     flat = stack.reshape(stack.shape[0], -1)
     g_mat = flat.conj() @ flat.T
-    return (m_mat + m_mat.conj().T) / 2.0, (g_mat + g_mat.conj().T) / 2.0
+    return _commutator_form(r_arr, stack), (g_mat + g_mat.conj().T) / 2.0
 
 
 def dc_gevp_step(r, basis: CandidateBasis, deflation_span=()) -> tuple:
@@ -135,8 +129,9 @@ def dc_gevp_step(r, basis: CandidateBasis, deflation_span=()) -> tuple:
     A in span(basis) orthogonal (Frobenius) to every deflation matrix.
 
     Returns (lambda_min, A) with ||A||_F = 1; lambda_min equals
-    delta(A, R)^2 ||R||_F^2.  Raises SearchExhausted when deflation has
-    consumed the span.
+    delta(A, R)^2 ||R||_F^2.  A's phase is canonical: its largest-magnitude
+    coefficient over the orthonormalized span is real positive.  Raises
+    SearchExhausted when deflation has consumed the span.
     """
     r_arr = _check_hermitian(as_cmatrix(r, square=True))
     stack = basis.stack
@@ -163,12 +158,12 @@ def dc_gevp_step(r, basis: CandidateBasis, deflation_span=()) -> tuple:
         raise SearchExhausted("deflation span covers the whole candidate basis")
     q = vt[:rank]
     q_mats = q.reshape(rank, m, m)
-    comm = np.matmul(r_arr, q_mats) - np.matmul(q_mats, r_arr)
-    cv = comm.reshape(rank, -1)
-    m_red = cv.conj() @ cv.T
-    lam, coeff = gevp_min(m_red, np.eye(rank))
+    eig = herm_eig(_commutator_form(r_arr, q_mats))
+    coeff = eig.vectors[:, 0]
+    peak = coeff[int(np.argmax(np.abs(coeff)))]
+    coeff = coeff / (peak / abs(peak))
     direction = np.tensordot(coeff, q_mats, axes=(0, 0))
-    return max(float(lam), 0.0), direction
+    return max(float(eig.values[0]), 0.0), direction
 
 
 def round_to_permutation(a) -> Permutation:
@@ -202,7 +197,7 @@ def discover_sequential(
     r_norm = float(np.linalg.norm(r_arr))
     if r_norm == 0.0:
         raise UndefinedResidualError("discovery is undefined for the zero matrix")
-    if tau <= 0:
+    if not tau > 0:
         raise UndefinedResidualError("tau must be positive")
     if basis is None:
         basis = CandidateBasis.matrix_units(m)

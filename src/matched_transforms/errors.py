@@ -24,10 +24,6 @@ class InputError(ToolkitError):
     """Malformed value: bad permutation images, bad group spec, bad file body."""
 
 
-class IllConditionedMetricError(ToolkitError):
-    """The metric matrix of a generalized eigenproblem is singular at tolerance."""
-
-
 class UndefinedResidualError(ToolkitError):
     """A normalized residual is requested for a zero matrix."""
 

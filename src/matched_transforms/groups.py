@@ -123,6 +123,13 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
+def _parse_ints(tokens) -> list:
+    try:
+        return [int(t) for t in tokens]
+    except ValueError as exc:
+        raise InputError(f"permutation entries must be integers: {exc}") from exc
+
+
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     """Parse '(0 1 2)(4 5)' cycle notation (degree required) or an image list."""
     text = text.strip()
@@ -138,7 +145,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             if not (chunk.startswith("(") and chunk.endswith(")")):
                 raise InputError(f"malformed cycle chunk: {chunk!r}")
             entries = chunk[1:-1].replace(",", " ").split()
-            cyc = [int(e) for e in entries]
+            cyc = _parse_ints(entries)
             if any(not 0 <= c < degree for c in cyc):
                 raise InputError(f"cycle entry out of range 0..{degree - 1}: {chunk}")
             if len(set(cyc)) != len(cyc):
@@ -149,7 +156,7 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
     entries = text.replace(",", " ").split()
     if not entries:
         raise InputError("empty permutation text")
-    images = [int(e) for e in entries]
+    images = _parse_ints(entries)
     if degree is not None and len(images) != degree:
         raise InputError(f"expected {degree} images, got {len(images)}")
     return Permutation(images)
@@ -203,6 +210,12 @@ def _check_degree(degree: int):
         raise InputError(f"degree {degree} outside 1..{MAX_DEGREE}")
 
 
+def _check_log2_degree(n: int):
+    # checked before 2^n or an n-long list is built, so huge n fails fast
+    if n >= MAX_DEGREE.bit_length():
+        raise InputError(f"degree 2^{n} outside 1..{MAX_DEGREE}")
+
+
 def make_trivial(degree: int) -> GroupAction:
     """The trivial action: single identity generator."""
     _check_degree(degree)
@@ -237,8 +250,8 @@ def make_boolean(n: int) -> GroupAction:
     """(Z_2)^n acting on 2^n points by XOR; generator l is j -> j XOR 2^l."""
     if n < 1:
         raise InputError("boolean action needs n >= 1")
+    _check_log2_degree(n)
     m = 1 << n
-    _check_degree(m)
     gens = tuple(
         Permutation([j ^ (1 << l) for j in range(m)]) for l in range(n)
     )
@@ -312,6 +325,7 @@ def make_dyadic_wreath(levels: int) -> GroupAction:
     internal node (root = level 1), 2^levels - 1 generators in all."""
     if levels < 1:
         raise InputError("need levels >= 1")
+    _check_log2_degree(levels)
     base = make_wreath([(2, "cyclic")] * levels)
     return GroupAction(f"dyadic-wreath:{levels}", base.degree, base.generators)
 

@@ -48,7 +48,10 @@ def render_matrix(matrix) -> str:
 
 
 def parse_matrix(text: str) -> np.ndarray:
-    """Parse the text form back to a complex array (real files included)."""
+    """Parse the text form back to a complex array (real files included).
+
+    The body must fill the header's nonzero size exactly, and every entry
+    must be finite; anything else raises InputError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty matrix file")
@@ -57,14 +60,17 @@ def parse_matrix(text: str) -> np.ndarray:
         raise InputError(f"bad matrix header: {lines[0]!r}")
     rows, cols = int(header.group(1)), int(header.group(2))
     field = header.group(3)
-    body = lines[1:]
+    if rows == 0 or cols == 0:
+        raise InputError(f"expected a nonempty matrix, header says {rows}x{cols}")
+    body = [line.split() for line in lines[1:]]
     if len(body) != rows:
         raise InputError(f"expected {rows} rows, found {len(body)}")
-    out = np.empty((rows, cols), dtype=np.complex128)
-    for i, line in enumerate(body):
-        parts = line.split()
+    # every row is checked against the header before anything is allocated
+    for i, parts in enumerate(body):
         if len(parts) != cols:
             raise InputError(f"row {i}: expected {cols} entries, found {len(parts)}")
+    out = np.empty((rows, cols), dtype=np.complex128)
+    for i, parts in enumerate(body):
         for j, token in enumerate(parts):
             try:
                 if field == "real":
@@ -76,6 +82,10 @@ def parse_matrix(text: str) -> np.ndarray:
                     out[i, j] = complex(float(re_part), float(im_part))
             except ValueError as exc:
                 raise InputError(f"row {i} entry {j}: bad token {token!r}") from exc
+    bad = np.argwhere(~np.isfinite(out))
+    if bad.size:
+        i, j = bad[0]
+        raise InputError(f"row {i} entry {j}: non-finite value {body[i][j]!r}")
     return out
 
 
@@ -86,7 +96,11 @@ def write_matrix_file(path, matrix) -> None:
 
 def read_matrix_file(path) -> np.ndarray:
     with open(path, "r", encoding="ascii") as fh:
-        return parse_matrix(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"matrix file is not ASCII text: {exc}") from exc
+    return parse_matrix(text)
 
 
 def _round6(value: float) -> float:

@@ -2,10 +2,9 @@
 
 Factorizations are backed by LAPACK through numpy/scipy; what this module
 owns are the contracts: ascending Hermitian eigenvalues with orthonormal
-vectors (reconstruction residual <= 1e-9 * ||A||_F), descending singular
-values, Cholesky-reduced generalized eigenproblems with a positive-definite
-metric, an exact maximum-trace assignment, and a seeded PSD sampler whose
-stream is fixed by the recipe in rng.py (same seed, same bytes).
+vectors (reconstruction residual <= 1e-9 * ||A||_F), an exact maximum-trace
+assignment, and a seeded PSD sampler whose stream is fixed by the recipe in
+rng.py (same seed, same bytes).
 """
 
 from __future__ import annotations
@@ -13,10 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 from scipy.optimize import linear_sum_assignment
 
-from .errors import DimensionError, IllConditionedMetricError, NumericError
+from .errors import DimensionError, NumericError
 from .groups import Permutation
 from .rng import normal_rows
 
@@ -63,45 +61,6 @@ def herm_eig(a) -> HermEigResult:
     herm = _check_hermitian(arr)
     values, vectors = np.linalg.eigh(herm)
     return HermEigResult(values, vectors)
-
-
-def svd_singular_values(a) -> np.ndarray:
-    """Singular values in descending order (any rectangular matrix)."""
-    arr = as_cmatrix(a)
-    return np.linalg.svd(arr, compute_uv=False)
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product, (i1*rows(b)+i2, j1*cols(b)+j2) indexing."""
-    return np.kron(as_cmatrix(a), as_cmatrix(b))
-
-
-def gevp_min(m, g) -> tuple:
-    """Smallest eigenpair of M c = lambda G c for Hermitian M and PD G.
-
-    Reduces through the Cholesky factor of G to a standard Hermitian
-    problem; the returned c satisfies c* G c = 1 and carries a canonical
-    phase (largest-magnitude entry real positive).
-    """
-    m_arr = _check_hermitian(as_cmatrix(m, square=True))
-    g_arr = _check_hermitian(as_cmatrix(g, square=True))
-    if m_arr.shape != g_arr.shape:
-        raise DimensionError("M and G must have identical shapes")
-    g_scale = float(np.max(np.abs(g_arr)))
-    g_evals = np.linalg.eigvalsh(g_arr)
-    if g_evals[0] <= 1e-12 * max(g_scale, 1e-300):
-        raise IllConditionedMetricError(
-            f"metric is singular at tolerance: min eig {g_evals[0]:.3e}"
-        )
-    chol = np.linalg.cholesky(g_arr)
-    half = scipy.linalg.solve_triangular(chol, m_arr, lower=True)
-    reduced = scipy.linalg.solve_triangular(chol, half.conj().T, lower=True).conj().T
-    reduced = (reduced + reduced.conj().T) / 2.0
-    values, vectors = np.linalg.eigh(reduced)
-    c = scipy.linalg.solve_triangular(chol.conj().T, vectors[:, 0], lower=False)
-    peak = int(np.argmax(np.abs(c)))
-    phase = c[peak] / abs(c[peak]) if abs(c[peak]) > 0 else 1.0
-    return float(values[0]), c / phase
 
 
 def hungarian_max(s) -> tuple:

@@ -26,12 +26,11 @@ from .errors import (
     StructuralMismatchError,
     UnsupportedGroupError,
 )
-from .groups import GroupAction, _branching_name, _normalize_branching
+from .groups import MAX_DEGREE, GroupAction, _branching_name, _normalize_branching
 from .numkernel import as_cmatrix, herm_eig, random_psd
 from .rng import _splitmix64
 
 UNITARITY_TOL = 1e-10
-MAX_SIZE = 4096
 
 
 @dataclass(frozen=True)
@@ -121,8 +120,8 @@ class IntTransform:
 
 
 def _check_size(m: int, lo: int = 1):
-    if m < lo or m > MAX_SIZE:
-        raise DimensionError(f"size {m} outside {lo}..{MAX_SIZE}")
+    if m < lo or m > MAX_DEGREE:
+        raise DimensionError(f"size {m} outside {lo}..{MAX_DEGREE}")
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +221,8 @@ def _int_tensor_power(block: np.ndarray, n: int) -> np.ndarray:
 
 
 def _check_bits(n: int):
-    if n < 1 or (1 << n) > MAX_SIZE:
-        raise DimensionError(f"variable count {n} outside 1..{MAX_SIZE.bit_length() - 1}")
+    if n < 1 or (1 << n) > MAX_DEGREE:
+        raise DimensionError(f"variable count {n} outside 1..{MAX_DEGREE.bit_length() - 1}")
 
 
 def rm_matrix(n: int) -> IntTransform:

@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from matched_transforms import (
+    InputError,
     cli,
     dft_matrix,
     fp_rm_matrix,
@@ -46,6 +52,17 @@ class TestMatrixFile:
         text = render_matrix(x)
         assert text.splitlines()[0] == "# rows=4 cols=4 field=real"
         assert np.array_equal(parse_matrix(text), x)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "1:nan"])
+    def test_non_finite_tokens_rejected(self, token):
+        field = "complex" if ":" in token else "real"
+        with pytest.raises(InputError):
+            parse_matrix(f"# rows=1 cols=1 field={field}\n{token}\n")
+
+    def test_width_checked_before_allocation(self):
+        # 1e11 complex entries would need 1.46 TiB
+        with pytest.raises(InputError, match="expected 100000000000 entries"):
+            parse_matrix("# rows=1 cols=100000000000 field=real\n1 2 3\n")
 
     def test_file_round_trip(self, tmp_path):
         x = np.array([[1e-300 + 2.5j, -7.0], [0.0, 3.141592653589793]])
@@ -192,6 +209,12 @@ class TestDiscover:
         assert run(["discover", path]) == 2
         assert "Hermitian" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
+    def test_bad_tau_exit_2(self, tmp_path, tau, capsys):
+        path = write_cov(tmp_path / "c4.mtx", sample_invariant_cov(make_cyclic(4), seed=2))
+        assert run(["discover", path, f"--tau={tau}"]) == 2
+        assert "error: --tau" in capsys.readouterr().err
+
     def test_missing_file_exit_3(self, capsys):
         assert run(["discover", "/nonexistent/path.mtx"]) == 3
         assert "I/O failure" in capsys.readouterr().err
@@ -223,6 +246,20 @@ class TestResidual:
         path = write_cov(tmp_path / "diag12.mtx", np.diag([1.0, 2.0]))
         assert run(["residual", "--perm", "0 0", "--in", path]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("perm", ["(a b)", "1,x"])
+    def test_non_integer_perm_exit_2(self, tmp_path, perm, capsys):
+        path = write_cov(tmp_path / "diag12.mtx", np.diag([1.0, 2.0]))
+        assert run(["residual", "--perm", perm, "--in", path]) == 2
+        assert "must be integers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [["residual", "--perm", "(0 1)"],
+                                         ["alpha", "--group", "cyclic:2"]])
+    def test_non_finite_entry_exit_2(self, tmp_path, command, capsys):
+        path = tmp_path / "nan.mtx"
+        path.write_text("# rows=2 cols=2 field=real\n1 nan\nnan 1\n", encoding="ascii")
+        assert run(command + ["--in", str(path)]) == 2
+        assert "non-finite" in capsys.readouterr().err
 
 
 class TestAlpha:
@@ -288,6 +325,22 @@ class TestMatchLibrary:
         assert payload["entries"][0]["group"] == re.search(r"group=(\S+)", first_text).group(1)
         assert f"score={payload['entries'][0]['score']:.6f}" in first_text
 
+    def test_specs_with_commas_stay_whole(self, tmp_path, capsys):
+        r = sample_invariant_cov(make_cyclic(8), seed=1)
+        path = write_cov(tmp_path / "cov.mtx", r)
+        lib = "cyclic:8,hybrid:2,4,wreath:4s,2c,product:(cyclic:2,cyclic:4),wreath:2s,4c"
+        assert run(["match-library", "--in", path, "--library", lib, "--json"]) == 0
+        names = {e["group"] for e in json.loads(capsys.readouterr().out)["entries"]}
+        assert names == {"cyclic:8", "hybrid:2,4", "wreath:4s,2c",
+                         "product:(cyclic:2,cyclic:4)", "wreath:2s,4c"}
+
+    def test_every_entry_skipped_exit_2(self, tmp_path, capsys):
+        path = write_cov(tmp_path / "cov.mtx", np.eye(8))
+        assert run(["match-library", "--in", path, "--library", "cyclic:4,cyclic:5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error:" in captured.err
+
     def test_empty_library_exit_2(self, tmp_path, capsys):
         path = write_cov(tmp_path / "cov.mtx", np.eye(3))
         assert run(["match-library", "--in", path, "--library", " , "]) == 2
@@ -322,3 +375,88 @@ class TestUsage:
     def test_unknown_subcommand_exit_2(self, capsys):
         assert run(["frobnicate"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [["kernel", "dft", "--size=--"],
+                                      ["alpha", "--group=--", "--in", "m.mtx"]])
+    def test_attached_double_dash_value_exit_2(self, argv, capsys):
+        assert run(argv) == 2
+        assert "expected one argument" in capsys.readouterr().err
+
+
+def run_quiet(argv) -> tuple:
+    """run() with stdout and stderr captured: (exit code, stderr text)."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, err.getvalue()
+
+
+_COV3 = sample_invariant_cov(make_cyclic(3), seed=4)
+_SPEC_PIECES = (
+    "cyclic:3", "trivial:3", "dihedralM:3", "cyclic:4", "hybrid:2,2", "wreath:3s",
+    "product:(cyclic:3,trivial:1)", "boolean:10000000000000000", "dyadic-wreath:99",
+    "cyclic:-1", "hybrid:2", "perms:", "2", "c", ":", "(", ")", "", " ",
+)
+_TOKENS = ("0", "1", "-2.5", "1e999", "nan", "-inf", "x", "1:2", "3:", ":", "1:nan", "\u00e9")
+
+
+class TestContract:
+    """Malformed input ends in exit 0, 1, 2 or 3, never in a traceback."""
+
+    def check(self, argv, matrix_text=None):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "in.mtx")
+            if matrix_text is None:
+                write_cov(path, _COV3)
+            else:
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(matrix_text)
+            paths = {"{in}": path, "{out}": os.path.join(tmp, "out.mtx")}
+            code, err = run_quiet([paths.get(a, a) for a in argv])
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.text(alphabet="0123456789 (),-ax", max_size=12))
+    @example("(a b)")
+    @example("1,x")
+    def test_perm(self, perm):
+        self.check(["residual", "--perm", perm, "--in", "{in}"])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.one_of(st.floats().map(repr), st.text(alphabet="0123456789.-einfa", max_size=6)))
+    @example("nan")
+    @example("-1")
+    @example("--")
+    def test_tau(self, tau):
+        self.check(["discover", "{in}", f"--tau={tau}"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_SPEC_PIECES), max_size=4).map(",".join),
+                     st.text(max_size=12)))
+    @example("hybrid:2,4")
+    def test_library(self, library):
+        self.check(["match-library", "--in", "{in}", "--library", library])
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.one_of(
+            st.builds("# rows={} cols={} field={}".format,
+                      st.sampled_from([0, 1, 2, 3, 10**11]),
+                      st.sampled_from([0, 1, 2, 3, 10**11]),
+                      st.sampled_from(["real", "complex", "int"])),
+            st.text(max_size=12),
+        ),
+        st.lists(st.lists(st.sampled_from(_TOKENS), max_size=4).map(" ".join), max_size=4),
+        st.sampled_from([
+            ["residual", "--perm", "(0 1)", "--in", "{in}"],
+            ["alpha", "--group", "cyclic:2", "--in", "{in}"],
+            ["project", "--group", "cyclic:2", "--in", "{in}", "--out", "{out}"],
+            ["discover", "{in}"],
+        ]),
+    )
+    @example("# rows=1 cols=100000000000 field=real", ["1 2 3"], ["discover", "{in}"])
+    @example("# rows=2 cols=2 field=real", ["1 nan", "nan 1"],
+             ["residual", "--perm", "(0 1)", "--in", "{in}"])
+    def test_matrix_text(self, header, body, argv):
+        self.check(argv, "\n".join([header] + body) + "\n")

@@ -94,6 +94,11 @@ class TestParsePermutation:
         with pytest.raises(InputError):
             parse_permutation("0 0 1")
 
+    @pytest.mark.parametrize("text", ["(a b)", "1,x", "0 1.5"])
+    def test_non_integer_entries(self, text):
+        with pytest.raises(InputError, match="must be integers"):
+            parse_permutation(text, degree=3)
+
 
 class TestConstructors:
     def test_cyclic_m1(self):
@@ -148,6 +153,12 @@ class TestConstructors:
         cap = 1 << (1 << level)
         res = closure_enumerate(make_dyadic_wreath(level), cap=cap)
         assert res.count == 2 ** (2**level - 1)
+
+    @pytest.mark.parametrize("make", [make_boolean, make_dyadic_wreath])
+    def test_huge_exponent_rejected_before_building(self, make):
+        # 2^(10^16) points: neither 2^n nor an n-long level list can be built
+        with pytest.raises(InputError, match="outside"):
+            make(10**16)
 
     def test_dyadic_wreath_l5_overflow(self):
         res = closure_enumerate(make_dyadic_wreath(5), cap=10**6)

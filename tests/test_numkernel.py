@@ -1,19 +1,14 @@
 import numpy as np
 import pytest
-import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
     DimensionError,
-    IllConditionedMetricError,
     NumericError,
     Permutation,
-    gevp_min,
     herm_eig,
     hungarian_max,
-    kron,
     random_psd,
-    svd_singular_values,
 )
 from matched_transforms.rng import normal_rows
 
@@ -65,98 +60,6 @@ class TestHermEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(NumericError):
             herm_eig(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-
-class TestSVD:
-    def test_identity(self):
-        assert np.allclose(svd_singular_values(np.eye(2)), [1.0, 1.0])
-
-    def test_diag(self):
-        assert np.allclose(svd_singular_values(np.diag([3.0, 0.0])), [3.0, 0.0])
-
-    def test_golden_ratio_pair(self):
-        # singular values of [[1,1],[0,1]]: sigma^2 are roots of t^2 - 3t + 1
-        vals = svd_singular_values(np.array([[1.0, 1.0], [0.0, 1.0]]))
-        roots = np.sort(np.roots([1.0, -3.0, 1.0]))[::-1]
-        assert np.allclose(vals**2, roots, atol=1e-12)
-        assert abs(vals[0] - (1 + np.sqrt(5)) / 2) < 1e-12
-
-    def test_energy_identity(self):
-        a = normal_rows(9, 4, 6)
-        vals = svd_singular_values(a)
-        assert np.all(np.diff(vals) <= 1e-12)
-        assert abs(np.sum(vals**2) - np.linalg.norm(a) ** 2) <= 1e-9 * np.linalg.norm(a) ** 2
-
-
-class TestKron:
-    def test_block_diag(self):
-        b = np.array([[1.0, 2.0], [3.0, 4.0]])
-        out = kron(np.eye(2), b)
-        assert np.array_equal(out[:2, :2], b)
-        assert np.array_equal(out[2:, 2:], b)
-        assert np.all(out[:2, 2:] == 0)
-
-    def test_h1_squared_is_wht(self):
-        h1 = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2)
-        out = kron(h1, h1)
-        assert np.max(np.abs(np.abs(out) - 0.5)) < 1e-14
-
-    def test_scalar(self):
-        assert kron(np.array([[2.0]]), np.array([[3.0]]))[0, 0] == 6.0
-
-    def test_associativity(self):
-        a = normal_rows(1, 2, 4).reshape(2, 2, 2)[0]
-        b = normal_rows(2, 2, 4).reshape(2, 2, 2)[0]
-        c = normal_rows(3, 2, 4).reshape(2, 2, 2)[0]
-        assert np.allclose(kron(kron(a, b), c), kron(a, kron(b, c)))
-
-
-class TestGevpMin:
-    def test_zero_m(self):
-        lam, c = gevp_min(np.zeros((2, 2)), np.eye(2))
-        assert abs(lam) < 1e-12
-        assert abs(np.linalg.norm(c) - 1.0) < 1e-12
-
-    def test_diag_identity_metric(self):
-        lam, c = gevp_min(np.diag([5.0, 2.0]), np.eye(2))
-        assert abs(lam - 2.0) < 1e-12
-        assert abs(abs(c[1]) - 1.0) < 1e-12
-
-    def test_diag_metric(self):
-        lam, c = gevp_min(np.diag([2.0, 2.0]), np.diag([1.0, 4.0]))
-        assert abs(lam - 0.5) < 1e-12
-        # c*Gc = 1 with support on the second coordinate: c = e2/2
-        assert abs(abs(c[1]) - 0.5) < 1e-12
-        assert abs(c[0]) < 1e-12
-
-    def test_normalization_and_residual(self):
-        m = random_psd(5, 21)
-        g = random_psd(5, 22) + 5.0 * np.eye(5)
-        lam, c = gevp_min(m, g)
-        assert abs(c.conj() @ g @ c - 1.0) < 1e-10
-        resid = m @ c - lam * (g @ c)
-        assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(m)
-
-    def test_matches_scipy(self):
-        m = random_psd(6, 31)
-        g = random_psd(6, 32) + 6.0 * np.eye(6)
-        lam, _ = gevp_min(m, g)
-        ref = scipy.linalg.eigh(m, g, eigvals_only=True)[0]
-        assert abs(lam - ref) <= 1e-8 * max(1.0, abs(ref))
-
-    def test_brute_force_det_scan(self):
-        # smallest root of det(M - lambda G) on a 3x3 instance
-        m = random_psd(3, 41)
-        g = random_psd(3, 42) + 3.0 * np.eye(3)
-        lam, _ = gevp_min(m, g)
-        grid = np.linspace(max(0.0, lam - 1e-3), lam + 1e-3, 20001)
-        dets = [np.linalg.det(m - t * g).real for t in grid]
-        crossing = grid[np.argmin(np.abs(dets))]
-        assert abs(lam - crossing) < 1e-6
-
-    def test_singular_metric_rejected(self):
-        with pytest.raises(IllConditionedMetricError):
-            gevp_min(np.eye(2), np.diag([1.0, 0.0]))
 
 
 class TestHungarianMax:

@@ -24,7 +24,6 @@ from matched_transforms import (
     haar_matrix,
     hartley_matrix,
     herm_eig,
-    kron,
     make_boolean,
     make_cyclic,
     make_dyadic_wreath,
@@ -126,7 +125,7 @@ class TestWht:
         h1 = wht_matrix(1).matrix
         tensor = h1
         for _ in range(3):
-            tensor = kron(tensor, h1)
+            tensor = np.kron(tensor, h1)
         assert np.max(np.abs(tensor - wht_matrix(4).matrix)) <= 1e-14
 
     def test_unitary(self):
