@@ -69,7 +69,6 @@ from .diagnostics import (
     coloring_alpha,
     dct_fold_cov,
     eigen_clusters,
-    multiplicity_free_probe,
     residual_delta,
     sample_invariant_cov,
     subspace_match,
@@ -113,7 +112,7 @@ __all__ = [
     "haar_matrix", "hartley_matrix", "herm_eig", "hungarian_max", "is_invariant",
     "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",
     "make_hybrid", "make_product", "make_trivial", "make_wreath", "match_library",
-    "multiplicity_free_probe", "normal_rows", "pair_orbits", "parse_group_spec",
+    "normal_rows", "pair_orbits", "parse_group_spec",
     "parse_matrix", "parse_permutation", "random_psd", "read_matrix_file",
     "render_matrix", "residual_delta", "reynolds_project", "rm_matrix",
     "round_to_permutation", "sample_invariant_cov", "semidirect_dct_cascade",

@@ -158,17 +158,6 @@ def subspace_match(r, predicted: UnitaryTransform, rel_tol: float = 1e-6) -> Mat
     return MatchReport(tuple(scores), float(min(scores)), tuple(pattern))
 
 
-def multiplicity_free_probe(action: GroupAction, seed_pair) -> bool:
-    """True iff two independent invariant samples commute (commutative
-    commutant signature): ||AB - BA||_F <= 1e-9 ||A||_F ||B||_F."""
-    s1, s2 = (int(s) for s in seed_pair)
-    a = sample_invariant_cov(action, s1)
-    b = sample_invariant_cov(action, s2)
-    comm = float(np.linalg.norm(a @ b - b @ a))
-    bound = 1e-9 * float(np.linalg.norm(a)) * float(np.linalg.norm(b))
-    return comm <= bound
-
-
 def dct_fold_cov(m: int, seed: int) -> np.ndarray:
     """Reflection-symmetric covariance on m points: sample an invariant
     covariance of the doubled-index dihedral action and compress it onto

@@ -37,7 +37,7 @@ class DegeneracyMismatchError(ToolkitError):
 
 
 class NotMultiplicityFreeError(ToolkitError):
-    """The probed action has a non-commutative commutant."""
+    """The action has a non-commutative commutant: invariant samples do not commute."""
 
 
 class DegenerateSampleError(ToolkitError):

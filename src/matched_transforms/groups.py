@@ -20,6 +20,9 @@ from scipy.sparse.csgraph import connected_components
 from .errors import InputError
 
 MAX_DEGREE = 4096  # dense-matrix scale ceiling for the whole toolkit
+# product specs nest at most this deep: each level with non-trivial factors
+# at least doubles the degree, so 12 levels already reach MAX_DEGREE
+MAX_SPEC_DEPTH = 32
 
 
 def _pick_dtype(degree: int):
@@ -492,6 +495,8 @@ def _split_top_level(text: str) -> list:
     for ch in text:
         if ch == "(":
             depth += 1
+            if depth >= MAX_SPEC_DEPTH:
+                raise InputError(f"group spec nests deeper than {MAX_SPEC_DEPTH} levels")
         elif ch == ")":
             depth -= 1
             if depth < 0:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from matched_transforms import (
+    NotMultiplicityFreeError,
     Permutation,
     anf_coefficients,
     arithmetic_matrix,
@@ -31,7 +32,6 @@ from matched_transforms import (
     make_dihedral,
     make_dyadic_wreath,
     make_trivial,
-    multiplicity_free_probe,
     pair_orbits,
     random_psd,
     residual_delta,
@@ -192,11 +192,13 @@ def test_criterion_8_property_suites():
     r = sample_invariant_cov(make_dihedral(5, degree_m=True), seed=3)
     assert is_invariant(r, make_cyclic(5), tol=1e-12)
 
-    # multiplicity-free probe outcomes
-    assert multiplicity_free_probe(make_cyclic(8), (1, 2)) is True
-    assert multiplicity_free_probe(make_dyadic_wreath(3), (1, 2)) is True
+    # multiplicity-free certificate outcomes (synthesize_matched's commutator)
     padded = from_generators([Permutation((1, 0, 2, 3))], "padded-swap")
-    assert multiplicity_free_probe(padded, (1, 2)) is False
+    for seed in (1, 2):
+        assert not synthesize_matched(make_cyclic(8), seed).data_dependent
+        assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
+        with pytest.raises(NotMultiplicityFreeError):
+            synthesize_matched(padded, seed)
 
     # seed-independence of synthesize_matched
     b1 = synthesize_matched(make_cyclic(6), seed=11)
@@ -205,4 +207,4 @@ def test_criterion_8_property_suites():
     assert subspace_match(probe_cov, b1.transform).min_match >= 1.0 - 1e-8
     assert subspace_match(probe_cov, b2.transform).min_match >= 1.0 - 1e-8
 
-    report(8, "unitarity, Reynolds, hand values, PSD, rotation/nesting, probe, synthesis")
+    report(8, "unitarity, Reynolds, hand values, PSD, rotation/nesting, multiplicity-free check, synthesis")

@@ -14,6 +14,7 @@ from matched_transforms import (
     cli,
     dft_matrix,
     fp_rm_matrix,
+    groups,
     haar_matrix,
     is_invariant,
     make_cyclic,
@@ -33,6 +34,15 @@ def run(argv):
         return cli.main(argv)
     except SystemExit as exc:
         return int(exc.code)
+
+
+def nested_product(depth, leaf="cyclic:1", side="left"):
+    """A product spec `depth` levels deep; side is left, right or alternate."""
+    spec = leaf
+    for level in range(depth):
+        left = side == "left" or (side == "alternate" and level % 2 == 0)
+        spec = f"product:({spec},{leaf})" if left else f"product:({leaf},{spec})"
+    return spec
 
 
 def write_cov(path, arr):
@@ -120,6 +130,12 @@ class TestKernel:
     def test_bad_size(self, capsys):
         assert run(["kernel", "wht", "--size", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("name", ["wht", "haar", "rm", "arith"])
+    def test_huge_log2_size_is_usage_error(self, name, capsys):
+        # rejected before 1 << size is built
+        assert run(["kernel", name, "--size", str(10**17)]) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestVerify:
@@ -360,6 +376,17 @@ class TestSynthesize:
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
 
+    def test_nested_spec_depth_limit(self, tmp_path, capsys):
+        out = str(tmp_path / "x.mtx")
+        limit = groups.MAX_SPEC_DEPTH
+        assert run(["synthesize", "--group", nested_product(limit), "--out", out]) == 0
+        capsys.readouterr()
+        for depth in (limit + 1, 1500):
+            assert run(["synthesize", "--group", nested_product(depth), "--out", out]) == 2
+            err = capsys.readouterr().err
+            assert err.count("error:") == 1
+            assert "deeper than" in err
+
     def test_non_multiplicity_free_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "x.mtx")
         code = run(["synthesize", "--group", "product:(trivial:2,cyclic:2)", "--out", out])
@@ -437,6 +464,22 @@ class TestContract:
     @example("hybrid:2,4")
     def test_library(self, library):
         self.check(["match-library", "--in", "{in}", "--library", library])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.sampled_from(sorted(cli._KERNEL_SIZES)),
+           st.one_of(st.integers(-3, 6), st.integers(groups.MAX_DEGREE + 1, 10**18)))
+    @example("wht", 10**17)
+    @example("haar", 10**17)
+    def test_kernel_size(self, name, size):
+        self.check(["kernel", name, "--size", str(size)])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 3000), st.sampled_from(["cyclic:1", "trivial:1", "("]),
+           st.sampled_from(["left", "right", "alternate"]))
+    @example(1500, "cyclic:1", "left")
+    def test_nested_spec(self, depth, leaf, side):
+        self.check(["synthesize", "--group", nested_product(depth, leaf, side),
+                    "--out", "{out}"])
 
     @settings(max_examples=25, deadline=None)
     @given(

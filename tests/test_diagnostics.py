@@ -5,6 +5,7 @@ from matched_transforms import (
     DegeneracyMismatchError,
     DimensionError,
     InputError,
+    NotMultiplicityFreeError,
     NumericError,
     Permutation,
     StructuralMismatchError,
@@ -24,12 +25,12 @@ from matched_transforms import (
     make_dihedral,
     make_dyadic_wreath,
     make_trivial,
-    multiplicity_free_probe,
     random_psd,
     residual_delta,
     reynolds_project,
     sample_invariant_cov,
     subspace_match,
+    synthesize_matched,
     wht_matrix,
 )
 from matched_transforms.transforms import UnitaryTransform
@@ -204,22 +205,31 @@ class TestSubspaceMatch:
 
 
 class TestMultiplicityFreeProbe:
+    """synthesize_matched's multiplicity-free certificate: invariant
+    samples of the action must commute."""
+
     def test_cyclic8_true(self):
-        assert multiplicity_free_probe(make_cyclic(8), (1, 2)) is True
+        for seed in (1, 2):
+            assert not synthesize_matched(make_cyclic(8), seed).data_dependent
 
     def test_dyadic_wreath3_true(self):
-        assert multiplicity_free_probe(make_dyadic_wreath(3), (1, 2)) is True
+        for seed in (1, 2):
+            assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
 
     def test_dihedral_on_2m_true(self):
-        assert multiplicity_free_probe(make_dihedral(4), (3, 4)) is True
+        for seed in (3, 4):
+            assert not synthesize_matched(make_dihedral(4), seed).data_dependent
 
     def test_padded_swap_false(self):
         act = from_generators([Permutation((1, 0, 2, 3))], "swap-x-trivial")
-        assert multiplicity_free_probe(act, (1, 2)) is False
+        for seed in (1, 2):
+            with pytest.raises(NotMultiplicityFreeError):
+                synthesize_matched(act, seed)
 
     def test_seed_pair_robust(self):
         for pair in [(5, 6), (10, 11), (97, 98)]:
-            assert multiplicity_free_probe(make_cyclic(6), pair) is True
+            for seed in pair:
+                assert not synthesize_matched(make_cyclic(6), seed).data_dependent
 
 
 class TestDctFoldCov:

@@ -17,6 +17,7 @@ from matched_transforms import (
     compose_direct,
     dct2_matrix,
     dft_matrix,
+    diagnostics,
     eigen_clusters,
     even_extension_isometry,
     fp_rm_matrix,
@@ -39,12 +40,20 @@ from matched_transforms import (
     wht_matrix,
     wreath_matrix,
 )
-from matched_transforms.transforms import IntTransform, UnitaryTransform
+from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed
+
+from helpers import catalog_actions
 
 
 def unitarity_error(u):
     m = u.matrix
     return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+
+
+def offdiag_rel(u, r):
+    """||offdiag(U* R U)||_F / ||R||_F."""
+    d = u.matrix.conj().T @ r @ u.matrix
+    return np.linalg.norm(d - np.diag(np.diag(d))) / np.linalg.norm(r)
 
 
 class TestDft:
@@ -385,6 +394,49 @@ class TestSynthesize:
         act = from_generators([Permutation((0, 1, 3, 2))], "padded-swap")
         with pytest.raises(NotMultiplicityFreeError):
             synthesize_matched(act, seed=5)
+
+    @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
+    def test_catalog_family(self, action):
+        basis = synthesize_matched(action, seed=1)
+        assert sum(basis.degeneracy_pattern) == action.degree
+        if all(g.is_identity() for g in action.generators):
+            assert basis.data_dependent
+            return
+        assert not basis.data_dependent
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @staticmethod
+    def merge_samples(monkeypatch, merged):
+        """Make sample_invariant_cov return the identity (one merged
+        eigenvalue) at the seeds in `merged`; returns the drawn seeds."""
+        real = diagnostics.sample_invariant_cov
+        drawn = []
+
+        def sample(action, seed):
+            drawn.append(seed)
+            if seed in merged:
+                return np.eye(action.degree, dtype=np.complex128)
+            return real(action, seed)
+
+        monkeypatch.setattr(diagnostics, "sample_invariant_cov", sample)
+        return drawn
+
+    def test_merged_first_sample_resamples(self, monkeypatch):
+        # R1 = I: its eigenbasis does not diagonalize R2, but the two
+        # commute, so this is a merged spectrum and a new pair is drawn
+        drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
+        basis = synthesize_matched(make_cyclic(6), seed=7)
+        assert drawn == [_derived_seed(7, k) for k in range(4)]
+        assert not basis.data_dependent
+        r3 = sample_invariant_cov(make_cyclic(6), seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    def test_every_sample_merged_raises(self, monkeypatch):
+        drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 2 * k) for k in range(5)})
+        with pytest.raises(DegenerateSampleError):
+            synthesize_matched(make_cyclic(6), seed=7)
+        assert len(drawn) == 10
 
 
 class TestCentralProjection:
