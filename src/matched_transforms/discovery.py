@@ -19,7 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BasisError, DimensionError, SearchExhausted, UndefinedResidualError
+from .errors import (
+    BasisError,
+    DimensionError,
+    InputError,
+    SearchExhausted,
+    UndefinedResidualError,
+)
 from .diagnostics import coloring_alpha, residual_delta
 from .groups import (
     GroupAction,
@@ -59,11 +65,22 @@ class CandidateBasis:
         object.__setattr__(self, "stack", stack)
 
     @classmethod
+    def _from_trusted(cls, stack: np.ndarray) -> "CandidateBasis":
+        # internal fast path: a complex128 stack known to be independent
+        basis = object.__new__(cls)
+        stack.flags.writeable = False
+        object.__setattr__(basis, "stack", stack)
+        return basis
+
+    @classmethod
     def matrix_units(cls, degree: int) -> "CandidateBasis":
         """All degree^2 matrix units E_ab, row-major in (a, b)."""
         if degree < 1:
             raise DimensionError("degree must be >= 1")
-        return cls(np.eye(degree * degree).reshape(degree * degree, degree, degree))
+        # orthonormal by construction: the Gram check would only
+        # eigendecompose the degree^2 x degree^2 identity
+        units = np.eye(degree * degree, dtype=np.complex128)
+        return cls._from_trusted(units.reshape(degree * degree, degree, degree))
 
     @classmethod
     def cyclic_shifts(cls, degree: int) -> "CandidateBasis":
@@ -192,6 +209,8 @@ def discover_sequential(
     steps, whichever is first; the last case reports stop_reason
     "saturated" (the bound never certified emptiness).
     """
+    if enumeration_cap < 1:
+        raise InputError("cap must be >= 1")
     r_arr = _check_hermitian(as_cmatrix(r, square=True))
     m = r_arr.shape[0]
     r_norm = float(np.linalg.norm(r_arr))
@@ -298,6 +317,8 @@ def match_library(r, library, enumeration_cap: int = 10**4) -> LibraryReport:
     so floating-point near-ties resolve by the preference rules: larger
     group order first (more structure when both fit), then name.
     """
+    if enumeration_cap < 1:
+        raise InputError("cap must be >= 1")
     r_arr = as_cmatrix(r, square=True)
     actions = tuple(library)
     if not actions:

@@ -14,8 +14,6 @@ import os
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import InputError
 
@@ -379,34 +377,63 @@ def from_generators(perms, name: str) -> GroupAction:
 # ---------------------------------------------------------------------------
 # orbit machinery
 
+def _hook_and_compress(n: int, edges: list) -> tuple:
+    """Connected components of {0..n-1} by Shiloach-Vishkin hook-and-compress.
+
+    edges is a list of (src, dst) int32 index arrays.  Each round reads the
+    labels of every live edge's ends, hooks the larger label onto the
+    smaller (np.minimum.at, so a label hooked from several edges takes the
+    smallest), then jumps pointers until every label is a root, and drops
+    the edges whose ends now share a label.  Labels only ever decrease, so
+    every component ends labelled by its smallest index.  Returns
+    (labels, rounds).
+    """
+    labels = np.arange(n, dtype=np.int32)
+    rounds = 0
+    while edges:
+        rounds += 1
+        # read every edge against one snapshot, so each hook target is a root
+        snap = labels.copy()
+        live = []
+        for src, dst in edges:
+            a, b = snap[src], snap[dst]
+            keep = a != b
+            if not keep.any():
+                continue
+            a, b = a[keep], b[keep]
+            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
+            live.append((src[keep], dst[keep]))
+        while True:
+            jumped = labels[labels]
+            if np.array_equal(jumped, labels):
+                break
+            labels = jumped
+        edges = live
+    return labels, rounds
+
+
 def pair_orbits(action: GroupAction) -> PairOrbitPartition:
-    """Partition ordered index pairs into orbits of the diagonal action."""
+    """Partition ordered index pairs into orbits of the diagonal action.
+
+    The orbits are the connected components of the graph that joins pair
+    index i*M + j to g(i)*M + g(j) for every generator g, found by a numpy
+    union-find (`_hook_and_compress`).  Every orbit's root is its smallest
+    pair index, i.e. its first appearance in a row-major scan, so the rank
+    of each root among the roots is its canonical label.
+    """
     m = action.degree
     n = m * m
-    srcs, dsts = [], []
-    idx = np.arange(n, dtype=np.int64)
+    # int32 suffices: n <= MAX_DEGREE^2 < 2^31
+    idx = np.arange(n, dtype=np.int32)
+    edges = []
     for g in action.generators:
-        img = g.as_array()
+        img = g.as_array().astype(np.int32)
         dst = (img[:, None] * m + img[None, :]).ravel()
         moved = dst != idx
-        srcs.append(idx[moved])
-        dsts.append(dst[moved])
-    if srcs and sum(s.size for s in srcs):
-        src = np.concatenate(srcs)
-        dst = np.concatenate(dsts)
-        graph = coo_matrix(
-            (np.ones(src.size, dtype=np.int8), (src, dst)), shape=(n, n)
-        )
-        _, labels = connected_components(graph, directed=True, connection="weak")
-    else:
-        labels = idx.copy()
-    # canonical labels: order of first appearance in a row-major scan
-    _, first = np.unique(labels, return_index=True)
-    order = np.argsort(first, kind="stable")
-    remap = np.empty(order.size, dtype=np.int64)
-    remap[order] = np.arange(order.size)
-    canon = remap[labels].reshape(m, m)
-    return PairOrbitPartition(m, canon, int(order.size))
+        edges.append((idx[moved], dst[moved]))
+    labels, _ = _hook_and_compress(n, edges)
+    rank = np.cumsum(labels == idx) - 1
+    return PairOrbitPartition(m, rank[labels].reshape(m, m), int(rank[-1]) + 1)
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

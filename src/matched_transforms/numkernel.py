@@ -1,8 +1,10 @@
 """Dense complex linear-algebra kernels with explicit numeric contracts.
 
-Factorizations are backed by LAPACK through numpy/scipy; what this module
-owns are the contracts: ascending Hermitian eigenvalues with orthonormal
-vectors (reconstruction residual <= 1e-9 * ||A||_F), an exact maximum-trace
+Factorizations are backed by LAPACK through numpy, and the assignment by
+scipy.optimize, which is imported on the first assignment only so that a
+call that never rounds starts on numpy alone.  What this module owns are
+the contracts: ascending Hermitian eigenvalues with orthonormal vectors
+(reconstruction residual <= 1e-9 * ||A||_F), an exact maximum-trace
 assignment, and a seeded PSD sampler whose stream is fixed by the recipe in
 rng.py (same seed, same bytes).
 """
@@ -12,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .errors import DimensionError, NumericError
 from .groups import Permutation
@@ -68,6 +69,8 @@ def hungarian_max(s) -> tuple:
 
     Equivalently the permutation matrix P maximizing tr(P^T S).
     """
+    from scipy.optimize import linear_sum_assignment
+
     arr = as_cmatrix(s, square=True)
     if np.max(np.abs(arr.imag)) != 0.0:
         raise NumericError("assignment scores must be real")

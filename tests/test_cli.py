@@ -231,6 +231,15 @@ class TestDiscover:
         assert run(["discover", path, f"--tau={tau}"]) == 2
         assert "error: --tau" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    def test_cap_below_one_exit_2_without_symmetry(self, tmp_path, cap, capsys):
+        # no generator is accepted, so closure enumeration never sees the cap
+        path = write_cov(tmp_path / "rand6.mtx", random_psd(6, 3))
+        assert run(["discover", path, f"--cap={cap}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap must be >= 1" in captured.err
+
     def test_missing_file_exit_3(self, capsys):
         assert run(["discover", "/nonexistent/path.mtx"]) == 3
         assert "I/O failure" in capsys.readouterr().err
@@ -356,6 +365,15 @@ class TestMatchLibrary:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error:" in captured.err
+
+    @pytest.mark.parametrize("cap", ["0", "-5"])
+    @pytest.mark.parametrize("lib", ["trivial:6,cyclic:6", "cyclic:4"])
+    def test_cap_below_one_exit_2_without_symmetry(self, tmp_path, cap, lib, capsys):
+        path = write_cov(tmp_path / "rand6.mtx", random_psd(6, 3))
+        assert run(["match-library", "--in", path, "--library", lib, f"--cap={cap}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cap must be >= 1" in captured.err
 
     def test_empty_library_exit_2(self, tmp_path, capsys):
         path = write_cov(tmp_path / "cov.mtx", np.eye(3))

@@ -66,6 +66,13 @@ class TestCandidateBasis:
         b = CandidateBasis.matrix_units(2)
         assert np.array_equal(b.stack[1].real, [[0, 1], [0, 0]])  # E01 second
 
+    def test_matrix_units_equal_the_checked_identity_stack(self):
+        b = CandidateBasis.matrix_units(3)
+        checked = CandidateBasis(np.eye(9).reshape(9, 3, 3))
+        assert b.stack.dtype == checked.stack.dtype
+        assert np.array_equal(b.stack, checked.stack)
+        assert not b.stack.flags.writeable
+
     def test_cyclic_shifts_powers(self):
         b = CandidateBasis.cyclic_shifts(4)
         assert b.size == 4

@@ -24,9 +24,65 @@ from matched_transforms import (
     reynolds_project,
 )
 
+from matched_transforms.groups import _hook_and_compress
+
 from helpers import catalog_actions, closure_set
 
 CATALOG = catalog_actions()
+
+
+def first_appearance_ids(reps, m):
+    """Label equal representatives by first appearance in a row-major scan."""
+    ids = {}
+    return np.array([ids.setdefault(int(x), len(ids)) for x in reps]).reshape(m, m)
+
+
+def closure_pair_orbit_ids(action):
+    """Reference orbit ids from the enumerated group: the orbit of (i, j) is
+    {(g(i), g(j)) : g in G}, represented by its smallest pair index."""
+    m = action.degree
+    imgs = np.array([g.images for g in closure_set(action)])
+    reps = (imgs[:, :, None] * m + imgs[:, None, :]).min(axis=0).ravel()
+    return first_appearance_ids(reps, m)
+
+
+def scipy_pair_orbit_ids(action):
+    """Reference orbit ids from scipy's weak connected components of the
+    pair graph (every pair joined to its image under every generator)."""
+    sparse = pytest.importorskip("scipy.sparse")
+    csgraph = pytest.importorskip("scipy.sparse.csgraph")
+    m = action.degree
+    n = m * m
+    idx = np.arange(n)
+    dst = np.concatenate([
+        (np.asarray(g.images)[:, None] * m + np.asarray(g.images)[None, :]).ravel()
+        for g in action.generators
+    ])
+    src = np.tile(idx, len(action.generators))
+    graph = sparse.coo_matrix((np.ones(src.size), (src, dst)), shape=(n, n))
+    _, labels = csgraph.connected_components(graph, directed=True, connection="weak")
+    return first_appearance_ids(labels, m)
+
+
+@st.composite
+def generator_sets(draw):
+    """1-4 generators of degree <= 12: identities, arbitrary permutations and
+    single cycles through every point in a drawn order."""
+    m = draw(st.integers(1, 12))
+    gens = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["identity", "permutation", "long-cycle"]))
+        if kind == "identity":
+            images = list(range(m))
+        elif kind == "permutation":
+            images = draw(st.permutations(range(m)))
+        else:
+            order = draw(st.permutations(range(m)))
+            images = [0] * m
+            for a, b in zip(order, order[1:] + order[:1]):
+                images[a] = b
+        gens.append(Permutation(images))
+    return from_generators(gens, "drawn")
 
 
 class TestPermutation:
@@ -264,6 +320,44 @@ class TestPairOrbits:
             proj = reynolds_project(generic, act)
             distinct = len(np.unique(np.round(proj.real, 9)))
             assert distinct == pair_orbits(act).orbit_count
+
+
+class TestPairOrbitOracles:
+    @pytest.mark.parametrize("act", CATALOG, ids=lambda a: a.name)
+    def test_matches_enumerated_closure(self, act):
+        part = pair_orbits(act)
+        expected = closure_pair_orbit_ids(act)
+        assert np.array_equal(part.orbit_id, expected)
+        assert part.orbit_count == int(expected.max()) + 1
+
+    @pytest.mark.parametrize("spec", [
+        "dyadic-wreath:6", "boolean:6", "hybrid:4,3", "wreath:3c,3s,2c",
+        "product:(dihedralM:8,boolean:3)",
+    ])
+    def test_matches_scipy_components(self, spec):
+        act = parse_group_spec(spec)
+        part = pair_orbits(act)
+        assert np.array_equal(part.orbit_id, scipy_pair_orbit_ids(act))
+
+    @given(generator_sets())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_scipy_on_drawn_generators(self, act):
+        part = pair_orbits(act)
+        expected = scipy_pair_orbit_ids(act)
+        assert np.array_equal(part.orbit_id, expected)
+        assert part.orbit_count == int(expected.max()) + 1
+
+    @pytest.mark.parametrize("m", [2, 64, 1024])
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_single_cycle_ends_in_few_rounds(self, m, shuffle):
+        order = np.arange(m, dtype=np.int32)
+        if shuffle:
+            order = np.random.default_rng(m).permutation(order)
+        labels, rounds = _hook_and_compress(m, [(order, np.roll(order, -1))])
+        assert np.array_equal(labels, np.zeros(m))
+        # each round at least halves the roots on a cycle; the natural order
+        # hooks everything in the first round and the second finds no edge
+        assert rounds <= (2 + int(np.log2(m)) if shuffle else 2)
 
 
 class TestReynolds:

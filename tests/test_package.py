@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import textwrap
 import types
 
 import matched_transforms
@@ -12,3 +16,25 @@ def test_all_matches_public_names():
     assert len(matched_transforms.__all__) == len(set(matched_transforms.__all__))
     assert set(matched_transforms.__all__) == public
     assert all(hasattr(matched_transforms, name) for name in matched_transforms.__all__)
+
+
+def test_cli_import_loads_no_scipy():
+    # scipy.optimize is imported on the first assignment only; an eager
+    # scipy import would add its load time to every `mtf` call
+    probe = textwrap.dedent("""
+        import sys
+        import matched_transforms.cli
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
+        from matched_transforms.numkernel import hungarian_max
+        perm, score = hungarian_max([[0.0, 3.0, 1.0], [2.0, 0.0, 5.0], [4.0, 1.0, 0.0]])
+        assert perm.images == (2, 0, 1), perm.images
+        assert score == 12.0, score
+        assert "scipy.optimize" in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(matched_transforms.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
