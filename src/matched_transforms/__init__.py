@@ -40,7 +40,7 @@ from .groups import (
     parse_permutation,
     reynolds_project,
 )
-from .numkernel import herm_eig, hungarian_max, random_psd
+from .numkernel import ClusterSet, eigen_clusters, herm_eig, hungarian_max, random_psd
 from .transforms import (
     IntTransform,
     SynthesizedBasis,
@@ -63,12 +63,10 @@ from .transforms import (
     wreath_matrix,
 )
 from .diagnostics import (
-    ClusterSet,
     MatchReport,
     circle_check,
     coloring_alpha,
     dct_fold_cov,
-    eigen_clusters,
     residual_delta,
     sample_invariant_cov,
     subspace_match,
@@ -78,7 +76,6 @@ from .discovery import (
     DiscoveryResult,
     LibraryMatch,
     LibraryReport,
-    build_gevp,
     dc_gevp_step,
     discover_sequential,
     match_library,
@@ -104,7 +101,7 @@ __all__ = [
     "ReportDocument", "SearchExhausted", "StructuralMismatchError",
     "SynthesizedBasis", "ToolkitError", "UndefinedResidualError",
     "UnitaryTransform", "UnsupportedGroupError", "anf_coefficients",
-    "arithmetic_matrix", "best_polarity", "build_gevp", "central_projection_basis",
+    "arithmetic_matrix", "best_polarity", "central_projection_basis",
     "circle_check", "closure_enumerate", "coloring_alpha", "compose_direct",
     "dc_gevp_step", "dct2_matrix", "dct_fold_cov", "dft_matrix",
     "discover_sequential", "eigen_clusters",

@@ -189,7 +189,7 @@ def cmd_discover(args) -> int:
     result = discovery.discover_sequential(
         r, tau=args.tau, basis=basis, enumeration_cap=args.cap
     )
-    clusters = diagnostics.eigen_clusters(numkernel.herm_eig(r).values)
+    clusters = numkernel.eigen_clusters(numkernel.herm_eig(r).values)
     n_clusters = len(clusters.clusters)
 
     doc = matrixio.ReportDocument()

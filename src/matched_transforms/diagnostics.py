@@ -28,17 +28,8 @@ from .groups import (
     make_dihedral,
     reynolds_project,
 )
-from .numkernel import as_cmatrix, herm_eig, random_psd
+from .numkernel import as_cmatrix, eigen_clusters, herm_eig, random_psd
 from .transforms import UnitaryTransform, even_extension_isometry, semidirect_dct_cascade
-
-
-@dataclass(frozen=True)
-class ClusterSet:
-    """Eigenvalue clusters: (mean value, ascending index tuple) per cluster,
-    plus the absolute gap threshold that was used to split them."""
-
-    clusters: tuple
-    threshold: float
 
 
 @dataclass(frozen=True)
@@ -78,31 +69,6 @@ def coloring_alpha(action: GroupAction, r) -> float:
         raise UndefinedResidualError("alpha is undefined for the zero matrix")
     diff = arr - reynolds_project(arr, action)
     return 1.0 - float(np.linalg.norm(diff)) ** 2 / r_norm_sq
-
-
-def eigen_clusters(values, rel_tol: float = 1e-6) -> ClusterSet:
-    """Greedy clustering of real values: split where a consecutive gap
-    exceeds rel_tol * (max - min).  An all-equal input is one cluster."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise InputError("need a non-empty 1-d real array")
-    if not np.all(np.isfinite(vals)):
-        raise InputError("values must be finite")
-    if rel_tol < 0:
-        raise InputError("rel_tol must be >= 0")
-    order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-    spread = float(sorted_vals[-1] - sorted_vals[0])
-    threshold = rel_tol * spread
-    groups = [[int(order[0])]]
-    for pos in range(1, vals.size):
-        if sorted_vals[pos] - sorted_vals[pos - 1] > threshold:
-            groups.append([])
-        groups[-1].append(int(order[pos]))
-    clusters = tuple(
-        (float(np.mean(vals[idx])), tuple(idx)) for idx in groups
-    )
-    return ClusterSet(clusters, threshold)
 
 
 def subspace_match(r, predicted: UnitaryTransform, rel_tol: float = 1e-6) -> MatchReport:

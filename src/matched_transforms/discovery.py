@@ -28,6 +28,7 @@ from .errors import (
 )
 from .diagnostics import coloring_alpha, residual_delta
 from .groups import (
+    ClosureResult,
     GroupAction,
     Permutation,
     closure_enumerate,
@@ -129,18 +130,6 @@ def _commutator_form(r_arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
     return (form + form.conj().T) / 2.0
 
 
-def build_gevp(r, basis: CandidateBasis) -> tuple:
-    """Quadratic-form pair (M, G): M_ij = <[R,B_i],[R,B_j]>_F (equal to
-    Tr(B_i* [R,[R,B_j]]) for Hermitian R) and the basis Gram G."""
-    r_arr = _check_hermitian(as_cmatrix(r, square=True))
-    stack = basis.stack
-    if stack.shape[1] != r_arr.shape[0]:
-        raise DimensionError("basis degree does not match the matrix")
-    flat = stack.reshape(stack.shape[0], -1)
-    g_mat = flat.conj() @ flat.T
-    return _commutator_form(r_arr, stack), (g_mat + g_mat.conj().T) / 2.0
-
-
 def dc_gevp_step(r, basis: CandidateBasis, deflation_span=()) -> tuple:
     """Smallest constrained direction: minimize ||[R, A]||_F^2 over unit-norm
     A in span(basis) orthogonal (Frobenius) to every deflation matrix.
@@ -227,23 +216,17 @@ def discover_sequential(
     identity = Permutation.identity(m)
     accepted: list = []
     residuals: list = []
-    closure_elements = [identity]
-    closure_set = {identity}
-    closure_count = 1
-    overflowed = False
+    # the group elements known so far: the whole closure of `accepted`, or
+    # only the identity and `accepted` once the closure overflows the cap
+    closure = ClosureResult([identity], 1, False)
+    known = closure.elements
     rejected_dirs: list = []
     bound = tau * tau * r_norm * r_norm
     iterations = 0
     rejected_count = 0
     stop_reason = "saturated"
-    eye = np.eye(m, dtype=np.complex128)
     while iterations < max_iters:
-        if overflowed:
-            deflation = [eye] + [p.to_matrix() for p in accepted] + rejected_dirs
-        else:
-            deflation = [eye] + [
-                p.to_matrix() for p in closure_elements if not p.is_identity()
-            ] + rejected_dirs
+        deflation = [p.to_matrix() for p in known] + rejected_dirs
         try:
             lam, direction = dc_gevp_step(r_arr, basis, deflation)
         except SearchExhausted:
@@ -255,24 +238,13 @@ def discover_sequential(
             break
         candidate = round_to_permutation(direction)
         delta = residual_delta(candidate, r_arr)
-        if overflowed:
-            novel = candidate not in set(accepted)
-        else:
-            novel = candidate not in closure_set
-        if delta <= tau and novel:
+        if delta <= tau and candidate not in set(known):
             accepted.append(candidate)
             residuals.append(delta)
             closure = closure_enumerate(
                 from_generators(accepted, "discovered"), cap=enumeration_cap
             )
-            closure_count = closure.count
-            if closure.overflowed:
-                overflowed = True
-                closure_elements = []
-                closure_set = set()
-            else:
-                closure_elements = closure.elements
-                closure_set = set(closure.elements)
+            known = [identity] + accepted if closure.overflowed else closure.elements
         else:
             rejected_count += 1
             rejected_dirs.append(direction)
@@ -281,8 +253,8 @@ def discover_sequential(
     return DiscoveryResult(
         generators=tuple(accepted),
         residuals=tuple(residuals),
-        group_order=None if overflowed else closure_count,
-        order_exceeded_cap=overflowed,
+        group_order=None if closure.overflowed else closure.count,
+        order_exceeded_cap=closure.overflowed,
         alpha=alpha,
         iterations=iterations,
         rejected_count=rejected_count,

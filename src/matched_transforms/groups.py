@@ -193,6 +193,16 @@ class PairOrbitPartition:
     orbit_id: np.ndarray
     orbit_count: int
 
+    def average(self, r: np.ndarray) -> np.ndarray:
+        """Replace each entry of the degree x degree complex matrix r by the
+        mean of r over its pair orbit."""
+        ids = self.orbit_id.ravel()
+        counts = np.bincount(ids, minlength=self.orbit_count)
+        sums = np.bincount(ids, weights=r.real.ravel(), minlength=self.orbit_count)
+        sums = sums + 1j * np.bincount(ids, weights=r.imag.ravel(), minlength=self.orbit_count)
+        means = sums / counts
+        return means[ids].reshape(self.degree, self.degree)
+
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -446,13 +456,7 @@ def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
         raise InputError(f"matrix shape {r.shape} does not match degree {m}")
     if not np.all(np.isfinite(r)):
         raise InputError("matrix has non-finite entries")
-    po = pair_orbits(action)
-    ids = po.orbit_id.ravel()
-    counts = np.bincount(ids, minlength=po.orbit_count)
-    sums = np.bincount(ids, weights=r.real.ravel(), minlength=po.orbit_count)
-    sums = sums + 1j * np.bincount(ids, weights=r.imag.ravel(), minlength=po.orbit_count)
-    means = sums / counts
-    return means[ids].reshape(m, m)
+    return pair_orbits(action).average(r)
 
 
 def _generator_residual(r: np.ndarray, g: Permutation, r_norm: float) -> float:

@@ -24,8 +24,14 @@ from .errors import (
     NumericError,
     UnsupportedGroupError,
 )
-from .groups import MAX_DEGREE, GroupAction, _branching_name, _normalize_branching
-from .numkernel import as_cmatrix, herm_eig, random_psd
+from .groups import (
+    MAX_DEGREE,
+    GroupAction,
+    _branching_name,
+    _normalize_branching,
+    pair_orbits,
+)
+from .numkernel import as_cmatrix, eigen_clusters, herm_eig, random_psd
 from .rng import _splitmix64
 
 UNITARITY_TOL = 1e-10
@@ -432,7 +438,8 @@ def _derived_seed(seed: int, index: int) -> int:
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """Eigenbasis of a seeded invariant covariance sample R1, certified
-    data-independent against a second sample R2.
+    data-independent against a second sample R2.  Both samples are seeded
+    PSD draws averaged over the action's pair orbits, computed once per call.
 
     For a multiplicity-free action every invariant covariance is diagonal
     in the same basis, so U (the eigenvectors of R1) is accepted when
@@ -443,8 +450,6 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     most 5 attempts.  The trivial action is special-cased: there is no
     fixed basis, so the sample's own KLT is returned flagged data_dependent.
     """
-    from . import diagnostics  # deferred: diagnostics imports this module
-
     if all(g.is_identity() for g in action.generators):
         eig = herm_eig(random_psd(action.degree, seed))
         transform = UnitaryTransform(
@@ -453,9 +458,11 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         )
         return SynthesizedBasis(transform, (1,) * action.degree, True)
 
+    orbits = pair_orbits(action)
+    m = action.degree
     for attempt in range(5):
-        r1 = diagnostics.sample_invariant_cov(action, _derived_seed(seed, 2 * attempt))
-        r2 = diagnostics.sample_invariant_cov(action, _derived_seed(seed, 2 * attempt + 1))
+        r1 = orbits.average(random_psd(m, _derived_seed(seed, 2 * attempt)))
+        r2 = orbits.average(random_psd(m, _derived_seed(seed, 2 * attempt + 1)))
         eig = herm_eig(r1)
         u = eig.vectors
         d = u.conj().T @ r2 @ u
@@ -467,7 +474,7 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
                     f"action {action.name} has a non-commutative commutant"
                 )
             continue
-        clusters = diagnostics.eigen_clusters(eig.values, rel_tol=1e-6)
+        clusters = eigen_clusters(eig.values, rel_tol=1e-6)
         labels = []
         for c_idx, (_, cols) in enumerate(clusters.clusters):
             labels.extend(f"cluster={c_idx},col={i}" for i in range(len(cols)))
@@ -479,15 +486,14 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     )
 
 
-def central_projection_basis(action: GroupAction, characters=None) -> UnitaryTransform:
+def central_projection_basis(action: GroupAction) -> UnitaryTransform:
     """Character-projected basis for the built-in regular abelian actions.
 
     Column k is the normalized projection of e_0 by character k:
-    (1/sqrt(|G|)) sum_g conj(chi_k(g)) e_{g.0}.  Built-in tables cover
+    (1/sqrt(|G|)) sum_g conj(chi_k(g)) e_{g.0}.  The character tables cover
     cyclic:M (chi_k(g) = exp(2 pi i g k / M), giving the conjugate of the
     DFT columns) and boolean:n (parity characters, giving Walsh-Hadamard
-    exactly).  An explicit `characters` table (|G| x |G|, chi[k, g]) may
-    override the built-in one for these actions.
+    exactly).
     """
     head, _, tail = action.name.partition(":")
     m = action.degree
@@ -500,10 +506,6 @@ def central_projection_basis(action: GroupAction, characters=None) -> UnitaryTra
         raise UnsupportedGroupError(
             f"central projection covers cyclic/boolean catalog actions, not {action.name}"
         )
-    if characters is not None:
-        table = as_cmatrix(characters, square=True)
-        if table.shape[0] != m:
-            raise DimensionError("character table must be |G| x |G|")
     # rows are indexed by g.0 = g for these regular actions, so the column
     # for character k is conj(chi_k(.)) placed at positions g
     mat = table.conj().T / np.sqrt(m)

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -8,8 +14,8 @@ from matched_transforms import (
     DiscoveryResult,
     Permutation,
     SearchExhausted,
+    NumericError,
     UndefinedResidualError,
-    build_gevp,
     closure_enumerate,
     dc_gevp_step,
     discover_sequential,
@@ -28,7 +34,11 @@ from matched_transforms import (
     sample_invariant_cov,
 )
 
-from helpers import brute_force_matched_group, closure_set, double_commutator
+import matched_transforms
+from matched_transforms.discovery import _commutator_form
+from matched_transforms.numkernel import _check_hermitian
+
+from helpers import all_permutations, brute_force_matched_group, closure_set, double_commutator
 
 
 def discovered_closure(result: DiscoveryResult, degree: int) -> set:
@@ -90,23 +100,29 @@ class TestCandidateBasis:
             CandidateBasis(e)
 
 
+def commutator_form(r, basis: CandidateBasis) -> np.ndarray:
+    """The form dc_gevp_step minimizes, over the whole (undeflated) basis."""
+    return _commutator_form(_check_hermitian(np.asarray(r, dtype=np.complex128)), basis.stack)
+
+
 class TestBuildGevp:
+    """The Hermitian form of discovery's reduced eigenproblem, built by
+    `_commutator_form` over the whole matrix-unit basis."""
+
     def test_identity_r_gives_zero_m(self):
-        m_mat, g_mat = build_gevp(np.eye(3), CandidateBasis.matrix_units(3))
+        m_mat = commutator_form(np.eye(3), CandidateBasis.matrix_units(3))
         assert np.max(np.abs(m_mat)) == 0.0
-        assert np.allclose(g_mat, np.eye(9))
 
     def test_diag12_matrix_unit_values(self):
-        m_mat, g_mat = build_gevp(np.diag([1.0, 2.0]), CandidateBasis.matrix_units(2))
+        m_mat = commutator_form(np.diag([1.0, 2.0]), CandidateBasis.matrix_units(2))
         assert np.allclose(np.diag(m_mat).real, [0.0, 1.0, 1.0, 0.0], atol=1e-14)
         assert np.max(np.abs(m_mat - np.diag(np.diag(m_mat)))) <= 1e-14
-        assert np.allclose(g_mat, np.eye(4))
 
     def test_m_matches_trace_route(self):
         # independent second route: M_ij = Tr(B_i^* [R,[R,B_j]]) entry by entry
         r = sample_invariant_cov(make_cyclic(3), seed=9)
         basis = CandidateBasis.matrix_units(3)
-        m_mat, _ = build_gevp(r, basis)
+        m_mat = commutator_form(r, basis)
         for i in range(basis.size):
             for j in range(basis.size):
                 expected = np.trace(basis.stack[i].conj().T @ double_commutator(r, basis.stack[j]))
@@ -115,22 +131,20 @@ class TestBuildGevp:
     def test_m_psd(self):
         for seed in (1, 2, 3):
             r = random_psd(4, seed)
-            m_mat, _ = build_gevp(r, CandidateBasis.matrix_units(4))
+            m_mat = commutator_form(r, CandidateBasis.matrix_units(4))
             lam = np.linalg.eigvalsh(m_mat)
             assert lam[0] >= -1e-10 * np.linalg.norm(m_mat)
 
     def test_nullspace_dim_equals_pair_orbit_count(self):
         r = sample_invariant_cov(make_cyclic(4), seed=3)
-        m_mat, _ = build_gevp(r, CandidateBasis.matrix_units(4))
+        m_mat = commutator_form(r, CandidateBasis.matrix_units(4))
         lam = np.linalg.eigvalsh(m_mat)
         null_dim = int(np.sum(lam <= 1e-10 * max(np.linalg.norm(m_mat), 1.0)))
         assert null_dim == 4
 
     def test_hermitian_required(self):
-        from matched_transforms import NumericError
-
         with pytest.raises(NumericError):
-            build_gevp(np.array([[0.0, 1.0], [0.0, 0.0]]), CandidateBasis.matrix_units(2))
+            dc_gevp_step(np.array([[0.0, 1.0], [0.0, 0.0]]), CandidateBasis.matrix_units(2))
 
 
 class TestDcGevpStep:
@@ -314,6 +328,39 @@ class TestDiscoverSequential:
         result = discover_sequential(np.eye(4), enumeration_cap=10)
         assert result.order_exceeded_cap
         assert result.group_order is None
+        # past the cap only the identity and the accepted generators are
+        # deflated; the generators found must still give all of S_M.  The
+        # BLAS thread count is fixed at interpreter start, so each count
+        # runs in its own process.
+        probe = textwrap.dedent("""
+            import json
+            import numpy as np
+            from matched_transforms import discover_sequential
+            out = {}
+            for m, cap in ((4, 2), (4, 10), (5, 10), (5, 30)):
+                res = discover_sequential(np.eye(m), enumeration_cap=cap)
+                out[f"{m},{cap}"] = {
+                    "generators": [list(g.images) for g in res.generators],
+                    "exceeded": res.order_exceeded_cap,
+                }
+            print(json.dumps(out))
+        """)
+        src = os.path.dirname(os.path.dirname(matched_transforms.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        for blas_threads in (1, 2):
+            for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+                env[var] = str(blas_threads)
+            proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            for key, found in json.loads(proc.stdout).items():
+                m = int(key.split(",")[0])
+                assert found["exceeded"], (blas_threads, key)
+                gens = [Permutation(images) for images in found["generators"]]
+                closure = closure_set(from_generators(gens, "discovered"))
+                expected = {Permutation(row) for row in all_permutations(m)}
+                assert closure == expected, (blas_threads, key)
 
     def test_max_iters_saturates(self):
         r = sample_invariant_cov(make_cyclic(6), seed=1)

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -16,6 +17,41 @@ def test_all_matches_public_names():
     assert len(matched_transforms.__all__) == len(set(matched_transforms.__all__))
     assert set(matched_transforms.__all__) == public
     assert all(hasattr(matched_transforms, name) for name in matched_transforms.__all__)
+
+
+def test_module_imports_form_no_cycle():
+    # every relative import, deferred ones inside functions included; a
+    # cycle would force one of its modules to import the other lazily
+    package = os.path.dirname(matched_transforms.__file__)
+    graph = {}
+    for name in os.listdir(package):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as fh:
+            tree = ast.parse(fh.read())
+        deps = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                if node.module:
+                    deps.add(node.module)
+                else:
+                    deps.update(alias.name for alias in node.names)
+        graph[name[:-3]] = deps
+    assert "diagnostics" not in graph["transforms"]
+    done, active = set(), []
+
+    def visit(module):
+        assert module not in active, " -> ".join(active + [module])
+        if module in done:
+            return
+        active.append(module)
+        for dep in sorted(graph.get(module, ())):
+            visit(dep)
+        active.pop()
+        done.add(module)
+
+    for module in sorted(graph):
+        visit(module)
 
 
 def test_cli_import_loads_no_scipy():

@@ -17,7 +17,6 @@ from matched_transforms import (
     compose_direct,
     dct2_matrix,
     dft_matrix,
-    diagnostics,
     eigen_clusters,
     even_extension_isometry,
     fp_rm_matrix,
@@ -30,6 +29,7 @@ from matched_transforms import (
     make_dyadic_wreath,
     make_trivial,
     make_wreath,
+    pair_orbits,
     random_psd,
     reynolds_project,
     rm_matrix,
@@ -40,6 +40,7 @@ from matched_transforms import (
     wht_matrix,
     wreath_matrix,
 )
+from matched_transforms import transforms
 from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed
 
 from helpers import catalog_actions
@@ -406,20 +407,47 @@ class TestSynthesize:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
+    @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
+    def test_orbit_average_is_the_invariant_sample(self, action):
+        # synthesis draws its samples as orbits.average(random_psd(M, s));
+        # they must stay the bytes of sample_invariant_cov(action, s)
+        orbits = pair_orbits(action)
+        for s in (1, 2, _derived_seed(7, 0)):
+            ours = orbits.average(random_psd(action.degree, s))
+            ref = sample_invariant_cov(action, s)
+            assert ours.dtype == ref.dtype and ours.shape == ref.shape
+            assert ours.tobytes() == ref.tobytes()
+
+    def test_one_orbit_partition_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(action):
+            calls.append(action.name)
+            return pair_orbits(action)
+
+        monkeypatch.setattr(transforms, "pair_orbits", counted)
+        synthesize_matched(make_cyclic(6), seed=7)
+        assert calls == ["cyclic:6"]
+        # an attempt that resamples reuses the same partition
+        calls.clear()
+        self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
+        synthesize_matched(make_cyclic(6), seed=7)
+        assert calls == ["cyclic:6"]
+
     @staticmethod
     def merge_samples(monkeypatch, merged):
-        """Make sample_invariant_cov return the identity (one merged
-        eigenvalue) at the seeds in `merged`; returns the drawn seeds."""
-        real = diagnostics.sample_invariant_cov
+        """Make synthesis's PSD draw return the identity (one merged
+        eigenvalue, and a fixed point of orbit averaging) at the seeds in
+        `merged`; returns the drawn seeds."""
         drawn = []
 
-        def sample(action, seed):
+        def sample(degree, seed):
             drawn.append(seed)
             if seed in merged:
-                return np.eye(action.degree, dtype=np.complex128)
-            return real(action, seed)
+                return np.eye(degree, dtype=np.complex128)
+            return random_psd(degree, seed)
 
-        monkeypatch.setattr(diagnostics, "sample_invariant_cov", sample)
+        monkeypatch.setattr(transforms, "random_psd", sample)
         return drawn
 
     def test_merged_first_sample_resamples(self, monkeypatch):
@@ -460,13 +488,6 @@ class TestCentralProjection:
 
         with pytest.raises(UnsupportedGroupError):
             central_projection_basis(make_dihedral(3))
-
-    def test_explicit_characters_override(self):
-        m = 3
-        g = np.arange(m)
-        table = np.exp(2j * np.pi * np.outer(g, g) / m)
-        u = central_projection_basis(make_cyclic(m), characters=table)
-        assert unitarity_error(u) <= 1e-10
 
 
 class TestUnitaryTransformType:
