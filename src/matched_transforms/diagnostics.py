@@ -29,7 +29,12 @@ from .groups import (
     reynolds_project,
 )
 from .numkernel import as_cmatrix, eigen_clusters, herm_eig, random_psd
-from .transforms import UnitaryTransform, even_extension_isometry, semidirect_dct_cascade
+from .transforms import (
+    UnitaryTransform,
+    dft_matrix,
+    even_extension_isometry,
+    semidirect_dct_cascade,
+)
 
 
 @dataclass(frozen=True)
@@ -148,8 +153,7 @@ def circle_check(n: int = 64, seed: int = 1, rel_tol: float = 1e-6) -> MatchRepo
     freqs = np.arange(n)
     folded = np.minimum(freqs, n - freqs)
     lam = 1.0 + folded / n
-    j = np.arange(n)
-    four = np.exp(2j * np.pi * np.outer(j, j) / n) / np.sqrt(n)
+    four = dft_matrix(n).matrix
     r = (four * lam) @ four.conj().T
     r = (r + r.conj().T) / 2.0
     return subspace_match(r, semidirect_dct_cascade(n // 2), rel_tol)

@@ -196,7 +196,8 @@ class PairOrbitPartition:
     def average(self, r: np.ndarray) -> np.ndarray:
         """Replace each entry of the degree x degree complex matrix r by the
         mean of r over its pair orbit."""
-        ids = self.orbit_id.ravel()
+        # bincount and the gather each cast int32 ids to intp; cast once
+        ids = self.orbit_id.ravel().astype(np.intp)
         counts = np.bincount(ids, minlength=self.orbit_count)
         sums = np.bincount(ids, weights=r.real.ravel(), minlength=self.orbit_count)
         sums = sums + 1j * np.bincount(ids, weights=r.imag.ravel(), minlength=self.orbit_count)
@@ -442,7 +443,7 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
         moved = dst != idx
         edges.append((idx[moved], dst[moved]))
     labels, _ = _hook_and_compress(n, edges)
-    rank = np.cumsum(labels == idx) - 1
+    rank = np.cumsum(labels == idx, dtype=np.int32) - 1
     return PairOrbitPartition(m, rank[labels].reshape(m, m), int(rank[-1]) + 1)
 
 

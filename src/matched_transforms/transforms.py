@@ -1,18 +1,20 @@
 """Orthogonal/unitary transform kernels tied to index symmetries.
 
 Each builder returns the dense matrix matched to one family of invariant
-covariances: DFT for cyclic shifts, Walsh-Hadamard for XOR translations,
-DCT-II for the reflection-extended cyclic family, Haar for binary-tree
-block swaps, and a recursive construction for general wreath branchings.
-Integer counterparts (Reed-Muller triangle, fixed-polarity variants, the
-arithmetic-transform inverse pair) live here too, plus the generic
-eigenbasis synthesizer that works from samples of any multiplicity-free
-action.
+covariances, built from one base matrix per node kind (Fourier for cyclic
+nodes, real Helmert for symmetric and binary ones) and the composition
+rules: Walsh-Hadamard is a Kronecker power of the 2-point node, Haar the
+wreath basis of binary nodes, and the cosine cascade the semidirect rule
+applied to the DFT.  Integer counterparts (Reed-Muller triangle,
+fixed-polarity variants, the arithmetic-transform inverse pair) are
+Kronecker powers of 2x2 blocks.  The generic eigenbasis synthesizer works
+from samples of any multiplicity-free action.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,7 +33,7 @@ from .groups import (
     _normalize_branching,
     pair_orbits,
 )
-from .numkernel import as_cmatrix, eigen_clusters, herm_eig, random_psd
+from .numkernel import as_cmatrix, herm_eig, random_psd
 from .rng import _splitmix64
 
 UNITARITY_TOL = 1e-10
@@ -139,20 +141,32 @@ def _check_bits(n: int, what: str = "variable count"):
 # ---------------------------------------------------------------------------
 # closed-form kernels
 
+_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.int64)  # 2-point sign table
+
+
+def _fourier(m: int) -> np.ndarray:
+    """(F)_{jk} = exp(2 pi i j k / m) / sqrt(m), the cyclic node's base."""
+    j = np.arange(m)
+    return np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
+
+
+def _kron_all(blocks) -> np.ndarray:
+    """Kronecker product of the blocks, first block most significant."""
+    return reduce(np.kron, blocks)
+
+
 def dft_matrix(m: int) -> UnitaryTransform:
     """Discrete Fourier kernel (U)_{jk} = exp(2 pi i j k / m) / sqrt(m)."""
     _check_size(m)
-    j = np.arange(m)
-    mat = np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
+    mat = _fourier(m)
     return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"freq={k}" for k in range(m)))
 
 
 def hartley_matrix(m: int) -> UnitaryTransform:
-    """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m)."""
+    """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m) = Re F + Im F."""
     _check_size(m)
-    j = np.arange(m)
-    angles = 2.0 * np.pi * np.outer(j, j) / m
-    mat = (np.cos(angles) + np.sin(angles)) / np.sqrt(m)
+    f = _fourier(m)
+    mat = f.real + f.imag
     return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
 
 
@@ -166,51 +180,27 @@ def dct2_matrix(m: int) -> UnitaryTransform:
     return UnitaryTransform(mat, f"dihedral:{m}", tuple(f"k={t}" for t in range(m)))
 
 
-def _xor_parity_signs(n: int) -> np.ndarray:
-    """(-1)^{<j,k>} over n-bit indices."""
-    m = 1 << n
-    j = np.arange(m)
-    masks = np.bitwise_and.outer(j, j)
-    parity = np.zeros_like(masks)
-    for b in range(n):
-        parity ^= (masks >> b) & 1
-    return 1.0 - 2.0 * parity
-
-
 def wht_matrix(n: int) -> UnitaryTransform:
     """Walsh-Hadamard kernel (Hadamard order): (-1)^{<j,k>} / 2^{n/2}."""
     _check_bits(n, "bit count")
-    mat = _xor_parity_signs(n) / 2.0 ** (n / 2.0)
+    mat = _kron_all([_SIGNS] * n) / 2.0 ** (n / 2.0)
     return UnitaryTransform(
         mat, f"boolean:{n}", tuple(f"mask={k}" for k in range(1 << n))
     )
 
 
 def haar_matrix(levels: int) -> UnitaryTransform:
-    """Orthonormal Haar wavelet matrix on 2^levels points.
+    """Orthonormal Haar wavelet matrix on 2^levels points: the wreath basis
+    of `levels` binary nodes.
 
-    Column 0 is the scaling vector 2^{-L/2}; the wavelet at scale s
-    (1 = coarsest) and position p has support [a, a + 2h) with
+    Column 0 (scale=0) is the scaling vector 2^{-L/2}; the wavelet at scale
+    s (1 = coarsest) and position p has support [a, a + 2h) with
     a = p * 2^{L-s+1}, h = 2^{L-s}, value +2^{(s-L-1)/2} on the first half
     and the negative on the second.  Columns are ordered scale-major, then
-    position.
+    position, and labeled scale=s,pos=p.
     """
     _check_bits(levels, "level count")
-    m = 1 << levels
-    mat = np.zeros((m, m))
-    mat[:, 0] = 2.0 ** (-levels / 2.0)
-    labels = ["scaling"]
-    col = 1
-    for s in range(1, levels + 1):
-        h = 1 << (levels - s)
-        amp = 2.0 ** ((s - levels - 1) / 2.0)
-        for p in range(1 << (s - 1)):
-            a = p * 2 * h
-            mat[a : a + h, col] = amp
-            mat[a + h : a + 2 * h, col] = -amp
-            labels.append(f"scale={s},pos={p}")
-            col += 1
-    return UnitaryTransform(mat, f"dyadic-wreath:{levels}", tuple(labels))
+    return _wreath_transform(((2, "cyclic"),) * levels, f"dyadic-wreath:{levels}")
 
 
 # ---------------------------------------------------------------------------
@@ -221,18 +211,11 @@ _RM_UPPER = np.array([[1, 1], [0, 1]], dtype=np.int64)
 _ARITH = np.array([[1, 0], [-1, 1]], dtype=np.int64)
 
 
-def _int_tensor_power(block: np.ndarray, n: int) -> np.ndarray:
-    out = np.array([[1]], dtype=np.int64)
-    for _ in range(n):
-        out = np.kron(out, block)
-    return out
-
-
 def rm_matrix(n: int) -> IntTransform:
     """Reed-Muller triangle R_n = R_1^{tensor n}: entry (S, T) = [T subset S].
     Self-inverse mod 2."""
     _check_bits(n)
-    return IntTransform(_int_tensor_power(_RM_LOWER, n), 2, f"reed-muller:{n}")
+    return IntTransform(_kron_all([_RM_LOWER] * n), 2, f"reed-muller:{n}")
 
 
 def fp_rm_matrix(polarity) -> IntTransform:
@@ -243,9 +226,7 @@ def fp_rm_matrix(polarity) -> IntTransform:
     if not bits or any(b not in (0, 1) for b in bits):
         raise InputError("polarity must be a nonempty 0/1 sequence")
     _check_bits(len(bits))
-    out = np.array([[1]], dtype=np.int64)
-    for b in bits:
-        out = np.kron(out, _RM_UPPER if b else _RM_LOWER)
+    out = _kron_all([_RM_UPPER if b else _RM_LOWER for b in bits])
     name = "fixed-polarity-rm:" + "".join(str(b) for b in bits)
     return IntTransform(out, 2, name)
 
@@ -253,7 +234,7 @@ def fp_rm_matrix(polarity) -> IntTransform:
 def arithmetic_matrix(n: int) -> IntTransform:
     """Arithmetic-transform kernel A_n = A_1^{tensor n}; A_n R_n = I over Z."""
     _check_bits(n)
-    return IntTransform(_int_tensor_power(_ARITH, n), None, f"arithmetic:{n}")
+    return IntTransform(_kron_all([_ARITH] * n), None, f"arithmetic:{n}")
 
 
 def anf_coefficients(truth_table, polarity=None) -> np.ndarray:
@@ -333,18 +314,14 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     then the alternating Nyquist column.
     """
     _check_size(m, lo=2)
-    n = 2 * m
-    j = np.arange(n)
-    cols = [np.full(n, 1.0 / np.sqrt(n))]
-    labels = ["dc"]
-    for k in range(1, m):
-        angles = 2.0 * np.pi * j * k / n
-        cols.append(np.sqrt(2.0 / n) * np.cos(angles))
-        cols.append(np.sqrt(2.0 / n) * np.sin(angles))
-        labels.extend([f"cos={k}", f"sin={k}"])
-    cols.append(np.where(j % 2 == 0, 1.0, -1.0) / np.sqrt(n))
-    labels.append("nyquist")
-    return UnitaryTransform(np.column_stack(cols), f"dihedral:{m}", tuple(labels))
+    f = _fourier(2 * m)
+    # the 2x2 Hadamard on the conjugate pair (F_k, F_{2m-k}) gives
+    # sqrt(2) Re F_k and sqrt(2) Im F_k
+    pairs = f[:, 1:m]
+    cos_sin = np.sqrt(2.0) * np.stack([pairs.real, pairs.imag], axis=2)
+    mat = np.column_stack([f[:, 0].real, cos_sin.reshape(2 * m, -1), f[:, m].real])
+    labels = ["dc"] + [f"{part}={k}" for k in range(1, m) for part in ("cos", "sin")]
+    return UnitaryTransform(mat, f"dihedral:{m}", tuple(labels + ["nyquist"]))
 
 
 def wreath_matrix(branching) -> UnitaryTransform:
@@ -352,17 +329,23 @@ def wreath_matrix(branching) -> UnitaryTransform:
     make_wreath).
 
     Built by recursion on the tree: the inner transform is applied in every
-    child block, and the node's base transform (DFT for cyclic nodes, the
-    Helmert difference basis for symmetric nodes) mixes the K block-constant
-    directions.  Columns come out scale-major: scale 0 is the global
-    constant, scale 1 the root's non-trivial block mixes, scale s+1 the
-    per-block copies of inner scale-s columns, blocks left to right.
+    child block, and the node's base transform (DFT for cyclic nodes of
+    width K > 2, the real Helmert difference basis for symmetric and binary
+    nodes) mixes the K block-constant directions.  Columns come out
+    scale-major: scale 0 is the global constant, scale 1 the root's
+    non-trivial block mixes, scale s+1 the per-block copies of inner
+    scale-s columns, blocks left to right.
     """
     branching = _normalize_branching(branching)
     degree = 1
     for k, _ in branching:
         degree *= k
     _check_size(degree)
+    return _wreath_transform(branching, _branching_name(branching))
+
+
+def _wreath_transform(branching, name: str) -> UnitaryTransform:
+    """The wreath recursion's basis with columns labeled scale=s,pos=p."""
     mat, scales = _wreath_recurse(branching)
     counters: dict = {}
     labels = []
@@ -370,13 +353,13 @@ def wreath_matrix(branching) -> UnitaryTransform:
         idx = counters.get(s, 0)
         counters[s] = idx + 1
         labels.append(f"scale={s},pos={idx}")
-    return UnitaryTransform(mat, _branching_name(branching), tuple(labels))
+    return UnitaryTransform(mat, name, tuple(labels))
 
 
 def _node_base(k: int, kind: str) -> np.ndarray:
-    if kind == "cyclic":
-        j = np.arange(k)
-        return np.exp(2j * np.pi * np.outer(j, j) / k) / np.sqrt(k)
+    # Z_2 = S_2: a binary node of either kind takes the real Helmert base
+    if kind == "cyclic" and k > 2:
+        return _fourier(k)
     base = np.zeros((k, k), dtype=np.complex128)
     base[:, 0] = 1.0 / np.sqrt(k)
     for col in range(1, k):
@@ -389,28 +372,23 @@ def _node_base(k: int, kind: str) -> np.ndarray:
 def _wreath_recurse(branching) -> tuple:
     k, kind = branching[0]
     base = _node_base(k, kind)
+    scales = [0] + [1] * (k - 1)
     if len(branching) == 1:
-        return base.copy(), [0] + [1] * (k - 1)
+        return base, scales
     inner, inner_scales = _wreath_recurse(branching[1:])
     w = inner.shape[0]
     m = k * w
     out = np.zeros((m, m), dtype=np.complex128)
-    scales = []
-    col = 0
     # block-constant subspace: the node base rides on the inner DC column
-    for t in range(k):
-        out[:, col] = np.kron(base[:, t], inner[:, 0])
-        scales.append(0 if t == 0 else 1)
-        col += 1
+    out[:, :k] = np.kron(base, inner[:, :1])
+    col = k
     # deeper scales: per-block copies of the inner non-constant columns
-    max_scale = max(inner_scales)
-    for s in range(1, max_scale + 1):
+    for s in range(1, max(inner_scales) + 1):
         members = [i for i, sc in enumerate(inner_scales) if sc == s]
         for b in range(k):
-            for i in members:
-                out[b * w : (b + 1) * w, col] = inner[:, i]
-                scales.append(s + 1)
-                col += 1
+            out[b * w : (b + 1) * w, col : col + len(members)] = inner[:, members]
+            col += len(members)
+        scales += [s + 1] * (k * len(members))
     return out, scales
 
 
@@ -447,8 +425,11 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL ||R1||_F ||R2||_F means the
     commutant is not commutative (NotMultiplicityFreeError); otherwise R1's
     spectrum merged eigenvalues by accident and a fresh pair is drawn, at
-    most 5 attempts.  The trivial action is special-cased: there is no
-    fixed basis, so the sample's own KLT is returned flagged data_dependent.
+    most 5 attempts.  An accepted U's columns are split into exactly
+    orbit_count clusters (the commutant's dimension) at the widest gaps of
+    R1's spectrum; they give the labels and degeneracy_pattern.  The
+    trivial action is special-cased: there is no fixed basis, so the
+    sample's own KLT is returned flagged data_dependent.
     """
     if all(g.is_identity() for g in action.generators):
         eig = herm_eig(random_psd(action.degree, seed))
@@ -474,13 +455,14 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
                     f"action {action.name} has a non-commutative commutant"
                 )
             continue
-        clusters = eigen_clusters(eig.values, rel_tol=1e-6)
-        labels = []
-        for c_idx, (_, cols) in enumerate(clusters.clusters):
-            labels.extend(f"cluster={c_idx},col={i}" for i in range(len(cols)))
-        transform = UnitaryTransform(u, action.name, tuple(labels))
-        pattern = tuple(sorted(len(cols) for _, cols in clusters.clusters))
-        return SynthesizedBasis(transform, pattern, False)
+        # orbit_count <= m here: the certificate means a multiplicity-free action
+        widest = np.argsort(np.diff(eig.values), kind="stable")[m - orbits.orbit_count :]
+        sizes = np.diff(np.concatenate(([0], np.sort(widest) + 1, [m])))
+        labels = tuple(
+            f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size)
+        )
+        transform = UnitaryTransform(u, action.name, labels)
+        return SynthesizedBasis(transform, tuple(sorted(sizes.tolist())), False)
     raise DegenerateSampleError(
         f"could not certify a stable cluster structure for {action.name} after 5 samples"
     )
@@ -497,18 +479,17 @@ def central_projection_basis(action: GroupAction) -> UnitaryTransform:
     """
     head, _, tail = action.name.partition(":")
     m = action.degree
+    # rows are indexed by g.0 = g for these regular actions, so the column
+    # for character k is conj(chi_k(.)) placed at positions g; both tables
+    # are symmetric in (g, k)
     if head == "cyclic":
-        g = np.arange(m)
-        table = np.exp(2j * np.pi * np.outer(g, g) / m)
+        mat = _fourier(m).conj()
     elif head == "boolean":
-        table = _xor_parity_signs(int(tail)).astype(np.complex128)
+        mat = _kron_all([_SIGNS] * int(tail)) / np.sqrt(m)
     else:
         raise UnsupportedGroupError(
             f"central projection covers cyclic/boolean catalog actions, not {action.name}"
         )
-    # rows are indexed by g.0 = g for these regular actions, so the column
-    # for character k is conj(chi_k(.)) placed at positions g
-    mat = table.conj().T / np.sqrt(m)
     return UnitaryTransform(
         mat, action.name, tuple(f"char={k}" for k in range(m))
     )

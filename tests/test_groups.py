@@ -309,6 +309,11 @@ class TestPairOrbits:
                     seen.append(v)
         assert seen == list(range(part.orbit_count))
 
+    def test_orbit_ids_are_int32(self):
+        # ids stay below MAX_DEGREE^2 < 2^31; int32 halves what synthesis
+        # holds through its eigendecomposition
+        assert pair_orbits(make_cyclic(4)).orbit_id.dtype == np.int32
+
     def test_orbit_count_equals_distinct_projected_values(self):
         from matched_transforms.rng import normal_rows
 

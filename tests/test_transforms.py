@@ -30,6 +30,7 @@ from matched_transforms import (
     make_trivial,
     make_wreath,
     pair_orbits,
+    parse_group_spec,
     random_psd,
     reynolds_project,
     rm_matrix,
@@ -49,6 +50,24 @@ from helpers import catalog_actions
 def unitarity_error(u):
     m = u.matrix
     return np.max(np.abs(m.conj().T @ m - np.eye(m.shape[0])))
+
+
+def haar_closed_form(levels):
+    """Haar matrix from haar_matrix's docstring, independent of the wreath
+    recursion: column 0 is 2^{-L/2}, and the wavelet at scale s, position p
+    is +2^{(s-L-1)/2} on [a, a + h) and the negative on [a + h, a + 2h),
+    with h = 2^{L-s} and a = 2ph."""
+    m = 1 << levels
+    cols = [np.full(m, 2.0 ** (-levels / 2.0))]
+    for s in range(1, levels + 1):
+        h = 1 << (levels - s)
+        amp = 2.0 ** ((s - levels - 1) / 2.0)
+        for p in range(1 << (s - 1)):
+            col = np.zeros(m)
+            col[2 * p * h : (2 * p + 1) * h] = amp
+            col[(2 * p + 1) * h : (2 * p + 2) * h] = -amp
+            cols.append(col)
+    return np.column_stack(cols)
 
 
 def offdiag_rel(u, r):
@@ -157,9 +176,15 @@ class TestHaar:
     def test_scaling_column_constant(self):
         assert np.allclose(haar_matrix(3).matrix[:, 0].real, np.full(8, 2.0**-1.5))
 
+    @pytest.mark.parametrize("levels", range(1, 7))
+    def test_matches_closed_form(self, levels):
+        u = haar_matrix(levels).matrix
+        assert not np.any(u.imag)
+        assert np.max(np.abs(u.real - haar_closed_form(levels))) <= 1e-15
+
     def test_column_labels_scale_major(self):
         labels = haar_matrix(3).column_labels
-        assert labels[0] == "scaling"
+        assert labels[0] == "scale=0,pos=0"
         assert labels[1] == "scale=1,pos=0"
         assert labels[-1] == "scale=3,pos=3"
 
@@ -305,6 +330,11 @@ class TestWreathMatrix:
         assert rep.min_match >= 1.0 - 1e-9
         assert rep.degeneracy_pattern == subspace_match(r, haar_matrix(level)).degeneracy_pattern
 
+    def test_binary_cyclic_nodes_exactly_real(self):
+        # Z_2 = S_2: a binary node takes the real Helmert base, not the
+        # 2-point DFT with its exp(i pi) roundoff
+        assert not np.any(wreath_matrix([(2, "cyclic")] * 3).matrix.imag)
+
     def test_mixed_branching_diagonalizes(self):
         branching = [(3, "symmetric"), (2, "cyclic")]
         act = make_wreath(branching)
@@ -373,6 +403,17 @@ class TestSynthesize:
         basis = synthesize_matched(make_dyadic_wreath(4), seed=2)
         assert basis.degeneracy_pattern == (1, 1, 2, 4, 8)
         assert not basis.data_dependent
+
+    @pytest.mark.parametrize("spec, seed, pattern", [
+        ("cyclic:256", 29368336776423751, (1,) * 256),
+        ("dihedralM:1024", 1, (1, 1) + (2,) * 511),
+        ("boolean:10", 1, (1,) * 1024),
+    ])
+    def test_pattern_is_the_irreducible_dimensions(self, spec, seed, pattern):
+        # R1 has near-coincident eigenvalues on these seeds; the pattern
+        # must still be the irreducible dimensions
+        basis = synthesize_matched(parse_group_spec(spec), seed)
+        assert basis.degeneracy_pattern == pattern
 
     def test_trivial_action_is_klt(self):
         basis = synthesize_matched(make_trivial(4), seed=3)
