@@ -13,6 +13,7 @@ Output is plain text (no ANSI color, so NO_COLOR needs no handling);
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -181,7 +182,7 @@ def cmd_discover(args) -> int:
     except ToolkitError as exc:
         return _fail(f"input is not Hermitian within tolerance: {exc}", 2)
     if args.basis == "matrix-units":
-        basis = discovery.CandidateBasis.matrix_units(r.shape[0])
+        basis = None  # the default; discovery never reads its M^4 entries
     elif args.basis == "cyclic-shifts":
         basis = discovery.CandidateBasis.cyclic_shifts(r.shape[0])
     else:
@@ -189,6 +190,10 @@ def cmd_discover(args) -> int:
     result = discovery.discover_sequential(
         r, tau=args.tau, basis=basis, enumeration_cap=args.cap
     )
+    if args.trace is not None:
+        with open(args.trace, "w", encoding="utf-8") as fh:
+            for level in result.trace:
+                fh.write(json.dumps(dataclasses.asdict(level)) + "\n")
     clusters = numkernel.eigen_clusters(numkernel.herm_eig(r).values)
     n_clusters = len(clusters.clusters)
 
@@ -363,6 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the matched-transform synthesis")
+    p.add_argument("--trace", default=None,
+                   help="write one JSON line per search base level to this path")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_discover)
 

@@ -1,20 +1,37 @@
 """Symmetry discovery: which index permutations commute with a covariance?
 
-The continuous relaxation looks for directions A minimizing ||[R, A]||_F
-over a candidate span.  The span is orthonormalized first, so this is a
-Hermitian eigenproblem for the quadratic form <[R, B_i], [R, B_j]>_F, which
-equals the double-commutator form Tr(B_i* [R, [R, B_j]]).  Near-null
-directions are rounded to permutations by an exact assignment,
-residual-checked, and either accepted as generators (their closure joins
-the deflation span) or deflated as continuous directions and retried.
-The search stops once the smallest eigenvalue shows that no direction
-below the residual tolerance remains outside the deflation span.  Rejected
-directions are deflated whole, so permutations with components along them
-can be missed: that stop does not prove the group complete.
+A permutation p commutes with R exactly when R[p(i), p(j)] = R[i, j] for
+every i, j.  So the matched group of R is the automorphism group of the
+complete digraph whose edge (i, j) is coloured by R[i, j].
+`discover_sequential` computes that group exactly by individualization and
+refinement, the search of nauty and Traces (McKay & Piperno, "Practical
+graph isomorphism, II", J. Symb. Comput. 60, 2014):
+
+* Edge colours: the real and imaginary parts of R's entries are clustered
+  separately, splitting at gaps larger than tau * max|R|.
+* Refinement: vertex colours start from the diagonal and split by the
+  sorted (edge colour, neighbour colour) pairs of each row and each column
+  until no cell splits.
+* Search: individualizing the first vertex of the first non-singleton cell
+  until the partition is discrete gives a base and a reference leaf.  For
+  each level, deepest first, a depth-first search below every vertex of the
+  base point's cell that is not yet in its orbit looks for a leaf whose map
+  from the reference leaf preserves every edge colour.  A node whose cell
+  sizes differ from the reference node at its depth is pruned.
+
+The generators found form a strong generating set relative to the base, so
+the group order is the product of the basic orbit lengths.  The search is
+exponential in the worst case (Cai, Fuerer & Immerman 1992).
+
+The double-commutator relaxation (`dc_gevp_step`, `round_to_permutation`,
+`CandidateBasis`) is kept as a separate tool; `discover_sequential` does not
+use it.
 """
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +45,6 @@ from .errors import (
 )
 from .diagnostics import coloring_alpha, residual_delta
 from .groups import (
-    ClosureResult,
     GroupAction,
     Permutation,
     closure_enumerate,
@@ -107,10 +123,26 @@ class CandidateBasis:
 
 
 @dataclass(frozen=True)
+class SearchLevel:
+    """One base level of the exact search: the base point, the size of the
+    cell it was individualized from, the length of its orbit under the
+    generators found, the search nodes refined and leaves tested below the
+    level, and the seconds spent there."""
+
+    point: int
+    cell_size: int
+    orbit_length: int
+    nodes: int
+    leaves: int
+    seconds: float
+
+
+@dataclass(frozen=True)
 class DiscoveryResult:
-    """Accepted generators with their residuals, the closure order (None when
-    enumeration overflowed the cap), the invariant energy fraction of the
-    discovered action, and loop accounting."""
+    """Reported generators with their residuals, the group order (None when
+    it exceeds the enumeration cap), the invariant energy fraction of the
+    discovered action, search accounting, and one `SearchLevel` per base
+    level in base order."""
 
     generators: tuple
     residuals: tuple
@@ -120,6 +152,7 @@ class DiscoveryResult:
     iterations: int
     rejected_count: int
     stop_reason: str
+    trace: tuple
 
 
 def _commutator_form(r_arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
@@ -179,6 +212,142 @@ def round_to_permutation(a) -> Permutation:
     return perm
 
 
+# ---------------------------------------------------------------------------
+# exact search
+
+def _value_ranks(values: np.ndarray, gap: float) -> np.ndarray:
+    # rank of each value among the sorted values, neighbours within gap merged
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.size, dtype=np.int64)
+    ranks[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > gap)))
+    return ranks
+
+
+def _edge_colours(r_arr: np.ndarray, tau: float) -> np.ndarray:
+    gap = tau * float(np.max(np.abs(r_arr)))
+    re = _value_ranks(r_arr.real.ravel(), gap)
+    im = _value_ranks(r_arr.imag.ravel(), gap)
+    _, colours = np.unique(re * (int(im.max()) + 1) + im, return_inverse=True)
+    return colours.reshape(r_arr.shape)
+
+
+def _row_ranks(sig: np.ndarray) -> np.ndarray:
+    # rank of each row of an integer array among its distinct rows, in
+    # lexicographic order
+    order = np.lexsort(sig.T[::-1])
+    ordered = sig[order]
+    ranks = np.empty(sig.shape[0], dtype=np.int64)
+    steps = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks[order] = np.concatenate(([0], np.cumsum(steps)))
+    return ranks
+
+
+def _refine(edges: np.ndarray, edges_t: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    # Colours are dense ranks.  A vertex's old colour leads its signature,
+    # so cells only split and keep their order; the ranks depend on the
+    # colouring alone, not on the vertex numbering.
+    cells = int(colours.max()) + 1
+    while True:
+        sig = np.hstack([
+            colours[:, None],
+            np.sort(edges * cells + colours, axis=1),
+            np.sort(edges_t * cells + colours, axis=1),
+        ])
+        colours = _row_ranks(sig)
+        split = int(colours.max()) + 1
+        if split == cells:
+            return colours
+        cells = split
+
+
+def _individualize(colours: np.ndarray, v: int) -> np.ndarray:
+    # v becomes a singleton cell placed right after the rest of its cell
+    out = colours + (colours > colours[v])
+    out[v] += 1
+    return out
+
+
+def _orbit(point: int, generators: list, m: int) -> np.ndarray:
+    # boolean mask of the orbit of point under the image arrays
+    seen = np.zeros(m, dtype=bool)
+    seen[point] = True
+    frontier = np.array([point])
+    while frontier.size and generators:
+        images = np.concatenate([g[frontier] for g in generators])
+        frontier = np.unique(images[~seen[images]])
+        seen[frontier] = True
+    return seen
+
+
+def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
+    """Strong generators (image arrays) of the colour automorphism group,
+    one SearchLevel per base level, leaves tested, leaves rejected, and
+    whether the leaf budget ran out before the search finished."""
+    m = edges.shape[0]
+    edges_t = np.ascontiguousarray(edges.T)
+    _, diagonal = np.unique(np.diagonal(edges), return_inverse=True)
+    # first path: path[k] is the reference node at depth k
+    path = [_refine(edges, edges_t, diagonal)]
+    base = []
+    while int(path[-1].max()) + 1 < m:
+        node = path[-1]
+        target = int(np.argmax(np.bincount(node) > 1))
+        base.append(int(np.flatnonzero(node == target)[0]))
+        path.append(_refine(edges, edges_t, _individualize(node, base[-1])))
+    sizes = [np.bincount(node) for node in path]
+    leaf_order = path[-1]
+    depth_n = len(base)
+    generators: list = []
+    orbit_len = [1] * depth_n
+    nodes = [0] * depth_n
+    tried = [0] * depth_n
+    seconds = [0.0] * depth_n
+    leaves = rejected = 0
+    saturated = False
+    for k in reversed(range(depth_n)):
+        start = time.perf_counter()
+        orbit = _orbit(base[k], generators, m)
+        for w in np.flatnonzero(path[k] == path[k][base[k]]):
+            if orbit[w]:
+                continue
+            # depth first below w: (parent node, vertex to individualize, parent depth)
+            todo = [(path[k], int(w), k)]
+            while todo:
+                parent, v, depth = todo.pop()
+                node = _refine(edges, edges_t, _individualize(parent, v))
+                nodes[k] += 1
+                if not np.array_equal(np.bincount(node), sizes[depth + 1]):
+                    continue
+                if depth + 1 < depth_n:
+                    target = int(np.argmax(sizes[depth + 1] > 1))
+                    members = np.flatnonzero(node == target)
+                    todo.extend((node, int(u), depth + 1) for u in members[::-1])
+                    continue
+                if leaves >= max_leaves:
+                    saturated = True
+                    break
+                leaves += 1
+                tried[k] += 1
+                gamma = np.argsort(node)[leaf_order]
+                if np.array_equal(edges[np.ix_(gamma, gamma)], edges):
+                    generators.append(gamma)
+                    orbit = _orbit(base[k], generators, m)
+                    break
+                rejected += 1
+            if saturated:
+                break
+        orbit_len[k] = int(orbit.sum())
+        seconds[k] = time.perf_counter() - start
+        if saturated:
+            break
+    levels = tuple(
+        SearchLevel(base[k], int(sizes[k][path[k][base[k]]]), orbit_len[k],
+                    nodes[k], tried[k], seconds[k])
+        for k in range(depth_n)
+    )
+    return generators, levels, leaves, rejected, saturated
+
+
 def discover_sequential(
     r,
     tau: float = 1e-8,
@@ -186,79 +355,69 @@ def discover_sequential(
     basis: CandidateBasis | None = None,
     enumeration_cap: int = 10**4,
 ) -> DiscoveryResult:
-    """Recover a generating set of the symmetries of R.
+    """Recover a generating set of the matched group of R by the exact
+    search of the module docstring, with colour gap tau * max|R|.
 
-    Loop: deflate the identity, the closure of everything accepted so far
-    (accepted generators only, once the closure overflows the cap), and all
-    previously rejected continuous directions; take the smallest
-    double-commutator direction; round it to a permutation; accept iff its
-    residual is <= tau and it is new.  Stops when lambda_min rises above
-    tau^2 ||R||_F^2 (no acceptable permutation remains outside the span),
-    when the span is exhausted, or after max_iters (default 4 * degree)
-    steps, whichever is first; the last case reports stop_reason
-    "saturated" (the bound never certified emptiness).
+    Every reported generator has residual_delta <= tau.  `iterations`
+    counts the leaves tested (the candidate permutations), at most
+    max_iters (default 4 * degree); `rejected_count` counts those whose map
+    does not preserve every edge colour.
+
+    stop_reason "complete": the search finished, the generators generate
+    the whole colour automorphism group and its order is the product of
+    the basic orbit lengths.  "saturated": the leaf budget ran out; the
+    generators generate a subgroup, and its order is reported.
+    "coarse-colors": a colour-preserving generator failed
+    residual_delta <= tau, so the colours merged entries that differ by
+    more than tau allows; only the passing generators are reported, with
+    the order of their closure.  group_order is None and order_exceeded_cap
+    is True when the order exceeds enumeration_cap.
+
+    `basis` is checked against the degree of R but does not narrow the
+    search.
     """
     if enumeration_cap < 1:
         raise InputError("cap must be >= 1")
     r_arr = _check_hermitian(as_cmatrix(r, square=True))
     m = r_arr.shape[0]
-    r_norm = float(np.linalg.norm(r_arr))
-    if r_norm == 0.0:
+    if float(np.linalg.norm(r_arr)) == 0.0:
         raise UndefinedResidualError("discovery is undefined for the zero matrix")
     if not tau > 0:
         raise UndefinedResidualError("tau must be positive")
-    if basis is None:
-        basis = CandidateBasis.matrix_units(m)
-    if basis.degree != m:
+    if basis is not None and basis.degree != m:
         raise DimensionError("basis degree does not match the matrix")
     if max_iters is None:
         max_iters = 4 * m
-    identity = Permutation.identity(m)
+    images, levels, iterations, rejected_count, saturated = _automorphism_search(
+        _edge_colours(r_arr, tau), max_iters
+    )
     accepted: list = []
     residuals: list = []
-    # the group elements known so far: the whole closure of `accepted`, or
-    # only the identity and `accepted` once the closure overflows the cap
-    closure = ClosureResult([identity], 1, False)
-    known = closure.elements
-    rejected_dirs: list = []
-    bound = tau * tau * r_norm * r_norm
-    iterations = 0
-    rejected_count = 0
-    stop_reason = "saturated"
-    while iterations < max_iters:
-        deflation = [p.to_matrix() for p in known] + rejected_dirs
-        try:
-            lam, direction = dc_gevp_step(r_arr, basis, deflation)
-        except SearchExhausted:
-            stop_reason = "exhausted"
-            break
-        iterations += 1
-        if lam > bound:
-            stop_reason = "spectral-bound"
-            break
-        candidate = round_to_permutation(direction)
+    for g in images:
+        candidate = Permutation._from_trusted(g)
         delta = residual_delta(candidate, r_arr)
-        if delta <= tau and candidate not in set(known):
+        if delta <= tau:
             accepted.append(candidate)
             residuals.append(delta)
-            closure = closure_enumerate(
-                from_generators(accepted, "discovered"), cap=enumeration_cap
-            )
-            known = [identity] + accepted if closure.overflowed else closure.elements
-        else:
-            rejected_count += 1
-            rejected_dirs.append(direction)
-    discovered = from_generators(accepted or [identity], "discovered")
-    alpha = coloring_alpha(discovered, r_arr)
+    discovered = from_generators(accepted or [Permutation.identity(m)], "discovered")
+    if len(accepted) < len(images):
+        stop_reason = "coarse-colors"
+        closure = closure_enumerate(discovered, cap=enumeration_cap)
+        order = None if closure.overflowed else closure.count
+    else:
+        stop_reason = "saturated" if saturated else "complete"
+        order = math.prod(level.orbit_length for level in levels)
+        order = order if order <= enumeration_cap else None
     return DiscoveryResult(
         generators=tuple(accepted),
         residuals=tuple(residuals),
-        group_order=None if closure.overflowed else closure.count,
-        order_exceeded_cap=closure.overflowed,
-        alpha=alpha,
+        group_order=order,
+        order_exceeded_cap=order is None,
+        alpha=coloring_alpha(discovered, r_arr),
         iterations=iterations,
         rejected_count=rejected_count,
         stop_reason=stop_reason,
+        trace=levels,
     )
 
 

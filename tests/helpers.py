@@ -59,7 +59,7 @@ def brute_force_matched_group(r: np.ndarray, tol: float = 1e-10) -> set:
 
 def double_commutator(r, b) -> np.ndarray:
     """[R, [R, B]] = R^2 B - 2 R B R + B R^2, the reference for the
-    Frobenius form that discovery minimizes."""
+    Frobenius form that dc_gevp_step minimizes."""
     r = np.asarray(r, dtype=np.complex128)
     b = np.asarray(b, dtype=np.complex128)
     if r.shape != b.shape:

@@ -168,7 +168,7 @@ def test_criterion_8_property_suites():
     assert abs(coloring_alpha(swap, np.diag([1.0, 2.0])) - 0.9) <= 1e-14
 
     # PSD-ness of the commutator form M_ij = <[R,B_i],[R,B_j]>_F that
-    # discovery minimizes, over all matrix units
+    # dc_gevp_step minimizes, over all matrix units
     for seed in (1, 2):
         r = random_psd(4, seed)
         m_mat = _commutator_form(r, CandidateBasis.matrix_units(4).stack)

@@ -179,7 +179,7 @@ class TestDiscover:
         out = capsys.readouterr().out
         assert "order: 8" in out
         assert "alpha: 1.000000" in out
-        assert "stop: spectral-bound" in out
+        assert "stop: complete" in out
         matched = path + ".matched.mtx"
         assert f"matched_transform: {matched}" in out
         u = read_matrix_file(matched)
@@ -197,15 +197,47 @@ class TestDiscover:
         assert "delta_0: 0.000000" in out
         assert "order: 8" in out
 
-    def test_identity_saturates_with_degenerate_spectrum(self, tmp_path, capsys):
+    def test_identity_completes_with_degenerate_spectrum(self, tmp_path, capsys):
+        # S_8 has order 40320, above the default cap
         path = write_cov(tmp_path / "eye.mtx", np.eye(8))
         assert run(["discover", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["degenerate_spectrum"] is True
         assert payload["spectrum_clusters"] == 1
         assert payload["alpha"] == 1.0
-        assert payload["stop"] == "saturated"
+        assert payload["stop"] == "complete"
         assert payload["order"] == ">10000"
+
+    def test_trace_lines_equal_the_result_trace(self, tmp_path, capsys, monkeypatch):
+        from matched_transforms import discovery
+
+        original = discovery.discover_sequential
+        results = []
+
+        def recording(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        monkeypatch.setattr(discovery, "discover_sequential", recording)
+        r = sample_invariant_cov(groups.parse_group_spec("wreath:4s,2c"), 2)
+        path = write_cov(tmp_path / "w.mtx", r)
+        trace = tmp_path / "trace.jsonl"
+        assert run(["discover", path, "--trace", str(trace)]) == 0
+        capsys.readouterr()
+        lines = trace.read_text(encoding="utf-8").splitlines()
+        (result,) = results
+        assert len(lines) == len(result.trace) > 0
+        for line, level in zip(lines, result.trace):
+            assert json.loads(line) == {
+                "point": level.point, "cell_size": level.cell_size,
+                "orbit_length": level.orbit_length, "nodes": level.nodes,
+                "leaves": level.leaves, "seconds": level.seconds,
+            }
+
+    def test_unwritable_trace_exit_3(self, tmp_path, capsys):
+        path = write_cov(tmp_path / "c4.mtx", sample_invariant_cov(make_cyclic(4), seed=2))
+        assert run(["discover", path, "--trace", str(tmp_path / "missing" / "t.jsonl")]) == 3
+        assert "I/O failure" in capsys.readouterr().err
 
     def test_asymmetric_psd_finds_nothing_and_writes_no_transform(self, tmp_path, capsys):
         r = random_psd(5, 9)

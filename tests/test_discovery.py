@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -264,15 +265,17 @@ class TestDiscoverSequential:
         assert discovered_closure(result, 6) == brute_force_matched_group(r)
         assert all(d <= 1e-8 for d in result.residuals)
         assert result.alpha == pytest.approx(1.0, abs=1e-9)
-        assert result.stop_reason == "spectral-bound"
+        assert result.stop_reason == "complete"
 
     def test_no_symmetry_finds_nothing(self):
         r = random_psd(5, 4)
         result = discover_sequential(r)
         assert result.generators == ()
         assert result.group_order == 1
-        assert result.rejected_count >= 1
-        assert result.stop_reason == "spectral-bound"
+        # refinement alone makes the partition discrete: no leaf to test
+        assert result.iterations == 0 and result.rejected_count == 0
+        assert result.trace == ()
+        assert result.stop_reason == "complete"
         oracle = brute_force_matched_group(r)
         assert oracle == {Permutation.identity(5)}
 
@@ -328,10 +331,10 @@ class TestDiscoverSequential:
         result = discover_sequential(np.eye(4), enumeration_cap=10)
         assert result.order_exceeded_cap
         assert result.group_order is None
-        # past the cap only the identity and the accepted generators are
-        # deflated; the generators found must still give all of S_M.  The
-        # BLAS thread count is fixed at interpreter start, so each count
-        # runs in its own process.
+        # the cap only decides whether the order is reported; the
+        # generators found must still give all of S_M at every cap and BLAS
+        # thread count.  The thread count is fixed at interpreter start, so
+        # each count runs in its own process.
         probe = textwrap.dedent("""
             import json
             import numpy as np
@@ -363,10 +366,29 @@ class TestDiscoverSequential:
                 assert closure == expected, (blas_threads, key)
 
     def test_max_iters_saturates(self):
-        r = sample_invariant_cov(make_cyclic(6), seed=1)
-        result = discover_sequential(r, max_iters=1)
-        assert result.iterations <= 1
-        assert result.stop_reason in ("saturated", "spectral-bound")
+        # S_4 needs one leaf per base level, three in all
+        assert discover_sequential(np.eye(4)).iterations == 3
+        result = discover_sequential(np.eye(4), max_iters=1)
+        assert result.iterations == 1
+        assert result.stop_reason == "saturated"
+        # the order reported is that of the subgroup the generators generate
+        closure = discovered_closure(result, 4)
+        assert result.group_order == len(closure) < 24
+
+    def test_coarse_colors_report_only_passing_generators(self):
+        # at tau = 0.6 the entries 0, 0.5 and 1 chain into one colour, so the
+        # swap preserves the colours but has delta = 1/sqrt(1.5) > tau
+        r = np.array([[0.0, 0.5], [0.5, 1.0]])
+        result = discover_sequential(r, tau=0.6)
+        assert result.stop_reason == "coarse-colors"
+        assert result.iterations == 1 and result.rejected_count == 0
+        assert result.generators == () and result.group_order == 1
+        assert residual_delta(Permutation((1, 0)), r) > 0.6
+
+    def test_basis_does_not_narrow_the_search(self):
+        r = sample_invariant_cov(make_dihedral(8, degree_m=True), seed=1)
+        narrowed = discover_sequential(r, basis=CandidateBasis.cyclic_shifts(8))
+        assert narrowed.group_order == discover_sequential(r).group_order == 16
 
     def test_zero_matrix_rejected(self):
         with pytest.raises(UndefinedResidualError):
@@ -381,26 +403,92 @@ class TestDiscoverSequential:
             discover_sequential(np.eye(3), basis=CandidateBasis.matrix_units(4))
 
 
-# ROADMAP item 2: each of these stops with "spectral-bound", which claims the
-# group is complete, on a proper subgroup of the brute-force matched group.
-_CERTIFIED_SUBGROUP = pytest.mark.xfail(
-    strict=True, reason="spectral-bound stop on a proper subgroup (ROADMAP item 2)"
+# Degree-8 catalog families: the seven of the benchmark plus a product.
+_CATALOG8 = (
+    "cyclic:8", "dihedralM:8", "boolean:3", "dyadic-wreath:3", "hybrid:2,4",
+    "wreath:4s,2c", "wreath:2s,4c", "product:(cyclic:2,cyclic:4)",
 )
 
 
 class TestClosureAgainstOracle:
     @pytest.mark.parametrize("spec, seed", [
-        pytest.param("dyadic-wreath:3", 1, marks=_CERTIFIED_SUBGROUP),  # 64 of 128
-        pytest.param("hybrid:2,4", 2, marks=_CERTIFIED_SUBGROUP),  # 192 of 384
-        pytest.param("wreath:4s,2c", 2, marks=_CERTIFIED_SUBGROUP),  # 192 of 384
-        pytest.param("wreath:2s,4c", 13, marks=_CERTIFIED_SUBGROUP),  # 16 of 32
-        pytest.param("dihedralM:8", 13, marks=_CERTIFIED_SUBGROUP),  # 8 of 16
+        # the first five stopped on a proper subgroup under the former
+        # double-commutator search
+        ("dyadic-wreath:3", 1),  # 64 of 128
+        ("hybrid:2,4", 2),  # 192 of 384
+        ("wreath:4s,2c", 2),  # 192 of 384
+        ("wreath:2s,4c", 13),  # 16 of 32
+        ("dihedralM:8", 13),  # 8 of 16
         ("product:(cyclic:2,cyclic:4)", 1),
     ])
     def test_closure_equals_brute_force(self, spec, seed):
         r = sample_invariant_cov(parse_group_spec(spec), seed)
         result = discover_sequential(r)
         assert discovered_closure(result, 8) == brute_force_matched_group(r), result.stop_reason
+
+    @pytest.mark.parametrize("seed", range(1, 6))
+    @pytest.mark.parametrize("spec", _CATALOG8)
+    def test_catalog_seeds(self, spec, seed):
+        r = sample_invariant_cov(parse_group_spec(spec), seed)
+        result = discover_sequential(r)
+        oracle = brute_force_matched_group(r)
+        assert result.stop_reason == "complete"
+        assert discovered_closure(result, 8) == oracle
+        assert result.group_order == len(oracle)
+        assert all(d <= 1e-8 for d in result.residuals)
+
+    @pytest.mark.parametrize("spec", [
+        "dyadic-wreath:4", "dyadic-wreath:5", "dyadic-wreath:6", "hybrid:4,4",
+        "hybrid:8,8", "wreath:3s,3s,2c", "boolean:6", "dihedralM:64",
+    ])
+    def test_order_above_degree_8_equals_sympy(self, spec):
+        combinatorics = pytest.importorskip("sympy.combinatorics")
+
+        def sympy_order(perms):
+            return combinatorics.PermutationGroup(
+                [combinatorics.Permutation(list(p.images)) for p in perms]).order()
+
+        action = parse_group_spec(spec)
+        r = sample_invariant_cov(action, 1)
+        result = discover_sequential(r, enumeration_cap=10**30)
+        assert result.stop_reason == "complete"
+        expected = sympy_order(action.generators)
+        assert result.group_order == expected
+        assert sympy_order(result.generators) == expected
+        assert all(d <= 1e-8 for d in result.residuals)
+
+    def test_noise(self):
+        # Hermitian noise of relative norm 1e-7, tau = 100 times that
+        exact = sample_invariant_cov(parse_group_spec("dyadic-wreath:3"), 1)
+        rng = np.random.default_rng(1)
+        noise = rng.standard_normal((8, 8)) + 1j * rng.standard_normal((8, 8))
+        noise = noise + noise.conj().T
+        noise *= 1e-7 * np.linalg.norm(exact) / np.linalg.norm(noise)
+        result = discover_sequential(exact + noise, tau=1e-5)
+        assert result.stop_reason == "complete"
+        assert discovered_closure(result, 8) == brute_force_matched_group(exact)
+        assert all(d <= 1e-5 for d in result.residuals)
+
+
+class TestTrace:
+    def test_one_record_per_base_level(self):
+        r = sample_invariant_cov(parse_group_spec("wreath:4s,2c"), 2)
+        result = discover_sequential(r)
+        assert result.trace
+        assert math.prod(level.orbit_length for level in result.trace) == result.group_order
+        assert sum(level.leaves for level in result.trace) == result.iterations
+        assert all(level.nodes >= level.leaves >= 0 and level.seconds >= 0.0
+                   for level in result.trace)
+        assert all(1 <= level.orbit_length <= level.cell_size for level in result.trace)
+        points = [level.point for level in result.trace]
+        assert len(set(points)) == len(points)
+
+    def test_saturated_levels_above_are_unsearched(self):
+        result = discover_sequential(np.eye(4), max_iters=1)
+        assert [level.point for level in result.trace] == [0, 1, 2]
+        assert [level.cell_size for level in result.trace] == [4, 3, 2]
+        assert [level.orbit_length for level in result.trace] == [1, 1, 2]
+        assert result.trace[0].nodes == 0 and result.trace[0].leaves == 0
 
 
 class TestMatchLibrary:

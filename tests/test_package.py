@@ -56,12 +56,20 @@ def test_module_imports_form_no_cycle():
 
 def test_cli_import_loads_no_scipy():
     # scipy.optimize is imported on the first assignment only; an eager
-    # scipy import would add its load time to every `mtf` call
+    # scipy import would add its load time to every `mtf` call, and
+    # discovery makes no assignment
     probe = textwrap.dedent("""
         import sys
         import matched_transforms.cli
-        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-        assert not loaded, loaded
+        from matched_transforms import discover_sequential, make_cyclic, sample_invariant_cov
+
+        def scipy_modules():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        assert not scipy_modules(), scipy_modules()
+        result = discover_sequential(sample_invariant_cov(make_cyclic(8), 1))
+        assert not scipy_modules(), scipy_modules()
+        assert result.group_order == 8, result
         from matched_transforms.numkernel import hungarian_max
         perm, score = hungarian_max([[0.0, 3.0, 1.0], [2.0, 0.0, 5.0], [4.0, 1.0, 0.0]])
         assert perm.images == (2, 0, 1), perm.images
