@@ -204,6 +204,17 @@ class PairOrbitPartition:
         means = sums / counts
         return means[ids].reshape(self.degree, self.degree)
 
+    def transpose_class_count(self) -> int:
+        """Number of classes {o, o^T}: the transpose maps every pair orbit
+        onto an orbit, and this counts its cycles.  It is the dimension of
+        the real symmetric invariant matrices; it equals orbit_count exactly
+        when every orbit is its own transpose (the action is self-paired),
+        which holds iff orbit_id equals its transpose."""
+        partner = np.empty(self.orbit_count, dtype=np.int32)
+        partner[self.orbit_id.ravel()] = self.orbit_id.T.ravel()
+        fixed = int(np.count_nonzero(partner == np.arange(self.orbit_count)))
+        return (self.orbit_count + fixed) // 2
+
 
 @dataclass(frozen=True)
 class ClosureResult:
@@ -428,22 +439,37 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
 
     The orbits are the connected components of the graph that joins pair
     index i*M + j to g(i)*M + g(j) for every generator g, found by a numpy
-    union-find (`_hook_and_compress`).  Every orbit's root is its smallest
-    pair index, i.e. its first appearance in a row-major scan, so the rank
-    of each root among the roots is its canonical label.
+    union-find (`_hook_and_compress`).  Only the pairs g moves get an edge:
+    the k rows g moves against every column, then the fixed rows against
+    the moved columns, k (2M - k) edges where mapping all M^2 pairs would
+    cost M^2.  Every orbit's root is its smallest pair index, i.e. its
+    first appearance in a row-major scan, so the rank of each root among
+    the roots is its canonical label.
     """
     m = action.degree
     n = m * m
     # int32 suffices: n <= MAX_DEGREE^2 < 2^31
-    idx = np.arange(n, dtype=np.int32)
+    cols = np.arange(m, dtype=np.int32)
     edges = []
     for g in action.generators:
         img = g.as_array().astype(np.int32)
-        dst = (img[:, None] * m + img[None, :]).ravel()
-        moved = dst != idx
-        edges.append((idx[moved], dst[moved]))
+        moved = img != cols
+        if not moved.any():
+            continue
+        rows, fixed = cols[moved], cols[~moved]
+        src = np.empty(rows.size * (2 * m - rows.size), dtype=np.int32)
+        dst = np.empty_like(src)
+        at = 0
+        # pair (a, b) goes to (g(a), g(b)): moved rows x all columns, then
+        # fixed rows x moved columns
+        for a, b, ga, gb in ((rows, cols, img[rows], img), (fixed, rows, fixed, img[rows])):
+            end = at + a.size * b.size
+            np.add(a[:, None] * m, b, out=src[at:end].reshape(a.size, b.size))
+            np.add(ga[:, None] * m, gb, out=dst[at:end].reshape(a.size, b.size))
+            at = end
+        edges.append((src, dst))
     labels, _ = _hook_and_compress(n, edges)
-    rank = np.cumsum(labels == idx, dtype=np.int32) - 1
+    rank = np.cumsum(labels == np.arange(n, dtype=np.int32), dtype=np.int32) - 1
     return PairOrbitPartition(m, rank[labels].reshape(m, m), int(rank[-1]) + 1)
 
 

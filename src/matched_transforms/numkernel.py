@@ -1,13 +1,14 @@
-"""Dense complex linear-algebra kernels with explicit numeric contracts.
+"""Dense linear-algebra kernels with explicit numeric contracts.
 
 Factorizations are backed by LAPACK through numpy, and the assignment by
 scipy.optimize, which is imported on the first assignment only so that a
 call that never rounds starts on numpy alone.  What this module owns are
 the contracts: ascending Hermitian eigenvalues with orthonormal vectors
-(reconstruction residual <= 1e-9 * ||A||_F), the gap clustering of an
-eigenvalue list, an exact maximum-trace assignment, and a seeded PSD
-sampler whose stream is fixed by the recipe in rng.py (same seed, same
-bytes).
+(reconstruction residual <= 1e-9 * ||A||_F), real in, real out (a real
+symmetric input is solved by real LAPACK and gives float64 vectors; a
+complex input gives complex128 ones), the gap clustering of an eigenvalue
+list, an exact maximum-trace assignment, and a seeded PSD sampler whose
+stream is fixed by the recipe in rng.py (same seed, same bytes).
 """
 
 from __future__ import annotations
@@ -26,27 +27,32 @@ CMatrix = np.ndarray
 HERM_CHECK_TOL = 1e-8  # allowed relative asymmetry of "Hermitian" inputs
 
 
-def as_cmatrix(a, square: bool = False) -> np.ndarray:
-    """Validate and convert to a 2-d finite complex128 array."""
-    arr = np.asarray(a, dtype=np.complex128)
+def _as_matrix(a, dtype, square: bool) -> np.ndarray:
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DimensionError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
     if square and arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.real)) or not np.all(np.isfinite(arr.imag)):
+    if not np.all(np.isfinite(arr)):
         raise NumericError("matrix has non-finite entries")
     return arr
 
 
+def as_cmatrix(a, square: bool = False) -> np.ndarray:
+    """Validate and convert to a 2-d finite complex128 array."""
+    return _as_matrix(a, np.complex128, square)
+
+
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     """Reject asymmetry beyond tolerance, then symmetrize exactly."""
+    adjoint = a.conj().T
     scale = float(np.max(np.abs(a)))
-    asym = float(np.max(np.abs(a - a.conj().T)))
+    asym = float(np.max(np.abs(a - adjoint)))
     if asym > HERM_CHECK_TOL * max(scale, 1e-300):
         raise NumericError(
             f"input is not Hermitian: max asymmetry {asym:.3e} vs scale {scale:.3e}"
         )
-    return (a + a.conj().T) / 2.0
+    return (a + adjoint) / 2.0
 
 
 @dataclass(frozen=True)
@@ -67,9 +73,15 @@ class HermEigResult:
 
 
 def herm_eig(a) -> HermEigResult:
-    """Full eigendecomposition of a Hermitian matrix (symmetrized internally)."""
-    arr = as_cmatrix(a, square=True)
-    herm = _check_hermitian(arr)
+    """Full eigendecomposition of a Hermitian matrix (symmetrized internally).
+
+    Real in, real out: an input of real dtype is solved as real symmetric
+    and gives float64 values and vectors; a complex input gives complex128
+    vectors.  A complex input is never narrowed, whatever its imaginary part.
+    """
+    arr = np.asarray(a)
+    dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
+    herm = _check_hermitian(_as_matrix(arr, dtype, square=True))
     values, vectors = np.linalg.eigh(herm)
     return HermEigResult(values, vectors)
 
@@ -122,6 +134,11 @@ def random_psd(degree: int, seed: int) -> np.ndarray:
     if degree < 1:
         raise DimensionError("degree must be >= 1")
     z = normal_rows(seed, degree, 2 * degree)
-    a = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+    a = z[:, 0::2] + 1j * z[:, 1::2]
+    del z  # in-place steps from here: same bytes, half the peak memory
+    a /= np.sqrt(2.0)
     h = a @ a.conj().T
-    return (h + h.conj().T) / 2.0
+    del a
+    h += h.conj().T
+    h /= 2.0
+    return h

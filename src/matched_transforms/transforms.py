@@ -51,7 +51,13 @@ class UnitaryTransform:
 
     def __post_init__(self):
         mat = as_cmatrix(self.matrix, square=True)
-        gram_err = float(np.max(np.abs(mat.conj().T @ mat - np.eye(mat.shape[0]))))
+        if mat.imag.any():
+            gram = mat.conj().T @ mat
+        else:
+            # a real matrix needs only the real product, a quarter of the work
+            real = np.ascontiguousarray(mat.real)
+            gram = real.T @ real
+        gram_err = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
         if gram_err > UNITARITY_TOL:
             raise NumericError(f"columns are not orthonormal: error {gram_err:.3e}")
         labels = tuple(str(l) for l in self.column_labels)
@@ -414,15 +420,148 @@ def _derived_seed(seed: int, index: int) -> int:
     return int(_splitmix64(seed, index + 1)[-1])
 
 
+def _draw(orbits, seed: int, paired: bool) -> tuple:
+    """One invariant sample R = orbits.average(random_psd(M, seed)) kept as
+    its float64 parts (Re R, Im R).  Im R is kept only for a paired action:
+    when every orbit is its own transpose, an invariant Hermitian matrix is
+    real symmetric and Im R is rounding noise."""
+    r = orbits.average(random_psd(orbits.degree, seed))
+    return r.real.copy(), (r.imag.copy() if paired else None)
+
+
+def _gap_cut(values: np.ndarray, count: int) -> np.ndarray:
+    """Sizes of the min(count, len) runs that the widest gaps cut an
+    ascending list into."""
+    m = values.size
+    widest = np.argsort(np.diff(values), kind="stable")[m - min(count, m) :]
+    return np.diff(np.concatenate(([0], np.sort(widest) + 1, [m])))
+
+
+def _conjugate_blocks(values: np.ndarray, v: np.ndarray, imag: np.ndarray,
+                      sizes: np.ndarray) -> list:
+    """Resolve each cluster of Re R1 (a run of `sizes` columns of V) into
+    eigenvectors of R1 = Re R1 + i Im R1.
+
+    On a cluster's span, R1 is the d x d Hermitian block
+    diag(values_c) + i V_c^T (Im R1) V_c.  Clusters of one size are solved by
+    one stacked eigh.  Returns one (columns, eigenvalues, W) per size d > 1:
+    columns is (blocks, d), W is (blocks, d, d) with U_c = V_c W_c.
+    """
+    starts = np.cumsum(sizes) - sizes
+    bv = imag @ v
+    blocks = []
+    for d in np.unique(sizes[sizes > 1]):
+        cols = starts[sizes == d][:, None] + np.arange(d)
+        k = v[:, cols].transpose(1, 2, 0) @ bv[:, cols].transpose(1, 0, 2)
+        h = 0.5j * (k - k.transpose(0, 2, 1))
+        h += values[cols][:, :, None] * np.eye(d)
+        w_values, w = np.linalg.eigh(h)
+        blocks.append((cols, w_values, w))
+    return blocks
+
+
+def _offdiag_norm(p: np.ndarray, q, blocks: list) -> float:
+    """||offdiag(U* R2 U)||_F for U = V diag(W_c), from P = V^T (Re R2) V and
+    Q = V^T (Im R2) V (None when Im R2 is dropped, and then there are no
+    blocks); overwrites P and Q.
+
+    A block-diagonal unitary leaves the entries outside its blocks unchanged
+    in norm, so only the diagonal blocks are rotated."""
+    parts = [p] if q is None else [p, q]
+    inside = 0.0
+    for idx, _, w in blocks:
+        rows, cols = idx[:, :, None], idx[:, None, :]
+        block = p[rows, cols] + 1j * q[rows, cols]
+        rotated = w.conj().transpose(0, 2, 1) @ block @ w
+        rotated[:, np.arange(w.shape[1]), np.arange(w.shape[1])] = 0.0
+        inside += float(np.sum(np.abs(rotated) ** 2))
+        for part in parts:
+            part[rows, cols] = 0.0
+    for part in parts:
+        np.fill_diagonal(part, 0.0)
+    return float(np.sqrt(sum(np.linalg.norm(part) ** 2 for part in parts) + inside))
+
+
+def _join(re: np.ndarray, im) -> np.ndarray:
+    return re if im is None else re + 1j * im
+
+
+def _norm(re: np.ndarray, im) -> float:
+    """||re + i im||_F without forming the complex matrix."""
+    return float(np.hypot(np.linalg.norm(re), 0.0 if im is None else np.linalg.norm(im)))
+
+
+def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
+                          attempt: int):
+    """One attempt of synthesize_matched: ascending eigenvalues of R1 and
+    the matching columns U, or None when U does not diagonalize R2 but the
+    two samples commute."""
+    paired = classes < orbits.orbit_count
+    re1, im1 = _draw(orbits, _derived_seed(seed, 2 * attempt), paired)
+    re2, im2 = _draw(orbits, _derived_seed(seed, 2 * attempt + 1), paired)
+    eig = herm_eig(re1)
+    v = eig.vectors
+    blocks = []
+    if paired:
+        blocks = _conjugate_blocks(eig.values, v, im1, _gap_cut(eig.values, classes))
+    p = v.T @ re2 @ v
+    q = None if im2 is None else v.T @ im2 @ v
+    r2_norm = _norm(re2, im2)
+    if _offdiag_norm(p, q, blocks) > DIAGONAL_TOL * r2_norm:
+        r1, r2 = _join(re1, im1), _join(re2, im2)
+        comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
+        if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
+            raise NotMultiplicityFreeError(
+                f"action {action.name} has a non-commutative commutant"
+            )
+        return None
+    if not blocks:
+        return eig.values, v
+    del re1, im1, re2, im2, p, q  # free the samples before U is formed
+    return _assemble(eig.values, v, blocks)
+
+
+def _assemble(values: np.ndarray, v: np.ndarray, blocks: list) -> tuple:
+    """R1's eigenpairs in ascending order: V with each cluster's columns
+    replaced by V_c W_c, written straight to their sorted positions."""
+    values = values.copy()
+    for cols, w_values, _ in blocks:
+        values[cols] = w_values
+    order = np.argsort(values, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(order.size)
+    u = np.empty(v.shape, dtype=np.complex128)
+    u[:, where] = v
+    for cols, _, w in blocks:
+        vc = v[:, cols].transpose(1, 0, 2)
+        u.real[:, where[cols]] = (vc @ w.real).transpose(1, 0, 2)
+        u.imag[:, where[cols]] = (vc @ w.imag).transpose(1, 0, 2)
+    return values[order], u
+
+
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """Eigenbasis of a seeded invariant covariance sample R1, certified
     data-independent against a second sample R2.  Both samples are seeded
     PSD draws averaged over the action's pair orbits, computed once per call.
 
     For a multiplicity-free action every invariant covariance is diagonal
-    in the same basis, so U (the eigenvectors of R1) is accepted when
-    ||offdiag(U* R2 U)||_F <= DIAGONAL_TOL ||R2||_F.  If not, the commutator
-    decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL ||R1||_F ||R2||_F means the
+    in the same basis U.  It is found in real arithmetic.  Permutations are
+    real, so Re R1 is invariant too, and the real symmetric invariant
+    matrices form a commutative algebra whose dimension s is the number of
+    classes {o, o^T} of pair orbits.  The real eigensolve of Re R1 (V) has
+    s eigenspaces; each is an eigenspace of R1 or the sum of one and its
+    conjugate.  When every orbit is its own transpose (s == orbit_count,
+    the self-paired case: boolean, dyadic-wreath, dihedral, ...) every
+    invariant Hermitian matrix is real, the imaginary parts of both samples
+    are dropped, and U = V is real.  Otherwise Re R1's spectrum is cut into
+    s clusters at its s - 1 widest gaps, and each cluster c of size d > 1 is
+    resolved by the d x d Hermitian block diag(lambda_c) + i V_c^T (Im R1) V_c,
+    U_c = V_c W_c; the columns are then sorted by R1's eigenvalue.
+
+    U is accepted when ||offdiag(U* R2 U)||_F <= DIAGONAL_TOL ||R2||_F,
+    computed from the real products V^T (Re R2) V and V^T (Im R2) V with only
+    the diagonal blocks rotated by W_c.  If not, the commutator decides:
+    ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL ||R1||_F ||R2||_F means the
     commutant is not commutative (NotMultiplicityFreeError); otherwise R1's
     spectrum merged eigenvalues by accident and a fresh pair is drawn, at
     most 5 attempts.  An accepted U's columns are split into exactly
@@ -440,24 +579,14 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         return SynthesizedBasis(transform, (1,) * action.degree, True)
 
     orbits = pair_orbits(action)
-    m = action.degree
+    classes = orbits.transpose_class_count()
     for attempt in range(5):
-        r1 = orbits.average(random_psd(m, _derived_seed(seed, 2 * attempt)))
-        r2 = orbits.average(random_psd(m, _derived_seed(seed, 2 * attempt + 1)))
-        eig = herm_eig(r1)
-        u = eig.vectors
-        d = u.conj().T @ r2 @ u
-        r2_norm = float(np.linalg.norm(r2))
-        if np.linalg.norm(d - np.diag(np.diag(d))) > DIAGONAL_TOL * r2_norm:
-            comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
-            if comm > COMMUTATOR_TOL * float(np.linalg.norm(r1)) * r2_norm:
-                raise NotMultiplicityFreeError(
-                    f"action {action.name} has a non-commutative commutant"
-                )
+        found = _certified_eigenbasis(action, orbits, classes, seed, attempt)
+        if found is None:
             continue
-        # orbit_count <= m here: the certificate means a multiplicity-free action
-        widest = np.argsort(np.diff(eig.values), kind="stable")[m - orbits.orbit_count :]
-        sizes = np.diff(np.concatenate(([0], np.sort(widest) + 1, [m])))
+        values, u = found
+        # orbit_count <= M here: the certificate means a multiplicity-free action
+        sizes = _gap_cut(values, orbits.orbit_count)
         labels = tuple(
             f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size)
         )

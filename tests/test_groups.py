@@ -314,6 +314,29 @@ class TestPairOrbits:
         # holds through its eigendecomposition
         assert pair_orbits(make_cyclic(4)).orbit_id.dtype == np.int32
 
+    @pytest.mark.parametrize("act", CATALOG, ids=lambda a: a.name)
+    def test_transpose_classes_counted_by_brute_force(self, act):
+        part = pair_orbits(act)
+        ids = part.orbit_id
+        classes = {frozenset((int(ids[i, j]), int(ids[j, i])))
+                   for i in range(act.degree) for j in range(act.degree)}
+        assert part.transpose_class_count() == len(classes)
+        # self-paired iff every orbit is its own transpose
+        self_paired = part.transpose_class_count() == part.orbit_count
+        assert self_paired == np.array_equal(ids, ids.T)
+
+    @pytest.mark.parametrize("spec, self_paired", [
+        ("boolean:3", True), ("dyadic-wreath:4", True), ("dihedral:4", True),
+        ("dihedralM:5", True), ("dihedralM:6", True), ("wreath:3s,2c", True),
+        ("hybrid:2,4", True),
+        ("cyclic:6", False), ("cyclic:3", False), ("hybrid:4,3", False),
+        ("product:(cyclic:3,cyclic:4)", False), ("product:(cyclic:3,boolean:2)", False),
+        ("wreath:3c,2s", False), ("wreath:4c,3c", False), ("wreath:2c,3c", False),
+    ])
+    def test_self_paired_families(self, spec, self_paired):
+        part = pair_orbits(parse_group_spec(spec))
+        assert (part.transpose_class_count() == part.orbit_count) == self_paired
+
     def test_orbit_count_equals_distinct_projected_values(self):
         from matched_transforms.rng import normal_rows
 
@@ -334,6 +357,26 @@ class TestPairOrbitOracles:
         expected = closure_pair_orbit_ids(act)
         assert np.array_equal(part.orbit_id, expected)
         assert part.orbit_count == int(expected.max()) + 1
+
+    @pytest.mark.parametrize("m, generators", [
+        (40, [[[3, 17]], [[5, 9, 30]]]),  # 35 of the 40 points fixed by both
+        (24, [[], [[0, 23]]]),  # the identity next to one transposition
+        (16, [[[0, 4], [1, 5], [2, 6], [3, 7]]]),  # one block swap
+    ])
+    def test_generators_fixing_most_points(self, m, generators):
+        # edges are built only for the pairs a generator moves; the
+        # enumerated closure never sees that edge list
+        gens = []
+        for cycles in generators:
+            images = list(range(m))
+            for cycle in cycles:
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a] = b
+            gens.append(Permutation(images))
+        act = from_generators(gens, "sparse")
+        part = pair_orbits(act)
+        assert np.array_equal(part.orbit_id, closure_pair_orbit_ids(act))
+        assert part.orbit_count == int(part.orbit_id.max()) + 1
 
     @pytest.mark.parametrize("spec", [
         "dyadic-wreath:6", "boolean:6", "hybrid:4,3", "wreath:3c,3s,2c",

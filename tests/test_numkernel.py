@@ -49,6 +49,22 @@ class TestHermEig:
         back = (res.vectors * res.values) @ res.vectors.conj().T
         assert np.linalg.norm(back - a) <= 1e-8 * np.linalg.norm(a)
 
+    @pytest.mark.parametrize("a", [
+        random_psd(12, 5).real,
+        np.array([[2, 1], [1, 2]]),  # integer entries count as real
+    ], ids=["float", "int"])
+    def test_real_input_gives_real_output(self, a):
+        res = herm_eig(a)
+        assert res.values.dtype == np.float64
+        assert res.vectors.dtype == np.float64
+        back = (res.vectors * res.values) @ res.vectors.T
+        assert np.linalg.norm(back - a) <= 1e-12 * np.linalg.norm(a)
+
+    def test_complex_input_stays_complex(self):
+        # a complex input with zero imaginary part is not narrowed
+        res = herm_eig(np.eye(3, dtype=np.complex128))
+        assert res.vectors.dtype == np.complex128
+
     def test_rejects_nonsquare(self):
         with pytest.raises(DimensionError):
             herm_eig(np.ones((2, 3)))

@@ -437,16 +437,51 @@ class TestSynthesize:
         with pytest.raises(NotMultiplicityFreeError):
             synthesize_matched(act, seed=5)
 
-    @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
+    @pytest.mark.parametrize("action", catalog_actions() + [
+        # conjugate pairs inside blocks of size > 2 and non-abelian factors
+        parse_group_spec("hybrid:3,4"),
+        parse_group_spec("wreath:4c,3c"),
+        parse_group_spec("product:(cyclic:5,dihedralM:4)"),
+    ], ids=lambda a: a.name)
     def test_catalog_family(self, action):
-        basis = synthesize_matched(action, seed=1)
-        assert sum(basis.degeneracy_pattern) == action.degree
-        if all(g.is_identity() for g in action.generators):
-            assert basis.data_dependent
-            return
-        assert not basis.data_dependent
+        r3 = sample_invariant_cov(action, seed=500)
+        for seed in range(1, 6):
+            basis = synthesize_matched(action, seed=seed)
+            assert sum(basis.degeneracy_pattern) == action.degree
+            if all(g.is_identity() for g in action.generators):
+                assert basis.data_dependent
+                continue
+            assert not basis.data_dependent
+            assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @pytest.mark.parametrize("spec", [
+        "boolean:3", "dyadic-wreath:3", "dihedral:4", "dihedralM:5", "wreath:3s,2c",
+        "boolean:9",
+    ])
+    def test_self_paired_basis_is_real(self, spec):
+        # every orbit is its own transpose, so the basis is the real
+        # eigenvectors of Re R1
+        action = parse_group_spec(spec)
+        orbits = pair_orbits(action)
+        assert orbits.transpose_class_count() == orbits.orbit_count
+        basis = synthesize_matched(action, seed=3)
+        assert not basis.transform.matrix.imag.any()
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "wreath:4c,3c"])
+    def test_paired_columns_are_eigenvectors_of_r1(self, spec):
+        # the conjugate-pair blocks must turn Re R1's real eigenvectors into
+        # eigenvectors of the complex sample R1 itself, in ascending order
+        action = parse_group_spec(spec)
+        basis = synthesize_matched(action, seed=4)
+        u = basis.transform.matrix
+        assert u.imag.any()
+        r1 = pair_orbits(action).average(random_psd(action.degree, _derived_seed(4, 0)))
+        rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), r1 @ u))
+        assert np.all(np.diff(rayleigh) >= -1e-12)
+        resid = r1 @ u - u * rayleigh
+        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(r1)
 
     @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
     def test_orbit_average_is_the_invariant_sample(self, action):
@@ -535,6 +570,23 @@ class TestUnitaryTransformType:
     def test_rejects_nonunitary(self):
         with pytest.raises(NumericError):
             UnitaryTransform(np.ones((2, 2)), "bad", ("a", "b"))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_real_nonorthonormal_columns_rejected(self, dtype):
+        # real entries take the real Gram product: a column norm off by
+        # 1e-8 or two columns 1e-8 from orthogonal must still be caught
+        q = dct2_matrix(8).matrix.real.copy()
+        stretched = q.copy()
+        stretched[:, 3] *= 1.0 + 1e-8
+        sheared = q.copy()
+        sheared[:, 5] += 1e-8 * q[:, 2]
+        for bad in (stretched, sheared):
+            with pytest.raises(NumericError):
+                UnitaryTransform(bad.astype(dtype), "bad", tuple(range(8)))
+
+    def test_real_input_stored_complex(self):
+        u = UnitaryTransform(dct2_matrix(8).matrix.real, "dct", tuple(range(8)))
+        assert u.matrix.dtype == np.complex128
 
     def test_label_count_enforced(self):
         with pytest.raises(DimensionError):
