@@ -8,14 +8,12 @@ covariance from scratch.
 """
 
 from .errors import (
-    BasisError,
     DegeneracyMismatchError,
     DegenerateSampleError,
     DimensionError,
     InputError,
     NotMultiplicityFreeError,
     NumericError,
-    SearchExhausted,
     StructuralMismatchError,
     ToolkitError,
     UndefinedResidualError,
@@ -40,7 +38,7 @@ from .groups import (
     parse_permutation,
     reynolds_project,
 )
-from .numkernel import ClusterSet, eigen_clusters, herm_eig, hungarian_max, random_psd
+from .numkernel import ClusterSet, eigen_clusters, herm_eig, random_psd
 from .transforms import (
     IntTransform,
     SynthesizedBasis,
@@ -76,10 +74,8 @@ from .discovery import (
     DiscoveryResult,
     LibraryMatch,
     LibraryReport,
-    dc_gevp_step,
     discover_sequential,
     match_library,
-    round_to_permutation,
 )
 from .matrixio import (
     ReportDocument,
@@ -93,26 +89,26 @@ from .rng import normal_rows
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisError", "ClusterSet", "CandidateBasis", "DegeneracyMismatchError",
+    "ClusterSet", "CandidateBasis", "DegeneracyMismatchError",
     "DegenerateSampleError", "DimensionError", "DiscoveryResult", "GroupAction",
     "InputError", "IntTransform", "LibraryMatch",
     "LibraryReport", "MatchReport", "NotMultiplicityFreeError", "NumericError",
     "Permutation",
-    "ReportDocument", "SearchExhausted", "StructuralMismatchError",
+    "ReportDocument", "StructuralMismatchError",
     "SynthesizedBasis", "ToolkitError", "UndefinedResidualError",
     "UnitaryTransform", "UnsupportedGroupError", "anf_coefficients",
     "arithmetic_matrix", "best_polarity", "central_projection_basis",
     "circle_check", "closure_enumerate", "coloring_alpha", "compose_direct",
-    "dc_gevp_step", "dct2_matrix", "dct_fold_cov", "dft_matrix",
+    "dct2_matrix", "dct_fold_cov", "dft_matrix",
     "discover_sequential", "eigen_clusters",
     "even_extension_isometry", "fp_rm_matrix", "from_generators",
-    "haar_matrix", "hartley_matrix", "herm_eig", "hungarian_max", "is_invariant",
+    "haar_matrix", "hartley_matrix", "herm_eig", "is_invariant",
     "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",
     "make_hybrid", "make_product", "make_trivial", "make_wreath", "match_library",
     "normal_rows", "pair_orbits", "parse_group_spec",
     "parse_matrix", "parse_permutation", "random_psd", "read_matrix_file",
     "render_matrix", "residual_delta", "reynolds_project", "rm_matrix",
-    "round_to_permutation", "sample_invariant_cov", "semidirect_dct_cascade",
+    "sample_invariant_cov", "semidirect_dct_cascade",
     "subspace_match", "synthesize_matched", "wht_matrix",
     "wreath_matrix", "write_matrix_file",
 ]

@@ -22,7 +22,6 @@ import numpy as np
 
 from . import diagnostics, discovery, groups, matrixio, numkernel, transforms
 from .errors import (
-    BasisError,
     DimensionError,
     InputError,
     NotMultiplicityFreeError,
@@ -181,15 +180,7 @@ def cmd_discover(args) -> int:
         r = numkernel._check_hermitian(numkernel.as_cmatrix(r, square=True))
     except ToolkitError as exc:
         return _fail(f"input is not Hermitian within tolerance: {exc}", 2)
-    if args.basis == "matrix-units":
-        basis = None  # the default; discovery never reads its M^4 entries
-    elif args.basis == "cyclic-shifts":
-        basis = discovery.CandidateBasis.cyclic_shifts(r.shape[0])
-    else:
-        return _fail(f"unknown basis {args.basis!r} (matrix-units or cyclic-shifts)", 2)
-    result = discovery.discover_sequential(
-        r, tau=args.tau, basis=basis, enumeration_cap=args.cap
-    )
+    result = discovery.discover_sequential(r, tau=args.tau, enumeration_cap=args.cap)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for level in result.trace:
@@ -363,8 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="search for symmetries of a covariance file")
     p.add_argument("input", help="matrix file (Hermitian)")
     p.add_argument("--tau", type=float, default=1e-8)
-    p.add_argument("--basis", choices=("matrix-units", "cyclic-shifts"),
-                   default="matrix-units")
     p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=1,
                    help="seed for the matched-transform synthesis")
@@ -418,7 +407,7 @@ def main(argv=None) -> int:
             parser.error(f"{name}: expected one argument, got '--'")
     try:
         return args.func(args)
-    except (InputError, DimensionError, UnsupportedGroupError, BasisError) as exc:
+    except (InputError, DimensionError, UnsupportedGroupError) as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"I/O failure: {exc}", 3)

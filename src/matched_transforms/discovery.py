@@ -22,10 +22,6 @@ graph isomorphism, II", J. Symb. Comput. 60, 2014):
 The generators found form a strong generating set relative to the base, so
 the group order is the product of the basic orbit lengths.  The search is
 exponential in the worst case (Cai, Fuerer & Immerman 1992).
-
-The double-commutator relaxation (`dc_gevp_step`, `round_to_permutation`,
-`CandidateBasis`) is kept as a separate tool; `discover_sequential` does not
-use it.
 """
 
 from __future__ import annotations
@@ -36,90 +32,26 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    BasisError,
-    DimensionError,
-    InputError,
-    SearchExhausted,
-    UndefinedResidualError,
-)
+from .errors import DimensionError, InputError, UndefinedResidualError
 from .diagnostics import coloring_alpha, residual_delta
-from .groups import (
-    GroupAction,
-    Permutation,
-    closure_enumerate,
-    from_generators,
-)
-from .numkernel import _check_hermitian, as_cmatrix, herm_eig, hungarian_max
-
-_RANK_TOL = 1e-10  # relative singular-value cutoff for the deflated span
+from .groups import Permutation, closure_enumerate, from_generators
+from .numkernel import _check_hermitian, as_cmatrix
 
 
 @dataclass(frozen=True)
 class CandidateBasis:
-    """A spanning set of search directions, stored as a (d, M, M) stack.
+    """The degree of a search basis, which `discover_sequential` checks
+    against R.  It exists only because the benchmark harness (perfbench)
+    passes `CandidateBasis.cyclic_shifts(M)` as `basis=`; ROADMAP item 1
+    moves the harness off it."""
 
-    The Gram matrix must be positive definite (smallest eigenvalue above
-    1e-10 * max entry), i.e. the directions are numerically independent.
-    """
-
-    stack: np.ndarray
-
-    def __post_init__(self):
-        stack = np.asarray(self.stack, dtype=np.complex128)
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[0] == 0:
-            raise BasisError(f"expected a (d, M, M) stack, got shape {stack.shape}")
-        if not np.all(np.isfinite(stack)):
-            raise BasisError("basis has non-finite entries")
-        flat = stack.reshape(stack.shape[0], -1)
-        gram = flat.conj() @ flat.T
-        gram = (gram + gram.conj().T) / 2.0
-        floor = 1e-10 * float(np.max(np.abs(gram)))
-        if float(np.linalg.eigvalsh(gram)[0]) <= floor:
-            raise BasisError("basis directions are numerically dependent")
-        stack = stack.copy()
-        stack.flags.writeable = False
-        object.__setattr__(self, "stack", stack)
-
-    @classmethod
-    def _from_trusted(cls, stack: np.ndarray) -> "CandidateBasis":
-        # internal fast path: a complex128 stack known to be independent
-        basis = object.__new__(cls)
-        stack.flags.writeable = False
-        object.__setattr__(basis, "stack", stack)
-        return basis
-
-    @classmethod
-    def matrix_units(cls, degree: int) -> "CandidateBasis":
-        """All degree^2 matrix units E_ab, row-major in (a, b)."""
-        if degree < 1:
-            raise DimensionError("degree must be >= 1")
-        # orthonormal by construction: the Gram check would only
-        # eigendecompose the degree^2 x degree^2 identity
-        units = np.eye(degree * degree, dtype=np.complex128)
-        return cls._from_trusted(units.reshape(degree * degree, degree, degree))
+    degree: int
 
     @classmethod
     def cyclic_shifts(cls, degree: int) -> "CandidateBasis":
-        """The degree shift matrices {P_tau^k}: a cheap structured search
-        span for circulant-suspected inputs."""
         if degree < 1:
             raise DimensionError("degree must be >= 1")
-        shift = Permutation(tuple((j + 1) % degree for j in range(degree)))
-        stack = np.empty((degree, degree, degree), dtype=np.complex128)
-        mat = np.eye(degree, dtype=np.complex128)
-        for k in range(degree):
-            stack[k] = mat
-            mat = shift.to_matrix() @ mat
-        return cls(stack)
-
-    @property
-    def degree(self) -> int:
-        return self.stack.shape[1]
-
-    @property
-    def size(self) -> int:
-        return self.stack.shape[0]
+        return cls(degree)
 
 
 @dataclass(frozen=True)
@@ -153,63 +85,6 @@ class DiscoveryResult:
     rejected_count: int
     stop_reason: str
     trace: tuple
-
-
-def _commutator_form(r_arr: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    # Hermitian matrix of <[R, B_i], [R, B_j]>_F over a (d, M, M) stack
-    comm = np.matmul(r_arr, mats) - np.matmul(mats, r_arr)
-    cv = comm.reshape(mats.shape[0], -1)
-    form = cv.conj() @ cv.T
-    return (form + form.conj().T) / 2.0
-
-
-def dc_gevp_step(r, basis: CandidateBasis, deflation_span=()) -> tuple:
-    """Smallest constrained direction: minimize ||[R, A]||_F^2 over unit-norm
-    A in span(basis) orthogonal (Frobenius) to every deflation matrix.
-
-    Returns (lambda_min, A) with ||A||_F = 1; lambda_min equals
-    delta(A, R)^2 ||R||_F^2.  A's phase is canonical: its largest-magnitude
-    coefficient over the orthonormalized span is real positive.  Raises
-    SearchExhausted when deflation has consumed the span.
-    """
-    r_arr = _check_hermitian(as_cmatrix(r, square=True))
-    stack = basis.stack
-    m = r_arr.shape[0]
-    if stack.shape[1] != m:
-        raise DimensionError("basis degree does not match the matrix")
-    flat = stack.reshape(stack.shape[0], -1)
-    if len(deflation_span):
-        defl = np.stack(
-            [np.asarray(d, dtype=np.complex128).reshape(-1) for d in deflation_span]
-        )
-        if defl.shape[1] != m * m:
-            raise DimensionError("deflation matrices must match the degree")
-        # orthonormal rows spanning the deflated directions (rank-revealing)
-        _, s_d, vt_d = np.linalg.svd(defl, full_matrices=False)
-        keep = s_d > max(_RANK_TOL * s_d[0], 1e-14)
-        q_defl = vt_d[keep]
-        flat = flat - (flat @ q_defl.conj().T) @ q_defl
-    _, s, vt = np.linalg.svd(flat, full_matrices=False)
-    if s.size == 0 or s[0] <= 1e-12:
-        raise SearchExhausted("deflation span covers the whole candidate basis")
-    rank = int(np.sum(s > max(_RANK_TOL * s[0], 1e-14)))
-    if rank == 0:
-        raise SearchExhausted("deflation span covers the whole candidate basis")
-    q = vt[:rank]
-    q_mats = q.reshape(rank, m, m)
-    eig = herm_eig(_commutator_form(r_arr, q_mats))
-    coeff = eig.vectors[:, 0]
-    peak = coeff[int(np.argmax(np.abs(coeff)))]
-    coeff = coeff / (peak / abs(peak))
-    direction = np.tensordot(coeff, q_mats, axes=(0, 0))
-    return max(float(eig.values[0]), 0.0), direction
-
-
-def round_to_permutation(a) -> Permutation:
-    """Nearest permutation in the trace sense: maximize Re tr(P^T A)."""
-    arr = as_cmatrix(a, square=True)
-    perm, _ = hungarian_max(arr.real)
-    return perm
 
 
 # ---------------------------------------------------------------------------

@@ -46,11 +46,3 @@ class DegenerateSampleError(ToolkitError):
 
 class UnsupportedGroupError(ToolkitError):
     """The requested construction only covers a fixed catalog of actions."""
-
-
-class BasisError(ToolkitError):
-    """A candidate basis is empty, mismatched in shape, or numerically dependent."""
-
-
-class SearchExhausted(Exception):
-    """Signal: deflation has consumed the whole search space (not an error)."""

@@ -50,8 +50,9 @@ def render_matrix(matrix) -> str:
 def parse_matrix(text: str) -> np.ndarray:
     """Parse the text form back to a complex array (real files included).
 
-    The body must fill the header's nonzero size exactly, and every entry
-    must be finite; anything else raises InputError."""
+    The body must fill the header's nonzero size exactly, every entry must
+    be finite, and so must the Frobenius norm, which may be 0 only when
+    every entry is; anything else raises InputError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InputError("empty matrix file")
@@ -86,6 +87,13 @@ def parse_matrix(text: str) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise InputError(f"row {i} entry {j}: non-finite value {body[i][j]!r}")
+    # every residual and energy fraction divides by this norm
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(out))
+    if not np.isfinite(norm):
+        raise InputError("matrix scale is too large: its Frobenius norm overflows float64")
+    if norm == 0.0 and np.any(out):
+        raise InputError("matrix scale is too small: its Frobenius norm underflows to 0")
     return out
 
 

@@ -1,14 +1,12 @@
 """Dense linear-algebra kernels with explicit numeric contracts.
 
-Factorizations are backed by LAPACK through numpy, and the assignment by
-scipy.optimize, which is imported on the first assignment only so that a
-call that never rounds starts on numpy alone.  What this module owns are
-the contracts: ascending Hermitian eigenvalues with orthonormal vectors
+Factorizations are backed by LAPACK through numpy.  What this module owns
+are the contracts: ascending Hermitian eigenvalues with orthonormal vectors
 (reconstruction residual <= 1e-9 * ||A||_F), real in, real out (a real
 symmetric input is solved by real LAPACK and gives float64 vectors; a
 complex input gives complex128 ones), the gap clustering of an eigenvalue
-list, an exact maximum-trace assignment, and a seeded PSD sampler whose
-stream is fixed by the recipe in rng.py (same seed, same bytes).
+list, and a seeded PSD sampler whose stream is fixed by the recipe in
+rng.py (same seed, same bytes).
 """
 
 from __future__ import annotations
@@ -18,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, NumericError
-from .groups import Permutation
 from .rng import normal_rows
 
 #: Matrices flow through the toolkit as 2-d complex128 numpy arrays.
@@ -109,23 +106,6 @@ def eigen_clusters(values, rel_tol: float = 1e-6) -> ClusterSet:
         (float(np.mean(vals[idx])), tuple(idx)) for idx in groups
     )
     return ClusterSet(clusters, threshold)
-
-
-def hungarian_max(s) -> tuple:
-    """Exact assignment maximizing sum_i S[perm(i), i]; returns (perm, score).
-
-    Equivalently the permutation matrix P maximizing tr(P^T S).
-    """
-    from scipy.optimize import linear_sum_assignment
-
-    arr = as_cmatrix(s, square=True)
-    if np.max(np.abs(arr.imag)) != 0.0:
-        raise NumericError("assignment scores must be real")
-    score_matrix = arr.real
-    rows, cols = linear_sum_assignment(score_matrix, maximize=True)
-    images = np.empty(arr.shape[0], dtype=np.int64)
-    images[cols] = rows  # column i is assigned row perm(i)
-    return Permutation(images), float(score_matrix[rows, cols].sum())
 
 
 def random_psd(degree: int, seed: int) -> np.ndarray:

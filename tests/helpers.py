@@ -6,7 +6,6 @@ import itertools
 import numpy as np
 
 from matched_transforms import (
-    DimensionError,
     Permutation,
     make_boolean,
     make_cyclic,
@@ -55,16 +54,6 @@ def brute_force_matched_group(r: np.ndarray, tol: float = 1e-10) -> set:
     scale = np.sqrt(m) * np.linalg.norm(r)
     hits = np.nonzero(norms <= tol * scale)[0]
     return {Permutation(tuple(int(x) for x in perms[i])) for i in hits}
-
-
-def double_commutator(r, b) -> np.ndarray:
-    """[R, [R, B]] = R^2 B - 2 R B R + B R^2, the reference for the
-    Frobenius form that dc_gevp_step minimizes."""
-    r = np.asarray(r, dtype=np.complex128)
-    b = np.asarray(b, dtype=np.complex128)
-    if r.shape != b.shape:
-        raise DimensionError("R and B must have identical shapes")
-    return r @ r @ b - 2.0 * (r @ b @ r) + b @ r @ r
 
 
 def closure_set(action) -> set:

@@ -74,6 +74,28 @@ class TestMatrixFile:
         with pytest.raises(InputError, match="expected 100000000000 entries"):
             parse_matrix("# rows=1 cols=100000000000 field=real\n1 2 3\n")
 
+    @pytest.mark.parametrize("body", ["1e300 0\n0 2e300", "1e-300 0\n0 2e-300"])
+    @pytest.mark.parametrize("command", [
+        ["residual", "--perm", "(0 1)", "--in"],
+        ["alpha", "--group", "cyclic:2", "--in"],
+        ["project", "--group", "cyclic:2", "--out", "{out}", "--in"],
+        ["match-library", "--library", "cyclic:2,trivial:2", "--in"],
+        ["discover"],
+    ])
+    def test_scale_outside_float64_exit_2(self, tmp_path, body, command, capsys):
+        # the Frobenius norm overflows to inf or underflows to 0
+        path = tmp_path / "scale.mtx"
+        path.write_text(f"# rows=2 cols=2 field=real\n{body}\n", encoding="ascii")
+        out = str(tmp_path / "out.mtx")
+        assert run([out if a == "{out}" else a for a in command] + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: matrix scale is too")
+        assert captured.err.count("\n") == 1
+
+    def test_zero_matrix_parses(self):
+        assert not parse_matrix("# rows=2 cols=2 field=real\n0 0\n0 -0\n").any()
+
     def test_file_round_trip(self, tmp_path):
         x = np.array([[1e-300 + 2.5j, -7.0], [0.0, 3.141592653589793]])
         p = tmp_path / "m.mtx"
@@ -177,6 +199,8 @@ class TestDiscover:
         path = write_cov(tmp_path / "circ.mtx", r)
         assert run(["discover", path]) == 0
         out = capsys.readouterr().out
+        assert "generator_0: (0 1 2 3 4 5 6 7)" in out
+        assert "delta_0: 0.000000" in out
         assert "order: 8" in out
         assert "alpha: 1.000000" in out
         assert "stop: complete" in out
@@ -187,15 +211,6 @@ class TestDiscover:
         d = u.conj().T @ r @ u
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
-
-    def test_cyclic_shift_basis_reports_the_cycle(self, tmp_path, capsys):
-        r = sample_invariant_cov(make_cyclic(8), seed=1)
-        path = write_cov(tmp_path / "circ.mtx", r)
-        assert run(["discover", path, "--basis", "cyclic-shifts"]) == 0
-        out = capsys.readouterr().out
-        assert "generator_0: (0 1 2 3 4 5 6 7)" in out
-        assert "delta_0: 0.000000" in out
-        assert "order: 8" in out
 
     def test_identity_completes_with_degenerate_spectrum(self, tmp_path, capsys):
         # S_8 has order 40320, above the default cap
@@ -474,7 +489,8 @@ _SPEC_PIECES = (
     "product:(cyclic:3,trivial:1)", "boolean:10000000000000000", "dyadic-wreath:99",
     "cyclic:-1", "hybrid:2", "perms:", "2", "c", ":", "(", ")", "", " ",
 )
-_TOKENS = ("0", "1", "-2.5", "1e999", "nan", "-inf", "x", "1:2", "3:", ":", "1:nan", "\u00e9")
+_TOKENS = ("0", "1", "-2.5", "1e999", "1e300", "1e-300", "nan", "-inf", "x", "1:2", "3:", ":",
+           "1:nan", "\u00e9")
 
 
 class TestContract:
@@ -546,10 +562,13 @@ class TestContract:
             ["alpha", "--group", "cyclic:2", "--in", "{in}"],
             ["project", "--group", "cyclic:2", "--in", "{in}", "--out", "{out}"],
             ["discover", "{in}"],
+            ["match-library", "--in", "{in}", "--library", "cyclic:2,trivial:2"],
         ]),
     )
     @example("# rows=1 cols=100000000000 field=real", ["1 2 3"], ["discover", "{in}"])
     @example("# rows=2 cols=2 field=real", ["1 nan", "nan 1"],
              ["residual", "--perm", "(0 1)", "--in", "{in}"])
+    @example("# rows=2 cols=2 field=real", ["1e300 0", "0 2e300"],
+             ["match-library", "--in", "{in}", "--library", "cyclic:2,trivial:2"])
     def test_matrix_text(self, header, body, argv):
         self.check(argv, "\n".join([header] + body) + "\n")

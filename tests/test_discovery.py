@@ -9,16 +9,12 @@ import numpy as np
 import pytest
 
 from matched_transforms import (
-    BasisError,
     CandidateBasis,
     DimensionError,
     DiscoveryResult,
     Permutation,
-    SearchExhausted,
-    NumericError,
     UndefinedResidualError,
     closure_enumerate,
-    dc_gevp_step,
     discover_sequential,
     from_generators,
     make_boolean,
@@ -31,230 +27,17 @@ from matched_transforms import (
     parse_group_spec,
     random_psd,
     residual_delta,
-    round_to_permutation,
     sample_invariant_cov,
 )
 
 import matched_transforms
-from matched_transforms.discovery import _commutator_form
-from matched_transforms.numkernel import _check_hermitian
 
-from helpers import all_permutations, brute_force_matched_group, closure_set, double_commutator
+from helpers import all_permutations, brute_force_matched_group, closure_set
 
 
 def discovered_closure(result: DiscoveryResult, degree: int) -> set:
     gens = list(result.generators) or [Permutation.identity(degree)]
     return closure_set(from_generators(gens, "discovered"))
-
-
-class TestDoubleCommutator:
-    def test_commuting_direction_gives_zero(self):
-        r = random_psd(4, 1)
-        assert np.max(np.abs(double_commutator(r, r))) <= 1e-12 * np.linalg.norm(r) ** 2
-
-    def test_matrix_unit_eigenrelation(self):
-        r = np.diag([1.0, 2.0])
-        e01 = np.array([[0.0, 1.0], [0.0, 0.0]])
-        assert np.allclose(double_commutator(r, e01), e01, atol=1e-14)
-
-    def test_identity_r_gives_zero(self):
-        b = random_psd(3, 2) + 1j * np.triu(np.ones((3, 3)))
-        b = np.asarray(b)
-        assert np.max(np.abs(double_commutator(np.eye(3), b))) == 0.0
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            double_commutator(np.eye(2), np.eye(3))
-
-
-class TestCandidateBasis:
-    def test_matrix_units_shape(self):
-        b = CandidateBasis.matrix_units(3)
-        assert b.stack.shape == (9, 3, 3)
-        assert b.size == 9 and b.degree == 3
-
-    def test_matrix_units_row_major_order(self):
-        b = CandidateBasis.matrix_units(2)
-        assert np.array_equal(b.stack[1].real, [[0, 1], [0, 0]])  # E01 second
-
-    def test_matrix_units_equal_the_checked_identity_stack(self):
-        b = CandidateBasis.matrix_units(3)
-        checked = CandidateBasis(np.eye(9).reshape(9, 3, 3))
-        assert b.stack.dtype == checked.stack.dtype
-        assert np.array_equal(b.stack, checked.stack)
-        assert not b.stack.flags.writeable
-
-    def test_cyclic_shifts_powers(self):
-        b = CandidateBasis.cyclic_shifts(4)
-        assert b.size == 4
-        shift = Permutation((1, 2, 3, 0)).to_matrix()
-        acc = np.eye(4)
-        for k in range(4):
-            assert np.allclose(b.stack[k], acc)
-            acc = shift @ acc
-
-    def test_dependent_directions_rejected(self):
-        e = np.zeros((2, 2, 2))
-        e[0, 0, 1] = 1.0
-        e[1, 0, 1] = 1.0 + 1e-14
-        with pytest.raises(BasisError):
-            CandidateBasis(e)
-
-
-def commutator_form(r, basis: CandidateBasis) -> np.ndarray:
-    """The form dc_gevp_step minimizes, over the whole (undeflated) basis."""
-    return _commutator_form(_check_hermitian(np.asarray(r, dtype=np.complex128)), basis.stack)
-
-
-class TestBuildGevp:
-    """The Hermitian form of discovery's reduced eigenproblem, built by
-    `_commutator_form` over the whole matrix-unit basis."""
-
-    def test_identity_r_gives_zero_m(self):
-        m_mat = commutator_form(np.eye(3), CandidateBasis.matrix_units(3))
-        assert np.max(np.abs(m_mat)) == 0.0
-
-    def test_diag12_matrix_unit_values(self):
-        m_mat = commutator_form(np.diag([1.0, 2.0]), CandidateBasis.matrix_units(2))
-        assert np.allclose(np.diag(m_mat).real, [0.0, 1.0, 1.0, 0.0], atol=1e-14)
-        assert np.max(np.abs(m_mat - np.diag(np.diag(m_mat)))) <= 1e-14
-
-    def test_m_matches_trace_route(self):
-        # independent second route: M_ij = Tr(B_i^* [R,[R,B_j]]) entry by entry
-        r = sample_invariant_cov(make_cyclic(3), seed=9)
-        basis = CandidateBasis.matrix_units(3)
-        m_mat = commutator_form(r, basis)
-        for i in range(basis.size):
-            for j in range(basis.size):
-                expected = np.trace(basis.stack[i].conj().T @ double_commutator(r, basis.stack[j]))
-                assert abs(m_mat[i, j] - expected) <= 1e-10 * max(1.0, abs(expected))
-
-    def test_m_psd(self):
-        for seed in (1, 2, 3):
-            r = random_psd(4, seed)
-            m_mat = commutator_form(r, CandidateBasis.matrix_units(4))
-            lam = np.linalg.eigvalsh(m_mat)
-            assert lam[0] >= -1e-10 * np.linalg.norm(m_mat)
-
-    def test_nullspace_dim_equals_pair_orbit_count(self):
-        r = sample_invariant_cov(make_cyclic(4), seed=3)
-        m_mat = commutator_form(r, CandidateBasis.matrix_units(4))
-        lam = np.linalg.eigvalsh(m_mat)
-        null_dim = int(np.sum(lam <= 1e-10 * max(np.linalg.norm(m_mat), 1.0)))
-        assert null_dim == 4
-
-    def test_hermitian_required(self):
-        with pytest.raises(NumericError):
-            dc_gevp_step(np.array([[0.0, 1.0], [0.0, 0.0]]), CandidateBasis.matrix_units(2))
-
-
-class TestDcGevpStep:
-    def test_zero_form_gives_unit_direction(self):
-        # R = I commutes with everything: the form is zero
-        lam, a = dc_gevp_step(np.eye(2), CandidateBasis.matrix_units(2))
-        assert abs(lam) < 1e-12
-        assert abs(np.linalg.norm(a) - 1.0) < 1e-12
-
-    def test_smallest_of_diagonal_form(self):
-        # ||[diag(0,1,3), E_ab]||_F^2 = (r_a - r_b)^2: 1, 9, 4 for E01, E02, E12
-        units = np.zeros((3, 3, 3))
-        units[0, 0, 1] = units[1, 0, 2] = units[2, 1, 2] = 1.0
-        lam, a = dc_gevp_step(np.diag([0.0, 1.0, 3.0]), CandidateBasis(units))
-        assert abs(lam - 1.0) < 1e-12
-        assert abs(abs(a[0, 1]) - 1.0) < 1e-12
-
-    def test_canonical_phase(self):
-        # the largest coefficient of A over the orthonormalized span is real positive
-        r = random_psd(3, 5)
-        basis = CandidateBasis.matrix_units(3)
-        _, a = dc_gevp_step(r, basis)
-        q = np.linalg.svd(basis.stack.reshape(9, 9))[2]
-        coeff = q.conj() @ a.reshape(-1)
-        peak = coeff[np.argmax(np.abs(coeff))]
-        assert abs(peak.imag) <= 1e-12 and peak.real > 0
-
-    def test_invariant_direction_found_for_circulant(self):
-        r = sample_invariant_cov(make_cyclic(4), seed=3)
-        eye = np.eye(4, dtype=np.complex128)
-        lam, a = dc_gevp_step(r, CandidateBasis.matrix_units(4), [eye])
-        assert lam <= 1e-10 * np.linalg.norm(r) ** 2
-        # the minimizer lies in the circulant algebra: constant on lag classes
-        for lag in range(4):
-            vals = [a[i, (i + lag) % 4] for i in range(4)]
-            assert np.max(np.abs(np.diff(vals + vals[:1]))) <= 1e-8
-
-    def test_generic_r_structured_basis_bounded_away(self):
-        r = random_psd(4, 77)
-        eye = np.eye(4, dtype=np.complex128)
-        lam, _ = dc_gevp_step(r, CandidateBasis.cyclic_shifts(4), [eye])
-        assert lam >= 1e-4 * np.linalg.norm(r) ** 2
-
-    def test_generic_r_full_commutant_deflation_bounded_away(self):
-        r = random_psd(4, 77)
-        deflation = [np.linalg.matrix_power(r, k) for k in range(4)]
-        lam, _ = dc_gevp_step(r, CandidateBasis.matrix_units(4), deflation)
-        assert lam >= 1e-4 * np.linalg.norm(r) ** 2
-
-    def test_rayleigh_quotient_identity(self):
-        # lambda equals ||[R, A]||_F^2 at the returned unit-norm direction
-        for seed in (5, 6):
-            r = random_psd(4, seed)
-            eye = np.eye(4, dtype=np.complex128)
-            lam, a = dc_gevp_step(r, CandidateBasis.matrix_units(4), [eye])
-            comm_sq = float(np.linalg.norm(r @ a - a @ r) ** 2)
-            assert abs(lam - comm_sq) <= 1e-8 * max(comm_sq, 1.0)
-            assert abs(np.linalg.norm(a) - 1.0) <= 1e-10
-
-    def test_exhaustion_signal(self):
-        r = random_psd(2, 1)
-        basis = CandidateBasis.matrix_units(2)
-        with pytest.raises(SearchExhausted):
-            dc_gevp_step(r, basis, list(basis.stack))
-
-    def test_deflation_monotonicity(self):
-        r = random_psd(5, 11)
-        basis = CandidateBasis.matrix_units(5)
-        deflation = [np.eye(5, dtype=np.complex128)]
-        lams = []
-        for _ in range(8):
-            try:
-                lam, a = dc_gevp_step(r, basis, deflation)
-            except SearchExhausted:
-                break
-            lams.append(lam)
-            deflation.append(a)
-        assert len(lams) >= 4
-        assert all(b >= a - 1e-9 * max(1.0, abs(a)) for a, b in zip(lams, lams[1:]))
-
-
-class TestRoundToPermutation:
-    def test_exact_permutation(self):
-        p = Permutation((2, 0, 3, 1))
-        assert round_to_permutation(p.to_matrix()) == p
-
-    def test_noise_margin(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            images = rng.permutation(4)
-            p = Permutation(tuple(int(i) for i in images))
-            noise = rng.uniform(0.0, 0.1, size=(4, 4))
-            assert round_to_permutation(0.6 * p.to_matrix() + 0.4 * noise) == p
-
-    def test_average_tie_is_deterministic(self):
-        # shift and inverse shift at M=3: their union supports exactly two
-        # perfect matchings, so the rounded result must be one of the pair
-        p1 = Permutation((1, 2, 0))
-        p2 = Permutation((2, 0, 1))
-        a = (p1.to_matrix() + p2.to_matrix()) / 2.0
-        out1 = round_to_permutation(a)
-        out2 = round_to_permutation(a.copy())
-        assert out1 == out2
-        assert out1 in (p1, p2)
-
-    def test_unequal_mixture_picks_heavier(self):
-        p1 = Permutation((1, 2, 3, 0))
-        p2 = Permutation((3, 0, 1, 2))
-        assert round_to_permutation(0.7 * p1.to_matrix() + 0.3 * p2.to_matrix()) == p1
 
 
 class TestDiscoverSequential:
@@ -400,7 +183,7 @@ class TestDiscoverSequential:
 
     def test_basis_degree_mismatch(self):
         with pytest.raises(DimensionError):
-            discover_sequential(np.eye(3), basis=CandidateBasis.matrix_units(4))
+            discover_sequential(np.eye(3), basis=CandidateBasis.cyclic_shifts(4))
 
 
 # Degree-8 catalog families: the seven of the benchmark plus a product.

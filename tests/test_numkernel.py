@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
     DimensionError,
     NumericError,
-    Permutation,
     herm_eig,
-    hungarian_max,
     random_psd,
 )
 from matched_transforms.rng import normal_rows
-
-from helpers import all_permutations
 
 
 class TestHermEig:
@@ -76,39 +71,6 @@ class TestHermEig:
     def test_rejects_asymmetric(self):
         with pytest.raises(NumericError):
             herm_eig(np.array([[1.0, 2.0], [3.0, 4.0]]))
-
-
-class TestHungarianMax:
-    def test_identity(self):
-        perm, score = hungarian_max(np.eye(3))
-        assert perm.is_identity()
-        assert abs(score - 3.0) < 1e-12
-
-    def test_recovers_cycle(self):
-        p = Permutation((1, 2, 0))
-        perm, _ = hungarian_max(p.to_matrix().real)
-        assert perm == p
-
-    def test_margin_example(self):
-        perm, score = hungarian_max(np.array([[0.9, 0.2], [0.3, 0.8]]))
-        assert perm.is_identity()
-        assert abs(score - 1.7) < 1e-12
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.integers(2, 5), st.integers(0, 2**31))
-    def test_exhaustive_optimum(self, n, seed):
-        s = normal_rows(seed, n, n + (n % 2)).real[:, :n]
-        perm, score = hungarian_max(s)
-        perms = all_permutations(n)
-        best = np.max(s[perms, np.arange(n)].sum(axis=1))
-        assert abs(score - best) <= 1e-10
-        assert abs(s[perm.as_array(), np.arange(n)].sum() - best) <= 1e-10
-
-    def test_brute_force_n7(self):
-        s = normal_rows(77, 7, 8).real[:, :7]
-        perm, score = hungarian_max(s)
-        perms = all_permutations(7)
-        assert abs(score - np.max(s[perms, np.arange(7)].sum(axis=1))) <= 1e-10
 
 
 class TestRandomPsd:

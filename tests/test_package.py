@@ -1,11 +1,16 @@
 import ast
 import os
+import re
 import subprocess
 import sys
 import textwrap
 import types
 
+import pytest
+
 import matched_transforms
+
+_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def test_all_matches_public_names():
@@ -54,31 +59,54 @@ def test_module_imports_form_no_cycle():
         visit(module)
 
 
-def test_cli_import_loads_no_scipy():
-    # scipy.optimize is imported on the first assignment only; an eager
-    # scipy import would add its load time to every `mtf` call, and
-    # discovery makes no assignment
+def test_package_never_imports_scipy():
+    # numpy is the only runtime dependency: every module imports, and the
+    # commands that reach every layer run, with no scipy module loaded
     probe = textwrap.dedent("""
+        import importlib
+        import os
+        import pkgutil
         import sys
-        import matched_transforms.cli
-        from matched_transforms import discover_sequential, make_cyclic, sample_invariant_cov
+        import tempfile
 
-        def scipy_modules():
-            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        import matched_transforms
+        from matched_transforms import cli, diagnostics, groups, matrixio
 
-        assert not scipy_modules(), scipy_modules()
-        result = discover_sequential(sample_invariant_cov(make_cyclic(8), 1))
-        assert not scipy_modules(), scipy_modules()
-        assert result.group_order == 8, result
-        from matched_transforms.numkernel import hungarian_max
-        perm, score = hungarian_max([[0.0, 3.0, 1.0], [2.0, 0.0, 5.0], [4.0, 1.0, 0.0]])
-        assert perm.images == (2, 0, 1), perm.images
-        assert score == 12.0, score
-        assert "scipy.optimize" in sys.modules
+        for info in pkgutil.iter_modules(matched_transforms.__path__):
+            importlib.import_module("matched_transforms." + info.name)
+        with tempfile.TemporaryDirectory() as tmp:
+            cov = os.path.join(tmp, "cov.mtx")
+            r = diagnostics.sample_invariant_cov(groups.make_cyclic(8), 1)
+            matrixio.write_matrix_file(cov, r)
+            for argv in (
+                ["verify", "--case", "all"],
+                ["discover", cov],
+                ["match-library", "--in", cov, "--library", "trivial:8,cyclic:8"],
+                ["synthesize", "--group", "dyadic-wreath:3", "--out",
+                 os.path.join(tmp, "u.mtx")],
+            ):
+                assert cli.main(argv) == 0, argv
+        loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+        assert not loaded, loaded
     """)
     src = os.path.dirname(os.path.dirname(matched_transforms.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                          text=True, timeout=60)
+                          text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+    for folder, _, names in os.walk(os.path.join(_ROOT, "src")):
+        for name in names:
+            if name.endswith(".py"):
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    text = fh.read()
+                assert "import scipy" not in text and "from scipy" not in text, name
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(_ROOT, "pyproject.toml"), "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
+    assert names == ["numpy"]
