@@ -185,14 +185,10 @@ def cmd_discover(args) -> int:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for level in result.trace:
                 fh.write(json.dumps(dataclasses.asdict(level)) + "\n")
-    clusters = numkernel.eigen_clusters(numkernel.herm_eig(r).values)
-    n_clusters = len(clusters.clusters)
 
     doc = matrixio.ReportDocument()
     doc.add("input", args.input)
     doc.add("degree", r.shape[0])
-    doc.add("spectrum_clusters", n_clusters)
-    doc.add("degenerate_spectrum", bool(n_clusters < r.shape[0]))
     if result.generators:
         doc.add("generators", len(result.generators))
         for i, (gen, delta) in enumerate(zip(result.generators, result.residuals)):

@@ -28,7 +28,7 @@ from .groups import (
     make_dihedral,
     reynolds_project,
 )
-from .numkernel import as_cmatrix, eigen_clusters, herm_eig, random_psd
+from .numkernel import as_cmatrix, eigen_clusters, frobenius_norm, herm_eig, random_psd
 from .transforms import (
     UnitaryTransform,
     dft_matrix,
@@ -58,7 +58,7 @@ def residual_delta(perm: Permutation, r) -> float:
     arr = as_cmatrix(r, square=True)
     if arr.shape[0] != perm.degree:
         raise DimensionError("permutation degree does not match the matrix")
-    r_norm = float(np.linalg.norm(arr))
+    r_norm = frobenius_norm(arr)
     if r_norm == 0.0:
         raise UndefinedResidualError("residual is undefined for the zero matrix")
     return _generator_residual(arr, perm, r_norm)
@@ -69,7 +69,7 @@ def coloring_alpha(action: GroupAction, r) -> float:
     arr = as_cmatrix(r, square=True)
     if arr.shape[0] != action.degree:
         raise DimensionError("matrix shape does not match the action degree")
-    r_norm_sq = float(np.linalg.norm(arr)) ** 2
+    r_norm_sq = frobenius_norm(arr) ** 2
     if r_norm_sq == 0.0:
         raise UndefinedResidualError("alpha is undefined for the zero matrix")
     diff = arr - reynolds_project(arr, action)

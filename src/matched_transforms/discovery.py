@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DimensionError, InputError, UndefinedResidualError
 from .diagnostics import coloring_alpha, residual_delta
 from .groups import Permutation, closure_enumerate, from_generators
-from .numkernel import _check_hermitian, as_cmatrix
+from .numkernel import _check_hermitian, as_cmatrix, frobenius_norm
 
 
 @dataclass(frozen=True)
@@ -255,7 +255,7 @@ def discover_sequential(
         raise InputError("cap must be >= 1")
     r_arr = _check_hermitian(as_cmatrix(r, square=True))
     m = r_arr.shape[0]
-    if float(np.linalg.norm(r_arr)) == 0.0:
+    if frobenius_norm(r_arr) == 0.0:
         raise UndefinedResidualError("discovery is undefined for the zero matrix")
     if not tau > 0:
         raise UndefinedResidualError("tau must be positive")

@@ -10,6 +10,7 @@ invariant algebra never enumerates group elements.
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass, field
 
@@ -32,47 +33,53 @@ def _pick_dtype(degree: int):
 
 
 class Permutation:
-    """A bijection of {0..n-1}, stored as the tuple of images."""
+    """A bijection of {0..n-1}, stored as a read-only int64 array of images."""
 
-    __slots__ = ("_images", "_array")
+    __slots__ = ("_array",)
 
     def __init__(self, images):
-        imgs = tuple(int(i) for i in images)
-        n = len(imgs)
+        if isinstance(images, np.ndarray) and images.dtype.kind in "iu":
+            arr = images.astype(np.int64)
+        else:
+            try:
+                arr = np.array([operator.index(i) for i in images], dtype=np.int64)
+            except (TypeError, OverflowError) as exc:
+                raise InputError(f"permutation images must be integers: {exc}") from exc
+        if arr.ndim != 1:
+            raise InputError(f"permutation images must be 1-d, got shape {arr.shape}")
+        n = arr.size
         if n == 0:
             raise InputError("empty permutation")
-        if sorted(imgs) != list(range(n)):
-            raise InputError(f"images are not a bijection of 0..{n - 1}: {imgs}")
-        self._images = imgs
-        self._array = np.array(imgs, dtype=np.int64)
-        self._array.flags.writeable = False
+        if not np.array_equal(np.sort(arr), np.arange(n)):
+            raise InputError(f"images are not a bijection of 0..{n - 1}")
+        arr.flags.writeable = False
+        self._array = arr
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(degree))
+        return cls(np.arange(degree))
 
     @classmethod
     def _from_trusted(cls, array: np.ndarray) -> "Permutation":
-        # internal fast path: array already known to be a bijection
+        # internal fast path: array is an int64 bijection the caller hands over
         p = object.__new__(cls)
-        p._images = tuple(int(i) for i in array)
-        p._array = np.asarray(array, dtype=np.int64).copy()
-        p._array.flags.writeable = False
+        array.flags.writeable = False
+        p._array = array
         return p
 
     @property
     def images(self) -> tuple:
-        return self._images
+        return tuple(self._array.tolist())
 
     @property
     def degree(self) -> int:
-        return len(self._images)
+        return self._array.size
 
     def as_array(self) -> np.ndarray:
         return self._array
 
     def __call__(self, i: int) -> int:
-        return self._images[i]
+        return int(self._array[i])
 
     def compose(self, other: "Permutation") -> "Permutation":
         """self after other: (self * other)(i) = self(other(i))."""
@@ -88,7 +95,7 @@ class Permutation:
         return Permutation._from_trusted(inv)
 
     def is_identity(self) -> bool:
-        return self._images == tuple(range(self.degree))
+        return np.array_equal(self._array, np.arange(self.degree))
 
     def to_matrix(self) -> np.ndarray:
         """Permutation matrix P with P[images[j], j] = 1 (P e_j = e_{p(j)})."""
@@ -98,27 +105,28 @@ class Permutation:
 
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; fixed points omitted; identity is '()'."""
-        seen = [False] * self.degree
+        images = self._array.tolist()
+        seen = [False] * len(images)
         parts = []
-        for start in range(self.degree):
-            if seen[start] or self._images[start] == start:
+        for start in range(len(images)):
+            if seen[start] or images[start] == start:
                 seen[start] = True
                 continue
             cyc = [start]
             seen[start] = True
-            j = self._images[start]
+            j = images[start]
             while j != start:
                 cyc.append(j)
                 seen[j] = True
-                j = self._images[j]
+                j = images[j]
             parts.append("(" + " ".join(str(x) for x in cyc) + ")")
         return "".join(parts) if parts else "()"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self._images == other._images
+        return isinstance(other, Permutation) and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash(self._images)
+        return hash(self._array.tobytes())
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -228,15 +236,15 @@ class ClosureResult:
 # ---------------------------------------------------------------------------
 # constructors
 
-def _check_degree(degree: int):
-    if degree < 1 or degree > MAX_DEGREE:
-        raise InputError(f"degree {degree} outside 1..{MAX_DEGREE}")
+def _check_degree(degree: int, lo: int = 1):
+    if degree < lo or degree > MAX_DEGREE:
+        raise InputError(f"degree {degree} outside {lo}..{MAX_DEGREE}")
 
 
 def _check_log2_degree(n: int):
     # checked before 2^n or an n-long list is built, so huge n fails fast
-    if n >= MAX_DEGREE.bit_length():
-        raise InputError(f"degree 2^{n} outside 1..{MAX_DEGREE}")
+    if n < 1 or n >= MAX_DEGREE.bit_length():
+        raise InputError(f"degree 2^{n} outside 2..{MAX_DEGREE}")
 
 
 def make_trivial(degree: int) -> GroupAction:
@@ -248,7 +256,7 @@ def make_trivial(degree: int) -> GroupAction:
 def make_cyclic(m: int) -> GroupAction:
     """Z_m acting by index shift j -> j+1 (mod m)."""
     _check_degree(m)
-    shift = Permutation([(j + 1) % m for j in range(m)])
+    shift = Permutation((np.arange(m) + 1) % m)
     return GroupAction(f"cyclic:{m}", m, (shift,))
 
 
@@ -256,28 +264,22 @@ def make_dihedral(m: int, degree_m: bool = False) -> GroupAction:
     """Dihedral action: default on 2m points (shift + reflection j -> 2m-1-j,
     closure order 4m); with degree_m=True, on m points (closure order 2m)."""
     if degree_m:
-        _check_degree(m)
-        if m < 2:
-            raise InputError("degree-m dihedral needs m >= 2")
-        rot = Permutation([(j + 1) % m for j in range(m)])
-        refl = Permutation([(m - 1 - j) % m for j in range(m)])
+        _check_degree(m, lo=2)
+        rot = Permutation((np.arange(m) + 1) % m)
+        refl = Permutation(np.arange(m)[::-1])
         return GroupAction(f"dihedralM:{m}", m, (rot, refl))
     n = 2 * m
     _check_degree(n)
-    rot = Permutation([(j + 1) % n for j in range(n)])
-    refl = Permutation([n - 1 - j for j in range(n)])
+    rot = Permutation((np.arange(n) + 1) % n)
+    refl = Permutation(np.arange(n)[::-1])
     return GroupAction(f"dihedral:{m}", n, (rot, refl))
 
 
 def make_boolean(n: int) -> GroupAction:
     """(Z_2)^n acting on 2^n points by XOR; generator l is j -> j XOR 2^l."""
-    if n < 1:
-        raise InputError("boolean action needs n >= 1")
     _check_log2_degree(n)
     m = 1 << n
-    gens = tuple(
-        Permutation([j ^ (1 << l) for j in range(m)]) for l in range(n)
-    )
+    gens = tuple(Permutation(np.arange(m) ^ (1 << l)) for l in range(n))
     return GroupAction(f"boolean:{n}", m, gens)
 
 
@@ -346,8 +348,6 @@ def make_wreath(branching) -> GroupAction:
 def make_dyadic_wreath(levels: int) -> GroupAction:
     """Binary-tree action on 2^levels leaves: one left/right subtree swap per
     internal node (root = level 1), 2^levels - 1 generators in all."""
-    if levels < 1:
-        raise InputError("need levels >= 1")
     _check_log2_degree(levels)
     base = make_wreath([(2, "cyclic")] * levels)
     return GroupAction(f"dyadic-wreath:{levels}", base.degree, base.generators)
@@ -540,7 +540,7 @@ def closure_enumerate(action: GroupAction, cap: int = 10**6) -> ClosureResult:
             break
         frontier = np.stack(fresh)
         batches.append(frontier)
-    rows = np.concatenate(batches, axis=0)
+    rows = np.concatenate(batches, axis=0).astype(np.int64)
     elements = [Permutation._from_trusted(row) for row in rows]
     return ClosureResult(elements, count, False)
 

@@ -18,6 +18,7 @@ import re
 import numpy as np
 
 from .errors import InputError
+from .numkernel import frobenius_norm
 
 _HEADER_RE = re.compile(
     r"^#\s*rows=(\d+)\s+cols=(\d+)\s+field=(real|complex)\s*$"
@@ -87,13 +88,7 @@ def parse_matrix(text: str) -> np.ndarray:
     if bad.size:
         i, j = bad[0]
         raise InputError(f"row {i} entry {j}: non-finite value {body[i][j]!r}")
-    # every residual and energy fraction divides by this norm
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(out))
-    if not np.isfinite(norm):
-        raise InputError("matrix scale is too large: its Frobenius norm overflows float64")
-    if norm == 0.0 and np.any(out):
-        raise InputError("matrix scale is too small: its Frobenius norm underflows to 0")
+    frobenius_norm(out)
     return out
 
 

@@ -40,6 +40,20 @@ def as_cmatrix(a, square: bool = False) -> np.ndarray:
     return _as_matrix(a, np.complex128, square)
 
 
+def frobenius_norm(a: np.ndarray) -> float:
+    """||a||_F, which every residual and energy fraction divides by.
+
+    Raises InputError when it overflows float64, or underflows to 0 while
+    some entry is nonzero; it is 0 only for the zero matrix."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(a))
+    if not np.isfinite(norm):
+        raise InputError("matrix scale is too large: its Frobenius norm overflows float64")
+    if norm == 0.0 and np.any(a):
+        raise InputError("matrix scale is too small: its Frobenius norm underflows to 0")
+    return norm
+
+
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
     """Reject asymmetry beyond tolerance, then symmetrize exactly."""
     adjoint = a.conj().T

@@ -27,9 +27,10 @@ from .errors import (
     UnsupportedGroupError,
 )
 from .groups import (
-    MAX_DEGREE,
     GroupAction,
     _branching_name,
+    _check_degree,
+    _check_log2_degree,
     _normalize_branching,
     pair_orbits,
 )
@@ -133,17 +134,6 @@ class IntTransform:
         return _bareiss_det(self.matrix)
 
 
-def _check_size(m: int, lo: int = 1):
-    if m < lo or m > MAX_DEGREE:
-        raise DimensionError(f"size {m} outside {lo}..{MAX_DEGREE}")
-
-
-def _check_bits(n: int, what: str = "variable count"):
-    # checked before 1 << n is built, so a huge n fails fast
-    if n < 1 or n >= MAX_DEGREE.bit_length():
-        raise DimensionError(f"{what} {n} outside 1..{MAX_DEGREE.bit_length() - 1}")
-
-
 # ---------------------------------------------------------------------------
 # closed-form kernels
 
@@ -163,14 +153,14 @@ def _kron_all(blocks) -> np.ndarray:
 
 def dft_matrix(m: int) -> UnitaryTransform:
     """Discrete Fourier kernel (U)_{jk} = exp(2 pi i j k / m) / sqrt(m)."""
-    _check_size(m)
+    _check_degree(m)
     mat = _fourier(m)
     return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"freq={k}" for k in range(m)))
 
 
 def hartley_matrix(m: int) -> UnitaryTransform:
     """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m) = Re F + Im F."""
-    _check_size(m)
+    _check_degree(m)
     f = _fourier(m)
     mat = f.real + f.imag
     return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
@@ -178,7 +168,7 @@ def hartley_matrix(m: int) -> UnitaryTransform:
 
 def dct2_matrix(m: int) -> UnitaryTransform:
     """Orthonormal DCT-II: sqrt(2/m) w_k cos(pi (2j+1) k / (2m)), w_0 = 1/sqrt(2)."""
-    _check_size(m)
+    _check_degree(m)
     j = np.arange(m)[:, None]
     k = np.arange(m)[None, :]
     mat = np.sqrt(2.0 / m) * np.cos(np.pi * (2 * j + 1) * k / (2 * m))
@@ -188,7 +178,7 @@ def dct2_matrix(m: int) -> UnitaryTransform:
 
 def wht_matrix(n: int) -> UnitaryTransform:
     """Walsh-Hadamard kernel (Hadamard order): (-1)^{<j,k>} / 2^{n/2}."""
-    _check_bits(n, "bit count")
+    _check_log2_degree(n)
     mat = _kron_all([_SIGNS] * n) / 2.0 ** (n / 2.0)
     return UnitaryTransform(
         mat, f"boolean:{n}", tuple(f"mask={k}" for k in range(1 << n))
@@ -205,7 +195,7 @@ def haar_matrix(levels: int) -> UnitaryTransform:
     and the negative on the second.  Columns are ordered scale-major, then
     position, and labeled scale=s,pos=p.
     """
-    _check_bits(levels, "level count")
+    _check_log2_degree(levels)
     return _wreath_transform(((2, "cyclic"),) * levels, f"dyadic-wreath:{levels}")
 
 
@@ -220,7 +210,7 @@ _ARITH = np.array([[1, 0], [-1, 1]], dtype=np.int64)
 def rm_matrix(n: int) -> IntTransform:
     """Reed-Muller triangle R_n = R_1^{tensor n}: entry (S, T) = [T subset S].
     Self-inverse mod 2."""
-    _check_bits(n)
+    _check_log2_degree(n)
     return IntTransform(_kron_all([_RM_LOWER] * n), 2, f"reed-muller:{n}")
 
 
@@ -231,7 +221,7 @@ def fp_rm_matrix(polarity) -> IntTransform:
     bits = tuple(int(b) for b in polarity)
     if not bits or any(b not in (0, 1) for b in bits):
         raise InputError("polarity must be a nonempty 0/1 sequence")
-    _check_bits(len(bits))
+    _check_log2_degree(len(bits))
     out = _kron_all([_RM_UPPER if b else _RM_LOWER for b in bits])
     name = "fixed-polarity-rm:" + "".join(str(b) for b in bits)
     return IntTransform(out, 2, name)
@@ -239,7 +229,7 @@ def fp_rm_matrix(polarity) -> IntTransform:
 
 def arithmetic_matrix(n: int) -> IntTransform:
     """Arithmetic-transform kernel A_n = A_1^{tensor n}; A_n R_n = I over Z."""
-    _check_bits(n)
+    _check_log2_degree(n)
     return IntTransform(_kron_all([_ARITH] * n), None, f"arithmetic:{n}")
 
 
@@ -303,7 +293,7 @@ def compose_direct(u: UnitaryTransform, v: UnitaryTransform) -> UnitaryTransform
 
 def even_extension_isometry(m: int) -> np.ndarray:
     """2m x m isometry S with columns (e_j + e_{2m-1-j}) / sqrt(2)."""
-    _check_size(m)
+    _check_degree(m)
     s = np.zeros((2 * m, m), dtype=np.complex128)
     j = np.arange(m)
     s[j, j] = 1.0 / np.sqrt(2.0)
@@ -319,7 +309,7 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     columns up to per-column sign.  Column order: dc, cos/sin per frequency,
     then the alternating Nyquist column.
     """
-    _check_size(m, lo=2)
+    _check_degree(m, lo=2)
     f = _fourier(2 * m)
     # the 2x2 Hadamard on the conjugate pair (F_k, F_{2m-k}) gives
     # sqrt(2) Re F_k and sqrt(2) Im F_k
@@ -346,7 +336,7 @@ def wreath_matrix(branching) -> UnitaryTransform:
     degree = 1
     for k, _ in branching:
         degree *= k
-    _check_size(degree)
+    _check_degree(degree)
     return _wreath_transform(branching, _branching_name(branching))
 
 

@@ -217,8 +217,6 @@ class TestDiscover:
         path = write_cov(tmp_path / "eye.mtx", np.eye(8))
         assert run(["discover", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["degenerate_spectrum"] is True
-        assert payload["spectrum_clusters"] == 1
         assert payload["alpha"] == 1.0
         assert payload["stop"] == "complete"
         assert payload["order"] == ">10000"

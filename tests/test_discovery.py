@@ -12,9 +12,11 @@ from matched_transforms import (
     CandidateBasis,
     DimensionError,
     DiscoveryResult,
+    InputError,
     Permutation,
     UndefinedResidualError,
     closure_enumerate,
+    coloring_alpha,
     discover_sequential,
     from_generators,
     make_boolean,
@@ -184,6 +186,23 @@ class TestDiscoverSequential:
     def test_basis_degree_mismatch(self):
         with pytest.raises(DimensionError):
             discover_sequential(np.eye(3), basis=CandidateBasis.cyclic_shifts(4))
+
+
+_SCALE_CALLS = {
+    "residual_delta": lambda r: residual_delta(Permutation((1, 0)), r),
+    "coloring_alpha": lambda r: coloring_alpha(parse_group_spec("cyclic:2"), r),
+    "match_library": lambda r: match_library(r, [parse_group_spec("cyclic:2")]),
+    "discover_sequential": discover_sequential,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_SCALE_CALLS))
+@pytest.mark.parametrize("scale, word", [(1e300, "large"), (1e-300, "small")])
+def test_scale_outside_float64_rejected(call, scale, word):
+    # the Frobenius norm overflows or underflows although every entry is a
+    # finite nonzero float64; no call may return nan or mistake R for zero
+    with pytest.raises(InputError, match=f"matrix scale is too {word}"):
+        _SCALE_CALLS[call](np.diag([scale, 2 * scale]))
 
 
 # Degree-8 catalog families: the seven of the benchmark plus a product.

@@ -109,6 +109,49 @@ class TestPermutation:
         with pytest.raises(InputError):
             Permutation((0, 0, 1))
 
+    def test_rejects_non_integer_images(self):
+        # truncated, these would pass as the identity of degree 2
+        with pytest.raises(InputError):
+            Permutation([0.5, 1.7])
+
+    def test_rejects_two_dimensional_array(self):
+        with pytest.raises(InputError):
+            Permutation(np.array([[0, 1], [1, 0]]))
+
+    def test_equal_and_hash_across_input_types(self):
+        swap = (1, 0, 2, 3)
+        cycle = Permutation((1, 2, 3, 0))
+        forms = [
+            Permutation(list(swap)),
+            Permutation(swap),
+            Permutation(range(4)).compose(Permutation(swap)),
+            Permutation(swap).inverse(),
+            cycle.compose(cycle.inverse()).compose(Permutation(swap)),
+        ] + [Permutation(np.array(swap, dtype=dt)) for dt in (np.uint8, np.int32, np.int64)]
+        for p in forms:
+            assert p == forms[0] and hash(p) == hash(forms[0])
+        assert Permutation(range(4)) == Permutation.identity(4) == cycle.compose(cycle.inverse())
+        assert hash(Permutation(range(4))) == hash(cycle.inverse().compose(cycle))
+        assert cycle != forms[0] and cycle != cycle.images
+
+    def test_images_are_python_ints(self):
+        for p in (Permutation(np.array([2, 0, 1], dtype=np.uint8)),
+                  Permutation((2, 0, 1)).inverse()):
+            assert type(p.images) is tuple
+            assert all(type(i) is int for i in p.images)
+            assert type(p(0)) is int
+
+    def test_array_is_int64_and_read_only(self):
+        source = np.array([2, 0, 1], dtype=np.int32)
+        p = Permutation(source)
+        source[0] = 0  # the constructor keeps its own copy
+        for q in (p, p.inverse(), p.compose(p), Permutation.identity(3)):
+            arr = q.as_array()
+            assert arr.dtype == np.int64
+            with pytest.raises(ValueError):
+                arr[0] = 1
+        assert p.images == (2, 0, 1)
+
     def test_cycle_string(self):
         assert Permutation.identity(4).cycle_string() == "()"
         assert Permutation((1, 2, 0, 3)).cycle_string() == "(0 1 2)"

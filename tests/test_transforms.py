@@ -76,6 +76,18 @@ def offdiag_rel(u, r):
     return np.linalg.norm(d - np.diag(np.diag(d))) / np.linalg.norm(r)
 
 
+@pytest.mark.parametrize("build, size", [
+    (dft_matrix, 0), (dct2_matrix, 4097), (hartley_matrix, -1),
+    (even_extension_isometry, 0), (semidirect_dct_cascade, 1), (wreath_matrix, [(4097, "cyclic")]),
+    (wht_matrix, 0), (haar_matrix, 13), (rm_matrix, -2), (arithmetic_matrix, 10**17),
+    (fp_rm_matrix, (0,) * 13),
+])
+def test_kernel_size_outside_the_degree_ceiling(build, size):
+    # the kernels share the group constructors' degree checks
+    with pytest.raises(InputError, match="outside"):
+        build(size)
+
+
 class TestDft:
     def test_m1(self):
         assert np.allclose(dft_matrix(1).matrix, [[1.0]])
