@@ -17,14 +17,12 @@ from .errors import (
     StructuralMismatchError,
     ToolkitError,
     UndefinedResidualError,
-    UnsupportedGroupError,
 )
 from .groups import (
     GroupAction,
     Permutation,
     closure_enumerate,
     from_generators,
-    is_invariant,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -46,7 +44,6 @@ from .transforms import (
     anf_coefficients,
     arithmetic_matrix,
     best_polarity,
-    central_projection_basis,
     compose_direct,
     dct2_matrix,
     dft_matrix,
@@ -96,13 +93,13 @@ __all__ = [
     "Permutation",
     "ReportDocument", "StructuralMismatchError",
     "SynthesizedBasis", "ToolkitError", "UndefinedResidualError",
-    "UnitaryTransform", "UnsupportedGroupError", "anf_coefficients",
-    "arithmetic_matrix", "best_polarity", "central_projection_basis",
+    "UnitaryTransform", "anf_coefficients",
+    "arithmetic_matrix", "best_polarity",
     "circle_check", "closure_enumerate", "coloring_alpha", "compose_direct",
     "dct2_matrix", "dct_fold_cov", "dft_matrix",
     "discover_sequential", "eigen_clusters",
     "even_extension_isometry", "fp_rm_matrix", "from_generators",
-    "haar_matrix", "hartley_matrix", "herm_eig", "is_invariant",
+    "haar_matrix", "hartley_matrix", "herm_eig",
     "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",
     "make_hybrid", "make_product", "make_trivial", "make_wreath", "match_library",
     "normal_rows", "pair_orbits", "parse_group_spec",

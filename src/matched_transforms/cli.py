@@ -21,13 +21,7 @@ import sys
 import numpy as np
 
 from . import diagnostics, discovery, groups, matrixio, numkernel, transforms
-from .errors import (
-    DimensionError,
-    InputError,
-    NotMultiplicityFreeError,
-    ToolkitError,
-    UnsupportedGroupError,
-)
+from .errors import DimensionError, InputError, NotMultiplicityFreeError, ToolkitError
 
 _GROUP_SPEC_FORMS = (
     "trivial:M cyclic:M dihedral:M dihedralM:M boolean:n dyadic-wreath:L "
@@ -228,18 +222,13 @@ def cmd_discover(args) -> int:
 def cmd_project(args) -> int:
     action = _parse_group(args.group)
     r = matrixio.read_matrix_file(args.input)
-    if r.shape[0] != r.shape[1] or r.shape[0] != action.degree:
-        return _fail(
-            f"matrix shape {r.shape} does not match group degree {action.degree}", 2
-        )
     matrixio.write_matrix_file(args.out, groups.reynolds_project(r, action))
     return 0
 
 
 def cmd_residual(args) -> int:
-    r = matrixio.read_matrix_file(args.input)
-    if r.shape[0] != r.shape[1]:
-        return _fail(f"residual needs a square matrix, got {r.shape}", 2)
+    # square first: the permutation is parsed at the matrix's degree
+    r = numkernel.as_cmatrix(matrixio.read_matrix_file(args.input), square=True)
     perm = groups.parse_permutation(args.perm, degree=r.shape[0])
     delta = diagnostics.residual_delta(perm, r)
     _emit(matrixio.ReportDocument().add("delta", delta), args.json)
@@ -249,10 +238,6 @@ def cmd_residual(args) -> int:
 def cmd_alpha(args) -> int:
     action = _parse_group(args.group)
     r = matrixio.read_matrix_file(args.input)
-    if r.shape[0] != r.shape[1] or r.shape[0] != action.degree:
-        return _fail(
-            f"matrix shape {r.shape} does not match group degree {action.degree}", 2
-        )
     value = diagnostics.coloring_alpha(action, r)
     _emit(matrixio.ReportDocument().add("alpha", value), args.json)
     return 0
@@ -276,8 +261,6 @@ def _split_library(text: str) -> list:
 
 def cmd_match_library(args) -> int:
     r = matrixio.read_matrix_file(args.input)
-    if r.shape[0] != r.shape[1]:
-        return _fail(f"match-library needs a square matrix, got {r.shape}", 2)
     specs = _split_library(args.library)
     if not specs:
         return _fail("empty --library", 2)
@@ -403,7 +386,7 @@ def main(argv=None) -> int:
             parser.error(f"{name}: expected one argument, got '--'")
     try:
         return args.func(args)
-    except (InputError, DimensionError, UnsupportedGroupError) as exc:
+    except (InputError, DimensionError) as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"I/O failure: {exc}", 3)

@@ -1,11 +1,17 @@
-"""Diagnostics: does a proposed basis diagonalize an invariant covariance?
+"""Diagnostics: does a covariance commute with a group, and does a proposed
+basis diagonalize it?
 
-The central check is subspace_match: eigendecompose the covariance, group
+The residual delta (`residual_delta`) measures how far one permutation is
+from commuting with R; alpha (`coloring_alpha`) is the share of R's energy
+in the invariant algebra.  `subspace_match` scores a predicted basis for
+`mtf verify` and `circle_check`: eigendecompose the covariance, group
 eigenvalues into clusters, assign each predicted column to a cluster by its
 Rayleigh quotient, and score each cluster by the smallest singular value of
 the empirical/predicted overlap.  A score of 1 means the predicted columns
 span the eigenspaces exactly; the score is invariant to rotations inside a
 degenerate cluster, which is the only freedom a matched basis has.
+Synthesis certifies its own basis (`transforms.synthesize_matched`) and
+does not call it.
 """
 
 from __future__ import annotations
@@ -21,13 +27,7 @@ from .errors import (
     StructuralMismatchError,
     UndefinedResidualError,
 )
-from .groups import (
-    GroupAction,
-    Permutation,
-    _generator_residual,
-    make_dihedral,
-    reynolds_project,
-)
+from .groups import GroupAction, Permutation, make_dihedral, reynolds_project
 from .numkernel import as_cmatrix, eigen_clusters, frobenius_norm, herm_eig, random_psd
 from .transforms import (
     UnitaryTransform,
@@ -61,7 +61,9 @@ def residual_delta(perm: Permutation, r) -> float:
     r_norm = frobenius_norm(arr)
     if r_norm == 0.0:
         raise UndefinedResidualError("residual is undefined for the zero matrix")
-    return _generator_residual(arr, perm, r_norm)
+    # P R - R P without forming P
+    comm = arr[perm.inverse().as_array(), :] - arr[:, perm.as_array()]
+    return float(np.linalg.norm(comm) / (np.sqrt(perm.degree) * r_norm))
 
 
 def coloring_alpha(action: GroupAction, r) -> float:

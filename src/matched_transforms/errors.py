@@ -42,7 +42,3 @@ class NotMultiplicityFreeError(ToolkitError):
 
 class DegenerateSampleError(ToolkitError):
     """Sampled covariances kept producing accidental eigenvalue merges."""
-
-
-class UnsupportedGroupError(ToolkitError):
-    """The requested construction only covers a fixed catalog of actions."""

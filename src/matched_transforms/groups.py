@@ -3,9 +3,9 @@
 A GroupAction is a generating set of permutations of {0..M-1}; everything
 downstream (invariant averaging, matched transforms, discovery) consumes
 actions through the two primitives here: the partition of ordered index
-pairs into orbits, and breadth-first closure enumeration.  Orbit averaging
-is what keeps large groups tractable: projecting a covariance onto the
-invariant algebra never enumerates group elements.
+pairs into orbits, and the breadth-first closure that counts the group's
+elements.  Orbit averaging is what keeps large groups tractable: projecting
+a covariance onto the invariant algebra never enumerates group elements.
 """
 
 from __future__ import annotations
@@ -226,9 +226,9 @@ class PairOrbitPartition:
 
 @dataclass(frozen=True)
 class ClosureResult:
-    """Closure enumeration outcome; elements is None when the cap overflowed."""
+    """Closure count: the group order, or, when overflowed, the first count
+    past the cap."""
 
-    elements: list | None
     count: int
     overflowed: bool
 
@@ -486,63 +486,29 @@ def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
     return pair_orbits(action).average(r)
 
 
-def _generator_residual(r: np.ndarray, g: Permutation, r_norm: float) -> float:
-    # ||P R - R P||_F / (||P||_F ||R||_F) without forming P
-    p = g.as_array()
-    pinv = g.inverse().as_array()
-    comm = r[pinv, :] - r[:, p]
-    return float(np.linalg.norm(comm) / (np.sqrt(g.degree) * r_norm))
-
-
-def is_invariant(r: np.ndarray, action: GroupAction, tol: float = 1e-12) -> bool:
-    """True iff every generator's normalized commutation residual is <= tol."""
-    r = np.asarray(r, dtype=np.complex128)
-    if r.shape != (action.degree, action.degree):
-        raise InputError("matrix shape does not match the action degree")
-    r_norm = float(np.linalg.norm(r))
-    if r_norm == 0.0:
-        return True
-    return all(_generator_residual(r, g, r_norm) <= tol for g in action.generators)
-
-
 def closure_enumerate(action: GroupAction, cap: int = 10**6) -> ClosureResult:
-    """Breadth-first closure of the generators.
-
-    Returns every group element (identity first, then BFS order) when the
-    group has at most `cap` elements; otherwise stops at the first count
-    exceeding the cap and reports overflow.
-    """
+    """Count the group's elements by a breadth-first closure of the
+    generators, stopping at the first count that exceeds `cap`."""
     if cap < 1:
         raise InputError("cap must be >= 1")
     m = action.degree
     dtype = _pick_dtype(m)
     gens = [g.as_array().astype(dtype) for g in action.generators]
-    ident = np.arange(m, dtype=dtype)
-    seen = {ident.tobytes()}
-    batches = [ident[None, :]]
-    frontier = ident[None, :]
-    count = 1
-    if count > cap:
-        return ClosureResult(None, count, True)
-    while frontier.size:
+    frontier = np.arange(m, dtype=dtype)[None, :]
+    seen = {frontier[0].tobytes()}
+    while True:
         fresh = []
         for g in gens:
-            products = frontier[:, g]
-            for row in products:
+            for row in frontier[:, g]:
                 key = row.tobytes()
                 if key not in seen:
                     seen.add(key)
-                    count += 1
-                    if count > cap:
-                        return ClosureResult(None, count, True)
+                    if len(seen) > cap:
+                        return ClosureResult(len(seen), True)
                     fresh.append(row)
         if not fresh:
-            break
+            return ClosureResult(len(seen), False)
         frontier = np.stack(fresh)
-        batches.append(frontier)
-    rows = np.concatenate(batches, axis=0).astype(np.int64)
-    elements = [Permutation._from_trusted(row) for row in rows]
-    return ClosureResult(elements, count, False)
 
 
 # ---------------------------------------------------------------------------

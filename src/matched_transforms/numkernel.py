@@ -18,9 +18,6 @@ import numpy as np
 from .errors import DimensionError, InputError, NumericError
 from .rng import normal_rows
 
-#: Matrices flow through the toolkit as 2-d complex128 numpy arrays.
-CMatrix = np.ndarray
-
 HERM_CHECK_TOL = 1e-8  # allowed relative asymmetry of "Hermitian" inputs
 
 

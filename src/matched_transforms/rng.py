@@ -68,10 +68,19 @@ def normal_rows(seed: int, rows: int, normals_per_row: int) -> np.ndarray:
         raise ValueError("need rows >= 1 and a positive even normals_per_row")
     states = _splitmix64(seed, 4 * rows).reshape(rows, 4)
     raw = _xoshiro_outputs(states, normals_per_row)
-    u = ((raw >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0**-53
-    r = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    theta = 2.0 * np.pi * u[:, 1::2]
-    z = np.empty((rows, normals_per_row), dtype=np.float64)
-    z[:, 0::2] = r * np.cos(theta)
-    z[:, 1::2] = r * np.sin(theta)
+    # in place from here, one float buffer: same bytes, under half the peak
+    raw >>= np.uint64(11)
+    z = raw.astype(np.float64)
+    del raw
+    z += 1.0
+    z *= 2.0**-53
+    r, theta = z[:, 0::2], z[:, 1::2]
+    np.log(r, out=r)
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta *= 2.0 * np.pi
+    cos = np.cos(theta)
+    np.sin(theta, out=theta)
+    theta *= r
+    r *= cos
     return z

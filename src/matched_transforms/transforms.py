@@ -24,7 +24,6 @@ from .errors import (
     InputError,
     NotMultiplicityFreeError,
     NumericError,
-    UnsupportedGroupError,
 )
 from .groups import (
     GroupAction,
@@ -284,6 +283,7 @@ def best_polarity(truth_table) -> tuple:
 
 def compose_direct(u: UnitaryTransform, v: UnitaryTransform) -> UnitaryTransform:
     """Kronecker product transform for the direct-product action on a grid."""
+    _check_degree(u.degree * v.degree)
     mat = np.kron(u.matrix, v.matrix)
     labels = tuple(
         f"{a}*{b}" for a in u.column_labels for b in v.column_labels
@@ -293,7 +293,7 @@ def compose_direct(u: UnitaryTransform, v: UnitaryTransform) -> UnitaryTransform
 
 def even_extension_isometry(m: int) -> np.ndarray:
     """2m x m isometry S with columns (e_j + e_{2m-1-j}) / sqrt(2)."""
-    _check_degree(m)
+    _check_degree(2 * m, lo=2)
     s = np.zeros((2 * m, m), dtype=np.complex128)
     j = np.arange(m)
     s[j, j] = 1.0 / np.sqrt(2.0)
@@ -309,7 +309,7 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     columns up to per-column sign.  Column order: dc, cos/sin per frequency,
     then the alternating Nyquist column.
     """
-    _check_degree(m, lo=2)
+    _check_degree(2 * m, lo=4)
     f = _fourier(2 * m)
     # the 2x2 Hadamard on the conjugate pair (F_k, F_{2m-k}) gives
     # sqrt(2) Re F_k and sqrt(2) Im F_k
@@ -389,7 +389,7 @@ def _wreath_recurse(branching) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# sampled synthesis and the central-projection route
+# sampled synthesis
 
 @dataclass(frozen=True)
 class SynthesizedBasis:
@@ -584,31 +584,4 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         return SynthesizedBasis(transform, tuple(sorted(sizes.tolist())), False)
     raise DegenerateSampleError(
         f"could not certify a stable cluster structure for {action.name} after 5 samples"
-    )
-
-
-def central_projection_basis(action: GroupAction) -> UnitaryTransform:
-    """Character-projected basis for the built-in regular abelian actions.
-
-    Column k is the normalized projection of e_0 by character k:
-    (1/sqrt(|G|)) sum_g conj(chi_k(g)) e_{g.0}.  The character tables cover
-    cyclic:M (chi_k(g) = exp(2 pi i g k / M), giving the conjugate of the
-    DFT columns) and boolean:n (parity characters, giving Walsh-Hadamard
-    exactly).
-    """
-    head, _, tail = action.name.partition(":")
-    m = action.degree
-    # rows are indexed by g.0 = g for these regular actions, so the column
-    # for character k is conj(chi_k(.)) placed at positions g; both tables
-    # are symmetric in (g, k)
-    if head == "cyclic":
-        mat = _fourier(m).conj()
-    elif head == "boolean":
-        mat = _kron_all([_SIGNS] * int(tail)) / np.sqrt(m)
-    else:
-        raise UnsupportedGroupError(
-            f"central projection covers cyclic/boolean catalog actions, not {action.name}"
-        )
-    return UnitaryTransform(
-        mat, action.name, tuple(f"char={k}" for k in range(m))
     )

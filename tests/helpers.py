@@ -15,6 +15,7 @@ from matched_transforms import (
     make_product,
     make_trivial,
     make_wreath,
+    residual_delta,
 )
 
 
@@ -57,9 +58,21 @@ def brute_force_matched_group(r: np.ndarray, tol: float = 1e-10) -> set:
 
 
 def closure_set(action) -> set:
-    """Exact element set of a small action's closure."""
-    from matched_transforms import closure_enumerate
+    """Exact element set of a small action's closure: a breadth-first search
+    over image arrays, one vectorized product per frontier, deduplicated as
+    raw bytes."""
+    m = action.degree
+    gens = np.stack([g.as_array() for g in action.generators])
+    frontier = np.arange(m, dtype=np.int64)[None, :]
+    seen = {frontier.tobytes()}
+    while frontier.size:
+        products = frontier[:, gens].reshape(-1, m)
+        fresh = set(products.view(np.dtype((np.void, 8 * m))).ravel().tolist()) - seen
+        seen |= fresh
+        frontier = np.frombuffer(b"".join(fresh), dtype=np.int64).reshape(-1, m)
+    return {Permutation(np.frombuffer(key, dtype=np.int64)) for key in seen}
 
-    res = closure_enumerate(action, cap=10**6)
-    assert not res.overflowed
-    return set(res.elements)
+
+def is_invariant(r, action, tol: float) -> bool:
+    """Every generator's commutation residual delta is <= tol."""
+    return max(residual_delta(g, r) for g in action.generators) <= tol

@@ -25,7 +25,6 @@ from matched_transforms import (
     from_generators,
     haar_matrix,
     hartley_matrix,
-    is_invariant,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -42,7 +41,7 @@ from matched_transforms import (
     wht_matrix,
 )
 
-from helpers import brute_force_matched_group, catalog_actions, closure_set
+from helpers import brute_force_matched_group, catalog_actions, closure_set, is_invariant
 
 
 def report(n, label):

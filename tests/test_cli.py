@@ -16,7 +16,6 @@ from matched_transforms import (
     fp_rm_matrix,
     groups,
     haar_matrix,
-    is_invariant,
     make_cyclic,
     parse_matrix,
     random_psd,
@@ -26,6 +25,8 @@ from matched_transforms import (
     sample_invariant_cov,
     write_matrix_file,
 )
+
+from helpers import is_invariant
 
 
 def run(argv):
@@ -362,6 +363,27 @@ class TestProject:
         b = read_matrix_file(out2)
         assert np.max(np.abs(a - b)) <= 1e-12
         assert is_invariant(a, make_cyclic(4), tol=1e-12)
+
+
+@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.eye(3)], ids=["non-square", "degree-3"])
+@pytest.mark.parametrize("argv", [
+    ["project", "--group", "cyclic:2", "--out", "{out}"],
+    ["residual", "--perm", "1 0"],
+    ["alpha", "--group", "cyclic:2"],
+    ["match-library", "--library", "cyclic:2,trivial:2"],
+], ids=lambda argv: argv[0])
+def test_shape_or_degree_mismatch_exit_2(tmp_path, argv, matrix, capsys):
+    # the library calls reject both; the commands add no checks of their own
+    path = write_cov(tmp_path / "in.mtx", matrix)
+    out = str(tmp_path / "out.mtx")
+    assert run([out if a == "{out}" else a for a in argv] + ["--in", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line.startswith("error:") for line in captured.err.splitlines()].count(True) == 1
+    assert "Traceback" not in captured.err
+    if matrix.shape == (2, 3):
+        assert "shape (2, 3)" in captured.err
+    assert not os.path.exists(out)
 
 
 class TestMatchLibrary:

@@ -19,7 +19,6 @@ from matched_transforms import (
     from_generators,
     haar_matrix,
     herm_eig,
-    is_invariant,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -35,7 +34,7 @@ from matched_transforms import (
 )
 from matched_transforms.transforms import UnitaryTransform
 
-from helpers import catalog_actions
+from helpers import catalog_actions, is_invariant
 
 
 class TestSampleInvariantCov:

@@ -8,7 +8,6 @@ from matched_transforms import (
     Permutation,
     closure_enumerate,
     from_generators,
-    is_invariant,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -26,7 +25,7 @@ from matched_transforms import (
 
 from matched_transforms.groups import _hook_and_compress
 
-from helpers import catalog_actions, closure_set
+from helpers import catalog_actions, closure_set, is_invariant
 
 CATALOG = catalog_actions()
 
@@ -261,8 +260,7 @@ class TestConstructors:
 
     def test_dyadic_wreath_l5_overflow(self):
         res = closure_enumerate(make_dyadic_wreath(5), cap=10**6)
-        assert res.overflowed and res.elements is None
-        assert res.count > 10**6
+        assert res.overflowed and res.count > 10**6
 
     def test_wreath_single_level_is_dyadic(self):
         a = make_wreath([(2, "cyclic")])
@@ -464,7 +462,7 @@ class TestReynolds:
     def test_matches_explicit_group_average(self):
         act = make_dyadic_wreath(2)
         r = random_psd(4, 5)
-        elements = closure_enumerate(act, cap=100).elements
+        elements = closure_set(act)
         acc = np.zeros_like(r)
         for p in elements:
             mat = p.to_matrix()
@@ -512,11 +510,7 @@ class TestCommutantNesting:
 class TestClosure:
     def test_partial_overflow_count(self):
         res = closure_enumerate(make_cyclic(10), cap=4)
-        assert res.overflowed and res.count == 5 and res.elements is None
-
-    def test_identity_first(self):
-        res = closure_enumerate(make_cyclic(5), cap=10)
-        assert res.elements[0].is_identity()
+        assert res.overflowed and res.count == 5
 
 
 class TestGroupSpecLanguage:

@@ -24,6 +24,41 @@ def test_all_matches_public_names():
     assert all(hasattr(matched_transforms, name) for name in matched_transforms.__all__)
 
 
+# the paper's direct and wreath composition rules and the README's
+# fixed-polarity search are public for their own sake
+_STANDALONE = {"compose_direct", "wreath_matrix", "best_polarity"}
+
+
+def test_every_public_name_has_a_caller():
+    # every name in __all__ is used as an identifier outside its own
+    # definition and outside __init__.py, by the package or the benchmark
+    # harness; docstrings and comments do not count
+    used = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, ast.Name):
+            ident = node.id
+        elif isinstance(node, ast.Attribute):
+            ident = node.attr
+        else:
+            ident = None
+        if ident is not None and ident not in enclosing:
+            used.add(ident)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for top in ("src", "perfbench"):
+        for folder, _, names in os.walk(os.path.join(_ROOT, top)):
+            for name in names:
+                if name.endswith(".py") and name != "__init__.py":
+                    with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                        visit(ast.parse(fh.read()), frozenset())
+    unused = set(matched_transforms.__all__) - used - _STANDALONE
+    assert not unused, sorted(unused)
+
+
 def test_module_imports_form_no_cycle():
     # every relative import, deferred ones inside functions included; a
     # cycle would force one of its modules to import the other lazily

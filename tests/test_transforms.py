@@ -9,11 +9,9 @@ from matched_transforms import (
     NotMultiplicityFreeError,
     NumericError,
     Permutation,
-    UnsupportedGroupError,
     anf_coefficients,
     arithmetic_matrix,
     best_polarity,
-    central_projection_basis,
     compose_direct,
     dct2_matrix,
     dft_matrix,
@@ -81,6 +79,10 @@ def offdiag_rel(u, r):
     (even_extension_isometry, 0), (semidirect_dct_cascade, 1), (wreath_matrix, [(4097, "cyclic")]),
     (wht_matrix, 0), (haar_matrix, 13), (rm_matrix, -2), (arithmetic_matrix, 10**17),
     (fp_rm_matrix, (0,) * 13),
+    # checked on the 2m points they build, and on the Kronecker product's degree
+    (even_extension_isometry, 2049), (semidirect_dct_cascade, 2049),
+    pytest.param(lambda sizes: compose_direct(*map(dft_matrix, sizes)), (65, 64),
+                 id="compose_direct-65x64"),
 ])
 def test_kernel_size_outside_the_degree_ceiling(build, size):
     # the kernels share the group constructors' degree checks
@@ -553,29 +555,6 @@ class TestSynthesize:
         with pytest.raises(DegenerateSampleError):
             synthesize_matched(make_cyclic(6), seed=7)
         assert len(drawn) == 10
-
-
-class TestCentralProjection:
-    def test_cyclic4_magnitudes_match_dft(self):
-        u = central_projection_basis(make_cyclic(4))
-        d = dft_matrix(4)
-        assert np.max(np.abs(np.abs(u.matrix) - np.abs(d.matrix))) <= 1e-12
-        # conjugation convention: |<central_k, dft_k>| = 1 per column
-        overlaps = np.abs(np.sum(u.matrix.conj() * d.matrix.conj(), axis=0))
-        assert np.allclose(overlaps, 1.0, atol=1e-12)
-
-    def test_boolean2_equals_wht(self):
-        u = central_projection_basis(make_boolean(2))
-        assert np.max(np.abs(u.matrix - wht_matrix(2).matrix)) <= 1e-12
-
-    def test_cyclic1(self):
-        assert np.allclose(central_projection_basis(make_cyclic(1)).matrix, [[1.0]])
-
-    def test_non_abelian_rejected(self):
-        from matched_transforms import make_dihedral
-
-        with pytest.raises(UnsupportedGroupError):
-            central_projection_basis(make_dihedral(3))
 
 
 class TestUnitaryTransformType:
