@@ -118,10 +118,12 @@ def _run_verify_case(case: str, seed: int):
 
 
 def cmd_verify(args) -> int:
+    import time
     names = _VERIFY_CASES if args.case == "all" else (args.case,)
     rows = []
     all_pass = True
     for name in names:
+        start = time.perf_counter()
         try:
             group, report = _run_verify_case(name, args.seed)
             ok = report.min_match >= 1.0 - 1e-6
@@ -138,6 +140,7 @@ def cmd_verify(args) -> int:
                 "pattern": [], "pass": False, "error": str(exc),
             })
             ok = False
+        rows[-1]["seconds"] = matrixio._round6(time.perf_counter() - start)
         all_pass = all_pass and ok
     if args.json:
         sys.stdout.write(json.dumps({"cases": rows, "pass": all_pass}, indent=2) + "\n")
@@ -148,7 +151,7 @@ def cmd_verify(args) -> int:
             pattern_txt = " ".join(str(v) for v in row["pattern"])
             line = (
                 f"case={row['case']} status={status} group={row['group']} "
-                f"min_match={match_txt} pattern={pattern_txt}"
+                f"min_match={match_txt} seconds={row['seconds']:.6f} pattern={pattern_txt}"
             )
             if "error" in row:
                 line += f" error={row['error']}"

@@ -194,12 +194,13 @@ class PairOrbitPartition:
     """Orbits of the diagonal action on ordered index pairs.
 
     orbit_id[i, j] is the orbit label of (i, j); labels run 0..orbit_count-1
-    in order of first appearance under a row-major scan.
+    in order of first appearance under a row-major scan; transpose[o] = o^T.
     """
 
     degree: int
     orbit_id: np.ndarray
     orbit_count: int
+    transpose: np.ndarray
 
     def average(self, r: np.ndarray) -> np.ndarray:
         """Replace each entry of the degree x degree complex matrix r by the
@@ -213,14 +214,10 @@ class PairOrbitPartition:
         return means[ids].reshape(self.degree, self.degree)
 
     def transpose_class_count(self) -> int:
-        """Number of classes {o, o^T}: the transpose maps every pair orbit
-        onto an orbit, and this counts its cycles.  It is the dimension of
-        the real symmetric invariant matrices; it equals orbit_count exactly
-        when every orbit is its own transpose (the action is self-paired),
-        which holds iff orbit_id equals its transpose."""
-        partner = np.empty(self.orbit_count, dtype=np.int32)
-        partner[self.orbit_id.ravel()] = self.orbit_id.T.ravel()
-        fixed = int(np.count_nonzero(partner == np.arange(self.orbit_count)))
+        """Number of classes {o, o^T}: the dimension of the real symmetric
+        invariant matrices.  It equals orbit_count exactly when the action
+        is self-paired, i.e. orbit_id equals its transpose."""
+        fixed = int(np.count_nonzero(self.transpose == np.arange(self.orbit_count)))
         return (self.orbit_count + fixed) // 2
 
 
@@ -444,7 +441,7 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
     the moved columns, k (2M - k) edges where mapping all M^2 pairs would
     cost M^2.  Every orbit's root is its smallest pair index, i.e. its
     first appearance in a row-major scan, so the rank of each root among
-    the roots is its canonical label.
+    the roots is its canonical label, and its transposed pair gives o^T.
     """
     m = action.degree
     n = m * m
@@ -469,8 +466,11 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
             at = end
         edges.append((src, dst))
     labels, _ = _hook_and_compress(n, edges)
-    rank = np.cumsum(labels == np.arange(n, dtype=np.int32), dtype=np.int32) - 1
-    return PairOrbitPartition(m, rank[labels].reshape(m, m), int(rank[-1]) + 1)
+    is_root = labels == np.arange(n, dtype=np.int32)
+    rank = np.cumsum(is_root, dtype=np.int32) - 1
+    ids = rank[labels].reshape(m, m)
+    roots = np.flatnonzero(is_root)
+    return PairOrbitPartition(m, ids, roots.size, ids[roots % m, roots // m])
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

@@ -9,7 +9,10 @@ The recipe is fixed so an independent reimplementation reproduces it exactly:
   which lies in (0, 1];
 * consecutive uniform pairs (u_{2k}, u_{2k+1}) feed Box-Muller:
   z_{2k} = sqrt(-2 ln u_{2k}) cos(2 pi u_{2k+1}),
-  z_{2k+1} = sqrt(-2 ln u_{2k}) sin(2 pi u_{2k+1}).
+  z_{2k+1} = sqrt(-2 ln u_{2k}) sin(2 pi u_{2k+1});
+* synthesis takes z_o = x_{2o} + i x_{2o+1} for pair orbit o of n, x being
+  normal_rows(seed, L, 2L) row-major with L = ceil(sqrt(n)); near square, so
+  both Python loops (4L splitmix64 outputs, 2L xoshiro steps) are O(sqrt n).
 
 The integer stream is bit-portable; the float path inherits the platform
 libm's log/cos/sin rounding (identical on a fixed platform).

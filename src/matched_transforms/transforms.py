@@ -8,7 +8,7 @@ wreath basis of binary nodes, and the cosine cascade the semidirect rule
 applied to the DFT.  Integer counterparts (Reed-Muller triangle,
 fixed-polarity variants, the arithmetic-transform inverse pair) are
 Kronecker powers of 2x2 blocks.  The generic eigenbasis synthesizer works
-from samples of any multiplicity-free action.
+from seeded generic elements of any multiplicity-free action's commutant.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .groups import (
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
-from .rng import _splitmix64
+from .rng import _splitmix64, normal_rows
 
 UNITARITY_TOL = 1e-10
 DIAGONAL_TOL = 1e-8  # synthesized U must diagonalize a second sample to this
@@ -411,12 +411,14 @@ def _derived_seed(seed: int, index: int) -> int:
 
 
 def _draw(orbits, seed: int, paired: bool) -> tuple:
-    """One invariant sample R = orbits.average(random_psd(M, seed)) kept as
-    its float64 parts (Re R, Im R).  Im R is kept only for a paired action:
-    when every orbit is its own transpose, an invariant Hermitian matrix is
-    real symmetric and Im R is rounding noise."""
-    r = orbits.average(random_psd(orbits.degree, seed))
-    return r.real.copy(), (r.imag.copy() if paired else None)
+    """Generic invariant Hermitian R = h[orbit_id] as float64 (Re R, Im R),
+    h_o = (z_o + conj z_{o^T}) / 2 with z_o the rng module's per-orbit normal.
+    Im R is kept only for a paired action; a self-paired one has h real."""
+    count, ids, t = orbits.orbit_count, orbits.orbit_id, orbits.transpose
+    lanes = int(np.ceil(np.sqrt(count)))
+    x = normal_rows(seed, lanes, 2 * lanes).ravel()[: 2 * count]
+    re, im = x[0::2], x[1::2]
+    return ((re + re[t]) / 2)[ids], (((im - im[t]) / 2)[ids] if paired else None)
 
 
 def _gap_cut(values: np.ndarray, count: int) -> np.ndarray:
@@ -472,10 +474,6 @@ def _offdiag_norm(p: np.ndarray, q, blocks: list) -> float:
     return float(np.sqrt(sum(np.linalg.norm(part) ** 2 for part in parts) + inside))
 
 
-def _join(re: np.ndarray, im) -> np.ndarray:
-    return re if im is None else re + 1j * im
-
-
 def _norm(re: np.ndarray, im) -> float:
     """||re + i im||_F without forming the complex matrix."""
     return float(np.hypot(np.linalg.norm(re), 0.0 if im is None else np.linalg.norm(im)))
@@ -498,7 +496,7 @@ def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
     q = None if im2 is None else v.T @ im2 @ v
     r2_norm = _norm(re2, im2)
     if _offdiag_norm(p, q, blocks) > DIAGONAL_TOL * r2_norm:
-        r1, r2 = _join(re1, im1), _join(re2, im2)
+        r1, r2 = (re1, re2) if im1 is None else (re1 + 1j * im1, re2 + 1j * im2)
         comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
         if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
             raise NotMultiplicityFreeError(
@@ -530,35 +528,30 @@ def _assemble(values: np.ndarray, v: np.ndarray, blocks: list) -> tuple:
 
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
-    """Eigenbasis of a seeded invariant covariance sample R1, certified
-    data-independent against a second sample R2.  Both samples are seeded
-    PSD draws averaged over the action's pair orbits, computed once per call.
-
-    For a multiplicity-free action every invariant covariance is diagonal
-    in the same basis U.  It is found in real arithmetic.  Permutations are
-    real, so Re R1 is invariant too, and the real symmetric invariant
-    matrices form a commutative algebra whose dimension s is the number of
-    classes {o, o^T} of pair orbits.  The real eigensolve of Re R1 (V) has
-    s eigenspaces; each is an eigenspace of R1 or the sum of one and its
-    conjugate.  When every orbit is its own transpose (s == orbit_count,
-    the self-paired case: boolean, dyadic-wreath, dihedral, ...) every
-    invariant Hermitian matrix is real, the imaginary parts of both samples
-    are dropped, and U = V is real.  Otherwise Re R1's spectrum is cut into
-    s clusters at its s - 1 widest gaps, and each cluster c of size d > 1 is
-    resolved by the d x d Hermitian block diag(lambda_c) + i V_c^T (Im R1) V_c,
-    U_c = V_c W_c; the columns are then sorted by R1's eigenvalue.
-
-    U is accepted when ||offdiag(U* R2 U)||_F <= DIAGONAL_TOL ||R2||_F,
-    computed from the real products V^T (Re R2) V and V^T (Im R2) V with only
-    the diagonal blocks rotated by W_c.  If not, the commutator decides:
+    """Eigenbasis of a generic invariant matrix R1, certified data-independent
+    against a second one, R2: for a multiplicity-free action every invariant
+    matrix is diagonal in the same basis U.  Each draw takes one seeded
+    coefficient per pair orbit (`_draw`), on a partition computed once per
+    call.  U is found in real arithmetic.  Permutations are real, so Re R1 is
+    invariant too, and the real symmetric invariant matrices form a
+    commutative algebra whose dimension s is the number of classes {o, o^T}
+    of pair orbits.  The real eigensolve of Re R1 (V) has s eigenspaces;
+    each is an eigenspace of R1 or the sum of one and its conjugate.  When
+    every orbit is its own transpose (s == orbit_count, the self-paired
+    case: boolean, dyadic-wreath, dihedral, ...) both draws are real and
+    U = V.  Otherwise Re R1's spectrum is cut into s clusters at its s - 1
+    widest gaps, each cluster of size d > 1 is resolved by a d x d Hermitian
+    block (`_conjugate_blocks`), and the columns are sorted by R1's
+    eigenvalue.  U is accepted when ||offdiag(U* R2 U)||_F <= DIAGONAL_TOL
+    ||R2||_F (`_offdiag_norm`).  If not, the commutator decides:
     ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL ||R1||_F ||R2||_F means the
     commutant is not commutative (NotMultiplicityFreeError); otherwise R1's
     spectrum merged eigenvalues by accident and a fresh pair is drawn, at
     most 5 attempts.  An accepted U's columns are split into exactly
     orbit_count clusters (the commutant's dimension) at the widest gaps of
-    R1's spectrum; they give the labels and degeneracy_pattern.  The
-    trivial action is special-cased: there is no fixed basis, so the
-    sample's own KLT is returned flagged data_dependent.
+    R1's spectrum; they give the labels and degeneracy_pattern.  The trivial
+    action has no fixed basis: the KLT of random_psd(M, seed) is returned
+    flagged data_dependent.
     """
     if all(g.is_identity() for g in action.generators):
         eig = herm_eig(random_psd(action.degree, seed))

@@ -193,6 +193,19 @@ class TestVerify:
         assert row["min_match"] == text_match
         assert payload["pass"] is True
 
+    def test_seconds_per_case_text_json_parity(self, capsys):
+        # timings differ between runs, so parity is the field's presence and
+        # format: one seconds value per case, six decimals in both outputs
+        assert run(["verify", "--case", "all", "--seed", "2"]) == 0
+        lines = [l for l in capsys.readouterr().out.splitlines() if l.startswith("case=")]
+        assert run(["verify", "--case", "all", "--seed", "2", "--json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["cases"]
+        assert [r["case"] for r in rows] == [l.split()[0][len("case="):] for l in lines]
+        for line, row in zip(lines, rows):
+            token = re.search(r" seconds=([0-9]+\.[0-9]{6}) pattern=", line).group(1)
+            assert float(token) >= 0.0
+            assert row["seconds"] >= 0.0 and row["seconds"] == round(row["seconds"], 6)
+
 
 class TestDiscover:
     def test_circulant(self, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,9 +29,11 @@ from matched_transforms import (
     make_dyadic_wreath,
     make_trivial,
     make_wreath,
+    normal_rows,
     pair_orbits,
     parse_group_spec,
     random_psd,
+    residual_delta,
     reynolds_project,
     rm_matrix,
     sample_invariant_cov,
@@ -40,7 +44,7 @@ from matched_transforms import (
     wreath_matrix,
 )
 from matched_transforms import transforms
-from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed
+from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed, _draw
 
 from helpers import catalog_actions
 
@@ -491,7 +495,8 @@ class TestSynthesize:
         basis = synthesize_matched(action, seed=4)
         u = basis.transform.matrix
         assert u.imag.any()
-        r1 = pair_orbits(action).average(random_psd(action.degree, _derived_seed(4, 0)))
+        re1, im1 = _draw(pair_orbits(action), _derived_seed(4, 0), True)
+        r1 = re1 + 1j * im1
         rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), r1 @ u))
         assert np.all(np.diff(rayleigh) >= -1e-12)
         resid = r1 @ u - u * rayleigh
@@ -499,8 +504,8 @@ class TestSynthesize:
 
     @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
     def test_orbit_average_is_the_invariant_sample(self, action):
-        # synthesis draws its samples as orbits.average(random_psd(M, s));
-        # they must stay the bytes of sample_invariant_cov(action, s)
+        # sample_invariant_cov(action, s) is the orbit average of
+        # random_psd(M, s), byte for byte
         orbits = pair_orbits(action)
         for s in (1, 2, _derived_seed(7, 0)):
             ours = orbits.average(random_psd(action.degree, s))
@@ -526,18 +531,20 @@ class TestSynthesize:
 
     @staticmethod
     def merge_samples(monkeypatch, merged):
-        """Make synthesis's PSD draw return the identity (one merged
-        eigenvalue, and a fixed point of orbit averaging) at the seeds in
-        `merged`; returns the drawn seeds."""
+        """Make synthesis's draw return the identity's parts (one merged
+        eigenvalue, and an invariant matrix) at the seeds in `merged`;
+        returns the drawn seeds."""
         drawn = []
+        draw = transforms._draw
 
-        def sample(degree, seed):
+        def sample(orbits, seed, paired):
             drawn.append(seed)
             if seed in merged:
-                return np.eye(degree, dtype=np.complex128)
-            return random_psd(degree, seed)
+                eye = np.eye(orbits.degree)
+                return eye, (np.zeros_like(eye) if paired else None)
+            return draw(orbits, seed, paired)
 
-        monkeypatch.setattr(transforms, "random_psd", sample)
+        monkeypatch.setattr(transforms, "_draw", sample)
         return drawn
 
     def test_merged_first_sample_resamples(self, monkeypatch):
@@ -555,6 +562,83 @@ class TestSynthesize:
         with pytest.raises(DegenerateSampleError):
             synthesize_matched(make_cyclic(6), seed=7)
         assert len(drawn) == 10
+
+
+class TestGenericDraw:
+    """Synthesis samples one seeded coefficient per pair orbit."""
+
+    @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
+    def test_draw_is_invariant_and_hermitian(self, action, monkeypatch):
+        orbits = pair_orbits(action)
+        self_paired = np.array_equal(orbits.orbit_id, orbits.orbit_id.T)
+        for seed in (1, 2):
+            re, im = _draw(orbits, seed, True)
+            # a self-paired action's draw is exactly real
+            assert (not im.any()) == self_paired
+            r = re + 1j * im
+            assert np.array_equal(r, r.conj().T)
+            assert max(residual_delta(g, r) for g in action.generators) <= 1e-12
+        # synthesis keeps Im R exactly when the action is paired
+        kept = []
+        draw = transforms._draw
+
+        def recorded(orbits, seed, paired):
+            parts = draw(orbits, seed, paired)
+            kept.append(parts[1] is not None)
+            return parts
+
+        monkeypatch.setattr(transforms, "_draw", recorded)
+        synthesize_matched(action, seed=3)
+        if any(not g.is_identity() for g in action.generators):
+            assert kept and set(kept) == {not self_paired}
+
+    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "boolean:3", "trivial:5"])
+    def test_bytes_follow_the_recipe(self, spec):
+        # the rng module's per-orbit recipe and _draw's h_o, written out
+        # with fresh arrays; 25 orbits (trivial:5) is a perfect square
+        orbits = pair_orbits(parse_group_spec(spec))
+        ids, count = orbits.orbit_id, orbits.orbit_count
+        k = math.isqrt(count - 1) + 1
+        x = normal_rows(9, k, 2 * k).reshape(-1)
+        z = x[0 : 2 * count : 2] + 1j * x[1 : 2 * count : 2]
+        partner = np.zeros(count, dtype=np.int64)
+        for (i, j), o in np.ndenumerate(ids):
+            partner[o] = ids[j, i]
+        r = ((z + z[partner].conj()) / 2)[ids]
+        re, im = _draw(orbits, 9, True)
+        assert re.tobytes() == np.ascontiguousarray(r.real).tobytes()
+        assert im.tobytes() == np.ascontiguousarray(r.imag).tobytes()
+
+    def test_psd_draw_only_for_the_trivial_action(self, monkeypatch):
+        calls = []
+
+        class PsdDrawn(Exception):
+            pass
+
+        def refuse(degree, seed):
+            calls.append(degree)
+            raise PsdDrawn
+
+        monkeypatch.setattr(transforms, "random_psd", refuse)
+        for action in catalog_actions():
+            if all(g.is_identity() for g in action.generators):
+                with pytest.raises(PsdDrawn):
+                    synthesize_matched(action, seed=3)
+                assert calls == [action.degree]
+            else:
+                synthesize_matched(action, seed=3)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("product:(cyclic:2,trivial:2)"),
+        parse_group_spec("product:(boolean:2,trivial:3)"),
+        parse_group_spec("product:(dihedralM:8,trivial:2)"),
+        from_generators([Permutation((0, 1, 3, 2))], "padded-swap"),
+    ], ids=lambda a: a.name)
+    def test_not_multiplicity_free_raises_on_every_seed(self, action):
+        for seed in range(1, 21):
+            with pytest.raises(NotMultiplicityFreeError):
+                synthesize_matched(action, seed)
 
 
 class TestUnitaryTransformType:
