@@ -304,6 +304,10 @@ def cmd_synthesize(args) -> int:
     doc.add("degree", action.degree)
     doc.add("pattern", list(basis.degeneracy_pattern))
     doc.add("data_dependent", bool(basis.data_dependent))
+    # the ratio sits near roundoff, below the reports' six decimals
+    ratio = basis.certificate
+    doc.add("certificate", None if ratio is None else f"{ratio:.3e}")
+    doc.add("attempts", basis.attempts)
     doc.add("out", args.out)
     _emit(doc, args.json)
     return 0

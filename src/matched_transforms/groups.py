@@ -97,12 +97,6 @@ class Permutation:
     def is_identity(self) -> bool:
         return np.array_equal(self._array, np.arange(self.degree))
 
-    def to_matrix(self) -> np.ndarray:
-        """Permutation matrix P with P[images[j], j] = 1 (P e_j = e_{p(j)})."""
-        m = np.zeros((self.degree, self.degree), dtype=np.complex128)
-        m[self._array, np.arange(self.degree)] = 1.0
-        return m
-
     def cycle_string(self) -> str:
         """Disjoint-cycle notation; fixed points omitted; identity is '()'."""
         images = self._array.tolist()
@@ -396,81 +390,197 @@ def from_generators(perms, name: str) -> GroupAction:
 # ---------------------------------------------------------------------------
 # orbit machinery
 
-def _hook_and_compress(n: int, edges: list) -> tuple:
+def _hook_and_compress(n: int, edges: list, labels=None) -> tuple:
     """Connected components of {0..n-1} by Shiloach-Vishkin hook-and-compress.
 
-    edges is a list of (src, dst) int32 index arrays.  Each round reads the
-    labels of every live edge's ends, hooks the larger label onto the
-    smaller (np.minimum.at, so a label hooked from several edges takes the
-    smallest), then jumps pointers until every label is a root, and drops
-    the edges whose ends now share a label.  Labels only ever decrease, so
-    every component ends labelled by its smallest index.  Returns
-    (labels, rounds).
+    edges is a list of (src, dst) int32 index arrays, joined into one edge
+    set.  labels, when given, is a flat labelling to join further (every
+    entry its class's smallest element); it defaults to the singletons.
+    Each round reads the labels of every live edge's ends, drops the edges
+    whose ends share a label, hooks the larger label onto the smaller
+    (np.minimum.at, so a label hooked from several edges takes the
+    smallest), then jumps pointers until every label is a root.  Labels
+    only ever decrease, so every component ends labelled by its smallest
+    index.  Returns (labels, rounds).
     """
-    labels = np.arange(n, dtype=np.int32)
+    if labels is None:
+        labels = np.arange(n, dtype=np.int32)
+    if not edges:
+        return labels, 0
+    src = np.concatenate([e[0] for e in edges])
+    dst = np.concatenate([e[1] for e in edges])
     rounds = 0
-    while edges:
+    while src.size:
         rounds += 1
-        # read every edge against one snapshot, so each hook target is a root
-        snap = labels.copy()
-        live = []
-        for src, dst in edges:
-            a, b = snap[src], snap[dst]
-            keep = a != b
-            if not keep.any():
-                continue
-            a, b = a[keep], b[keep]
-            np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
-            live.append((src[keep], dst[keep]))
+        a, b = labels[src], labels[dst]
+        keep = a != b
+        src, dst = src[keep], dst[keep]
+        if not src.size:
+            break
+        a, b = a[keep], b[keep]
+        np.minimum.at(labels, np.maximum(a, b), np.minimum(a, b))
         while True:
             jumped = labels[labels]
             if np.array_equal(jumped, labels):
                 break
             labels = jumped
-        edges = live
     return labels, rounds
+
+
+_CHUNK = 1 << 17  # pair entries handled per numpy call in pair_orbits
+_FLUSH = 1 << 12  # label pairs held, at least, before pair_orbits joins them
+
+
+def _schreier_inverses(images: list, m: int) -> tuple:
+    """Point orbits and breadth-first Schreier trees of an action.
+
+    images are the non-identity generators' image arrays.  Point orbits are
+    numbered in order of their smallest point b, and each orbit's tree is
+    grown from b along the generators that move each point.  t_i is the
+    product of generators along the tree path from b to i, so t_i(b) = i,
+    and its inverse is filled row by row from its parent's through
+    t_{g(i)}^-1 g = t_i^-1, a scatter that never forms g^-1.  Returns (tinv, orbit, bases, via): tinv[i] =
+    t_i^-1 as an (m, m) int32 array, orbit[i] the number of i's point orbit,
+    bases[a] its smallest point, and via[i] the generator of i's tree edge
+    (-1 at a base).
+    """
+    points = np.arange(m)
+    # (point, generator, image) for every point a generator moves, sorted
+    # by point; points[:0] keeps an empty generator list valid
+    moved = [np.flatnonzero(g != points) for g in images]
+    src = np.concatenate([points[:0]] + moved)
+    order = np.argsort(src, kind="stable")
+    gen = np.repeat(np.arange(len(images)), [p.size for p in moved])[order]
+    dst = np.concatenate([points[:0]] + [g[p] for g, p in zip(images, moved)])[order]
+    first = np.searchsorted(src[order], np.arange(m + 1)).tolist()
+    gen, dst = gen.tolist(), dst.tolist()
+    via, orbit, bases = [-2] * m, [0] * m, []
+    tinv = np.empty((m, m), dtype=np.int32)
+    for b in range(m):
+        if via[b] != -2:
+            continue
+        orbit[b], via[b] = len(bases), -1
+        bases.append(b)
+        tinv[b] = points
+        queue = [b]
+        for i in queue:  # grows while it is read: a breadth-first walk
+            for e in range(first[i], first[i + 1]):
+                j = dst[e]
+                if via[j] == -2:
+                    orbit[j], via[j] = orbit[b], gen[e]
+                    queue.append(j)
+                    tinv[j, images[gen[e]]] = tinv[i]
+    return tinv, np.array(orbit), np.array(bases), np.array(via)
+
+
+def _moved_pair_labels(tinv: np.ndarray, images: list, via: np.ndarray, offset):
+    """Yield (u, v) label arrays, a chunk at a time, that hold the labels of
+    p and g.p for every generator g and every pair p that g moves (and may
+    hold equal pairs too).
+
+    tinv and via are `_schreier_inverses`' table and tree edges; a row i
+    whose tree edge is g from i keeps its pairs' labels under g.  offset is
+    a*M per row, or None for a transitive action.  When the generators map
+    few pairs in all, every pair of every generator is mapped in one
+    gather; otherwise each generator's moved pairs are read on their own.
+    """
+    m = tinv.shape[0]
+    if not images:
+        return
+    if len(images) * m * m <= _CHUNK:
+        gs = np.stack(images)
+        v = tinv[gs[:, :, None], gs[:, None, :]]
+        u = tinv
+        if offset is not None:
+            u, v = u + offset, v + offset
+        yield np.broadcast_to(u, v.shape), v
+        return
+    for k, g in enumerate(images):
+        yield from _generator_pair_labels(tinv, g, via[g] == k, offset)
+
+
+def _generator_pair_labels(tinv: np.ndarray, g: np.ndarray, tree: np.ndarray, offset):
+    """`_moved_pair_labels` for one generator g, in chunks: tree marks the
+    rows i whose tree edge is g from i."""
+    m = g.size
+    points = np.arange(m)
+    moved = g != points
+    # moved rows x all columns
+    rows = np.flatnonzero(moved & ~tree)
+    step = max(1, _CHUNK // m)
+    for at in range(0, rows.size, step):
+        rr = rows[at : at + step]
+        u, v = tinv[rr], np.take(tinv[g[rr]], g, axis=1)
+        if offset is not None:
+            u += offset[rr]
+            v += offset[rr]
+        join = u != v
+        if join.any():
+            yield u[join], v[join]
+    # fixed rows x the moved columns, read in slabs of all rows with the
+    # moved rows made equal; g permutes the moved columns, so v is a column
+    # permutation of u
+    support = np.flatnonzero(moved)
+    if support.size == m:
+        return
+    shift = np.searchsorted(support, g[support])
+    step = max(1, _CHUNK // support.size)
+    for at in range(0, m, step):
+        rr = slice(at, at + step)
+        u = np.take(tinv[rr], support, axis=1)
+        if offset is not None:
+            u += offset[rr]
+        v = u[:, shift]
+        v[moved[rr]] = u[moved[rr]]
+        yield u, v
 
 
 def pair_orbits(action: GroupAction) -> PairOrbitPartition:
     """Partition ordered index pairs into orbits of the diagonal action.
 
-    The orbits are the connected components of the graph that joins pair
-    index i*M + j to g(i)*M + g(j) for every generator g, found by a numpy
-    union-find (`_hook_and_compress`).  Only the pairs g moves get an edge:
-    the k rows g moves against every column, then the fixed rows against
-    the moved columns, k (2M - k) edges where mapping all M^2 pairs would
-    cost M^2.  Every orbit's root is its smallest pair index, i.e. its
-    first appearance in a row-major scan, so the rank of each root among
-    the roots is its canonical label, and its transposed pair gives o^T.
+    Take a Schreier tree for every point orbit (`_schreier_inverses`), with
+    t_i(b) = i for the orbit's smallest point b.  t_i^-1 maps the pair
+    (i, j) to (b, t_i^-1(j)) in the same orbit, so (i, j) gets the label
+    a*M + t_i^-1(j), where a numbers i's point orbit: at most (point
+    orbits) * M labels, never M^2.  For every generator g and every pair p
+    that g moves, the labels of p and g.p are joined by a numpy union-find
+    (`_hook_and_compress`), a chunk of pairs at a time
+    (`_moved_pair_labels`); a tree edge's pairs keep their labels and are
+    skipped.  On a regular action (cyclic, boolean) no label merges.  A
+    class's labels are a*M + x over the pairs (b, x) it holds in row b, the
+    orbit's first row, so its smallest label names its first pair in a
+    row-major scan.  The rank of each class's smallest label is therefore
+    its canonical label, and that first pair, transposed, gives o^T.
     """
     m = action.degree
-    n = m * m
-    # int32 suffices: n <= MAX_DEGREE^2 < 2^31
-    cols = np.arange(m, dtype=np.int32)
-    edges = []
-    for g in action.generators:
-        img = g.as_array().astype(np.int32)
-        moved = img != cols
-        if not moved.any():
+    images = [g.as_array() for g in action.generators if not g.is_identity()]
+    tinv, orbit, bases, via = _schreier_inverses(images, m)
+    # int32 suffices: labels < M^2 <= MAX_DEGREE^2 < 2^31
+    offset = (orbit * m).astype(np.int32)[:, None] if bases.size > 1 else None
+    labels = np.arange(bases.size * m, dtype=np.int32)
+    pending, held = [], 0
+    for u, v in _moved_pair_labels(tinv, images, via, offset):
+        a, b = np.take(labels, u), np.take(labels, v)
+        join = a != b
+        if not join.any():
             continue
-        rows, fixed = cols[moved], cols[~moved]
-        src = np.empty(rows.size * (2 * m - rows.size), dtype=np.int32)
-        dst = np.empty_like(src)
-        at = 0
-        # pair (a, b) goes to (g(a), g(b)): moved rows x all columns, then
-        # fixed rows x moved columns
-        for a, b, ga, gb in ((rows, cols, img[rows], img), (fixed, rows, fixed, img[rows])):
-            end = at + a.size * b.size
-            np.add(a[:, None] * m, b, out=src[at:end].reshape(a.size, b.size))
-            np.add(ga[:, None] * m, gb, out=dst[at:end].reshape(a.size, b.size))
-            at = end
-        edges.append((src, dst))
-    labels, _ = _hook_and_compress(n, edges)
-    is_root = labels == np.arange(n, dtype=np.int32)
-    rank = np.cumsum(is_root, dtype=np.int32) - 1
-    ids = rank[labels].reshape(m, m)
+        pending.append((a[join], b[join]))
+        held += pending[-1][0].size
+        if held >= min(_CHUNK, max(labels.size, _FLUSH)):
+            labels, _ = _hook_and_compress(labels.size, pending, labels)
+            pending, held = [], 0
+    labels, _ = _hook_and_compress(labels.size, pending, labels)
+    is_root = labels == np.arange(labels.size, dtype=np.int32)
+    rank = (np.cumsum(is_root, dtype=np.int32) - 1)[labels]
+    ids = tinv  # relabelled in place, a block of rows at a time
+    step = max(1, _CHUNK // m)
+    for at in range(0, m, step):
+        block = ids[at : at + step]
+        if offset is not None:
+            block += offset[at : at + step]
+        block[...] = rank[block]
     roots = np.flatnonzero(is_root)
-    return PairOrbitPartition(m, ids, roots.size, ids[roots % m, roots // m])
+    return PairOrbitPartition(m, ids, roots.size, ids[roots % m, bases[roots // m]])
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

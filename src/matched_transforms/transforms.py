@@ -51,19 +51,14 @@ class UnitaryTransform:
 
     def __post_init__(self):
         mat = as_cmatrix(self.matrix, square=True)
-        if mat.imag.any():
-            gram = mat.conj().T @ mat
-        else:
-            # a real matrix needs only the real product, a quarter of the work
-            real = np.ascontiguousarray(mat.real)
-            gram = real.T @ real
-        gram_err = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
+        gram_err = _gram_error(mat)
         if gram_err > UNITARITY_TOL:
             raise NumericError(f"columns are not orthonormal: error {gram_err:.3e}")
         labels = tuple(str(l) for l in self.column_labels)
         if len(labels) != mat.shape[0]:
             raise DimensionError("need exactly one label per column")
-        mat = mat.copy()
+        # keep a C-ordered copy of our own, but convert a real input only once
+        mat = mat.copy() if np.may_share_memory(mat, self.matrix) else np.ascontiguousarray(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "column_labels", labels)
@@ -71,6 +66,29 @@ class UnitaryTransform:
     @property
     def degree(self) -> int:
         return self.matrix.shape[0]
+
+
+def _gram_error(u: np.ndarray) -> float:
+    """max |(U* U - I)_jk| over the entries, in real arithmetic.
+
+    Re(U* U) is the symmetric product S^T S of the stacked S = [Re U; Im U],
+    and Im(U* U) = X - X^T with X = (Re U)^T Im U: two real products where
+    the complex Gram matrix takes four.  A real U needs only (Re U)^T Re U.
+    """
+    m = u.shape[0]
+    if not u.imag.any():
+        re = np.ascontiguousarray(u.real)
+        gram, im = re.T @ re, 0.0
+    else:
+        s = np.concatenate([u.real, u.imag])
+        gram, im = s.T @ s, s[:m].T @ s[m:]
+        del s
+        im -= im.T  # numpy buffers the overlapping transpose
+    gram[np.diag_indices(m)] -= 1.0
+    # |z|^2 = Re^2 + Im^2 entrywise; the square root of the largest is taken once
+    np.square(gram, out=gram)
+    gram += np.square(im)
+    return float(np.sqrt(np.max(gram)))
 
 
 def _bareiss_det(matrix: np.ndarray) -> int:
@@ -101,7 +119,7 @@ class IntTransform:
 
     modulus is None for transforms over Z and 2 for GF(2) self-inverse
     kernels.  The |det| = 1 invariant is verified at construction up to
-    size 64; call det_exact() for larger explicit checks.
+    size 64.
     """
 
     matrix: np.ndarray
@@ -127,10 +145,6 @@ class IntTransform:
     @property
     def degree(self) -> int:
         return self.matrix.shape[0]
-
-    def det_exact(self) -> int:
-        """Exact determinant over the integers."""
-        return _bareiss_det(self.matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +411,17 @@ class SynthesizedBasis:
 
     degeneracy_pattern lists eigenvalue-cluster sizes sorted ascending;
     data_dependent marks the trivial-action fallback (plain KLT of the
-    sample, no seed-independence guarantee).
+    sample, no seed-independence guarantee).  certificate is the accepted
+    ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
+    sample pairs drawn to reach it; the trivial action's KLT is not
+    certified (None and 0).
     """
 
     transform: UnitaryTransform
     degeneracy_pattern: tuple
     data_dependent: bool
+    certificate: float | None
+    attempts: int
 
 
 def _derived_seed(seed: int, index: int) -> int:
@@ -452,26 +471,55 @@ def _conjugate_blocks(values: np.ndarray, v: np.ndarray, imag: np.ndarray,
     return blocks
 
 
-def _offdiag_norm(p: np.ndarray, q, blocks: list) -> float:
-    """||offdiag(U* R2 U)||_F for U = V diag(W_c), from P = V^T (Re R2) V and
-    Q = V^T (Im R2) V (None when Im R2 is dropped, and then there are no
-    blocks); overwrites P and Q.
+def _residual_sq(a: np.ndarray, b: np.ndarray) -> float:
+    """sum_k ||b_k - d_k a_k||^2 over the rows, with d_k = conj(a_k) . b_k."""
+    d = np.einsum("ij,ij->i", a.conj(), b)
+    b = b - d[:, None] * a
+    return float(np.vdot(b, b).real)
 
-    A block-diagonal unitary leaves the entries outside its blocks unchanged
-    in norm, so only the diagonal blocks are rotated."""
-    parts = [p] if q is None else [p, q]
-    inside = 0.0
-    for idx, _, w in blocks:
-        rows, cols = idx[:, :, None], idx[:, None, :]
-        block = p[rows, cols] + 1j * q[rows, cols]
-        rotated = w.conj().transpose(0, 2, 1) @ block @ w
-        rotated[:, np.arange(w.shape[1]), np.arange(w.shape[1])] = 0.0
-        inside += float(np.sum(np.abs(rotated) ** 2))
-        for part in parts:
-            part[rows, cols] = 0.0
-    for part in parts:
-        np.fill_diagonal(part, 0.0)
-    return float(np.sqrt(sum(np.linalg.norm(part) ** 2 for part in parts) + inside))
+
+def _rotate_and_certify(values: np.ndarray, vt: np.ndarray, p: np.ndarray, q,
+                        blocks: list) -> tuple:
+    """R1's eigenvalues in ascending order, the rows of U^T = diag(W_c^T) V^T
+    in the same order, and the one-sided residual ||R2 U - U diag(U* R2 U)||_F.
+
+    p + i q holds the rows of (R2 V)^T; q is None when Im R2 is dropped, and
+    then there are no blocks and U = V.  Cluster c's rows of V^T and of
+    (R2 V)^T are rotated by W_c^T, a chunk of same-size clusters at a time;
+    the other rows are eigenvectors of R1 already.  For a unitary U the
+    residual equals ||offdiag(U* R2 U)||_F, and it needs only R2 V.
+    """
+    m = values.size
+    rows = max(1, m // 16)  # a chunk's temporaries stay near one real M x M
+    if q is None:
+        residual = sum(_residual_sq(vt[at : at + rows], p[at : at + rows])
+                       for at in range(0, m, rows))
+        return values, vt, np.sqrt(residual)
+    values = values.copy()
+    single = np.ones(m, dtype=bool)
+    for cols, w_values, _ in blocks:
+        values[cols] = w_values
+        single[cols] = False
+    order = np.argsort(values, kind="stable")
+    where = np.empty_like(order)
+    where[order] = np.arange(m)
+    ut = np.empty((m, m), dtype=np.complex128)
+    residual = 0.0
+    for cols, _, w in blocks:
+        step = max(1, rows // cols.shape[1])
+        for at in range(0, cols.shape[0], step):
+            idx = cols[at : at + step]
+            wt = w[at : at + step].transpose(0, 2, 1)
+            a = (wt @ vt[idx]).reshape(-1, m)
+            b = (wt @ (p[idx] + 1j * q[idx])).reshape(-1, m)
+            residual += _residual_sq(a, b)
+            ut[where[idx.ravel()]] = a
+    single = np.flatnonzero(single)
+    for at in range(0, single.size, rows):
+        idx = single[at : at + rows]
+        residual += _residual_sq(vt[idx], p[idx] + 1j * q[idx])
+        ut[where[idx]] = vt[idx]
+    return values[order], ut, np.sqrt(residual)
 
 
 def _norm(re: np.ndarray, im) -> float:
@@ -481,50 +529,46 @@ def _norm(re: np.ndarray, im) -> float:
 
 def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
                           attempt: int):
-    """One attempt of synthesize_matched: ascending eigenvalues of R1 and
-    the matching columns U, or None when U does not diagonalize R2 but the
-    two samples commute."""
+    """One attempt of synthesize_matched: the certificate ratio, R1's
+    ascending eigenvalues and the rows of U^T in that order, or None when U
+    does not diagonalize R2 but the two samples commute.  Each sample is
+    freed once used: R1 after its eigenvectors and conjugate blocks, R2
+    after its products with them; a failed certificate draws the pair again
+    from the same seeds for the commutator."""
     paired = classes < orbits.orbit_count
-    re1, im1 = _draw(orbits, _derived_seed(seed, 2 * attempt), paired)
-    re2, im2 = _draw(orbits, _derived_seed(seed, 2 * attempt + 1), paired)
+    seeds = (_derived_seed(seed, 2 * attempt), _derived_seed(seed, 2 * attempt + 1))
+    re1, im1 = _draw(orbits, seeds[0], paired)
     eig = herm_eig(re1)
-    v = eig.vectors
+    del re1
     blocks = []
     if paired:
-        blocks = _conjugate_blocks(eig.values, v, im1, _gap_cut(eig.values, classes))
-    p = v.T @ re2 @ v
-    q = None if im2 is None else v.T @ im2 @ v
+        blocks = _conjugate_blocks(eig.values, eig.vectors, im1, _gap_cut(eig.values, classes))
+    del im1
+    re2, im2 = _draw(orbits, seeds[1], paired)
     r2_norm = _norm(re2, im2)
-    if _offdiag_norm(p, q, blocks) > DIAGONAL_TOL * r2_norm:
-        r1, r2 = (re1, re2) if im1 is None else (re1 + 1j * im1, re2 + 1j * im2)
-        comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
-        if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
-            raise NotMultiplicityFreeError(
-                f"action {action.name} has a non-commutative commutant"
-            )
-        return None
-    if not blocks:
-        return eig.values, v
-    del re1, im1, re2, im2, p, q  # free the samples before U is formed
-    return _assemble(eig.values, v, blocks)
-
-
-def _assemble(values: np.ndarray, v: np.ndarray, blocks: list) -> tuple:
-    """R1's eigenpairs in ascending order: V with each cluster's columns
-    replaced by V_c W_c, written straight to their sorted positions."""
-    values = values.copy()
-    for cols, w_values, _ in blocks:
-        values[cols] = w_values
-    order = np.argsort(values, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(order.size)
-    u = np.empty(v.shape, dtype=np.complex128)
-    u[:, where] = v
-    for cols, _, w in blocks:
-        vc = v[:, cols].transpose(1, 0, 2)
-        u.real[:, where[cols]] = (vc @ w.real).transpose(1, 0, 2)
-        u.imag[:, where[cols]] = (vc @ w.imag).transpose(1, 0, 2)
-    return values[order], u
+    # (R2 V)^T = V^T R2^T = V^T (Re R2) - i V^T (Im R2)
+    vt = eig.vectors.T
+    p = vt @ re2
+    del re2
+    q = None
+    if im2 is not None:
+        q = vt @ im2
+        del im2
+        np.negative(q, out=q)
+    values, ut, residual = _rotate_and_certify(eig.values, vt, p, q, blocks)
+    ratio = float(residual / r2_norm)
+    if ratio <= DIAGONAL_TOL:
+        return ratio, values, ut
+    del eig, vt, p, q, ut
+    re1, im1 = _draw(orbits, seeds[0], paired)
+    re2, im2 = _draw(orbits, seeds[1], paired)
+    r1, r2 = (re1, re2) if im1 is None else (re1 + 1j * im1, re2 + 1j * im2)
+    comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
+    if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
+        raise NotMultiplicityFreeError(
+            f"action {action.name} has a non-commutative commutant"
+        )
+    return None
 
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
@@ -542,12 +586,15 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     U = V.  Otherwise Re R1's spectrum is cut into s clusters at its s - 1
     widest gaps, each cluster of size d > 1 is resolved by a d x d Hermitian
     block (`_conjugate_blocks`), and the columns are sorted by R1's
-    eigenvalue.  U is accepted when ||offdiag(U* R2 U)||_F <= DIAGONAL_TOL
-    ||R2||_F (`_offdiag_norm`).  If not, the commutator decides:
-    ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL ||R1||_F ||R2||_F means the
-    commutant is not commutative (NotMultiplicityFreeError); otherwise R1's
-    spectrum merged eigenvalues by accident and a fresh pair is drawn, at
-    most 5 attempts.  An accepted U's columns are split into exactly
+    eigenvalue.  R2 is drawn once R1's blocks are built.  U is accepted when
+    the one-sided residual ||R2 U - U diag(U* R2 U)||_F, which equals
+    ||offdiag(U* R2 U)||_F for a unitary U, is <= DIAGONAL_TOL ||R2||_F
+    (`_rotate_and_certify`); that ratio is reported as the certificate.  If
+    not, the commutator decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL
+    ||R1||_F ||R2||_F means the commutant is not commutative
+    (NotMultiplicityFreeError); otherwise R1's spectrum merged eigenvalues
+    by accident and a fresh pair is drawn, at most 5 attempts.  An accepted
+    U's columns are split into exactly
     orbit_count clusters (the commutant's dimension) at the widest gaps of
     R1's spectrum; they give the labels and degeneracy_pattern.  The trivial
     action has no fixed basis: the KLT of random_psd(M, seed) is returned
@@ -559,7 +606,7 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             eig.vectors, action.name,
             tuple(f"klt={k}" for k in range(action.degree)),
         )
-        return SynthesizedBasis(transform, (1,) * action.degree, True)
+        return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
 
     orbits = pair_orbits(action)
     classes = orbits.transpose_class_count()
@@ -567,14 +614,16 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         found = _certified_eigenbasis(action, orbits, classes, seed, attempt)
         if found is None:
             continue
-        values, u = found
+        ratio, values, ut = found
         # orbit_count <= M here: the certificate means a multiplicity-free action
         sizes = _gap_cut(values, orbits.orbit_count)
         labels = tuple(
             f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size)
         )
-        transform = UnitaryTransform(u, action.name, labels)
-        return SynthesizedBasis(transform, tuple(sorted(sizes.tolist())), False)
+        transform = UnitaryTransform(ut.T, action.name, labels)
+        return SynthesizedBasis(
+            transform, tuple(sorted(sizes.tolist())), False, ratio, attempt + 1
+        )
     raise DegenerateSampleError(
         f"could not certify a stable cluster structure for {action.name} after 5 samples"
     )

@@ -7,6 +7,7 @@ import numpy as np
 
 from matched_transforms import (
     Permutation,
+    from_generators,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -17,6 +18,7 @@ from matched_transforms import (
     make_wreath,
     residual_delta,
 )
+from matched_transforms.transforms import _bareiss_det
 
 
 def catalog_actions() -> list:
@@ -76,3 +78,29 @@ def closure_set(action) -> set:
 def is_invariant(r, action, tol: float) -> bool:
     """Every generator's commutation residual delta is <= tol."""
     return max(residual_delta(g, r) for g in action.generators) <= tol
+
+
+def relabel(action, seed: int):
+    """The action conjugated by a seeded random permutation s of its points:
+    point i is renamed s(i), so each generator g becomes s g s^-1."""
+    m = action.degree
+    s = np.random.default_rng(seed).permutation(m)
+    gens = []
+    for g in action.generators:
+        images = np.empty(m, dtype=np.int64)
+        images[s] = s[g.as_array()]
+        gens.append(Permutation(images))
+    return from_generators(gens, f"relabel({action.name},{seed})")
+
+
+def permutation_matrix(p) -> np.ndarray:
+    """Complex permutation matrix P with P[p(j), j] = 1, so P e_j = e_{p(j)}."""
+    m = np.zeros((p.degree, p.degree), dtype=np.complex128)
+    m[p.as_array(), np.arange(p.degree)] = 1.0
+    return m
+
+
+def det_exact(transform) -> int:
+    """Exact determinant of an IntTransform's matrix over the integers, by
+    the fraction-free elimination its constructor runs up to size 64."""
+    return _bareiss_det(transform.matrix)

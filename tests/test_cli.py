@@ -23,6 +23,7 @@ from matched_transforms import (
     render_matrix,
     rm_matrix,
     sample_invariant_cov,
+    synthesize_matched,
     write_matrix_file,
 )
 
@@ -473,6 +474,26 @@ class TestSynthesize:
         d = u.conj().T @ r @ u
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
+
+    @pytest.mark.parametrize("spec, certified", [
+        ("cyclic:8", True), ("dyadic-wreath:3", True), ("trivial:4", False),
+    ])
+    def test_certificate_text_json_parity(self, tmp_path, capsys, spec, certified):
+        out = str(tmp_path / "basis.mtx")
+        argv = ["synthesize", "--group", spec, "--seed", "3", "--out", out]
+        assert run(argv) == 0
+        text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert run(argv + ["--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        basis = synthesize_matched(groups.parse_group_spec(spec), 3)
+        assert doc["attempts"] == int(text["attempts"]) == basis.attempts
+        if certified:
+            assert doc["certificate"] == text["certificate"] == f"{basis.certificate:.3e}"
+            assert 0.0 <= float(doc["certificate"]) <= 1e-8 and basis.attempts >= 1
+        else:
+            # the trivial action's KLT is not certified
+            assert doc["certificate"] is None and text["certificate"] == "-"
+            assert basis.attempts == 0
 
     def test_nested_spec_depth_limit(self, tmp_path, capsys):
         out = str(tmp_path / "x.mtx")

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,7 +27,7 @@ from matched_transforms import (
 
 from matched_transforms.groups import _hook_and_compress
 
-from helpers import catalog_actions, closure_set, is_invariant
+from helpers import catalog_actions, closure_set, is_invariant, permutation_matrix, relabel
 
 CATALOG = catalog_actions()
 
@@ -86,22 +88,22 @@ def generator_sets(draw):
 
 class TestPermutation:
     def test_identity_matrix(self):
-        assert np.array_equal(Permutation.identity(3).to_matrix().real, np.eye(3))
+        assert np.array_equal(permutation_matrix(Permutation.identity(3)).real, np.eye(3))
 
     def test_swap_matrix(self):
         p = Permutation((1, 0))
-        assert np.array_equal(p.to_matrix().real, np.array([[0.0, 1.0], [1.0, 0.0]]))
+        assert np.array_equal(permutation_matrix(p).real, np.array([[0.0, 1.0], [1.0, 0.0]]))
 
     def test_cycle_matrix_column_rule(self):
         # 0 -> 1 -> 2 -> 0: P e_j = e_{images[j]}
         p = Permutation((1, 2, 0))
-        mat = p.to_matrix().real
+        mat = permutation_matrix(p).real
         assert mat[1, 0] == 1 and mat[2, 1] == 1 and mat[0, 2] == 1
         assert np.sum(mat) == 3
 
     def test_matrix_exactly_unitary(self):
         p = Permutation((3, 1, 0, 2))
-        mat = p.to_matrix()
+        mat = permutation_matrix(p)
         assert np.array_equal(mat.conj().T @ mat, np.eye(4).astype(complex))
 
     def test_rejects_non_bijection(self):
@@ -160,8 +162,8 @@ class TestPermutation:
     @given(st.permutations(list(range(6))), st.permutations(list(range(6))))
     def test_compose_matches_matrix_product(self, a, b):
         pa, pb = Permutation(tuple(a)), Permutation(tuple(b))
-        lhs = pa.compose(pb).to_matrix()
-        assert np.array_equal(lhs, pa.to_matrix() @ pb.to_matrix())
+        lhs = permutation_matrix(pa.compose(pb))
+        assert np.array_equal(lhs, permutation_matrix(pa) @ permutation_matrix(pb))
 
     @settings(max_examples=50, deadline=None)
     @given(st.permutations(list(range(7))))
@@ -350,6 +352,18 @@ class TestPairOrbits:
                     seen.append(v)
         assert seen == list(range(part.orbit_count))
 
+    def test_peak_memory(self):
+        # 1 MiB of orbit ids: the pairs are joined a chunk at a time over
+        # M labels, never as edge lists over all M^2 pairs
+        act = make_dyadic_wreath(9)
+        tracemalloc.start()
+        try:
+            pair_orbits(act)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 16 * 2**20
+
     def test_orbit_ids_are_int32(self):
         # ids stay below MAX_DEGREE^2 < 2^31; int32 halves what synthesis
         # holds through its eigendecomposition
@@ -405,8 +419,9 @@ class TestPairOrbitOracles:
         (16, [[[0, 4], [1, 5], [2, 6], [3, 7]]]),  # one block swap
     ])
     def test_generators_fixing_most_points(self, m, generators):
-        # edges are built only for the pairs a generator moves; the
-        # enumerated closure never sees that edge list
+        # most points are fixed, so there are many point orbits, each with
+        # its own labels, and few joins; the enumerated closure uses no
+        # Schreier tree
         gens = []
         for cycles in generators:
             images = list(range(m))
@@ -419,6 +434,18 @@ class TestPairOrbitOracles:
         assert np.array_equal(part.orbit_id, closure_pair_orbit_ids(act))
         assert part.orbit_count == int(part.orbit_id.max()) + 1
 
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("act", CATALOG, ids=lambda a: a.name)
+    def test_relabelled_catalog_matches_enumerated_closure(self, act, seed):
+        # the Schreier trees depend on how the points are numbered; the
+        # first-appearance ids and the transpose map must not
+        moved = relabel(act, seed)
+        part = pair_orbits(moved)
+        expected = closure_pair_orbit_ids(moved)
+        assert np.array_equal(part.orbit_id, expected)
+        assert part.orbit_count == int(expected.max()) + 1
+        assert np.array_equal(part.transpose[part.orbit_id], part.orbit_id.T)
+
     @pytest.mark.parametrize("spec", [
         "dyadic-wreath:6", "boolean:6", "hybrid:4,3", "wreath:3c,3s,2c",
         "product:(dihedralM:8,boolean:3)",
@@ -427,6 +454,48 @@ class TestPairOrbitOracles:
         act = parse_group_spec(spec)
         part = pair_orbits(act)
         assert np.array_equal(part.orbit_id, scipy_pair_orbit_ids(act))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_intransitive_transpose_map(self, seed):
+        # point orbits {0, 1, 2} and {3, 4}: orbit 1's first row is row 3
+        act = from_generators([Permutation((1, 2, 0, 3, 4)), Permutation((0, 1, 2, 4, 3))],
+                              "two-orbits")
+        for a in (act, relabel(act, seed)):
+            part = pair_orbits(a)
+            assert np.array_equal(part.orbit_id, closure_pair_orbit_ids(a))
+            assert np.array_equal(part.transpose[part.orbit_id], part.orbit_id.T)
+
+    @pytest.mark.parametrize("m, generators", [
+        (400, [[[3, 17]], [[5, 9, 30]]]),
+        (384, [[[0, 100, 200]], [[1, 101]], [list(range(2, 380, 2))]]),
+    ])
+    def test_sparse_generators_on_many_points(self, m, generators):
+        # too many pairs for one gather of every pair: each generator's
+        # moved rows and the moved columns of its fixed rows are read on
+        # their own, over labels offset by point orbit
+        gens = []
+        for cycles in generators:
+            images = list(range(m))
+            for cycle in cycles:
+                for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+                    images[a] = b
+            gens.append(Permutation(images))
+        act = from_generators(gens, "sparse")
+        for a in (act, relabel(act, 4)):
+            part = pair_orbits(a)
+            assert np.array_equal(part.orbit_id, scipy_pair_orbit_ids(a))
+            assert np.array_equal(part.transpose[part.orbit_id], part.orbit_id.T)
+
+    @pytest.mark.parametrize("spec", [
+        "dyadic-wreath:6", "boolean:6", "hybrid:4,3", "wreath:3c,3s,2c",
+        "product:(dihedralM:8,boolean:3)", "product:(cyclic:5,trivial:3)",
+        "product:(dyadic-wreath:5,trivial:3)",
+    ])
+    def test_relabelled_matches_scipy_components(self, spec):
+        act = relabel(parse_group_spec(spec), 5)
+        part = pair_orbits(act)
+        assert np.array_equal(part.orbit_id, scipy_pair_orbit_ids(act))
+        assert np.array_equal(part.transpose[part.orbit_id], part.orbit_id.T)
 
     @given(generator_sets())
     @settings(max_examples=60, deadline=None)
@@ -465,7 +534,7 @@ class TestReynolds:
         elements = closure_set(act)
         acc = np.zeros_like(r)
         for p in elements:
-            mat = p.to_matrix()
+            mat = permutation_matrix(p)
             acc += mat @ r @ mat.conj().T
         acc /= len(elements)
         assert np.max(np.abs(acc - reynolds_project(r, act))) <= 1e-12

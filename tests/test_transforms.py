@@ -46,7 +46,7 @@ from matched_transforms import (
 from matched_transforms import transforms
 from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed, _draw
 
-from helpers import catalog_actions
+from helpers import catalog_actions, det_exact
 
 
 def unitarity_error(u):
@@ -253,8 +253,8 @@ class TestIntegerTransforms:
 
     def test_unimodular_dets(self):
         for n in range(1, 9):
-            assert rm_matrix(n).det_exact() == 1
-            assert arithmetic_matrix(n).det_exact() == 1
+            assert det_exact(rm_matrix(n)) == 1
+            assert det_exact(arithmetic_matrix(n)) == 1
 
     def test_non_unimodular_rejected(self):
         with pytest.raises(NumericError):
@@ -513,6 +513,50 @@ class TestSynthesize:
             assert ours.dtype == ref.dtype and ours.shape == ref.shape
             assert ours.tobytes() == ref.tobytes()
 
+    @pytest.mark.parametrize("action", catalog_actions() + [
+        parse_group_spec("hybrid:3,4"),
+        parse_group_spec("wreath:4c,3c"),
+        parse_group_spec("cyclic:64"),
+        parse_group_spec("boolean:6"),
+    ], ids=lambda a: a.name)
+    def test_certificate_is_the_two_sided_ratio(self, action):
+        # R2 drawn again from the accepted attempt's seed; the two-sided
+        # ratio is formed from the full complex product U* R2 U
+        basis = synthesize_matched(action, seed=11)
+        if all(g.is_identity() for g in action.generators):
+            assert basis.certificate is None and basis.attempts == 0
+            return
+        assert basis.attempts == 1
+        re2, im2 = _draw(pair_orbits(action), _derived_seed(11, 2 * basis.attempts - 1), True)
+        r2 = re2 + 1j * im2
+        assert abs(basis.certificate - offdiag_rel(basis.transform, r2)) <= 1e-12
+        assert basis.certificate <= transforms.DIAGONAL_TOL
+
+    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:3,4", "wreath:4c,3c", "boolean:4"])
+    def test_one_sided_residual_is_the_off_diagonal_norm(self, spec):
+        # on an R2 that U does not diagonalize, the residual is O(1), so the
+        # identity ||R2 U - U diag(U* R2 U)||_F = ||offdiag(U* R2 U)||_F is
+        # checked well above roundoff, block rows included
+        orbits = pair_orbits(parse_group_spec(spec))
+        classes = orbits.transpose_class_count()
+        paired = classes < orbits.orbit_count
+        re1, im1 = _draw(orbits, 5, paired)
+        eig = herm_eig(re1)
+        blocks = []
+        if paired:
+            sizes = transforms._gap_cut(eig.values, classes)
+            blocks = transforms._conjugate_blocks(eig.values, eig.vectors, im1, sizes)
+        r2 = random_psd(orbits.degree, 9)
+        if not paired:
+            r2 = r2.real
+        vt = eig.vectors.T
+        q = -(vt @ r2.imag) if paired else None
+        _, ut, residual = transforms._rotate_and_certify(eig.values, vt, vt @ r2.real, q, blocks)
+        d = ut.conj() @ r2 @ ut.T
+        off = np.linalg.norm(d - np.diag(np.diag(d)))
+        assert off > 1e-3 * np.linalg.norm(r2)
+        assert residual == pytest.approx(off, rel=1e-10)
+
     def test_one_orbit_partition_per_call(self, monkeypatch):
         calls = []
 
@@ -549,10 +593,13 @@ class TestSynthesize:
 
     def test_merged_first_sample_resamples(self, monkeypatch):
         # R1 = I: its eigenbasis does not diagonalize R2, but the two
-        # commute, so this is a merged spectrum and a new pair is drawn
+        # commute, so this is a merged spectrum and a new pair is drawn.  The
+        # samples are freed after the certificate, so the failed pair is
+        # drawn again for the commutator.
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
         basis = synthesize_matched(make_cyclic(6), seed=7)
-        assert drawn == [_derived_seed(7, k) for k in range(4)]
+        assert drawn == [_derived_seed(7, k) for k in (0, 1, 0, 1, 2, 3)]
+        assert basis.attempts == 2
         assert not basis.data_dependent
         r3 = sample_invariant_cov(make_cyclic(6), seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
@@ -561,7 +608,7 @@ class TestSynthesize:
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 2 * k) for k in range(5)})
         with pytest.raises(DegenerateSampleError):
             synthesize_matched(make_cyclic(6), seed=7)
-        assert len(drawn) == 10
+        assert drawn == [_derived_seed(7, 2 * k + i) for k in range(5) for i in (0, 1, 0, 1)]
 
 
 class TestGenericDraw:
@@ -658,6 +705,29 @@ class TestUnitaryTransformType:
         for bad in (stretched, sheared):
             with pytest.raises(NumericError):
                 UnitaryTransform(bad.astype(dtype), "bad", tuple(range(8)))
+
+    @pytest.mark.parametrize("eps, bad", [(1e-6, True), (1e-12, False)])
+    @pytest.mark.parametrize("defect", ["imaginary", "real"])
+    def test_gram_defect_of_one_part(self, eps, bad, defect):
+        # columns e1 and (e2 + c eps e1)/norm, c = i or 1: the Gram matrix's
+        # only off-diagonal entry is c eps / norm.  U is complex in both
+        # cases (the real defect rides on an overall factor i), so both go
+        # through the complex check
+        c = 1j if defect == "imaginary" else 1.0
+        u = np.eye(3, dtype=np.complex128)
+        u[0, 1] = c * eps
+        u[:, 1] /= np.linalg.norm(u[:, 1])
+        if defect == "real":
+            u *= 1j
+        gram = u.conj().T @ u
+        off = gram - np.diag(np.diag(gram))
+        assert abs(off[0, 1]) > 0.9 * eps
+        assert not (off.real if defect == "imaginary" else off.imag).any()
+        if bad:
+            with pytest.raises(NumericError):
+                UnitaryTransform(u, "bad", ("a", "b", "c"))
+        else:
+            UnitaryTransform(u, "ok", ("a", "b", "c"))
 
     def test_real_input_stored_complex(self):
         u = UnitaryTransform(dct2_matrix(8).matrix.real, "dct", tuple(range(8)))
