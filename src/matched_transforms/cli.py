@@ -190,7 +190,8 @@ def cmd_discover(args) -> int:
         doc.add("generators", len(result.generators))
         for i, (gen, delta) in enumerate(zip(result.generators, result.residuals)):
             doc.add(f"generator_{i}", gen.cycle_string())
-            doc.add(f"delta_{i}", float(delta))
+            # delta sits near roundoff, below the reports' six decimals
+            doc.add(f"delta_{i}", f"{delta:.3e}")
     else:
         doc.add("generators", "none")
     if result.order_exceeded_cap:

@@ -583,6 +583,104 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
     return PairOrbitPartition(m, ids, roots.size, ids[roots % m, bases[roots // m]])
 
 
+def _smith_form(a: list) -> tuple:
+    """Smith normal form of a nonsingular square integer matrix, given as
+    rows of Python ints: (d, v) with u a v = diag(+-d) for some unimodular
+    u, positive d[0] | d[1] | ..., and v the unimodular column transform.
+    Each step moves the smallest nonzero entry of the trailing block to the
+    pivot and reduces its row and column by it (Cohen 1993, section 2.4.4).
+    """
+    n = len(a)
+    a = [list(row) for row in a]
+    v = [[int(i == j) for j in range(n)] for i in range(n)]
+    for k in range(n):
+        while True:
+            _, i, j = min((abs(a[i][j]), i, j) for i in range(k, n)
+                          for j in range(k, n) if a[i][j])
+            a[k], a[i] = a[i], a[k]
+            for row in a + v:
+                row[k], row[j] = row[j], row[k]
+            p = a[k][k]
+            for i in range(k + 1, n):
+                q = a[i][k] // p
+                a[i] = [x - q * y for x, y in zip(a[i], a[k])]
+            for j in range(k + 1, n):
+                q = a[k][j] // p
+                for row in a + v:
+                    row[j] -= q * row[k]
+            if any(a[i][k] for i in range(k + 1, n)) or any(a[k][k + 1 :]):
+                continue  # a remainder is left: it is the next, smaller pivot
+            bad = [i for i in range(k + 1, n) if any(x % p for x in a[i][k + 1 :])]
+            if not bad:
+                break
+            a[k] = [x + y for x, y in zip(a[k], a[bad[0]])]
+    return [abs(a[k][k]) for k in range(n)], v
+
+
+def _regular_abelian_coordinates(images: list, m: int):
+    """Coordinates for a regular abelian action, or None for any other.
+
+    images are the generators' image arrays on m points.  Returns (c, d):
+    c[p] is point p's coordinate vector in A = Z_d[0] + Z_d[1] + ...
+    (d[0] | d[1] | ..., each > 1, product m), with c[0] = 0 and every
+    generator acting as a translation.  The orbit of point 0 is grown one
+    generator at a time: a generator g that takes 0 outside it is kept,
+    with its relative order r (g^r(0) is the q-th orbit point), and the
+    orbit becomes itself, then g of it, ..., then g^(r-1) of it, so point i
+    of the orbit has exponent i in mixed radix over the kept orders.  Each
+    kept generator multiplies the orbit by r >= 2, so at most log2(m) are
+    kept.  Their relations g^r = (exponents of q) form a triangular integer
+    matrix whose Smith form gives A, and c = (exponents) v mod d.  All of
+    this is exact integer arithmetic, O(m) per generator.  The guesses it
+    makes are not trusted: the orbit must cover all m points without
+    overlap, and every generator g must satisfy c(g(p)) = c(p) + c(g(0))
+    mod d for every p.  That check proves the group is the translation
+    group of A acting regularly, hence abelian.
+    """
+    order = np.zeros(1, dtype=np.int64)  # the orbit of 0, in exponent order
+    index = np.full(m, -1, dtype=np.int64)
+    index[0] = 0
+    radices, relations = [], []
+    for g in images:
+        if index[g[0]] >= 0:
+            continue
+        blocks = [order]
+        while True:
+            image = g[blocks[-1]]
+            q = int(index[image[0]])
+            if q >= 0:
+                break
+            if (len(blocks) + 1) * order.size > m:
+                return None
+            blocks.append(image)
+        row = []
+        for r in radices:
+            q, digit = divmod(q, r)
+            row.append(-digit)
+        radices.append(len(blocks))
+        relations.append(row + [len(blocks)])
+        order = np.concatenate(blocks)
+        index[order] = np.arange(order.size)
+        if np.count_nonzero(index >= 0) != order.size:
+            return None  # the translates of the orbit overlap
+    if order.size != m or m == 1:
+        return None
+    t = len(radices)
+    d, v = _smith_form([row + [0] * (t - len(row)) for row in relations])
+    keep = [(k, d_k) for k, d_k in enumerate(d) if d_k > 1]
+    # reduced in Python ints: v's entries may exceed int64 before the mod
+    v = np.array([[row[k] % d_k for k, d_k in keep] for row in v], dtype=np.int64)
+    d = np.array([d_k for _, d_k in keep])
+    strides = np.cumprod([1] + radices[:-1])
+    exponents = np.arange(m)[:, None] // strides % radices
+    coords = np.empty((m, d.size), dtype=np.int64)
+    coords[order] = exponents @ v % d
+    for g in images:
+        if np.any((coords[g] - coords - coords[g[0]]) % d):
+            return None
+    return coords, tuple(d.tolist())
+
+
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
     """Average a matrix over the group: replace each entry by its pair-orbit
     mean.  Equals the explicit average over all group elements, but never

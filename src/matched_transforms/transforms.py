@@ -7,8 +7,9 @@ rules: Walsh-Hadamard is a Kronecker power of the 2-point node, Haar the
 wreath basis of binary nodes, and the cosine cascade the semidirect rule
 applied to the DFT.  Integer counterparts (Reed-Muller triangle,
 fixed-polarity variants, the arithmetic-transform inverse pair) are
-Kronecker powers of 2x2 blocks.  The generic eigenbasis synthesizer works
-from seeded generic elements of any multiplicity-free action's commutant.
+Kronecker powers of 2x2 blocks.  The matched-basis synthesizer reads the
+character basis off a regular abelian action and otherwise works from
+seeded generic elements of any multiplicity-free action's commutant.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .groups import (
     _check_degree,
     _check_log2_degree,
     _normalize_branching,
+    _regular_abelian_coordinates,
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
@@ -62,6 +64,20 @@ class UnitaryTransform:
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
         object.__setattr__(self, "column_labels", labels)
+
+    @classmethod
+    def _from_trusted(cls, matrix: np.ndarray, group_name: str,
+                      column_labels: tuple) -> "UnitaryTransform":
+        # internal fast path for a basis unitary by construction (a closed
+        # form, or characters): no Gram check, and the caller hands the
+        # array over; the stored bytes are those the checked path stores
+        u = object.__new__(cls)
+        mat = np.ascontiguousarray(matrix, dtype=np.complex128)
+        mat.flags.writeable = False
+        object.__setattr__(u, "matrix", mat)
+        object.__setattr__(u, "group_name", group_name)
+        object.__setattr__(u, "column_labels", column_labels)
+        return u
 
     @property
     def degree(self) -> int:
@@ -168,7 +184,7 @@ def dft_matrix(m: int) -> UnitaryTransform:
     """Discrete Fourier kernel (U)_{jk} = exp(2 pi i j k / m) / sqrt(m)."""
     _check_degree(m)
     mat = _fourier(m)
-    return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"freq={k}" for k in range(m)))
+    return UnitaryTransform._from_trusted(mat, f"cyclic:{m}", tuple(f"freq={k}" for k in range(m)))
 
 
 def hartley_matrix(m: int) -> UnitaryTransform:
@@ -176,7 +192,7 @@ def hartley_matrix(m: int) -> UnitaryTransform:
     _check_degree(m)
     f = _fourier(m)
     mat = f.real + f.imag
-    return UnitaryTransform(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
+    return UnitaryTransform._from_trusted(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
 
 
 def dct2_matrix(m: int) -> UnitaryTransform:
@@ -186,14 +202,14 @@ def dct2_matrix(m: int) -> UnitaryTransform:
     k = np.arange(m)[None, :]
     mat = np.sqrt(2.0 / m) * np.cos(np.pi * (2 * j + 1) * k / (2 * m))
     mat[:, 0] /= np.sqrt(2.0)
-    return UnitaryTransform(mat, f"dihedral:{m}", tuple(f"k={t}" for t in range(m)))
+    return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(f"k={t}" for t in range(m)))
 
 
 def wht_matrix(n: int) -> UnitaryTransform:
     """Walsh-Hadamard kernel (Hadamard order): (-1)^{<j,k>} / 2^{n/2}."""
     _check_log2_degree(n)
     mat = _kron_all([_SIGNS] * n) / 2.0 ** (n / 2.0)
-    return UnitaryTransform(
+    return UnitaryTransform._from_trusted(
         mat, f"boolean:{n}", tuple(f"mask={k}" for k in range(1 << n))
     )
 
@@ -302,7 +318,7 @@ def compose_direct(u: UnitaryTransform, v: UnitaryTransform) -> UnitaryTransform
     labels = tuple(
         f"{a}*{b}" for a in u.column_labels for b in v.column_labels
     )
-    return UnitaryTransform(mat, f"product:({u.group_name},{v.group_name})", labels)
+    return UnitaryTransform._from_trusted(mat, f"product:({u.group_name},{v.group_name})", labels)
 
 
 def even_extension_isometry(m: int) -> np.ndarray:
@@ -331,7 +347,7 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     cos_sin = np.sqrt(2.0) * np.stack([pairs.real, pairs.imag], axis=2)
     mat = np.column_stack([f[:, 0].real, cos_sin.reshape(2 * m, -1), f[:, m].real])
     labels = ["dc"] + [f"{part}={k}" for k in range(1, m) for part in ("cos", "sin")]
-    return UnitaryTransform(mat, f"dihedral:{m}", tuple(labels + ["nyquist"]))
+    return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(labels + ["nyquist"]))
 
 
 def wreath_matrix(branching) -> UnitaryTransform:
@@ -363,7 +379,7 @@ def _wreath_transform(branching, name: str) -> UnitaryTransform:
         idx = counters.get(s, 0)
         counters[s] = idx + 1
         labels.append(f"scale={s},pos={idx}")
-    return UnitaryTransform(mat, name, tuple(labels))
+    return UnitaryTransform._from_trusted(mat, name, tuple(labels))
 
 
 def _node_base(k: int, kind: str) -> np.ndarray:
@@ -407,14 +423,16 @@ def _wreath_recurse(branching) -> tuple:
 
 @dataclass(frozen=True)
 class SynthesizedBasis:
-    """A matched basis recovered from seeded invariant samples.
+    """A matched basis: characters of a regular abelian action, or one
+    recovered from seeded invariant samples.
 
     degeneracy_pattern lists eigenvalue-cluster sizes sorted ascending;
     data_dependent marks the trivial-action fallback (plain KLT of the
     sample, no seed-independence guarantee).  certificate is the accepted
     ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
-    sample pairs drawn to reach it; the trivial action's KLT is not
-    certified (None and 0).
+    sample pairs drawn to reach it.  Neither the trivial action's KLT nor a
+    character basis draws a sample (None and 0): the character basis is
+    proved by the exact integer translation check instead.
     """
 
     transform: UnitaryTransform
@@ -571,43 +589,37 @@ def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
     return None
 
 
-def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
-    """Eigenbasis of a generic invariant matrix R1, certified data-independent
-    against a second one, R2: for a multiplicity-free action every invariant
-    matrix is diagonal in the same basis U.  Each draw takes one seeded
-    coefficient per pair orbit (`_draw`), on a partition computed once per
-    call.  U is found in real arithmetic.  Permutations are real, so Re R1 is
-    invariant too, and the real symmetric invariant matrices form a
-    commutative algebra whose dimension s is the number of classes {o, o^T}
-    of pair orbits.  The real eigensolve of Re R1 (V) has s eigenspaces;
-    each is an eigenspace of R1 or the sum of one and its conjugate.  When
-    every orbit is its own transpose (s == orbit_count, the self-paired
-    case: boolean, dyadic-wreath, dihedral, ...) both draws are real and
-    U = V.  Otherwise Re R1's spectrum is cut into s clusters at its s - 1
-    widest gaps, each cluster of size d > 1 is resolved by a d x d Hermitian
-    block (`_conjugate_blocks`), and the columns are sorted by R1's
-    eigenvalue.  R2 is drawn once R1's blocks are built.  U is accepted when
-    the one-sided residual ||R2 U - U diag(U* R2 U)||_F, which equals
-    ||offdiag(U* R2 U)||_F for a unitary U, is <= DIAGONAL_TOL ||R2||_F
-    (`_rotate_and_certify`); that ratio is reported as the certificate.  If
-    not, the commutator decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL
-    ||R1||_F ||R2||_F means the commutant is not commutative
-    (NotMultiplicityFreeError); otherwise R1's spectrum merged eigenvalues
-    by accident and a fresh pair is drawn, at most 5 attempts.  An accepted
-    U's columns are split into exactly
-    orbit_count clusters (the commutant's dimension) at the widest gaps of
-    R1's spectrum; they give the labels and degeneracy_pattern.  The trivial
-    action has no fixed basis: the KLT of random_psd(M, seed) is returned
-    flagged data_dependent.
-    """
-    if all(g.is_identity() for g in action.generators):
-        eig = herm_eig(random_psd(action.degree, seed))
-        transform = UnitaryTransform(
-            eig.vectors, action.name,
-            tuple(f"klt={k}" for k in range(action.degree)),
-        )
-        return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
+def _character_basis(action: GroupAction, coords: np.ndarray, d: tuple) -> SynthesizedBasis:
+    """The character basis of a regular abelian action with coordinates
+    c(p) in A = Z_d[0] + Z_d[1] + ... (`_regular_abelian_coordinates`):
+    U[p, k] = M^-1/2 conj chi_k(c(p)), chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i),
+    columns k in mixed radix over d, the first coordinate most significant.
+    Each entry is read from a table of L-th roots of unity, L = lcm(d), at
+    the integer phase sum_i c_i(p) k_i L/d_i mod L; for L = 2 the table is
+    exactly +-1.  Distinct characters of A are orthogonal and A is the
+    group, so U is unitary by construction and skips the Gram check."""
+    m = action.degree
+    lcm = int(np.lcm.reduce(d))
+    scaled = coords * (lcm // np.array(d))
+    chars = np.indices(d).reshape(len(d), m)
+    if lcm == 2:
+        table = np.array([1, -1], dtype=np.complex128)
+    else:
+        table = np.exp(-2j * np.pi * np.arange(lcm) / lcm)
+    table /= np.sqrt(m)
+    u = np.empty((m, m), dtype=np.complex128)
+    rows = max(1, (1 << 17) // m)
+    for at in range(0, m, rows):
+        phase = scaled[at : at + rows] @ chars
+        np.remainder(phase, lcm, out=phase)
+        np.take(table, phase, out=u[at : at + rows])
+    labels = tuple("char=(" + ",".join(map(str, k)) + ")" for k in chars.T.tolist())
+    transform = UnitaryTransform._from_trusted(u, action.name, labels)
+    return SynthesizedBasis(transform, (1,) * m, False, None, 0)
 
+
+def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
+    """synthesize_matched's sampled route, for any non-trivial action."""
     orbits = pair_orbits(action)
     classes = orbits.transpose_class_count()
     for attempt in range(5):
@@ -627,3 +639,58 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     raise DegenerateSampleError(
         f"could not certify a stable cluster structure for {action.name} after 5 samples"
     )
+
+
+def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
+    """The matched basis of a multiplicity-free action: a U that diagonalizes
+    every invariant matrix.  Three routes, tried in this order.
+
+    The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
+    returned flagged data_dependent.
+
+    A regular abelian action (cyclic, boolean, products of cyclic groups, on
+    any numbering of the points) gets its character basis
+    (`_character_basis`): no sample, no eigensolve, pattern (1,) * M, labels
+    char=(k1,...), certificate None and 0 attempts.  The proof is not a
+    sample but the exact integer check in `_regular_abelian_coordinates`
+    that every generator is a translation of A = Z_d1 + ... + Z_dn; any
+    other action fails it in O(kM) integer work and is sampled.
+
+    Otherwise U is the eigenbasis of a generic invariant matrix R1,
+    certified data-independent against a second one, R2 (`_sampled_basis`).
+    Each draw takes one seeded coefficient per pair orbit (`_draw`), on a
+    partition computed once per call.  U is found in real arithmetic.
+    Permutations are real, so Re R1 is invariant too, and the real
+    symmetric invariant matrices form a commutative algebra whose dimension
+    s is the number of classes {o, o^T} of pair orbits.  The real eigensolve
+    of Re R1 (V) has s eigenspaces; each is an eigenspace of R1 or the sum
+    of one and its conjugate.  When every orbit is its own transpose
+    (s == orbit_count, the self-paired case: boolean, dyadic-wreath,
+    dihedral, ...) both draws are real and U = V.  Otherwise Re R1's
+    spectrum is cut into s clusters at its s - 1 widest gaps, each cluster
+    of size d > 1 is resolved by a d x d Hermitian block
+    (`_conjugate_blocks`), and the columns are sorted by R1's eigenvalue.
+    R2 is drawn once R1's blocks are built.  U is accepted when the
+    one-sided residual ||R2 U - U diag(U* R2 U)||_F, which equals
+    ||offdiag(U* R2 U)||_F for a unitary U, is <= DIAGONAL_TOL ||R2||_F
+    (`_rotate_and_certify`); that ratio is reported as the certificate.  If
+    not, the commutator decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL
+    ||R1||_F ||R2||_F means the commutant is not commutative
+    (NotMultiplicityFreeError); otherwise R1's spectrum merged eigenvalues
+    by accident and a fresh pair is drawn, at most 5 attempts.  An accepted
+    U's columns are split into exactly orbit_count clusters (the
+    commutant's dimension) at the widest gaps of R1's spectrum; they give
+    the labels and degeneracy_pattern.
+    """
+    if all(g.is_identity() for g in action.generators):
+        eig = herm_eig(random_psd(action.degree, seed))
+        transform = UnitaryTransform(
+            eig.vectors, action.name,
+            tuple(f"klt={k}" for k in range(action.degree)),
+        )
+        return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
+    found = _regular_abelian_coordinates([g.as_array() for g in action.generators],
+                                         action.degree)
+    if found is not None:
+        return _character_basis(action, *found)
+    return _sampled_basis(action, seed)

@@ -215,7 +215,10 @@ class TestDiscover:
         assert run(["discover", path]) == 0
         out = capsys.readouterr().out
         assert "generator_0: (0 1 2 3 4 5 6 7)" in out
-        assert "delta_0: 0.000000" in out
+        # delta is a %.3e string: six decimals would read 0.000000
+        delta = re.search(r"^delta_0: (\S+)$", out, re.M).group(1)
+        assert re.fullmatch(r"[0-9]\.[0-9]{3}e[+-][0-9]{2}", delta)
+        assert 0.0 <= float(delta) <= 1e-8
         assert "order: 8" in out
         assert "alpha: 1.000000" in out
         assert "stop: complete" in out
@@ -226,6 +229,23 @@ class TestDiscover:
         d = u.conj().T @ r @ u
         off = d - np.diag(np.diag(d))
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
+
+    def test_delta_text_json_parity(self, tmp_path, capsys):
+        # a perturbation far below tau keeps the generators but gives each a
+        # delta well above roundoff, which the report must show
+        from matched_transforms import discovery
+
+        r = sample_invariant_cov(groups.parse_group_spec("product:(cyclic:2,cyclic:4)"), 4)
+        e = 1e-11 * random_psd(8, 6)
+        path = write_cov(tmp_path / "noisy.mtx", r + e)
+        result = discovery.discover_sequential(read_matrix_file(path))
+        assert result.generators and min(result.residuals) > 1e-13
+        assert run(["discover", path]) == 0
+        text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert run(["discover", path, "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for i, delta in enumerate(result.residuals):
+            assert doc[f"delta_{i}"] == text[f"delta_{i}"] == f"{delta:.3e}"
 
     def test_identity_completes_with_degenerate_spectrum(self, tmp_path, capsys):
         # S_8 has order 40320, above the default cap
@@ -476,7 +496,8 @@ class TestSynthesize:
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("spec, certified", [
-        ("cyclic:8", True), ("dyadic-wreath:3", True), ("trivial:4", False),
+        ("hybrid:4,3", True), ("dyadic-wreath:3", True), ("trivial:4", False),
+        ("cyclic:8", False),
     ])
     def test_certificate_text_json_parity(self, tmp_path, capsys, spec, certified):
         out = str(tmp_path / "basis.mtx")
@@ -491,7 +512,8 @@ class TestSynthesize:
             assert doc["certificate"] == text["certificate"] == f"{basis.certificate:.3e}"
             assert 0.0 <= float(doc["certificate"]) <= 1e-8 and basis.attempts >= 1
         else:
-            # the trivial action's KLT is not certified
+            # neither the trivial action's KLT nor a character basis
+            # (proved by its integer translation check) carries a ratio
             assert doc["certificate"] is None and text["certificate"] == "-"
             assert basis.attempts == 0
 

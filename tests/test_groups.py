@@ -25,7 +25,11 @@ from matched_transforms import (
     reynolds_project,
 )
 
-from matched_transforms.groups import _hook_and_compress
+from matched_transforms.groups import (
+    _hook_and_compress,
+    _regular_abelian_coordinates,
+    _smith_form,
+)
 
 from helpers import catalog_actions, closure_set, is_invariant, permutation_matrix, relabel
 
@@ -516,6 +520,95 @@ class TestPairOrbitOracles:
         # each round at least halves the roots on a cycle; the natural order
         # hooks everything in the first round and the second finds no edge
         assert rounds <= (2 + int(np.log2(m)) if shuffle else 2)
+
+
+def quaternion_action():
+    """Q8 acting on itself by left multiplication: regular, not abelian.
+    Element s*u is numbered 4*[s < 0] + u for u = 1, i, j, k."""
+    # u * v = sign * w for the unit quaternions u, v
+    table = {(0, 0): (1, 0), (0, 1): (1, 1), (0, 2): (1, 2), (0, 3): (1, 3),
+             (1, 0): (1, 1), (1, 1): (-1, 0), (1, 2): (1, 3), (1, 3): (-1, 2),
+             (2, 0): (1, 2), (2, 1): (-1, 3), (2, 2): (-1, 0), (2, 3): (1, 1),
+             (3, 0): (1, 3), (3, 1): (1, 2), (3, 2): (-1, 1), (3, 3): (-1, 0)}
+
+    def left(u):
+        images = []
+        for x in range(8):
+            sign, w = table[u, x % 4]
+            images.append(w + 4 * ((sign < 0) != (x >= 4)))
+        return Permutation(images)
+
+    return from_generators([left(1), left(2)], "quaternion")
+
+
+class TestRegularAbelianCoordinates:
+    """Detection and coordinates of regular abelian actions in integer
+    arithmetic, checked against closures, sympy and adversarial groups."""
+
+    @pytest.mark.parametrize("rows", [
+        [[6]], [[-4]], [[2, 0], [0, 3]], [[4, 0], [-2, 2]], [[2, 0], [-1, 4]],
+        [[2, 0, 0], [0, 2, 0], [-1, -1, 4]], [[3, 0, 0], [-2, 5, 0], [-1, -4, 6]],
+        [[0, 2], [3, 0]], [[12, 18, 6], [0, 4, -8], [5, 1, 7]],
+    ])
+    def test_smith_form(self, rows):
+        normalforms = pytest.importorskip("sympy.matrices.normalforms")
+        sympy = pytest.importorskip("sympy")
+        d, v = _smith_form(rows)
+        expected = normalforms.invariant_factors(sympy.Matrix(rows))
+        assert d == [abs(int(x)) for x in expected]
+        assert all(b % a == 0 for a, b in zip(d, d[1:]))
+        assert abs(int(sympy.Matrix(v).det())) == 1
+        # a v = u^-1 diag(d): column k of a v is divisible by d[k]
+        av = np.array(rows, dtype=object) @ np.array(v, dtype=object)
+        assert all(x % d_k == 0 for row in av.tolist() for x, d_k in zip(row, d))
+
+    @pytest.mark.parametrize("spec, invariants", [
+        ("cyclic:2", (2,)), ("cyclic:12", (12,)), ("boolean:4", (2, 2, 2, 2)),
+        ("product:(cyclic:3,cyclic:4)", (12,)), ("product:(cyclic:4,cyclic:6)", (2, 12)),
+        ("product:(cyclic:2,boolean:2)", (2, 2, 2)),
+        ("product:(cyclic:9,product:(cyclic:3,cyclic:6))", (3, 3, 18)),
+    ])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_coordinates(self, spec, invariants, seed):
+        act = parse_group_spec(spec)
+        if seed is not None:
+            act = relabel(act, seed)
+        m = act.degree
+        coords, d = _regular_abelian_coordinates([g.as_array() for g in act.generators], m)
+        assert d == invariants and int(np.prod(d)) == m
+        assert not coords[0].any() and np.all((coords >= 0) & (coords < d))
+        assert len({tuple(c) for c in coords.tolist()}) == m
+        # every group element, not only each generator, is a translation
+        for p in closure_set(act):
+            shift = coords[p(0)]
+            assert np.array_equal(coords[p.as_array()], (coords + shift) % d)
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("trivial:4"), parse_group_spec("dihedralM:5"),
+        parse_group_spec("dihedralM:4"), parse_group_spec("hybrid:2,2"),
+        parse_group_spec("dyadic-wreath:3"), parse_group_spec("wreath:3s,2c"),
+        parse_group_spec("product:(cyclic:4,trivial:2)"),
+        parse_group_spec("product:(cyclic:2,dihedralM:3)"),
+        quaternion_action(), relabel(quaternion_action(), 3),
+    ], ids=lambda a: a.name)
+    def test_rejects_other_actions(self, action):
+        # Q8 is regular and every orbit step succeeds on it: only the
+        # translation check can reject it
+        assert _regular_abelian_coordinates(
+            [g.as_array() for g in action.generators], action.degree) is None
+
+    @pytest.mark.parametrize("spec", ["dyadic-wreath:12", "dihedralM:4096"])
+    def test_rejection_builds_no_m_by_m_array(self, spec):
+        # 16 MiB is M^2 bytes at M = 4096: no M x M array of any dtype fits
+        act = parse_group_spec(spec)
+        images = [g.as_array() for g in act.generators]
+        tracemalloc.start()
+        try:
+            assert _regular_abelian_coordinates(images, act.degree) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
 
 class TestReynolds:

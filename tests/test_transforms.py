@@ -46,7 +46,7 @@ from matched_transforms import (
 from matched_transforms import transforms
 from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed, _draw
 
-from helpers import catalog_actions, det_exact
+from helpers import catalog_actions, closure_set, det_exact, relabel
 
 
 def unitarity_error(u):
@@ -428,9 +428,10 @@ class TestSynthesize:
         ("boolean:10", 1, (1,) * 1024),
     ])
     def test_pattern_is_the_irreducible_dimensions(self, spec, seed, pattern):
-        # R1 has near-coincident eigenvalues on these seeds; the pattern
-        # must still be the irreducible dimensions
-        basis = synthesize_matched(parse_group_spec(spec), seed)
+        # R1 has near-coincident eigenvalues on these seeds; the sampled
+        # route's pattern must still be the irreducible dimensions (cyclic
+        # and boolean actions take the character route in synthesize_matched)
+        basis = transforms._sampled_basis(parse_group_spec(spec), seed)
         assert basis.degeneracy_pattern == pattern
 
     def test_trivial_action_is_klt(self):
@@ -492,7 +493,7 @@ class TestSynthesize:
         # the conjugate-pair blocks must turn Re R1's real eigenvectors into
         # eigenvectors of the complex sample R1 itself, in ascending order
         action = parse_group_spec(spec)
-        basis = synthesize_matched(action, seed=4)
+        basis = transforms._sampled_basis(action, seed=4)
         u = basis.transform.matrix
         assert u.imag.any()
         re1, im1 = _draw(pair_orbits(action), _derived_seed(4, 0), True)
@@ -521,11 +522,14 @@ class TestSynthesize:
     ], ids=lambda a: a.name)
     def test_certificate_is_the_two_sided_ratio(self, action):
         # R2 drawn again from the accepted attempt's seed; the two-sided
-        # ratio is formed from the full complex product U* R2 U
-        basis = synthesize_matched(action, seed=11)
+        # ratio is formed from the full complex product U* R2 U.  The
+        # sampled route is called directly: abelian actions take the
+        # character route in synthesize_matched
         if all(g.is_identity() for g in action.generators):
+            basis = synthesize_matched(action, seed=11)
             assert basis.certificate is None and basis.attempts == 0
             return
+        basis = transforms._sampled_basis(action, seed=11)
         assert basis.attempts == 1
         re2, im2 = _draw(pair_orbits(action), _derived_seed(11, 2 * basis.attempts - 1), True)
         r2 = re2 + 1j * im2
@@ -565,12 +569,16 @@ class TestSynthesize:
             return pair_orbits(action)
 
         monkeypatch.setattr(transforms, "pair_orbits", counted)
+        # synthesize_matched takes the character route for cyclic:6
+        drawn = self.merge_samples(monkeypatch, set())
         synthesize_matched(make_cyclic(6), seed=7)
+        assert calls == [] and drawn == []
+        transforms._sampled_basis(make_cyclic(6), seed=7)
         assert calls == ["cyclic:6"]
         # an attempt that resamples reuses the same partition
         calls.clear()
         self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        synthesize_matched(make_cyclic(6), seed=7)
+        transforms._sampled_basis(make_cyclic(6), seed=7)
         assert calls == ["cyclic:6"]
 
     @staticmethod
@@ -597,7 +605,7 @@ class TestSynthesize:
         # samples are freed after the certificate, so the failed pair is
         # drawn again for the commutator.
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        basis = synthesize_matched(make_cyclic(6), seed=7)
+        basis = transforms._sampled_basis(make_cyclic(6), seed=7)
         assert drawn == [_derived_seed(7, k) for k in (0, 1, 0, 1, 2, 3)]
         assert basis.attempts == 2
         assert not basis.data_dependent
@@ -607,7 +615,7 @@ class TestSynthesize:
     def test_every_sample_merged_raises(self, monkeypatch):
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 2 * k) for k in range(5)})
         with pytest.raises(DegenerateSampleError):
-            synthesize_matched(make_cyclic(6), seed=7)
+            transforms._sampled_basis(make_cyclic(6), seed=7)
         assert drawn == [_derived_seed(7, 2 * k + i) for k in range(5) for i in (0, 1, 0, 1)]
 
 
@@ -635,9 +643,13 @@ class TestGenericDraw:
             return parts
 
         monkeypatch.setattr(transforms, "_draw", recorded)
-        synthesize_matched(action, seed=3)
         if any(not g.is_identity() for g in action.generators):
+            # abelian actions take the character route in synthesize_matched
+            transforms._sampled_basis(action, seed=3)
             assert kept and set(kept) == {not self_paired}
+        else:
+            synthesize_matched(action, seed=3)
+            assert kept == []
 
     @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "boolean:3", "trivial:5"])
     def test_bytes_follow_the_recipe(self, spec):
@@ -686,6 +698,135 @@ class TestGenericDraw:
         for seed in range(1, 21):
             with pytest.raises(NotMultiplicityFreeError):
                 synthesize_matched(action, seed)
+
+
+def is_abelian_and_transitive(action) -> bool:
+    """From the enumerated closure: every element commutes with every
+    generator, and the images of point 0 cover every point."""
+    elements = np.stack([p.as_array() for p in closure_set(action)])
+    gens = np.stack([g.as_array() for g in action.generators])
+    # (x g)(i) = x[g[i]] against (g x)(i) = g[x[i]]
+    commutes = all(np.array_equal(elements[:, g], g[elements]) for g in gens)
+    return commutes and np.unique(elements[:, 0]).size == action.degree
+
+
+@st.composite
+def generator_sets(draw):
+    """1-3 generators on m <= 7 points, each a random permutation or a
+    translation of a fixed regular abelian group on the same points."""
+    m = draw(st.integers(2, 7))
+    radices = draw(st.sampled_from([d for d in ((m,), (2, m // 2), (2, 2, m // 4))
+                                    if np.prod(d) == m and min(d) > 1]))
+    points = np.arange(m).reshape(radices)
+    rename = np.array(draw(st.permutations(range(m))))
+    gens = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            images = np.array(draw(st.permutations(range(m))))
+        else:
+            shift = tuple(draw(st.integers(0, r - 1)) for r in radices)
+            moved = np.roll(points, shift, range(len(radices)))
+            images = np.empty(m, dtype=np.int64)
+            images[rename[points.ravel()]] = rename[moved.ravel()]
+        gens.append(Permutation(images))
+    return from_generators(gens, "drawn")
+
+
+class TestCharacterRoute:
+    """Regular abelian actions get their character basis without sampling;
+    the sampled route is the oracle."""
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:2", "cyclic:6", "cyclic:64", "boolean:1", "boolean:3", "boolean:6",
+        "product:(cyclic:3,cyclic:4)", "product:(cyclic:4,cyclic:6)",
+        "product:(cyclic:2,boolean:2)", "product:(product:(cyclic:2,cyclic:3),cyclic:5)",
+    ])
+    @pytest.mark.parametrize("seed", [None, 1, 2])
+    def test_oracles(self, spec, seed, monkeypatch):
+        action = parse_group_spec(spec)
+        if seed is not None:
+            action = relabel(action, seed)
+        sampled = transforms._sampled_basis(action, seed=3)
+
+        def refuse(*args):
+            raise AssertionError("the character route sampled")
+
+        # the character route draws nothing and partitions no pairs
+        monkeypatch.setattr(transforms, "_draw", refuse)
+        monkeypatch.setattr(transforms, "pair_orbits", refuse)
+        basis = synthesize_matched(action, seed=3)
+        assert basis.certificate is None and basis.attempts == 0
+        assert not basis.data_dependent
+        assert all(l.startswith("char=(") for l in basis.transform.column_labels)
+        assert basis.degeneracy_pattern == sampled.degeneracy_pattern == (1,) * action.degree
+        assert transforms._gram_error(basis.transform.matrix) <= 1e-10
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 64])
+    def test_cyclic_columns_are_conjugate_dft_columns(self, m):
+        # char=(k) is conj chi_k with chi_k(p) = exp(2 pi i k p / m)
+        basis = synthesize_matched(make_cyclic(m), seed=1)
+        if m == 1:
+            assert basis.data_dependent
+            return
+        assert basis.transform.column_labels == tuple(f"char=({k})" for k in range(m))
+        assert np.allclose(basis.transform.matrix, dft_matrix(m).matrix.conj(), atol=1e-14)
+
+    @pytest.mark.parametrize("n", [1, 4, 9])
+    def test_boolean_columns_are_exactly_walsh_columns(self, n):
+        # lcm(d) = 2: the entries are exactly +-c with c = 2^(-n/2), so U is real
+        basis = synthesize_matched(make_boolean(n), seed=1)
+        u = basis.transform.matrix
+        assert not u.imag.any()
+        (magnitude,) = np.unique(np.abs(u.real))
+        assert magnitude == pytest.approx(2.0 ** (-n / 2), rel=1e-15)
+        # each column is a Walsh column: |U* W| is a permutation matrix
+        overlap = np.abs(u.conj().T @ wht_matrix(n).matrix)
+        assert np.allclose(np.max(overlap, axis=1), 1.0)
+
+    @given(generator_sets())
+    @settings(max_examples=150, deadline=None)
+    def test_route_taken_iff_abelian_and_transitive(self, action):
+        try:
+            basis = synthesize_matched(action, seed=2)
+        except NotMultiplicityFreeError:
+            basis = None
+        taken = basis is not None and not basis.data_dependent and basis.attempts == 0
+        assert taken == is_abelian_and_transitive(action)
+
+
+class TestTrustedKernels:
+    """Closed-form kernels skip the constructor's Gram check; the full
+    check runs here instead, and the stored bytes are the checked path's."""
+
+    @pytest.mark.parametrize("build, sizes", [
+        (dft_matrix, (1, 2, 3, 7, 8, 64, 99, 256, 511, 1024)),
+        (hartley_matrix, (1, 2, 3, 7, 8, 64, 99, 256, 511, 1024)),
+        (dct2_matrix, (1, 2, 3, 7, 8, 64, 99, 256, 511, 1024)),
+        (wht_matrix, range(1, 11)),
+        (haar_matrix, range(1, 11)),
+        (semidirect_dct_cascade, (2, 3, 4, 31, 32, 255, 512)),
+        (wreath_matrix, ([(3, "symmetric")], [(3, "symmetric"), (5, "cyclic")],
+                         [(4, "cyclic"), (3, "symmetric"), (5, "cyclic")],
+                         [(7, "cyclic"), (9, "symmetric"), (11, "cyclic")],
+                         [(2, "cyclic")] * 10, [(4, "symmetric")] * 5)),
+        (lambda pair: compose_direct(*pair), (
+            (dft_matrix(3), wht_matrix(2)), (dft_matrix(32), dft_matrix(32)),
+            (hartley_matrix(31), dct2_matrix(33)), (haar_matrix(3), dft_matrix(125)))),
+    ], ids=["dft", "hartley", "dct2", "wht", "haar", "cascade", "wreath", "compose"])
+    def test_full_gram_check(self, build, sizes):
+        for size in sizes:
+            kernel = build(size)
+            assert transforms._gram_error(kernel.matrix) <= transforms.UNITARITY_TOL
+            checked = UnitaryTransform(kernel.matrix, kernel.group_name, kernel.column_labels)
+            assert checked.matrix.tobytes() == kernel.matrix.tobytes()
+            assert checked.column_labels == kernel.column_labels
+            assert kernel.matrix.flags.c_contiguous and not kernel.matrix.flags.writeable
+
+    def test_dft_at_the_degree_ceiling(self):
+        kernel = dft_matrix(4096)
+        assert transforms._gram_error(kernel.matrix) <= transforms.UNITARITY_TOL
 
 
 class TestUnitaryTransformType:
