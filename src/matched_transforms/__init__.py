@@ -36,7 +36,7 @@ from .groups import (
     parse_permutation,
     reynolds_project,
 )
-from .numkernel import ClusterSet, eigen_clusters, herm_eig, random_psd
+from .numkernel import herm_eig, random_psd
 from .transforms import (
     IntTransform,
     SynthesizedBasis,
@@ -86,7 +86,7 @@ from .rng import normal_rows
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClusterSet", "CandidateBasis", "DegeneracyMismatchError",
+    "CandidateBasis", "DegeneracyMismatchError",
     "DegenerateSampleError", "DimensionError", "DiscoveryResult", "GroupAction",
     "InputError", "IntTransform", "LibraryMatch",
     "LibraryReport", "MatchReport", "NotMultiplicityFreeError", "NumericError",
@@ -97,7 +97,7 @@ __all__ = [
     "arithmetic_matrix", "best_polarity",
     "circle_check", "closure_enumerate", "coloring_alpha", "compose_direct",
     "dct2_matrix", "dct_fold_cov", "dft_matrix",
-    "discover_sequential", "eigen_clusters",
+    "discover_sequential",
     "even_extension_isometry", "fp_rm_matrix", "from_generators",
     "haar_matrix", "hartley_matrix", "herm_eig",
     "make_boolean", "make_cyclic", "make_dihedral", "make_dyadic_wreath",

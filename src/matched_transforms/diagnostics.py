@@ -4,12 +4,13 @@ basis diagonalize it?
 The residual delta (`residual_delta`) measures how far one permutation is
 from commuting with R; alpha (`coloring_alpha`) is the share of R's energy
 in the invariant algebra.  `subspace_match` scores a predicted basis for
-`mtf verify` and `circle_check`: eigendecompose the covariance, group
-eigenvalues into clusters, assign each predicted column to a cluster by its
-Rayleigh quotient, and score each cluster by the smallest singular value of
-the empirical/predicted overlap.  A score of 1 means the predicted columns
-span the eigenspaces exactly; the score is invariant to rotations inside a
-degenerate cluster, which is the only freedom a matched basis has.
+`mtf verify` and `circle_check`: eigendecompose the covariance, split the
+ascending eigenvalues at gaps wider than CLUSTER_REL_GAP of their range,
+assign each predicted column to the nearest cluster by Rayleigh quotient,
+and score each cluster by the smallest singular value of the
+empirical/predicted overlap (Q_emp* Q_pred).  A score of 1 means the
+predicted columns span the eigenspaces exactly; the score is invariant to
+rotations inside a degenerate cluster, the only freedom a matched basis has.
 Synthesis certifies its own basis (`transforms.synthesize_matched`) and
 does not call it.
 """
@@ -28,7 +29,7 @@ from .errors import (
     UndefinedResidualError,
 )
 from .groups import GroupAction, Permutation, make_dihedral, reynolds_project
-from .numkernel import as_cmatrix, eigen_clusters, frobenius_norm, herm_eig, random_psd
+from .numkernel import as_cmatrix, frobenius_norm, herm_eig, random_psd
 from .transforms import (
     UnitaryTransform,
     dft_matrix,
@@ -36,14 +37,14 @@ from .transforms import (
     semidirect_dct_cascade,
 )
 
+CLUSTER_REL_GAP = 1e-6  # eigenvalues split where a gap exceeds this share of their range
+
 
 @dataclass(frozen=True)
 class MatchReport:
-    """Per-cluster subspace overlap scores, ordered by the first predicted
-    column landing in each cluster; degeneracy_pattern lists cluster sizes
-    in the same order."""
+    """The smallest per-cluster overlap score, and the cluster sizes in
+    order of the first predicted column landing in each cluster."""
 
-    per_cluster_match: tuple
     min_match: float
     degeneracy_pattern: tuple
 
@@ -78,57 +79,51 @@ def coloring_alpha(action: GroupAction, r) -> float:
     return 1.0 - float(np.linalg.norm(diff)) ** 2 / r_norm_sq
 
 
-def subspace_match(r, predicted: UnitaryTransform, rel_tol: float = 1e-6) -> MatchReport:
-    """Score how well the predicted columns span the eigenspaces of r.
-
-    Each predicted column must land inside one eigenvalue cluster (Rayleigh
-    quotient within rel_tol * spectral range of the cluster's value span),
-    and each cluster must receive exactly as many columns as its dimension;
-    the per-cluster score is the smallest singular value of Q_emp* Q_pred.
-    """
+def subspace_match(r, predicted: UnitaryTransform) -> MatchReport:
+    """Score how well the predicted columns span the eigenspaces of r, as
+    the module docstring describes.  A column farther than the gap rule's
+    slack from every cluster raises StructuralMismatchError; a cluster
+    given more or fewer columns than its dimension, DegeneracyMismatchError."""
     arr = as_cmatrix(r, square=True)
     if arr.shape[0] != predicted.degree:
         raise DimensionError("transform degree does not match the matrix")
     eig = herm_eig(arr)
-    cset = eigen_clusters(eig.values, rel_tol)
-    spread = float(eig.values[-1] - eig.values[0])
-    slack = rel_tol * spread
+    values = eig.values
+    slack = CLUSTER_REL_GAP * float(values[-1] - values[0])
+    # the values ascend, so each cluster is a run between gaps above slack
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(values) > slack) + 1, [values.size]))
+    lo, hi = values[bounds[:-1]], values[bounds[1:] - 1]
     u = predicted.matrix
     rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), arr @ u))
-    assigned: list = [[] for _ in cset.clusters]
-    for col, rho in enumerate(rayleigh):
-        best, best_dist = -1, np.inf
-        for c_idx, (_, members) in enumerate(cset.clusters):
-            lo = float(np.min(eig.values[list(members)]))
-            hi = float(np.max(eig.values[list(members)]))
-            dist = max(lo - rho, rho - hi, 0.0)
-            if dist < best_dist:
-                best, best_dist = c_idx, dist
-        if best_dist > slack:
-            raise StructuralMismatchError(
-                f"column {col} (label {predicted.column_labels[col]!r}) has "
-                f"Rayleigh quotient {rho:.6g} inside a spectral gap"
-            )
-        assigned[best].append(col)
-    for c_idx, (_, members) in enumerate(cset.clusters):
-        if len(assigned[c_idx]) != len(members):
-            raise DegeneracyMismatchError(
-                f"cluster {c_idx} has dimension {len(members)} but received "
-                f"{len(assigned[c_idx])} predicted columns"
-            )
-    # report clusters in order of their first predicted column
-    order = sorted(range(len(cset.clusters)), key=lambda c: min(assigned[c]))
-    scores = []
-    pattern = []
-    for c_idx in order:
-        members = list(cset.clusters[c_idx][1])
-        q_emp = eig.vectors[:, members]
-        q_pred = u[:, assigned[c_idx]]
-        overlap = q_emp.conj().T @ q_pred
-        sigma = np.linalg.svd(overlap, compute_uv=False)
-        scores.append(float(sigma[-1]))
-        pattern.append(len(members))
-    return MatchReport(tuple(scores), float(min(scores)), tuple(pattern))
+    # distance from each column's quotient to each cluster's [lo, hi]
+    dist = np.subtract.outer(rayleigh, hi)
+    np.maximum(dist, lo - rayleigh[:, None], out=dist)
+    np.maximum(dist, 0.0, out=dist)
+    best = np.argmin(dist, axis=1)  # the first minimum, as a strict < scan
+    stray = np.flatnonzero(dist.min(axis=1) > slack)
+    if stray.size:
+        col = int(stray[0])
+        raise StructuralMismatchError(
+            f"column {col} (label {predicted.column_labels[col]!r}) has "
+            f"Rayleigh quotient {rayleigh[col]:.6g} inside a spectral gap"
+        )
+    sizes = np.diff(bounds)
+    counts = np.bincount(best, minlength=sizes.size)
+    short = np.flatnonzero(counts != sizes)
+    if short.size:
+        c_idx = int(short[0])
+        raise DegeneracyMismatchError(
+            f"cluster {c_idx} has dimension {sizes[c_idx]} but received "
+            f"{counts[c_idx]} predicted columns"
+        )
+    columns = np.split(np.argsort(best, kind="stable"), bounds[1:-1])
+    min_match = min(
+        float(np.linalg.svd(eig.vectors[:, a:b].conj().T @ u[:, cols], compute_uv=False)[-1])
+        for a, b, cols in zip(bounds[:-1], bounds[1:], columns)
+    )
+    # report the cluster sizes in order of their first predicted column
+    order = np.argsort([cols[0] for cols in columns])
+    return MatchReport(min_match, tuple(sizes[order].tolist()))
 
 
 def dct_fold_cov(m: int, seed: int) -> np.ndarray:
@@ -143,7 +138,7 @@ def dct_fold_cov(m: int, seed: int) -> np.ndarray:
     return (folded + folded.conj().T) / 2.0
 
 
-def circle_check(n: int = 64, seed: int = 1, rel_tol: float = 1e-6) -> MatchReport:
+def circle_check(n: int = 64, seed: int = 1) -> MatchReport:
     """End-to-end check on the n-point circle: build a circulant with a
     deliberately well-separated spectrum (eigenvalue 1 + k/n at frequency
     pair {k, n-k}), then verify the real Fourier basis hits every
@@ -158,4 +153,4 @@ def circle_check(n: int = 64, seed: int = 1, rel_tol: float = 1e-6) -> MatchRepo
     four = dft_matrix(n).matrix
     r = (four * lam) @ four.conj().T
     r = (r + r.conj().T) / 2.0
-    return subspace_match(r, semidirect_dct_cascade(n // 2), rel_tol)
+    return subspace_match(r, semidirect_dct_cascade(n // 2))

@@ -37,6 +37,8 @@ from .diagnostics import coloring_alpha, residual_delta
 from .groups import Permutation, closure_enumerate, from_generators
 from .numkernel import _check_hermitian, as_cmatrix, frobenius_norm
 
+LEAVES_PER_POINT = 4  # the search's leaf budget is this many leaves per point of R
+
 
 @dataclass(frozen=True)
 class CandidateBasis:
@@ -226,7 +228,6 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
 def discover_sequential(
     r,
     tau: float = 1e-8,
-    max_iters: int | None = None,
     basis: CandidateBasis | None = None,
     enumeration_cap: int = 10**4,
 ) -> DiscoveryResult:
@@ -235,7 +236,7 @@ def discover_sequential(
 
     Every reported generator has residual_delta <= tau.  `iterations`
     counts the leaves tested (the candidate permutations), at most
-    max_iters (default 4 * degree); `rejected_count` counts those whose map
+    LEAVES_PER_POINT * degree; `rejected_count` counts those whose map
     does not preserve every edge colour.
 
     stop_reason "complete": the search finished, the generators generate
@@ -261,10 +262,8 @@ def discover_sequential(
         raise UndefinedResidualError("tau must be positive")
     if basis is not None and basis.degree != m:
         raise DimensionError("basis degree does not match the matrix")
-    if max_iters is None:
-        max_iters = 4 * m
     images, levels, iterations, rejected_count, saturated = _automorphism_search(
-        _edge_colours(r_arr, tau), max_iters
+        _edge_colours(r_arr, tau), LEAVES_PER_POINT * m
     )
     accepted: list = []
     residuals: list = []

@@ -4,9 +4,9 @@ Factorizations are backed by LAPACK through numpy.  What this module owns
 are the contracts: ascending Hermitian eigenvalues with orthonormal vectors
 (reconstruction residual <= 1e-9 * ||A||_F), real in, real out (a real
 symmetric input is solved by real LAPACK and gives float64 vectors; a
-complex input gives complex128 ones), the gap clustering of an eigenvalue
-list, and a seeded PSD sampler whose stream is fixed by the recipe in
-rng.py (same seed, same bytes).
+complex input gives complex128 ones), the float64 scale check of the
+Frobenius norm, and a seeded PSD sampler whose stream is fixed by the
+recipe in rng.py (same seed, same bytes).
 """
 
 from __future__ import annotations
@@ -64,15 +64,6 @@ def _check_hermitian(a: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class ClusterSet:
-    """Eigenvalue clusters: (mean value, ascending index tuple) per cluster,
-    plus the absolute gap threshold that was used to split them."""
-
-    clusters: tuple
-    threshold: float
-
-
-@dataclass(frozen=True)
 class HermEigResult:
     """Eigenvalues in ascending order; vectors[:, k] belongs to values[k]."""
 
@@ -92,31 +83,6 @@ def herm_eig(a) -> HermEigResult:
     herm = _check_hermitian(_as_matrix(arr, dtype, square=True))
     values, vectors = np.linalg.eigh(herm)
     return HermEigResult(values, vectors)
-
-
-def eigen_clusters(values, rel_tol: float = 1e-6) -> ClusterSet:
-    """Greedy clustering of real values: split where a consecutive gap
-    exceeds rel_tol * (max - min).  An all-equal input is one cluster."""
-    vals = np.asarray(values, dtype=np.float64)
-    if vals.ndim != 1 or vals.size == 0:
-        raise InputError("need a non-empty 1-d real array")
-    if not np.all(np.isfinite(vals)):
-        raise InputError("values must be finite")
-    if rel_tol < 0:
-        raise InputError("rel_tol must be >= 0")
-    order = np.argsort(vals, kind="stable")
-    sorted_vals = vals[order]
-    spread = float(sorted_vals[-1] - sorted_vals[0])
-    threshold = rel_tol * spread
-    groups = [[int(order[0])]]
-    for pos in range(1, vals.size):
-        if sorted_vals[pos] - sorted_vals[pos - 1] > threshold:
-            groups.append([])
-        groups[-1].append(int(order[pos]))
-    clusters = tuple(
-        (float(np.mean(vals[idx])), tuple(idx)) for idx in groups
-    )
-    return ClusterSet(clusters, threshold)
 
 
 def random_psd(degree: int, seed: int) -> np.ndarray:

@@ -1,12 +1,15 @@
 """Shared oracles for the test suite: brute-force group facts computed
-without the library's own search machinery."""
+without the library's own search machinery, and a loop-by-loop reference
+for subspace_match's clustering and column assignment."""
 
 import itertools
 
 import numpy as np
 
 from matched_transforms import (
+    DegeneracyMismatchError,
     Permutation,
+    StructuralMismatchError,
     from_generators,
     make_boolean,
     make_cyclic,
@@ -18,6 +21,7 @@ from matched_transforms import (
     make_wreath,
     residual_delta,
 )
+from matched_transforms.numkernel import as_cmatrix, herm_eig
 from matched_transforms.transforms import _bareiss_det
 
 
@@ -104,3 +108,48 @@ def det_exact(transform) -> int:
     """Exact determinant of an IntTransform's matrix over the integers, by
     the fraction-free elimination its constructor runs up to size 64."""
     return _bareiss_det(transform.matrix)
+
+
+def reference_subspace_match(r, predicted, rel_tol: float = 1e-6) -> tuple:
+    """(min_match, degeneracy_pattern) of subspace_match, computed with a
+    greedy gap clustering over the argsorted eigenvalues and a Python scan
+    over columns x clusters; raises the same errors with the same messages."""
+    arr = as_cmatrix(r, square=True)
+    eig = herm_eig(arr)
+    order = np.argsort(eig.values, kind="stable")
+    sorted_vals = eig.values[order]
+    slack = rel_tol * float(sorted_vals[-1] - sorted_vals[0])
+    clusters = [[int(order[0])]]
+    for pos in range(1, sorted_vals.size):
+        if sorted_vals[pos] - sorted_vals[pos - 1] > slack:
+            clusters.append([])
+        clusters[-1].append(int(order[pos]))
+    u = predicted.matrix
+    rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), arr @ u))
+    assigned = [[] for _ in clusters]
+    for col, rho in enumerate(rayleigh):
+        best, best_dist = -1, np.inf
+        for c_idx, members in enumerate(clusters):
+            lo = float(np.min(eig.values[members]))
+            hi = float(np.max(eig.values[members]))
+            dist = max(lo - rho, rho - hi, 0.0)
+            if dist < best_dist:
+                best, best_dist = c_idx, dist
+        if best_dist > slack:
+            raise StructuralMismatchError(
+                f"column {col} (label {predicted.column_labels[col]!r}) has "
+                f"Rayleigh quotient {rho:.6g} inside a spectral gap"
+            )
+        assigned[best].append(col)
+    for c_idx, members in enumerate(clusters):
+        if len(assigned[c_idx]) != len(members):
+            raise DegeneracyMismatchError(
+                f"cluster {c_idx} has dimension {len(members)} but received "
+                f"{len(assigned[c_idx])} predicted columns"
+            )
+    scores, pattern = [], []
+    for c_idx in sorted(range(len(clusters)), key=lambda c: min(assigned[c])):
+        overlap = eig.vectors[:, clusters[c_idx]].conj().T @ u[:, assigned[c_idx]]
+        scores.append(float(np.linalg.svd(overlap, compute_uv=False)[-1]))
+        pattern.append(len(clusters[c_idx]))
+    return min(scores), tuple(pattern)

@@ -29,6 +29,7 @@ from matched_transforms import (
     make_cyclic,
     make_dihedral,
     make_dyadic_wreath,
+    make_hybrid,
     make_trivial,
     pair_orbits,
     random_psd,
@@ -183,10 +184,15 @@ def test_criterion_8_property_suites():
     r = sample_invariant_cov(make_dihedral(5, degree_m=True), seed=3)
     assert is_invariant(r, make_cyclic(5), tol=1e-12)
 
-    # multiplicity-free certificate outcomes (synthesize_matched's commutator)
+    # multiplicity-free certificate outcomes (synthesize_matched's commutator);
+    # cyclic:8 takes the character route, while hybrid:4,3, a paired
+    # non-abelian action, takes the sampled route with its certificate and
+    # conjugate blocks
     padded = from_generators([Permutation((1, 0, 2, 3))], "padded-swap")
+    hybrid = make_hybrid(4, 3)
     for seed in (1, 2):
         assert not synthesize_matched(make_cyclic(8), seed).data_dependent
+        assert not synthesize_matched(hybrid, seed).data_dependent
         assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
         with pytest.raises(NotMultiplicityFreeError):
             synthesize_matched(padded, seed)
@@ -197,5 +203,10 @@ def test_criterion_8_property_suites():
     probe_cov = sample_invariant_cov(make_cyclic(6), seed=300)
     assert subspace_match(probe_cov, b1.transform).min_match >= 1.0 - 1e-8
     assert subspace_match(probe_cov, b2.transform).min_match >= 1.0 - 1e-8
+    h1 = synthesize_matched(hybrid, seed=11)
+    h2 = synthesize_matched(hybrid, seed=12)
+    probe_cov = sample_invariant_cov(hybrid, seed=300)
+    assert subspace_match(probe_cov, h1.transform).min_match >= 1.0 - 1e-8
+    assert subspace_match(probe_cov, h2.transform).min_match >= 1.0 - 1e-8
 
     report(8, "unitarity, Reynolds, hand values, rotation/nesting, multiplicity-free check, synthesis")

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
     DegeneracyMismatchError,
@@ -15,7 +16,6 @@ from matched_transforms import (
     dct2_matrix,
     dct_fold_cov,
     dft_matrix,
-    eigen_clusters,
     from_generators,
     haar_matrix,
     herm_eig,
@@ -32,9 +32,10 @@ from matched_transforms import (
     synthesize_matched,
     wht_matrix,
 )
+from matched_transforms.diagnostics import CLUSTER_REL_GAP
 from matched_transforms.transforms import UnitaryTransform, _sampled_basis
 
-from helpers import catalog_actions, is_invariant
+from helpers import catalog_actions, is_invariant, reference_subspace_match
 
 
 class TestSampleInvariantCov:
@@ -109,31 +110,97 @@ class TestColoringAlpha:
             coloring_alpha(make_cyclic(3), np.zeros((3, 3)))
 
 
+def _identity_basis(m):
+    return UnitaryTransform(np.eye(m), f"trivial:{m}", tuple(f"e{i}" for i in range(m)))
+
+
 class TestEigenClusters:
+    """subspace_match's clustering: a split wherever consecutive ascending
+    eigenvalues differ by more than CLUSTER_REL_GAP times their range."""
+
     def test_all_equal_single_cluster(self):
-        cs = eigen_clusters([1.0, 1.0, 1.0])
-        assert len(cs.clusters) == 1
-        assert len(cs.clusters[0][1]) == 3
+        rep = subspace_match(np.eye(3), _identity_basis(3))
+        assert rep.degeneracy_pattern == (3,)
+        assert rep.min_match == 1.0
 
     def test_gap_rule_splits(self):
-        cs = eigen_clusters([0.0, 1e-12, 5.0], rel_tol=1e-6)
-        sizes = [len(idx) for _, idx in cs.clusters]
-        assert sizes == [2, 1]
+        rep = subspace_match(np.diag([0.0, 1e-12, 5.0]), _identity_basis(3))
+        assert rep.degeneracy_pattern == (2, 1)
 
     def test_loose_tol_merges(self):
-        cs = eigen_clusters([1.0, 2.0, 3.0], rel_tol=0.6)
-        assert len(cs.clusters) == 1
+        # gaps of 4e-7 sit below 1e-6 of the range 8e-7 + 1; 1e-5 does not
+        r = np.diag([1.0, 1.0 + 4e-7, 1.0 + 8e-7, 2.0])
+        assert CLUSTER_REL_GAP == 1e-6
+        assert subspace_match(r, _identity_basis(4)).degeneracy_pattern == (3, 1)
+        r = np.diag([1.0, 1.0 + 1e-5, 2.0])
+        assert subspace_match(r, _identity_basis(3)).degeneracy_pattern == (1, 1, 1)
 
     def test_empty_rejected(self):
-        with pytest.raises(InputError):
-            eigen_clusters([])
+        with pytest.raises(DimensionError):
+            subspace_match(np.zeros((0, 0)), dft_matrix(1))
 
     def test_partition_property(self):
-        vals = np.sort(np.concatenate([np.full(3, 1.0), np.full(2, 2.0), [7.0]]))
-        cs = eigen_clusters(vals.tolist())
-        all_idx = sorted(i for _, idx in cs.clusters for i in idx)
-        assert all_idx == list(range(len(vals)))
-        assert [len(idx) for _, idx in cs.clusters] == [3, 2, 1]
+        # every column lands in one cluster; clusters are reported by their
+        # first column, whatever the order of the eigenvalues
+        vals = np.array([2.0, 7.0, 1.0, 2.0, 1.0, 1.0])
+        rep = subspace_match(np.diag(vals), _identity_basis(6))
+        assert rep.degeneracy_pattern == (2, 1, 3)
+        assert rep.min_match == 1.0
+
+
+def _outcome(call):
+    try:
+        return call()
+    except (StructuralMismatchError, DegeneracyMismatchError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _match_inputs(draw):
+    """A Hermitian matrix with forced degenerate eigenvalues (small integers,
+    some nudged below the gap rule) and a basis that is its eigenbasis
+    shuffled, rotated inside clusters, mixed across clusters or random."""
+    m = draw(st.integers(1, 9))
+    lam = np.array(draw(st.lists(st.integers(0, 4), min_size=m, max_size=m)), dtype=float)
+    if draw(st.booleans()):
+        lam = lam + 1e-9 * np.array(draw(st.lists(st.integers(-1, 1), min_size=m, max_size=m)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+    r = (q * lam) @ q.conj().T
+    mode = draw(st.sampled_from(["shuffled", "rotated", "mixed", "random"]))
+    u = q.copy()
+    if mode == "rotated":
+        for value in np.unique(np.round(lam)):
+            idx = np.flatnonzero(np.round(lam) == value)
+            z = rng.normal(size=(idx.size, idx.size)) + 1j * rng.normal(size=(idx.size, idx.size))
+            u[:, idx] = u[:, idx] @ np.linalg.qr(z)[0]
+    elif mode == "mixed" and m >= 2:
+        i, j = rng.choice(m, size=2, replace=False)
+        u[:, [i, j]] = u[:, [i, j]] @ (np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0))
+    elif mode == "random":
+        u = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+    perm = rng.permutation(m)
+    return r, UnitaryTransform(u[:, perm], f"trivial:{m}", tuple(f"c{k}" for k in perm))
+
+
+class TestSubspaceMatchOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(_match_inputs())
+    def test_matches_reference_loop(self, case):
+        r, u = case
+        rep = _outcome(lambda: subspace_match(r, u))
+        got = rep if isinstance(rep, tuple) else (rep.min_match, rep.degeneracy_pattern)
+        assert got == _outcome(lambda: reference_subspace_match(r, u))
+
+    def test_degeneracy_mismatch_message(self):
+        # every column's quotient is 1, so cluster 0 (eigenvalue 0) gets none
+        mix = np.array([[1.0, 1.0, 0.0], [0.0, 0.0, np.sqrt(2.0)], [1.0, -1.0, 0.0]])
+        u = UnitaryTransform(mix / np.sqrt(2.0), "trivial:3", ("a", "b", "c"))
+        r = np.diag([0.0, 1.0, 2.0])
+        expected = (DegeneracyMismatchError,
+                    "cluster 0 has dimension 1 but received 0 predicted columns")
+        assert _outcome(lambda: subspace_match(r, u)) == expected
+        assert _outcome(lambda: reference_subspace_match(r, u)) == expected
 
 
 class TestSubspaceMatch:

@@ -33,6 +33,7 @@ from matched_transforms import (
 )
 
 import matched_transforms
+from matched_transforms import discovery
 
 from helpers import all_permutations, brute_force_matched_group, closure_set
 
@@ -150,10 +151,12 @@ class TestDiscoverSequential:
                 expected = {Permutation(row) for row in all_permutations(m)}
                 assert closure == expected, (blas_threads, key)
 
-    def test_max_iters_saturates(self):
+    def test_max_iters_saturates(self, monkeypatch):
         # S_4 needs one leaf per base level, three in all
         assert discover_sequential(np.eye(4)).iterations == 3
-        result = discover_sequential(np.eye(4), max_iters=1)
+        # a quarter leaf per point is a budget of one leaf at M = 4
+        monkeypatch.setattr(discovery, "LEAVES_PER_POINT", 0.25)
+        result = discover_sequential(np.eye(4))
         assert result.iterations == 1
         assert result.stop_reason == "saturated"
         # the order reported is that of the subgroup the generators generate
@@ -285,8 +288,9 @@ class TestTrace:
         points = [level.point for level in result.trace]
         assert len(set(points)) == len(points)
 
-    def test_saturated_levels_above_are_unsearched(self):
-        result = discover_sequential(np.eye(4), max_iters=1)
+    def test_saturated_levels_above_are_unsearched(self, monkeypatch):
+        monkeypatch.setattr(discovery, "LEAVES_PER_POINT", 0.25)
+        result = discover_sequential(np.eye(4))
         assert [level.point for level in result.trace] == [0, 1, 2]
         assert [level.cell_size for level in result.trace] == [4, 3, 2]
         assert [level.orbit_length for level in result.trace] == [1, 1, 2]

@@ -1,4 +1,5 @@
 import ast
+import inspect
 import os
 import re
 import subprocess
@@ -57,6 +58,65 @@ def test_every_public_name_has_a_caller():
                         visit(ast.parse(fh.read()), frozenset())
     unused = set(matched_transforms.__all__) - used - _STANDALONE
     assert not unused, sorted(unused)
+
+
+def _public_callables():
+    """(qualified name, function, leading parameters to skip) for every
+    function in __all__ and every public method of a class in __all__."""
+    for name in matched_transforms.__all__:
+        value = getattr(matched_transforms, name)
+        if inspect.isfunction(value):
+            yield name, value, 0
+        elif inspect.isclass(value):
+            for attr, member in vars(value).items():
+                if attr.startswith("_"):
+                    continue
+                if isinstance(member, staticmethod):
+                    yield f"{name}.{attr}", member.__func__, 0
+                elif isinstance(member, classmethod):
+                    yield f"{name}.{attr}", member.__func__, 1
+                elif inspect.isfunction(member):
+                    yield f"{name}.{attr}", member, 1
+
+
+def test_every_default_parameter_has_a_caller():
+    # a parameter with a default that no call in the package or the
+    # benchmark harness passes, by keyword or by position, is a knob only
+    # the tests turn
+    keywords, positions = {}, {}
+    for top in ("src", "perfbench"):
+        for folder, _, names in os.walk(os.path.join(_ROOT, top)):
+            for name in names:
+                if not name.endswith(".py"):
+                    continue
+                with open(os.path.join(folder, name), encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read())
+                for node in ast.walk(tree):
+                    if not isinstance(node, ast.Call):
+                        continue
+                    func = node.func
+                    ident = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if ident is None:
+                        continue
+                    starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                    count = float("inf") if starred else len(node.args)
+                    positions[ident] = max(positions.get(ident, 0), count)
+                    used = keywords.setdefault(ident, set())
+                    for kw in node.keywords:
+                        used.add(kw.arg)  # None for a ** splat
+    unpassed = []
+    for qualname, func, skip in _public_callables():
+        ident = func.__name__
+        params = list(inspect.signature(func).parameters.values())[skip:]
+        for index, param in enumerate(params):
+            if param.default is inspect.Parameter.empty:
+                continue
+            by_keyword = {param.name, None} & keywords.get(ident, set())
+            by_position = (param.kind is not inspect.Parameter.KEYWORD_ONLY
+                           and positions.get(ident, 0) > index)
+            if not (by_keyword or by_position):
+                unpassed.append(f"{qualname}.{param.name}")
+    assert not unpassed, sorted(unpassed)
 
 
 def test_module_imports_form_no_cycle():

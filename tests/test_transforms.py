@@ -17,7 +17,6 @@ from matched_transforms import (
     compose_direct,
     dct2_matrix,
     dft_matrix,
-    eigen_clusters,
     even_extension_isometry,
     fp_rm_matrix,
     from_generators,
