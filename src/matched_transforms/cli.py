@@ -174,7 +174,7 @@ def cmd_discover(args) -> int:
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         return _fail(f"discover needs a square matrix, got {r.shape}", 2)
     try:
-        r = numkernel._check_hermitian(numkernel.as_cmatrix(r, square=True))
+        r = numkernel._check_hermitian(numkernel.as_cmatrix(r))
     except ToolkitError as exc:
         return _fail(f"input is not Hermitian within tolerance: {exc}", 2)
     result = discovery.discover_sequential(r, tau=args.tau, enumeration_cap=args.cap)
@@ -232,7 +232,7 @@ def cmd_project(args) -> int:
 
 def cmd_residual(args) -> int:
     # square first: the permutation is parsed at the matrix's degree
-    r = numkernel.as_cmatrix(matrixio.read_matrix_file(args.input), square=True)
+    r = numkernel.as_cmatrix(matrixio.read_matrix_file(args.input))
     perm = groups.parse_permutation(args.perm, degree=r.shape[0])
     delta = diagnostics.residual_delta(perm, r)
     _emit(matrixio.ReportDocument().add("delta", delta), args.json)

@@ -56,7 +56,7 @@ def sample_invariant_cov(action: GroupAction, seed: int) -> np.ndarray:
 
 def residual_delta(perm: Permutation, r) -> float:
     """Normalized commutation residual ||P R - R P||_F / (||P||_F ||R||_F)."""
-    arr = as_cmatrix(r, square=True)
+    arr = as_cmatrix(r)
     if arr.shape[0] != perm.degree:
         raise DimensionError("permutation degree does not match the matrix")
     r_norm = frobenius_norm(arr)
@@ -69,7 +69,7 @@ def residual_delta(perm: Permutation, r) -> float:
 
 def coloring_alpha(action: GroupAction, r) -> float:
     """Invariant energy fraction alpha = 1 - ||R - P_G(R)||_F^2 / ||R||_F^2."""
-    arr = as_cmatrix(r, square=True)
+    arr = as_cmatrix(r)
     if arr.shape[0] != action.degree:
         raise DimensionError("matrix shape does not match the action degree")
     r_norm_sq = frobenius_norm(arr) ** 2
@@ -84,7 +84,7 @@ def subspace_match(r, predicted: UnitaryTransform) -> MatchReport:
     the module docstring describes.  A column farther than the gap rule's
     slack from every cluster raises StructuralMismatchError; a cluster
     given more or fewer columns than its dimension, DegeneracyMismatchError."""
-    arr = as_cmatrix(r, square=True)
+    arr = as_cmatrix(r)
     if arr.shape[0] != predicted.degree:
         raise DimensionError("transform degree does not match the matrix")
     eig = herm_eig(arr)

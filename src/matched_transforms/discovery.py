@@ -254,7 +254,7 @@ def discover_sequential(
     """
     if enumeration_cap < 1:
         raise InputError("cap must be >= 1")
-    r_arr = _check_hermitian(as_cmatrix(r, square=True))
+    r_arr = _check_hermitian(as_cmatrix(r))
     m = r_arr.shape[0]
     if frobenius_norm(r_arr) == 0.0:
         raise UndefinedResidualError("discovery is undefined for the zero matrix")
@@ -324,7 +324,7 @@ def match_library(r, library, enumeration_cap: int = 10**4) -> LibraryReport:
     """
     if enumeration_cap < 1:
         raise InputError("cap must be >= 1")
-    r_arr = as_cmatrix(r, square=True)
+    r_arr = as_cmatrix(r)
     actions = tuple(library)
     if not actions:
         raise DimensionError("library must contain at least one action")

@@ -81,14 +81,6 @@ class Permutation:
     def __call__(self, i: int) -> int:
         return int(self._array[i])
 
-    def compose(self, other: "Permutation") -> "Permutation":
-        """self after other: (self * other)(i) = self(other(i))."""
-        if other.degree != self.degree:
-            raise InputError("composing permutations of different degrees")
-        return Permutation._from_trusted(self._array[other._array])
-
-    __mul__ = compose
-
     def inverse(self) -> "Permutation":
         inv = np.empty(self.degree, dtype=np.int64)
         inv[self._array] = np.arange(self.degree)
@@ -694,7 +686,7 @@ def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
     return pair_orbits(action).average(r)
 
 
-def closure_enumerate(action: GroupAction, cap: int = 10**6) -> ClosureResult:
+def closure_enumerate(action: GroupAction, cap: int) -> ClosureResult:
     """Count the group's elements by a breadth-first closure of the
     generators, stopping at the first count that exceeds `cap`."""
     if cap < 1:

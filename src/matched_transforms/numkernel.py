@@ -21,20 +21,20 @@ from .rng import normal_rows
 HERM_CHECK_TOL = 1e-8  # allowed relative asymmetry of "Hermitian" inputs
 
 
-def _as_matrix(a, dtype, square: bool) -> np.ndarray:
+def _as_matrix(a, dtype) -> np.ndarray:
     arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2 or arr.shape[0] == 0 or arr.shape[1] == 0:
         raise DimensionError(f"expected a non-empty 2-d matrix, got shape {arr.shape}")
-    if square and arr.shape[0] != arr.shape[1]:
+    if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"expected a square matrix, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise NumericError("matrix has non-finite entries")
     return arr
 
 
-def as_cmatrix(a, square: bool = False) -> np.ndarray:
-    """Validate and convert to a 2-d finite complex128 array."""
-    return _as_matrix(a, np.complex128, square)
+def as_cmatrix(a) -> np.ndarray:
+    """Validate and convert to a non-empty square finite complex128 array."""
+    return _as_matrix(a, np.complex128)
 
 
 def frobenius_norm(a: np.ndarray) -> float:
@@ -80,7 +80,7 @@ def herm_eig(a) -> HermEigResult:
     """
     arr = np.asarray(a)
     dtype = np.complex128 if np.iscomplexobj(arr) else np.float64
-    herm = _check_hermitian(_as_matrix(arr, dtype, square=True))
+    herm = _check_hermitian(_as_matrix(arr, dtype))
     values, vectors = np.linalg.eigh(herm)
     return HermEigResult(values, vectors)
 

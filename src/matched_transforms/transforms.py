@@ -3,13 +3,14 @@
 Each builder returns the dense matrix matched to one family of invariant
 covariances, built from one base matrix per node kind (Fourier for cyclic
 nodes, real Helmert for symmetric and binary ones) and the composition
-rules: Walsh-Hadamard is a Kronecker power of the 2-point node, Haar the
-wreath basis of binary nodes, and the cosine cascade the semidirect rule
-applied to the DFT.  Integer counterparts (Reed-Muller triangle,
+rules: Haar is the wreath basis of binary nodes, and the cosine cascade
+the semidirect rule applied to the DFT.  The DFT and Walsh-Hadamard
+kernels are the character tables of Z_m and (Z_2)^n, read from one table
+of roots of unity.  Integer counterparts (Reed-Muller triangle,
 fixed-polarity variants, the arithmetic-transform inverse pair) are
 Kronecker powers of 2x2 blocks.  The matched-basis synthesizer reads the
-character basis off a regular abelian action and otherwise works from
-seeded generic elements of any multiplicity-free action's commutant.
+same character table off a regular abelian action and otherwise works
+from seeded generic elements of any multiplicity-free action's commutant.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ class UnitaryTransform:
     column_labels: tuple
 
     def __post_init__(self):
-        mat = as_cmatrix(self.matrix, square=True)
+        mat = as_cmatrix(self.matrix)
         gram_err = _gram_error(mat)
         if gram_err > UNITARITY_TOL:
             raise NumericError(f"columns are not orthonormal: error {gram_err:.3e}")
@@ -166,13 +167,39 @@ class IntTransform:
 # ---------------------------------------------------------------------------
 # closed-form kernels
 
-_SIGNS = np.array([[1, 1], [1, -1]], dtype=np.int64)  # 2-point sign table
+def _characters(coords: np.ndarray, d: tuple) -> np.ndarray:
+    """The character table of A = Z_d[0] + Z_d[1] + ... on M points with
+    coordinates c(p) in A: U[p, k] = M^-1/2 chi_k(c(p)),
+    chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i), columns k in mixed radix over
+    d, the first coordinate most significant.  Each entry is read from a
+    table of L-th roots of unity, L = lcm(d), at the integer phase
+    sum_i c_i(p) k_i L/d_i mod L; for L = 2 the table is exactly +-1.
+    Distinct characters are orthogonal, so U is unitary when c is a
+    bijection onto A."""
+    m = coords.shape[0]
+    lcm = int(np.lcm.reduce(d))
+    # each term c_i k_i lcm/d_i is an integer below M lcm, so the phases are
+    # integers far under 2^53 and a float64 (BLAS) product is exact
+    scaled = coords * (lcm / np.array(d))
+    chars = np.indices(d, dtype=np.float64).reshape(len(d), m)
+    if lcm == 2:
+        table = np.array([1, -1], dtype=np.complex128)
+    else:
+        table = np.exp(2j * np.pi * np.arange(lcm) / lcm)
+    table /= np.sqrt(m)
+    u = np.empty((m, m), dtype=np.complex128)
+    rows = max(1, (1 << 17) // m)
+    for at in range(0, m, rows):
+        phase = (scaled[at : at + rows] @ chars).astype(np.int64)
+        np.remainder(phase, lcm, out=phase)
+        np.take(table, phase, out=u[at : at + rows])
+    return u
 
 
 def _fourier(m: int) -> np.ndarray:
-    """(F)_{jk} = exp(2 pi i j k / m) / sqrt(m), the cyclic node's base."""
-    j = np.arange(m)
-    return np.exp(2j * np.pi * np.outer(j, j) / m) / np.sqrt(m)
+    """(F)_{jk} = exp(2 pi i j k / m) / sqrt(m), the cyclic node's base:
+    the character table of Z_m."""
+    return _characters(np.arange(m)[:, None], (m,))
 
 
 def _kron_all(blocks) -> np.ndarray:
@@ -190,8 +217,9 @@ def dft_matrix(m: int) -> UnitaryTransform:
 def hartley_matrix(m: int) -> UnitaryTransform:
     """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m) = Re F + Im F."""
     _check_degree(m)
-    f = _fourier(m)
-    mat = f.real + f.imag
+    mat = _fourier(m)
+    mat.real += mat.imag
+    mat.imag = 0.0
     return UnitaryTransform._from_trusted(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
 
 
@@ -206,9 +234,11 @@ def dct2_matrix(m: int) -> UnitaryTransform:
 
 
 def wht_matrix(n: int) -> UnitaryTransform:
-    """Walsh-Hadamard kernel (Hadamard order): (-1)^{<j,k>} / 2^{n/2}."""
+    """Walsh-Hadamard kernel (Hadamard order): (-1)^{<j,k>} / 2^{n/2}, the
+    character table of (Z_2)^n on the bits of j, most significant first."""
     _check_log2_degree(n)
-    mat = _kron_all([_SIGNS] * n) / 2.0 ** (n / 2.0)
+    bits = (2,) * n
+    mat = _characters(np.indices(bits).reshape(n, -1).T, bits)
     return UnitaryTransform._from_trusted(
         mat, f"boolean:{n}", tuple(f"mask={k}" for k in range(1 << n))
     )
@@ -589,35 +619,6 @@ def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
     return None
 
 
-def _character_basis(action: GroupAction, coords: np.ndarray, d: tuple) -> SynthesizedBasis:
-    """The character basis of a regular abelian action with coordinates
-    c(p) in A = Z_d[0] + Z_d[1] + ... (`_regular_abelian_coordinates`):
-    U[p, k] = M^-1/2 conj chi_k(c(p)), chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i),
-    columns k in mixed radix over d, the first coordinate most significant.
-    Each entry is read from a table of L-th roots of unity, L = lcm(d), at
-    the integer phase sum_i c_i(p) k_i L/d_i mod L; for L = 2 the table is
-    exactly +-1.  Distinct characters of A are orthogonal and A is the
-    group, so U is unitary by construction and skips the Gram check."""
-    m = action.degree
-    lcm = int(np.lcm.reduce(d))
-    scaled = coords * (lcm // np.array(d))
-    chars = np.indices(d).reshape(len(d), m)
-    if lcm == 2:
-        table = np.array([1, -1], dtype=np.complex128)
-    else:
-        table = np.exp(-2j * np.pi * np.arange(lcm) / lcm)
-    table /= np.sqrt(m)
-    u = np.empty((m, m), dtype=np.complex128)
-    rows = max(1, (1 << 17) // m)
-    for at in range(0, m, rows):
-        phase = scaled[at : at + rows] @ chars
-        np.remainder(phase, lcm, out=phase)
-        np.take(table, phase, out=u[at : at + rows])
-    labels = tuple("char=(" + ",".join(map(str, k)) + ")" for k in chars.T.tolist())
-    transform = UnitaryTransform._from_trusted(u, action.name, labels)
-    return SynthesizedBasis(transform, (1,) * m, False, None, 0)
-
-
 def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
     """synthesize_matched's sampled route, for any non-trivial action."""
     orbits = pair_orbits(action)
@@ -649,12 +650,14 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     returned flagged data_dependent.
 
     A regular abelian action (cyclic, boolean, products of cyclic groups, on
-    any numbering of the points) gets its character basis
-    (`_character_basis`): no sample, no eigensolve, pattern (1,) * M, labels
-    char=(k1,...), certificate None and 0 attempts.  The proof is not a
-    sample but the exact integer check in `_regular_abelian_coordinates`
-    that every generator is a translation of A = Z_d1 + ... + Z_dn; any
-    other action fails it in O(kM) integer work and is sampled.
+    any numbering of the points) gets its character table (`_characters`,
+    the one dft_matrix and wht_matrix are built from, so cyclic:m gives
+    dft_matrix(m)): no sample, no eigensolve, no Gram check, pattern
+    (1,) * M, labels char=(k1,...), certificate None and 0 attempts.  The
+    proof is not a sample but the exact integer check in
+    `_regular_abelian_coordinates` that every generator is a translation of
+    A = Z_d1 + ... + Z_dn; any other action fails it in O(kM) integer work
+    and is sampled.
 
     Otherwise U is the eigenbasis of a generic invariant matrix R1,
     certified data-independent against a second one, R2 (`_sampled_basis`).
@@ -692,5 +695,9 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     found = _regular_abelian_coordinates([g.as_array() for g in action.generators],
                                          action.degree)
     if found is not None:
-        return _character_basis(action, *found)
+        coords, d = found
+        labels = tuple("char=(" + ",".join(map(str, k)) + ")"
+                       for k in np.indices(d).reshape(len(d), -1).T.tolist())
+        transform = UnitaryTransform._from_trusted(_characters(coords, d), action.name, labels)
+        return SynthesizedBasis(transform, (1,) * action.degree, False, None, 0)
     return _sampled_basis(action, seed)

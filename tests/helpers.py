@@ -97,6 +97,11 @@ def relabel(action, seed: int):
     return from_generators(gens, f"relabel({action.name},{seed})")
 
 
+def compose(a, b):
+    """a after b, composed on the image arrays: compose(a, b)(i) = a(b(i))."""
+    return Permutation(a.as_array()[b.as_array()])
+
+
 def permutation_matrix(p) -> np.ndarray:
     """Complex permutation matrix P with P[p(j), j] = 1, so P e_j = e_{p(j)}."""
     m = np.zeros((p.degree, p.degree), dtype=np.complex128)
@@ -114,7 +119,7 @@ def reference_subspace_match(r, predicted, rel_tol: float = 1e-6) -> tuple:
     """(min_match, degeneracy_pattern) of subspace_match, computed with a
     greedy gap clustering over the argsorted eigenvalues and a Python scan
     over columns x clusters; raises the same errors with the same messages."""
-    arr = as_cmatrix(r, square=True)
+    arr = as_cmatrix(r)
     eig = herm_eig(arr)
     order = np.argsort(eig.values, kind="stable")
     sorted_vals = eig.values[order]

@@ -762,15 +762,19 @@ class TestCharacterRoute:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
-    @pytest.mark.parametrize("m", [1, 2, 5, 8, 64])
+    @pytest.mark.parametrize("m", [1, 2, 5, 8, 64, 1024])
     def test_cyclic_columns_are_conjugate_dft_columns(self, m):
-        # char=(k) is conj chi_k with chi_k(p) = exp(2 pi i k p / m)
+        # char=(k) is chi_k(p) = exp(2 pi i k p / m), read from the table
+        # dft_matrix is read from, so U is the DFT byte for byte; its columns
+        # are those of the conjugate DFT, reordered k -> -k
         basis = synthesize_matched(make_cyclic(m), seed=1)
         if m == 1:
             assert basis.data_dependent
             return
         assert basis.transform.column_labels == tuple(f"char=({k})" for k in range(m))
-        assert np.allclose(basis.transform.matrix, dft_matrix(m).matrix.conj(), atol=1e-14)
+        u, f = basis.transform.matrix, dft_matrix(m).matrix
+        assert np.array_equal(u, f) and u.tobytes() == f.tobytes()
+        assert np.allclose(u[:, -np.arange(m) % m], f.conj(), atol=1e-15)
 
     @pytest.mark.parametrize("n", [1, 4, 9])
     def test_boolean_columns_are_exactly_walsh_columns(self, n):
@@ -826,6 +830,29 @@ class TestTrustedKernels:
     def test_dft_at_the_degree_ceiling(self):
         kernel = dft_matrix(4096)
         assert transforms._gram_error(kernel.matrix) <= transforms.UNITARITY_TOL
+
+
+class TestExactPhases:
+    """The character table reduces each phase jk mod m in integers before
+    reading its root of unity, so no entry drifts as jk grows."""
+
+    @pytest.mark.parametrize("build, m", [(dft_matrix, 4096), (hartley_matrix, 1024)],
+                             ids=["dft", "hartley"])
+    def test_fourier_kernels_match_reduced_phases(self, build, m):
+        u = build(m).matrix
+        k = np.arange(m)
+        for at in range(0, m, 256):
+            j = np.arange(at, min(m, at + 256))[:, None]
+            f = np.exp(2j * np.pi * ((j * k) % m) / m) / np.sqrt(m)
+            expected = f if build is dft_matrix else f.real + f.imag
+            assert np.max(np.abs(u[at : at + 256] - expected)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 10])
+    def test_wht_is_exactly_the_walsh_sign_table(self, n):
+        # Hadamard order: (-1)^popcount(j & k) / 2^(n/2), no rounding at all
+        j = np.arange(1 << n)
+        parity = np.bitwise_count(j[:, None] & j[None, :]) & 1
+        assert np.array_equal(wht_matrix(n).matrix, np.where(parity, -1.0, 1.0) / np.sqrt(1 << n))
 
 
 class TestUnitaryTransformType:
