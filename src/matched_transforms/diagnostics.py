@@ -63,7 +63,8 @@ def residual_delta(perm: Permutation, r) -> float:
     if r_norm == 0.0:
         raise UndefinedResidualError("residual is undefined for the zero matrix")
     # P R - R P without forming P
-    comm = arr[perm.inverse().as_array(), :] - arr[:, perm.as_array()]
+    comm = np.take(arr, perm.inverse().as_array(), axis=0)
+    comm -= np.take(arr, perm.as_array(), axis=1)
     return float(np.linalg.norm(comm) / (np.sqrt(perm.degree) * r_norm))
 
 

@@ -10,8 +10,12 @@ graph isomorphism, II", J. Symb. Comput. 60, 2014):
 * Edge colours: the real and imaginary parts of R's entries are clustered
   separately, splitting at gaps larger than tau * max|R|.
 * Refinement: vertex colours start from the diagonal and split by the
-  sorted (edge colour, neighbour colour) pairs of each row and each column
-  until no cell splits.
+  sorted (edge colour, neighbour colour) pairs of each row until no cell
+  splits.  Rows suffice: R is symmetrized exactly, so Re R[j, i] =
+  Re R[i, j] and Im R[j, i] = -Im R[i, j] bit for bit, and the clusters of
+  a list closed under negation mirror each other.  So the colour of (j, i)
+  is a fixed bijection of the colour of (i, j), a vertex's row pairs fix
+  its column pairs, and a lexicographic order never reaches the columns.
 * Search: individualizing the first vertex of the first non-singleton cell
   until the partition is discrete gives a base and a reference leaf.  For
   each level, deepest first, a depth-first search below every vertex of the
@@ -101,36 +105,32 @@ def _value_ranks(values: np.ndarray, gap: float) -> np.ndarray:
 
 
 def _edge_colours(r_arr: np.ndarray, tau: float) -> np.ndarray:
+    # re * (imax + 1) + im is monotone in (re, im), so it orders the colours
+    # as their dense ranks would; the codes stay below M^4 <= 2^48
     gap = tau * float(np.max(np.abs(r_arr)))
     re = _value_ranks(r_arr.real.ravel(), gap)
     im = _value_ranks(r_arr.imag.ravel(), gap)
-    _, colours = np.unique(re * (int(im.max()) + 1) + im, return_inverse=True)
-    return colours.reshape(r_arr.shape)
+    return (re * (int(im.max()) + 1) + im).reshape(r_arr.shape)
 
 
 def _row_ranks(sig: np.ndarray) -> np.ndarray:
-    # rank of each row of an integer array among its distinct rows, in
-    # lexicographic order
-    order = np.lexsort(sig.T[::-1])
-    ordered = sig[order]
-    ranks = np.empty(sig.shape[0], dtype=np.int64)
-    steps = np.any(ordered[1:] != ordered[:-1], axis=1)
-    ranks[order] = np.concatenate(([0], np.cumsum(steps)))
-    return ranks
+    # rank of each row of a non-negative integer array among its distinct
+    # rows, in lexicographic order: big-endian bytes compare as the numbers do
+    rows = np.ascontiguousarray(sig, dtype=">i8")
+    return np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
+                     return_inverse=True)[1]
 
 
-def _refine(edges: np.ndarray, edges_t: np.ndarray, colours: np.ndarray) -> np.ndarray:
+def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     # Colours are dense ranks.  A vertex's old colour leads its signature,
     # so cells only split and keep their order; the ranks depend on the
-    # colouring alone, not on the vertex numbering.
+    # colouring alone, not on the vertex numbering.  Edge codes < 2^48 and
+    # cells <= MAX_DEGREE = 2^12 keep edges * cells + colours below 2^60.
     cells = int(colours.max()) + 1
     while True:
-        sig = np.hstack([
-            colours[:, None],
-            np.sort(edges * cells + colours, axis=1),
-            np.sort(edges_t * cells + colours, axis=1),
-        ])
-        colours = _row_ranks(sig)
+        colours = _row_ranks(np.hstack([
+            colours[:, None], np.sort(edges * cells + colours, axis=1)
+        ]))
         split = int(colours.max()) + 1
         if split == cells:
             return colours
@@ -161,16 +161,15 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
     one SearchLevel per base level, leaves tested, leaves rejected, and
     whether the leaf budget ran out before the search finished."""
     m = edges.shape[0]
-    edges_t = np.ascontiguousarray(edges.T)
     _, diagonal = np.unique(np.diagonal(edges), return_inverse=True)
     # first path: path[k] is the reference node at depth k
-    path = [_refine(edges, edges_t, diagonal)]
+    path = [_refine(edges, diagonal)]
     base = []
     while int(path[-1].max()) + 1 < m:
         node = path[-1]
         target = int(np.argmax(np.bincount(node) > 1))
         base.append(int(np.flatnonzero(node == target)[0]))
-        path.append(_refine(edges, edges_t, _individualize(node, base[-1])))
+        path.append(_refine(edges, _individualize(node, base[-1])))
     sizes = [np.bincount(node) for node in path]
     leaf_order = path[-1]
     depth_n = len(base)
@@ -191,7 +190,7 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
             todo = [(path[k], int(w), k)]
             while todo:
                 parent, v, depth = todo.pop()
-                node = _refine(edges, edges_t, _individualize(parent, v))
+                node = _refine(edges, _individualize(parent, v))
                 nodes[k] += 1
                 if not np.array_equal(np.bincount(node), sizes[depth + 1]):
                     continue

@@ -226,9 +226,10 @@ def hartley_matrix(m: int) -> UnitaryTransform:
 def dct2_matrix(m: int) -> UnitaryTransform:
     """Orthonormal DCT-II: sqrt(2/m) w_k cos(pi (2j+1) k / (2m)), w_0 = 1/sqrt(2)."""
     _check_degree(m)
-    j = np.arange(m)[:, None]
-    k = np.arange(m)[None, :]
-    mat = np.sqrt(2.0 / m) * np.cos(np.pi * (2 * j + 1) * k / (2 * m))
+    # read from a table of 4m cosines at the integer phase (2j+1) k mod 4m,
+    # so no entry drifts as (2j+1) k grows
+    table = np.sqrt(2.0 / m) * np.cos(np.pi * np.arange(4 * m) / (2 * m))
+    mat = table[(2 * np.arange(m)[:, None] + 1) * np.arange(m) % (4 * m)]
     mat[:, 0] /= np.sqrt(2.0)
     return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(f"k={t}" for t in range(m)))
 
@@ -370,12 +371,12 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     then the alternating Nyquist column.
     """
     _check_degree(2 * m, lo=4)
-    f = _fourier(2 * m)
     # the 2x2 Hadamard on the conjugate pair (F_k, F_{2m-k}) gives
-    # sqrt(2) Re F_k and sqrt(2) Im F_k
-    pairs = f[:, 1:m]
-    cos_sin = np.sqrt(2.0) * np.stack([pairs.real, pairs.imag], axis=2)
-    mat = np.column_stack([f[:, 0].real, cos_sin.reshape(2 * m, -1), f[:, m].real])
+    # sqrt(2) Re F_k and sqrt(2) Im F_k.  F's float view interleaves Re and
+    # Im, so its first 2m + 1 columns less Im F_0 = 0 are the columns in
+    # order; F is freed before _from_trusted makes the real copy complex
+    mat = np.delete(_fourier(2 * m).view(np.float64)[:, : 2 * m + 1], 1, axis=1)
+    mat[:, 1:-1] *= np.sqrt(2.0)
     labels = ["dc"] + [f"{part}={k}" for k in range(1, m) for part in ("cos", "sin")]
     return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(labels + ["nyquist"]))
 

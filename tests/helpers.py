@@ -1,6 +1,7 @@
 """Shared oracles for the test suite: brute-force group facts computed
-without the library's own search machinery, and a loop-by-loop reference
-for subspace_match's clustering and column assignment."""
+without the library's own search machinery, a loop-by-loop reference for
+subspace_match's clustering and column assignment, and a reference for
+discovery's refinement that signs both rows and columns."""
 
 import itertools
 
@@ -21,6 +22,7 @@ from matched_transforms import (
     make_wreath,
     residual_delta,
 )
+from matched_transforms.discovery import _value_ranks
 from matched_transforms.numkernel import as_cmatrix, herm_eig
 from matched_transforms.transforms import _bareiss_det
 
@@ -158,3 +160,46 @@ def reference_subspace_match(r, predicted, rel_tol: float = 1e-6) -> tuple:
         scores.append(float(np.linalg.svd(overlap, compute_uv=False)[-1]))
         pattern.append(len(clusters[c_idx]))
     return min(scores), tuple(pattern)
+
+
+
+def reference_edge_colours(r_arr: np.ndarray, tau: float) -> np.ndarray:
+    """discovery._edge_colours relabelled to dense ranks: the (Re cluster,
+    Im cluster) pairs numbered in lexicographic order."""
+    gap = tau * float(np.max(np.abs(r_arr)))
+    re = _value_ranks(r_arr.real.ravel(), gap)
+    im = _value_ranks(r_arr.imag.ravel(), gap)
+    _, colours = np.unique(re * (int(im.max()) + 1) + im, return_inverse=True)
+    return colours.reshape(r_arr.shape)
+
+
+def reference_row_ranks(sig: np.ndarray) -> np.ndarray:
+    """Rank of each row of an integer array among its distinct rows in
+    lexicographic order, by a lexsort over every column."""
+    order = np.lexsort(sig.T[::-1])
+    ordered = sig[order]
+    ranks = np.empty(sig.shape[0], dtype=np.int64)
+    steps = np.any(ordered[1:] != ordered[:-1], axis=1)
+    ranks[order] = np.concatenate(([0], np.cumsum(steps)))
+    return ranks
+
+
+def reference_refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
+    """discovery._refine computed from both halves of every signature: the
+    edge codes relabelled to dense ranks, and each vertex signed by its old
+    colour, its sorted (edge, neighbour colour) row pairs and its sorted
+    column pairs."""
+    _, dense = np.unique(edges, return_inverse=True)
+    edges = dense.reshape(edges.shape)
+    edges_t = np.ascontiguousarray(edges.T)
+    cells = int(colours.max()) + 1
+    while True:
+        colours = reference_row_ranks(np.hstack([
+            colours[:, None],
+            np.sort(edges * cells + colours, axis=1),
+            np.sort(edges_t * cells + colours, axis=1),
+        ]))
+        split = int(colours.max()) + 1
+        if split == cells:
+            return colours
+        cells = split

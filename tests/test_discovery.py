@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -7,6 +8,7 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
     CandidateBasis,
@@ -35,7 +37,17 @@ from matched_transforms import (
 import matched_transforms
 from matched_transforms import discovery
 
-from helpers import all_permutations, brute_force_matched_group, closure_set
+from helpers import (
+    all_permutations,
+    brute_force_matched_group,
+    catalog_actions,
+    closure_set,
+    reference_edge_colours,
+    reference_refine,
+    reference_row_ranks,
+    relabel,
+)
+from matched_transforms.numkernel import _check_hermitian
 
 
 def discovered_closure(result: DiscoveryResult, degree: int) -> set:
@@ -295,6 +307,71 @@ class TestTrace:
         assert [level.cell_size for level in result.trace] == [4, 3, 2]
         assert [level.orbit_length for level in result.trace] == [1, 1, 2]
         assert result.trace[0].nodes == 0 and result.trace[0].leaves == 0
+
+
+@st.composite
+def _integer_hermitian(draw):
+    # small-integer entries give many equal edge colours; a circulant gives
+    # non-trivial cells, which individualization then splits
+    m = draw(st.integers(1, 10))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.integers(-2, 3, (2, m, m))
+    a = values[0] + 1j * values[1] if draw(st.booleans()) else values[0].astype(float)
+    if draw(st.booleans()):
+        a = a[0][(np.arange(m)[None, :] - np.arange(m)[:, None]) % m]
+    return a + a.conj().T, rng.permutation(m), draw(st.sampled_from([1e-8, 0.2, 0.5]))
+
+
+def _searched_fields(result: DiscoveryResult) -> DiscoveryResult:
+    # every field but the seconds of each search level
+    levels = tuple(dataclasses.replace(level, seconds=0.0) for level in result.trace)
+    return dataclasses.replace(result, trace=levels)
+
+
+class TestRowSignatures:
+    """R is symmetrized exactly, so a vertex's row pairs fix its column
+    pairs: refining on the rows alone, with raw edge codes and one byte-row
+    sort, gives the ranks of the reference that signs both halves."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 6), st.integers(0, 2**32 - 1))
+    def test_row_ranks_equal_lexsort_ranks(self, rows, width, seed):
+        # values up to 2^60 with repeated rows and columns: the byte order
+        # must rank as the numbers compare, not as their low bytes do
+        rng = np.random.default_rng(seed)
+        sig = rng.integers(0, 2 ** int(rng.integers(1, 61)), (rows, width))
+        sig = sig[rng.integers(0, rows, rows)][:, rng.integers(0, width, width)]
+        assert np.array_equal(discovery._row_ranks(sig), reference_row_ranks(sig))
+
+    @settings(max_examples=150, deadline=None)
+    @given(_integer_hermitian())
+    def test_refine_equals_reference(self, case):
+        r, s, tau = case
+        for matrix in (r, r[np.ix_(s, s)]):
+            edges = discovery._edge_colours(_check_hermitian(matrix), tau)
+            dense = reference_edge_colours(_check_hermitian(matrix), tau)
+            _, start = np.unique(np.diagonal(edges), return_inverse=True)
+            colours = reference_refine(dense, start)
+            assert np.array_equal(discovery._refine(edges, start), colours)
+            for v in range(0, matrix.shape[0], 3):
+                split = discovery._individualize(colours, v)
+                assert np.array_equal(discovery._refine(edges, split),
+                                      reference_refine(dense, split))
+
+    @pytest.mark.parametrize("action", [
+        *catalog_actions(), *(parse_group_spec(spec) for spec in (
+            "cyclic:64", "dihedralM:32", "boolean:6", "dyadic-wreath:6", "hybrid:8,8",
+            "wreath:4s,4c,4c")),
+    ], ids=lambda a: a.name)
+    def test_search_equals_reference_search(self, action, monkeypatch):
+        for copy in (action, relabel(action, 1), relabel(action, 2)):
+            r = sample_invariant_cov(copy, 3)
+            result = discover_sequential(r)
+            with monkeypatch.context() as patch:
+                patch.setattr(discovery, "_edge_colours", reference_edge_colours)
+                patch.setattr(discovery, "_refine", reference_refine)
+                expected = discover_sequential(r)
+            assert _searched_fields(result) == _searched_fields(expected)
 
 
 class TestMatchLibrary:

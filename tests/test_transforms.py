@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -405,6 +406,17 @@ class TestCascadeAndFold:
 
     def test_cascade_unitary(self):
         assert unitarity_error(semidirect_dct_cascade(8)) <= 1e-10
+
+    def test_cascade_peak_memory(self):
+        # one real array is filled from the DFT's slices and the DFT freed
+        # before the complex result is made: no stacked copies of Re and Im
+        tracemalloc.start()
+        try:
+            nbytes = semidirect_dct_cascade(512).matrix.nbytes
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.6 * nbytes
 
 
 class TestSynthesize:
@@ -845,6 +857,16 @@ class TestExactPhases:
             j = np.arange(at, min(m, at + 256))[:, None]
             f = np.exp(2j * np.pi * ((j * k) % m) / m) / np.sqrt(m)
             expected = f if build is dft_matrix else f.real + f.imag
+            assert np.max(np.abs(u[at : at + 256] - expected)) <= 1e-15
+
+    def test_dct2_matches_reduced_phases(self):
+        m = 4096
+        u = dct2_matrix(m).matrix
+        k = np.arange(m)
+        for at in range(0, m, 256):
+            j = np.arange(at, min(m, at + 256))[:, None]
+            expected = np.sqrt(2.0 / m) * np.cos(np.pi * ((2 * j + 1) * k % (4 * m)) / (2 * m))
+            expected[:, 0] /= np.sqrt(2.0)
             assert np.max(np.abs(u[at : at + 256] - expected)) <= 1e-15
 
     @pytest.mark.parametrize("n", [1, 2, 5, 10])
