@@ -375,7 +375,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_match_library)
 
-    p = sub.add_parser("synthesize", help="matched basis from seeded invariant samples")
+    p = sub.add_parser("synthesize", help="matched basis of a multiplicity-free action")
     p.add_argument("--group", required=True)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--out", required=True)

@@ -97,8 +97,9 @@ class DiscoveryResult:
 # exact search
 
 def _value_ranks(values: np.ndarray, gap: float) -> np.ndarray:
-    # rank of each value among the sorted values, neighbours within gap merged
-    order = np.argsort(values, kind="stable")
+    # rank of each value among the sorted values, neighbours within gap
+    # merged; equal values get equal ranks in any order, so no stable sort
+    order = np.argsort(values)
     ranks = np.empty(values.size, dtype=np.int64)
     ranks[order] = np.concatenate(([0], np.cumsum(np.diff(values[order]) > gap)))
     return ranks

@@ -6,6 +6,10 @@ actions through the two primitives here: the partition of ordered index
 pairs into orbits, and the breadth-first closure that counts the group's
 elements.  Orbit averaging is what keeps large groups tractable: projecting
 a covariance onto the invariant algebra never enumerates group elements.
+Matched-basis synthesis also reads structure off an action here, each
+proved by exact integer checks: the coordinates of an affine action
+A x| H, and the two factors of an imprimitive one whose pair orbits are a
+wreath product's.
 """
 
 from __future__ import annotations
@@ -423,45 +427,76 @@ _CHUNK = 1 << 17  # pair entries handled per numpy call in pair_orbits
 _FLUSH = 1 << 12  # label pairs held, at least, before pair_orbits joins them
 
 
+def _schreier_forest(images: list, m: int) -> tuple:
+    """Breadth-first Schreier trees of an action, one per point orbit.
+
+    images are the generators' image arrays.  Each orbit's tree is grown
+    from its smallest point, orbits in order of that point, along the
+    generators that move each point.  Returns (order, parent, via) as
+    lists: order holds the points in the order they were reached, each
+    root first in its orbit; the tree edge into j is generator via[j]
+    applied to parent[j] (both -1 at a root).
+    """
+    points = np.arange(m)
+    # (point, generator, image) for every point a generator moves, a chunk
+    # of generators at a time, then sorted by point; points[:0] keeps an
+    # empty generator list valid
+    src, gen, dst = [points[:0]], [points[:0]], [points[:0]]
+    step = max(1, _CHUNK // m)
+    for at in range(0, len(images), step):
+        chunk = np.stack(images[at : at + step])
+        g, p = np.nonzero(chunk != points)
+        src.append(p)
+        gen.append(g + at)
+        dst.append(chunk[g, p])
+    src = np.concatenate(src)
+    order = np.argsort(src, kind="stable")
+    gen, dst = np.concatenate(gen)[order], np.concatenate(dst)[order]
+    first = np.searchsorted(src[order], np.arange(m + 1)).tolist()
+    gen, dst = gen.tolist(), dst.tolist()
+    via, parent, queue = [-2] * m, [-1] * m, []
+    for b in range(m):
+        if via[b] != -2:
+            continue
+        via[b] = -1
+        at = len(queue)
+        queue.append(b)
+        while at < len(queue):  # the queue grows while it is read
+            i = queue[at]
+            at += 1
+            for e in range(first[i], first[i + 1]):
+                j = dst[e]
+                if via[j] == -2:
+                    via[j], parent[j] = gen[e], i
+                    queue.append(j)
+    return queue, parent, via
+
+
 def _schreier_inverses(images: list, m: int) -> tuple:
     """Point orbits and breadth-first Schreier trees of an action.
 
     images are the non-identity generators' image arrays.  Point orbits are
     numbered in order of their smallest point b, and each orbit's tree is
-    grown from b along the generators that move each point.  t_i is the
-    product of generators along the tree path from b to i, so t_i(b) = i,
-    and its inverse is filled row by row from its parent's through
-    t_{g(i)}^-1 g = t_i^-1, a scatter that never forms g^-1.  Returns (tinv, orbit, bases, via): tinv[i] =
-    t_i^-1 as an (m, m) int32 array, orbit[i] the number of i's point orbit,
-    bases[a] its smallest point, and via[i] the generator of i's tree edge
-    (-1 at a base).
+    `_schreier_forest`'s.  t_i is the product of generators along the tree
+    path from b to i, so t_i(b) = i, and its inverse is filled row by row
+    from its parent's through t_{g(i)}^-1 g = t_i^-1, a scatter that never
+    forms g^-1.  Returns (tinv, orbit, bases, via): tinv[i] = t_i^-1 as an
+    (m, m) int32 array, orbit[i] the number of i's point orbit, bases[a]
+    its smallest point, and via[i] the generator of i's tree edge (-1 at a
+    base).
     """
     points = np.arange(m)
-    # (point, generator, image) for every point a generator moves, sorted
-    # by point; points[:0] keeps an empty generator list valid
-    moved = [np.flatnonzero(g != points) for g in images]
-    src = np.concatenate([points[:0]] + moved)
-    order = np.argsort(src, kind="stable")
-    gen = np.repeat(np.arange(len(images)), [p.size for p in moved])[order]
-    dst = np.concatenate([points[:0]] + [g[p] for g, p in zip(images, moved)])[order]
-    first = np.searchsorted(src[order], np.arange(m + 1)).tolist()
-    gen, dst = gen.tolist(), dst.tolist()
-    via, orbit, bases = [-2] * m, [0] * m, []
+    queue, parent, via = _schreier_forest(images, m)
+    orbit, bases = [0] * m, []
     tinv = np.empty((m, m), dtype=np.int32)
-    for b in range(m):
-        if via[b] != -2:
-            continue
-        orbit[b], via[b] = len(bases), -1
-        bases.append(b)
-        tinv[b] = points
-        queue = [b]
-        for i in queue:  # grows while it is read: a breadth-first walk
-            for e in range(first[i], first[i + 1]):
-                j = dst[e]
-                if via[j] == -2:
-                    orbit[j], via[j] = orbit[b], gen[e]
-                    queue.append(j)
-                    tinv[j, images[gen[e]]] = tinv[i]
+    for j in queue:
+        if via[j] < 0:
+            orbit[j] = len(bases)
+            bases.append(j)
+            tinv[j] = points
+        else:
+            orbit[j] = orbit[parent[j]]
+            tinv[j, images[via[j]]] = tinv[parent[j]]
     return tinv, np.array(orbit), np.array(bases), np.array(via)
 
 
@@ -671,6 +706,268 @@ def _regular_abelian_coordinates(images: list, m: int):
         if np.any((coords[g] - coords - coords[g[0]]) % d):
             return None
     return coords, tuple(d.tolist())
+
+
+_PAIRED_GENERATORS = 8  # the affine proposal multiplies the first this many in pairs
+
+
+def _cycle_through_zero(g: np.ndarray) -> int:
+    """Length of a permutation's cycle through point 0."""
+    images, length, x = g.tolist(), 1, g[0]
+    while x:
+        x = images[x]
+        length += 1
+    return length
+
+
+def _commute(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a[b], b[a])
+
+
+def _conjugate(g: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """g c g^-1 on image arrays: it maps g(x) to g(c(x))."""
+    out = np.empty_like(c)
+    out[g] = g[c]
+    return out
+
+
+def _proposal(candidates: list, paired: list) -> list:
+    """The fixed-point-free candidates that commute with their conjugates by
+    the paired generators, longest cycle through 0 first, each kept if it
+    commutes with those kept before."""
+    points = np.arange(candidates[0].size)
+    free = {c.tobytes(): c for c in candidates if c[0] != 0 and np.all(c != points)}
+    kept = []
+    for c in sorted(free.values(), key=_cycle_through_zero, reverse=True):
+        if (all(_commute(c, k) for k in kept)
+                and all(_commute(c, g) or _commute(c, _conjugate(g, c)) for g in paired)):
+            kept.append(c)
+    return kept
+
+
+def _affine_coordinates(images: list, m: int):
+    """Coordinates for an affine action A x| H, or None for any other.
+
+    images are the generators' image arrays on m points.  A regular abelian
+    A is proposed (`_proposal`) from the generators, and if that fails from
+    the generators and the products of the first _PAIRED_GENERATORS of them
+    in pairs: the fixed-point-free ones that commute with their conjugates
+    by those generators (as elements of a normal abelian A do), longest
+    cycle through 0 first, each kept if it commutes with those kept before.
+    `_regular_abelian_coordinates` proves that the kept ones generate a
+    regular abelian group and gives its coordinates c, with c[0] = 0.  The
+    proposal is not trusted: every generator g must act affinely,
+    c(g(p)) = L_g c(p) + c(g(0)) mod d for every p, with L_g read off the
+    points whose coordinates are unit vectors, and L_g must be well defined
+    on A (d_j L_g e_j = 0 mod d).  Then each g normalizes A, which lies in
+    the group, so the group is A x| H with H = <L_g>.  Returns (c, d,
+    linear): linear lists the L_g that are not the identity, as integer
+    arrays whose row j is L_g e_j.  All of this is integer work, O(m) per
+    candidate and per generator.
+    """
+    paired = images[:_PAIRED_GENERATORS]
+    for candidates in (images, images + [g[h] for g in paired for h in paired]):
+        found = _regular_abelian_coordinates(_proposal(candidates, paired), m)
+        linear = None if found is None else _linear_parts(images, *found)
+        if linear is not None:
+            return found + (linear,)
+    return None
+
+
+def _linear_parts(images: list, coords: np.ndarray, d: tuple):
+    """Each generator's L_g for the coordinates c, or None when one of them
+    is not affine (`_affine_coordinates`)."""
+    d = np.array(d)
+    strides = np.cumprod(np.concatenate(([1], d[:0:-1])))[::-1]
+    at = np.empty(coords.shape[0], dtype=np.int64)
+    at[coords @ strides] = np.arange(coords.shape[0])
+    units = at[strides]  # the points with coordinates e_0, e_1, ...
+    identity = np.eye(d.size, dtype=np.int64)
+    linear = []
+    for g in images:
+        shift = coords[g[0]]
+        lin = (coords[g[units]] - shift) % d
+        translation = np.array_equal(lin, identity)
+        image = coords if translation else coords @ lin
+        if np.any(lin * d[:, None] % d) or np.any((coords[g] - image - shift) % d):
+            return None
+        if not translation:
+            linear.append(lin)
+    return linear
+
+
+def _character_orbits(d: tuple, linear: list) -> np.ndarray:
+    """The orbits of H = <L> on the characters of A = Z_d[0] + Z_d[1] + ...
+
+    chi_k o L = chi_k' with k'_j = sum_i k_i L[j, i] d_j / d_i mod d_j, an
+    integer map because L is well defined on A.  Characters are numbered in
+    mixed radix over d, the first coordinate most significant, and joined
+    to their images under each L by a union-find.  Returns, per character,
+    the smallest character of its orbit."""
+    d = np.array(d)
+    m = int(np.prod(d))
+    strides = np.cumprod(np.concatenate(([1], d[:0:-1])))[::-1]
+    chars = np.indices(tuple(d)).reshape(d.size, m).T
+    edges = [(np.arange(m), (chars @ (lin.T * d // d[:, None]) % d) @ strides)
+             for lin in linear]
+    return _hook_and_compress(m, edges)[0]
+
+
+def _component_of_zero(ids: np.ndarray, marked: np.ndarray) -> np.ndarray:
+    """Sorted points joined to point 0 by pairs whose orbit is marked, or
+    None once they pass half the points: a proper block is no larger."""
+    m = ids.shape[0]
+    member = np.zeros(m, dtype=bool)
+    member[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        frontier = np.flatnonzero(marked[ids[frontier]].any(axis=0) & ~member)
+        member[frontier] = True
+        if 2 * np.count_nonzero(member) > m:
+            return None
+    return np.flatnonzero(member)
+
+
+def _blocks_finest_first(ids: np.ndarray, transpose: np.ndarray):
+    """Yield the distinct blocks of point 0 that the non-diagonal orbital
+    graphs' components give, smallest first.  A graph whose pairs from 0
+    reach s points gives a block of more than s points, so the graphs are
+    grown in order of s, and a block is yielded once every graph that could
+    give a smaller one has been grown."""
+    m = ids.shape[0]
+    sizes = np.bincount(ids[0], minlength=transpose.size)
+    found, seen = [], set()
+    for o in sorted(range(transpose.size), key=lambda o: sizes[o]):
+        while found and found[0].size <= sizes[o] + 1:
+            yield found.pop(0)
+        if o == ids[0, 0] or transpose[o] < o or 2 * sizes[o] >= m:
+            continue  # the diagonal, the graph of o^T, or too many points for a block
+        marked = np.zeros(transpose.size, dtype=bool)
+        marked[[o, transpose[o]]] = True
+        block = _component_of_zero(ids, marked)
+        if block is not None and block.tobytes() not in seen:
+            seen.add(block.tobytes())
+            found.append(block)
+            found.sort(key=len)
+    yield from found
+
+
+def _relabelled(ids: np.ndarray, transpose: np.ndarray) -> PairOrbitPartition:
+    """The partition of a transitive action whose pairs carry the labels ids
+    (any integers, with transpose[x] the label of the transposed pairs),
+    renumbered by first appearance: row 0 holds every orbit."""
+    values, first = np.unique(ids[0], return_index=True)
+    values = values[np.argsort(first)]
+    lut = np.zeros(transpose.size, dtype=np.int32)
+    lut[values] = np.arange(values.size, dtype=np.int32)
+    return PairOrbitPartition(ids.shape[0], lut[ids], values.size, lut[transpose[values]])
+
+
+def _imprimitive_factors(images: list, orbits: PairOrbitPartition):
+    """The wreath rule's two factors of a transitive action, or None.
+
+    The connected components of each non-diagonal orbital graph form a
+    block system; only point 0's component is grown, finest first.  For a
+    block system with blocks of w points, b of them, let K be the action on
+    the blocks and H the block stabilizer's action on the block B0 of 0.
+    By the Krasner-Kaloujnine embedding the group lies in W = H wr K, whose
+    rank is rank(H) + rank(K) - 1: H's orbitals are the distinct orbits on
+    B0 x B0, and K's the classes of orbits that meet a common block pair.
+    Each W-orbital is a union of orbitals, so orbit_count equal to that
+    rank proves that W has the same orbitals, hence the same commutant.
+    The first block system with that proof is split, or None if none has it.
+
+    A breadth-first Schreier tree on the blocks names a group element
+    t_a that takes B0 to block a; points[a, p] = t_a(B0[p]).  K's
+    generators are the generators' actions on the blocks, and H's the
+    distinct Schreier generators t_{g(a)}^-1 g t_a restricted to B0.  Their
+    orbit partitions are read from orbit_id, with no second pair_orbits.
+    Returns (points, K's images, K's partition, H's images, H's partition).
+    """
+    ids, count, transpose = orbits.orbit_id, orbits.orbit_count, orbits.transpose
+    m = ids.shape[0]
+    if count == m or np.any(np.diagonal(ids) != ids[0, 0]):
+        return None  # regular (abelian, or not multiplicity-free), or intransitive
+    for block in _blocks_finest_first(ids, transpose):
+        w, b = block.size, m // block.size
+        inside = np.zeros(count, dtype=bool)
+        inside[ids[0, block]] = True
+        # the orbits inside B0 are the relation "same block": blocks are
+        # numbered by their smallest point, B0 first
+        reps, block_of = np.unique(np.argmax(inside[ids], axis=1), return_inverse=True)
+        h_rank = np.unique(ids[np.ix_(block, block)]).size
+        meets = np.zeros((count, b), dtype=bool)
+        meets[ids[block].ravel(), np.tile(block_of, w)] = True
+        pairs = np.nonzero(meets)
+        classes = _hook_and_compress(count + b, [(pairs[0], count + pairs[1])])[0][:count]
+        if count == h_rank + np.unique(classes).size - 1:
+            return _split(images, orbits, block, block_of, reps, classes)
+    return None
+
+
+def _distinct_rows(rows: np.ndarray) -> np.ndarray:
+    """Indices of the rows of an integer array with repeats dropped, in
+    order.  Rows are sorted by a hash, and only neighbours with equal
+    hashes are compared in full, so two distinct rows are never merged (a
+    rare colliding repeat may stay)."""
+    weights = np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    keys = rows.view(np.uint64) @ weights  # wraps mod 2^64
+    order = np.argsort(keys, kind="stable")
+    fresh = np.ones(order.size, dtype=bool)
+    same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]]) + 1
+    fresh[same] = np.any(rows[order[same]] != rows[order[same - 1]], axis=1)
+    return np.sort(order[fresh])
+
+
+def _split(images: list, orbits: PairOrbitPartition, block: np.ndarray,
+           block_of: np.ndarray, reps: np.ndarray, classes: np.ndarray) -> tuple:
+    """`_imprimitive_factors`' two factors for a block system that passed.
+
+    A generator acts as the identity on every block that holds none of the
+    points it moves, so only those (generator, block) pairs are read, a
+    chunk of generators at a time: K's image of block a is the block of
+    g(reps[a]), and H's Schreier generators are the rows of points[a]
+    mapped by g and read in local numbering."""
+    ids, transpose = orbits.orbit_id, orbits.transpose
+    m, w, b = ids.shape[0], block.size, reps.size
+    step = max(1, _CHUNK // m)
+    chunks = range(0, len(images), step)
+    gens, blocks, targets = [], [], []
+    for at in chunks:
+        chunk = np.stack(images[at : at + step])
+        g, x = np.nonzero(chunk != np.arange(m))
+        pairs = np.unique(g * b + block_of[x])
+        g, a = pairs // b, pairs % b
+        gens.append(g + at)
+        blocks.append(a)
+        targets.append(block_of[chunk[g, reps[a]]])
+    gens, blocks, targets = (np.concatenate(v) for v in (gens, blocks, targets))
+    movers = np.unique(gens[targets != blocks])
+    k_all = np.tile(np.arange(b), (movers.size, 1))
+    hit = np.searchsorted(movers, gens)
+    hit[hit == movers.size] = 0
+    sel = movers[hit] == gens
+    k_all[hit[sel], blocks[sel]] = targets[sel]
+    kept = _distinct_rows(k_all)
+    k_images, movers = list(k_all[kept]), movers[kept]
+    queue, parent, via = _schreier_forest(k_images, b)
+    points = np.empty((b, w), dtype=np.int64)
+    points[0] = block
+    for a in queue[1:]:
+        points[a] = images[movers[via[a]]][points[parent[a]]]
+    local = np.empty(m, dtype=np.int64)
+    local[points] = np.arange(w)
+    schreier = [np.zeros((0, w), dtype=np.int64)]
+    bounds = np.searchsorted(gens, [at for at in chunks] + [len(images)])
+    for at, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
+        chunk = np.stack(images[at : at + step])
+        rows = local[chunk[gens[lo:hi, None] - at, points[blocks[lo:hi]]]]
+        schreier.append(rows[np.any(rows != np.arange(w), axis=1)])
+    schreier = np.concatenate(schreier)
+    h_images = list(schreier[_distinct_rows(schreier)])
+    k_ids = classes[ids[np.ix_(points[:, 0], points[:, 0])]]
+    return (points, k_images, _relabelled(k_ids, classes[transpose]),
+            h_images, _relabelled(ids[np.ix_(block, block)], transpose))
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

@@ -52,15 +52,26 @@ def frobenius_norm(a: np.ndarray) -> float:
 
 
 def _check_hermitian(a: np.ndarray) -> np.ndarray:
-    """Reject asymmetry beyond tolerance, then symmetrize exactly."""
-    adjoint = a.conj().T
-    scale = float(np.max(np.abs(a)))
-    asym = float(np.max(np.abs(a - adjoint)))
+    """Reject asymmetry beyond tolerance, then symmetrize exactly.
+
+    The result, (a + a*) / 2, is the one M x M temporary: a block of rows
+    at a time, the block and the adjoint's matching rows are reduced to
+    their largest modulus and asymmetry and summed into it."""
+    m = a.shape[0]
+    out = np.empty_like(a)
+    scale = asym = 0.0
+    rows = max(1, (1 << 16) // m)
+    for at in range(0, m, rows):
+        block, adjoint = a[at : at + rows], a[:, at : at + rows].conj().T
+        scale = max(scale, float(np.max(np.abs(block))))
+        asym = max(asym, float(np.max(np.abs(block - adjoint))))
+        np.add(block, adjoint, out=out[at : at + rows])
+        out[at : at + rows] /= 2.0
     if asym > HERM_CHECK_TOL * max(scale, 1e-300):
         raise NumericError(
             f"input is not Hermitian: max asymmetry {asym:.3e} vs scale {scale:.3e}"
         )
-    return (a + adjoint) / 2.0
+    return out
 
 
 @dataclass(frozen=True)

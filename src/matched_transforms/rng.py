@@ -12,7 +12,7 @@ The recipe is fixed so an independent reimplementation reproduces it exactly:
   z_{2k+1} = sqrt(-2 ln u_{2k}) sin(2 pi u_{2k+1});
 * synthesis takes z_o = x_{2o} + i x_{2o+1} for pair orbit o of n, x being
   normal_rows(seed, L, 2L) row-major with L = ceil(sqrt(n)); near square, so
-  both Python loops (4L splitmix64 outputs, 2L xoshiro steps) are O(sqrt n).
+  the one Python loop (2L xoshiro steps, each on L lanes) is O(sqrt n).
 
 The integer stream is bit-portable; the float path inherits the platform
 libm's log/cos/sin rounding (identical on a fixed platform).
@@ -26,40 +26,49 @@ _MASK64 = 0xFFFFFFFFFFFFFFFF
 
 
 def _splitmix64(seed: int, count: int) -> np.ndarray:
-    """First `count` splitmix64 outputs for the given seed."""
-    out = np.empty(count, dtype=np.uint64)
-    state = seed & _MASK64
-    for i in range(count):
-        state = (state + 0x9E3779B97F4A7C15) & _MASK64
-        z = state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-        out[i] = z ^ (z >> 31)
-    return out
+    """First `count` splitmix64 outputs for the given seed.
 
-
-def _rotl(x: np.ndarray, k: int) -> np.ndarray:
-    return (x << np.uint64(k)) | (x >> np.uint64(64 - k))
+    The t-th state is seed + t * 0x9E3779B97F4A7C15 mod 2**64, so every
+    output is computed at once in wrapping uint64 arithmetic."""
+    z = np.arange(1, count + 1, dtype=np.uint64)
+    z *= np.uint64(0x9E3779B97F4A7C15)
+    z += np.uint64(seed & _MASK64)
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
 
 
 def _xoshiro_outputs(states: np.ndarray, steps: int) -> np.ndarray:
-    """Run lanes in lockstep; returns (lanes, steps) uint64 outputs."""
-    s0 = states[:, 0].copy()
-    s1 = states[:, 1].copy()
-    s2 = states[:, 2].copy()
-    s3 = states[:, 3].copy()
-    five, nine, c17 = np.uint64(5), np.uint64(9), np.uint64(17)
-    out = np.empty((states.shape[0], steps), dtype=np.uint64)
-    for t in range(steps):
-        out[:, t] = _rotl(s1 * five, 7) * nine
-        tmp = s1 << c17
-        s2 = s2 ^ s0
-        s3 = s3 ^ s1
-        s1 = s1 ^ s2
-        s0 = s0 ^ s3
-        s2 = s2 ^ tmp
-        s3 = _rotl(s3, 45)
-    return out
+    """Run lanes in lockstep; returns (lanes, steps) uint64 outputs.
+
+    The state words are updated in place, and step t records s1 as row t
+    of a (steps, lanes) buffer; the output scrambler rotl(5 s1, 7) * 9 runs
+    once over the whole buffer.  The result is that buffer's transpose, a
+    view."""
+    s = states.T.copy()  # rows s0, s1, s2, s3, never a view of states
+    s0, s1, s2, s3 = s
+    tmp = np.empty_like(s1)
+    out = np.empty((steps, states.shape[0]), dtype=np.uint64)
+    c17, c19, c45 = np.uint64(17), np.uint64(19), np.uint64(45)
+    for row in out:
+        row[...] = s1
+        np.left_shift(s1, c17, out=tmp)
+        s[2:4] ^= s[0:2]  # s2 ^= s0, s3 ^= s1
+        s[0:2] ^= s[3:1:-1]  # s0 ^= s3, s1 ^= s2
+        s2 ^= tmp
+        np.left_shift(s3, c45, out=tmp)  # s3 = rotl(s3, 45)
+        s3 >>= c19
+        s3 |= tmp
+    out *= np.uint64(5)
+    tmp = out << np.uint64(7)
+    out >>= np.uint64(57)
+    out |= tmp
+    del tmp
+    out *= np.uint64(9)
+    return out.T
 
 
 def normal_rows(seed: int, rows: int, normals_per_row: int) -> np.ndarray:
@@ -73,7 +82,7 @@ def normal_rows(seed: int, rows: int, normals_per_row: int) -> np.ndarray:
     raw = _xoshiro_outputs(states, normals_per_row)
     # in place from here, one float buffer: same bytes, under half the peak
     raw >>= np.uint64(11)
-    z = raw.astype(np.float64)
+    z = raw.astype(np.float64, order="C")
     del raw
     z += 1.0
     z *= 2.0**-53

@@ -8,9 +8,11 @@ the semidirect rule applied to the DFT.  The DFT and Walsh-Hadamard
 kernels are the character tables of Z_m and (Z_2)^n, read from one table
 of roots of unity.  Integer counterparts (Reed-Muller triangle,
 fixed-polarity variants, the arithmetic-transform inverse pair) are
-Kronecker powers of 2x2 blocks.  The matched-basis synthesizer reads the
-same character table off a regular abelian action and otherwise works
-from seeded generic elements of any multiplicity-free action's commutant.
+Kronecker powers of 2x2 blocks.  The matched-basis synthesizer applies
+the same rules to an action given only by its generators: the character
+table grouped by orbits for an affine action (the semidirect rule), the
+wreath composition of two factors' bases for an imprimitive one, and
+otherwise seeded generic elements of the commutant.
 """
 
 from __future__ import annotations
@@ -32,8 +34,10 @@ from .groups import (
     _branching_name,
     _check_degree,
     _check_log2_degree,
+    _affine_coordinates,
+    _character_orbits,
+    _imprimitive_factors,
     _normalize_branching,
-    _regular_abelian_coordinates,
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
@@ -54,9 +58,7 @@ class UnitaryTransform:
 
     def __post_init__(self):
         mat = as_cmatrix(self.matrix)
-        gram_err = _gram_error(mat)
-        if gram_err > UNITARITY_TOL:
-            raise NumericError(f"columns are not orthonormal: error {gram_err:.3e}")
+        _check_unitary(mat)
         labels = tuple(str(l) for l in self.column_labels)
         if len(labels) != mat.shape[0]:
             raise DimensionError("need exactly one label per column")
@@ -83,6 +85,12 @@ class UnitaryTransform:
     @property
     def degree(self) -> int:
         return self.matrix.shape[0]
+
+
+def _check_unitary(u: np.ndarray) -> None:
+    gram_err = _gram_error(u)
+    if not gram_err <= UNITARITY_TOL:  # a NaN fails too
+        raise NumericError(f"columns are not orthonormal: error {gram_err:.3e}")
 
 
 def _gram_error(u: np.ndarray) -> float:
@@ -167,12 +175,13 @@ class IntTransform:
 # ---------------------------------------------------------------------------
 # closed-form kernels
 
-def _characters(coords: np.ndarray, d: tuple) -> np.ndarray:
+def _characters(coords: np.ndarray, d: tuple, order=None) -> np.ndarray:
     """The character table of A = Z_d[0] + Z_d[1] + ... on M points with
     coordinates c(p) in A: U[p, k] = M^-1/2 chi_k(c(p)),
-    chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i), columns k in mixed radix over
-    d, the first coordinate most significant.  Each entry is read from a
-    table of L-th roots of unity, L = lcm(d), at the integer phase
+    chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i), characters k numbered in
+    mixed radix over d, the first coordinate most significant.  Column j
+    holds character order[j] (by default, character j).  Each entry is read
+    from a table of L-th roots of unity, L = lcm(d), at the integer phase
     sum_i c_i(p) k_i L/d_i mod L; for L = 2 the table is exactly +-1.
     Distinct characters are orthogonal, so U is unitary when c is a
     bijection onto A."""
@@ -182,6 +191,8 @@ def _characters(coords: np.ndarray, d: tuple) -> np.ndarray:
     # integers far under 2^53 and a float64 (BLAS) product is exact
     scaled = coords * (lcm / np.array(d))
     chars = np.indices(d, dtype=np.float64).reshape(len(d), m)
+    if order is not None:
+        chars = chars[:, order]
     if lcm == 2:
         table = np.array([1, -1], dtype=np.complex128)
     else:
@@ -403,7 +414,7 @@ def wreath_matrix(branching) -> UnitaryTransform:
 
 def _wreath_transform(branching, name: str) -> UnitaryTransform:
     """The wreath recursion's basis with columns labeled scale=s,pos=p."""
-    mat, scales = _wreath_recurse(branching)
+    mat, scales = _branching_basis(branching)
     counters: dict = {}
     labels = []
     for s in scales:
@@ -426,44 +437,80 @@ def _node_base(k: int, kind: str) -> np.ndarray:
     return base
 
 
-def _wreath_recurse(branching) -> tuple:
+def _branching_basis(branching) -> tuple:
+    """A root-first branching's basis and each column's scale: the root's
+    node base is the block action's basis, the rest of the tree the block
+    stabilizer's, and inner scale s becomes scale s + 1."""
     k, kind = branching[0]
     base = _node_base(k, kind)
     scales = [0] + [1] * (k - 1)
     if len(branching) == 1:
         return base, scales
-    inner, inner_scales = _wreath_recurse(branching[1:])
-    w = inner.shape[0]
-    m = k * w
-    out = np.zeros((m, m), dtype=np.complex128)
-    # block-constant subspace: the node base rides on the inner DC column
-    out[:, :k] = np.kron(base, inner[:, :1])
-    col = k
-    # deeper scales: per-block copies of the inner non-constant columns
-    for s in range(1, max(inner_scales) + 1):
-        members = [i for i, sc in enumerate(inner_scales) if sc == s]
-        for b in range(k):
-            out[b * w : (b + 1) * w, col : col + len(members)] = inner[:, members]
-            col += len(members)
-        scales += [s + 1] * (k * len(members))
-    return out, scales
+    inner, inner_scales = _branching_basis(branching[1:])
+    inner_scales = np.array(inner_scales)
+    groups = [np.flatnonzero(inner_scales == s) for s in range(1, inner_scales.max() + 1)]
+    for s, members in enumerate(groups, start=1):
+        scales += [s + 1] * (k * members.size)
+    points = np.arange(k * inner.shape[0]).reshape(k, -1)
+    return _wreath_recurse(base, inner, groups, points), scales
+
+
+def _wreath_recurse(top: np.ndarray, inner: np.ndarray, groups: list,
+                    points: np.ndarray) -> np.ndarray:
+    """The wreath rule's basis on b blocks of w points.
+
+    top (b x b) is the block action's basis and inner (w x w) the block
+    stabilizer's, its constant column first; groups are runs of inner's
+    other columns.  points[a, p] is the point that local point p of block a
+    names.  The block-constant columns top (x) inner[:, 0] come first, then,
+    group by group, the copies of the group's columns in block 0, 1, ...
+    The entries are written a block at a time when blocks are few, and a
+    local point at a time (one row from every block) when they are many.
+    """
+    b, w = points.shape
+    out = np.zeros((b * w, b * w), dtype=np.complex128)
+    by_block = b <= w
+    if by_block:
+        for a, rows in enumerate(points):
+            out[rows, :b] = top[a] * inner[:, :1]  # rows of top (x) inner[:, 0]
+    else:
+        step = max(1, (1 << 18) // b)  # rows of top per temporary
+        for p, rows in enumerate(points.T):
+            for at in range(0, b, step):
+                out[rows[at : at + step], :b] = top[at : at + step] * inner[p, 0]
+    col = b
+    for members in groups:
+        n = members.size
+        if by_block:
+            copy = inner[:, members]
+            for a, rows in enumerate(points):
+                out[rows, col + a * n : col + (a + 1) * n] = copy
+        else:
+            cols = col + np.arange(b * n).reshape(b, n)
+            for p, rows in enumerate(points.T):
+                out[rows[:, None], cols] = inner[p, members]
+        col += b * n
+    return out
 
 
 # ---------------------------------------------------------------------------
-# sampled synthesis
+# matched-basis synthesis
 
 @dataclass(frozen=True)
 class SynthesizedBasis:
-    """A matched basis: characters of a regular abelian action, or one
-    recovered from seeded invariant samples.
+    """A matched basis: the characters of an affine action grouped by
+    orbit, the wreath rule's composition of its two factors' bases, or a
+    basis recovered from seeded invariant samples.
 
-    degeneracy_pattern lists eigenvalue-cluster sizes sorted ascending;
+    degeneracy_pattern lists eigenspace sizes sorted ascending;
     data_dependent marks the trivial-action fallback (plain KLT of the
     sample, no seed-independence guarantee).  certificate is the accepted
     ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
-    sample pairs drawn to reach it.  Neither the trivial action's KLT nor a
-    character basis draws a sample (None and 0): the character basis is
-    proved by the exact integer translation check instead.
+    sample pairs drawn to reach it.  The trivial action's KLT and the
+    semidirect route draw no sample (None and 0): the semidirect route is
+    proved by exact integer checks instead.  The wreath route's proof is
+    exact too; it reports the largest certificate and the total attempts
+    of the factors that were sampled, None and 0 when none was.
     """
 
     transform: UnitaryTransform
@@ -576,8 +623,7 @@ def _norm(re: np.ndarray, im) -> float:
     return float(np.hypot(np.linalg.norm(re), 0.0 if im is None else np.linalg.norm(im)))
 
 
-def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
-                          attempt: int):
+def _certified_eigenbasis(name: str, orbits, classes: int, seed: int, attempt: int):
     """One attempt of synthesize_matched: the certificate ratio, R1's
     ascending eigenvalues and the rows of U^T in that order, or None when U
     does not diagonalize R2 but the two samples commute.  Each sample is
@@ -615,62 +661,156 @@ def _certified_eigenbasis(action: GroupAction, orbits, classes: int, seed: int,
     comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
     if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
         raise NotMultiplicityFreeError(
-            f"action {action.name} has a non-commutative commutant"
+            f"action {name} has a non-commutative commutant"
         )
     return None
 
 
-def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
-    """synthesize_matched's sampled route, for any non-trivial action."""
-    orbits = pair_orbits(action)
+def _cluster_labels(sizes) -> tuple:
+    return tuple(f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size))
+
+
+def _sampled(orbits, seed: int, name: str) -> tuple:
+    """The sampled route: see synthesize_matched.  Returns (U, eigenspace
+    sizes in column order, certificate, attempts, labels), labels a
+    function that makes the column labels."""
     classes = orbits.transpose_class_count()
     for attempt in range(5):
-        found = _certified_eigenbasis(action, orbits, classes, seed, attempt)
+        found = _certified_eigenbasis(name, orbits, classes, seed, attempt)
         if found is None:
             continue
         ratio, values, ut = found
+        _check_unitary(ut.T)
         # orbit_count <= M here: the certificate means a multiplicity-free action
         sizes = _gap_cut(values, orbits.orbit_count)
-        labels = tuple(
-            f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size)
-        )
-        transform = UnitaryTransform(ut.T, action.name, labels)
-        return SynthesizedBasis(
-            transform, tuple(sorted(sizes.tolist())), False, ratio, attempt + 1
-        )
+        return ut.T, sizes, ratio, attempt + 1, lambda: _cluster_labels(sizes)
     raise DegenerateSampleError(
-        f"could not certify a stable cluster structure for {action.name} after 5 samples"
+        f"could not certify a stable cluster structure for {name} after 5 samples"
     )
+
+
+def _semidirect(images: list, m: int):
+    """The semidirect route, or None: the characters of A, grouped by the
+    orbits of H (`_affine_coordinates`, `_character_orbits`), orbits in
+    order of their smallest character and characters ascending within
+    each, filled in that order."""
+    found = _affine_coordinates(images, m)
+    if found is None:
+        return None
+    coords, d, linear = found
+    smallest = _character_orbits(d, linear)
+    order = np.argsort(smallest, kind="stable")
+    number = (np.cumsum(smallest == np.arange(m)) - 1)[smallest]
+
+    def labels():
+        chars, orbit = np.indices(d).reshape(len(d), -1).T.tolist(), number.tolist()
+        return tuple(f"char=({','.join(map(str, chars[k]))}),orbit={orbit[k]}"
+                     for k in order.tolist())
+
+    return _characters(coords, d, order), np.bincount(number), None, 0, labels
+
+
+def _wreath_or_sampled(images: list, orbits, seed: int, name: str) -> tuple:
+    """The wreath route on the pair-orbit partition orbits() gives, else the
+    sampled route on it.  `_imprimitive_factors` splits the action into its
+    block action K and block stabilizer H, each factor takes its own route
+    (`_matched`), and `_wreath_recurse` composes their bases; the partition
+    is dropped once split, before the M x M result is built.  The
+    eigenspaces are K's, then b copies of each of H's but the constant
+    one."""
+    partition = orbits()
+    split = _imprimitive_factors(images, partition)
+    if split is None:
+        return _sampled(partition, seed, name)
+    del partition
+    points, k_images, k_orbits, h_images, h_orbits = split
+    b, w = points.shape
+    top, top_sizes, top_ratio, top_attempts, _ = _matched(
+        k_images, b, lambda: k_orbits, seed, name)
+    inner, inner_sizes, inner_ratio, inner_attempts, _ = _matched(
+        h_images, w, lambda: h_orbits, seed, name)
+    del split, k_images, k_orbits, h_images, h_orbits
+    # the constant vector is the one column of H's basis off every other;
+    # it goes first, then H's other eigenspaces in order
+    const = int(np.argmax(np.abs(inner.sum(axis=0))))
+    ends = np.cumsum(inner_sizes)
+    others = [np.arange(end - size, end) for size, end in zip(inner_sizes, ends)
+              if not end - size <= const < end]
+    inner = inner[:, np.concatenate([[const]] + others)]
+    starts = 1 + np.cumsum([0] + [g.size for g in others])
+    groups = [np.arange(at, at + g.size) for at, g in zip(starts, others)]
+    u = _wreath_recurse(top, inner, groups, points)
+    sizes = np.concatenate([top_sizes, [b * g.size for g in groups]]).astype(np.int64)
+    ratios = [r for r in (top_ratio, inner_ratio) if r is not None]
+    return (u, sizes, max(ratios, default=None), top_attempts + inner_attempts,
+            lambda: _cluster_labels(sizes))
+
+
+def _matched(images: list, m: int, orbits, seed: int, name: str) -> tuple:
+    """The first of the semidirect, wreath and sampled routes that applies
+    to the action the image arrays generate; orbits() gives its pair-orbit
+    partition, called only once the semidirect route has failed.  Returns
+    (U, eigenspace sizes in column order, certificate, attempts, labels)."""
+    return _semidirect(images, m) or _wreath_or_sampled(images, orbits, seed, name)
+
+
+def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
+    # every route's basis is unitary by construction or Gram-checked where
+    # it was sampled, a factor at a time
+    u, sizes, certificate, attempts, labels = found
+    return SynthesizedBasis(UnitaryTransform._from_trusted(u, name, labels()),
+                            tuple(sorted(sizes.tolist())), False, certificate, attempts)
+
+
+def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
+    """synthesize_matched's sampled route, for any non-trivial action."""
+    return _synthesized(action.name, _sampled(pair_orbits(action), seed, action.name))
 
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """The matched basis of a multiplicity-free action: a U that diagonalizes
-    every invariant matrix.  Three routes, tried in this order.
+    every invariant matrix.  Four routes, tried in this order; the first
+    three build U with no sample and no eigensolve.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
 
-    A regular abelian action (cyclic, boolean, products of cyclic groups, on
-    any numbering of the points) gets its character table (`_characters`,
-    the one dft_matrix and wht_matrix are built from, so cyclic:m gives
-    dft_matrix(m)): no sample, no eigensolve, no Gram check, pattern
-    (1,) * M, labels char=(k1,...), certificate None and 0 attempts.  The
-    proof is not a sample but the exact integer check in
-    `_regular_abelian_coordinates` that every generator is a translation of
-    A = Z_d1 + ... + Z_dn; any other action fails it in O(kM) integer work
-    and is sampled.
+    The semidirect route takes an affine action A x| H on any numbering of
+    the points: A regular abelian with coordinates c in
+    Z_d1 + ... + Z_dn, and every generator g acting as
+    c(g(p)) = L_g c(p) + c(g(0)) mod d (`_affine_coordinates`).  Its
+    commutant is the H-invariant convolutions on A, so every such action is
+    multiplicity-free, and its eigenspaces are the spans of the H-orbits on
+    A's characters (`_character_orbits`).  U is the character table
+    (`_characters`, the one dft_matrix and wht_matrix are built from) with
+    its columns grouped by orbit, labels char=(k1,...),orbit=o, and the
+    pattern is the orbit sizes.  H = 1 is the regular abelian case (cyclic,
+    boolean, products of cyclic groups): cyclic:m gives dft_matrix(m)
+    byte for byte.  A is proposed from the generators and their products in
+    pairs; the proof is not a sample but exact integer checks, and an
+    action that fails them costs O(kM) integer work.
+
+    The wreath route takes an imprimitive action whose orbitals are those
+    of H wr K, with K its action on a block system and H the block
+    stabilizer's action on one block (`_imprimitive_factors`): the check is
+    the integer equality orbit_count = rank(H) + rank(K) - 1 on the pair
+    orbits.  Each factor takes its own route (semidirect, wreath or
+    sampled), on generators and pair orbits read off the action's, and
+    `_wreath_recurse` composes the two bases as wreath_matrix does.  Labels
+    are cluster=c,col=i with c numbering the eigenspaces in column order.
 
     Otherwise U is the eigenbasis of a generic invariant matrix R1,
     certified data-independent against a second one, R2 (`_sampled_basis`).
     Each draw takes one seeded coefficient per pair orbit (`_draw`), on a
-    partition computed once per call.  U is found in real arithmetic.
+    partition computed once per call and shared with the wreath route.  U
+    is found in real arithmetic.
     Permutations are real, so Re R1 is invariant too, and the real
     symmetric invariant matrices form a commutative algebra whose dimension
     s is the number of classes {o, o^T} of pair orbits.  The real eigensolve
     of Re R1 (V) has s eigenspaces; each is an eigenspace of R1 or the sum
     of one and its conjugate.  When every orbit is its own transpose
-    (s == orbit_count, the self-paired case: boolean, dyadic-wreath,
-    dihedral, ...) both draws are real and U = V.  Otherwise Re R1's
+    (s == orbit_count, the self-paired case) both draws are real and U = V.
+    Otherwise Re R1's
     spectrum is cut into s clusters at its s - 1 widest gaps, each cluster
     of size d > 1 is resolved by a d x d Hermitian block
     (`_conjugate_blocks`), and the columns are sorted by R1's eigenvalue.
@@ -684,7 +824,7 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     by accident and a fresh pair is drawn, at most 5 attempts.  An accepted
     U's columns are split into exactly orbit_count clusters (the
     commutant's dimension) at the widest gaps of R1's spectrum; they give
-    the labels and degeneracy_pattern.
+    the labels cluster=c,col=i and degeneracy_pattern.
     """
     if all(g.is_identity() for g in action.generators):
         eig = herm_eig(random_psd(action.degree, seed))
@@ -693,12 +833,6 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             tuple(f"klt={k}" for k in range(action.degree)),
         )
         return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
-    found = _regular_abelian_coordinates([g.as_array() for g in action.generators],
-                                         action.degree)
-    if found is not None:
-        coords, d = found
-        labels = tuple("char=(" + ",".join(map(str, k)) + ")"
-                       for k in np.indices(d).reshape(len(d), -1).T.tolist())
-        transform = UnitaryTransform._from_trusted(_characters(coords, d), action.name, labels)
-        return SynthesizedBasis(transform, (1,) * action.degree, False, None, 0)
-    return _sampled_basis(action, seed)
+    images = [g.as_array() for g in action.generators]
+    return _synthesized(action.name, _matched(images, action.degree,
+                                              lambda: pair_orbits(action), seed, action.name))

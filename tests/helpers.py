@@ -1,7 +1,8 @@
 """Shared oracles for the test suite: brute-force group facts computed
 without the library's own search machinery, a loop-by-loop reference for
-subspace_match's clustering and column assignment, and a reference for
-discovery's refinement that signs both rows and columns."""
+subspace_match's clustering and column assignment, a reference for
+discovery's refinement that signs both rows and columns, a scalar
+reference for the rng stream, and actions outside the catalog families."""
 
 import itertools
 
@@ -97,6 +98,109 @@ def relabel(action, seed: int):
         images[s] = s[g.as_array()]
         gens.append(Permutation(images))
     return from_generators(gens, f"relabel({action.name},{seed})")
+
+
+def random_action(m: int, k: int, seed: int):
+    """k seeded random permutations of S_m as an action."""
+    rng = np.random.default_rng(seed)
+    gens = [Permutation(rng.permutation(m)) for _ in range(k)]
+    return from_generators(gens, f"random({m},{k},{seed})")
+
+
+def affine_line(p: int, root: int):
+    """AGL(1, p) on Z_p: x -> x + 1 and x -> root * x, root a primitive root."""
+    x = np.arange(p)
+    return from_generators([Permutation((x + 1) % p), Permutation(root * x % p)],
+                           f"AGL(1,{p})")
+
+
+def hamming_action(n: int):
+    """(Z_2)^n x| S_n on 2^n points: every bit flip j -> j XOR 2^l and the
+    transpositions of adjacent bits."""
+    j = np.arange(1 << n)
+    gens = [j ^ (1 << l) for l in range(n)]
+    for l in range(n - 1):
+        differ = ((j >> l) ^ (j >> (l + 1))) & 1
+        gens.append(j ^ (differ * (3 << l)))
+    return from_generators([Permutation(g) for g in gens], f"hamming:{n}")
+
+
+def johnson_action(n: int):
+    """S_n on the 2-subsets of {0..n-1} (the Johnson scheme J(n, 2)),
+    generated by a transposition and an n-cycle."""
+    pairs = list(itertools.combinations(range(n), 2))
+    index = {p: i for i, p in enumerate(pairs)}
+    gens = []
+    for images in ([1, 0] + list(range(2, n)), list(range(1, n)) + [0]):
+        gens.append(Permutation([index[tuple(sorted((images[a], images[b])))]
+                                 for a, b in pairs]))
+    return from_generators(gens, f"J({n},2)")
+
+
+def pair_orbit_labels(action) -> np.ndarray:
+    """Orbit label of every ordered pair, by a breadth-first flood fill
+    over the pairs in pure Python: (i, j) is joined to (g(i), g(j)) for
+    every generator g.  Labels number the orbits by first appearance in a
+    row-major scan."""
+    m = action.degree
+    images = [g.images for g in action.generators]
+    label = [[-1] * m for _ in range(m)]
+    count = 0
+    for i in range(m):
+        for j in range(m):
+            if label[i][j] >= 0:
+                continue
+            label[i][j] = count
+            queue = [(i, j)]
+            for a, b in queue:
+                for g in images:
+                    if label[g[a]][g[b]] < 0:
+                        label[g[a]][g[b]] = count
+                        queue.append((g[a], g[b]))
+            count += 1
+    return np.array(label, dtype=np.int64)
+
+
+def orbitals_commute(labels: np.ndarray) -> bool:
+    """The orbital indicator matrices A_o = [labels == o] commute pairwise,
+    checked in int64."""
+    count = int(labels.max()) + 1
+    mats = [(labels == o).astype(np.int64) for o in range(count)]
+    return all(np.array_equal(a @ b, b @ a) for a in mats for b in mats)
+
+
+_MASK64 = (1 << 64) - 1
+
+
+def reference_splitmix64(seed: int, count: int) -> list:
+    """splitmix64's first `count` outputs, one Python int at a time."""
+    state, out = seed & _MASK64, []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & _MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+def reference_xoshiro(state: list, steps: int) -> list:
+    """xoshiro256**'s first `steps` outputs from the four state words, one
+    Python int at a time."""
+    def rotl(x, k):
+        return ((x << k) | (x >> (64 - k))) & _MASK64
+
+    s0, s1, s2, s3 = state
+    out = []
+    for _ in range(steps):
+        out.append((rotl((s1 * 5) & _MASK64, 7) * 9) & _MASK64)
+        t = (s1 << 17) & _MASK64
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = rotl(s3, 45)
+    return out
 
 
 def compose(a, b):

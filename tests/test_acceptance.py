@@ -30,6 +30,7 @@ from matched_transforms import (
     make_dihedral,
     make_dyadic_wreath,
     make_hybrid,
+    make_product,
     make_trivial,
     pair_orbits,
     random_psd,
@@ -185,15 +186,21 @@ def test_criterion_8_property_suites():
     assert is_invariant(r, make_cyclic(5), tol=1e-12)
 
     # multiplicity-free certificate outcomes (synthesize_matched's commutator);
-    # cyclic:8 takes the character route, while hybrid:4,3, a paired
-    # non-abelian action, takes the sampled route with its certificate and
-    # conjugate blocks
+    # cyclic:8 takes the semidirect route and hybrid:4,3 the wreath route,
+    # both proved without a sample, while hybrid:4,3 x cyclic:3, a paired
+    # non-abelian product with a wreath factor, takes the sampled route with
+    # its certificate and conjugate blocks
     padded = from_generators([Permutation((1, 0, 2, 3))], "padded-swap")
     hybrid = make_hybrid(4, 3)
+    sampled = make_product(hybrid, make_cyclic(3))
     for seed in (1, 2):
         assert not synthesize_matched(make_cyclic(8), seed).data_dependent
-        assert not synthesize_matched(hybrid, seed).data_dependent
+        exact = synthesize_matched(hybrid, seed)
+        assert not exact.data_dependent and exact.attempts == 0
         assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
+        certified = synthesize_matched(sampled, seed)
+        assert not certified.data_dependent and certified.attempts >= 1
+        assert certified.certificate <= 1e-8
         with pytest.raises(NotMultiplicityFreeError):
             synthesize_matched(padded, seed)
 
@@ -203,10 +210,11 @@ def test_criterion_8_property_suites():
     probe_cov = sample_invariant_cov(make_cyclic(6), seed=300)
     assert subspace_match(probe_cov, b1.transform).min_match >= 1.0 - 1e-8
     assert subspace_match(probe_cov, b2.transform).min_match >= 1.0 - 1e-8
-    h1 = synthesize_matched(hybrid, seed=11)
-    h2 = synthesize_matched(hybrid, seed=12)
-    probe_cov = sample_invariant_cov(hybrid, seed=300)
-    assert subspace_match(probe_cov, h1.transform).min_match >= 1.0 - 1e-8
-    assert subspace_match(probe_cov, h2.transform).min_match >= 1.0 - 1e-8
+    for action in (hybrid, sampled):
+        h1 = synthesize_matched(action, seed=11)
+        h2 = synthesize_matched(action, seed=12)
+        probe_cov = sample_invariant_cov(action, seed=300)
+        assert subspace_match(probe_cov, h1.transform).min_match >= 1.0 - 1e-8
+        assert subspace_match(probe_cov, h2.transform).min_match >= 1.0 - 1e-8
 
     report(8, "unitarity, Reynolds, hand values, rotation/nesting, multiplicity-free check, synthesis")

@@ -496,8 +496,12 @@ class TestSynthesize:
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("spec, certified", [
-        ("hybrid:4,3", True), ("dyadic-wreath:3", True), ("trivial:4", False),
-        ("cyclic:8", False),
+        # sampled: a primitive action, a product with a wreath factor, and
+        # the wreath route with a sampled factor (S_4 on the blocks)
+        ("wreath:5s", True), ("product:(dyadic-wreath:3,cyclic:3)", True), ("hybrid:3,4", True),
+        # no sample: the wreath route with exact factors, the semidirect route
+        ("hybrid:4,3", False), ("dyadic-wreath:3", False), ("dihedralM:8", False),
+        ("trivial:4", False), ("cyclic:8", False),
     ])
     def test_certificate_text_json_parity(self, tmp_path, capsys, spec, certified):
         out = str(tmp_path / "basis.mtx")
@@ -512,8 +516,9 @@ class TestSynthesize:
             assert doc["certificate"] == text["certificate"] == f"{basis.certificate:.3e}"
             assert 0.0 <= float(doc["certificate"]) <= 1e-8 and basis.attempts >= 1
         else:
-            # neither the trivial action's KLT nor a character basis
-            # (proved by its integer translation check) carries a ratio
+            # neither the trivial action's KLT nor a basis proved by exact
+            # integer checks (semidirect, or wreath with exact factors)
+            # carries a ratio
             assert doc["certificate"] is None and text["certificate"] == "-"
             assert basis.attempts == 0
 

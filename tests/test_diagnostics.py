@@ -272,8 +272,9 @@ class TestSubspaceMatch:
 
 class TestMultiplicityFreeProbe:
     """synthesize_matched's multiplicity-free certificate: invariant
-    samples of the action must commute.  Cyclic actions take the character
-    route in synthesize_matched, so their cases call the sampled route."""
+    samples of the action must commute.  Cyclic, dihedral and dyadic-wreath
+    actions take the semidirect and wreath routes in synthesize_matched, so
+    their cases call the sampled route."""
 
     def test_cyclic8_true(self):
         for seed in (1, 2):
@@ -281,11 +282,11 @@ class TestMultiplicityFreeProbe:
 
     def test_dyadic_wreath3_true(self):
         for seed in (1, 2):
-            assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
+            assert not _sampled_basis(make_dyadic_wreath(3), seed).data_dependent
 
     def test_dihedral_on_2m_true(self):
         for seed in (3, 4):
-            assert not synthesize_matched(make_dihedral(4), seed).data_dependent
+            assert not _sampled_basis(make_dihedral(4), seed).data_dependent
 
     def test_padded_swap_false(self):
         act = from_generators([Permutation((1, 0, 2, 3))], "swap-x-trivial")

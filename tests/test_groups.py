@@ -26,13 +26,17 @@ from matched_transforms import (
 )
 
 from matched_transforms.groups import (
+    _affine_coordinates,
+    _character_orbits,
     _hook_and_compress,
+    _imprimitive_factors,
     _regular_abelian_coordinates,
     _smith_form,
 )
 
 from helpers import (
-    catalog_actions, closure_set, compose, is_invariant, permutation_matrix, relabel,
+    affine_line, catalog_actions, closure_set, compose, hamming_action, is_invariant,
+    johnson_action, permutation_matrix, relabel,
 )
 
 CATALOG = catalog_actions()
@@ -611,6 +615,124 @@ class TestRegularAbelianCoordinates:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+
+
+def images_of(action) -> list:
+    return [g.as_array() for g in action.generators]
+
+
+class TestAffineCoordinates:
+    """The semidirect route's proof, checked against enumerated closures."""
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed)
+        for spec in ("dihedral:4", "dihedralM:5", "dihedralM:8", "cyclic:12",
+                     "product:(cyclic:3,dihedralM:4)", "product:(boolean:2,dihedral:3)")
+        for seed in (None, 1, 2)
+    ] + [affine_line(7, 3), affine_line(11, 2), hamming_action(3), relabel(hamming_action(3), 1)],
+        ids=lambda a: a.name)
+    def test_every_element_is_affine(self, action):
+        m = action.degree
+        coords, d, linear = _affine_coordinates(images_of(action), m)
+        d = np.array(d)
+        assert int(np.prod(d)) == m and not coords[0].any()
+        assert len({tuple(c) for c in coords.tolist()}) == m
+        elements = closure_set(action)
+        # every translation of A is in the group, and every element is
+        # affine: x(p) has coordinates L c(p) + c(x(0)), L from the units
+        perms = {p.as_array().tobytes() for p in elements}
+        at = {tuple(c): p for p, c in enumerate(coords.tolist())}
+        for shift in coords:
+            t = np.array([at[tuple((c + shift) % d)] for c in coords.tolist()])
+            assert t.tobytes() in perms
+        units = [at[tuple(e)] for e in np.eye(d.size, dtype=np.int64).tolist()]
+        for x in elements:
+            x = x.as_array()
+            lin = (coords[x[units]] - coords[x[0]]) % d
+            assert np.array_equal((coords @ lin + coords[x[0]]) % d, coords[x])
+        # |G| = |A| |H|, H the linear parts' closure
+        assert len(elements) % m == 0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_character_orbits_of_the_hamming_scheme(self, n):
+        # S_n permutes the bits of the characters: an orbit per weight,
+        # named by its smallest character
+        coords, d, linear = _affine_coordinates(images_of(hamming_action(n)), 1 << n)
+        smallest = _character_orbits(d, linear)
+        k = np.arange(1 << n)
+        weight = np.bitwise_count(k)
+        assert np.array_equal(smallest, (1 << weight) - 1)
+
+    @pytest.mark.parametrize("action", [
+        johnson_action(5), parse_group_spec("hybrid:4,3"), parse_group_spec("wreath:5s"),
+        parse_group_spec("dyadic-wreath:3"), parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
+        parse_group_spec("product:(cyclic:4,trivial:2)"), parse_group_spec("trivial:4"),
+    ], ids=lambda a: a.name)
+    def test_rejects_other_actions(self, action):
+        assert _affine_coordinates(images_of(action), action.degree) is None
+
+    @pytest.mark.parametrize("spec", ["dyadic-wreath:12", "hybrid:64,64"])
+    def test_rejection_builds_no_m_by_m_array(self, spec):
+        act = parse_group_spec(spec)
+        images = images_of(act)
+        tracemalloc.start()
+        try:
+            assert _affine_coordinates(images, act.degree) is None
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+
+class TestImprimitiveFactors:
+    """The wreath route's proof and factors, checked against each factor's
+    own pair orbits."""
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed)
+        for spec in ("dyadic-wreath:3", "dyadic-wreath:6", "wreath:3s,2c", "wreath:4c,3c",
+                     "wreath:2s,4c", "hybrid:4,3", "hybrid:3,4", "wreath:3c,2s,3c")
+        for seed in (None, 1, 2)
+    ], ids=lambda a: a.name)
+    def test_factors(self, action):
+        orbits = pair_orbits(action)
+        points, k_images, k_orbits, h_images, h_orbits = _imprimitive_factors(
+            images_of(action), orbits)
+        b, w = points.shape
+        assert np.array_equal(np.sort(points.ravel()), np.arange(action.degree))
+        assert points[0, 0] == 0 and np.all(np.diff(points[0]) > 0)
+        # every generator maps blocks onto blocks, and the orbitals are
+        # those of H wr K
+        blocks = {frozenset(r) for r in points.tolist()}
+        for g in images_of(action):
+            assert {frozenset(r) for r in g[points].tolist()} == blocks
+        assert orbits.orbit_count == k_orbits.orbit_count + h_orbits.orbit_count - 1
+        # the partitions read off orbit_id are the factors' own pair orbits
+        for images, derived, n in ((k_images, k_orbits, b), (h_images, h_orbits, w)):
+            own = pair_orbits(from_generators([Permutation(x) for x in images], "factor"))
+            assert own.degree == derived.degree == n
+            assert own.orbit_count == derived.orbit_count
+            assert np.array_equal(own.orbit_id, derived.orbit_id)
+            assert np.array_equal(own.transpose, derived.transpose)
+
+    @pytest.mark.parametrize("spec, width", [
+        ("dyadic-wreath:4", 2), ("hybrid:4,3", 4), ("wreath:2s,4c", 4), ("hybrid:6,3", 6),
+    ])
+    def test_finest_block_system_that_passes(self, spec, width):
+        # hybrid:4,3 and wreath:2s,4c have blocks of 2 inside their blocks
+        # of 4, which fail the rank count
+        act = parse_group_spec(spec)
+        points = _imprimitive_factors(images_of(act), pair_orbits(act))[0]
+        assert points.shape[1] == width
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("dihedral:6"), parse_group_spec("dihedralM:12"),
+        parse_group_spec("cyclic:12"), parse_group_spec("boolean:4"), johnson_action(6),
+        parse_group_spec("product:(dyadic-wreath:2,cyclic:3)"),
+        parse_group_spec("product:(cyclic:3,trivial:2)"), parse_group_spec("wreath:5s"),
+    ], ids=lambda a: a.name)
+    def test_rejects_other_actions(self, action):
+        assert _imprimitive_factors(images_of(action), pair_orbits(action)) is None
 
 
 class TestReynolds:

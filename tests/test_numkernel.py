@@ -9,10 +9,35 @@ from matched_transforms import (
     herm_eig,
     random_psd,
 )
+from matched_transforms.numkernel import _check_hermitian
 from matched_transforms.rng import _splitmix64, _xoshiro_outputs, normal_rows
+
+from helpers import reference_splitmix64, reference_xoshiro
 
 
 class TestHermEig:
+    @pytest.mark.parametrize("m", [1, 3, 64, 129])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_symmetrized_exactly(self, m, dtype):
+        # the row blocks give (a + a*) / 2 bit for bit, as one whole-matrix
+        # expression does
+        rng = np.random.default_rng(m)
+        a = rng.normal(size=(m, m)) + (1j * rng.normal(size=(m, m)) if dtype is np.complex128 else 0)
+        a = a + a.conj().T + 1e-12 * rng.normal(size=(m, m))
+        assert _check_hermitian(a).tobytes() == ((a + a.conj().T) / 2.0).tobytes()
+
+    def test_check_peak_memory(self):
+        # 16 MiB of input: the result is the one M x M temporary (the whole
+        # expression held the adjoint, the difference and its modulus too)
+        a = random_psd(1024, 3)
+        tracemalloc.start()
+        try:
+            _check_hermitian(a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * a.nbytes
+
     def test_diagonal(self):
         res = herm_eig(np.diag([2.0, 1.0]))
         assert np.allclose(res.values, [1.0, 2.0])
@@ -132,6 +157,22 @@ class TestNormalRows:
         expected[:, 0::2] = r * np.cos(theta)
         expected[:, 1::2] = r * np.sin(theta)
         assert normal_rows(seed, rows, count).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("seed, lanes, steps", [
+        (0, 1, 1), (1, 3, 8), (2**64 - 1, 5, 17), (-7, 4, 33), (12345, 16, 64),
+    ])
+    def test_stream_matches_scalar_reference(self, seed, lanes, steps):
+        # the vectorized splitmix64 and the lockstep xoshiro256** lanes
+        # against the generators written one Python int at a time
+        states = _splitmix64(seed, 4 * lanes)
+        assert states.tolist() == reference_splitmix64(seed, 4 * lanes)
+        words = states.reshape(lanes, 4).tolist()
+        out = _xoshiro_outputs(states.reshape(lanes, 4), steps)
+        assert out.shape == (lanes, steps)
+        # the lanes' state words are the function's own: the input is unchanged
+        assert states.reshape(lanes, 4).tolist() == words
+        for lane in range(lanes):
+            assert out[lane].tolist() == reference_xoshiro(words[lane], steps)
 
     def test_peak_memory(self):
         # 16 MiB of output: the raw draws are freed before the float buffer

@@ -27,6 +27,7 @@ from matched_transforms import (
     make_boolean,
     make_cyclic,
     make_dyadic_wreath,
+    make_product,
     make_trivial,
     make_wreath,
     normal_rows,
@@ -46,7 +47,18 @@ from matched_transforms import (
 from matched_transforms import transforms
 from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed, _draw
 
-from helpers import catalog_actions, closure_set, det_exact, relabel
+from helpers import (
+    affine_line,
+    catalog_actions,
+    closure_set,
+    det_exact,
+    hamming_action,
+    johnson_action,
+    orbitals_commute,
+    pair_orbit_labels,
+    random_action,
+    relabel,
+)
 
 
 def unitarity_error(u):
@@ -489,12 +501,13 @@ class TestSynthesize:
         "boolean:9",
     ])
     def test_self_paired_basis_is_real(self, spec):
-        # every orbit is its own transpose, so the basis is the real
-        # eigenvectors of Re R1
+        # every orbit is its own transpose, so the sampled route's basis is
+        # the real eigenvectors of Re R1 (synthesize_matched takes the
+        # semidirect or wreath route on these actions)
         action = parse_group_spec(spec)
         orbits = pair_orbits(action)
         assert orbits.transpose_class_count() == orbits.orbit_count
-        basis = synthesize_matched(action, seed=3)
+        basis = transforms._sampled_basis(action, seed=3)
         assert not basis.transform.matrix.imag.any()
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
@@ -534,8 +547,8 @@ class TestSynthesize:
     def test_certificate_is_the_two_sided_ratio(self, action):
         # R2 drawn again from the accepted attempt's seed; the two-sided
         # ratio is formed from the full complex product U* R2 U.  The
-        # sampled route is called directly: abelian actions take the
-        # character route in synthesize_matched
+        # sampled route is called directly: affine and wreath actions take
+        # the semidirect and wreath routes in synthesize_matched
         if all(g.is_identity() for g in action.generators):
             basis = synthesize_matched(action, seed=11)
             assert basis.certificate is None and basis.attempts == 0
@@ -783,7 +796,7 @@ class TestCharacterRoute:
         if m == 1:
             assert basis.data_dependent
             return
-        assert basis.transform.column_labels == tuple(f"char=({k})" for k in range(m))
+        assert basis.transform.column_labels == tuple(f"char=({k}),orbit={k}" for k in range(m))
         u, f = basis.transform.matrix, dft_matrix(m).matrix
         assert np.array_equal(u, f) and u.tobytes() == f.tobytes()
         assert np.allclose(u[:, -np.arange(m) % m], f.conj(), atol=1e-15)
@@ -803,12 +816,162 @@ class TestCharacterRoute:
     @given(generator_sets())
     @settings(max_examples=150, deadline=None)
     def test_route_taken_iff_abelian_and_transitive(self, action):
+        # the semidirect route with H = 1: every orbit one character
         try:
             basis = synthesize_matched(action, seed=2)
         except NotMultiplicityFreeError:
             basis = None
-        taken = basis is not None and not basis.data_dependent and basis.attempts == 0
+        taken = (basis is not None and not basis.data_dependent
+                 and basis.transform.column_labels[0].startswith("char=(")
+                 and basis.degeneracy_pattern == (1,) * action.degree)
         assert taken == is_abelian_and_transitive(action)
+
+
+def refuse(*args):
+    raise AssertionError("sampled or eigensolved on an exact route")
+
+
+def relabelled(actions):
+    """Each action, then its relabel copies with seeds 1 and 2."""
+    return [a if seed is None else relabel(a, seed) for a in actions for seed in (None, 1, 2)]
+
+
+class TestSemidirectRoute:
+    """Affine actions A x| H get A's characters grouped by the H-orbits,
+    with no sample and no eigensolve; the sampled route is the oracle."""
+
+    @pytest.mark.parametrize("action", relabelled([
+        parse_group_spec("dihedral:4"), parse_group_spec("dihedralM:5"),
+        parse_group_spec("dihedralM:8"), parse_group_spec("dihedral:128"),
+        parse_group_spec("dihedralM:256"), parse_group_spec("product:(cyclic:5,dihedralM:4)"),
+        parse_group_spec("product:(dihedralM:4,dihedralM:6)"),
+        parse_group_spec("product:(boolean:2,dihedral:3)"),
+        affine_line(7, 3), affine_line(13, 2), affine_line(31, 3),
+        hamming_action(3), hamming_action(4),
+    ]), ids=lambda a: a.name)
+    def test_oracles(self, action, monkeypatch):
+        sampled = transforms._sampled_basis(action, seed=3)
+        for name in ("_draw", "pair_orbits", "herm_eig"):
+            monkeypatch.setattr(transforms, name, refuse)
+        basis = synthesize_matched(action, seed=3)
+        assert basis.certificate is None and basis.attempts == 0
+        assert not basis.data_dependent
+        assert basis.degeneracy_pattern == sampled.degeneracy_pattern
+        assert all(l.startswith("char=(") for l in basis.transform.column_labels)
+        assert transforms._gram_error(basis.transform.matrix) <= 1e-10
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @pytest.mark.parametrize("m", [5, 8, 64])
+    def test_dihedral_columns_are_dft_columns_paired(self, m):
+        # H = {1, -1}: the orbits are {k, -k}, in order of their smallest
+        # character, each filled from the DFT's own table
+        basis = synthesize_matched(parse_group_spec(f"dihedralM:{m}"), seed=1)
+        order = [k for j in range(m // 2 + 1) for k in sorted({j, -j % m})]
+        labels = [f"char=({k}),orbit={min(k, m - k)}" for k in order]
+        assert basis.transform.column_labels == tuple(labels)
+        assert basis.transform.matrix.tobytes() == dft_matrix(m).matrix[:, order].tobytes()
+
+    def test_hamming_orbits_are_weights(self):
+        # S_n permutes the characters' bits: one orbit per Hamming weight
+        basis = synthesize_matched(hamming_action(5), seed=1)
+        assert basis.degeneracy_pattern == (1, 1, 5, 5, 10, 10)
+
+    @pytest.mark.parametrize("action", [
+        johnson_action(6), parse_group_spec("hybrid:4,3"), parse_group_spec("wreath:5s"),
+        parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
+    ], ids=lambda a: a.name)
+    def test_other_actions_fall_through(self, action):
+        assert not synthesize_matched(action, seed=1).transform.column_labels[0].startswith("char=")
+
+
+class TestWreathRoute:
+    """Imprimitive actions whose orbitals are those of H wr K get the
+    wreath rule's composition of their factors' bases; the sampled route
+    is the oracle."""
+
+    @pytest.mark.parametrize("action", relabelled([
+        parse_group_spec(spec) for spec in (
+            "dyadic-wreath:3", "dyadic-wreath:5", "dyadic-wreath:8", "wreath:3s,2c",
+            "wreath:4c,3c", "wreath:2s,4c", "wreath:4s,4c,4c", "wreath:4c,4c,4c,4c",
+            "hybrid:4,3", "hybrid:3,4", "hybrid:8,8", "hybrid:16,16")
+    ]), ids=lambda a: a.name)
+    def test_oracles(self, action, monkeypatch):
+        sampled = transforms._sampled_basis(action, seed=3)
+        calls = []
+
+        def counted(act):
+            calls.append(act.name)
+            return pair_orbits(act)
+
+        monkeypatch.setattr(transforms, "pair_orbits", counted)
+        basis = synthesize_matched(action, seed=3)
+        assert calls == [action.name]
+        assert basis.degeneracy_pattern == sampled.degeneracy_pattern
+        assert all(l.startswith("cluster=") for l in basis.transform.column_labels)
+        assert transforms._gram_error(basis.transform.matrix) <= 1e-10
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+        if basis.attempts == 0:
+            # every factor took an exact route: nothing was sampled
+            assert basis.certificate is None
+            monkeypatch.setattr(transforms, "_draw", refuse)
+            monkeypatch.setattr(transforms, "herm_eig", refuse)
+            again = synthesize_matched(action, seed=3)
+            assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
+        else:
+            assert 0.0 <= basis.certificate <= transforms.DIAGONAL_TOL
+
+    @pytest.mark.parametrize("spec, attempts", [
+        ("dyadic-wreath:4", 0), ("hybrid:4,3", 0), ("hybrid:3,4", 1), ("wreath:5s,2c", 1),
+    ])
+    def test_a_sampled_factor_reports_its_certificate(self, spec, attempts):
+        basis = synthesize_matched(parse_group_spec(spec), seed=3)
+        assert basis.attempts == attempts
+        assert (basis.certificate is None) == (attempts == 0)
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("dihedral:6"), johnson_action(6), parse_group_spec("wreath:5s"),
+        parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
+        make_product(parse_group_spec("wreath:3s,2c"), parse_group_spec("cyclic:2")),
+    ], ids=lambda a: a.name)
+    def test_other_actions_fall_through(self, action):
+        # dihedral:m is imprimitive, but its orbitals are not those of a
+        # wreath product; it takes the semidirect route instead
+        basis = synthesize_matched(action, seed=1)
+        label = basis.transform.column_labels[0]
+        assert label.startswith("char=") or basis.attempts >= 1
+
+
+@st.composite
+def random_actions(draw):
+    return random_action(draw(st.integers(2, 7)), draw(st.integers(1, 3)),
+                         draw(st.integers(0, 2**32 - 1)))
+
+
+class TestRandomActions:
+    """Random generating sets, outside every catalog family."""
+
+    @given(random_actions())
+    @settings(max_examples=80, deadline=None)
+    def test_routes_agree_with_the_sampled_route(self, action):
+        # NotMultiplicityFreeError exactly when the orbital indicator
+        # matrices, from a pure-Python flood fill, do not commute
+        if all(g.is_identity() for g in action.generators):
+            assert synthesize_matched(action, seed=2).data_dependent
+            return
+        labels = pair_orbit_labels(action)
+        if not orbitals_commute(labels):
+            with pytest.raises(NotMultiplicityFreeError):
+                synthesize_matched(action, seed=2)
+            return
+        basis = synthesize_matched(action, seed=2)
+        assert len(basis.degeneracy_pattern) == int(labels.max()) + 1
+        assert sum(basis.degeneracy_pattern) == action.degree
+        if basis.attempts == 0:
+            assert basis.degeneracy_pattern == transforms._sampled_basis(action, 2).degeneracy_pattern
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
 
 
 class TestTrustedKernels:
