@@ -9,11 +9,14 @@ a covariance onto the invariant algebra never enumerates group elements.
 Matched-basis synthesis also reads structure off an action here, each
 proved by exact integer checks: the coordinates of an affine action
 A x| H, and the two factors of an imprimitive one whose pair orbits are a
-wreath product's.
+wreath product's, either from its pair orbits or, with no pair partition,
+from a minimal block system and Schreier generators of the stabilizer of
+point 0.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import os
 from dataclasses import dataclass, field
@@ -427,20 +430,12 @@ _CHUNK = 1 << 17  # pair entries handled per numpy call in pair_orbits
 _FLUSH = 1 << 12  # label pairs held, at least, before pair_orbits joins them
 
 
-def _schreier_forest(images: list, m: int) -> tuple:
-    """Breadth-first Schreier trees of an action, one per point orbit.
-
-    images are the generators' image arrays.  Each orbit's tree is grown
-    from its smallest point, orbits in order of that point, along the
-    generators that move each point.  Returns (order, parent, via) as
-    lists: order holds the points in the order they were reached, each
-    root first in its orbit; the tree edge into j is generator via[j]
-    applied to parent[j] (both -1 at a root).
-    """
+def _moved_entries(images: list, m: int) -> tuple:
+    """(point, generator, image) for every point a generator moves, sorted
+    by point, a chunk of generators at a time; first[p]:first[p + 1] are
+    point p's entries.  Returns (src, gen, dst, first) as arrays."""
     points = np.arange(m)
-    # (point, generator, image) for every point a generator moves, a chunk
-    # of generators at a time, then sorted by point; points[:0] keeps an
-    # empty generator list valid
+    # points[:0] keeps an empty generator list valid
     src, gen, dst = [points[:0]], [points[:0]], [points[:0]]
     step = max(1, _CHUNK // m)
     for at in range(0, len(images), step):
@@ -451,9 +446,23 @@ def _schreier_forest(images: list, m: int) -> tuple:
         dst.append(chunk[g, p])
     src = np.concatenate(src)
     order = np.argsort(src, kind="stable")
-    gen, dst = np.concatenate(gen)[order], np.concatenate(dst)[order]
-    first = np.searchsorted(src[order], np.arange(m + 1)).tolist()
-    gen, dst = gen.tolist(), dst.tolist()
+    src, gen, dst = src[order], np.concatenate(gen)[order], np.concatenate(dst)[order]
+    return src, gen, dst, np.searchsorted(src, np.arange(m + 1))
+
+
+def _schreier_forest(images: list, m: int, entries=None) -> tuple:
+    """Breadth-first Schreier trees of an action, one per point orbit.
+
+    images are the generators' image arrays.  Each orbit's tree is grown
+    from its smallest point, orbits in order of that point, along the
+    generators that move each point (`_moved_entries`, or entries when
+    given).  Returns (order, parent, via) as lists: order holds the points
+    in the order they were reached, each root first in its orbit; the tree
+    edge into j is generator via[j] applied to parent[j] (both -1 at a
+    root).
+    """
+    _, gen, dst, first = _moved_entries(images, m) if entries is None else entries
+    gen, dst, first = gen.tolist(), dst.tolist(), first.tolist()
     via, parent, queue = [-2] * m, [-1] * m, []
     for b in range(m):
         if via[b] != -2:
@@ -731,16 +740,23 @@ def _conjugate(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     return out
 
 
+def _commuting(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
+    """Which rows g of stack commute with c, as image arrays: g c = c g."""
+    return np.all(stack[:, c] == c[stack], axis=1)
+
+
 def _proposal(candidates: list, paired: list) -> list:
     """The fixed-point-free candidates that commute with their conjugates by
     the paired generators, longest cycle through 0 first, each kept if it
     commutes with those kept before."""
     points = np.arange(candidates[0].size)
     free = {c.tobytes(): c for c in candidates if c[0] != 0 and np.all(c != points)}
-    kept = []
+    kept, paired_stack = [], np.stack(paired)
     for c in sorted(free.values(), key=_cycle_through_zero, reverse=True):
-        if (all(_commute(c, k) for k in kept)
-                and all(_commute(c, g) or _commute(c, _conjugate(g, c)) for g in paired)):
+        if kept and not _commuting(c, np.stack(kept)).all():
+            continue
+        if all(_commute(c, _conjugate(g, c))
+               for g, ok in zip(paired, _commuting(c, paired_stack)) if not ok):
             kept.append(c)
     return kept
 
@@ -901,55 +917,67 @@ def _imprimitive_factors(images: list, orbits: PairOrbitPartition):
         pairs = np.nonzero(meets)
         classes = _hook_and_compress(count + b, [(pairs[0], count + pairs[1])])[0][:count]
         if count == h_rank + np.unique(classes).size - 1:
-            return _split(images, orbits, block, block_of, reps, classes)
+            entries = _moved_entries(images, m)
+            points, k_images, h_images = _split(images, entries, _by_generator(entries, m),
+                                                block, block_of, reps)
+            k_ids = classes[ids[np.ix_(points[:, 0], points[:, 0])]]
+            return (points, k_images, _relabelled(k_ids, classes[transpose]),
+                    h_images, _relabelled(ids[np.ix_(block, block)], transpose))
     return None
 
 
-def _distinct_rows(rows: np.ndarray) -> np.ndarray:
-    """Indices of the rows of an integer array with repeats dropped, in
-    order.  Rows are sorted by a hash, and only neighbours with equal
-    hashes are compared in full, so two distinct rows are never merged (a
-    rare colliding repeat may stay)."""
-    weights = np.arange(1, 2 * rows.shape[1], 2, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
-    keys = rows.view(np.uint64) @ weights  # wraps mod 2^64
+def _by_generator(entries: tuple, m: int) -> tuple:
+    """`_moved_entries` sorted by generator: the keys g*m + p and images g(p)."""
+    src, gen, dst, _ = entries
+    keys = gen * m + src
     order = np.argsort(keys, kind="stable")
-    fresh = np.ones(order.size, dtype=bool)
-    same = np.flatnonzero(keys[order[1:]] == keys[order[:-1]]) + 1
-    fresh[same] = np.any(rows[order[same]] != rows[order[same - 1]], axis=1)
-    return np.sort(order[fresh])
+    return keys[order], dst[order]
 
 
-def _split(images: list, orbits: PairOrbitPartition, block: np.ndarray,
-           block_of: np.ndarray, reps: np.ndarray, classes: np.ndarray) -> tuple:
-    """`_imprimitive_factors`' two factors for a block system that passed.
+def _image(by_gen: tuple, m: int, g: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """g(p) for arrays of generator numbers and points (broadcast), read
+    from `_by_generator`'s table: p itself when g does not move it."""
+    keys, images = by_gen
+    query = g * m + points
+    at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+    return np.where(keys[at] == query, images[at], points)
+
+
+def _split(images: list, entries: tuple, by_gen: tuple, block: np.ndarray,
+           block_of: np.ndarray, reps: np.ndarray) -> tuple:
+    """The wreath rule's two factors for a block system: blocks numbered by
+    their smallest point reps[a], block_of[p] the block of point p, and
+    block the sorted points of block 0, which holds point 0.
 
     A generator acts as the identity on every block that holds none of the
-    points it moves, so only those (generator, block) pairs are read, a
-    chunk of generators at a time: K's image of block a is the block of
-    g(reps[a]), and H's Schreier generators are the rows of points[a]
-    mapped by g and read in local numbering."""
-    ids, transpose = orbits.orbit_id, orbits.transpose
-    m, w, b = ids.shape[0], block.size, reps.size
-    step = max(1, _CHUNK // m)
-    chunks = range(0, len(images), step)
-    gens, blocks, targets = [], [], []
-    for at in chunks:
-        chunk = np.stack(images[at : at + step])
-        g, x = np.nonzero(chunk != np.arange(m))
-        pairs = np.unique(g * b + block_of[x])
-        g, a = pairs // b, pairs % b
-        gens.append(g + at)
-        blocks.append(a)
-        targets.append(block_of[chunk[g, reps[a]]])
-    gens, blocks, targets = (np.concatenate(v) for v in (gens, blocks, targets))
-    movers = np.unique(gens[targets != blocks])
-    k_all = np.tile(np.arange(b), (movers.size, 1))
-    hit = np.searchsorted(movers, gens)
-    hit[hit == movers.size] = 0
-    sel = movers[hit] == gens
-    k_all[hit[sel], blocks[sel]] = targets[sel]
-    kept = _distinct_rows(k_all)
-    k_images, movers = list(k_all[kept]), movers[kept]
+    points it moves, so only the (generator, block) pairs that entries
+    (`_moved_entries`) name are read, and by_gen (`_by_generator`) gives
+    the images: K's image of block a is the block of g(reps[a]), and H's
+    Schreier generators are the rows of points[a] mapped by g and read in
+    local numbering.  A breadth-first Schreier
+    tree on the blocks names a group element t_a that takes block 0 to
+    block a; points[a, p] = t_a(block[p]).  Returns (points, K's images,
+    H's images), each list of images without repeats."""
+    m, w, b = block_of.size, block.size, reps.size
+    src, gen, _, _ = entries
+    pairs = np.unique(gen * b + block_of[src])
+    gens, blocks = pairs // b, pairs % b
+    targets = block_of[_image(by_gen, m, gens, reps[blocks])]
+    # the generators that move blocks, each with its moved blocks in order;
+    # each distinct block permutation is kept once, at its first generator
+    moving = targets != blocks
+    moved, targets = blocks[moving], targets[moving]
+    movers, starts = np.unique(gens[moving], return_index=True)
+    ends = np.append(starts[1:], moved.size)
+    kept = {}
+    for i, (lo, hi) in enumerate(zip(starts.tolist(), ends.tolist())):
+        kept.setdefault(moved[lo:hi].tobytes() + targets[lo:hi].tobytes(), i)
+    row = np.full(movers.size, -1)
+    row[list(kept.values())] = np.arange(len(kept))
+    row = np.repeat(row, ends - starts)
+    k_table = np.tile(np.arange(b), (len(kept), 1))
+    k_table[row[row >= 0], moved[row >= 0]] = targets[row >= 0]
+    k_images, movers = list(k_table), movers[list(kept.values())]
     queue, parent, via = _schreier_forest(k_images, b)
     points = np.empty((b, w), dtype=np.int64)
     points[0] = block
@@ -957,17 +985,142 @@ def _split(images: list, orbits: PairOrbitPartition, block: np.ndarray,
         points[a] = images[movers[via[a]]][points[parent[a]]]
     local = np.empty(m, dtype=np.int64)
     local[points] = np.arange(w)
-    schreier = [np.zeros((0, w), dtype=np.int64)]
-    bounds = np.searchsorted(gens, [at for at in chunks] + [len(images)])
-    for at, lo, hi in zip(chunks, bounds[:-1], bounds[1:]):
-        chunk = np.stack(images[at : at + step])
-        rows = local[chunk[gens[lo:hi, None] - at, points[blocks[lo:hi]]]]
-        schreier.append(rows[np.any(rows != np.arange(w), axis=1)])
-    schreier = np.concatenate(schreier)
-    h_images = list(schreier[_distinct_rows(schreier)])
-    k_ids = classes[ids[np.ix_(points[:, 0], points[:, 0])]]
-    return (points, k_images, _relabelled(k_ids, classes[transpose]),
-            h_images, _relabelled(ids[np.ix_(block, block)], transpose))
+    schreier = local[_image(by_gen, m, gens[:, None], points[blocks])]
+    schreier = schreier[np.any(schreier != np.arange(w), axis=1)]
+    h_images = list({row.tobytes(): row for row in schreier}.values())
+    return points, k_images, h_images
+
+
+_BOUND_ROWS = 64  # Schreier tree rows `_rank_bounds` reads at most
+
+
+def _transversal_inverse(images: list, parent: list, via: list, memo: dict, j: int) -> np.ndarray:
+    """t_j^-1 as an image array, t_j the product of generators along the
+    Schreier tree's path from its root to j: t_j = g t_parent with g the
+    tree edge into j, so t_j^-1 g = t_parent^-1, filled by a scatter.
+    Rows are kept in memo, which starts with the root's identity."""
+    path = []
+    while j not in memo:
+        path.append(j)
+        j = parent[j]
+    row = memo[j]
+    for j in reversed(path):
+        inverse = np.empty_like(row)
+        inverse[images[via[j]]] = row
+        memo[j] = row = inverse
+    return row
+
+
+def _rank_bounds(images: list, m: int, entries: tuple, tree: tuple):
+    """Yield upper bounds on the rank of a transitive action, as labels of
+    point orbits (each point labelled by its orbit's smallest point).
+
+    The rank is the number of orbits of G_0, the stabilizer of point 0.
+    Its Schreier generators t_g(i)^-1 g t_i (tree is `_schreier_forest`'s,
+    rooted at 0) are read for the tree's rows i in breadth-first order, in
+    batches of 1, 1, 2, 4, ... rows up to _BOUND_ROWS, and their edges
+    (x, s(x)) joined by a union-find; each batch yields the labels.  The
+    group S they generate lies in G_0, so it has at least as many orbits,
+    and as many once every row is read (Schreier's lemma).  For a
+    generator that fixes i the edges are those of the points it moves."""
+    src, gen, dst, first = entries
+    queue, parent, via = tree
+    memo = {0: np.arange(m)}
+    labels = np.arange(m, dtype=np.int32)
+    done, size = 0, 1
+    while done < min(m, _BOUND_ROWS):
+        edges = []
+        for i in queue[done:size]:
+            ti = _transversal_inverse(images, parent, via, memo, i)
+            fixes = np.ones(len(images), dtype=bool)
+            fixes[gen[first[i] : first[i + 1]]] = False
+            keep = fixes[gen]
+            edges.append((ti[src[keep]], ti[dst[keep]]))
+            for g, gi in zip(gen[first[i] : first[i + 1]].tolist(),
+                             dst[first[i] : first[i + 1]].tolist()):
+                edges.append((ti, _transversal_inverse(images, parent, via, memo, gi)[images[g]]))
+        labels, _ = _hook_and_compress(m, edges, labels)
+        done, size = size, 2 * size
+        yield labels
+
+
+def _entries_of(first: np.ndarray, pts: np.ndarray) -> tuple:
+    """For each point pts[n], the indices of its entries first[p]:first[p + 1],
+    concatenated, with the position n each comes from."""
+    counts = first[pts + 1] - first[pts]
+    owner = np.repeat(np.arange(pts.size), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.repeat(first[pts] - starts, counts) + np.arange(owner.size)
+
+
+def _minimal_block(entries: tuple, by_gen: tuple, m: int, x: int):
+    """Atkinson's algorithm: the finest block system in which points 0 and
+    x share a block, as labels (each point labelled by its block's
+    smallest point), or None when that block holds more than half the
+    points, so all of them.
+
+    Every pair joined is mapped by every generator and the image pairs
+    joined in turn, until no image pair is new.  Only the generators that
+    move p or q move the pair (p, q): the entries of p and q name them
+    (`_moved_entries`), and by_gen (`_by_generator`) gives the other
+    point's image."""
+    _, gen, dst, first = entries
+    labels = np.arange(m, dtype=np.int32)
+    p, q = np.zeros(1, dtype=np.int64), np.full(1, x, dtype=np.int64)
+    while p.size:
+        labels, _ = _hook_and_compress(m, [(p, q)], labels)
+        if 2 * np.count_nonzero(labels == 0) > m:
+            return None
+        n_p, e_p = _entries_of(first, p)
+        n_q, e_q = _entries_of(first, q)
+        p, q = (np.concatenate([dst[e_p], _image(by_gen, m, gen[e_q], p[n_q])]),
+                np.concatenate([_image(by_gen, m, gen[e_p], q[n_p]), dst[e_q]]))
+        # each new pair once: a pair moved by two generators comes twice
+        joined = np.unique(np.minimum(p, q) * m + np.maximum(p, q))
+        p, q = joined // m, joined % m
+        keep = labels[p] != labels[q]
+        p, q = p[keep], q[keep]
+    return labels
+
+
+_BLOCK_CANDIDATES = 8  # points `_wreath_split` tries for a block with point 0
+
+
+def _wreath_split(images: list, m: int):
+    """The wreath rule's two factors of a transitive action, found with no
+    pair partition, or None.
+
+    Candidate points x are taken from the orbits of the first rank bound
+    (`_rank_bounds`, the Schreier generators of row 0), smallest orbit
+    first, and the first x among _BLOCK_CANDIDATES whose minimal block
+    with 0 is proper (`_minimal_block`) gives the block system; `_split`
+    gives its factors.  None when the action is intransitive or no
+    candidate gives a block.  Returns (points, K's images, H's images,
+    counts): counts yields the rank bounds as orbit counts.  The caller
+    proves the split: by the Krasner-Kaloujnine embedding the group lies
+    in H wr K, so its rank is at least rank(H) + rank(K) - 1, and a bound
+    equal to that proves the ranks equal, hence the same orbitals and
+    commutant."""
+    entries = _moved_entries(images, m)
+    tree = _schreier_forest(images, m, entries)
+    if tree[2].count(-1) != 1:
+        return None  # intransitive: the tree has a root per point orbit
+    bounds = _rank_bounds(images, m, entries, tree)
+    first = next(bounds)
+    by_gen = _by_generator(entries, m)
+    reps, sizes = np.unique(first, return_counts=True)
+    candidates = reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES]
+    for x in candidates.tolist():  # reps[0] = 0 is its own orbit
+        labels = _minimal_block(entries, by_gen, m, x)
+        if labels is not None:
+            break
+    else:
+        return None
+    reps = np.unique(labels)
+    points, k_images, h_images = _split(images, entries, by_gen, np.flatnonzero(labels == 0),
+                                        np.searchsorted(reps, labels), reps)
+    counts = (int(np.count_nonzero(bound == np.arange(m))) for bound in itertools.chain([first], bounds))
+    return points, k_images, h_images, counts
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

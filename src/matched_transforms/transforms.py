@@ -10,9 +10,10 @@ of roots of unity.  Integer counterparts (Reed-Muller triangle,
 fixed-polarity variants, the arithmetic-transform inverse pair) are
 Kronecker powers of 2x2 blocks.  The matched-basis synthesizer applies
 the same rules to an action given only by its generators: the character
-table grouped by orbits for an affine action (the semidirect rule), the
-wreath composition of two factors' bases for an imprimitive one, and
-otherwise seeded generic elements of the commutant.
+table grouped by orbits for an affine action (the semidirect rule, real
+for a self-paired one), the wreath composition of two factors' bases for
+an imprimitive one, and otherwise seeded generic elements of the
+commutant.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .groups import (
     _character_orbits,
     _imprimitive_factors,
     _normalize_branching,
+    _wreath_split,
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
@@ -464,31 +466,18 @@ def _wreath_recurse(top: np.ndarray, inner: np.ndarray, groups: list,
     other columns.  points[a, p] is the point that local point p of block a
     names.  The block-constant columns top (x) inner[:, 0] come first, then,
     group by group, the copies of the group's columns in block 0, 1, ...
-    The entries are written a block at a time when blocks are few, and a
-    local point at a time (one row from every block) when they are many.
+    The entries are written a block at a time.
     """
     b, w = points.shape
     out = np.zeros((b * w, b * w), dtype=np.complex128)
-    by_block = b <= w
-    if by_block:
-        for a, rows in enumerate(points):
-            out[rows, :b] = top[a] * inner[:, :1]  # rows of top (x) inner[:, 0]
-    else:
-        step = max(1, (1 << 18) // b)  # rows of top per temporary
-        for p, rows in enumerate(points.T):
-            for at in range(0, b, step):
-                out[rows[at : at + step], :b] = top[at : at + step] * inner[p, 0]
+    for a, rows in enumerate(points):
+        out[rows, :b] = top[a] * inner[:, :1]  # rows of top (x) inner[:, 0]
     col = b
     for members in groups:
         n = members.size
-        if by_block:
-            copy = inner[:, members]
-            for a, rows in enumerate(points):
-                out[rows, col + a * n : col + (a + 1) * n] = copy
-        else:
-            cols = col + np.arange(b * n).reshape(b, n)
-            for p, rows in enumerate(points.T):
-                out[rows[:, None], cols] = inner[p, members]
+        copy = inner[:, members]
+        for a, rows in enumerate(points):
+            out[rows, col + a * n : col + (a + 1) * n] = copy
         col += b * n
     return out
 
@@ -506,11 +495,13 @@ class SynthesizedBasis:
     data_dependent marks the trivial-action fallback (plain KLT of the
     sample, no seed-independence guarantee).  certificate is the accepted
     ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
-    sample pairs drawn to reach it.  The trivial action's KLT and the
-    semidirect route draw no sample (None and 0): the semidirect route is
-    proved by exact integer checks instead.  The wreath route's proof is
-    exact too; it reports the largest certificate and the total attempts
-    of the factors that were sampled, None and 0 when none was.
+    sample pairs drawn to reach it.  The trivial action's KLT, the
+    semidirect route and the exact wreath route draw no sample (None and
+    0): the last two are proved by exact integer checks instead.  The
+    wreath route on the pair partition is exact too; it reports the
+    largest certificate and the total attempts of the factors that were
+    sampled, None and 0 when none was.  `mtf synthesize` prints both in
+    its text and JSON reports alike.
     """
 
     transform: UnitaryTransform
@@ -689,47 +680,68 @@ def _sampled(orbits, seed: int, name: str) -> tuple:
     )
 
 
+def _fold_conjugates(u: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
+    """Make a character table real in place, a block of rows at a time.
+
+    cos and sin are the columns holding chi_k and chi_-k for the conjugate
+    pairs, k the smaller: they become sqrt(2) Re chi_k and sqrt(2) Im chi_k
+    (Im chi_k = -Im chi_-k), an orthonormal basis of the same span.  The
+    other columns are self-conjugate characters, real up to the rounding
+    of the roots of unity, and keep their real part."""
+    m = u.shape[0]
+    rows = max(1, (1 << 17) // m)
+    for at in range(0, m, rows):
+        block = u[at : at + rows]
+        block.real[:, cos] *= np.sqrt(2.0)
+        block.real[:, sin] = block.imag[:, sin] * -np.sqrt(2.0)
+        block.imag = 0.0
+
+
 def _semidirect(images: list, m: int):
     """The semidirect route, or None: the characters of A, grouped by the
     orbits of H (`_affine_coordinates`, `_character_orbits`), orbits in
     order of their smallest character and characters ascending within
-    each, filled in that order."""
+    each, filled in that order; with H = 1 each character is its own
+    orbit, in order.  When H != 1 and every orbit holds the conjugate -k
+    of each of its characters k (the self-paired case), the basis is made
+    real (`_fold_conjugates`): labels cos=(k) and sin=(k) for a pair,
+    char=(k) for a self-conjugate character."""
     found = _affine_coordinates(images, m)
     if found is None:
         return None
     coords, d, linear = found
-    smallest = _character_orbits(d, linear)
-    order = np.argsort(smallest, kind="stable")
-    number = (np.cumsum(smallest == np.arange(m)) - 1)[smallest]
+    chars = np.indices(d).reshape(len(d), m)
+    kinds = np.zeros(m, dtype=np.int64)  # per column: 0 char, 1 cos, 2 sin
+    if not linear:
+        order = number = np.arange(m)
+    else:
+        smallest = _character_orbits(d, linear)
+        order = np.argsort(smallest, kind="stable")
+        number = (np.cumsum(smallest == np.arange(m)) - 1)[smallest]
+        conjugate = np.ravel_multi_index(tuple(-chars % np.array(d)[:, None]), d)
+        if np.array_equal(smallest[conjugate], smallest):
+            kinds = np.sign(conjugate[order] - order) % 3  # +1 cos, -1 -> 2 sin
+    u = _characters(coords, d, order)
+    if kinds.any():
+        _fold_conjugates(u, np.flatnonzero(kinds == 1), np.flatnonzero(kinds == 2))
 
     def labels():
-        chars, orbit = np.indices(d).reshape(len(d), -1).T.tolist(), number.tolist()
-        return tuple(f"char=({','.join(map(str, chars[k]))}),orbit={orbit[k]}"
-                     for k in order.tolist())
+        names, first = ("char", "cos", "sin"), chars.T.tolist()
+        pair = np.where(kinds == 2, conjugate[order], order) if kinds.any() else order
+        return tuple(f"{names[t]}=({','.join(map(str, first[k]))}),orbit={o}"
+                     for t, k, o in zip(kinds.tolist(), pair.tolist(), number[order].tolist()))
 
-    return _characters(coords, d, order), np.bincount(number), None, 0, labels
+    return u, np.bincount(number), None, 0, labels
 
 
-def _wreath_or_sampled(images: list, orbits, seed: int, name: str) -> tuple:
-    """The wreath route on the pair-orbit partition orbits() gives, else the
-    sampled route on it.  `_imprimitive_factors` splits the action into its
-    block action K and block stabilizer H, each factor takes its own route
-    (`_matched`), and `_wreath_recurse` composes their bases; the partition
-    is dropped once split, before the M x M result is built.  The
-    eigenspaces are K's, then b copies of each of H's but the constant
-    one."""
-    partition = orbits()
-    split = _imprimitive_factors(images, partition)
-    if split is None:
-        return _sampled(partition, seed, name)
-    del partition
-    points, k_images, k_orbits, h_images, h_orbits = split
-    b, w = points.shape
-    top, top_sizes, top_ratio, top_attempts, _ = _matched(
-        k_images, b, lambda: k_orbits, seed, name)
-    inner, inner_sizes, inner_ratio, inner_attempts, _ = _matched(
-        h_images, w, lambda: h_orbits, seed, name)
-    del split, k_images, k_orbits, h_images, h_orbits
+def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
+    """The wreath rule's basis from the block action K's and the block
+    stabilizer H's routes (`_wreath_recurse`).  The eigenspaces are K's,
+    then b copies of each of H's but the constant one; the certificate is
+    the largest of the factors' and the attempts their sum."""
+    b, _ = points.shape
+    top, top_sizes, top_ratio, top_attempts, _ = k_route
+    inner, inner_sizes, inner_ratio, inner_attempts, _ = h_route
     # the constant vector is the one column of H's basis off every other;
     # it goes first, then H's other eigenspaces in order
     const = int(np.argmax(np.abs(inner.sum(axis=0))))
@@ -746,12 +758,60 @@ def _wreath_or_sampled(images: list, orbits, seed: int, name: str) -> tuple:
             lambda: _cluster_labels(sizes))
 
 
+def _factor(images: list, m: int):
+    """A wreath factor's exact route, or None: a further wreath split
+    first, as the factors of an iterated wreath are wreaths themselves,
+    then the semidirect route."""
+    return _exact_wreath(images, m) or _semidirect(images, m)
+
+
+def _exact_wreath(images: list, m: int):
+    """The wreath route with no pair partition, or None: `_wreath_split`
+    finds a block system and its factors, each factor must take an exact
+    route itself (`_factor`), and one of the rank bounds must equal
+    rank(H) + rank(K) - 1, the ranks being the factors' eigenspace
+    counts.  Nothing is sampled."""
+    found = _wreath_split(images, m)
+    if found is None:
+        return None
+    points, k_images, h_images, counts = found
+    b, w = points.shape
+    top = _factor(k_images, b)
+    inner = None if top is None else _factor(h_images, w)
+    del found, k_images, h_images  # the factors' generators are not needed for the fill
+    if inner is None or top[1].size + inner[1].size - 1 not in counts:
+        return None
+    return _compose(top, inner, points)
+
+
+def _wreath_or_sampled(images: list, orbits, seed: int, name: str) -> tuple:
+    """The wreath route on the pair-orbit partition orbits() gives, else the
+    sampled route on it.  `_imprimitive_factors` splits the action into its
+    block action K and block stabilizer H with their pair partitions, each
+    factor takes its own route (`_matched`), and `_compose` builds the
+    basis; the partition is dropped once split, before the M x M result is
+    built."""
+    partition = orbits()
+    split = _imprimitive_factors(images, partition)
+    if split is None:
+        return _sampled(partition, seed, name)
+    del partition
+    points, k_images, k_orbits, h_images, h_orbits = split
+    b, w = points.shape
+    top = _matched(k_images, b, lambda: k_orbits, seed, name)
+    inner = _matched(h_images, w, lambda: h_orbits, seed, name)
+    del split, k_images, k_orbits, h_images, h_orbits
+    return _compose(top, inner, points)
+
+
 def _matched(images: list, m: int, orbits, seed: int, name: str) -> tuple:
-    """The first of the semidirect, wreath and sampled routes that applies
-    to the action the image arrays generate; orbits() gives its pair-orbit
-    partition, called only once the semidirect route has failed.  Returns
-    (U, eigenspace sizes in column order, certificate, attempts, labels)."""
-    return _semidirect(images, m) or _wreath_or_sampled(images, orbits, seed, name)
+    """The first of the semidirect, exact wreath, wreath and sampled routes
+    that applies to the action the image arrays generate; orbits() gives
+    its pair-orbit partition, called only once the exact routes have
+    failed.  Returns (U, eigenspace sizes in column order, certificate,
+    attempts, labels)."""
+    return (_semidirect(images, m) or _exact_wreath(images, m)
+            or _wreath_or_sampled(images, orbits, seed, name))
 
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
@@ -769,8 +829,9 @@ def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """The matched basis of a multiplicity-free action: a U that diagonalizes
-    every invariant matrix.  Four routes, tried in this order; the first
-    three build U with no sample and no eigensolve.
+    every invariant matrix.  Five routes, tried in this order; the first
+    three build U with no sample and no eigensolve, and the fourth samples
+    only the factors that need it.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
@@ -786,24 +847,38 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     its columns grouped by orbit, labels char=(k1,...),orbit=o, and the
     pattern is the orbit sizes.  H = 1 is the regular abelian case (cyclic,
     boolean, products of cyclic groups): cyclic:m gives dft_matrix(m)
-    byte for byte.  A is proposed from the generators and their products in
-    pairs; the proof is not a sample but exact integer checks, and an
-    action that fails them costs O(kM) integer work.
+    byte for byte.  When every orbit holds the conjugate of each of its
+    characters, as for every self-paired action (dihedral, AGL(1, p)), U is
+    real: each pair chi_k, chi_-k becomes sqrt(2) Re chi_k and
+    sqrt(2) Im chi_k, labels cos=(k),orbit=o and sin=(k),orbit=o
+    (`_fold_conjugates`).  A is proposed from the generators and their
+    products in pairs; the proof is not a sample but exact integer checks,
+    and an action that fails them costs O(kM) integer work.
 
-    The wreath route takes an imprimitive action whose orbitals are those
-    of H wr K, with K its action on a block system and H the block
-    stabilizer's action on one block (`_imprimitive_factors`): the check is
-    the integer equality orbit_count = rank(H) + rank(K) - 1 on the pair
-    orbits.  Each factor takes its own route (semidirect, wreath or
-    sampled), on generators and pair orbits read off the action's, and
-    `_wreath_recurse` composes the two bases as wreath_matrix does.  Labels
-    are cluster=c,col=i with c numbering the eigenspaces in column order.
+    The exact wreath route takes an imprimitive action whose orbitals are
+    those of H wr K, with K its action on a block system and H the block
+    stabilizer's action on one block, when both factors take exact routes
+    themselves (`_exact_wreath`).  The block system is the minimal one
+    holding point 0 and a point of a small orbit of the stabilizer of 0
+    (`_wreath_split`).  By the Krasner-Kaloujnine embedding the rank of
+    the action is at least rank(H) + rank(K) - 1; the orbits of subgroups
+    of the stabilizer of 0, generated by Schreier generators
+    (`_rank_bounds`), bound it from above, and equality proves the
+    orbitals those of H wr K.  No pair partition is computed.
+
+    The wreath route on the pair partition checks the same equality with
+    the orbit count of the pair orbits (`_imprimitive_factors`), trying the
+    block systems of point 0 finest first.  Each factor takes its own route
+    (semidirect, exact wreath, wreath or sampled), on generators and pair
+    orbits read off the action's.  Both wreath routes compose the two bases
+    with `_wreath_recurse`, as wreath_matrix does; labels are
+    cluster=c,col=i with c numbering the eigenspaces in column order.
 
     Otherwise U is the eigenbasis of a generic invariant matrix R1,
     certified data-independent against a second one, R2 (`_sampled_basis`).
     Each draw takes one seeded coefficient per pair orbit (`_draw`), on a
-    partition computed once per call and shared with the wreath route.  U
-    is found in real arithmetic.
+    partition computed once per call and shared with the wreath route on
+    it.  U is found in real arithmetic.
     Permutations are real, so Re R1 is invariant too, and the real
     symmetric invariant matrices form a commutative algebra whose dimension
     s is the number of classes {o, o^T} of pair orbits.  The real eigensolve

@@ -307,3 +307,8 @@ def reference_refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
         if split == cells:
             return colours
         cells = split
+
+
+def images_of(action) -> list:
+    """The generators' image arrays."""
+    return [g.as_array() for g in action.generators]

@@ -27,16 +27,22 @@ from matched_transforms import (
 
 from matched_transforms.groups import (
     _affine_coordinates,
+    _by_generator,
     _character_orbits,
     _hook_and_compress,
     _imprimitive_factors,
+    _minimal_block,
+    _moved_entries,
+    _rank_bounds,
     _regular_abelian_coordinates,
+    _schreier_forest,
     _smith_form,
+    _wreath_split,
 )
 
 from helpers import (
-    affine_line, catalog_actions, closure_set, compose, hamming_action, is_invariant,
-    johnson_action, permutation_matrix, relabel,
+    affine_line, catalog_actions, closure_set, compose, hamming_action, images_of,
+    is_invariant, johnson_action, permutation_matrix, random_action, relabel,
 )
 
 CATALOG = catalog_actions()
@@ -617,10 +623,6 @@ class TestRegularAbelianCoordinates:
         assert peak < 16 * 2**20
 
 
-def images_of(action) -> list:
-    return [g.as_array() for g in action.generators]
-
-
 class TestAffineCoordinates:
     """The semidirect route's proof, checked against enumerated closures."""
 
@@ -733,6 +735,100 @@ class TestImprimitiveFactors:
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
         assert _imprimitive_factors(images_of(action), pair_orbits(action)) is None
+
+
+def closure_of(images, name="factor"):
+    return {p.as_array().tobytes() for p in
+            closure_set(from_generators([Permutation(x) for x in images], name))}
+
+
+def reference_blocks(elements, m, x):
+    """The components of the graph with edges {g(0), g(x)} over the group
+    elements, each point labelled by its component's smallest point."""
+    labels = list(range(m))
+
+    def root(p):
+        while labels[p] != p:
+            p = labels[p]
+        return p
+
+    for g in elements:
+        a, b = root(int(g[0])), root(int(g[x]))
+        labels[max(a, b)] = min(a, b)
+    return np.array([root(p) for p in range(m)])
+
+
+SPLIT_ACTIONS = [
+    a if seed is None else relabel(a, seed)
+    for a in (parse_group_spec(spec) for spec in (
+        "dyadic-wreath:3", "wreath:4c,3c", "wreath:3s,2c", "hybrid:4,3", "hybrid:3,3",
+        "dihedral:6", "cyclic:12", "dihedralM:9"))
+    for seed in (None, 1)
+] + [johnson_action(5), random_action(6, 2, 1), random_action(7, 1, 2)]
+
+
+class TestWreathSplits:
+    """The exact wreath route's block systems, factors and rank bounds,
+    checked against the enumerated group."""
+
+    @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
+    def test_minimal_blocks(self, action):
+        m = action.degree
+        elements = [p.as_array() for p in closure_set(action)]
+        entries = _moved_entries(images_of(action), m)
+        by_gen = _by_generator(entries, m)
+        for x in range(1, m):
+            expected = reference_blocks(elements, m, x)
+            labels = _minimal_block(entries, by_gen, m, x)
+            if 2 * np.count_nonzero(expected == 0) > m:
+                assert labels is None
+            else:
+                assert np.array_equal(labels, expected)
+
+    @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
+    def test_rank_bounds(self, action):
+        # each bound is at least the rank and never grows; with every row of
+        # the Schreier tree read, the bound is the rank (Schreier's lemma)
+        m = action.degree
+        images = images_of(action)
+        entries = _moved_entries(images, m)
+        tree = _schreier_forest(images, m, entries)
+        if tree[2].count(-1) != 1:
+            # intransitive: no block system, and no bound is read
+            assert _wreath_split(images, m) is None
+            return
+        counts = [int(np.count_nonzero(b == np.arange(m)))
+                  for b in _rank_bounds(images, m, entries, tree)]
+        rank = pair_orbits(action).orbit_count
+        assert all(c >= rank for c in counts) and counts == sorted(counts, reverse=True)
+        assert counts[-1] == rank
+
+    @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
+    def test_splits(self, action):
+        m = action.degree
+        elements = [p.as_array() for p in closure_set(action)]
+        found = _wreath_split(images_of(action), m)
+        # a split exactly when the action is transitive and imprimitive
+        transitive = {int(g[0]) for g in elements} == set(range(m))
+        blocks = [reference_blocks(elements, m, x) for x in range(1, m)]
+        imprimitive = any(2 * np.count_nonzero(l == 0) <= m for l in blocks)
+        assert (found is not None) == (transitive and imprimitive)
+        if found is None:
+            return
+        points, k_images, h_images, _ = found
+        b, w = points.shape
+        assert 1 < w < m and points[0, 0] == 0
+        assert np.array_equal(np.sort(points.ravel()), np.arange(m))
+        block_of = np.empty(m, dtype=np.int64)
+        block_of[points] = np.arange(b)[:, None]
+        local = np.empty(m, dtype=np.int64)
+        local[points] = np.arange(w)
+        # K is the group's action on the blocks, H the block stabilizer's
+        # on block 0, in local numbering
+        on_blocks = {block_of[g[points[:, 0]]].tobytes() for g in elements}
+        assert closure_of(k_images) == on_blocks
+        on_block0 = {local[g[points[0]]].tobytes() for g in elements if block_of[g[0]] == 0}
+        assert closure_of(h_images) == on_block0
 
 
 class TestReynolds:

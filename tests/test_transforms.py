@@ -53,6 +53,7 @@ from helpers import (
     closure_set,
     det_exact,
     hamming_action,
+    images_of,
     johnson_action,
     orbitals_commute,
     pair_orbit_labels,
@@ -501,16 +502,16 @@ class TestSynthesize:
         "boolean:9",
     ])
     def test_self_paired_basis_is_real(self, spec):
-        # every orbit is its own transpose, so the sampled route's basis is
-        # the real eigenvectors of Re R1 (synthesize_matched takes the
-        # semidirect or wreath route on these actions)
+        # every orbit is its own transpose: the sampled route's basis is the
+        # real eigenvectors of Re R1, and the semidirect and wreath routes
+        # fold each conjugate pair of characters into real columns
         action = parse_group_spec(spec)
         orbits = pair_orbits(action)
         assert orbits.transpose_class_count() == orbits.orbit_count
-        basis = transforms._sampled_basis(action, seed=3)
-        assert not basis.transform.matrix.imag.any()
         r3 = sample_invariant_cov(action, seed=500)
-        assert offdiag_rel(basis.transform, r3) <= 1e-8
+        for basis in (synthesize_matched(action, seed=3), transforms._sampled_basis(action, seed=3)):
+            assert not basis.transform.matrix.imag.any()
+            assert offdiag_rel(basis.transform, r3) <= 1e-8
 
     @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "wreath:4c,3c"])
     def test_paired_columns_are_eigenvectors_of_r1(self, spec):
@@ -857,7 +858,10 @@ class TestSemidirectRoute:
         assert basis.certificate is None and basis.attempts == 0
         assert not basis.data_dependent
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
-        assert all(l.startswith("char=(") for l in basis.transform.column_labels)
+        assert all(l.startswith(("char=(", "cos=(", "sin=("))
+                   for l in basis.transform.column_labels)
+        # real exactly when the action is self-paired, as the sampled basis is
+        assert basis.transform.matrix.imag.any() == sampled.transform.matrix.imag.any()
         assert transforms._gram_error(basis.transform.matrix) <= 1e-10
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
@@ -865,12 +869,23 @@ class TestSemidirectRoute:
     @pytest.mark.parametrize("m", [5, 8, 64])
     def test_dihedral_columns_are_dft_columns_paired(self, m):
         # H = {1, -1}: the orbits are {k, -k}, in order of their smallest
-        # character, each filled from the DFT's own table
+        # character, each filled from the DFT's own table and folded into
+        # sqrt(2) Re F_k and sqrt(2) Im F_k; k = 0 and m/2 keep Re F_k
         basis = synthesize_matched(parse_group_spec(f"dihedralM:{m}"), seed=1)
-        order = [k for j in range(m // 2 + 1) for k in sorted({j, -j % m})]
-        labels = [f"char=({k}),orbit={min(k, m - k)}" for k in order]
+        f = dft_matrix(m).matrix
+        labels, columns = [], []
+        for k in range(m // 2 + 1):
+            if 2 * k % m == 0:
+                labels.append(f"char=({k}),orbit={k}")
+                columns.append(f[:, k].real)
+            else:
+                labels += [f"cos=({k}),orbit={k}", f"sin=({k}),orbit={k}"]
+                columns += [f[:, k].real * np.sqrt(2.0), f[:, m - k].imag * -np.sqrt(2.0)]
         assert basis.transform.column_labels == tuple(labels)
-        assert basis.transform.matrix.tobytes() == dft_matrix(m).matrix[:, order].tobytes()
+        expected = np.stack(columns, axis=1).astype(np.complex128)
+        assert basis.transform.matrix.tobytes() == expected.tobytes()
+        assert np.allclose(expected[:, 2::2][:, : (m - 1) // 2],
+                           np.sqrt(2.0) * f[:, 1 : (m + 1) // 2].imag, atol=1e-15)
 
     def test_hamming_orbits_are_weights(self):
         # S_n permutes the characters' bits: one orbit per Hamming weight
@@ -898,6 +913,7 @@ class TestWreathRoute:
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
         sampled = transforms._sampled_basis(action, seed=3)
+        exact = transforms._exact_wreath(images_of(action), action.degree) is not None
         calls = []
 
         def counted(act):
@@ -906,7 +922,10 @@ class TestWreathRoute:
 
         monkeypatch.setattr(transforms, "pair_orbits", counted)
         basis = synthesize_matched(action, seed=3)
-        assert calls == [action.name]
+        # the exact wreath route reads no pair partition; otherwise the
+        # action's own is computed once and the factors' read off it
+        assert calls == ([] if exact else [action.name])
+        assert basis.attempts == 0 or not exact
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         assert all(l.startswith("cluster=") for l in basis.transform.column_labels)
         assert transforms._gram_error(basis.transform.matrix) <= 1e-10
@@ -921,6 +940,33 @@ class TestWreathRoute:
             assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
         else:
             assert 0.0 <= basis.certificate <= transforms.DIAGONAL_TOL
+
+    @pytest.mark.parametrize("action, exact", [
+        (action, True) for action in relabelled([parse_group_spec(spec) for spec in (
+            "dyadic-wreath:3", "dyadic-wreath:9", "wreath:3s,2c", "wreath:4c,3c",
+            "wreath:2s,4c", "wreath:3c,2s,3c", "hybrid:4,3")])
+    ] + [
+        (parse_group_spec("wreath:4c,4c,4c,4c"), True),
+        # this numbering's first block is {0, 2} inside a Z_4 leaf group,
+        # whose split fails the rank bound
+        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), False),
+    ] + [
+        # an S_k factor with k >= 4 has neither exact route
+        (action, False) for action in relabelled([parse_group_spec(spec) for spec in (
+            "wreath:4s,4c,4c", "hybrid:3,4", "hybrid:8,8", "wreath:5s,2c")])
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_exact_route_reads_no_pair_partition(self, action, exact, monkeypatch):
+        # every factor of an exact wreath route takes an exact route too,
+        # and the proof reads Schreier generators instead of pair orbits
+        for name in ("pair_orbits", "_draw", "herm_eig"):
+            monkeypatch.setattr(transforms, name, refuse)
+        found = transforms._exact_wreath(images_of(action), action.degree)
+        assert (found is not None) == exact
+        if exact:
+            basis = synthesize_matched(action, seed=3)
+            assert basis.certificate is None and basis.attempts == 0
+            r3 = sample_invariant_cov(action, seed=500)
+            assert offdiag_rel(basis.transform, r3) <= 1e-8
 
     @pytest.mark.parametrize("spec, attempts", [
         ("dyadic-wreath:4", 0), ("hybrid:4,3", 0), ("hybrid:3,4", 1), ("wreath:5s,2c", 1),
