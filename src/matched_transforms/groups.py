@@ -1094,13 +1094,15 @@ def _wreath_split(images: list, m: int):
     (`_rank_bounds`, the Schreier generators of row 0), smallest orbit
     first, and the first x among _BLOCK_CANDIDATES whose minimal block
     with 0 is proper (`_minimal_block`) gives the block system; `_split`
-    gives its factors.  None when the action is intransitive or no
-    candidate gives a block.  Returns (points, K's images, H's images,
+    gives its factors.  None when the action is intransitive, its degree
+    is prime, or no candidate gives a block.  Returns (points, K's images, H's images,
     counts): counts yields the rank bounds as orbit counts.  The caller
     proves the split: by the Krasner-Kaloujnine embedding the group lies
     in H wr K, so its rank is at least rank(H) + rank(K) - 1, and a bound
     equal to that proves the ranks equal, hence the same orbitals and
     commutant."""
+    if all(m % w for w in range(2, int(m**0.5) + 1)):
+        return None  # a block's size divides m: a prime degree has no proper block
     entries = _moved_entries(images, m)
     tree = _schreier_forest(images, m, entries)
     if tree[2].count(-1) != 1:
