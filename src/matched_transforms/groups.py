@@ -764,10 +764,12 @@ def _proposal(candidates: list, paired: list) -> list:
 def _affine_coordinates(images: list, m: int):
     """Coordinates for an affine action A x| H, or None for any other.
 
-    images are the generators' image arrays on m points.  A regular abelian
-    A is proposed (`_proposal`) from the generators, and if that fails from
-    the generators and the products of the first _PAIRED_GENERATORS of them
-    in pairs: the fixed-point-free ones that commute with their conjugates
+    images are the generators' image arrays on m points.  The generators
+    themselves are tried first as A's: when `_regular_abelian_coordinates`
+    proves them all translations, the action is regular abelian (H = 1).
+    Otherwise a regular abelian A is proposed (`_proposal`) from the
+    generators, and if that fails from the generators and the products of
+    the first _PAIRED_GENERATORS of them in pairs: the fixed-point-free ones that commute with their conjugates
     by those generators (as elements of a normal abelian A do), longest
     cycle through 0 first, each kept if it commutes with those kept before.
     `_regular_abelian_coordinates` proves that the kept ones generate a
@@ -781,6 +783,9 @@ def _affine_coordinates(images: list, m: int):
     arrays whose row j is L_g e_j.  All of this is integer work, O(m) per
     candidate and per generator.
     """
+    found = _regular_abelian_coordinates(images, m)
+    if found is not None:
+        return found + ([],)
     paired = images[:_PAIRED_GENERATORS]
     for candidates in (images, images + [g[h] for g in paired for h in paired]):
         found = _regular_abelian_coordinates(_proposal(candidates, paired), m)
