@@ -729,10 +729,6 @@ def _cycle_through_zero(g: np.ndarray) -> int:
     return length
 
 
-def _commute(a: np.ndarray, b: np.ndarray) -> bool:
-    return np.array_equal(a[b], b[a])
-
-
 def _conjugate(g: np.ndarray, c: np.ndarray) -> np.ndarray:
     """g c g^-1 on image arrays: it maps g(x) to g(c(x))."""
     out = np.empty_like(c)
@@ -755,8 +751,8 @@ def _proposal(candidates: list, paired: list) -> list:
     for c in sorted(free.values(), key=_cycle_through_zero, reverse=True):
         if kept and not _commuting(c, np.stack(kept)).all():
             continue
-        if all(_commute(c, _conjugate(g, c))
-               for g, ok in zip(paired, _commuting(c, paired_stack)) if not ok):
+        stuck = [g for g, ok in zip(paired, _commuting(c, paired_stack)) if not ok]
+        if not stuck or _commuting(c, np.stack([_conjugate(g, c) for g in stuck])).all():
             kept.append(c)
     return kept
 
@@ -769,9 +765,10 @@ def _affine_coordinates(images: list, m: int):
     proves them all translations, the action is regular abelian (H = 1).
     Otherwise a regular abelian A is proposed (`_proposal`) from the
     generators, and if that fails from the generators and the products of
-    the first _PAIRED_GENERATORS of them in pairs: the fixed-point-free ones that commute with their conjugates
-    by those generators (as elements of a normal abelian A do), longest
-    cycle through 0 first, each kept if it commutes with those kept before.
+    the first _PAIRED_GENERATORS of them in pairs: the fixed-point-free
+    ones that commute with their conjugates by those generators (as
+    elements of a normal abelian A do), longest cycle through 0 first,
+    each kept if it commutes with those kept before.
     `_regular_abelian_coordinates` proves that the kept ones generate a
     regular abelian group and gives its coordinates c, with c[0] = 0.  The
     proposal is not trusted: every generator g must act affinely,
@@ -1100,12 +1097,12 @@ def _wreath_split(images: list, m: int):
     first, and the first x among _BLOCK_CANDIDATES whose minimal block
     with 0 is proper (`_minimal_block`) gives the block system; `_split`
     gives its factors.  None when the action is intransitive, its degree
-    is prime, or no candidate gives a block.  Returns (points, K's images, H's images,
-    counts): counts yields the rank bounds as orbit counts.  The caller
-    proves the split: by the Krasner-Kaloujnine embedding the group lies
-    in H wr K, so its rank is at least rank(H) + rank(K) - 1, and a bound
-    equal to that proves the ranks equal, hence the same orbitals and
-    commutant."""
+    is prime, or no candidate gives a block.  Returns (points, K's images,
+    H's images, counts): counts yields the rank bounds as orbit counts.
+    The caller proves the split: by the Krasner-Kaloujnine embedding the
+    group lies in H wr K, so its rank is at least rank(H) + rank(K) - 1,
+    and a bound equal to that proves the ranks equal, hence the same
+    orbitals and commutant."""
     if all(m % w for w in range(2, int(m**0.5) + 1)):
         return None  # a block's size divides m: a prime degree has no proper block
     entries = _moved_entries(images, m)
@@ -1126,7 +1123,8 @@ def _wreath_split(images: list, m: int):
     reps = np.unique(labels)
     points, k_images, h_images = _split(images, entries, by_gen, np.flatnonzero(labels == 0),
                                         np.searchsorted(reps, labels), reps)
-    counts = (int(np.count_nonzero(bound == np.arange(m))) for bound in itertools.chain([first], bounds))
+    counts = (int(np.count_nonzero(bound == np.arange(m)))
+              for bound in itertools.chain([first], bounds))
     return points, k_images, h_images, counts
 
 

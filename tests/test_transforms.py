@@ -509,7 +509,8 @@ class TestSynthesize:
         orbits = pair_orbits(action)
         assert orbits.transpose_class_count() == orbits.orbit_count
         r3 = sample_invariant_cov(action, seed=500)
-        for basis in (synthesize_matched(action, seed=3), transforms._sampled_basis(action, seed=3)):
+        for basis in (synthesize_matched(action, seed=3),
+                      transforms._sampled_basis(action, seed=3)):
             assert not basis.transform.matrix.imag.any()
             assert offdiag_rel(basis.transform, r3) <= 1e-8
 
@@ -1015,7 +1016,8 @@ class TestRandomActions:
         assert len(basis.degeneracy_pattern) == int(labels.max()) + 1
         assert sum(basis.degeneracy_pattern) == action.degree
         if basis.attempts == 0:
-            assert basis.degeneracy_pattern == transforms._sampled_basis(action, 2).degeneracy_pattern
+            sampled = transforms._sampled_basis(action, 2)
+            assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
