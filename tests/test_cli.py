@@ -522,6 +522,17 @@ class TestSynthesize:
             assert doc["certificate"] is None and text["certificate"] == "-"
             assert basis.attempts == 0
 
+    @pytest.mark.parametrize("spec, field", [
+        ("dihedralM:8", "real"), ("dihedral:4", "real"), ("dyadic-wreath:3", "real"),
+        ("wreath:3s,2c", "real"), ("cyclic:8", "complex"), ("hybrid:4,3", "complex"),
+    ])
+    def test_self_paired_out_is_real(self, tmp_path, spec, field):
+        # every orbital of a self-paired action is its own transpose, so its
+        # matched basis is real on every route, and the file says so
+        out = tmp_path / "basis.mtx"
+        assert run(["synthesize", "--group", spec, "--seed", "3", "--out", str(out)]) == 0
+        assert f"field={field}" in out.read_text().splitlines()[0]
+
     def test_nested_spec_depth_limit(self, tmp_path, capsys):
         out = str(tmp_path / "x.mtx")
         limit = groups.MAX_SPEC_DEPTH
