@@ -247,25 +247,9 @@ def cmd_alpha(args) -> int:
     return 0
 
 
-def _split_library(text: str) -> list:
-    """Split --library at top-level commas, then join each piece without a
-    ':' back onto the spec before it, so hybrid:2,4 and wreath:4s,2c stay
-    whole."""
-    specs = []
-    for piece in groups._split_top_level(text):
-        piece = piece.strip()
-        if not piece:
-            continue
-        if specs and ":" not in piece:
-            specs[-1] += "," + piece
-        else:
-            specs.append(piece)
-    return specs
-
-
 def cmd_match_library(args) -> int:
     r = matrixio.read_matrix_file(args.input)
-    specs = _split_library(args.library)
+    specs = groups._split_specs(args.library)
     if not specs:
         return _fail("empty --library", 2)
     actions = [_parse_group(s) for s in specs]

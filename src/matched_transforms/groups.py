@@ -6,12 +6,11 @@ actions through the two primitives here: the partition of ordered index
 pairs into orbits, and the breadth-first closure that counts the group's
 elements.  Orbit averaging is what keeps large groups tractable: projecting
 a covariance onto the invariant algebra never enumerates group elements.
-Matched-basis synthesis also reads structure off an action here, each
-proved by exact integer checks: the coordinates of an affine action
-A x| H, and the two factors of an imprimitive one whose pair orbits are a
-wreath product's, either from its pair orbits or, with no pair partition,
-from a minimal block system and Schreier generators of the stabilizer of
-point 0.
+Matched-basis synthesis also reads structure off an action here: the
+coordinates of an affine action A x| H, proved by exact integer checks,
+and the two factors of an imprimitive one for a minimal block system,
+with bounds on its rank from Schreier generators of the stabilizer of
+point 0, against which the caller proves the wreath rule.
 """
 
 from __future__ import annotations
@@ -831,103 +830,6 @@ def _character_orbits(d: tuple, linear: list) -> np.ndarray:
     return _hook_and_compress(m, edges)[0]
 
 
-def _component_of_zero(ids: np.ndarray, marked: np.ndarray) -> np.ndarray:
-    """Sorted points joined to point 0 by pairs whose orbit is marked, or
-    None once they pass half the points: a proper block is no larger."""
-    m = ids.shape[0]
-    member = np.zeros(m, dtype=bool)
-    member[0] = True
-    frontier = np.zeros(1, dtype=np.int64)
-    while frontier.size:
-        frontier = np.flatnonzero(marked[ids[frontier]].any(axis=0) & ~member)
-        member[frontier] = True
-        if 2 * np.count_nonzero(member) > m:
-            return None
-    return np.flatnonzero(member)
-
-
-def _blocks_finest_first(ids: np.ndarray, transpose: np.ndarray):
-    """Yield the distinct blocks of point 0 that the non-diagonal orbital
-    graphs' components give, smallest first.  A graph whose pairs from 0
-    reach s points gives a block of more than s points, so the graphs are
-    grown in order of s, and a block is yielded once every graph that could
-    give a smaller one has been grown."""
-    m = ids.shape[0]
-    sizes = np.bincount(ids[0], minlength=transpose.size)
-    found, seen = [], set()
-    for o in sorted(range(transpose.size), key=lambda o: sizes[o]):
-        while found and found[0].size <= sizes[o] + 1:
-            yield found.pop(0)
-        if o == ids[0, 0] or transpose[o] < o or 2 * sizes[o] >= m:
-            continue  # the diagonal, the graph of o^T, or too many points for a block
-        marked = np.zeros(transpose.size, dtype=bool)
-        marked[[o, transpose[o]]] = True
-        block = _component_of_zero(ids, marked)
-        if block is not None and block.tobytes() not in seen:
-            seen.add(block.tobytes())
-            found.append(block)
-            found.sort(key=len)
-    yield from found
-
-
-def _relabelled(ids: np.ndarray, transpose: np.ndarray) -> PairOrbitPartition:
-    """The partition of a transitive action whose pairs carry the labels ids
-    (any integers, with transpose[x] the label of the transposed pairs),
-    renumbered by first appearance: row 0 holds every orbit."""
-    values, first = np.unique(ids[0], return_index=True)
-    values = values[np.argsort(first)]
-    lut = np.zeros(transpose.size, dtype=np.int32)
-    lut[values] = np.arange(values.size, dtype=np.int32)
-    return PairOrbitPartition(ids.shape[0], lut[ids], values.size, lut[transpose[values]])
-
-
-def _imprimitive_factors(images: list, orbits: PairOrbitPartition):
-    """The wreath rule's two factors of a transitive action, or None.
-
-    The connected components of each non-diagonal orbital graph form a
-    block system; only point 0's component is grown, finest first.  For a
-    block system with blocks of w points, b of them, let K be the action on
-    the blocks and H the block stabilizer's action on the block B0 of 0.
-    By the Krasner-Kaloujnine embedding the group lies in W = H wr K, whose
-    rank is rank(H) + rank(K) - 1: H's orbitals are the distinct orbits on
-    B0 x B0, and K's the classes of orbits that meet a common block pair.
-    Each W-orbital is a union of orbitals, so orbit_count equal to that
-    rank proves that W has the same orbitals, hence the same commutant.
-    The first block system with that proof is split, or None if none has it.
-
-    A breadth-first Schreier tree on the blocks names a group element
-    t_a that takes B0 to block a; points[a, p] = t_a(B0[p]).  K's
-    generators are the generators' actions on the blocks, and H's the
-    distinct Schreier generators t_{g(a)}^-1 g t_a restricted to B0.  Their
-    orbit partitions are read from orbit_id, with no second pair_orbits.
-    Returns (points, K's images, K's partition, H's images, H's partition).
-    """
-    ids, count, transpose = orbits.orbit_id, orbits.orbit_count, orbits.transpose
-    m = ids.shape[0]
-    if count == m or np.any(np.diagonal(ids) != ids[0, 0]):
-        return None  # regular (abelian, or not multiplicity-free), or intransitive
-    for block in _blocks_finest_first(ids, transpose):
-        w, b = block.size, m // block.size
-        inside = np.zeros(count, dtype=bool)
-        inside[ids[0, block]] = True
-        # the orbits inside B0 are the relation "same block": blocks are
-        # numbered by their smallest point, B0 first
-        reps, block_of = np.unique(np.argmax(inside[ids], axis=1), return_inverse=True)
-        h_rank = np.unique(ids[np.ix_(block, block)]).size
-        meets = np.zeros((count, b), dtype=bool)
-        meets[ids[block].ravel(), np.tile(block_of, w)] = True
-        pairs = np.nonzero(meets)
-        classes = _hook_and_compress(count + b, [(pairs[0], count + pairs[1])])[0][:count]
-        if count == h_rank + np.unique(classes).size - 1:
-            entries = _moved_entries(images, m)
-            points, k_images, h_images = _split(images, entries, _by_generator(entries, m),
-                                                block, block_of, reps)
-            k_ids = classes[ids[np.ix_(points[:, 0], points[:, 0])]]
-            return (points, k_images, _relabelled(k_ids, classes[transpose]),
-                    h_images, _relabelled(ids[np.ix_(block, block)], transpose))
-    return None
-
-
 def _by_generator(entries: tuple, m: int) -> tuple:
     """`_moved_entries` sorted by generator: the keys g*m + p and images g(p)."""
     src, gen, dst, _ = entries
@@ -1085,47 +987,55 @@ def _minimal_block(entries: tuple, by_gen: tuple, m: int, x: int):
     return labels
 
 
-_BLOCK_CANDIDATES = 8  # points `_wreath_split` tries for a block with point 0
+_BLOCK_CANDIDATES = 8  # points `_wreath_splits` tries for a block with point 0
 
 
-def _wreath_split(images: list, m: int):
-    """The wreath rule's two factors of a transitive action, found with no
-    pair partition, or None.
+def _wreath_splits(images: list, m: int, orbits=None):
+    """Yield the wreath rule's two factors of a transitive action, one
+    block system at a time: (points, K's images, H's images, counts).
 
-    Candidate points x are taken from the orbits of the first rank bound
+    A candidate point x gives the finest block system in which 0 and x
+    share a block (`_minimal_block`), and `_split` its factors.  With no
+    pair partition, x is taken from the orbits of the first rank bound
     (`_rank_bounds`, the Schreier generators of row 0), smallest orbit
-    first, and the first x among _BLOCK_CANDIDATES whose minimal block
-    with 0 is proper (`_minimal_block`) gives the block system; `_split`
-    gives its factors.  None when the action is intransitive, its degree
-    is prime, or no candidate gives a block.  Returns (points, K's images,
-    H's images, counts): counts yields the rank bounds as orbit counts.
-    The caller proves the split: by the Krasner-Kaloujnine embedding the
-    group lies in H wr K, so its rank is at least rank(H) + rank(K) - 1,
-    and a bound equal to that proves the ranks equal, hence the same
-    orbitals and commutant."""
+    first; only the first x among _BLOCK_CANDIDATES whose block is proper
+    gives a split, and counts yields the rank bounds as orbit counts.
+    With the pair partition orbits, x is taken from the smallest orbits of
+    its row 0, the stabilizer of 0's own; every distinct proper block of
+    the first _BLOCK_CANDIDATES gives a split, and counts is the rank,
+    (orbit_count,).  Nothing is yielded when the action is intransitive or
+    its degree is prime.  The caller proves a split: by the
+    Krasner-Kaloujnine embedding the group lies in H wr K, so its rank is
+    at least rank(H) + rank(K) - 1, and a bound equal to that proves the
+    ranks equal, hence the same orbitals and commutant."""
     if all(m % w for w in range(2, int(m**0.5) + 1)):
-        return None  # a block's size divides m: a prime degree has no proper block
+        return  # a block's size divides m: a prime degree has no proper block
     entries = _moved_entries(images, m)
     tree = _schreier_forest(images, m, entries)
     if tree[2].count(-1) != 1:
-        return None  # intransitive: the tree has a root per point orbit
-    bounds = _rank_bounds(images, m, entries, tree)
-    first = next(bounds)
-    by_gen = _by_generator(entries, m)
-    reps, sizes = np.unique(first, return_counts=True)
-    candidates = reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES]
-    for x in candidates.tolist():  # reps[0] = 0 is its own orbit
-        labels = _minimal_block(entries, by_gen, m, x)
-        if labels is not None:
-            break
+        return  # intransitive: the tree has a root per point orbit
+    if orbits is None:
+        bounds = _rank_bounds(images, m, entries, tree)
+        first = next(bounds)
+        reps, sizes = np.unique(first, return_counts=True)
+        counts = (int(np.count_nonzero(bound == np.arange(m)))
+                  for bound in itertools.chain([first], bounds))
     else:
-        return None
-    reps = np.unique(labels)
-    points, k_images, h_images = _split(images, entries, by_gen, np.flatnonzero(labels == 0),
-                                        np.searchsorted(reps, labels), reps)
-    counts = (int(np.count_nonzero(bound == np.arange(m)))
-              for bound in itertools.chain([first], bounds))
-    return points, k_images, h_images, counts
+        _, reps, sizes = np.unique(orbits.orbit_id[0], return_index=True, return_counts=True)
+        counts = (orbits.orbit_count,)
+    by_gen = _by_generator(entries, m)
+    seen = set()
+    # reps[0] = 0 is its own orbit
+    for x in reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES].tolist():
+        labels = _minimal_block(entries, by_gen, m, x)
+        if labels is None or labels.tobytes() in seen:
+            continue
+        seen.add(labels.tobytes())
+        blocks = np.unique(labels)
+        yield _split(images, entries, by_gen, np.flatnonzero(labels == 0),
+                     np.searchsorted(blocks, labels), blocks) + (counts,)
+        if orbits is None:
+            return
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
@@ -1169,9 +1079,12 @@ def closure_enumerate(action: GroupAction, cap: int) -> ClosureResult:
 # ---------------------------------------------------------------------------
 # group spec mini-language
 
-def _split_top_level(text: str) -> list:
-    parts, depth, cur = [], 0, []
-    for ch in text:
+def _split_specs(text: str) -> list:
+    """Split a list of group specs at its commas outside parentheses, then
+    join each piece without a ':' back onto the spec before it, so
+    hybrid:2,4 and wreath:4s,2c stay whole; empty pieces are dropped."""
+    specs, depth, cur = [], 0, []
+    for ch in text + ",":
         if ch == "(":
             depth += 1
             if depth >= MAX_SPEC_DEPTH:
@@ -1180,15 +1093,17 @@ def _split_top_level(text: str) -> list:
             depth -= 1
             if depth < 0:
                 raise InputError(f"unbalanced parentheses in {text!r}")
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-        else:
+        if ch != "," or depth:
             cur.append(ch)
+            continue
+        piece, cur = "".join(cur).strip(), []
+        if specs and piece and ":" not in piece:
+            specs[-1] += "," + piece
+        elif piece:
+            specs.append(piece)
     if depth != 0:
         raise InputError(f"unbalanced parentheses in {text!r}")
-    parts.append("".join(cur))
-    return parts
+    return specs
 
 
 def parse_group_spec(spec: str) -> GroupAction:
@@ -1233,7 +1148,7 @@ def parse_group_spec(spec: str) -> GroupAction:
         if head == "product":
             if not (rest.startswith("(") and rest.endswith(")")):
                 raise InputError(f"product spec needs parentheses: {spec!r}")
-            inner = _split_top_level(rest[1:-1])
+            inner = _split_specs(rest[1:-1])
             if len(inner) != 2:
                 raise InputError(f"product takes exactly two factor specs: {spec!r}")
             return make_product(parse_group_spec(inner[0]), parse_group_spec(inner[1]))

@@ -32,14 +32,14 @@ from .errors import (
 )
 from .groups import (
     GroupAction,
+    Permutation,
     _branching_name,
     _check_degree,
     _check_log2_degree,
     _affine_coordinates,
     _character_orbits,
-    _imprimitive_factors,
     _normalize_branching,
-    _wreath_split,
+    _wreath_splits,
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
@@ -495,13 +495,13 @@ class SynthesizedBasis:
     data_dependent marks the trivial-action fallback (plain KLT of the
     sample, no seed-independence guarantee).  certificate is the accepted
     ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
-    sample pairs drawn to reach it.  The trivial action's KLT, the
-    semidirect route and the exact wreath route draw no sample (None and
-    0): the last two are proved by exact integer checks instead.  The
-    wreath route on the pair partition is exact too; it reports the
-    largest certificate and the total attempts of the factors that were
-    sampled, None and 0 when none was.  `mtf synthesize` prints both in
-    its text and JSON reports alike.
+    sample pairs drawn to reach it.  The trivial action's KLT and the
+    semidirect route draw no sample (None and 0); the semidirect route is
+    proved by exact integer checks instead.  The wreath route's split is
+    proved by exact integer checks too; it reports the largest certificate
+    and the total attempts of the factors that were sampled, None and 0
+    when none was.  `mtf synthesize` prints both in its text and JSON
+    reports alike.
     """
 
     transform: UnitaryTransform
@@ -758,60 +758,51 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
             lambda: _cluster_labels(sizes))
 
 
-def _factor(images: list, m: int):
-    """A wreath factor's exact route, or None: a further wreath split
+def _wreath(images: list, m: int, seed: int, name: str, orbits=None):
+    """The wreath route as (rank, build), build() giving the basis, or
+    None.  `_wreath_splits` gives the block systems to try (with no pair
+    partition, the first minimal one; with the partition orbits, up to
+    _BLOCK_CANDIDATES of them) and the rank bounds (Schreier bounds, or
+    orbits' orbit_count).  Each factor takes its route (`_factor_route`),
+    which gives its rank, and rank(H) + rank(K) - 1 must equal a bound;
+    only then is a held factor routed, by build()."""
+    for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
+        b, w = points.shape
+        top = _factor_route(k_images, b, seed, name)
+        inner = _factor_route(h_images, w, seed, name)
+        rank = top[0] + inner[0] - 1
+        if rank in counts:
+            return rank, lambda: _compose(top[1](), inner[1](), points)
+    return None
+
+
+def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
+    """A wreath factor's route as (rank, build): a further wreath split
     first, as the factors of an iterated wreath are wreaths themselves,
-    then the semidirect route."""
-    return _exact_wreath(images, m) or _semidirect(images, m)
+    then the semidirect route; otherwise the factor is held as its own
+    pair partition, whose orbit count is its rank, and routed on it
+    (`_partitioned`) only when build() is called."""
+    found = _wreath(images, m, seed, name)
+    if found is not None:
+        return found
+    found = _semidirect(images, m)
+    if found is not None:
+        return found[1].size, lambda: found
+    action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
+    partition = pair_orbits(action)
+    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, seed, name)
 
 
-def _exact_wreath(images: list, m: int):
-    """The wreath route with no pair partition, or None: `_wreath_split`
-    finds a block system and its factors, each factor must take an exact
-    route itself (`_factor`), and one of the rank bounds must equal
-    rank(H) + rank(K) - 1, the ranks being the factors' eigenspace
-    counts.  Nothing is sampled."""
-    found = _wreath_split(images, m)
-    if found is None:
-        return None
-    points, k_images, h_images, counts = found
-    b, w = points.shape
-    top = _factor(k_images, b)
-    inner = None if top is None else _factor(h_images, w)
-    del found, k_images, h_images  # the factors' generators are not needed for the fill
-    if inner is None or top[1].size + inner[1].size - 1 not in counts:
-        return None
-    return _compose(top, inner, points)
-
-
-def _wreath_or_sampled(images: list, orbits, seed: int, name: str) -> tuple:
-    """The wreath route on the pair-orbit partition orbits() gives, else the
-    sampled route on it.  `_imprimitive_factors` splits the action into its
-    block action K and block stabilizer H with their pair partitions, each
-    factor takes its own route (`_matched`), and `_compose` builds the
-    basis; the partition is dropped once split, before the M x M result is
-    built."""
+def _partitioned(images: list, m: int, orbits, seed: int, name: str) -> tuple:
+    """The routes once no exact one applies: the wreath route on the pair
+    partition orbits() gives, else the sampled route on it.  The partition
+    is dropped once a split is proved, before the M x M basis is built."""
     partition = orbits()
-    split = _imprimitive_factors(images, partition)
-    if split is None:
+    found = _wreath(images, m, seed, name, partition)
+    if found is None:
         return _sampled(partition, seed, name)
     del partition
-    points, k_images, k_orbits, h_images, h_orbits = split
-    b, w = points.shape
-    top = _matched(k_images, b, lambda: k_orbits, seed, name)
-    inner = _matched(h_images, w, lambda: h_orbits, seed, name)
-    del split, k_images, k_orbits, h_images, h_orbits
-    return _compose(top, inner, points)
-
-
-def _matched(images: list, m: int, orbits, seed: int, name: str) -> tuple:
-    """The first of the semidirect, exact wreath, wreath and sampled routes
-    that applies to the action the image arrays generate; orbits() gives
-    its pair-orbit partition, called only once the exact routes have
-    failed.  Returns (U, eigenspace sizes in column order, certificate,
-    attempts, labels)."""
-    return (_semidirect(images, m) or _exact_wreath(images, m)
-            or _wreath_or_sampled(images, orbits, seed, name))
+    return found[1]()
 
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
@@ -822,16 +813,12 @@ def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
                             tuple(sorted(sizes.tolist())), False, certificate, attempts)
 
 
-def _sampled_basis(action: GroupAction, seed: int) -> SynthesizedBasis:
-    """synthesize_matched's sampled route, for any non-trivial action."""
-    return _synthesized(action.name, _sampled(pair_orbits(action), seed, action.name))
-
-
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """The matched basis of a multiplicity-free action: a U that diagonalizes
-    every invariant matrix.  Five routes, tried in this order; the first
-    three build U with no sample and no eigensolve, and the fourth samples
-    only the factors that need it.
+    every invariant matrix.  Four routes, tried in this order: the trivial
+    action's KLT, the semidirect route, which builds U with no sample and
+    no eigensolve, the wreath route, which samples only the factors that
+    need it, and the sampled route.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
@@ -855,27 +842,30 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     products in pairs; the proof is not a sample but exact integer checks,
     and an action that fails them costs O(kM) integer work.
 
-    The exact wreath route takes an imprimitive action whose orbitals are
-    those of H wr K, with K its action on a block system and H the block
-    stabilizer's action on one block, when both factors take exact routes
-    themselves (`_exact_wreath`).  The block system is the minimal one
-    holding point 0 and a point of a small orbit of the stabilizer of 0
-    (`_wreath_split`).  By the Krasner-Kaloujnine embedding the rank of
-    the action is at least rank(H) + rank(K) - 1; the orbits of subgroups
-    of the stabilizer of 0, generated by Schreier generators
-    (`_rank_bounds`), bound it from above, and equality proves the
-    orbitals those of H wr K.  No pair partition is computed.
-
-    The wreath route on the pair partition checks the same equality with
-    the orbit count of the pair orbits (`_imprimitive_factors`), trying the
-    block systems of point 0 finest first.  Each factor takes its own route
-    (semidirect, exact wreath, wreath or sampled), on generators and pair
-    orbits read off the action's.  Both wreath routes compose the two bases
-    with `_wreath_recurse`, as wreath_matrix does; labels are
-    cluster=c,col=i with c numbering the eigenspaces in column order.
+    The wreath route takes an imprimitive action whose orbitals are those
+    of H wr K, with K its action on a block system and H the block
+    stabilizer's action on one block (`_wreath`).  A block system is the
+    minimal one holding point 0 and a point x of a small orbit of the
+    stabilizer of 0 (`_wreath_splits`).  By the Krasner-Kaloujnine
+    embedding the rank of the action is at least rank(H) + rank(K) - 1,
+    and a rank bound equal to that proves the orbitals those of H wr K.
+    First the bounds are the orbit counts of subgroups of the stabilizer
+    of 0, generated by Schreier generators (`_rank_bounds`), and only the
+    first proper block is tried; no pair partition of the action is
+    computed.  Once no exact route applies, the bound is the orbit count
+    of the action's pair partition, computed anyway for sampling, and x is
+    taken from the smallest orbits of its row 0, up to _BLOCK_CANDIDATES
+    of them.  Each factor takes an exact route if one applies (a further
+    wreath split, then the semidirect route), which gives its rank, or is
+    held as its own pair partition, whose orbit count is its rank
+    (`_factor_route`); a held factor is routed on that partition, and
+    sampled if nothing proves it, only once the split is proved.  U
+    composes the factors' bases with `_wreath_recurse`, as wreath_matrix
+    does; labels are cluster=c,col=i with c numbering the eigenspaces in
+    column order.
 
     Otherwise U is the eigenbasis of a generic invariant matrix R1,
-    certified data-independent against a second one, R2 (`_sampled_basis`).
+    certified data-independent against a second one, R2 (`_sampled`).
     Each draw takes one seeded coefficient per pair orbit (`_draw`), on a
     partition computed once per call and shared with the wreath route on
     it.  U is found in real arithmetic.
@@ -908,6 +898,10 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             tuple(f"klt={k}" for k in range(action.degree)),
         )
         return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
-    images = [g.as_array() for g in action.generators]
-    return _synthesized(action.name, _matched(images, action.degree,
-                                              lambda: pair_orbits(action), seed, action.name))
+    images, m = [g.as_array() for g in action.generators], action.degree
+    found = _semidirect(images, m)
+    if found is None:
+        wreath = _wreath(images, m, seed, action.name)
+        found = (_partitioned(images, m, lambda: pair_orbits(action), seed, action.name)
+                 if wreath is None else wreath[1]())
+    return _synthesized(action.name, found)

@@ -1,8 +1,10 @@
 """Shared oracles for the test suite: brute-force group facts computed
-without the library's own search machinery, a loop-by-loop reference for
-subspace_match's clustering and column assignment, a reference for
-discovery's refinement that signs both rows and columns, a scalar
-reference for the rng stream, and actions outside the catalog families."""
+without the library's own search machinery, synthesize_matched's sampled
+route on its own (the oracle its exact routes are held to), a
+loop-by-loop reference for subspace_match's clustering and column
+assignment, a reference for discovery's refinement that signs both rows
+and columns, a scalar reference for the rng stream, and actions outside
+the catalog families."""
 
 import itertools
 
@@ -22,6 +24,7 @@ from matched_transforms import (
     make_trivial,
     make_wreath,
     residual_delta,
+    transforms,
 )
 from matched_transforms.discovery import _value_ranks
 from matched_transforms.numkernel import as_cmatrix, herm_eig
@@ -312,3 +315,12 @@ def reference_refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
 def images_of(action) -> list:
     """The generators' image arrays."""
     return [g.as_array() for g in action.generators]
+
+
+def sampled_basis(action, seed: int):
+    """synthesize_matched's sampled route, for any non-trivial action: the
+    eigenbasis of a generic invariant sample on the action's own pair
+    partition, certified against a second one.  The partition is read
+    through the transforms module, so a spy set on it there sees it."""
+    orbits = transforms.pair_orbits(action)
+    return transforms._synthesized(action.name, transforms._sampled(orbits, seed, action.name))

@@ -544,6 +544,12 @@ class TestSynthesize:
             assert err.count("error:") == 1
             assert "deeper than" in err
 
+    def test_product_of_a_spec_with_commas(self, tmp_path, capsys):
+        # the factor spec's pieces without ':' rejoin it, as in --library
+        out = str(tmp_path / "x.mtx")
+        assert run(["synthesize", "--group", "product:(wreath:4s,2c,cyclic:2)", "--out", out]) == 0
+        capsys.readouterr()
+
     def test_non_multiplicity_free_exit_1(self, tmp_path, capsys):
         out = str(tmp_path / "x.mtx")
         code = run(["synthesize", "--group", "product:(trivial:2,cyclic:2)", "--out", out])

@@ -33,9 +33,9 @@ from matched_transforms import (
     wht_matrix,
 )
 from matched_transforms.diagnostics import CLUSTER_REL_GAP
-from matched_transforms.transforms import UnitaryTransform, _sampled_basis
+from matched_transforms.transforms import UnitaryTransform
 
-from helpers import catalog_actions, is_invariant, reference_subspace_match
+from helpers import catalog_actions, is_invariant, reference_subspace_match, sampled_basis
 
 
 class TestSampleInvariantCov:
@@ -278,15 +278,15 @@ class TestMultiplicityFreeProbe:
 
     def test_cyclic8_true(self):
         for seed in (1, 2):
-            assert not _sampled_basis(make_cyclic(8), seed).data_dependent
+            assert not sampled_basis(make_cyclic(8), seed).data_dependent
 
     def test_dyadic_wreath3_true(self):
         for seed in (1, 2):
-            assert not _sampled_basis(make_dyadic_wreath(3), seed).data_dependent
+            assert not sampled_basis(make_dyadic_wreath(3), seed).data_dependent
 
     def test_dihedral_on_2m_true(self):
         for seed in (3, 4):
-            assert not _sampled_basis(make_dihedral(4), seed).data_dependent
+            assert not sampled_basis(make_dihedral(4), seed).data_dependent
 
     def test_padded_swap_false(self):
         act = from_generators([Permutation((1, 0, 2, 3))], "swap-x-trivial")
@@ -297,7 +297,7 @@ class TestMultiplicityFreeProbe:
     def test_seed_pair_robust(self):
         for pair in [(5, 6), (10, 11), (97, 98)]:
             for seed in pair:
-                assert not _sampled_basis(make_cyclic(6), seed).data_dependent
+                assert not sampled_basis(make_cyclic(6), seed).data_dependent
 
 
 class TestDctFoldCov:

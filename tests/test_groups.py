@@ -23,21 +23,22 @@ from matched_transforms import (
     parse_permutation,
     random_psd,
     reynolds_project,
+    transforms,
 )
 
 from matched_transforms.groups import (
+    _BLOCK_CANDIDATES,
     _affine_coordinates,
     _by_generator,
     _character_orbits,
     _hook_and_compress,
-    _imprimitive_factors,
     _minimal_block,
     _moved_entries,
     _rank_bounds,
     _regular_abelian_coordinates,
     _schreier_forest,
     _smith_form,
-    _wreath_split,
+    _wreath_splits,
 )
 
 from helpers import (
@@ -686,9 +687,25 @@ class TestAffineCoordinates:
         assert peak < 16 * 2**20
 
 
-class TestImprimitiveFactors:
-    """The wreath route's proof and factors, checked against each factor's
-    own pair orbits."""
+def proved_split(action):
+    """The split the wreath route proves on the action's pair partition:
+    the first that `_wreath_splits` yields whose factors' own pair orbits
+    give rank(H) + rank(K) - 1 = orbit_count, with those partitions, or
+    None."""
+    orbits = pair_orbits(action)
+    for points, k_images, h_images, counts in _wreath_splits(
+            images_of(action), action.degree, orbits):
+        k_orbits, h_orbits = (pair_orbits(from_generators([Permutation(x) for x in images],
+                                                          "factor"))
+                              for images in (k_images, h_images))
+        if k_orbits.orbit_count + h_orbits.orbit_count - 1 in counts:
+            return points, k_images, k_orbits, h_images, h_orbits
+    return None
+
+
+class TestPartitionSplits:
+    """The wreath route's block systems on the pair partition and its
+    proof, checked against each factor's own pair orbits."""
 
     @pytest.mark.parametrize("action", [
         parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed)
@@ -698,8 +715,7 @@ class TestImprimitiveFactors:
     ], ids=lambda a: a.name)
     def test_factors(self, action):
         orbits = pair_orbits(action)
-        points, k_images, k_orbits, h_images, h_orbits = _imprimitive_factors(
-            images_of(action), orbits)
+        points, k_images, k_orbits, h_images, h_orbits = proved_split(action)
         b, w = points.shape
         assert np.array_equal(np.sort(points.ravel()), np.arange(action.degree))
         assert points[0, 0] == 0 and np.all(np.diff(points[0]) > 0)
@@ -709,23 +725,19 @@ class TestImprimitiveFactors:
         for g in images_of(action):
             assert {frozenset(r) for r in g[points].tolist()} == blocks
         assert orbits.orbit_count == k_orbits.orbit_count + h_orbits.orbit_count - 1
-        # the partitions read off orbit_id are the factors' own pair orbits
-        for images, derived, n in ((k_images, k_orbits, b), (h_images, h_orbits, w)):
-            own = pair_orbits(from_generators([Permutation(x) for x in images], "factor"))
-            assert own.degree == derived.degree == n
-            assert own.orbit_count == derived.orbit_count
-            assert np.array_equal(own.orbit_id, derived.orbit_id)
-            assert np.array_equal(own.transpose, derived.transpose)
+        assert (k_orbits.degree, h_orbits.degree) == (b, w)
+        # the route proves a split of the same rank, its factors' ranks
+        # read from their own routes
+        rank, _ = transforms._wreath(images_of(action), action.degree, 3, action.name, orbits)
+        assert rank == orbits.orbit_count
 
     @pytest.mark.parametrize("spec, width", [
         ("dyadic-wreath:4", 2), ("hybrid:4,3", 4), ("wreath:2s,4c", 4), ("hybrid:6,3", 6),
     ])
-    def test_finest_block_system_that_passes(self, spec, width):
+    def test_block_system_that_passes(self, spec, width):
         # hybrid:4,3 and wreath:2s,4c have blocks of 2 inside their blocks
         # of 4, which fail the rank count
-        act = parse_group_spec(spec)
-        points = _imprimitive_factors(images_of(act), pair_orbits(act))[0]
-        assert points.shape[1] == width
+        assert proved_split(parse_group_spec(spec))[0].shape[1] == width
 
     @pytest.mark.parametrize("action", [
         parse_group_spec("dihedral:6"), parse_group_spec("dihedralM:12"),
@@ -734,7 +746,9 @@ class TestImprimitiveFactors:
         parse_group_spec("product:(cyclic:3,trivial:2)"), parse_group_spec("wreath:5s"),
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
-        assert _imprimitive_factors(images_of(action), pair_orbits(action)) is None
+        assert proved_split(action) is None
+        assert transforms._wreath(images_of(action), action.degree, 3, action.name,
+                                  pair_orbits(action)) is None
 
 
 def closure_of(images, name="factor"):
@@ -768,8 +782,8 @@ SPLIT_ACTIONS = [
 
 
 class TestWreathSplits:
-    """The exact wreath route's block systems, factors and rank bounds,
-    checked against the enumerated group."""
+    """The wreath route's block systems, factors and rank bounds, checked
+    against the enumerated group."""
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_minimal_blocks(self, action):
@@ -795,7 +809,7 @@ class TestWreathSplits:
         tree = _schreier_forest(images, m, entries)
         if tree[2].count(-1) != 1:
             # intransitive: no block system, and no bound is read
-            assert _wreath_split(images, m) is None
+            assert list(_wreath_splits(images, m)) == []
             return
         counts = [int(np.count_nonzero(b == np.arange(m)))
                   for b in _rank_bounds(images, m, entries, tree)]
@@ -805,30 +819,36 @@ class TestWreathSplits:
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):
+        # with no pair partition, the first proper minimal block; with it,
+        # every distinct one of up to _BLOCK_CANDIDATES points
         m = action.degree
         elements = [p.as_array() for p in closure_set(action)]
-        found = _wreath_split(images_of(action), m)
-        # a split exactly when the action is transitive and imprimitive
         transitive = {int(g[0]) for g in elements} == set(range(m))
         blocks = [reference_blocks(elements, m, x) for x in range(1, m)]
         imprimitive = any(2 * np.count_nonzero(l == 0) <= m for l in blocks)
-        assert (found is not None) == (transitive and imprimitive)
-        if found is None:
-            return
-        points, k_images, h_images, _ = found
-        b, w = points.shape
-        assert 1 < w < m and points[0, 0] == 0
-        assert np.array_equal(np.sort(points.ravel()), np.arange(m))
-        block_of = np.empty(m, dtype=np.int64)
-        block_of[points] = np.arange(b)[:, None]
-        local = np.empty(m, dtype=np.int64)
-        local[points] = np.arange(w)
-        # K is the group's action on the blocks, H the block stabilizer's
-        # on block 0, in local numbering
-        on_blocks = {block_of[g[points[:, 0]]].tobytes() for g in elements}
-        assert closure_of(k_images) == on_blocks
-        on_block0 = {local[g[points[0]]].tobytes() for g in elements if block_of[g[0]] == 0}
-        assert closure_of(h_images) == on_block0
+        for orbits in (None, pair_orbits(action)):
+            splits = list(_wreath_splits(images_of(action), m, orbits))
+            # a split exactly when the action is transitive and imprimitive
+            assert bool(splits) == (transitive and imprimitive)
+            assert len(splits) <= (1 if orbits is None else _BLOCK_CANDIDATES)
+            assert len({s[0][0].tobytes() for s in splits}) == len(splits)
+            for points, k_images, h_images, counts in splits:
+                if orbits is not None:
+                    assert counts == (orbits.orbit_count,)
+                b, w = points.shape
+                assert 1 < w < m and points[0, 0] == 0
+                assert np.array_equal(np.sort(points.ravel()), np.arange(m))
+                block_of = np.empty(m, dtype=np.int64)
+                block_of[points] = np.arange(b)[:, None]
+                local = np.empty(m, dtype=np.int64)
+                local[points] = np.arange(w)
+                # K is the group's action on the blocks, H the block
+                # stabilizer's on block 0, in local numbering
+                on_blocks = {block_of[g[points[:, 0]]].tobytes() for g in elements}
+                assert closure_of(k_images) == on_blocks
+                on_block0 = {local[g[points[0]]].tobytes() for g in elements
+                             if block_of[g[0]] == 0}
+                assert closure_of(h_images) == on_block0
 
 
 class TestReynolds:
@@ -926,6 +946,13 @@ class TestGroupSpecLanguage:
         for spec in ["", "cyclic", "cyclic:", "nope:3", "product:(cyclic:2)", "wreath:2x"]:
             with pytest.raises(InputError):
                 parse_group_spec(spec)
+
+    def test_product_of_a_spec_with_commas(self):
+        # a piece without ':' belongs to the spec before it
+        act = parse_group_spec("product:(hybrid:4,3,cyclic:3)")
+        ref = make_product(make_hybrid(4, 3), make_cyclic(3))
+        assert act.name == ref.name and act.degree == ref.degree
+        assert act.generators == ref.generators
 
     def test_nested_product(self):
         act = parse_group_spec("product:(product:(cyclic:2,cyclic:2),cyclic:2)")

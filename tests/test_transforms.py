@@ -59,6 +59,7 @@ from helpers import (
     pair_orbit_labels,
     random_action,
     relabel,
+    sampled_basis,
 )
 
 
@@ -455,7 +456,7 @@ class TestSynthesize:
         # R1 has near-coincident eigenvalues on these seeds; the sampled
         # route's pattern must still be the irreducible dimensions (cyclic
         # and boolean actions take the character route in synthesize_matched)
-        basis = transforms._sampled_basis(parse_group_spec(spec), seed)
+        basis = sampled_basis(parse_group_spec(spec), seed)
         assert basis.degeneracy_pattern == pattern
 
     def test_trivial_action_is_klt(self):
@@ -510,7 +511,7 @@ class TestSynthesize:
         assert orbits.transpose_class_count() == orbits.orbit_count
         r3 = sample_invariant_cov(action, seed=500)
         for basis in (synthesize_matched(action, seed=3),
-                      transforms._sampled_basis(action, seed=3)):
+                      sampled_basis(action, seed=3)):
             assert not basis.transform.matrix.imag.any()
             assert offdiag_rel(basis.transform, r3) <= 1e-8
 
@@ -519,7 +520,7 @@ class TestSynthesize:
         # the conjugate-pair blocks must turn Re R1's real eigenvectors into
         # eigenvectors of the complex sample R1 itself, in ascending order
         action = parse_group_spec(spec)
-        basis = transforms._sampled_basis(action, seed=4)
+        basis = sampled_basis(action, seed=4)
         u = basis.transform.matrix
         assert u.imag.any()
         re1, im1 = _draw(pair_orbits(action), _derived_seed(4, 0), True)
@@ -555,7 +556,7 @@ class TestSynthesize:
             basis = synthesize_matched(action, seed=11)
             assert basis.certificate is None and basis.attempts == 0
             return
-        basis = transforms._sampled_basis(action, seed=11)
+        basis = sampled_basis(action, seed=11)
         assert basis.attempts == 1
         re2, im2 = _draw(pair_orbits(action), _derived_seed(11, 2 * basis.attempts - 1), True)
         r2 = re2 + 1j * im2
@@ -599,12 +600,12 @@ class TestSynthesize:
         drawn = self.merge_samples(monkeypatch, set())
         synthesize_matched(make_cyclic(6), seed=7)
         assert calls == [] and drawn == []
-        transforms._sampled_basis(make_cyclic(6), seed=7)
+        sampled_basis(make_cyclic(6), seed=7)
         assert calls == ["cyclic:6"]
         # an attempt that resamples reuses the same partition
         calls.clear()
         self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        transforms._sampled_basis(make_cyclic(6), seed=7)
+        sampled_basis(make_cyclic(6), seed=7)
         assert calls == ["cyclic:6"]
 
     @staticmethod
@@ -631,7 +632,7 @@ class TestSynthesize:
         # samples are freed after the certificate, so the failed pair is
         # drawn again for the commutator.
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        basis = transforms._sampled_basis(make_cyclic(6), seed=7)
+        basis = sampled_basis(make_cyclic(6), seed=7)
         assert drawn == [_derived_seed(7, k) for k in (0, 1, 0, 1, 2, 3)]
         assert basis.attempts == 2
         assert not basis.data_dependent
@@ -641,7 +642,7 @@ class TestSynthesize:
     def test_every_sample_merged_raises(self, monkeypatch):
         drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 2 * k) for k in range(5)})
         with pytest.raises(DegenerateSampleError):
-            transforms._sampled_basis(make_cyclic(6), seed=7)
+            sampled_basis(make_cyclic(6), seed=7)
         assert drawn == [_derived_seed(7, 2 * k + i) for k in range(5) for i in (0, 1, 0, 1)]
 
 
@@ -671,7 +672,7 @@ class TestGenericDraw:
         monkeypatch.setattr(transforms, "_draw", recorded)
         if any(not g.is_identity() for g in action.generators):
             # abelian actions take the character route in synthesize_matched
-            transforms._sampled_basis(action, seed=3)
+            sampled_basis(action, seed=3)
             assert kept and set(kept) == {not self_paired}
         else:
             synthesize_matched(action, seed=3)
@@ -772,7 +773,7 @@ class TestCharacterRoute:
         action = parse_group_spec(spec)
         if seed is not None:
             action = relabel(action, seed)
-        sampled = transforms._sampled_basis(action, seed=3)
+        sampled = sampled_basis(action, seed=3)
 
         def refuse(*args):
             raise AssertionError("the character route sampled")
@@ -833,6 +834,25 @@ def refuse(*args):
     raise AssertionError("sampled or eigensolved on an exact route")
 
 
+def spy_partitions_and_draws(monkeypatch):
+    """Record the degree of every pair partition synthesis computes and of
+    every sample it draws, in two lists."""
+    calls, drawn = [], []
+    draw = transforms._draw
+
+    def counted(act):
+        calls.append(act.degree)
+        return pair_orbits(act)
+
+    def recorded(orbits, seed, paired):
+        drawn.append(orbits.degree)
+        return draw(orbits, seed, paired)
+
+    monkeypatch.setattr(transforms, "pair_orbits", counted)
+    monkeypatch.setattr(transforms, "_draw", recorded)
+    return calls, drawn
+
+
 def relabelled(actions):
     """Each action, then its relabel copies with seeds 1 and 2."""
     return [a if seed is None else relabel(a, seed) for a in actions for seed in (None, 1, 2)]
@@ -852,7 +872,7 @@ class TestSemidirectRoute:
         hamming_action(3), hamming_action(4),
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
-        sampled = transforms._sampled_basis(action, seed=3)
+        sampled = sampled_basis(action, seed=3)
         for name in ("_draw", "pair_orbits", "herm_eig"):
             monkeypatch.setattr(transforms, name, refuse)
         basis = synthesize_matched(action, seed=3)
@@ -913,20 +933,16 @@ class TestWreathRoute:
             "hybrid:4,3", "hybrid:3,4", "hybrid:8,8", "hybrid:16,16")
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
-        sampled = transforms._sampled_basis(action, seed=3)
-        exact = transforms._exact_wreath(images_of(action), action.degree) is not None
-        calls = []
-
-        def counted(act):
-            calls.append(act.name)
-            return pair_orbits(act)
-
-        monkeypatch.setattr(transforms, "pair_orbits", counted)
+        sampled = sampled_basis(action, seed=3)
+        proved = transforms._wreath(images_of(action), action.degree, 3, action.name)
+        calls, _ = spy_partitions_and_draws(monkeypatch)
         basis = synthesize_matched(action, seed=3)
-        # the exact wreath route reads no pair partition; otherwise the
-        # action's own is computed once and the factors' read off it
-        assert calls == ([] if exact else [action.name])
-        assert basis.attempts == 0 or not exact
+        # the action's own pair partition is computed once, and only when
+        # the Schreier bounds prove no split; every other one is a held
+        # factor's, of smaller degree
+        assert calls.count(action.degree) == (0 if proved else 1)
+        assert max(calls, default=0) <= action.degree
+        assert basis.attempts == 0 or calls
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         assert all(l.startswith("cluster=") for l in basis.transform.column_labels)
         assert transforms._gram_error(basis.transform.matrix) <= 1e-10
@@ -942,32 +958,69 @@ class TestWreathRoute:
         else:
             assert 0.0 <= basis.certificate <= transforms.DIAGONAL_TOL
 
-    @pytest.mark.parametrize("action, exact", [
-        (action, True) for action in relabelled([parse_group_spec(spec) for spec in (
+    @pytest.mark.parametrize("action, held", [
+        (action, False) for action in relabelled([parse_group_spec(spec) for spec in (
             "dyadic-wreath:3", "dyadic-wreath:9", "wreath:3s,2c", "wreath:4c,3c",
             "wreath:2s,4c", "wreath:3c,2s,3c", "hybrid:4,3")])
     ] + [
-        (parse_group_spec("wreath:4c,4c,4c,4c"), True),
-        # this numbering's first block is {0, 2} inside a Z_4 leaf group,
-        # whose split fails the rank bound
-        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), False),
+        (parse_group_spec("wreath:4c,4c,4c,4c"), False),
     ] + [
-        # an S_k factor with k >= 4 has neither exact route
-        (action, False) for action in relabelled([parse_group_spec(spec) for spec in (
-            "wreath:4s,4c,4c", "hybrid:3,4", "hybrid:8,8", "wreath:5s,2c")])
+        # an S_k factor with k >= 4 has neither exact route: it is held as
+        # its own pair partition, of the factor's degree, and sampled
+        (parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed), True)
+        for spec, seeds in (("wreath:4s,4c,4c", (None, 1)), ("hybrid:3,4", (None, 1, 2)),
+                            ("hybrid:8,8", (None,)), ("wreath:5s,2c", (None, 1, 2)),
+                            ("hybrid:16,16", (None, 1)))
+        for seed in seeds
     ], ids=lambda v: getattr(v, "name", str(v)))
-    def test_exact_route_reads_no_pair_partition(self, action, exact, monkeypatch):
-        # every factor of an exact wreath route takes an exact route too,
-        # and the proof reads Schreier generators instead of pair orbits
-        for name in ("pair_orbits", "_draw", "herm_eig"):
-            monkeypatch.setattr(transforms, name, refuse)
-        found = transforms._exact_wreath(images_of(action), action.degree)
-        assert (found is not None) == exact
-        if exact:
-            basis = synthesize_matched(action, seed=3)
-            assert basis.certificate is None and basis.attempts == 0
-            r3 = sample_invariant_cov(action, seed=500)
-            assert offdiag_rel(basis.transform, r3) <= 1e-8
+    def test_schreier_proof_reads_no_pair_partition_of_the_action(self, action, held,
+                                                                  monkeypatch):
+        # the Schreier bounds prove the split, so the action's own pair
+        # orbits are never computed; only a held factor reads its own
+        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        basis = synthesize_matched(action, seed=3)
+        assert action.degree not in calls and set(drawn) <= set(calls)
+        assert bool(calls) == bool(drawn) == held == (basis.attempts > 0)
+        assert (basis.certificate is None) == (not held)
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    @pytest.mark.parametrize("action, attempts", [
+        # this numbering's first block is {0, 2} inside a Z_4 leaf group,
+        # whose split fails the rank bound; the partition's next candidate
+        # proves a split with every factor exact
+        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), 0),
+    ] + [
+        # the other numberings of the S_k actions above
+        (relabel(parse_group_spec(spec), seed), 1) for spec, seed in (
+            ("wreath:4s,4c,4c", 2), ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2),
+            ("hybrid:16,16", 3))
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_partition_candidates(self, action, attempts, monkeypatch):
+        # no split passes the Schreier bounds, so the action's pair
+        # partition is computed once; its row 0 gives the candidates, its
+        # orbit count the proof, and only held factors are sampled
+        images, m = images_of(action), action.degree
+        assert transforms._wreath(images, m, 3, action.name) is None
+        assert transforms._wreath(images, m, 3, action.name, pair_orbits(action)) is not None
+        sampled = sampled_basis(action, seed=3)
+        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        basis = synthesize_matched(action, seed=3)
+        assert calls.count(m) == 1 and max(drawn, default=0) < m
+        assert basis.attempts == attempts
+        assert basis.degeneracy_pattern == sampled.degeneracy_pattern
+        r3 = sample_invariant_cov(action, seed=500)
+        assert offdiag_rel(basis.transform, r3) <= 1e-8
+
+    def test_failed_splits_sample_nothing(self, monkeypatch):
+        # no block system of this product passes; the held factors of the
+        # failed splits are partitioned but never sampled, and the whole
+        # action is sampled on its own partition
+        action = parse_group_spec("product:(dyadic-wreath:6,cyclic:16)")
+        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        basis = synthesize_matched(action, seed=3)
+        assert len(calls) <= 5 and calls.count(action.degree) == 1
+        assert set(drawn) == {action.degree} and basis.attempts >= 1
 
     @pytest.mark.parametrize("spec, attempts", [
         ("dyadic-wreath:4", 0), ("hybrid:4,3", 0), ("hybrid:3,4", 1), ("wreath:5s,2c", 1),
@@ -1016,7 +1069,7 @@ class TestRandomActions:
         assert len(basis.degeneracy_pattern) == int(labels.max()) + 1
         assert sum(basis.degeneracy_pattern) == action.degree
         if basis.attempts == 0:
-            sampled = transforms._sampled_basis(action, 2)
+            sampled = sampled_basis(action, 2)
             assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
