@@ -28,7 +28,7 @@ from .errors import (
     StructuralMismatchError,
     UndefinedResidualError,
 )
-from .groups import GroupAction, Permutation, make_dihedral, reynolds_project
+from .groups import GroupAction, Permutation, make_dihedral, pair_orbits, reynolds_project
 from .numkernel import as_cmatrix, frobenius_norm, herm_eig, random_psd
 from .transforms import (
     UnitaryTransform,
@@ -59,13 +59,7 @@ def residual_delta(perm: Permutation, r) -> float:
     arr = as_cmatrix(r)
     if arr.shape[0] != perm.degree:
         raise DimensionError("permutation degree does not match the matrix")
-    r_norm = frobenius_norm(arr)
-    if r_norm == 0.0:
-        raise UndefinedResidualError("residual is undefined for the zero matrix")
-    # P R - R P without forming P
-    comm = np.take(arr, perm.inverse().as_array(), axis=0)
-    comm -= np.take(arr, perm.as_array(), axis=1)
-    return float(np.linalg.norm(comm) / (np.sqrt(perm.degree) * r_norm))
+    return _residual_delta(perm, arr, _nonzero_norm(arr, "residual"))
 
 
 def coloring_alpha(action: GroupAction, r) -> float:
@@ -73,11 +67,27 @@ def coloring_alpha(action: GroupAction, r) -> float:
     arr = as_cmatrix(r)
     if arr.shape[0] != action.degree:
         raise DimensionError("matrix shape does not match the action degree")
-    r_norm_sq = frobenius_norm(arr) ** 2
-    if r_norm_sq == 0.0:
-        raise UndefinedResidualError("alpha is undefined for the zero matrix")
-    diff = arr - reynolds_project(arr, action)
-    return 1.0 - float(np.linalg.norm(diff)) ** 2 / r_norm_sq
+    return _coloring_alpha(action, arr, _nonzero_norm(arr, "alpha"))
+
+
+def _nonzero_norm(arr: np.ndarray, what: str) -> float:
+    # ||R||_F for the cores below, which take R validated once per caller
+    norm = frobenius_norm(arr)
+    if norm == 0.0:
+        raise UndefinedResidualError(f"{what} is undefined for the zero matrix")
+    return norm
+
+
+def _residual_delta(perm: Permutation, arr: np.ndarray, r_norm: float) -> float:
+    # P R - R P without forming P
+    comm = np.take(arr, perm.inverse().as_array(), axis=0)
+    comm -= np.take(arr, perm.as_array(), axis=1)
+    return float(np.linalg.norm(comm) / (np.sqrt(perm.degree) * r_norm))
+
+
+def _coloring_alpha(action: GroupAction, arr: np.ndarray, r_norm: float) -> float:
+    diff = arr - pair_orbits(action).average(arr)
+    return 1.0 - float(np.linalg.norm(diff)) ** 2 / r_norm**2
 
 
 def subspace_match(r, predicted: UnitaryTransform) -> MatchReport:

@@ -37,9 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, InputError, UndefinedResidualError
-from .diagnostics import coloring_alpha, residual_delta
-from .groups import Permutation, closure_enumerate, from_generators
-from .numkernel import _check_hermitian, as_cmatrix, frobenius_norm
+from .diagnostics import _coloring_alpha, _nonzero_norm, _residual_delta
+from .groups import Permutation, _hook_and_compress, closure_enumerate, from_generators
+from .numkernel import _check_hermitian, as_cmatrix
 
 LEAVES_PER_POINT = 4  # the search's leaf budget is this many leaves per point of R
 
@@ -115,11 +115,15 @@ def _edge_colours(r_arr: np.ndarray, tau: float) -> np.ndarray:
 
 
 def _row_ranks(sig: np.ndarray) -> np.ndarray:
-    # rank of each row of a non-negative integer array among its distinct
-    # rows, in lexicographic order: big-endian bytes compare as the numbers do
+    # rank of each row of a non-negative integer array among its distinct rows,
+    # in lexicographic order: big-endian bytes sort as the numbers do, and
+    # equal rows are found as native integers, which compare faster
     rows = np.ascontiguousarray(sig, dtype=">i8")
-    return np.unique(rows.view(np.dtype((np.void, rows.strides[0]))).ravel(),
-                     return_inverse=True)[1]
+    order = rows.view(np.dtype((np.void, rows.strides[0]))).ravel().argsort()
+    rows = rows.view(np.int64)[order]
+    ranks = np.empty(order.size, dtype=np.int64)
+    ranks[order] = np.concatenate(([0], (rows[1:] != rows[:-1]).any(axis=1).cumsum()))
+    return ranks
 
 
 def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
@@ -127,11 +131,15 @@ def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     # so cells only split and keep their order; the ranks depend on the
     # colouring alone, not on the vertex numbering.  Edge codes < 2^48 and
     # cells <= MAX_DEGREE = 2^12 keep edges * cells + colours below 2^60.
+    m = colours.size
+    sig, codes = np.empty((m, m + 1), dtype=">i8"), np.empty((m, m), dtype=np.int64)
     cells = int(colours.max()) + 1
     while True:
-        colours = _row_ranks(np.hstack([
-            colours[:, None], np.sort(edges * cells + colours, axis=1)
-        ]))
+        np.multiply(edges, cells, out=codes)
+        codes += colours
+        codes.sort(axis=1)
+        sig[:, 0], sig[:, 1:] = colours, codes
+        colours = _row_ranks(sig)
         split = int(colours.max()) + 1
         if split == cells:
             return colours
@@ -145,36 +153,26 @@ def _individualize(colours: np.ndarray, v: int) -> np.ndarray:
     return out
 
 
-def _orbit(point: int, generators: list, m: int) -> np.ndarray:
-    # boolean mask of the orbit of point under the image arrays
-    seen = np.zeros(m, dtype=bool)
-    seen[point] = True
-    frontier = np.array([point])
-    while frontier.size and generators:
-        images = np.concatenate([g[frontier] for g in generators])
-        frontier = np.unique(images[~seen[images]])
-        seen[frontier] = True
-    return seen
-
-
 def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
     """Strong generators (image arrays) of the colour automorphism group,
     one SearchLevel per base level, leaves tested, leaves rejected, and
     whether the leaf budget ran out before the search finished."""
     m = edges.shape[0]
-    _, diagonal = np.unique(np.diagonal(edges), return_inverse=True)
-    # first path: path[k] is the reference node at depth k
-    path = [_refine(edges, diagonal)]
-    base = []
+    # first path: path[k] is the reference node at depth k, targets[k] the cell of base[k]
+    path = [_refine(edges, _row_ranks(np.diagonal(edges)[:, None]))]
+    base, targets = [], []
     while int(path[-1].max()) + 1 < m:
         node = path[-1]
-        target = int(np.argmax(np.bincount(node) > 1))
-        base.append(int(np.flatnonzero(node == target)[0]))
+        targets.append(int(np.argmax(np.bincount(node) > 1)))
+        base.append(int(np.flatnonzero(node == targets[-1])[0]))
         path.append(_refine(edges, _individualize(node, base[-1])))
     sizes = [np.bincount(node) for node in path]
+    shapes = [cells.tobytes() for cells in sizes]  # compared once per node
     leaf_order = path[-1]
     depth_n = len(base)
     generators: list = []
+    # the point orbits of the generators found, each labelled by its smallest point
+    points, orbits = np.arange(m), np.arange(m, dtype=np.int32)
     orbit_len = [1] * depth_n
     nodes = [0] * depth_n
     tried = [0] * depth_n
@@ -183,9 +181,8 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
     saturated = False
     for k in reversed(range(depth_n)):
         start = time.perf_counter()
-        orbit = _orbit(base[k], generators, m)
         for w in np.flatnonzero(path[k] == path[k][base[k]]):
-            if orbit[w]:
+            if orbits[w] == orbits[base[k]]:
                 continue
             # depth first below w: (parent node, vertex to individualize, parent depth)
             todo = [(path[k], int(w), k)]
@@ -193,12 +190,11 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
                 parent, v, depth = todo.pop()
                 node = _refine(edges, _individualize(parent, v))
                 nodes[k] += 1
-                if not np.array_equal(np.bincount(node), sizes[depth + 1]):
+                if np.bincount(node).tobytes() != shapes[depth + 1]:
                     continue
                 if depth + 1 < depth_n:
-                    target = int(np.argmax(sizes[depth + 1] > 1))
-                    members = np.flatnonzero(node == target)
-                    todo.extend((node, int(u), depth + 1) for u in members[::-1])
+                    members = np.flatnonzero(node == targets[depth + 1])
+                    todo.extend((node, u, depth + 1) for u in members[::-1].tolist())
                     continue
                 if leaves >= max_leaves:
                     saturated = True
@@ -206,14 +202,14 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
                 leaves += 1
                 tried[k] += 1
                 gamma = np.argsort(node)[leaf_order]
-                if np.array_equal(edges[np.ix_(gamma, gamma)], edges):
+                if (edges[gamma][:, gamma] == edges).all():
                     generators.append(gamma)
-                    orbit = _orbit(base[k], generators, m)
+                    orbits, _ = _hook_and_compress(m, [(points, gamma)], orbits)
                     break
                 rejected += 1
             if saturated:
                 break
-        orbit_len[k] = int(orbit.sum())
+        orbit_len[k] = int(np.count_nonzero(orbits == orbits[base[k]]))
         seconds[k] = time.perf_counter() - start
         if saturated:
             break
@@ -256,8 +252,7 @@ def discover_sequential(
         raise InputError("cap must be >= 1")
     r_arr = _check_hermitian(as_cmatrix(r))
     m = r_arr.shape[0]
-    if frobenius_norm(r_arr) == 0.0:
-        raise UndefinedResidualError("discovery is undefined for the zero matrix")
+    r_norm = _nonzero_norm(r_arr, "discovery")
     if not tau > 0:
         raise UndefinedResidualError("tau must be positive")
     if basis is not None and basis.degree != m:
@@ -269,7 +264,7 @@ def discover_sequential(
     residuals: list = []
     for g in images:
         candidate = Permutation._from_trusted(g)
-        delta = residual_delta(candidate, r_arr)
+        delta = _residual_delta(candidate, r_arr, r_norm)
         if delta <= tau:
             accepted.append(candidate)
             residuals.append(delta)
@@ -287,7 +282,7 @@ def discover_sequential(
         residuals=tuple(residuals),
         group_order=order,
         order_exceeded_cap=order is None,
-        alpha=coloring_alpha(discovered, r_arr),
+        alpha=_coloring_alpha(discovered, r_arr, r_norm),
         iterations=iterations,
         rejected_count=rejected_count,
         stop_reason=stop_reason,
@@ -330,6 +325,7 @@ def match_library(r, library, enumeration_cap: int = 10**4) -> LibraryReport:
         raise DimensionError("library must contain at least one action")
     entries = []
     warnings = []
+    r_norm = None  # checked at the first action of R's degree
     for action in actions:
         if action.degree != r_arr.shape[0]:
             warnings.append(
@@ -337,13 +333,14 @@ def match_library(r, library, enumeration_cap: int = 10**4) -> LibraryReport:
                 f"the matrix degree {r_arr.shape[0]}"
             )
             continue
-        score = max(residual_delta(g, r_arr) for g in action.generators)
+        r_norm = r_norm or _nonzero_norm(r_arr, "residual")
+        score = max(_residual_delta(g, r_arr, r_norm) for g in action.generators)
         closure = closure_enumerate(action, cap=enumeration_cap)
         entries.append(
             LibraryMatch(
                 name=action.name,
                 score=score,
-                alpha=coloring_alpha(action, r_arr),
+                alpha=_coloring_alpha(action, r_arr, r_norm),
                 group_order=None if closure.overflowed else closure.count,
                 order_exceeded_cap=closure.overflowed,
             )

@@ -847,6 +847,13 @@ def _image(by_gen: tuple, m: int, g: np.ndarray, points: np.ndarray) -> np.ndarr
     return np.where(keys[at] == query, images[at], points)
 
 
+def _distinct(x: np.ndarray) -> np.ndarray:
+    # np.unique(x) of non-negative integers without its masked-array check,
+    # which imports numpy.ma
+    x = np.sort(x)
+    return x[np.diff(x, prepend=-1) != 0]
+
+
 def _split(images: list, entries: tuple, by_gen: tuple, block: np.ndarray,
            block_of: np.ndarray, reps: np.ndarray) -> tuple:
     """The wreath rule's two factors for a block system: blocks numbered by
@@ -864,7 +871,7 @@ def _split(images: list, entries: tuple, by_gen: tuple, block: np.ndarray,
     H's images), each list of images without repeats."""
     m, w, b = block_of.size, block.size, reps.size
     src, gen, _, _ = entries
-    pairs = np.unique(gen * b + block_of[src])
+    pairs = _distinct(gen * b + block_of[src])
     gens, blocks = pairs // b, pairs % b
     targets = block_of[_image(by_gen, m, gens, reps[blocks])]
     # the generators that move blocks, each with its moved blocks in order;
@@ -980,7 +987,7 @@ def _minimal_block(entries: tuple, by_gen: tuple, m: int, x: int):
         p, q = (np.concatenate([dst[e_p], _image(by_gen, m, gen[e_q], p[n_q])]),
                 np.concatenate([_image(by_gen, m, gen[e_p], q[n_p]), dst[e_q]]))
         # each new pair once: a pair moved by two generators comes twice
-        joined = np.unique(np.minimum(p, q) * m + np.maximum(p, q))
+        joined = _distinct(np.minimum(p, q) * m + np.maximum(p, q))
         p, q = joined // m, joined % m
         keep = labels[p] != labels[q]
         p, q = p[keep], q[keep]
@@ -1031,7 +1038,7 @@ def _wreath_splits(images: list, m: int, orbits=None):
         if labels is None or labels.tobytes() in seen:
             continue
         seen.add(labels.tobytes())
-        blocks = np.unique(labels)
+        blocks = np.flatnonzero(labels == np.arange(m))
         yield _split(images, entries, by_gen, np.flatnonzero(labels == 0),
                      np.searchsorted(blocks, labels), blocks) + (counts,)
         if orbits is None:

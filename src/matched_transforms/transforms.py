@@ -548,7 +548,7 @@ def _conjugate_blocks(values: np.ndarray, v: np.ndarray, imag: np.ndarray,
     starts = np.cumsum(sizes) - sizes
     bv = imag @ v
     blocks = []
-    for d in np.unique(sizes[sizes > 1]):
+    for d in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
         cols = starts[sizes == d][:, None] + np.arange(d)
         k = v[:, cols].transpose(1, 2, 0) @ bv[:, cols].transpose(1, 0, 2)
         h = 0.5j * (k - k.transpose(0, 2, 1))
@@ -758,21 +758,25 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
             lambda: _cluster_labels(sizes))
 
 
-def _wreath(images: list, m: int, seed: int, name: str, orbits=None):
+def _wreath(images: list, m: int, seed: int, name: str, orbits=None, tried=None):
     """The wreath route as (rank, build), build() giving the basis, or
     None.  `_wreath_splits` gives the block systems to try (with no pair
     partition, the first minimal one; with the partition orbits, up to
     _BLOCK_CANDIDATES of them) and the rank bounds (Schreier bounds, or
     orbits' orbit_count).  Each factor takes its route (`_factor_route`),
     which gives its rank, and rank(H) + rank(K) - 1 must equal a bound;
-    only then is a held factor routed, by build()."""
+    only then is a held factor routed, by build().  tried, when given,
+    keeps the factor routes of a split the Schreier bounds did not prove,
+    by its points, for the attempt on the partition to take up again."""
     for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
-        b, w = points.shape
-        top = _factor_route(k_images, b, seed, name)
-        inner = _factor_route(h_images, w, seed, name)
+        (b, w), key = points.shape, points.tobytes()
+        top, inner = (tried.pop(key, None) if tried else None) or (
+            _factor_route(k_images, b, seed, name), _factor_route(h_images, w, seed, name))
         rank = top[0] + inner[0] - 1
         if rank in counts:
             return rank, lambda: _compose(top[1](), inner[1](), points)
+        if tried is not None and orbits is None:
+            tried[key] = top, inner
     return None
 
 
@@ -782,7 +786,7 @@ def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
     then the semidirect route; otherwise the factor is held as its own
     pair partition, whose orbit count is its rank, and routed on it
     (`_partitioned`) only when build() is called."""
-    found = _wreath(images, m, seed, name)
+    found = _wreath(images, m, seed, name, tried=(tried := {}))
     if found is not None:
         return found
     found = _semidirect(images, m)
@@ -790,15 +794,17 @@ def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
         return found[1].size, lambda: found
     action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
     partition = pair_orbits(action)
-    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, seed, name)
+    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, seed, name,
+                                                       tried)
 
 
-def _partitioned(images: list, m: int, orbits, seed: int, name: str) -> tuple:
+def _partitioned(images: list, m: int, orbits, seed: int, name: str, tried: dict) -> tuple:
     """The routes once no exact one applies: the wreath route on the pair
     partition orbits() gives, else the sampled route on it.  The partition
     is dropped once a split is proved, before the M x M basis is built."""
     partition = orbits()
-    found = _wreath(images, m, seed, name, partition)
+    found = _wreath(images, m, seed, name, partition, tried)
+    tried.clear()  # a split the partition did not give again is dropped too
     if found is None:
         return _sampled(partition, seed, name)
     del partition
@@ -899,9 +905,9 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         )
         return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
     images, m = [g.as_array() for g in action.generators], action.degree
-    found = _semidirect(images, m)
+    found, tried = _semidirect(images, m), {}
     if found is None:
-        wreath = _wreath(images, m, seed, action.name)
-        found = (_partitioned(images, m, lambda: pair_orbits(action), seed, action.name)
+        wreath = _wreath(images, m, seed, action.name, tried=tried)
+        found = (_partitioned(images, m, lambda: pair_orbits(action), seed, action.name, tried)
                  if wreath is None else wreath[1]())
     return _synthesized(action.name, found)

@@ -15,6 +15,7 @@ from matched_transforms import (
     DimensionError,
     DiscoveryResult,
     InputError,
+    NumericError,
     Permutation,
     UndefinedResidualError,
     closure_enumerate,
@@ -220,6 +221,47 @@ def test_scale_outside_float64_rejected(call, scale, word):
         _SCALE_CALLS[call](np.diag([scale, 2 * scale]))
 
 
+# (input, error, message) of each call on NaN, wrong-degree and zero input,
+# as the checks gave them before discovery validated R once per call
+_BAD_INPUT = {
+    "residual_delta": [
+        (np.array([[np.nan, 0], [0, 1]]), NumericError, "non-finite"),
+        (np.eye(3), DimensionError, "permutation degree does not match the matrix"),
+        (np.zeros((2, 2)), UndefinedResidualError, "residual is undefined for the zero matrix"),
+    ],
+    "coloring_alpha": [
+        (np.array([[np.nan, 0], [0, 1]]), NumericError, "non-finite"),
+        (np.eye(3), DimensionError, "matrix shape does not match the action degree"),
+        (np.zeros((2, 2)), UndefinedResidualError, "alpha is undefined for the zero matrix"),
+    ],
+    "match_library": [
+        (np.array([[np.nan, 0], [0, 1]]), NumericError, "non-finite"),
+        (np.zeros((2, 2)), UndefinedResidualError, "residual is undefined for the zero matrix"),
+    ],
+}
+
+
+@pytest.mark.parametrize("call, case", [
+    (call, k) for call, cases in sorted(_BAD_INPUT.items()) for k in range(len(cases))
+])
+def test_bad_input_rejected(call, case):
+    r, error, message = _BAD_INPUT[call][case]
+    with pytest.raises(error, match=message):
+        _SCALE_CALLS[call](r)
+
+
+def test_match_library_skips_wrong_degrees_before_any_check_of_r():
+    # a library with no action of R's degree warns on each entry and raises
+    # nothing, even for the zero matrix
+    for r in (np.eye(3), np.zeros((3, 3))):
+        report = match_library(r, [parse_group_spec("cyclic:2"), parse_group_spec("cyclic:4")])
+        assert report.matches == ()
+        assert report.warnings == (
+            "skipped cyclic:2: degree 2 does not match the matrix degree 3",
+            "skipped cyclic:4: degree 4 does not match the matrix degree 3",
+        )
+
+
 # Degree-8 catalog families: the seven of the benchmark plus a product.
 _CATALOG8 = (
     "cyclic:8", "dihedralM:8", "boolean:3", "dyadic-wreath:3", "hybrid:2,4",
@@ -342,6 +384,25 @@ class TestRowSignatures:
         sig = rng.integers(0, 2 ** int(rng.integers(1, 61)), (rows, width))
         sig = sig[rng.integers(0, rows, rows)][:, rng.integers(0, width, width)]
         assert np.array_equal(discovery._row_ranks(sig), reference_row_ranks(sig))
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.integers(1, 40), st.integers(512, 1100), st.integers(0, 2**32 - 1))
+    def test_wide_row_ranks_equal_lexsort_ranks(self, rows, width, seed):
+        # rows as wide as a refinement signature at M >= 512, equal but for
+        # one late column, so the rank turns on bytes far into the row
+        rng = np.random.default_rng(seed)
+        sig = np.repeat(rng.integers(0, 2**60, (1, width)), rows, axis=0)
+        late = rng.integers(0, 2**60, 3)[rng.integers(0, 3, rows)]
+        sig[:, -int(rng.integers(1, width + 1))] = late
+        assert np.array_equal(discovery._row_ranks(sig), reference_row_ranks(sig))
+
+    def test_single_point(self):
+        edges = discovery._edge_colours(np.array([[2.0 + 0j]]), 1e-8)
+        assert np.array_equal(discovery._row_ranks(np.array([[7, 1]])), [0])
+        assert np.array_equal(discovery._refine(edges, np.zeros(1, dtype=np.int64)), [0])
+        result = discover_sequential(np.array([[2.0]]))
+        assert result.stop_reason == "complete" and result.group_order == 1
+        assert result.generators == () and result.trace == ()
 
     @settings(max_examples=150, deadline=None)
     @given(_integer_hermitian())

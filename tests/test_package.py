@@ -205,6 +205,29 @@ def test_package_never_imports_scipy():
                 assert "import scipy" not in text and "from scipy" not in text, name
 
 
+def test_discovery_and_synthesis_never_import_numpy_ma():
+    # np.unique(x) with no return flags imports numpy.ma (numpy >= 2.3 asks
+    # np.ma.is_masked), 12-18 ms that the first call of a process would pay
+    probe = textwrap.dedent("""
+        import sys
+
+        from matched_transforms import diagnostics, discovery, groups, transforms
+
+        for spec in ("cyclic:8", "dihedralM:8", "dyadic-wreath:3", "hybrid:2,4", "boolean:4"):
+            r = diagnostics.sample_invariant_cov(groups.parse_group_spec(spec), 1)
+            discovery.discover_sequential(r)
+        for spec in ("dyadic-wreath:4", "hybrid:4,3"):
+            transforms.synthesize_matched(groups.parse_group_spec(spec), 3)
+        assert "numpy.ma" not in sys.modules
+    """)
+    src = os.path.dirname(os.path.dirname(matched_transforms.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_numpy_is_the_only_runtime_dependency():
     tomllib = pytest.importorskip("tomllib")
     with open(os.path.join(_ROOT, "pyproject.toml"), "rb") as fh:

@@ -1012,6 +1012,32 @@ class TestWreathRoute:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
+    @pytest.mark.parametrize("spec, seed, degrees, rebuilt", [
+        ("hybrid:8,8", 1, [32, 64, 8], [32, 64, 32, 8]),
+        ("wreath:4s,4c,4c", 2, [4, 64, 4], [4, 64, 4, 4]),
+    ])
+    def test_partition_reuses_the_schreier_split(self, spec, seed, degrees, rebuilt, monkeypatch):
+        # the Schreier bounds do not prove the first block's split, and the
+        # partition tries that block again: its factors' routes, with the
+        # held factor's partition, are taken up rather than built again
+        action = relabel(parse_group_spec(spec), seed)
+        calls, _ = spy_partitions_and_draws(monkeypatch)
+        basis = synthesize_matched(action, seed=3)
+        assert calls == degrees
+        wreath = transforms._wreath
+
+        def forgetful(images, m, seed, name, orbits=None, tried=None):
+            return wreath(images, m, seed, name, orbits)
+
+        calls.clear()
+        monkeypatch.setattr(transforms, "_wreath", forgetful)
+        again = synthesize_matched(action, seed=3)
+        assert calls == rebuilt
+        assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
+        assert again.transform.column_labels == basis.transform.column_labels
+        assert (again.degeneracy_pattern, again.certificate, again.attempts) == (
+            basis.degeneracy_pattern, basis.certificate, basis.attempts)
+
     def test_failed_splits_sample_nothing(self, monkeypatch):
         # no block system of this product passes; the held factors of the
         # failed splits are partitioned but never sampled, and the whole
