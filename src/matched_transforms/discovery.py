@@ -166,8 +166,7 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
         targets.append(int(np.argmax(np.bincount(node) > 1)))
         base.append(int(np.flatnonzero(node == targets[-1])[0]))
         path.append(_refine(edges, _individualize(node, base[-1])))
-    sizes = [np.bincount(node) for node in path]
-    shapes = [cells.tobytes() for cells in sizes]  # compared once per node
+    shapes = [np.bincount(node).tobytes() for node in path]
     leaf_order = path[-1]
     depth_n = len(base)
     generators: list = []
@@ -181,7 +180,7 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
     saturated = False
     for k in reversed(range(depth_n)):
         start = time.perf_counter()
-        for w in np.flatnonzero(path[k] == path[k][base[k]]):
+        for w in np.flatnonzero(path[k] == targets[k]):
             if orbits[w] == orbits[base[k]]:
                 continue
             # depth first below w: (parent node, vertex to individualize, parent depth)
@@ -214,7 +213,7 @@ def _automorphism_search(edges: np.ndarray, max_leaves: int) -> tuple:
         if saturated:
             break
     levels = tuple(
-        SearchLevel(base[k], int(sizes[k][path[k][base[k]]]), orbit_len[k],
+        SearchLevel(base[k], int(np.count_nonzero(path[k] == targets[k])), orbit_len[k],
                     nodes[k], tried[k], seconds[k])
         for k in range(depth_n)
     )

@@ -848,8 +848,7 @@ def _image(by_gen: tuple, m: int, g: np.ndarray, points: np.ndarray) -> np.ndarr
 
 
 def _distinct(x: np.ndarray) -> np.ndarray:
-    # np.unique(x) of non-negative integers without its masked-array check,
-    # which imports numpy.ma
+    # np.unique(x) for non-negative integers, without the masked-array check that imports numpy.ma
     x = np.sort(x)
     return x[np.diff(x, prepend=-1) != 0]
 

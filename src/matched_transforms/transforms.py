@@ -770,8 +770,9 @@ def _wreath(images: list, m: int, seed: int, name: str, orbits=None, tried=None)
     by its points, for the attempt on the partition to take up again."""
     for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
         (b, w), key = points.shape, points.tobytes()
-        top, inner = (tried.pop(key, None) if tried else None) or (
-            _factor_route(k_images, b, seed, name), _factor_route(h_images, w, seed, name))
+        routes = tried.pop(key, None) if tried else None
+        top, inner = routes or (_factor_route(k_images, b, seed, name),
+                                _factor_route(h_images, w, seed, name))
         rank = top[0] + inner[0] - 1
         if rank in counts:
             return rank, lambda: _compose(top[1](), inner[1](), points)
@@ -786,7 +787,8 @@ def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
     then the semidirect route; otherwise the factor is held as its own
     pair partition, whose orbit count is its rank, and routed on it
     (`_partitioned`) only when build() is called."""
-    found = _wreath(images, m, seed, name, tried=(tried := {}))
+    tried = {}
+    found = _wreath(images, m, seed, name, tried=tried)
     if found is not None:
         return found
     found = _semidirect(images, m)

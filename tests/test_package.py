@@ -216,7 +216,8 @@ def test_discovery_and_synthesis_never_import_numpy_ma():
         for spec in ("cyclic:8", "dihedralM:8", "dyadic-wreath:3", "hybrid:2,4", "boolean:4"):
             r = diagnostics.sample_invariant_cov(groups.parse_group_spec(spec), 1)
             discovery.discover_sequential(r)
-        for spec in ("dyadic-wreath:4", "hybrid:4,3"):
+        # exact routes, and a paired action sampled with conjugate blocks
+        for spec in ("dyadic-wreath:4", "hybrid:4,3", "product:(hybrid:4,3,cyclic:3)"):
             transforms.synthesize_matched(groups.parse_group_spec(spec), 3)
         assert "numpy.ma" not in sys.modules
     """)
