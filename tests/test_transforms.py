@@ -1012,15 +1012,16 @@ class TestWreathRoute:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
-    @pytest.mark.parametrize("spec, seed, degrees, rebuilt", [
+    @pytest.mark.parametrize("spec, numbering, degrees, rebuilt", [
         ("hybrid:8,8", 1, [32, 64, 8], [32, 64, 32, 8]),
         ("wreath:4s,4c,4c", 2, [4, 64, 4], [4, 64, 4, 4]),
     ])
-    def test_partition_reuses_the_schreier_split(self, spec, seed, degrees, rebuilt, monkeypatch):
+    def test_partition_reuses_the_schreier_split(self, spec, numbering, degrees, rebuilt,
+                                                 monkeypatch):
         # the Schreier bounds do not prove the first block's split, and the
         # partition tries that block again: its factors' routes, with the
         # held factor's partition, are taken up rather than built again
-        action = relabel(parse_group_spec(spec), seed)
+        action = relabel(parse_group_spec(spec), numbering)
         calls, _ = spy_partitions_and_draws(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == degrees
