@@ -1,15 +1,14 @@
 """Group-matched transform toolkit.
 
 Finite permutation actions on signal indices, the fixed orthonormal bases
-matched to them (Fourier, cosine, Walsh-Hadamard, Haar, and sampled
-syntheses), diagnostics that verify a basis diagonalizes every invariant
-covariance, and a search that recovers the symmetry group of a given
-covariance from scratch.
+matched to them (Fourier, cosine, Walsh-Hadamard, Haar, and syntheses from
+an action's generators), diagnostics that verify a basis diagonalizes every
+invariant covariance, and a search that recovers the symmetry group of a
+given covariance from scratch.
 """
 
 from .errors import (
     DegeneracyMismatchError,
-    DegenerateSampleError,
     DimensionError,
     InputError,
     NotMultiplicityFreeError,
@@ -87,7 +86,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CandidateBasis", "DegeneracyMismatchError",
-    "DegenerateSampleError", "DimensionError", "DiscoveryResult", "GroupAction",
+    "DimensionError", "DiscoveryResult", "GroupAction",
     "InputError", "IntTransform", "LibraryMatch",
     "LibraryReport", "MatchReport", "NotMultiplicityFreeError", "NumericError",
     "Permutation",

@@ -21,7 +21,13 @@ import sys
 import numpy as np
 
 from . import diagnostics, discovery, groups, matrixio, numkernel, transforms
-from .errors import DimensionError, InputError, NotMultiplicityFreeError, ToolkitError
+from .errors import (
+    DimensionError,
+    InputError,
+    NotMultiplicityFreeError,
+    NumericError,
+    ToolkitError,
+)
 
 _GROUP_SPEC_FORMS = (
     "trivial:M cyclic:M dihedral:M dihedralM:M boolean:n dyadic-wreath:L "
@@ -174,10 +180,9 @@ def cmd_discover(args) -> int:
     if r.ndim != 2 or r.shape[0] != r.shape[1]:
         return _fail(f"discover needs a square matrix, got {r.shape}", 2)
     try:
-        r = numkernel._check_hermitian(numkernel.as_cmatrix(r))
-    except ToolkitError as exc:
-        return _fail(f"input is not Hermitian within tolerance: {exc}", 2)
-    result = discovery.discover_sequential(r, tau=args.tau, enumeration_cap=args.cap)
+        result = discovery.discover_sequential(r, tau=args.tau, enumeration_cap=args.cap)
+    except NumericError as exc:  # R is not Hermitian within tolerance
+        return _fail(str(exc), 2)
     if args.trace is not None:
         with open(args.trace, "w", encoding="utf-8") as fh:
             for level in result.trace:
@@ -292,7 +297,6 @@ def cmd_synthesize(args) -> int:
     # the ratio sits near roundoff, below the reports' six decimals
     ratio = basis.certificate
     doc.add("certificate", None if ratio is None else f"{ratio:.3e}")
-    doc.add("attempts", basis.attempts)
     doc.add("out", args.out)
     _emit(doc, args.json)
     return 0

@@ -132,8 +132,12 @@ def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     # colouring alone, not on the vertex numbering.  Edge codes < 2^48 and
     # cells <= MAX_DEGREE = 2^12 keep edges * cells + colours below 2^60.
     m = colours.size
-    sig, codes = np.empty((m, m + 1), dtype=">i8"), np.empty((m, m), dtype=np.int64)
     cells = int(colours.max()) + 1
+    # a discrete colouring (each of the ranks 0..m-1 once) is equitable: it
+    # needs no confirming pass, nor does one that a pass makes discrete
+    if cells == m and np.bincount(colours).all():
+        return colours
+    sig, codes = np.empty((m, m + 1), dtype=">i8"), np.empty((m, m), dtype=np.int64)
     while True:
         np.multiply(edges, cells, out=codes)
         codes += colours
@@ -141,7 +145,7 @@ def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
         sig[:, 0], sig[:, 1:] = colours, codes
         colours = _row_ranks(sig)
         split = int(colours.max()) + 1
-        if split == cells:
+        if split in (cells, m):
             return colours
         cells = split
 

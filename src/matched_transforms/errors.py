@@ -37,8 +37,4 @@ class DegeneracyMismatchError(ToolkitError):
 
 
 class NotMultiplicityFreeError(ToolkitError):
-    """The action has a non-commutative commutant: invariant samples do not commute."""
-
-
-class DegenerateSampleError(ToolkitError):
-    """Sampled covariances kept producing accidental eigenvalue merges."""
+    """The action is intransitive or its commutant is not commutative."""

@@ -205,13 +205,6 @@ class PairOrbitPartition:
         means = sums / counts
         return means[ids].reshape(self.degree, self.degree)
 
-    def transpose_class_count(self) -> int:
-        """Number of classes {o, o^T}: the dimension of the real symmetric
-        invariant matrices.  It equals orbit_count exactly when the action
-        is self-paired, i.e. orbit_id equals its transpose."""
-        fixed = int(np.count_nonzero(self.transpose == np.arange(self.orbit_count)))
-        return (self.orbit_count + fixed) // 2
-
 
 @dataclass(frozen=True)
 class ClosureResult:

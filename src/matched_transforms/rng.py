@@ -10,9 +10,11 @@ The recipe is fixed so an independent reimplementation reproduces it exactly:
 * consecutive uniform pairs (u_{2k}, u_{2k+1}) feed Box-Muller:
   z_{2k} = sqrt(-2 ln u_{2k}) cos(2 pi u_{2k+1}),
   z_{2k+1} = sqrt(-2 ln u_{2k}) sin(2 pi u_{2k+1});
-* synthesis takes z_o = x_{2o} + i x_{2o+1} for pair orbit o of n, x being
-  normal_rows(seed, L, 2L) row-major with L = ceil(sqrt(n)); near square, so
-  the one Python loop (2L xoshiro steps, each on L lanes) is O(sqrt n).
+* synthesis's orbital route combines its n orbitals with
+  z_o = x_{2o} + i x_{2o+1}, x being normal_rows(0, L, 2L) row-major with
+  L = ceil(sqrt(n)): a fixed seed, so the basis does not depend on the
+  caller's; near square, so the one Python loop (2L xoshiro steps, each on
+  L lanes) is O(sqrt n).
 
 The integer stream is bit-portable; the float path inherits the platform
 libm's log/cos/sin rounding (identical on a fixed platform).

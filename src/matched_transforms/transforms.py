@@ -12,8 +12,8 @@ Kronecker powers of 2x2 blocks.  The matched-basis synthesizer applies
 the same rules to an action given only by its generators: the character
 table grouped by orbits for an affine action (the semidirect rule, real
 for a self-paired one), the wreath composition of two factors' bases for
-an imprimitive one, and otherwise seeded generic elements of the
-commutant.
+an imprimitive one, and otherwise the eigenspaces of the orbital algebra,
+read from its integer intersection numbers.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ from functools import reduce
 import numpy as np
 
 from .errors import (
-    DegenerateSampleError,
     DimensionError,
     InputError,
     NotMultiplicityFreeError,
@@ -43,11 +42,11 @@ from .groups import (
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
-from .rng import _splitmix64, normal_rows
+from .rng import normal_rows
 
 UNITARITY_TOL = 1e-10
-DIAGONAL_TOL = 1e-8  # synthesized U must diagonalize a second sample to this
-COMMUTATOR_TOL = 1e-9  # invariant samples of a multiplicity-free action commute
+DIAGONAL_TOL = 1e-8  # the orbital route's ||RU - U Lambda||_F / ||R||_F
+MULTIPLICITY_TOL = 1e-6  # distance of an eigenspace's computed dimension from an integer
 
 
 @dataclass(frozen=True)
@@ -488,196 +487,133 @@ def _wreath_recurse(top: np.ndarray, inner: np.ndarray, groups: list,
 @dataclass(frozen=True)
 class SynthesizedBasis:
     """A matched basis: the characters of an affine action grouped by
-    orbit, the wreath rule's composition of its two factors' bases, or a
-    basis recovered from seeded invariant samples.
+    orbit, the wreath rule's composition of its two factors' bases, or the
+    eigenspaces of the orbital algebra.
 
     degeneracy_pattern lists eigenspace sizes sorted ascending;
     data_dependent marks the trivial-action fallback (plain KLT of the
-    sample, no seed-independence guarantee).  certificate is the accepted
-    ratio ||R2 U - U diag(U* R2 U)||_F / ||R2||_F and attempts the number of
-    sample pairs drawn to reach it.  The trivial action's KLT and the
-    semidirect route draw no sample (None and 0); the semidirect route is
-    proved by exact integer checks instead.  The wreath route's split is
-    proved by exact integer checks too; it reports the largest certificate
-    and the total attempts of the factors that were sampled, None and 0
-    when none was.  `mtf synthesize` prints both in its text and JSON
-    reports alike.
+    sample, no seed-independence guarantee).  certificate is the orbital
+    route's ratio ||R U - U Lambda||_F / ||R||_F, R the invariant matrix it
+    diagonalizes and Lambda R's known eigenvalues.  The trivial action's
+    KLT and the semidirect route, proved by exact integer checks, report
+    None.  The wreath route's split is proved by exact integer checks too;
+    it reports the largest certificate of its factors, None when every
+    factor took an exact route.  `mtf synthesize` prints it in its text and
+    JSON reports alike.
     """
 
     transform: UnitaryTransform
     degeneracy_pattern: tuple
     data_dependent: bool
     certificate: float | None
-    attempts: int
 
 
-def _derived_seed(seed: int, index: int) -> int:
-    # deterministic sub-seed: the (index+1)-th splitmix64 output of seed
-    return int(_splitmix64(seed, index + 1)[-1])
-
-
-def _draw(orbits, seed: int, paired: bool) -> tuple:
-    """Generic invariant Hermitian R = h[orbit_id] as float64 (Re R, Im R),
-    h_o = (z_o + conj z_{o^T}) / 2 with z_o the rng module's per-orbit normal.
-    Im R is kept only for a paired action; a self-paired one has h real."""
-    count, ids, t = orbits.orbit_count, orbits.orbit_id, orbits.transpose
-    lanes = int(np.ceil(np.sqrt(count)))
-    x = normal_rows(seed, lanes, 2 * lanes).ravel()[: 2 * count]
+def _orbital_algebra(orbits, name: str) -> tuple:
+    """The orbital route's r x r work (see synthesize_matched): the
+    orbital coefficients h of R = sum_i h_i A_i, R's known eigenvalue
+    theta_j and multiplicity m_j on each eigenspace E_j, and ||R||_F."""
+    ids, r, m, t = orbits.orbit_id, orbits.orbit_count, orbits.degree, orbits.transpose
+    first = ids[0].astype(np.intp)  # the orbital of (0, z)
+    valency = np.bincount(first, minlength=r)
+    if not valency.all():
+        raise NotMultiplicityFreeError(f"action {name} is intransitive")
+    # c_{i^T} = conj c_i makes the scaled regular representation Hermitian
+    lanes = int(np.ceil(np.sqrt(r)))
+    x = normal_rows(0, lanes, 2 * lanes).ravel()[: 2 * r]
     re, im = x[0::2], x[1::2]
-    return ((re + re[t]) / 2)[ids], (((im - im[t]) / 2)[ids] if paired else None)
-
-
-def _gap_cut(values: np.ndarray, count: int) -> np.ndarray:
-    """Sizes of the min(count, len) runs that the widest gaps cut an
-    ascending list into."""
-    m = values.size
-    widest = np.argsort(np.diff(values), kind="stable")[m - min(count, m) :]
-    return np.diff(np.concatenate(([0], np.sort(widest) + 1, [m])))
-
-
-def _conjugate_blocks(values: np.ndarray, v: np.ndarray, imag: np.ndarray,
-                      sizes: np.ndarray) -> list:
-    """Resolve each cluster of Re R1 (a run of `sizes` columns of V) into
-    eigenvectors of R1 = Re R1 + i Im R1.
-
-    On a cluster's span, R1 is the d x d Hermitian block
-    diag(values_c) + i V_c^T (Im R1) V_c.  Clusters of one size are solved by
-    one stacked eigh.  Returns one (columns, eigenvalues, W) per size d > 1:
-    columns is (blocks, d), W is (blocks, d, d) with U_c = V_c W_c.
-    """
-    starts = np.cumsum(sizes) - sizes
-    bv = imag @ v
-    blocks = []
-    for d in np.flatnonzero(np.bincount(sizes)[2:]) + 2:
-        cols = starts[sizes == d][:, None] + np.arange(d)
-        k = v[:, cols].transpose(1, 2, 0) @ bv[:, cols].transpose(1, 0, 2)
-        h = 0.5j * (k - k.transpose(0, 2, 1))
-        h += values[cols][:, :, None] * np.eye(d)
-        w_values, w = np.linalg.eigh(h)
-        blocks.append((cols, w_values, w))
-    return blocks
-
-
-def _residual_sq(a: np.ndarray, b: np.ndarray) -> float:
-    """sum_k ||b_k - d_k a_k||^2 over the rows, with d_k = conj(a_k) . b_k."""
-    d = np.einsum("ij,ij->i", a.conj(), b)
-    b = b - d[:, None] * a
-    return float(np.vdot(b, b).real)
-
-
-def _rotate_and_certify(values: np.ndarray, vt: np.ndarray, p: np.ndarray, q,
-                        blocks: list) -> tuple:
-    """R1's eigenvalues in ascending order, the rows of U^T = diag(W_c^T) V^T
-    in the same order, and the one-sided residual ||R2 U - U diag(U* R2 U)||_F.
-
-    p + i q holds the rows of (R2 V)^T; q is None when Im R2 is dropped, and
-    then there are no blocks and U = V.  Cluster c's rows of V^T and of
-    (R2 V)^T are rotated by W_c^T, a chunk of same-size clusters at a time;
-    the other rows are eigenvectors of R1 already.  For a unitary U the
-    residual equals ||offdiag(U* R2 U)||_F, and it needs only R2 V.
-    """
-    m = values.size
-    rows = max(1, m // 16)  # a chunk's temporaries stay near one real M x M
-    if q is None:
-        residual = sum(_residual_sq(vt[at : at + rows], p[at : at + rows])
-                       for at in range(0, m, rows))
-        return values, vt, np.sqrt(residual)
-    values = values.copy()
-    single = np.ones(m, dtype=bool)
-    for cols, w_values, _ in blocks:
-        values[cols] = w_values
-        single[cols] = False
-    order = np.argsort(values, kind="stable")
-    where = np.empty_like(order)
-    where[order] = np.arange(m)
-    ut = np.empty((m, m), dtype=np.complex128)
-    residual = 0.0
-    for cols, _, w in blocks:
-        step = max(1, rows // cols.shape[1])
-        for at in range(0, cols.shape[0], step):
-            idx = cols[at : at + step]
-            wt = w[at : at + step].transpose(0, 2, 1)
-            a = (wt @ vt[idx]).reshape(-1, m)
-            b = (wt @ (p[idx] + 1j * q[idx])).reshape(-1, m)
-            residual += _residual_sq(a, b)
-            ut[where[idx.ravel()]] = a
-    single = np.flatnonzero(single)
-    for at in range(0, single.size, rows):
-        idx = single[at : at + rows]
-        residual += _residual_sq(vt[idx], p[idx] + 1j * q[idx])
-        ut[where[idx]] = vt[idx]
-    return values[order], ut, np.sqrt(residual)
-
-
-def _norm(re: np.ndarray, im) -> float:
-    """||re + i im||_F without forming the complex matrix."""
-    return float(np.hypot(np.linalg.norm(re), 0.0 if im is None else np.linalg.norm(im)))
-
-
-def _certified_eigenbasis(name: str, orbits, classes: int, seed: int, attempt: int):
-    """One attempt of synthesize_matched: the certificate ratio, R1's
-    ascending eigenvalues and the rows of U^T in that order, or None when U
-    does not diagonalize R2 but the two samples commute.  Each sample is
-    freed once used: R1 after its eigenvectors and conjugate blocks, R2
-    after its products with them; a failed certificate draws the pair again
-    from the same seeds for the commutator."""
-    paired = classes < orbits.orbit_count
-    seeds = (_derived_seed(seed, 2 * attempt), _derived_seed(seed, 2 * attempt + 1))
-    re1, im1 = _draw(orbits, seeds[0], paired)
-    eig = herm_eig(re1)
-    del re1
-    blocks = []
-    if paired:
-        blocks = _conjugate_blocks(eig.values, eig.vectors, im1, _gap_cut(eig.values, classes))
-    del im1
-    re2, im2 = _draw(orbits, seeds[1], paired)
-    r2_norm = _norm(re2, im2)
-    # (R2 V)^T = V^T R2^T = V^T (Re R2) - i V^T (Im R2)
-    vt = eig.vectors.T
-    p = vt @ re2
-    del re2
-    q = None
-    if im2 is not None:
-        q = vt @ im2
-        del im2
-        np.negative(q, out=q)
-    values, ut, residual = _rotate_and_certify(eig.values, vt, p, q, blocks)
-    ratio = float(residual / r2_norm)
-    if ratio <= DIAGONAL_TOL:
-        return ratio, values, ut
-    del eig, vt, p, q, ut
-    re1, im1 = _draw(orbits, seeds[0], paired)
-    re2, im2 = _draw(orbits, seeds[1], paired)
-    r1, r2 = (re1, re2) if im1 is None else (re1 + 1j * im1, re2 + 1j * im2)
-    comm = float(np.linalg.norm(r1 @ r2 - r2 @ r1))
-    if comm > COMMUTATOR_TOL * _norm(re1, im1) * r2_norm:
-        raise NotMultiplicityFreeError(
-            f"action {name} has a non-commutative commutant"
-        )
-    return None
+    weight = ((re + re[t]) / 2 + 0.5j * (im - im[t]))[first]
+    y = np.empty(r, dtype=np.intp)
+    y[first[::-1]] = np.arange(m - 1, -1, -1)  # (0, y_k) lies in orbital k
+    lhs = np.empty((r, r), dtype=np.complex128)
+    step = max(1, (1 << 20) // m)
+    for at in range(0, r, step):
+        cols = ids[:, y[at : at + step]]  # the orbital of (z, y_k)
+        # p_ij^k counts the z with (first[z], cols[z, k]) = (i, j)
+        if not np.array_equal(np.sort(first[:, None] * r + cols, axis=0),
+                              np.sort(cols * r + first[:, None], axis=0)):
+            raise NotMultiplicityFreeError(f"action {name} has a non-commutative commutant")
+        # (sum_i c_i L_i)[k, j] = sum_i c_i p_ij^k
+        flat = (cols + r * np.arange(cols.shape[1])).ravel()
+        w = np.broadcast_to(weight[:, None], cols.shape).ravel()
+        size = cols.shape[1] * r
+        lhs[at : at + step] = (np.bincount(flat, w.real, size)
+                               + 1j * np.bincount(flat, w.imag, size)).reshape(-1, r)
+    root = np.sqrt(valency)
+    v = herm_eig(lhs * root[:, None] / root).vectors
+    mult = m * np.abs(v[0]) ** 2
+    sizes = np.rint(mult).astype(np.int64)
+    if not (np.max(np.abs(mult - sizes)) <= MULTIPLICITY_TOL and sizes.min() >= 1
+            and sizes.sum() == m):
+        raise NumericError(f"action {name}: the multiplicities are not integers summing to {m}")
+    # the conjugate eigenspace has the conjugate eigenvector
+    overlap = np.abs(v.T @ v)
+    partner = np.argmax(overlap, axis=1)
+    if not (np.array_equal(partner[partner], np.arange(r))
+            and overlap[np.arange(r), partner].min() > 0.5):
+        raise NumericError(f"action {name}: the eigenspaces do not pair with their conjugates")
+    lead = np.minimum(np.arange(r), partner)
+    theta = (np.cumsum(lead == np.arange(r)) - 1)[lead] + 0.25 * np.sign(np.arange(r) - partner)
+    h = v @ (theta * v[0].conj()) / root
+    h = (h + h[t].conj()) / 2  # R Hermitian: Re R symmetric, Im R antisymmetric, exactly
+    return h, theta, sizes, float(np.sqrt(m * np.dot(valency, np.abs(h) ** 2)))
 
 
 def _cluster_labels(sizes) -> tuple:
     return tuple(f"cluster={c},col={i}" for c, size in enumerate(sizes) for i in range(size))
 
 
-def _sampled(orbits, seed: int, name: str) -> tuple:
-    """The sampled route: see synthesize_matched.  Returns (U, eigenspace
-    sizes in column order, certificate, attempts, labels), labels a
-    function that makes the column labels."""
-    classes = orbits.transpose_class_count()
-    for attempt in range(5):
-        found = _certified_eigenbasis(name, orbits, classes, seed, attempt)
-        if found is None:
-            continue
-        ratio, values, ut = found
-        _check_unitary(ut.T)
-        # orbit_count <= M here: the certificate means a multiplicity-free action
-        sizes = _gap_cut(values, orbits.orbit_count)
-        return ut.T, sizes, ratio, attempt + 1, lambda: _cluster_labels(sizes)
-    raise DegenerateSampleError(
-        f"could not certify a stable cluster structure for {name} after 5 samples"
-    )
+def _orbital(orbits, name: str) -> tuple:
+    """The orbital route: see synthesize_matched.  Returns (U, eigenspace
+    sizes in column order, certificate, labels), labels a function that
+    makes the column labels."""
+    h, theta, mult, r_norm = _orbital_algebra(orbits, name)
+    ids, m = orbits.orbit_id, orbits.degree
+    order = np.argsort(theta, kind="stable")
+    sizes = mult[order]
+    known = np.repeat(theta[order], sizes)  # each column's eigenvalue of R
+    level = np.rint(known)  # ... of Re R
+    re = h.real[ids]
+    eig = herm_eig(re)
+    if not np.array_equal(np.rint(eig.values), level):
+        raise NumericError(f"action {name}: Re R's eigenvalues miss their known values")
+    u = eig.vectors  # V
+    del eig
+    # R U - U Lambda is (Re R - level) V + i (Im R) V on a self-conjugate
+    # class's columns, and that times W, less U (Lambda - level), on a pair's
+    resid = re @ u
+    del re
+    resid -= u * level
+    if not h.imag.any():
+        sq = float(np.vdot(resid, resid))
+    else:
+        z = h.imag[ids] @ u
+        single = np.flatnonzero(known == level)
+        sq = sum(float(np.linalg.norm(a[:, single]) ** 2) for a in (resid, z))
+        u = u.astype(np.complex128)  # V, its pairs' columns rotated in place
+        # a pair's columns, from its lower member's first: split by the
+        # d x d block of Im R, whose eigenvalues are theta - level = -+1/4
+        lower = theta[order] < np.rint(theta[order])
+        starts, widths = (np.cumsum(sizes) - sizes)[lower], 2 * sizes[lower]
+        for d in np.flatnonzero(np.bincount(widths)):
+            blocks = starts[widths == d][:, None] + np.arange(d)
+            step = max(1, (m // 16) // d)
+            for at in range(0, blocks.shape[0], step):
+                idx = blocks[at : at + step]
+                vc, zc = u.real[:, idx].transpose(1, 0, 2), z[:, idx].transpose(1, 0, 2)
+                k = vc.transpose(0, 2, 1) @ zc
+                _, w = np.linalg.eigh(0.5j * (k - k.transpose(0, 2, 1)))
+                uc = vc @ w
+                e = (resid[:, idx].transpose(1, 0, 2) + 1j * zc) @ w
+                e -= uc * (known - level)[idx][:, None, :]
+                sq += float(np.vdot(e, e).real)
+                u[:, idx] = uc.transpose(1, 0, 2)
+        del z
+    del resid  # before the Gram check's M x M temporaries
+    certificate = np.sqrt(sq) / r_norm
+    if not certificate <= DIAGONAL_TOL:
+        raise NumericError(f"action {name}: U misses R's known spectrum by {certificate:.3e}")
+    _check_unitary(u)
+    return u, sizes, certificate, lambda: _cluster_labels(sizes)
 
 
 def _fold_conjugates(u: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
@@ -731,17 +667,17 @@ def _semidirect(images: list, m: int):
         return tuple(f"{names[t]}=({','.join(map(str, first[k]))}),orbit={o}"
                      for t, k, o in zip(kinds.tolist(), pair.tolist(), number[order].tolist()))
 
-    return u, np.bincount(number), None, 0, labels
+    return u, np.bincount(number), None, labels
 
 
 def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     """The wreath rule's basis from the block action K's and the block
     stabilizer H's routes (`_wreath_recurse`).  The eigenspaces are K's,
     then b copies of each of H's but the constant one; the certificate is
-    the largest of the factors' and the attempts their sum."""
+    the largest of the factors'."""
     b, _ = points.shape
-    top, top_sizes, top_ratio, top_attempts, _ = k_route
-    inner, inner_sizes, inner_ratio, inner_attempts, _ = h_route
+    top, top_sizes, top_ratio, _ = k_route
+    inner, inner_sizes, inner_ratio, _ = h_route
     # the constant vector is the one column of H's basis off every other;
     # it goes first, then H's other eigenspaces in order
     const = int(np.argmax(np.abs(inner.sum(axis=0))))
@@ -754,11 +690,10 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     u = _wreath_recurse(top, inner, groups, points)
     sizes = np.concatenate([top_sizes, [b * g.size for g in groups]]).astype(np.int64)
     ratios = [r for r in (top_ratio, inner_ratio) if r is not None]
-    return (u, sizes, max(ratios, default=None), top_attempts + inner_attempts,
-            lambda: _cluster_labels(sizes))
+    return u, sizes, max(ratios, default=None), lambda: _cluster_labels(sizes)
 
 
-def _wreath(images: list, m: int, seed: int, name: str, orbits=None, tried=None):
+def _wreath(images: list, m: int, name: str, orbits=None, tried=None):
     """The wreath route as (rank, build), build() giving the basis, or
     None.  `_wreath_splits` gives the block systems to try (with no pair
     partition, the first minimal one; with the partition orbits, up to
@@ -771,8 +706,8 @@ def _wreath(images: list, m: int, seed: int, name: str, orbits=None, tried=None)
     for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
         (b, w), key = points.shape, points.tobytes()
         routes = tried.pop(key, None) if tried else None
-        top, inner = routes or (_factor_route(k_images, b, seed, name),
-                                _factor_route(h_images, w, seed, name))
+        top, inner = routes or (_factor_route(k_images, b, name),
+                                _factor_route(h_images, w, name))
         rank = top[0] + inner[0] - 1
         if rank in counts:
             return rank, lambda: _compose(top[1](), inner[1](), points)
@@ -781,14 +716,14 @@ def _wreath(images: list, m: int, seed: int, name: str, orbits=None, tried=None)
     return None
 
 
-def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
+def _factor_route(images: list, m: int, name: str) -> tuple:
     """A wreath factor's route as (rank, build): a further wreath split
     first, as the factors of an iterated wreath are wreaths themselves,
     then the semidirect route; otherwise the factor is held as its own
     pair partition, whose orbit count is its rank, and routed on it
     (`_partitioned`) only when build() is called."""
     tried = {}
-    found = _wreath(images, m, seed, name, tried=tried)
+    found = _wreath(images, m, name, tried=tried)
     if found is not None:
         return found
     found = _semidirect(images, m)
@@ -796,37 +731,37 @@ def _factor_route(images: list, m: int, seed: int, name: str) -> tuple:
         return found[1].size, lambda: found
     action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
     partition = pair_orbits(action)
-    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, seed, name,
-                                                       tried)
+    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, name, tried)
 
 
-def _partitioned(images: list, m: int, orbits, seed: int, name: str, tried: dict) -> tuple:
-    """The routes once no exact one applies: the wreath route on the pair
-    partition orbits() gives, else the sampled route on it.  The partition
-    is dropped once a split is proved, before the M x M basis is built."""
+def _partitioned(images: list, m: int, orbits, name: str, tried: dict) -> tuple:
+    """The routes once the Schreier bounds prove nothing: the wreath route
+    on the pair partition orbits() gives, else the orbital route on it.
+    The partition is dropped once a split is proved, before the M x M
+    basis is built."""
     partition = orbits()
-    found = _wreath(images, m, seed, name, partition, tried)
+    found = _wreath(images, m, name, partition, tried)
     tried.clear()  # a split the partition did not give again is dropped too
     if found is None:
-        return _sampled(partition, seed, name)
+        return _orbital(partition, name)
     del partition
     return found[1]()
 
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
     # every route's basis is unitary by construction or Gram-checked where
-    # it was sampled, a factor at a time
-    u, sizes, certificate, attempts, labels = found
+    # an eigensolve built it, a factor at a time
+    u, sizes, certificate, labels = found
     return SynthesizedBasis(UnitaryTransform._from_trusted(u, name, labels()),
-                            tuple(sorted(sizes.tolist())), False, certificate, attempts)
+                            tuple(sorted(sizes.tolist())), False, certificate)
 
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """The matched basis of a multiplicity-free action: a U that diagonalizes
     every invariant matrix.  Four routes, tried in this order: the trivial
     action's KLT, the semidirect route, which builds U with no sample and
-    no eigensolve, the wreath route, which samples only the factors that
-    need it, and the sampled route.
+    no eigensolve, the wreath route, which eigensolves only the factors
+    that need it, and the orbital route.  Only the KLT reads the seed.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
@@ -860,44 +795,52 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     First the bounds are the orbit counts of subgroups of the stabilizer
     of 0, generated by Schreier generators (`_rank_bounds`), and only the
     first proper block is tried; no pair partition of the action is
-    computed.  Once no exact route applies, the bound is the orbit count
-    of the action's pair partition, computed anyway for sampling, and x is
-    taken from the smallest orbits of its row 0, up to _BLOCK_CANDIDATES
-    of them.  Each factor takes an exact route if one applies (a further
-    wreath split, then the semidirect route), which gives its rank, or is
-    held as its own pair partition, whose orbit count is its rank
-    (`_factor_route`); a held factor is routed on that partition, and
-    sampled if nothing proves it, only once the split is proved.  U
+    computed.  Once those bounds prove nothing, the bound is the orbit
+    count of the action's pair partition, computed anyway for the orbital
+    route, and x is taken from the smallest orbits of its row 0, up to
+    _BLOCK_CANDIDATES of them.  Each factor takes a route with no pair
+    partition if one applies (a further wreath split, then the semidirect
+    route), which gives its rank, or is held as its own pair partition,
+    whose orbit count is its rank (`_factor_route`); a held factor is
+    routed on that partition, by the orbital route if no split proves it,
+    only once the split is proved.  U
     composes the factors' bases with `_wreath_recurse`, as wreath_matrix
     does; labels are cluster=c,col=i with c numbering the eigenspaces in
     column order.
 
-    Otherwise U is the eigenbasis of a generic invariant matrix R1,
-    certified data-independent against a second one, R2 (`_sampled`).
-    Each draw takes one seeded coefficient per pair orbit (`_draw`), on a
-    partition computed once per call and shared with the wreath route on
-    it.  U is found in real arithmetic.
-    Permutations are real, so Re R1 is invariant too, and the real
-    symmetric invariant matrices form a commutative algebra whose dimension
-    s is the number of classes {o, o^T} of pair orbits.  The real eigensolve
-    of Re R1 (V) has s eigenspaces; each is an eigenspace of R1 or the sum
-    of one and its conjugate.  When every orbit is its own transpose
-    (s == orbit_count, the self-paired case) both draws are real and U = V.
-    Otherwise Re R1's
-    spectrum is cut into s clusters at its s - 1 widest gaps, each cluster
-    of size d > 1 is resolved by a d x d Hermitian block
-    (`_conjugate_blocks`), and the columns are sorted by R1's eigenvalue.
-    R2 is drawn once R1's blocks are built.  U is accepted when the
-    one-sided residual ||R2 U - U diag(U* R2 U)||_F, which equals
-    ||offdiag(U* R2 U)||_F for a unitary U, is <= DIAGONAL_TOL ||R2||_F
-    (`_rotate_and_certify`); that ratio is reported as the certificate.  If
-    not, the commutator decides: ||R1 R2 - R2 R1||_F > COMMUTATOR_TOL
-    ||R1||_F ||R2||_F means the commutant is not commutative
-    (NotMultiplicityFreeError); otherwise R1's spectrum merged eigenvalues
-    by accident and a fresh pair is drawn, at most 5 attempts.  An accepted
-    U's columns are split into exactly orbit_count clusters (the
-    commutant's dimension) at the widest gaps of R1's spectrum; they give
-    the labels cluster=c,col=i and degeneracy_pattern.
+    Otherwise the orbital route (`_orbital`) reads the action's pair
+    partition, computed once per call and shared with the wreath route on
+    it.  The orbitals O_0 (the diagonal) ... O_{r-1} span the commutant,
+    with A_i A_j = sum_k p_ij^k A_k for their indicator matrices A_i.  The
+    intersection numbers p_ij^k = #{z : (0, z) in O_i, (z, y_k) in O_j},
+    (0, y_k) in O_k, are integers read from row 0 and one column per
+    orbital (`_orbital_algebra`).  The action is multiplicity-free exactly
+    when every orbital meets row 0 (it is transitive) and p_ij^k = p_ji^k
+    for all i, j and k (its commutant is commutative); otherwise
+    NotMultiplicityFreeError is raised, before any M x M floating work.
+    Scaled by diag(sqrt(k_i)), k_i = |O_i in row 0|, the left products
+    (L_i)_kj = p_ij^k are normal and L_i* = L_(i^T).  One r x r Hermitian
+    eigensolve of a fixed combination sum_i c_i L_i (c from
+    normal_rows(0, ...) with c_(i^T) = conj c_i, so independent of the
+    seed) gives unit vectors v_j, v_j(i) = conj(P_j(i)) v_j(0) / sqrt(k_i),
+    P_j(i) the eigenvalue of A_i on the eigenspace E_j.  The multiplicities
+    m_j = M |v_j(0)|^2 = M / sum_i |P_j(i)|^2 / k_i must be within
+    MULTIPLICITY_TOL of integers that sum to M, else NumericError; they are
+    the pattern.  E_j's conjugate has the conjugate vector.  Classes
+    {E_j, conj E_j} are numbered c = 0, 1, ... in order of their first
+    member, and R = sum_j theta_j E_j, theta_j = c on a self-conjugate E_j
+    and c -+ 1/4 on a conjugate pair, is gathered from its orbital
+    coefficients sum_j theta_j v_j(i) conj(v_j(0)) / sqrt(k_i): its
+    eigenvalues are known and at least 1/2 apart.  U is found in real
+    arithmetic: one eigh of the real symmetric Re R, whose eigenvalue on
+    class c is c.  Each column goes to its nearest integer, and the counts
+    must equal the classes' dimensions, else NumericError.  A pair's
+    columns are split by the d x d blocks of the antisymmetric Im R, whose
+    eigenvalues -+1/4 cut them at the known sizes.  U passes the Gram
+    check, and certificate = ||R U - U Lambda||_F / ||R||_F, Lambda the
+    known eigenvalues, must be <= DIAGONAL_TOL, else NumericError.  The
+    columns come in order of theta, labelled cluster=c,col=i with c
+    numbering the eigenspaces in column order.
     """
     if all(g.is_identity() for g in action.generators):
         eig = herm_eig(random_psd(action.degree, seed))
@@ -905,11 +848,11 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             eig.vectors, action.name,
             tuple(f"klt={k}" for k in range(action.degree)),
         )
-        return SynthesizedBasis(transform, (1,) * action.degree, True, None, 0)
+        return SynthesizedBasis(transform, (1,) * action.degree, True, None)
     images, m = [g.as_array() for g in action.generators], action.degree
     found, tried = _semidirect(images, m), {}
     if found is None:
-        wreath = _wreath(images, m, seed, action.name, tried=tried)
-        found = (_partitioned(images, m, lambda: pair_orbits(action), seed, action.name, tried)
+        wreath = _wreath(images, m, action.name, tried=tried)
+        found = (_partitioned(images, m, lambda: pair_orbits(action), action.name, tried)
                  if wreath is None else wreath[1]())
     return _synthesized(action.name, found)

@@ -1,12 +1,13 @@
 """Shared oracles for the test suite: brute-force group facts computed
-without the library's own search machinery, synthesize_matched's sampled
-route on its own (the oracle its exact routes are held to), a
-loop-by-loop reference for subspace_match's clustering and column
-assignment, a reference for discovery's refinement that signs both rows
-and columns, a scalar reference for the rng stream, and actions outside
-the catalog families."""
+without the library's own search machinery, numpy's spectrum of one
+invariant sample (the oracle every synthesis route is held to), the
+orbital route on its own, a loop-by-loop reference for subspace_match's
+clustering and column assignment, a reference for discovery's refinement
+that signs both rows and columns, a scalar reference for the rng stream,
+and actions outside the catalog families."""
 
 import itertools
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from matched_transforms import (
     make_trivial,
     make_wreath,
     residual_delta,
+    sample_invariant_cov,
     transforms,
 )
 from matched_transforms.discovery import _value_ranks
@@ -317,10 +319,30 @@ def images_of(action) -> list:
     return [g.as_array() for g in action.generators]
 
 
-def sampled_basis(action, seed: int):
-    """synthesize_matched's sampled route, for any non-trivial action: the
-    eigenbasis of a generic invariant sample on the action's own pair
-    partition, certified against a second one.  The partition is read
-    through the transforms module, so a spy set on it there sees it."""
+class SampledBasis(NamedTuple):
+    """Whether sampled_basis's sample is real, and its sorted cluster sizes."""
+
+    real: bool
+    degeneracy_pattern: tuple
+
+
+def sampled_basis(action, seed: int) -> SampledBasis:
+    """An oracle for synthesize_matched that shares none of its routes:
+    numpy's eigenvalues of one generic invariant sample,
+    sample_invariant_cov, taken real when its imaginary part is roundoff (a
+    self-paired action, whose eigenbasis is then real too), cut into
+    clusters wherever the next one is more than 1e-8 max|eigenvalue| away."""
+    r = sample_invariant_cov(action, seed)
+    real = np.max(np.abs(r.imag)) <= 1e-12 * np.max(np.abs(r))
+    values = np.linalg.eigvalsh(r.real if real else r)
+    cuts = np.flatnonzero(np.diff(values) > 1e-8 * np.max(np.abs(values))) + 1
+    sizes = np.diff(np.concatenate(([0], cuts, [values.size])))
+    return SampledBasis(bool(real), tuple(sorted(sizes.tolist())))
+
+
+def orbital_basis(action):
+    """synthesize_matched's orbital route alone, on the action's own pair
+    partition.  The partition is read through the transforms module, so a
+    spy set on it there sees it."""
     orbits = transforms.pair_orbits(action)
-    return transforms._synthesized(action.name, transforms._sampled(orbits, seed, action.name))
+    return transforms._synthesized(action.name, transforms._orbital(orbits, action.name))

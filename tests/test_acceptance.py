@@ -185,21 +185,22 @@ def test_criterion_8_property_suites():
     r = sample_invariant_cov(make_dihedral(5, degree_m=True), seed=3)
     assert is_invariant(r, make_cyclic(5), tol=1e-12)
 
-    # multiplicity-free certificate outcomes (synthesize_matched's commutator);
-    # cyclic:8 takes the semidirect route and hybrid:4,3 the wreath route,
-    # both proved without a sample, while hybrid:4,3 x cyclic:3, a paired
-    # non-abelian product with a wreath factor, takes the sampled route with
-    # its certificate and conjugate blocks
+    # multiplicity-free test outcomes (synthesize_matched's intersection
+    # numbers); cyclic:8 takes the semidirect route and hybrid:4,3 the
+    # wreath route, both proved without an eigensolve, while
+    # hybrid:4,3 x cyclic:3, a paired non-abelian product with a wreath
+    # factor, takes the orbital route with its certificate and conjugate
+    # pairs
     padded = from_generators([Permutation((1, 0, 2, 3))], "padded-swap")
     hybrid = make_hybrid(4, 3)
     sampled = make_product(hybrid, make_cyclic(3))
     for seed in (1, 2):
         assert not synthesize_matched(make_cyclic(8), seed).data_dependent
         exact = synthesize_matched(hybrid, seed)
-        assert not exact.data_dependent and exact.attempts == 0
+        assert not exact.data_dependent and exact.certificate is None
         assert not synthesize_matched(make_dyadic_wreath(3), seed).data_dependent
         certified = synthesize_matched(sampled, seed)
-        assert not certified.data_dependent and certified.attempts >= 1
+        assert not certified.data_dependent and certified.certificate is not None
         assert certified.certificate <= 1e-8
         with pytest.raises(NotMultiplicityFreeError):
             synthesize_matched(padded, seed)

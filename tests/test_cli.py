@@ -13,10 +13,12 @@ from matched_transforms import (
     InputError,
     cli,
     dft_matrix,
+    discovery,
     fp_rm_matrix,
     groups,
     haar_matrix,
     make_cyclic,
+    numkernel,
     parse_matrix,
     random_psd,
     read_matrix_file,
@@ -303,7 +305,24 @@ class TestDiscover:
         arr = np.array([[0.0, 1.0], [0.0, 0.0]])
         path = write_cov(tmp_path / "bad.mtx", arr)
         assert run(["discover", path]) == 2
-        assert "Hermitian" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        # one error line, whose reason is stated once
+        assert err.count("error:") == 1 and err.startswith("error: ")
+        assert err.count("not Hermitian") == 1
+
+    def test_hermitian_check_runs_once(self, tmp_path, monkeypatch):
+        calls = []
+        check = numkernel._check_hermitian
+
+        def counted(a):
+            calls.append(a.shape)
+            return check(a)
+
+        monkeypatch.setattr(numkernel, "_check_hermitian", counted)
+        monkeypatch.setattr(discovery, "_check_hermitian", counted)
+        path = write_cov(tmp_path / "c4.mtx", sample_invariant_cov(make_cyclic(4), seed=2))
+        assert run(["discover", path]) == 0
+        assert calls == [(4, 4)]
 
     @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
     def test_bad_tau_exit_2(self, tmp_path, tau, capsys):
@@ -496,10 +515,11 @@ class TestSynthesize:
         assert np.max(np.abs(off)) <= 1e-8 * np.linalg.norm(r)
 
     @pytest.mark.parametrize("spec, certified", [
-        # sampled: a primitive action, a product with a wreath factor, and
-        # the wreath route with a sampled factor (S_4 on the blocks)
+        # the orbital route: a primitive action, a product with a wreath
+        # factor, and the wreath route with an orbital factor (S_4 on the
+        # blocks)
         ("wreath:5s", True), ("product:(dyadic-wreath:3,cyclic:3)", True), ("hybrid:3,4", True),
-        # no sample: the wreath route with exact factors, the semidirect route
+        # no eigensolve: the wreath route with exact factors, the semidirect route
         ("hybrid:4,3", False), ("dyadic-wreath:3", False), ("dihedralM:8", False),
         ("trivial:4", False), ("cyclic:8", False),
     ])
@@ -511,16 +531,16 @@ class TestSynthesize:
         assert run(argv + ["--json"]) == 0
         doc = json.loads(capsys.readouterr().out)
         basis = synthesize_matched(groups.parse_group_spec(spec), 3)
-        assert doc["attempts"] == int(text["attempts"]) == basis.attempts
+        assert "attempts" not in doc and "attempts" not in text
         if certified:
             assert doc["certificate"] == text["certificate"] == f"{basis.certificate:.3e}"
-            assert 0.0 <= float(doc["certificate"]) <= 1e-8 and basis.attempts >= 1
+            assert 0.0 <= float(doc["certificate"]) <= 1e-8
         else:
             # neither the trivial action's KLT nor a basis proved by exact
-            # integer checks (semidirect, or wreath with exact factors)
-            # carries a ratio
+            # integer checks alone (semidirect, or wreath with factors that
+            # need no eigensolve) carries a ratio
             assert doc["certificate"] is None and text["certificate"] == "-"
-            assert basis.attempts == 0
+            assert basis.certificate is None
 
     @pytest.mark.parametrize("spec, field", [
         ("dihedralM:8", "real"), ("dihedral:4", "real"), ("dyadic-wreath:3", "real"),

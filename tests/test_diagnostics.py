@@ -35,7 +35,13 @@ from matched_transforms import (
 from matched_transforms.diagnostics import CLUSTER_REL_GAP
 from matched_transforms.transforms import UnitaryTransform
 
-from helpers import catalog_actions, is_invariant, reference_subspace_match, sampled_basis
+from helpers import (
+    catalog_actions,
+    is_invariant,
+    johnson_action,
+    orbital_basis,
+    reference_subspace_match,
+)
 
 
 class TestSampleInvariantCov:
@@ -271,22 +277,19 @@ class TestSubspaceMatch:
 
 
 class TestMultiplicityFreeProbe:
-    """synthesize_matched's multiplicity-free certificate: invariant
-    samples of the action must commute.  Cyclic, dihedral and dyadic-wreath
-    actions take the semidirect and wreath routes in synthesize_matched, so
-    their cases call the sampled route."""
+    """synthesize_matched's multiplicity-free test: a transitive action
+    whose intersection numbers are symmetric.  Cyclic, dihedral and
+    dyadic-wreath actions take the semidirect and wreath routes in
+    synthesize_matched, so their cases call the orbital route."""
 
     def test_cyclic8_true(self):
-        for seed in (1, 2):
-            assert not sampled_basis(make_cyclic(8), seed).data_dependent
+        assert not orbital_basis(make_cyclic(8)).data_dependent
 
     def test_dyadic_wreath3_true(self):
-        for seed in (1, 2):
-            assert not sampled_basis(make_dyadic_wreath(3), seed).data_dependent
+        assert not orbital_basis(make_dyadic_wreath(3)).data_dependent
 
     def test_dihedral_on_2m_true(self):
-        for seed in (3, 4):
-            assert not sampled_basis(make_dihedral(4), seed).data_dependent
+        assert not orbital_basis(make_dihedral(4)).data_dependent
 
     def test_padded_swap_false(self):
         act = from_generators([Permutation((1, 0, 2, 3))], "swap-x-trivial")
@@ -294,10 +297,12 @@ class TestMultiplicityFreeProbe:
             with pytest.raises(NotMultiplicityFreeError):
                 synthesize_matched(act, seed)
 
-    def test_seed_pair_robust(self):
-        for pair in [(5, 6), (10, 11), (97, 98)]:
-            for seed in pair:
-                assert not sampled_basis(make_cyclic(6), seed).data_dependent
+    def test_seed_independent(self):
+        # J(6,2) takes the orbital route, which reads no seed
+        action = johnson_action(6)
+        u = synthesize_matched(action, 5).transform.matrix
+        for seed in (6, 10, 11, 97, 98):
+            assert synthesize_matched(action, seed).transform.matrix.tobytes() == u.tobytes()
 
 
 class TestDctFoldCov:

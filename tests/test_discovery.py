@@ -45,6 +45,7 @@ from helpers import (
     closure_set,
     reference_edge_colours,
     reference_refine,
+    random_action,
     reference_row_ranks,
     relabel,
 )
@@ -327,6 +328,33 @@ class TestClosureAgainstOracle:
         assert result.stop_reason == "complete"
         assert discovered_closure(result, 8) == brute_force_matched_group(exact)
         assert all(d <= 1e-5 for d in result.residuals)
+
+
+class TestRandomGroups:
+    """Discovery on groups outside every catalog family: the closure of
+    the discovered generators is the brute-force matched group of one
+    invariant sample.  That group is the 2-closure of G, which can be
+    larger than G, so the oracle is the brute force, not G."""
+
+    @staticmethod
+    def check(action):
+        r = sample_invariant_cov(action, 5)
+        result = discover_sequential(r)
+        oracle = brute_force_matched_group(r)
+        assert result.stop_reason == "complete"
+        assert discovered_closure(result, action.degree) == oracle
+        assert result.group_order in (len(oracle), None)
+        assert result.order_exceeded_cap == (len(oracle) > 10**4)
+
+    @given(st.integers(2, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_closure_is_the_brute_force_group(self, m, k, seed):
+        self.check(random_action(m, k, seed))
+
+    @pytest.mark.parametrize("k, seed", [(1, 5), (2, 3), (2, 0)])
+    def test_degree_8(self, k, seed):
+        # (2, 0) generates S_8, past the enumeration cap
+        self.check(random_action(8, k, seed))
 
 
 class TestTrace:

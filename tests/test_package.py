@@ -216,7 +216,7 @@ def test_discovery_and_synthesis_never_import_numpy_ma():
         for spec in ("cyclic:8", "dihedralM:8", "dyadic-wreath:3", "hybrid:2,4", "boolean:4"):
             r = diagnostics.sample_invariant_cov(groups.parse_group_spec(spec), 1)
             discovery.discover_sequential(r)
-        # exact routes, and a paired action sampled with conjugate blocks
+        # exact routes, and a paired action on the orbital route
         for spec in ("dyadic-wreath:4", "hybrid:4,3", "product:(hybrid:4,3,cyclic:3)"):
             transforms.synthesize_matched(groups.parse_group_spec(spec), 3)
         assert "numpy.ma" not in sys.modules
@@ -235,3 +235,25 @@ def test_numpy_is_the_only_runtime_dependency():
         project = tomllib.load(fh)["project"]
     names = [re.match(r"[A-Za-z0-9_.-]+", dep).group(0) for dep in project["dependencies"]]
     assert names == ["numpy"]
+
+
+def test_test_extra_lists_every_skippable_import():
+    # a test that importorskips a module outside the standard library skips
+    # silently on a `.[test]` install unless the test extra lists it
+    tomllib = pytest.importorskip("tomllib")
+    with open(os.path.join(_ROOT, "pyproject.toml"), "rb") as fh:
+        extra = tomllib.load(fh)["project"]["optional-dependencies"]["test"]
+    listed = {re.match(r"[A-Za-z0-9_.-]+", dep).group(0).lower() for dep in extra}
+    skipped = set()
+    folder = os.path.join(_ROOT, "tests")
+    for name in os.listdir(folder):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(folder, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "importorskip"
+                    and isinstance(node.args[0], ast.Constant)):
+                skipped.add(node.args[0].value.split(".")[0])
+    assert {"scipy", "sympy"} <= skipped
+    assert not skipped - set(sys.stdlib_module_names) - listed

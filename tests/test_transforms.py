@@ -6,7 +6,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
-    DegenerateSampleError,
     DimensionError,
     InputError,
     NotMultiplicityFreeError,
@@ -18,6 +17,7 @@ from matched_transforms import (
     compose_direct,
     dct2_matrix,
     dft_matrix,
+    discover_sequential,
     even_extension_isometry,
     fp_rm_matrix,
     from_generators,
@@ -45,16 +45,19 @@ from matched_transforms import (
     wreath_matrix,
 )
 from matched_transforms import transforms
-from matched_transforms.transforms import IntTransform, UnitaryTransform, _derived_seed, _draw
+from matched_transforms.transforms import IntTransform, UnitaryTransform
 
 from helpers import (
     affine_line,
     catalog_actions,
     closure_set,
+    compose,
     det_exact,
     hamming_action,
     images_of,
+    is_invariant,
     johnson_action,
+    orbital_basis,
     orbitals_commute,
     pair_orbit_labels,
     random_action,
@@ -453,11 +456,13 @@ class TestSynthesize:
         ("boolean:10", 1, (1,) * 1024),
     ])
     def test_pattern_is_the_irreducible_dimensions(self, spec, seed, pattern):
-        # R1 has near-coincident eigenvalues on these seeds; the sampled
-        # route's pattern must still be the irreducible dimensions (cyclic
-        # and boolean actions take the character route in synthesize_matched)
-        basis = sampled_basis(parse_group_spec(spec), seed)
-        assert basis.degeneracy_pattern == pattern
+        # the sampled route's first sample had near-coincident eigenvalues
+        # on these seeds; the orbital route reads the pattern from integers
+        # and needs no seed (these actions take the character route in
+        # synthesize_matched)
+        action = parse_group_spec(spec)
+        assert orbital_basis(action).degeneracy_pattern == pattern
+        assert sampled_basis(action, seed).degeneracy_pattern == pattern
 
     def test_trivial_action_is_klt(self):
         basis = synthesize_matched(make_trivial(4), seed=3)
@@ -503,90 +508,27 @@ class TestSynthesize:
         "boolean:9",
     ])
     def test_self_paired_basis_is_real(self, spec):
-        # every orbit is its own transpose: the sampled route's basis is the
-        # real eigenvectors of Re R1, and the semidirect and wreath routes
+        # every orbit is its own transpose: the orbital route's basis is the
+        # real eigenvectors of Re R, and the semidirect and wreath routes
         # fold each conjugate pair of characters into real columns
         action = parse_group_spec(spec)
         orbits = pair_orbits(action)
-        assert orbits.transpose_class_count() == orbits.orbit_count
+        assert np.array_equal(orbits.transpose, np.arange(orbits.orbit_count))
         r3 = sample_invariant_cov(action, seed=500)
-        for basis in (synthesize_matched(action, seed=3),
-                      sampled_basis(action, seed=3)):
+        for basis in (synthesize_matched(action, seed=3), orbital_basis(action)):
             assert not basis.transform.matrix.imag.any()
             assert offdiag_rel(basis.transform, r3) <= 1e-8
-
-    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "wreath:4c,3c"])
-    def test_paired_columns_are_eigenvectors_of_r1(self, spec):
-        # the conjugate-pair blocks must turn Re R1's real eigenvectors into
-        # eigenvectors of the complex sample R1 itself, in ascending order
-        action = parse_group_spec(spec)
-        basis = sampled_basis(action, seed=4)
-        u = basis.transform.matrix
-        assert u.imag.any()
-        re1, im1 = _draw(pair_orbits(action), _derived_seed(4, 0), True)
-        r1 = re1 + 1j * im1
-        rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), r1 @ u))
-        assert np.all(np.diff(rayleigh) >= -1e-12)
-        resid = r1 @ u - u * rayleigh
-        assert np.linalg.norm(resid) <= 1e-9 * np.linalg.norm(r1)
 
     @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
     def test_orbit_average_is_the_invariant_sample(self, action):
         # sample_invariant_cov(action, s) is the orbit average of
         # random_psd(M, s), byte for byte
         orbits = pair_orbits(action)
-        for s in (1, 2, _derived_seed(7, 0)):
+        for s in (1, 2, 7191089600892374487):
             ours = orbits.average(random_psd(action.degree, s))
             ref = sample_invariant_cov(action, s)
             assert ours.dtype == ref.dtype and ours.shape == ref.shape
             assert ours.tobytes() == ref.tobytes()
-
-    @pytest.mark.parametrize("action", catalog_actions() + [
-        parse_group_spec("hybrid:3,4"),
-        parse_group_spec("wreath:4c,3c"),
-        parse_group_spec("cyclic:64"),
-        parse_group_spec("boolean:6"),
-    ], ids=lambda a: a.name)
-    def test_certificate_is_the_two_sided_ratio(self, action):
-        # R2 drawn again from the accepted attempt's seed; the two-sided
-        # ratio is formed from the full complex product U* R2 U.  The
-        # sampled route is called directly: affine and wreath actions take
-        # the semidirect and wreath routes in synthesize_matched
-        if all(g.is_identity() for g in action.generators):
-            basis = synthesize_matched(action, seed=11)
-            assert basis.certificate is None and basis.attempts == 0
-            return
-        basis = sampled_basis(action, seed=11)
-        assert basis.attempts == 1
-        re2, im2 = _draw(pair_orbits(action), _derived_seed(11, 2 * basis.attempts - 1), True)
-        r2 = re2 + 1j * im2
-        assert abs(basis.certificate - offdiag_rel(basis.transform, r2)) <= 1e-12
-        assert basis.certificate <= transforms.DIAGONAL_TOL
-
-    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:3,4", "wreath:4c,3c", "boolean:4"])
-    def test_one_sided_residual_is_the_off_diagonal_norm(self, spec):
-        # on an R2 that U does not diagonalize, the residual is O(1), so the
-        # identity ||R2 U - U diag(U* R2 U)||_F = ||offdiag(U* R2 U)||_F is
-        # checked well above roundoff, block rows included
-        orbits = pair_orbits(parse_group_spec(spec))
-        classes = orbits.transpose_class_count()
-        paired = classes < orbits.orbit_count
-        re1, im1 = _draw(orbits, 5, paired)
-        eig = herm_eig(re1)
-        blocks = []
-        if paired:
-            sizes = transforms._gap_cut(eig.values, classes)
-            blocks = transforms._conjugate_blocks(eig.values, eig.vectors, im1, sizes)
-        r2 = random_psd(orbits.degree, 9)
-        if not paired:
-            r2 = r2.real
-        vt = eig.vectors.T
-        q = -(vt @ r2.imag) if paired else None
-        _, ut, residual = transforms._rotate_and_certify(eig.values, vt, vt @ r2.real, q, blocks)
-        d = ut.conj() @ r2 @ ut.T
-        off = np.linalg.norm(d - np.diag(np.diag(d)))
-        assert off > 1e-3 * np.linalg.norm(r2)
-        assert residual == pytest.approx(off, rel=1e-10)
 
     def test_one_orbit_partition_per_call(self, monkeypatch):
         calls = []
@@ -597,103 +539,11 @@ class TestSynthesize:
 
         monkeypatch.setattr(transforms, "pair_orbits", counted)
         # synthesize_matched takes the character route for cyclic:6
-        drawn = self.merge_samples(monkeypatch, set())
         synthesize_matched(make_cyclic(6), seed=7)
-        assert calls == [] and drawn == []
-        sampled_basis(make_cyclic(6), seed=7)
-        assert calls == ["cyclic:6"]
-        # an attempt that resamples reuses the same partition
-        calls.clear()
-        self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        sampled_basis(make_cyclic(6), seed=7)
-        assert calls == ["cyclic:6"]
-
-    @staticmethod
-    def merge_samples(monkeypatch, merged):
-        """Make synthesis's draw return the identity's parts (one merged
-        eigenvalue, and an invariant matrix) at the seeds in `merged`;
-        returns the drawn seeds."""
-        drawn = []
-        draw = transforms._draw
-
-        def sample(orbits, seed, paired):
-            drawn.append(seed)
-            if seed in merged:
-                eye = np.eye(orbits.degree)
-                return eye, (np.zeros_like(eye) if paired else None)
-            return draw(orbits, seed, paired)
-
-        monkeypatch.setattr(transforms, "_draw", sample)
-        return drawn
-
-    def test_merged_first_sample_resamples(self, monkeypatch):
-        # R1 = I: its eigenbasis does not diagonalize R2, but the two
-        # commute, so this is a merged spectrum and a new pair is drawn.  The
-        # samples are freed after the certificate, so the failed pair is
-        # drawn again for the commutator.
-        drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 0)})
-        basis = sampled_basis(make_cyclic(6), seed=7)
-        assert drawn == [_derived_seed(7, k) for k in (0, 1, 0, 1, 2, 3)]
-        assert basis.attempts == 2
-        assert not basis.data_dependent
-        r3 = sample_invariant_cov(make_cyclic(6), seed=500)
-        assert offdiag_rel(basis.transform, r3) <= 1e-8
-
-    def test_every_sample_merged_raises(self, monkeypatch):
-        drawn = self.merge_samples(monkeypatch, {_derived_seed(7, 2 * k) for k in range(5)})
-        with pytest.raises(DegenerateSampleError):
-            sampled_basis(make_cyclic(6), seed=7)
-        assert drawn == [_derived_seed(7, 2 * k + i) for k in range(5) for i in (0, 1, 0, 1)]
-
-
-class TestGenericDraw:
-    """Synthesis samples one seeded coefficient per pair orbit."""
-
-    @pytest.mark.parametrize("action", catalog_actions(), ids=lambda a: a.name)
-    def test_draw_is_invariant_and_hermitian(self, action, monkeypatch):
-        orbits = pair_orbits(action)
-        self_paired = np.array_equal(orbits.orbit_id, orbits.orbit_id.T)
-        for seed in (1, 2):
-            re, im = _draw(orbits, seed, True)
-            # a self-paired action's draw is exactly real
-            assert (not im.any()) == self_paired
-            r = re + 1j * im
-            assert np.array_equal(r, r.conj().T)
-            assert max(residual_delta(g, r) for g in action.generators) <= 1e-12
-        # synthesis keeps Im R exactly when the action is paired
-        kept = []
-        draw = transforms._draw
-
-        def recorded(orbits, seed, paired):
-            parts = draw(orbits, seed, paired)
-            kept.append(parts[1] is not None)
-            return parts
-
-        monkeypatch.setattr(transforms, "_draw", recorded)
-        if any(not g.is_identity() for g in action.generators):
-            # abelian actions take the character route in synthesize_matched
-            sampled_basis(action, seed=3)
-            assert kept and set(kept) == {not self_paired}
-        else:
-            synthesize_matched(action, seed=3)
-            assert kept == []
-
-    @pytest.mark.parametrize("spec", ["cyclic:6", "hybrid:4,3", "boolean:3", "trivial:5"])
-    def test_bytes_follow_the_recipe(self, spec):
-        # the rng module's per-orbit recipe and _draw's h_o, written out
-        # with fresh arrays; 25 orbits (trivial:5) is a perfect square
-        orbits = pair_orbits(parse_group_spec(spec))
-        ids, count = orbits.orbit_id, orbits.orbit_count
-        k = math.isqrt(count - 1) + 1
-        x = normal_rows(9, k, 2 * k).reshape(-1)
-        z = x[0 : 2 * count : 2] + 1j * x[1 : 2 * count : 2]
-        partner = np.zeros(count, dtype=np.int64)
-        for (i, j), o in np.ndenumerate(ids):
-            partner[o] = ids[j, i]
-        r = ((z + z[partner].conj()) / 2)[ids]
-        re, im = _draw(orbits, 9, True)
-        assert re.tobytes() == np.ascontiguousarray(r.real).tobytes()
-        assert im.tobytes() == np.ascontiguousarray(r.imag).tobytes()
+        assert calls == []
+        # J(6,2) takes the orbital route, on one partition
+        synthesize_matched(johnson_action(6), seed=7)
+        assert calls == ["J(6,2)"]
 
     def test_psd_draw_only_for_the_trivial_action(self, monkeypatch):
         calls = []
@@ -706,7 +556,7 @@ class TestGenericDraw:
             raise PsdDrawn
 
         monkeypatch.setattr(transforms, "random_psd", refuse)
-        for action in catalog_actions():
+        for action in catalog_actions() + [johnson_action(6)]:
             if all(g.is_identity() for g in action.generators):
                 with pytest.raises(PsdDrawn):
                     synthesize_matched(action, seed=3)
@@ -761,7 +611,7 @@ def generator_sets(draw):
 
 class TestCharacterRoute:
     """Regular abelian actions get their character basis without sampling;
-    the sampled route is the oracle."""
+    numpy's spectrum of one invariant sample is the oracle."""
 
     @pytest.mark.parametrize("spec", [
         "cyclic:2", "cyclic:6", "cyclic:64", "boolean:1", "boolean:3", "boolean:6",
@@ -776,13 +626,13 @@ class TestCharacterRoute:
         sampled = sampled_basis(action, seed=3)
 
         def refuse(*args):
-            raise AssertionError("the character route sampled")
+            raise AssertionError("the character route eigensolved")
 
-        # the character route draws nothing and partitions no pairs
-        monkeypatch.setattr(transforms, "_draw", refuse)
+        # the character route eigensolves nothing and partitions no pairs
+        monkeypatch.setattr(transforms, "herm_eig", refuse)
         monkeypatch.setattr(transforms, "pair_orbits", refuse)
         basis = synthesize_matched(action, seed=3)
-        assert basis.certificate is None and basis.attempts == 0
+        assert basis.certificate is None
         assert not basis.data_dependent
         assert all(l.startswith("char=(") for l in basis.transform.column_labels)
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern == (1,) * action.degree
@@ -831,26 +681,26 @@ class TestCharacterRoute:
 
 
 def refuse(*args):
-    raise AssertionError("sampled or eigensolved on an exact route")
+    raise AssertionError("eigensolved on an exact route")
 
 
-def spy_partitions_and_draws(monkeypatch):
+def spy_partitions_and_solves(monkeypatch):
     """Record the degree of every pair partition synthesis computes and of
-    every sample it draws, in two lists."""
-    calls, drawn = [], []
-    draw = transforms._draw
+    every orbital route it runs, in two lists."""
+    calls, solved = [], []
+    orbital = transforms._orbital
 
     def counted(act):
         calls.append(act.degree)
         return pair_orbits(act)
 
-    def recorded(orbits, seed, paired):
-        drawn.append(orbits.degree)
-        return draw(orbits, seed, paired)
+    def recorded(orbits, name):
+        solved.append(orbits.degree)
+        return orbital(orbits, name)
 
     monkeypatch.setattr(transforms, "pair_orbits", counted)
-    monkeypatch.setattr(transforms, "_draw", recorded)
-    return calls, drawn
+    monkeypatch.setattr(transforms, "_orbital", recorded)
+    return calls, solved
 
 
 def relabelled(actions):
@@ -860,7 +710,8 @@ def relabelled(actions):
 
 class TestSemidirectRoute:
     """Affine actions A x| H get A's characters grouped by the H-orbits,
-    with no sample and no eigensolve; the sampled route is the oracle."""
+    with no sample and no eigensolve; numpy's spectrum of one invariant
+    sample is the oracle."""
 
     @pytest.mark.parametrize("action", relabelled([
         parse_group_spec("dihedral:4"), parse_group_spec("dihedralM:5"),
@@ -873,16 +724,16 @@ class TestSemidirectRoute:
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
         sampled = sampled_basis(action, seed=3)
-        for name in ("_draw", "pair_orbits", "herm_eig"):
+        for name in ("_orbital", "pair_orbits", "herm_eig"):
             monkeypatch.setattr(transforms, name, refuse)
         basis = synthesize_matched(action, seed=3)
-        assert basis.certificate is None and basis.attempts == 0
+        assert basis.certificate is None
         assert not basis.data_dependent
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         assert all(l.startswith(("char=(", "cos=(", "sin=("))
                    for l in basis.transform.column_labels)
-        # real exactly when the action is self-paired, as the sampled basis is
-        assert basis.transform.matrix.imag.any() == sampled.transform.matrix.imag.any()
+        # real exactly when the action is self-paired, as the oracle's basis is
+        assert basis.transform.matrix.imag.any() == (not sampled.real)
         assert transforms._gram_error(basis.transform.matrix) <= 1e-10
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
@@ -923,8 +774,8 @@ class TestSemidirectRoute:
 
 class TestWreathRoute:
     """Imprimitive actions whose orbitals are those of H wr K get the
-    wreath rule's composition of their factors' bases; the sampled route
-    is the oracle."""
+    wreath rule's composition of their factors' bases; numpy's eigenbasis
+    of one invariant sample is the oracle."""
 
     @pytest.mark.parametrize("action", relabelled([
         parse_group_spec(spec) for spec in (
@@ -934,29 +785,29 @@ class TestWreathRoute:
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
         sampled = sampled_basis(action, seed=3)
-        proved = transforms._wreath(images_of(action), action.degree, 3, action.name)
-        calls, _ = spy_partitions_and_draws(monkeypatch)
+        proved = transforms._wreath(images_of(action), action.degree, action.name)
+        calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         # the action's own pair partition is computed once, and only when
         # the Schreier bounds prove no split; every other one is a held
         # factor's, of smaller degree
         assert calls.count(action.degree) == (0 if proved else 1)
         assert max(calls, default=0) <= action.degree
-        assert basis.attempts == 0 or calls
+        assert basis.certificate is None or calls
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         assert all(l.startswith("cluster=") for l in basis.transform.column_labels)
         assert transforms._gram_error(basis.transform.matrix) <= 1e-10
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
-        if basis.attempts == 0:
-            # every factor took an exact route: nothing was sampled
-            assert basis.certificate is None
-            monkeypatch.setattr(transforms, "_draw", refuse)
+        if basis.certificate is None:
+            # every factor took a route with no eigensolve
+            monkeypatch.setattr(transforms, "_orbital", refuse)
             monkeypatch.setattr(transforms, "herm_eig", refuse)
-            again = synthesize_matched(action, seed=3)
-            assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
         else:
             assert 0.0 <= basis.certificate <= transforms.DIAGONAL_TOL
+        # no route reads the seed
+        again = synthesize_matched(action, seed=4)
+        assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
 
     @pytest.mark.parametrize("action, held", [
         (action, False) for action in relabelled([parse_group_spec(spec) for spec in (
@@ -965,8 +816,9 @@ class TestWreathRoute:
     ] + [
         (parse_group_spec("wreath:4c,4c,4c,4c"), False),
     ] + [
-        # an S_k factor with k >= 4 has neither exact route: it is held as
-        # its own pair partition, of the factor's degree, and sampled
+        # an S_k factor with k >= 4 has neither route without a pair
+        # partition: it is held as its own pair partition, of the factor's
+        # degree, and takes the orbital route
         (parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed), True)
         for spec, seeds in (("wreath:4s,4c,4c", (None, 1)), ("hybrid:3,4", (None, 1, 2)),
                             ("hybrid:8,8", (None,)), ("wreath:5s,2c", (None, 1, 2)),
@@ -977,37 +829,37 @@ class TestWreathRoute:
                                                                   monkeypatch):
         # the Schreier bounds prove the split, so the action's own pair
         # orbits are never computed; only a held factor reads its own
-        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
-        assert action.degree not in calls and set(drawn) <= set(calls)
-        assert bool(calls) == bool(drawn) == held == (basis.attempts > 0)
+        assert action.degree not in calls and set(solved) <= set(calls)
+        assert bool(calls) == bool(solved) == held
         assert (basis.certificate is None) == (not held)
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
-    @pytest.mark.parametrize("action, attempts", [
+    @pytest.mark.parametrize("action, held", [
         # this numbering's first block is {0, 2} inside a Z_4 leaf group,
         # whose split fails the rank bound; the partition's next candidate
         # proves a split with every factor exact
-        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), 0),
+        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), False),
     ] + [
         # the other numberings of the S_k actions above
-        (relabel(parse_group_spec(spec), seed), 1) for spec, seed in (
+        (relabel(parse_group_spec(spec), seed), True) for spec, seed in (
             ("wreath:4s,4c,4c", 2), ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2),
             ("hybrid:16,16", 3))
     ], ids=lambda v: getattr(v, "name", str(v)))
-    def test_partition_candidates(self, action, attempts, monkeypatch):
+    def test_partition_candidates(self, action, held, monkeypatch):
         # no split passes the Schreier bounds, so the action's pair
         # partition is computed once; its row 0 gives the candidates, its
-        # orbit count the proof, and only held factors are sampled
+        # orbit count the proof, and only held factors take the orbital route
         images, m = images_of(action), action.degree
-        assert transforms._wreath(images, m, 3, action.name) is None
-        assert transforms._wreath(images, m, 3, action.name, pair_orbits(action)) is not None
+        assert transforms._wreath(images, m, action.name) is None
+        assert transforms._wreath(images, m, action.name, pair_orbits(action)) is not None
         sampled = sampled_basis(action, seed=3)
-        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
-        assert calls.count(m) == 1 and max(drawn, default=0) < m
-        assert basis.attempts == attempts
+        assert calls.count(m) == 1 and max(solved, default=0) < m
+        assert bool(solved) == (basis.certificate is not None) == held
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
@@ -1022,13 +874,13 @@ class TestWreathRoute:
         # partition tries that block again: its factors' routes, with the
         # held factor's partition, are taken up rather than built again
         action = relabel(parse_group_spec(spec), numbering)
-        calls, _ = spy_partitions_and_draws(monkeypatch)
+        calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == degrees
         wreath = transforms._wreath
 
-        def forgetful(images, m, seed, name, orbits=None, tried=None):
-            return wreath(images, m, seed, name, orbits)
+        def forgetful(images, m, name, orbits=None, tried=None):
+            return wreath(images, m, name, orbits)
 
         calls.clear()
         monkeypatch.setattr(transforms, "_wreath", forgetful)
@@ -1036,26 +888,26 @@ class TestWreathRoute:
         assert calls == rebuilt
         assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
         assert again.transform.column_labels == basis.transform.column_labels
-        assert (again.degeneracy_pattern, again.certificate, again.attempts) == (
-            basis.degeneracy_pattern, basis.certificate, basis.attempts)
+        assert (again.degeneracy_pattern, again.certificate) == (
+            basis.degeneracy_pattern, basis.certificate)
 
-    def test_failed_splits_sample_nothing(self, monkeypatch):
+    def test_failed_splits_solve_nothing(self, monkeypatch):
         # no block system of this product passes; the held factors of the
-        # failed splits are partitioned but never sampled, and the whole
-        # action is sampled on its own partition
+        # failed splits are partitioned but never eigensolved, and the
+        # whole action takes the orbital route on its own partition
         action = parse_group_spec("product:(dyadic-wreath:6,cyclic:16)")
-        calls, drawn = spy_partitions_and_draws(monkeypatch)
+        calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert len(calls) <= 5 and calls.count(action.degree) == 1
-        assert set(drawn) == {action.degree} and basis.attempts >= 1
+        assert solved == [action.degree] and basis.certificate is not None
 
-    @pytest.mark.parametrize("spec, attempts", [
-        ("dyadic-wreath:4", 0), ("hybrid:4,3", 0), ("hybrid:3,4", 1), ("wreath:5s,2c", 1),
+    @pytest.mark.parametrize("spec, held", [
+        ("dyadic-wreath:4", False), ("hybrid:4,3", False), ("hybrid:3,4", True),
+        ("wreath:5s,2c", True),
     ])
-    def test_a_sampled_factor_reports_its_certificate(self, spec, attempts):
+    def test_an_orbital_factor_reports_its_certificate(self, spec, held):
         basis = synthesize_matched(parse_group_spec(spec), seed=3)
-        assert basis.attempts == attempts
-        assert (basis.certificate is None) == (attempts == 0)
+        assert (basis.certificate is not None) == held
 
     @pytest.mark.parametrize("action", [
         parse_group_spec("dihedral:6"), johnson_action(6), parse_group_spec("wreath:5s"),
@@ -1067,7 +919,130 @@ class TestWreathRoute:
         # wreath product; it takes the semidirect route instead
         basis = synthesize_matched(action, seed=1)
         label = basis.transform.column_labels[0]
-        assert label.startswith("char=") or basis.attempts >= 1
+        assert label.startswith("char=") or basis.certificate is not None
+
+
+def regular_action(action):
+    """A small group's left regular action on its own elements."""
+    elements = sorted(closure_set(action), key=lambda p: p.images)
+    index = {p: i for i, p in enumerate(elements)}
+    gens = [Permutation([index[compose(g, x)] for x in elements]) for g in action.generators]
+    return from_generators(gens, f"regular({action.name})")
+
+
+def discovered_hamming(n: int):
+    """hamming:n's matched group from the generators discovery returns."""
+    result = discover_sequential(sample_invariant_cov(hamming_action(n), seed=5))
+    assert result.stop_reason == "complete"
+    return from_generators(result.generators, f"discovered(hamming:{n})")
+
+
+class TestOrbitalRoute:
+    """Actions no route without a pair partition proves take their
+    eigenspaces from the orbital algebra's integer intersection numbers;
+    numpy's spectrum of one invariant sample is the oracle."""
+
+    @pytest.mark.parametrize("action", relabelled([
+        johnson_action(12), johnson_action(46), parse_group_spec("hybrid:4,3"),
+        parse_group_spec("hybrid:3,4"), parse_group_spec("wreath:5s"),
+        parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
+        parse_group_spec("product:(hybrid:4,3,cyclic:3)"),
+        parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"),
+        discovered_hamming(4), discovered_hamming(6),
+    ]), ids=lambda a: a.name)
+    def test_oracles(self, action):
+        # synthesize_matched, and the orbital route alone where another
+        # route proves the action
+        basis = synthesize_matched(action, seed=3)
+        bases = [basis] if basis.certificate is not None else [basis, orbital_basis(action)]
+        oracle = sampled_basis(action, seed=3)
+        r3 = sample_invariant_cov(action, seed=500)
+        for b in bases:
+            assert b.degeneracy_pattern == oracle.degeneracy_pattern
+            assert not b.data_dependent
+            assert transforms._gram_error(b.transform.matrix) <= 1e-10
+            assert offdiag_rel(b.transform, r3) <= 1e-8
+        assert 0.0 <= bases[-1].certificate <= transforms.DIAGONAL_TOL
+        # no route reads the seed: the same bytes on every one
+        again = synthesize_matched(action, seed=4).transform.matrix
+        assert again.tobytes() == basis.transform.matrix.tobytes()
+
+    @pytest.mark.parametrize("spec", [
+        "cyclic:6", "hybrid:4,3", "wreath:4c,3c", "hybrid:3,4", "product:(hybrid:4,3,cyclic:3)",
+        "boolean:3", "hybrid:2,4",
+    ])
+    def test_columns_are_eigenvectors_at_the_known_values(self, spec):
+        # R = sum_i h_i A_i has eigenvalue c on a self-conjugate class and
+        # c -+ 1/4 on a conjugate pair; U's columns are its eigenvectors at
+        # those values, in ascending order, the pairs' split complex
+        action = parse_group_spec(spec)
+        orbits = pair_orbits(action)
+        h, theta, mult, norm = transforms._orbital_algebra(orbits, action.name)
+        r = h[orbits.orbit_id]
+        assert np.array_equal(r, r.conj().T) and norm == pytest.approx(np.linalg.norm(r))
+        assert is_invariant(r, action, 1e-12)
+        assert sorted(mult.tolist()) == list(sampled_basis(action, 3).degeneracy_pattern)
+        # the classes 0, 1, ... are spaced 1 apart, a pair's members 1/2
+        values = np.sort(theta)
+        assert np.all(np.diff(values) >= 0.5)
+        assert np.array_equal(np.unique(np.rint(values)), np.arange(np.rint(values[-1]) + 1))
+        # real exactly when the action is self-paired
+        paired = not np.array_equal(orbits.transpose, np.arange(theta.size))
+        u = orbital_basis(action).transform.matrix
+        assert h.imag.any() == u.imag.any() == paired
+        known = np.repeat(values, mult[np.argsort(theta, kind="stable")])
+        rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), r @ u))
+        assert np.allclose(rayleigh, known, rtol=0, atol=1e-12 * norm)
+        assert np.linalg.norm(r @ u - u * known) <= 1e-12 * norm
+
+    @pytest.mark.parametrize("action", catalog_actions() + [
+        parse_group_spec("hybrid:3,4"),
+        parse_group_spec("wreath:4c,3c"),
+        parse_group_spec("cyclic:64"),
+        parse_group_spec("boolean:6"),
+    ], ids=lambda a: a.name)
+    def test_certificate_is_the_full_residual(self, action):
+        # ||R U - U Lambda||_F / ||R||_F formed from the full complex
+        # product, with R gathered from its orbital coefficients and Lambda
+        # its known eigenvalues.  The orbital route is called directly:
+        # affine and wreath actions take other routes in synthesize_matched
+        if all(g.is_identity() for g in action.generators):
+            assert synthesize_matched(action, seed=11).certificate is None
+            return
+        orbits = pair_orbits(action)
+        h, theta, mult, _ = transforms._orbital_algebra(orbits, action.name)
+        r = h[orbits.orbit_id]
+        basis = orbital_basis(action)
+        u = basis.transform.matrix
+        known = np.repeat(np.sort(theta), mult[np.argsort(theta, kind="stable")])
+        ratio = np.linalg.norm(r @ u - u * known) / np.linalg.norm(r)
+        assert basis.certificate == pytest.approx(ratio, rel=1e-6, abs=1e-15)
+        assert basis.certificate <= transforms.DIAGONAL_TOL
+
+    @pytest.mark.parametrize("action", [
+        # intransitive
+        parse_group_spec("product:(cyclic:2,trivial:2)"),
+        from_generators([Permutation((0, 1, 3, 2))], "padded-swap"),
+        # transitive with a non-commutative commutant: the regular actions
+        # of S_3 and D_4
+        regular_action(parse_group_spec("dihedralM:3")),
+        regular_action(parse_group_spec("dihedralM:4")),
+    ], ids=lambda a: a.name)
+    def test_not_multiplicity_free_before_any_floating_work(self, action, monkeypatch):
+        # the integer checks decide; no eigensolve runs
+        assert not orbitals_commute(pair_orbit_labels(action))
+        monkeypatch.setattr(transforms, "herm_eig", refuse)
+        with pytest.raises(NotMultiplicityFreeError):
+            orbital_basis(action)
+
+    def test_merged_combination_raises(self, monkeypatch):
+        # with every coefficient 1 the combination is the all-ones matrix,
+        # whose eigenvalue 0 mixes J(6,2)'s eigenspaces of sizes 5 and 9:
+        # the route raises rather than cut a pattern
+        monkeypatch.setattr(transforms, "normal_rows",
+                            lambda seed, rows, cols: np.ones((rows, cols)))
+        with pytest.raises(NumericError):
+            orbital_basis(johnson_action(6))
 
 
 @st.composite
@@ -1095,9 +1070,8 @@ class TestRandomActions:
         basis = synthesize_matched(action, seed=2)
         assert len(basis.degeneracy_pattern) == int(labels.max()) + 1
         assert sum(basis.degeneracy_pattern) == action.degree
-        if basis.attempts == 0:
-            sampled = sampled_basis(action, 2)
-            assert basis.degeneracy_pattern == sampled.degeneracy_pattern
+        sampled = sampled_basis(action, 2)
+        assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
