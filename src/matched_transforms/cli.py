@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import math
 import sys
 
 import numpy as np
@@ -66,10 +65,7 @@ def _build_kernel(name: str, size: int | None, polarity: str | None):
             raise InputError("fprm requires --polarity (a bit string such as 101)")
         if size is not None:
             raise InputError("fprm takes its size from --polarity")
-        bits = [c for c in polarity.strip()]
-        if not bits or any(c not in "01" for c in bits):
-            raise InputError(f"bad polarity string {polarity!r}")
-        return transforms.fp_rm_matrix(tuple(int(c) for c in bits)).matrix
+        return transforms.fp_rm_matrix(polarity.strip()).matrix
     if polarity is not None:
         raise InputError("--polarity only applies to fprm")
     if size is None:
@@ -174,11 +170,7 @@ def cmd_verify(args) -> int:
 # discover
 
 def cmd_discover(args) -> int:
-    if not (math.isfinite(args.tau) and args.tau > 0):
-        return _fail(f"--tau must be finite and > 0, got {args.tau!r}", 2)
     r = matrixio.read_matrix_file(args.input)
-    if r.ndim != 2 or r.shape[0] != r.shape[1]:
-        return _fail(f"discover needs a square matrix, got {r.shape}", 2)
     try:
         result = discovery.discover_sequential(r, tau=args.tau, enumeration_cap=args.cap)
     except NumericError as exc:  # R is not Hermitian within tolerance
@@ -254,10 +246,7 @@ def cmd_alpha(args) -> int:
 
 def cmd_match_library(args) -> int:
     r = matrixio.read_matrix_file(args.input)
-    specs = groups._split_specs(args.library)
-    if not specs:
-        return _fail("empty --library", 2)
-    actions = [_parse_group(s) for s in specs]
+    actions = [_parse_group(s) for s in groups._split_specs(args.library)]
     report = discovery.match_library(r, actions, enumeration_cap=args.cap)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -331,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=float, default=1e-8)
     p.add_argument("--cap", type=int, default=10**4)
     p.add_argument("--seed", type=int, default=1,
-                   help="seed for the matched-transform synthesis")
+                   help="no effect: synthesis of a discovered action reads no seed")
     p.add_argument("--trace", default=None,
                    help="write one JSON line per search base level to this path")
     p.add_argument("--json", action="store_true")

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, InputError, UndefinedResidualError
+from .errors import DimensionError, InputError
 from .diagnostics import _coloring_alpha, _nonzero_norm, _residual_delta
 from .groups import Permutation, _hook_and_compress, closure_enumerate, from_generators
 from .numkernel import _check_hermitian, as_cmatrix
@@ -135,7 +135,7 @@ def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
     cells = int(colours.max()) + 1
     # a discrete colouring (each of the ranks 0..m-1 once) is equitable: it
     # needs no confirming pass, nor does one that a pass makes discrete
-    if cells == m and np.bincount(colours).all():
+    if cells == m:
         return colours
     sig, codes = np.empty((m, m + 1), dtype=">i8"), np.empty((m, m), dtype=np.int64)
     while True:
@@ -151,7 +151,10 @@ def _refine(edges: np.ndarray, colours: np.ndarray) -> np.ndarray:
 
 
 def _individualize(colours: np.ndarray, v: int) -> np.ndarray:
-    # v becomes a singleton cell placed right after the rest of its cell
+    # v becomes a singleton cell placed right after the rest of its cell; a
+    # singleton stays as it is, so the ranks stay dense
+    if np.count_nonzero(colours == colours[v]) == 1:
+        return colours
     out = colours + (colours > colours[v])
     out[v] += 1
     return out
@@ -248,16 +251,16 @@ def discover_sequential(
     the order of their closure.  group_order is None and order_exceeded_cap
     is True when the order exceeds enumeration_cap.
 
-    `basis` is checked against the degree of R but does not narrow the
-    search.
+    tau must be finite and > 0, else InputError.  `basis` is checked
+    against the degree of R but does not narrow the search.
     """
+    if not (math.isfinite(tau) and tau > 0):
+        raise InputError(f"tau must be finite and > 0, got {tau!r}")
     if enumeration_cap < 1:
         raise InputError("cap must be >= 1")
     r_arr = _check_hermitian(as_cmatrix(r))
     m = r_arr.shape[0]
     r_norm = _nonzero_norm(r_arr, "discovery")
-    if not tau > 0:
-        raise UndefinedResidualError("tau must be positive")
     if basis is not None and basis.degree != m:
         raise DimensionError("basis degree does not match the matrix")
     images, levels, iterations, rejected_count, saturated = _automorphism_search(

@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InputError
+from .errors import DimensionError, InputError
+from .numkernel import as_cmatrix
 
 MAX_DEGREE = 4096  # dense-matrix scale ceiling for the whole toolkit
 # product specs nest at most this deep: each level with non-trivial factors
@@ -1041,12 +1042,9 @@ def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:
     """Average a matrix over the group: replace each entry by its pair-orbit
     mean.  Equals the explicit average over all group elements, but never
     enumerates the group."""
-    r = np.asarray(r, dtype=np.complex128)
-    m = action.degree
-    if r.shape != (m, m):
-        raise InputError(f"matrix shape {r.shape} does not match degree {m}")
-    if not np.all(np.isfinite(r)):
-        raise InputError("matrix has non-finite entries")
+    r = as_cmatrix(r)
+    if r.shape[0] != action.degree:
+        raise DimensionError("matrix shape does not match the action degree")
     return pair_orbits(action).average(r)
 
 

@@ -39,6 +39,7 @@ from .groups import (
     _character_orbits,
     _normalize_branching,
     _wreath_splits,
+    make_dihedral,
     pair_orbits,
 )
 from .numkernel import as_cmatrix, herm_eig, random_psd
@@ -286,12 +287,24 @@ def rm_matrix(n: int) -> IntTransform:
     return IntTransform(_kron_all([_RM_LOWER] * n), 2, f"reed-muller:{n}")
 
 
+_POLARITY_BITS = {0: 0, 1: 1, "0": 0, "1": 1}
+
+
+def _polarity_bits(polarity) -> tuple:
+    """A polarity as a tuple of 0/1 ints.  Each entry must equal 0 or 1 or
+    be the character '0' or '1', so (1, 0, 1) and "101" are both taken."""
+    try:
+        return tuple(_POLARITY_BITS[b] for b in polarity)
+    except (KeyError, TypeError):  # 0.5 or "x" is no key, a list entry no key at all
+        raise InputError(f"polarity entries must be 0/1 or '0'/'1', got {polarity!r}") from None
+
+
 def fp_rm_matrix(polarity) -> IntTransform:
     """Fixed-polarity Reed-Muller matrix: variable l (bit n-1-l of the index)
     uses the lower-triangular factor when polarity[l] = 0 and the
     upper-triangular one when polarity[l] = 1.  Self-inverse mod 2."""
-    bits = tuple(int(b) for b in polarity)
-    if not bits or any(b not in (0, 1) for b in bits):
+    bits = _polarity_bits(polarity)
+    if not bits:
         raise InputError("polarity must be a nonempty 0/1 sequence")
     _check_log2_degree(len(bits))
     out = _kron_all([_RM_UPPER if b else _RM_LOWER for b in bits])
@@ -316,8 +329,8 @@ def anf_coefficients(truth_table, polarity=None) -> np.ndarray:
     if f.ndim != 1 or f.size < 2 or (f.size & (f.size - 1)):
         raise InputError("truth table length must be a power of two, >= 2")
     n = f.size.bit_length() - 1
-    bits = (0,) * n if polarity is None else tuple(int(b) for b in polarity)
-    if len(bits) != n or any(b not in (0, 1) for b in bits):
+    bits = (0,) * n if polarity is None else _polarity_bits(polarity)
+    if len(bits) != n:
         raise InputError(f"polarity must be {n} bits of 0/1")
     t = (f.astype(np.int64) % 2).reshape((2,) * n)
     for axis, b in enumerate(bits):
@@ -375,22 +388,17 @@ def even_extension_isometry(m: int) -> np.ndarray:
 
 
 def semidirect_dct_cascade(m: int) -> UnitaryTransform:
-    """Two-stage real basis on 2m points: DFT over the 2m-cycle, then the
-    2x2 Hadamard inside each conjugate-frequency pair, giving cosine/sine
-    columns (sine columns are phase-normalized to be real).  Restricting the
-    cosine block to the even-extension subspace reproduces the DCT-II
-    columns up to per-column sign.  Column order: dc, cos/sin per frequency,
-    then the alternating Nyquist column.
+    """Real basis on 2m points: the semidirect route's basis of the
+    dihedral action on the 2m-cycle, the DFT with each conjugate-frequency
+    pair (F_k, F_{2m-k}) turned into the cosine/sine columns sqrt(2) Re F_k
+    and sqrt(2) Im F_k.  Restricting the cosine block to the even-extension
+    subspace reproduces the DCT-II columns up to per-column sign.  Column
+    order: dc, cos/sin per frequency, then the alternating Nyquist column.
     """
     _check_degree(2 * m, lo=4)
-    # the 2x2 Hadamard on the conjugate pair (F_k, F_{2m-k}) gives
-    # sqrt(2) Re F_k and sqrt(2) Im F_k.  F's float view interleaves Re and
-    # Im, so its first 2m + 1 columns less Im F_0 = 0 are the columns in
-    # order; F is freed before _from_trusted makes the real copy complex
-    mat = np.delete(_fourier(2 * m).view(np.float64)[:, : 2 * m + 1], 1, axis=1)
-    mat[:, 1:-1] *= np.sqrt(2.0)
+    u = _semidirect([g.as_array() for g in make_dihedral(m).generators], 2 * m)[0]
     labels = ["dc"] + [f"{part}={k}" for k in range(1, m) for part in ("cos", "sin")]
-    return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(labels + ["nyquist"]))
+    return UnitaryTransform._from_trusted(u, f"dihedral:{m}", tuple(labels + ["nyquist"]))
 
 
 def wreath_matrix(branching) -> UnitaryTransform:

@@ -146,8 +146,12 @@ class TestKernel:
         assert "polarity" in capsys.readouterr().err
 
     def test_bad_polarity_string(self, capsys):
-        assert run(["kernel", "fprm", "--polarity", "102"]) == 2
-        capsys.readouterr()
+        # fp_rm_matrix owns the check; the command adds none of its own
+        for polarity in ("102", "", "1 0", "0.5", "x"):
+            assert run(["kernel", "fprm", "--polarity", polarity]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.count("error:") == 1 and "polarity" in captured.err
 
     def test_unknown_name_is_usage_error(self, capsys):
         assert run(["kernel", "nonexistent", "--size", "4"]) == 2
@@ -324,11 +328,15 @@ class TestDiscover:
         assert run(["discover", path]) == 0
         assert calls == [(4, 4)]
 
-    @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf"])
+    @pytest.mark.parametrize("tau", ["nan", "-1", "0", "inf", "-inf"])
     def test_bad_tau_exit_2(self, tmp_path, tau, capsys):
+        # discover_sequential owns the check; the command adds none of its own
         path = write_cov(tmp_path / "c4.mtx", sample_invariant_cov(make_cyclic(4), seed=2))
         assert run(["discover", path, f"--tau={tau}"]) == 2
-        assert "error: --tau" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("error:") == 1
+        assert captured.err.startswith("error: tau must be finite and > 0")
 
     @pytest.mark.parametrize("cap", ["0", "-5"])
     def test_cap_below_one_exit_2_without_symmetry(self, tmp_path, cap, capsys):
@@ -418,18 +426,27 @@ class TestProject:
         assert is_invariant(a, make_cyclic(4), tol=1e-12)
 
 
-@pytest.mark.parametrize("matrix", [np.ones((2, 3)), np.eye(3)], ids=["non-square", "degree-3"])
-@pytest.mark.parametrize("argv", [
-    ["project", "--group", "cyclic:2", "--out", "{out}"],
-    ["residual", "--perm", "1 0"],
-    ["alpha", "--group", "cyclic:2"],
-    ["match-library", "--library", "cyclic:2,trivial:2"],
-], ids=lambda argv: argv[0])
+_DEGREE_ARGV = [
+    ["project", "--group", "cyclic:2", "--out", "{out}", "--in", "{in}"],
+    ["residual", "--perm", "1 0", "--in", "{in}"],
+    ["alpha", "--group", "cyclic:2", "--in", "{in}"],
+    ["match-library", "--library", "cyclic:2,trivial:2", "--in", "{in}"],
+]
+
+
+@pytest.mark.parametrize("argv, matrix", [
+    pytest.param(argv, matrix, id=f"{argv[0]}-{label}")
+    for argv in _DEGREE_ARGV
+    for label, matrix in (("non-square", np.ones((2, 3))), ("degree-3", np.eye(3)))
+] + [
+    # discover has no degree of its own to mismatch
+    pytest.param(["discover", "{in}"], np.ones((2, 3)), id="discover-non-square"),
+])
 def test_shape_or_degree_mismatch_exit_2(tmp_path, argv, matrix, capsys):
     # the library calls reject both; the commands add no checks of their own
-    path = write_cov(tmp_path / "in.mtx", matrix)
     out = str(tmp_path / "out.mtx")
-    assert run([out if a == "{out}" else a for a in argv] + ["--in", path]) == 2
+    paths = {"{in}": write_cov(tmp_path / "in.mtx", matrix), "{out}": out}
+    assert run([paths.get(a, a) for a in argv]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert [line.startswith("error:") for line in captured.err.splitlines()].count(True) == 1
@@ -496,9 +513,12 @@ class TestMatchLibrary:
         assert "cap must be >= 1" in captured.err
 
     def test_empty_library_exit_2(self, tmp_path, capsys):
+        # match_library owns the check; the command adds none of its own
         path = write_cov(tmp_path / "cov.mtx", np.eye(3))
         assert run(["match-library", "--in", path, "--library", " , "]) == 2
-        capsys.readouterr()
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: library must contain at least one action\n"
 
 
 class TestSynthesize:
@@ -641,6 +661,15 @@ class TestContract:
     @example("--")
     def test_tau(self, tau):
         self.check(["discover", "{in}", f"--tau={tau}"])
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.text(max_size=14))
+    @example("0.5")
+    @example("1x1")
+    @example(" ")
+    @example("1" * 13)
+    def test_polarity(self, polarity):
+        self.check(["kernel", "fprm", "--polarity", polarity])
 
     @settings(max_examples=25, deadline=None)
     @given(st.one_of(st.lists(st.sampled_from(_SPEC_PIECES), max_size=4).map(",".join),

@@ -20,8 +20,10 @@ from matched_transforms import (
     UndefinedResidualError,
     closure_enumerate,
     coloring_alpha,
+    dft_matrix,
     discover_sequential,
     from_generators,
+    herm_eig,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -32,7 +34,9 @@ from matched_transforms import (
     parse_group_spec,
     random_psd,
     residual_delta,
+    reynolds_project,
     sample_invariant_cov,
+    subspace_match,
 )
 
 import matched_transforms
@@ -197,8 +201,11 @@ class TestDiscoverSequential:
             discover_sequential(np.zeros((3, 3)))
 
     def test_bad_tau_rejected(self):
-        with pytest.raises(UndefinedResidualError):
-            discover_sequential(np.eye(3), tau=0.0)
+        # tau = inf would merge every entry into one colour and report the
+        # symmetric group whatever R is
+        for tau in (0.0, -1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(InputError, match="tau must be finite and > 0"):
+                discover_sequential(sample_invariant_cov(make_cyclic(8), 1), tau=tau)
 
     def test_basis_degree_mismatch(self):
         with pytest.raises(DimensionError):
@@ -249,6 +256,26 @@ def test_bad_input_rejected(call, case):
     r, error, message = _BAD_INPUT[call][case]
     with pytest.raises(error, match=message):
         _SCALE_CALLS[call](r)
+
+
+_MATRIX_CALLS = {
+    **_SCALE_CALLS,
+    "reynolds_project": lambda r: reynolds_project(r, parse_group_spec("cyclic:2")),
+    "subspace_match": lambda r: subspace_match(r, dft_matrix(2)),
+    "herm_eig": herm_eig,
+}
+
+
+@pytest.mark.parametrize("call", sorted(_MATRIX_CALLS))
+@pytest.mark.parametrize("r, error", [
+    (np.ones((2, 3)), DimensionError),
+    (np.array([[np.nan, 0], [0, 1]]), NumericError),
+], ids=["non-square", "nan"])
+def test_one_validator_per_matrix_entry_point(call, r, error):
+    # every entry point validates R through as_cmatrix, so a fault raises
+    # the same class whichever call is handed it
+    with pytest.raises(error):
+        _MATRIX_CALLS[call](r)
 
 
 def test_match_library_skips_wrong_degrees_before_any_check_of_r():
@@ -446,6 +473,13 @@ class TestRowSignatures:
                 split = discovery._individualize(colours, v)
                 assert np.array_equal(discovery._refine(edges, split),
                                       reference_refine(dense, split))
+
+    def test_individualize_keeps_ranks_dense(self):
+        # a vertex's cell splits into the rest of the cell and, right after
+        # it, the vertex; a singleton cell is left as it is, leaving no rank unused
+        assert discovery._individualize(np.array([1, 0, 1]), 0).tolist() == [2, 0, 1]
+        assert discovery._individualize(np.array([2, 0, 1]), 0).tolist() == [2, 0, 1]
+        assert discovery._individualize(np.array([0, 1, 1, 2]), 3).tolist() == [0, 1, 1, 2]
 
     @pytest.mark.parametrize("action", [
         *catalog_actions(), *(parse_group_spec(spec) for spec in (

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from matched_transforms import (
+    DimensionError,
     GroupAction,
     InputError,
     Permutation,
@@ -879,6 +880,10 @@ class TestReynolds:
         twice = reynolds_project(once, act)
         assert np.max(np.abs(once - twice)) <= 1e-12
         assert is_invariant(once, act, 1e-10)
+
+    def test_degree_mismatch_rejected(self):
+        with pytest.raises(DimensionError, match="does not match the action degree"):
+            reynolds_project(np.eye(3), make_cyclic(2))
 
     def test_preserves_hermitian_psd(self):
         act = make_cyclic(6)

@@ -26,6 +26,7 @@ from matched_transforms import (
     herm_eig,
     make_boolean,
     make_cyclic,
+    make_dihedral,
     make_dyadic_wreath,
     make_product,
     make_trivial,
@@ -309,6 +310,32 @@ class TestAnf:
             anf_coefficients(np.array([0, 1, 0, 1]), (0,))
 
 
+class TestPolarityCheck:
+    """fp_rm_matrix and anf_coefficients share one polarity check: entries
+    equal to 0 or 1, or the characters '0' and '1'."""
+
+    @pytest.mark.parametrize("polarity", ["10", (1, 0), [1.0, 0], np.array([1, 0]), (True, 0)],
+                             ids=["text", "tuple", "float", "array", "bool"])
+    def test_accepted_forms_agree(self, polarity):
+        f = np.array([0, 1, 1, 0])
+        assert fp_rm_matrix(polarity).name == "fixed-polarity-rm:10"
+        assert np.array_equal(anf_coefficients(f, polarity), anf_coefficients(f, (1, 0)))
+
+    @pytest.mark.parametrize("bad", [0.5, 2, "x", " ", None, [0, 1]])
+    @pytest.mark.parametrize("call", [
+        fp_rm_matrix, lambda p: anf_coefficients(np.zeros(4, dtype=int), p),
+    ], ids=["fp_rm_matrix", "anf_coefficients"])
+    def test_rejected_entries(self, call, bad):
+        # 0.5 was truncated to 0 and "x" raised a bare ValueError
+        with pytest.raises(InputError, match="polarity entries must be 0/1"):
+            call([bad, 1])
+
+    @pytest.mark.parametrize("polarity", ["1x1", 5, None, ""])
+    def test_rejected_polarities(self, polarity):
+        with pytest.raises(InputError, match="polarity"):
+            fp_rm_matrix(polarity)
+
+
 class TestBestPolarity:
     def test_constant_zero(self):
         bits, coeffs, weight = best_polarity(np.zeros(4, dtype=int))
@@ -425,15 +452,45 @@ class TestCascadeAndFold:
         assert unitarity_error(semidirect_dct_cascade(8)) <= 1e-10
 
     def test_cascade_peak_memory(self):
-        # one real array is filled from the DFT's slices and the DFT freed
-        # before the complex result is made: no stacked copies of Re and Im
+        # the semidirect route fills one complex character table a block of
+        # rows at a time and folds it real in place: no second M x M array
         tracemalloc.start()
         try:
             nbytes = semidirect_dct_cascade(512).matrix.nbytes
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.6 * nbytes
+        assert peak <= 1.3 * nbytes
+
+
+class TestClassicalKernelsAreRouteBases:
+    """The cosine cascade is the semidirect route's basis of the dihedral
+    action and Haar the wreath route's basis of the dyadic wreath, byte for
+    byte."""
+
+    @pytest.mark.parametrize("m", [2, 3, 8, 63])
+    def test_cascade_is_the_dihedral_basis(self, m):
+        basis = synthesize_matched(make_dihedral(m), seed=1).transform
+        cascade = semidirect_dct_cascade(m)
+        assert cascade.matrix.tobytes() == basis.matrix.tobytes()
+        assert cascade.group_name == basis.group_name == f"dihedral:{m}"
+        assert cascade.column_labels[0] == "dc" and cascade.column_labels[-1] == "nyquist"
+        assert cascade.column_labels[1:3] == ("cos=1", "sin=1")
+
+    @pytest.mark.parametrize("levels", [1, 3, 4, 5, 6, 7, 8, 9])
+    def test_haar_is_the_dyadic_wreath_basis(self, levels):
+        basis = synthesize_matched(make_dyadic_wreath(levels), seed=1).transform
+        assert basis.matrix.tobytes() == haar_matrix(levels).matrix.tobytes()
+
+    def test_dyadic_wreath_2_takes_the_semidirect_route(self):
+        # D_4 on 4 points is affine (it is dihedralM:4), so the semidirect
+        # route names it before the wreath route is tried
+        action = make_dyadic_wreath(2)
+        basis = synthesize_matched(action, seed=1)
+        assert basis.certificate is None
+        assert basis.transform.column_labels[:3] == (
+            "char=(0),orbit=0", "cos=(1),orbit=1", "sin=(1),orbit=1")
+        assert basis.degeneracy_pattern == sampled_basis(action, seed=1).degeneracy_pattern == (1, 1, 2)
 
 
 class TestSynthesize:
