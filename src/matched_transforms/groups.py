@@ -270,7 +270,8 @@ _NODE_KINDS = ("cyclic", "symmetric")
 
 
 def _normalize_branching(branching) -> tuple:
-    out = []
+    """(branching as (k, kind) pairs, the tree's degree), the degree checked."""
+    out, degree = [], 1
     for entry in branching:
         k, kind = entry
         k = int(k)
@@ -280,9 +281,11 @@ def _normalize_branching(branching) -> tuple:
         if kind not in _NODE_KINDS:
             raise InputError(f"unknown node kind {kind!r} (want cyclic|symmetric)")
         out.append((k, kind))
+        degree *= k
     if not out:
         raise InputError("empty branching list")
-    return tuple(out)
+    _check_degree(degree)
+    return tuple(out), degree
 
 
 def _branching_name(branching) -> str:
@@ -298,11 +301,7 @@ def make_wreath(branching) -> GroupAction:
     contributes the adjacent block transpositions.  Generators are emitted
     level by level from the root, nodes left to right.
     """
-    branching = _normalize_branching(branching)
-    degree = 1
-    for k, _ in branching:
-        degree *= k
-    _check_degree(degree)
+    branching, degree = _normalize_branching(branching)
     gens = []
     span = degree  # leaf span of a node at the current level
     node_count = 1

@@ -3,17 +3,18 @@
 Each builder returns the dense matrix matched to one family of invariant
 covariances, built from one base matrix per node kind (Fourier for cyclic
 nodes, real Helmert for symmetric and binary ones) and the composition
-rules: Haar is the wreath basis of binary nodes, and the cosine cascade
-the semidirect rule applied to the DFT.  The DFT and Walsh-Hadamard
-kernels are the character tables of Z_m and (Z_2)^n, read from one table
-of roots of unity.  Integer counterparts (Reed-Muller triangle,
-fixed-polarity variants, the arithmetic-transform inverse pair) are
-Kronecker powers of 2x2 blocks.  The matched-basis synthesizer applies
-the same rules to an action given only by its generators: the character
-table grouped by orbits for an affine action (the semidirect rule, real
-for a self-paired one), the wreath composition of two factors' bases for
-an imprimitive one, and otherwise the eigenspaces of the orbital algebra,
-read from its integer intersection numbers.
+rules, one function each: haar_matrix and wreath_matrix fold the wreath
+rule (`_compose`) over their trees, Haar's nodes all binary, and the
+cosine cascade is the semidirect rule applied to the DFT.  The DFT and
+Walsh-Hadamard kernels are the character tables of Z_m and (Z_2)^n, read
+from one table of roots of unity.  Integer counterparts (Reed-Muller
+triangle, fixed-polarity variants, the arithmetic-transform inverse pair)
+are Kronecker powers of 2x2 blocks.  The matched-basis synthesizer
+applies the same rules to an action given only by its generators: the
+character table grouped by orbits for an affine action (the semidirect
+rule, real for a self-paired one), the wreath composition of two
+factors' bases for an imprimitive one, and otherwise the eigenspaces of
+the orbital algebra, read from its integer intersection numbers.
 """
 
 from __future__ import annotations
@@ -405,32 +406,31 @@ def wreath_matrix(branching) -> UnitaryTransform:
     """Matched basis for a root-first wreath branching (same list layout as
     make_wreath).
 
-    Built by recursion on the tree: the inner transform is applied in every
-    child block, and the node's base transform (DFT for cyclic nodes of
-    width K > 2, the real Helmert difference basis for symmetric and binary
-    nodes) mixes the K block-constant directions.  Columns come out
-    scale-major: scale 0 is the global constant, scale 1 the root's
-    non-trivial block mixes, scale s+1 the per-block copies of inner
-    scale-s columns, blocks left to right.
+    The wreath rule (`_compose`) folded over the tree, leaf level first:
+    each node's base transform (DFT for cyclic nodes of width K > 2, the
+    real Helmert difference basis for symmetric and binary nodes) mixes
+    its K blocks' constant directions, and the subtree's basis is copied
+    into every block.  Columns come out scale-major: scale 0 is the global
+    constant, scale 1 the root's non-trivial block mixes, scale s+1 the
+    per-block copies of inner scale-s columns, blocks left to right.
     """
-    branching = _normalize_branching(branching)
-    degree = 1
-    for k, _ in branching:
-        degree *= k
-    _check_degree(degree)
+    branching, _ = _normalize_branching(branching)
     return _wreath_transform(branching, _branching_name(branching))
 
 
 def _wreath_transform(branching, name: str) -> UnitaryTransform:
-    """The wreath recursion's basis with columns labeled scale=s,pos=p."""
-    mat, scales = _branching_basis(branching)
-    counters: dict = {}
-    labels = []
-    for s in scales:
-        idx = counters.get(s, 0)
-        counters[s] = idx + 1
-        labels.append(f"scale={s},pos={idx}")
-    return UnitaryTransform._from_trusted(mat, name, tuple(labels))
+    """The tree's basis with columns labeled scale=s,pos=p.  A node of
+    width k is the route of its base with eigenspaces [1, k - 1], and
+    scale s is the composed basis's eigenspace s."""
+    def node(k, kind):
+        return _node_base(k, kind), np.array([1, k - 1]), None, None
+
+    u, sizes, _, _ = node(*branching[-1])
+    for k, kind in reversed(branching[:-1]):
+        points = np.arange(k * u.shape[0]).reshape(k, -1)
+        u, sizes, _, _ = _compose(node(k, kind), (u, sizes, None, None), points)
+    labels = tuple(f"scale={s},pos={p}" for s, n in enumerate(sizes.tolist()) for p in range(n))
+    return UnitaryTransform._from_trusted(u, name, labels)
 
 
 def _node_base(k: int, kind: str) -> np.ndarray:
@@ -444,49 +444,6 @@ def _node_base(k: int, kind: str) -> np.ndarray:
         base[col, col] = -col
         base[:, col] /= np.sqrt(col * (col + 1))
     return base
-
-
-def _branching_basis(branching) -> tuple:
-    """A root-first branching's basis and each column's scale: the root's
-    node base is the block action's basis, the rest of the tree the block
-    stabilizer's, and inner scale s becomes scale s + 1."""
-    k, kind = branching[0]
-    base = _node_base(k, kind)
-    scales = [0] + [1] * (k - 1)
-    if len(branching) == 1:
-        return base, scales
-    inner, inner_scales = _branching_basis(branching[1:])
-    inner_scales = np.array(inner_scales)
-    groups = [np.flatnonzero(inner_scales == s) for s in range(1, inner_scales.max() + 1)]
-    for s, members in enumerate(groups, start=1):
-        scales += [s + 1] * (k * members.size)
-    points = np.arange(k * inner.shape[0]).reshape(k, -1)
-    return _wreath_recurse(base, inner, groups, points), scales
-
-
-def _wreath_recurse(top: np.ndarray, inner: np.ndarray, groups: list,
-                    points: np.ndarray) -> np.ndarray:
-    """The wreath rule's basis on b blocks of w points.
-
-    top (b x b) is the block action's basis and inner (w x w) the block
-    stabilizer's, its constant column first; groups are runs of inner's
-    other columns.  points[a, p] is the point that local point p of block a
-    names.  The block-constant columns top (x) inner[:, 0] come first, then,
-    group by group, the copies of the group's columns in block 0, 1, ...
-    The entries are written a block at a time.
-    """
-    b, w = points.shape
-    out = np.zeros((b * w, b * w), dtype=np.complex128)
-    for a, rows in enumerate(points):
-        out[rows, :b] = top[a] * inner[:, :1]  # rows of top (x) inner[:, 0]
-    col = b
-    for members in groups:
-        n = members.size
-        copy = inner[:, members]
-        for a, rows in enumerate(points):
-            out[rows, col + a * n : col + (a + 1) * n] = copy
-        col += b * n
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -580,12 +537,12 @@ def _orbital(orbits, name: str) -> tuple:
     sizes = mult[order]
     known = np.repeat(theta[order], sizes)  # each column's eigenvalue of R
     level = np.rint(known)  # ... of Re R
+    # symmetric bit for bit, as h is averaged over transposed orbitals: no
+    # symmetrized copy (herm_eig's) is needed
     re = h.real[ids]
-    eig = herm_eig(re)
-    if not np.array_equal(np.rint(eig.values), level):
+    values, u = np.linalg.eigh(re)  # u is V
+    if not np.array_equal(np.rint(values), level):
         raise NumericError(f"action {name}: Re R's eigenvalues miss their known values")
-    u = eig.vectors  # V
-    del eig
     # R U - U Lambda is (Re R - level) V + i (Im R) V on a self-conjugate
     # class's columns, and that times W, less U (Lambda - level), on a pair's
     resid = re @ u
@@ -679,24 +636,31 @@ def _semidirect(images: list, m: int):
 
 
 def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
-    """The wreath rule's basis from the block action K's and the block
-    stabilizer H's routes (`_wreath_recurse`).  The eigenspaces are K's,
-    then b copies of each of H's but the constant one; the certificate is
-    the largest of the factors'."""
-    b, _ = points.shape
+    """The wreath rule's basis on b blocks of w points, from the block
+    action K's and the block stabilizer H's routes; points[a, p] is the
+    point that local point p of block a names.  The block-constant columns
+    top (x) h come first, h H's constant column (the one column whose
+    entries do not sum to 0, wherever H's route put it); then, for each of
+    H's other eigenspaces in order, its copies in block 0, 1, ...  The
+    entries are written a block at a time, each copy from a column slice.
+    The eigenspaces are K's, then the b-fold copies; the certificate is the
+    largest of the factors'."""
+    b, w = points.shape
     top, top_sizes, top_ratio, _ = k_route
     inner, inner_sizes, inner_ratio, _ = h_route
-    # the constant vector is the one column of H's basis off every other;
-    # it goes first, then H's other eigenspaces in order
     const = int(np.argmax(np.abs(inner.sum(axis=0))))
-    ends = np.cumsum(inner_sizes)
-    others = [np.arange(end - size, end) for size, end in zip(inner_sizes, ends)
-              if not end - size <= const < end]
-    inner = inner[:, np.concatenate([[const]] + others)]
-    starts = 1 + np.cumsum([0] + [g.size for g in others])
-    groups = [np.arange(at, at + g.size) for at, g in zip(starts, others)]
-    u = _wreath_recurse(top, inner, groups, points)
-    sizes = np.concatenate([top_sizes, [b * g.size for g in groups]]).astype(np.int64)
+    u = np.zeros((b * w, b * w), dtype=np.complex128)
+    for a, rows in enumerate(points):
+        u[rows, :b] = top[a] * inner[:, const : const + 1]  # rows of top (x) h
+    sizes, col = list(top_sizes), b
+    for end, n in zip(np.cumsum(inner_sizes).tolist(), inner_sizes.tolist()):
+        if end - n <= const < end:
+            continue
+        for a, rows in enumerate(points):
+            u[rows, col + a * n : col + (a + 1) * n] = inner[:, end - n : end]
+        sizes.append(b * n)
+        col += b * n
+    sizes = np.array(sizes, dtype=np.int64)
     ratios = [r for r in (top_ratio, inner_ratio) if r is not None]
     return u, sizes, max(ratios, default=None), lambda: _cluster_labels(sizes)
 
@@ -739,15 +703,16 @@ def _factor_route(images: list, m: int, name: str) -> tuple:
         return found[1].size, lambda: found
     action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
     partition = pair_orbits(action)
-    return partition.orbit_count, lambda: _partitioned(images, m, lambda: partition, name, tried)
+    return partition.orbit_count, lambda: _partitioned(images, m, partition, name, tried)
 
 
-def _partitioned(images: list, m: int, orbits, name: str, tried: dict) -> tuple:
+def _partitioned(images: list, m: int, partition, name: str, tried: dict) -> tuple:
     """The routes once the Schreier bounds prove nothing: the wreath route
-    on the pair partition orbits() gives, else the orbital route on it.
-    The partition is dropped once a split is proved, before the M x M
-    basis is built."""
-    partition = orbits()
+    on the pair partition, else the orbital route on it.  Once a split is
+    proved, the action's own partition is dropped before its M x M basis
+    is built; a held factor's partition, w^2 labels, stays alive in
+    `_factor_route`'s build closure until the parent's (bw)^2 basis is
+    composed."""
     found = _wreath(images, m, name, partition, tried)
     tried.clear()  # a split the partition did not give again is dropped too
     if found is None:
@@ -811,9 +776,9 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     route), which gives its rank, or is held as its own pair partition,
     whose orbit count is its rank (`_factor_route`); a held factor is
     routed on that partition, by the orbital route if no split proves it,
-    only once the split is proved.  U
-    composes the factors' bases with `_wreath_recurse`, as wreath_matrix
-    does; labels are cluster=c,col=i with c numbering the eigenspaces in
+    only once the split is proved.  U composes the factors' bases with
+    `_compose`, the rule haar_matrix and wreath_matrix fold over their
+    trees; labels are cluster=c,col=i with c numbering the eigenspaces in
     column order.
 
     Otherwise the orbital route (`_orbital`) reads the action's pair
@@ -861,6 +826,6 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     found, tried = _semidirect(images, m), {}
     if found is None:
         wreath = _wreath(images, m, action.name, tried=tried)
-        found = (_partitioned(images, m, lambda: pair_orbits(action), action.name, tried)
+        found = (_partitioned(images, m, pair_orbits(action), action.name, tried)
                  if wreath is None else wreath[1]())
     return _synthesized(action.name, found)

@@ -25,6 +25,26 @@ def test_all_matches_public_names():
     assert all(hasattr(matched_transforms, name) for name in matched_transforms.__all__)
 
 
+def _collect_loads(node, names: set, attributes: set, enclosing=frozenset()) -> None:
+    """Add to names every identifier the tree reads, as a name or as an
+    attribute (x.name), outside a def or class of that name, so a recursive
+    call does not count; attributes gets the attribute reads alone."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        enclosing = enclosing | {node.name}
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        ident = node.id
+    elif isinstance(node, ast.Attribute):
+        ident = node.attr
+    else:
+        ident = None
+    if ident is not None and ident not in enclosing:
+        names.add(ident)
+        if isinstance(node, ast.Attribute):
+            attributes.add(ident)
+    for child in ast.iter_child_nodes(node):
+        _collect_loads(child, names, attributes, enclosing)
+
+
 # the paper's direct and wreath composition rules and the README's
 # fixed-polarity search are public for their own sake
 _STANDALONE = {"compose_direct", "wreath_matrix", "best_polarity"}
@@ -37,33 +57,43 @@ def test_every_public_name_has_a_caller():
     # method only as an attribute (x.method), so an alias in the class body
     # does not; docstrings and comments do not count
     used, attributes = set(), set()
-
-    def visit(node, enclosing):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            enclosing = enclosing | {node.name}
-        if isinstance(node, ast.Name):
-            ident = node.id
-        elif isinstance(node, ast.Attribute):
-            ident = node.attr
-        else:
-            ident = None
-        if ident is not None and ident not in enclosing:
-            used.add(ident)
-            if isinstance(node, ast.Attribute):
-                attributes.add(ident)
-        for child in ast.iter_child_nodes(node):
-            visit(child, enclosing)
-
     for top in ("src", "perfbench"):
         for folder, _, names in os.walk(os.path.join(_ROOT, top)):
             for name in names:
                 if name.endswith(".py") and name != "__init__.py":
                     with open(os.path.join(folder, name), encoding="utf-8") as fh:
-                        visit(ast.parse(fh.read()), frozenset())
+                        _collect_loads(ast.parse(fh.read()), used, attributes)
     unused = set(matched_transforms.__all__) - used - _STANDALONE
     unused |= {qualname for qualname, func, _ in _public_callables()
                if "." in qualname and func.__name__ not in attributes}
     assert not unused, sorted(unused)
+
+
+def test_every_private_helper_has_a_caller():
+    # every module-level private function, class and constant of the
+    # package is loaded somewhere in src/ outside its own definition; an
+    # import, a test or a recursive call alone does not keep it
+    package = os.path.dirname(matched_transforms.__file__)
+    defined, loaded = set(), set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [t.id for t in targets if isinstance(t, ast.Name)]
+            else:
+                names = []
+            defined |= {(name, ident) for ident in names
+                        if ident.startswith("_") and not ident.startswith("__")}
+        _collect_loads(tree, loaded, set())
+    assert defined
+    unused = sorted(f"{module}:{ident}" for module, ident in defined if ident not in loaded)
+    assert not unused, unused
 
 
 def _public_callables():

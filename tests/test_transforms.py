@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -379,7 +380,82 @@ class TestCompose:
         assert np.max(np.abs(off)) <= 1e-10 * np.linalg.norm(r)
 
 
+def _digests(transform):
+    """SHA-256 of the matrix (signed zeros made +0) and of its labels."""
+    return (hashlib.sha256((transform.matrix + 0.0).tobytes()).hexdigest(),
+            hashlib.sha256("\n".join(transform.column_labels).encode()).hexdigest())
+
+
+# Haar and trees of binary and symmetric nodes are built from sqrt, division
+# and multiplication alone, each correctly rounded, so their bytes are fixed
+_HAAR_DIGESTS = [
+    (1, "b8a0541aa80b1a09f1847692e688d8f59e6f7b27904794cb34e3a00547af4cc1",
+     "e70b31196255628124a3bfb6ade8c11969b9d2d9070f8b834d208ee302f47179"),
+    (2, "3a8e8c29d515198e53124782b86350c5b5e44621a88916aa1b5495942381753f",
+     "e6684f57ef2399089f7fcf923195c545648b7579a55641bde27666d87a6951d6"),
+    (3, "3339d566941920d6bc59f8722fcdb06683ce86b9a0060e883c77c8d349bdeaf4",
+     "92e38f3bd44f842f14343c70025aefd4f6068f32de408ec09f15d35344b61cd3"),
+    (4, "559b86f9a9a8bc513727752c0543aab1b0e19677fb2e1bbc4a3ab44ffe7b197e",
+     "02c656a07b7ce56a299f1a81e6811235f074720f17849e8c04e230b0d35c4453"),
+    (5, "218f62289d91bcd6899ed54884891f9e640fe125ec2a61f12e522ac124dc0f37",
+     "3cb4af353279a9480fab952fc935e6c50db35d98e87c52cd5fd825dff06d504f"),
+    (6, "b37f77cc4a64be462c5d1f9a49f5b5d07c76894662e54c26d66bf2de26a01ed9",
+     "9af97b762dbc404de1f9944e95841343927bada481f4d37e59a321002828c856"),
+    (7, "a5bd212bff3cbc6c6e4f394bf6fcfababd822eaed3622faa057ec5d0822a92e1",
+     "f0926bb07f826aff97ecc39f39a431ebdc92228d3554e77ed979d4717c10720e"),
+    (8, "98b9e36095db1d720cb9a48b9da5771a33bcbc749ab3a30846c1fd1386903c67",
+     "c9d3c9d3cd154866d18860a6cbe552e661881207691c4bd2dabb0d3ef0d38270"),
+    (9, "74bb3f86aa65c6acb3e2532360c3c35213d4c30e180bb3fa659fad086e193ffb",
+     "6b87da0c38f74453866b4f200e4aa5307daa558c611644daca18a8fbc9504136"),
+    (10, "309e84bb15e23b5cd705b02ef2730cc84aeb9bbc6fed9c887c2eeea6fd654954",
+     "1d3ac1e7e8020ec6598cbae67325a4ef01ac1b2e83d713a81e87f2ec506f84d9"),
+]
+_HELMERT_TREE_DIGESTS = [
+    ("3s", "d2ac3b73b8de96357b441eb0dbb61ed0b8ec839a96302061b3681c02f76fa693",
+     "961de4b741c723648abd1a9693db1399f55f6c4fd6e2a87dd0cf55a5822acc79"),
+    ("2c,3s", "828447f7d99fa6fa5a5b5a885a6b9b84795ba23cd4cb46786e95e5d220ed4b0b",
+     "8bf2aaf9fd69a45d211b65937601968b8388dd6eeb55ced10cdb6237480ee972"),
+    ("3s,2c", "99e88db237a3296c4ec9914e1e6dafd49cff33d5f06d2e8c28d97b9aa023a17f",
+     "a027c63cf7cb24c0a518c6ea1e1dda7396cfd7f6741310cbdb7892bdb97c578d"),
+    ("4s,3s", "73b3f51e4560abaff05917e2d5b8d45af8e7e835a43308289177fea26614cf14",
+     "755de183d66de8599d58d6ced133e2573048c3728ad9d16d4728a256c1bbe519"),
+    ("2s,2s,6s", "6bbb40a0614deb90a2d9f1badc86aa7eb0f56dba6f5345ef2217978394e03396",
+     "5f9c823c44949812238239248d01f3cf84aad78216cc13f81367ba19381112a7"),
+    ("5s,2c,3s", "ce8e6cc124dbf4fc61d64145c4866be2e145cd62f7504887951e596907867c65",
+     "b5a15b65a07fe8c93b96022faff257a83a7d0207d8d54da8cc51dae156325642"),
+    ("2c,4s,2s,4s", "5995abc0b2bdc0a91d4036f9111f58a4e797773bb5322614781213254be08741",
+     "db5bda1ee9eee640cd958da09052a0af1c67d8cd40bf4b6d80fb763ebf2bb947"),
+]
+
+
+def _branching(text):
+    return [(int(x[:-1]), "cyclic" if x[-1] == "c" else "symmetric") for x in text.split(",")]
+
+
 class TestWreathMatrix:
+    @pytest.mark.parametrize("levels, matrix, labels", _HAAR_DIGESTS)
+    def test_haar_bytes_pinned(self, levels, matrix, labels):
+        assert _digests(haar_matrix(levels)) == (matrix, labels)
+
+    @pytest.mark.parametrize("tree, matrix, labels", _HELMERT_TREE_DIGESTS)
+    def test_helmert_tree_bytes_pinned(self, tree, matrix, labels):
+        assert _digests(wreath_matrix(_branching(tree))) == (matrix, labels)
+
+    @pytest.mark.parametrize("columns, sizes", [([1, 0, 2, 3], [1, 1, 2]),
+                                                ([1, 2, 3, 0], [1, 2, 1])])
+    def test_compose_finds_the_constant_column_anywhere(self, columns, sizes):
+        # no catalog or relabelled action gives H's basis with its constant
+        # column off first: move it, with its eigenspace, and compose again
+        top = (transforms._node_base(3, "cyclic"), np.array([1, 2]), None, None)
+        inner = haar_matrix(2).matrix
+        points = np.random.default_rng(7).permutation(12).reshape(3, 4)
+        plain = transforms._compose(top, (inner, np.array([1, 1, 2]), 1e-12, None), points)
+        moved = transforms._compose(top, (inner[:, columns], np.array(sizes), 1e-12, None),
+                                    points)
+        assert plain[0].tobytes() == moved[0].tobytes()
+        assert plain[1].tolist() == moved[1].tolist() == [1, 2, 3, 6]
+        assert plain[2] == moved[2] == 1e-12
+
     def test_l1_is_h1(self):
         out = wreath_matrix([(2, "cyclic")])
         assert np.max(np.abs(out.matrix - dft_matrix(2).matrix)) <= 1e-12
