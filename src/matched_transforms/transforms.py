@@ -47,7 +47,7 @@ from .numkernel import as_cmatrix, herm_eig, random_psd
 from .rng import normal_rows
 
 UNITARITY_TOL = 1e-10
-DIAGONAL_TOL = 1e-8  # the orbital route's ||RU - U Lambda||_F / ||R||_F
+DIAGONAL_TOL = 1e-8  # the orbital route's largest trace(E_j - U_j U_j*) / m_j
 MULTIPLICITY_TOL = 1e-6  # distance of an eigenspace's computed dimension from an integer
 
 
@@ -458,10 +458,11 @@ class SynthesizedBasis:
     degeneracy_pattern lists eigenspace sizes sorted ascending;
     data_dependent marks the trivial-action fallback (plain KLT of the
     sample, no seed-independence guarantee).  certificate is the orbital
-    route's ratio ||R U - U Lambda||_F / ||R||_F, R the invariant matrix it
-    diagonalizes and Lambda R's known eigenvalues.  The trivial action's
-    KLT and the semidirect route, proved by exact integer checks, report
-    None.  The wreath route's split is proved by exact integer checks too;
+    route's largest trace(E_j - U_j U_j*) / m_j over the eigenspaces it
+    factors, E_j the primitive idempotent of rank m_j and U_j its columns:
+    the residual is PSD, so its norm is at most its trace.  The trivial
+    action's KLT and the semidirect route, proved by exact integer checks,
+    report None.  The wreath route's split is proved by exact integer checks too;
     it reports the largest certificate of its factors, None when every
     factor took an exact route.  `mtf synthesize` prints it in its text and
     JSON reports alike.
@@ -475,8 +476,8 @@ class SynthesizedBasis:
 
 def _orbital_algebra(orbits, name: str) -> tuple:
     """The orbital route's r x r work (see synthesize_matched): the
-    orbital coefficients h of R = sum_i h_i A_i, R's known eigenvalue
-    theta_j and multiplicity m_j on each eigenspace E_j, and ||R||_F."""
+    coefficients e[j, i] of the primitive idempotents E_j = sum_i e[j, i] A_i,
+    real when they all are, and E_j's multiplicity m_j, in order of m_j."""
     ids, r, m, t = orbits.orbit_id, orbits.orbit_count, orbits.degree, orbits.transpose
     first = ids[0].astype(np.intp)  # the orbital of (0, z)
     valency = np.bincount(first, minlength=r)
@@ -510,17 +511,10 @@ def _orbital_algebra(orbits, name: str) -> tuple:
     if not (np.max(np.abs(mult - sizes)) <= MULTIPLICITY_TOL and sizes.min() >= 1
             and sizes.sum() == m):
         raise NumericError(f"action {name}: the multiplicities are not integers summing to {m}")
-    # the conjugate eigenspace has the conjugate eigenvector
-    overlap = np.abs(v.T @ v)
-    partner = np.argmax(overlap, axis=1)
-    if not (np.array_equal(partner[partner], np.arange(r))
-            and overlap[np.arange(r), partner].min() > 0.5):
-        raise NumericError(f"action {name}: the eigenspaces do not pair with their conjugates")
-    lead = np.minimum(np.arange(r), partner)
-    theta = (np.cumsum(lead == np.arange(r)) - 1)[lead] + 0.25 * np.sign(np.arange(r) - partner)
-    h = v @ (theta * v[0].conj()) / root
-    h = (h + h[t].conj()) / 2  # R Hermitian: Re R symmetric, Im R antisymmetric, exactly
-    return h, theta, sizes, float(np.sqrt(m * np.dot(valency, np.abs(h) ** 2)))
+    order = np.argsort(sizes, kind="stable")
+    e = (v[:, order] * v[0, order].conj()).T / root
+    e = (e + e[:, t].conj()) / 2  # each E_j Hermitian exactly, real when self-paired
+    return (e if e.imag.any() else e.real), sizes[order]
 
 
 def _cluster_labels(sizes) -> tuple:
@@ -531,52 +525,42 @@ def _orbital(orbits, name: str) -> tuple:
     """The orbital route: see synthesize_matched.  Returns (U, eigenspace
     sizes in column order, certificate, labels), labels a function that
     makes the column labels."""
-    h, theta, mult, r_norm = _orbital_algebra(orbits, name)
+    e, sizes = _orbital_algebra(orbits, name)
     ids, m = orbits.orbit_id, orbits.degree
-    order = np.argsort(theta, kind="stable")
-    sizes = mult[order]
-    known = np.repeat(theta[order], sizes)  # each column's eigenvalue of R
-    level = np.rint(known)  # ... of Re R
-    # symmetric bit for bit, as h is averaged over transposed orbitals: no
-    # symmetrized copy (herm_eig's) is needed
-    re = h.real[ids]
-    values, u = np.linalg.eigh(re)  # u is V
-    if not np.array_equal(np.rint(values), level):
-        raise NumericError(f"action {name}: Re R's eigenvalues miss their known values")
-    # R U - U Lambda is (Re R - level) V + i (Im R) V on a self-conjugate
-    # class's columns, and that times W, less U (Lambda - level), on a pair's
-    resid = re @ u
-    del re
-    resid -= u * level
-    if not h.imag.any():
-        sq = float(np.vdot(resid, resid))
-    else:
-        z = h.imag[ids] @ u
-        single = np.flatnonzero(known == level)
-        sq = sum(float(np.linalg.norm(a[:, single]) ** 2) for a in (resid, z))
-        u = u.astype(np.complex128)  # V, its pairs' columns rotated in place
-        # a pair's columns, from its lower member's first: split by the
-        # d x d block of Im R, whose eigenvalues are theta - level = -+1/4
-        lower = theta[order] < np.rint(theta[order])
-        starts, widths = (np.cumsum(sizes) - sizes)[lower], 2 * sizes[lower]
-        for d in np.flatnonzero(np.bincount(widths)):
-            blocks = starts[widths == d][:, None] + np.arange(d)
-            step = max(1, (m // 16) // d)
-            for at in range(0, blocks.shape[0], step):
-                idx = blocks[at : at + step]
-                vc, zc = u.real[:, idx].transpose(1, 0, 2), z[:, idx].transpose(1, 0, 2)
-                k = vc.transpose(0, 2, 1) @ zc
-                _, w = np.linalg.eigh(0.5j * (k - k.transpose(0, 2, 1)))
-                uc = vc @ w
-                e = (resid[:, idx].transpose(1, 0, 2) + 1j * zc) @ w
-                e -= uc * (known - level)[idx][:, None, :]
-                sq += float(np.vdot(e, e).real)
-                u[:, idx] = uc.transpose(1, 0, 2)
-        del z
-    del resid  # before the Gram check's M x M temporaries
-    certificate = np.sqrt(sq) / r_norm
+    # the largest eigenspace, last, as the others' complement when that is cheaper
+    rest = m - sizes[-1] if m * (m - sizes[-1]) < sizes[-1] ** 2 else m
+    u = np.empty((m, m), dtype=e.dtype)
+    certificate, col = 0.0, 0
+    for j, size in enumerate(sizes.tolist()):
+        if col == rest:
+            break
+        coef, d = e[j].conj(), np.full(m, e[j, 0].real)  # the Schur diagonal, E_j's to start
+        lt = np.empty((size, m), dtype=e.dtype)  # L^T: each new column of L a contiguous row
+        for s in range(size):  # pivoted Cholesky, E_j = L L*
+            p = int(np.argmax(d))
+            if not d[p] > 0:
+                raise NumericError(f"action {name}: eigenspace {j} has rank {s} < {size}")
+            # E_j[:, p] = conj(E_j[p, :]), gathered from row p
+            lt[s] = (coef[ids[p]] - lt[:s, p].conj() @ lt[:s]) / np.sqrt(d[p])
+            d -= np.abs(lt[s]) ** 2
+        certificate = max(certificate, float(np.abs(d).sum()) / size)
+        u[:, col : col + size] = lt.T
+        col += size
     if not certificate <= DIAGONAL_TOL:
-        raise NumericError(f"action {name}: U misses R's known spectrum by {certificate:.3e}")
+        raise NumericError(f"action {name}: U misses the eigenspaces by {certificate:.3e}")
+    if rest < m:
+        # the Householder QR of the other columns gives Q = I - V T V*, T
+        # from the reflectors' scales (compact WY, as LAPACK's larft): Q's
+        # last columns, I - V T V[rest:]*, span the complement
+        h, tau = np.linalg.qr(u[:, :rest], mode="raw")
+        v = np.tril(h.T, -1)
+        v[np.diag_indices(rest)] = 1.0
+        g, t = v.conj().T @ v, np.zeros((rest, rest), dtype=u.dtype)
+        for i in range(rest):
+            t[:i, i] = -tau[i] * (t[:i, :i] @ g[:i, i])
+            t[i, i] = tau[i]
+        u[:, rest:] = -(v @ (t @ v[rest:].conj().T))
+        u[rest:, rest:][np.diag_indices(m - rest)] += 1.0
     _check_unitary(u)
     return u, sizes, certificate, lambda: _cluster_labels(sizes)
 
@@ -723,7 +707,7 @@ def _partitioned(images: list, m: int, partition, name: str, tried: dict) -> tup
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
     # every route's basis is unitary by construction or Gram-checked where
-    # an eigensolve built it, a factor at a time
+    # the orbital route built it, a factor at a time
     u, sizes, certificate, labels = found
     return SynthesizedBasis(UnitaryTransform._from_trusted(u, name, labels()),
                             tuple(sorted(sizes.tolist())), False, certificate)
@@ -799,26 +783,29 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     P_j(i) the eigenvalue of A_i on the eigenspace E_j.  The multiplicities
     m_j = M |v_j(0)|^2 = M / sum_i |P_j(i)|^2 / k_i must be within
     MULTIPLICITY_TOL of integers that sum to M, else NumericError; they are
-    the pattern.  E_j's conjugate has the conjugate vector.  Classes
-    {E_j, conj E_j} are numbered c = 0, 1, ... in order of their first
-    member, and R = sum_j theta_j E_j, theta_j = c on a self-conjugate E_j
-    and c -+ 1/4 on a conjugate pair, is gathered from its orbital
-    coefficients sum_j theta_j v_j(i) conj(v_j(0)) / sqrt(k_i): its
-    eigenvalues are known and at least 1/2 apart.  U is found in real
-    arithmetic: one eigh of the real symmetric Re R, whose eigenvalue on
-    class c is c.  Each column goes to its nearest integer, and the counts
-    must equal the classes' dimensions, else NumericError.  A pair's
-    columns are split by the d x d blocks of the antisymmetric Im R, whose
-    eigenvalues -+1/4 cut them at the known sizes.  U passes the Gram
-    check, and certificate = ||R U - U Lambda||_F / ||R||_F, Lambda the
-    known eigenvalues, must be <= DIAGONAL_TOL, else NumericError.  The
-    columns come in order of theta, labelled cluster=c,col=i with c
-    numbering the eigenspaces in column order.
+    the pattern.  The projection onto E_j is the primitive idempotent
+    E_j = sum_i e_j(i) A_i, e_j(i) = v_j(i) conj(v_j(0)) / sqrt(k_i),
+    averaged with its adjoint so that E_j is Hermitian exactly and real
+    exactly when the action is self-paired (Bannai & Ito 1984, section 2.3).
+    No M x M eigensolve runs: U holds each E_j's pivoted Cholesky factor,
+    E_j = L L* with exactly m_j pivots (Higham 1990), whose columns are
+    orthonormal as E_j is a projection.  Each pivot column is gathered
+    from one row of the pair partition, E_j[:, p] = conj(e_j(orbit_id[p])),
+    so E_j costs O(M m_j^2).  The eigenspaces come in order of size, and
+    the largest, last, is instead the orthogonal complement of the others
+    by one Householder QR when M (M - m_max) < m_max^2.  So U is real for
+    a self-paired action (boolean, dyadic-wreath, dihedral, J(n, 2)).  U
+    passes the Gram check, and certificate, the largest sum of a
+    factorization's final Schur diagonal (the trace of E_j - L L*, in
+    magnitude) over m_j, must be <= DIAGONAL_TOL, else NumericError.  The
+    columns are labelled cluster=c,col=i with c numbering the eigenspaces
+    in column order.
     """
     if all(g.is_identity() for g in action.generators):
-        eig = herm_eig(random_psd(action.degree, seed))
+        # random_psd is Hermitian bit for bit: no check or symmetrized copy
+        _, vectors = np.linalg.eigh(random_psd(action.degree, seed))
         transform = UnitaryTransform(
-            eig.vectors, action.name,
+            vectors, action.name,
             tuple(f"klt={k}" for k in range(action.degree)),
         )
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)

@@ -24,7 +24,6 @@ from matched_transforms import (
     from_generators,
     haar_matrix,
     hartley_matrix,
-    herm_eig,
     make_boolean,
     make_cyclic,
     make_dihedral,
@@ -597,14 +596,16 @@ class TestSynthesize:
         assert orbital_basis(action).degeneracy_pattern == pattern
         assert sampled_basis(action, seed).degeneracy_pattern == pattern
 
-    def test_trivial_action_is_klt(self):
-        basis = synthesize_matched(make_trivial(4), seed=3)
+    @pytest.mark.parametrize("m", [4, 256])
+    def test_trivial_action_is_klt(self, m):
+        # random_psd is Hermitian bit for bit, so numpy's eigh of it is the
+        # KLT with no symmetrized copy: the same bytes
+        basis = synthesize_matched(make_trivial(m), seed=3)
         assert basis.data_dependent
-        assert basis.degeneracy_pattern == (1, 1, 1, 1)
-        r = random_psd(4, 3)
-        eig = herm_eig(r)
-        overlap = np.abs(basis.transform.matrix.conj().T @ eig.vectors)
-        assert np.allclose(np.diag(overlap), 1.0, atol=1e-9)
+        assert basis.degeneracy_pattern == (1,) * m
+        r = random_psd(m, 3)
+        assert np.array_equal(r, r.conj().T)
+        assert basis.transform.matrix.tobytes() == np.linalg.eigh(r)[1].tobytes()
 
     def test_seed_independence(self):
         b1 = synthesize_matched(make_boolean(3), seed=4)
@@ -1105,28 +1106,28 @@ class TestOrbitalRoute:
         "boolean:3", "hybrid:2,4",
     ])
     def test_columns_are_eigenvectors_at_the_known_values(self, spec):
-        # R = sum_i h_i A_i has eigenvalue c on a self-conjugate class and
-        # c -+ 1/4 on a conjugate pair; U's columns are its eigenvectors at
-        # those values, in ascending order, the pairs' split complex
+        # E_j = sum_i e_j(i) A_i is Hermitian, invariant and idempotent, with
+        # trace m_j, and the E_j sum to I; U's columns, eigenspaces in the
+        # same order (by size), hold an orthonormal basis of each E_j's range
         action = parse_group_spec(spec)
         orbits = pair_orbits(action)
-        h, theta, mult, norm = transforms._orbital_algebra(orbits, action.name)
-        r = h[orbits.orbit_id]
-        assert np.array_equal(r, r.conj().T) and norm == pytest.approx(np.linalg.norm(r))
-        assert is_invariant(r, action, 1e-12)
-        assert sorted(mult.tolist()) == list(sampled_basis(action, 3).degeneracy_pattern)
-        # the classes 0, 1, ... are spaced 1 apart, a pair's members 1/2
-        values = np.sort(theta)
-        assert np.all(np.diff(values) >= 0.5)
-        assert np.array_equal(np.unique(np.rint(values)), np.arange(np.rint(values[-1]) + 1))
-        # real exactly when the action is self-paired
-        paired = not np.array_equal(orbits.transpose, np.arange(theta.size))
+        e, mult = transforms._orbital_algebra(orbits, action.name)
+        assert tuple(mult.tolist()) == sampled_basis(action, 3).degeneracy_pattern
         u = orbital_basis(action).transform.matrix
-        assert h.imag.any() == u.imag.any() == paired
-        known = np.repeat(values, mult[np.argsort(theta, kind="stable")])
-        rayleigh = np.real(np.einsum("ij,ij->j", u.conj(), r @ u))
-        assert np.allclose(rayleigh, known, rtol=0, atol=1e-12 * norm)
-        assert np.linalg.norm(r @ u - u * known) <= 1e-12 * norm
+        total, col = 0.0, 0
+        for j in range(mult.size):
+            ej = e[j][orbits.orbit_id]
+            assert np.array_equal(ej, ej.conj().T)
+            assert is_invariant(ej, action, 1e-12)
+            assert np.allclose(ej @ ej, ej, rtol=0, atol=1e-12)
+            assert np.trace(ej).real == pytest.approx(mult[j], abs=1e-9)
+            block = u[:, col : col + mult[j]]
+            assert np.allclose(ej @ block, block, rtol=0, atol=1e-12)
+            total, col = total + ej, col + mult[j]
+        assert np.allclose(total, np.eye(action.degree), rtol=0, atol=1e-12)
+        # real exactly when the action is self-paired
+        paired = not np.array_equal(orbits.transpose, np.arange(orbits.orbit_count))
+        assert np.iscomplexobj(e) == u.imag.any() == paired
 
     @pytest.mark.parametrize("action", catalog_actions() + [
         parse_group_spec("hybrid:3,4"),
@@ -1135,22 +1136,63 @@ class TestOrbitalRoute:
         parse_group_spec("boolean:6"),
     ], ids=lambda a: a.name)
     def test_certificate_is_the_full_residual(self, action):
-        # ||R U - U Lambda||_F / ||R||_F formed from the full complex
-        # product, with R gathered from its orbital coefficients and Lambda
-        # its known eigenvalues.  The orbital route is called directly:
-        # affine and wreath actions take other routes in synthesize_matched
+        # the largest trace(E_j - U_j U_j*) / m_j over the eigenspaces the
+        # route factored, E_j and the residual formed in full, U_j E_j's
+        # columns.  A PSD residual's norm is at most its trace.  The orbital
+        # route is called directly: affine and wreath actions take other
+        # routes in synthesize_matched
         if all(g.is_identity() for g in action.generators):
             assert synthesize_matched(action, seed=11).certificate is None
             return
         orbits = pair_orbits(action)
-        h, theta, mult, _ = transforms._orbital_algebra(orbits, action.name)
-        r = h[orbits.orbit_id]
+        e, mult = transforms._orbital_algebra(orbits, action.name)
         basis = orbital_basis(action)
-        u = basis.transform.matrix
-        known = np.repeat(np.sort(theta), mult[np.argsort(theta, kind="stable")])
-        ratio = np.linalg.norm(r @ u - u * known) / np.linalg.norm(r)
-        assert basis.certificate == pytest.approx(ratio, rel=1e-6, abs=1e-15)
+        u, m, factored = basis.transform.matrix, action.degree, mult.size
+        if m * (m - mult[-1]) < mult[-1] ** 2:
+            factored -= 1  # the complement, which no factorization reads
+        ratios, col = [], 0
+        for j in range(factored):
+            block = u[:, col : col + mult[j]]
+            residual = e[j][orbits.orbit_id] - block @ block.conj().T
+            ratios.append(np.sum(np.abs(np.diag(residual))) / mult[j])
+            assert np.linalg.norm(residual) <= np.trace(residual).real + 1e-11
+            col += mult[j]
+        assert basis.certificate == pytest.approx(max(ratios), rel=0, abs=1e-13)
         assert basis.certificate <= transforms.DIAGONAL_TOL
+
+    @pytest.mark.parametrize("action, complement", [
+        (johnson_action(12), True),  # sizes 1, 11, 54
+        (parse_group_spec("wreath:3c,4s"), True),  # 1, 1, 1, 9, complex
+        (parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"), False),
+    ], ids=lambda v: getattr(v, "name", str(v)))
+    def test_largest_eigenspace_is_the_complement_when_cheaper(self, action, complement,
+                                                               monkeypatch):
+        # one Householder QR when M (M - m_max) < m_max^2, and the only
+        # eigensolve is the r x r one
+        orbits, m = pair_orbits(action), action.degree
+        eigh, qr = np.linalg.eigh, np.linalg.qr
+        solved, factored = [], []
+
+        def spy_eigh(a, *args, **kwargs):
+            solved.append(a.shape)
+            return eigh(a, *args, **kwargs)
+
+        def spy_qr(a, *args, **kwargs):
+            factored.append(a.shape)
+            return qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigh", spy_eigh)
+        monkeypatch.setattr(np.linalg, "qr", spy_qr)
+        u, sizes, _, _ = transforms._orbital(orbits, action.name)
+        assert solved == [(orbits.orbit_count,) * 2]
+        big = sizes[-1]
+        assert big == sizes.max() and (m * (m - big) < big ** 2) == complement
+        assert factored == ([(m, m - big)] if complement else [])
+        # the last columns span the largest eigenspace either way
+        e, _ = transforms._orbital_algebra(orbits, action.name)
+        last = e[-1][orbits.orbit_id]
+        assert np.allclose(last @ u[:, m - big :], u[:, m - big :], rtol=0, atol=1e-12)
+        assert transforms._gram_error(u) <= transforms.UNITARITY_TOL
 
     @pytest.mark.parametrize("action", [
         # intransitive
