@@ -17,8 +17,6 @@ import dataclasses
 import json
 import sys
 
-import numpy as np
-
 from . import diagnostics, discovery, groups, matrixio, numkernel, transforms
 from .errors import (
     DimensionError,
@@ -85,7 +83,7 @@ def _build_kernel(name: str, size: int | None, polarity: str | None):
 
 def cmd_kernel(args) -> int:
     matrix = _build_kernel(args.name, args.size, args.polarity)
-    text = matrixio.render_matrix(np.asarray(matrix, dtype=np.complex128))
+    text = matrixio.render_matrix(matrix)
     if args.out:
         with open(args.out, "w", encoding="ascii") as fh:
             fh.write(text)

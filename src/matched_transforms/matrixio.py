@@ -18,7 +18,7 @@ import re
 import numpy as np
 
 from .errors import InputError
-from .numkernel import frobenius_norm
+from .numkernel import field_dtype, frobenius_norm
 
 _HEADER_RE = re.compile(
     r"^#\s*rows=(\d+)\s+cols=(\d+)\s+field=(real|complex)\s*$"
@@ -30,21 +30,22 @@ def _fmt(x: float) -> str:
 
 
 def render_matrix(matrix) -> str:
-    """Serialize a 2-d array to the header + rows text form."""
+    """Serialize a 2-d array to the header + rows text form.  A real array
+    is printed as it is, with no complex copy; a complex one whose
+    imaginary parts are all 0 is printed as a real one."""
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.size == 0:
         raise InputError(f"expected a nonempty 2-d matrix, got shape {arr.shape}")
-    arr = np.asarray(arr, dtype=np.complex128)
+    arr = arr.astype(field_dtype(arr), copy=False)
     if not np.all(np.isfinite(arr)):
         raise InputError("matrix has non-finite entries")
-    is_real = bool(np.all(arr.imag == 0.0))
+    is_real = not np.iscomplexobj(arr) or not arr.imag.any()
     field = "real" if is_real else "complex"
     lines = [f"# rows={arr.shape[0]} cols={arr.shape[1]} field={field}"]
-    for row in arr:
-        if is_real:
-            lines.append(" ".join(_fmt(v.real) for v in row))
-        else:
-            lines.append(" ".join(f"{_fmt(v.real)}:{_fmt(v.imag)}" for v in row))
+    if is_real:
+        lines += (" ".join(map(_fmt, row)) for row in arr.real)
+    else:
+        lines += (" ".join(f"{_fmt(v.real)}:{_fmt(v.imag)}" for v in row) for row in arr)
     return "\n".join(lines) + "\n"
 
 

@@ -14,7 +14,10 @@ applies the same rules to an action given only by its generators: the
 character table grouped by orbits for an affine action (the semidirect
 rule, real for a self-paired one), the wreath composition of two
 factors' bases for an imprimitive one, and otherwise the eigenspaces of
-the orbital algebra, read from its integer intersection numbers.
+the orbital algebra, read from its integer intersection numbers.  Real
+bases are stored as float64, complex ones as complex128: Hartley, DCT-II
+and the basis of every self-paired action (each orbital its own
+transpose: Walsh-Hadamard, Haar, the cosine cascade) are real.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ from .groups import (
     make_dihedral,
     pair_orbits,
 )
-from .numkernel import as_cmatrix, herm_eig, random_psd
+from .numkernel import as_matrix, herm_eig, random_psd
 from .rng import normal_rows
 
 UNITARITY_TOL = 1e-10
@@ -53,19 +56,24 @@ MULTIPLICITY_TOL = 1e-6  # distance of an eigenspace's computed dimension from a
 
 @dataclass(frozen=True)
 class UnitaryTransform:
-    """A unitary matrix whose columns are labeled analysis directions."""
+    """A unitary matrix whose columns are labeled analysis directions.
+
+    Real in, real out: a matrix of real dtype is stored as float64 (an
+    orthogonal matrix), any other as complex128.  Real bases (Hartley,
+    DCT-II, and those of self-paired actions: Walsh-Hadamard, Haar, the
+    dihedral and boolean routes) take half the bytes of a complex one."""
 
     matrix: np.ndarray
     group_name: str
     column_labels: tuple
 
     def __post_init__(self):
-        mat = as_cmatrix(self.matrix)
+        mat = as_matrix(self.matrix)
         _check_unitary(mat)
         labels = tuple(str(l) for l in self.column_labels)
         if len(labels) != mat.shape[0]:
             raise DimensionError("need exactly one label per column")
-        # keep a C-ordered copy of our own, but convert a real input only once
+        # keep a C-ordered copy of our own, but convert another dtype only once
         mat = mat.copy() if np.may_share_memory(mat, self.matrix) else np.ascontiguousarray(mat)
         mat.flags.writeable = False
         object.__setattr__(self, "matrix", mat)
@@ -75,10 +83,11 @@ class UnitaryTransform:
     def _from_trusted(cls, matrix: np.ndarray, group_name: str,
                       column_labels: tuple) -> "UnitaryTransform":
         # internal fast path for a basis unitary by construction (a closed
-        # form, or characters): no Gram check, and the caller hands the
-        # array over; the stored bytes are those the checked path stores
+        # form, or characters): no Gram check, and the caller hands over a
+        # float64 or complex128 array; the stored bytes are those the
+        # checked path stores
         u = object.__new__(cls)
-        mat = np.ascontiguousarray(matrix, dtype=np.complex128)
+        mat = np.ascontiguousarray(matrix)
         mat.flags.writeable = False
         object.__setattr__(u, "matrix", mat)
         object.__setattr__(u, "group_name", group_name)
@@ -97,26 +106,19 @@ def _check_unitary(u: np.ndarray) -> None:
 
 
 def _gram_error(u: np.ndarray) -> float:
-    """max |(U* U - I)_jk| over the entries, in real arithmetic.
+    """max |(U* U - I)_jk| over the entries, from the upper triangle of the
+    Hermitian U* U, 256 rows at a time.
 
-    Re(U* U) is the symmetric product S^T S of the stacked S = [Re U; Im U],
-    and Im(U* U) = X - X^T with X = (Re U)^T Im U: two real products where
-    the complex Gram matrix takes four.  A real U needs only (Re U)^T Re U.
+    Each block is one BLAS product of 256 columns with the columns from its
+    first on: the flops of the triangle, and no M x M temporary.  conj() of
+    a float64 U is U itself, so a real U takes real products with no copy.
     """
-    m = u.shape[0]
-    if not u.imag.any():
-        re = np.ascontiguousarray(u.real)
-        gram, im = re.T @ re, 0.0
-    else:
-        s = np.concatenate([u.real, u.imag])
-        gram, im = s.T @ s, s[:m].T @ s[m:]
-        del s
-        im -= im.T  # numpy buffers the overlapping transpose
-    gram[np.diag_indices(m)] -= 1.0
-    # |z|^2 = Re^2 + Im^2 entrywise; the square root of the largest is taken once
-    np.square(gram, out=gram)
-    gram += np.square(im)
-    return float(np.sqrt(np.max(gram)))
+    worst = 0.0
+    for at in range(0, u.shape[0], 256):
+        block = u[:, at : at + 256].conj().T @ u[:, at:]
+        block[np.diag_indices(block.shape[0])] -= 1.0  # (U* U)_jj sits at [j - at, j - at]
+        worst = np.maximum(worst, np.max(np.abs(block)))  # a NaN is kept
+    return float(worst)
 
 
 def _bareiss_det(matrix: np.ndarray) -> int:
@@ -178,16 +180,21 @@ class IntTransform:
 # ---------------------------------------------------------------------------
 # closed-form kernels
 
-def _characters(coords: np.ndarray, d: tuple, order=None) -> np.ndarray:
+def _characters(coords: np.ndarray, d: tuple, order=None, parts=None) -> np.ndarray:
     """The character table of A = Z_d[0] + Z_d[1] + ... on M points with
     coordinates c(p) in A: U[p, k] = M^-1/2 chi_k(c(p)),
     chi_k(x) = exp(2 pi i sum_i k_i x_i / d_i), characters k numbered in
     mixed radix over d, the first coordinate most significant.  Column j
     holds character order[j] (by default, character j).  Each entry is read
     from a table of L-th roots of unity, L = lcm(d), at the integer phase
-    sum_i c_i(p) k_i L/d_i mod L; for L = 2 the table is exactly +-1.
-    Distinct characters are orthogonal, so U is unitary when c is a
-    bijection onto A."""
+    sum_i c_i(p) k_i L/d_i mod L; for L <= 2 the table is exactly +-1 and
+    U is float64.  Distinct characters are orthogonal, so U is unitary when
+    c is a bijection onto A.
+
+    parts, one entry per column, makes U float64 too: column j holds part
+    parts[j] of its entries, 0 Re, 1 sqrt(2) Re, 2 -sqrt(2) Im, 3 Re + Im,
+    read from one table of those four parts of the roots.  Each block of
+    rows is written once, straight into U."""
     m = coords.shape[0]
     lcm = int(np.lcm.reduce(d))
     # each term c_i k_i lcm/d_i is an integer below M lcm, so the phases are
@@ -201,12 +208,21 @@ def _characters(coords: np.ndarray, d: tuple, order=None) -> np.ndarray:
     else:
         table = np.exp(2j * np.pi * np.arange(lcm) / lcm)
     table /= np.sqrt(m)
-    u = np.empty((m, m), dtype=np.complex128)
-    rows = max(1, (1 << 17) // m)
+    if parts is not None:
+        table = np.concatenate([table.real, np.sqrt(2.0) * table.real,
+                                -np.sqrt(2.0) * table.imag, table.real + table.imag])
+    elif lcm <= 2:
+        table = table.real
+    u = np.empty((m, m), dtype=table.dtype)
+    rows = max(1, (1 << 16) // m)
     for at in range(0, m, rows):
         phase = (scaled[at : at + rows] @ chars).astype(np.int64)
         np.remainder(phase, lcm, out=phase)
-        np.take(table, phase, out=u[at : at + rows])
+        if parts is not None:
+            phase += lcm * parts
+        # every phase indexes the table, so "clip" clips nothing; "raise"
+        # would buffer the block before writing it
+        np.take(table, phase, out=u[at : at + rows], mode="clip")
     return u
 
 
@@ -229,11 +245,11 @@ def dft_matrix(m: int) -> UnitaryTransform:
 
 
 def hartley_matrix(m: int) -> UnitaryTransform:
-    """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m) = Re F + Im F."""
+    """Real cas kernel (cos + sin)(2 pi j k / m) / sqrt(m) = Re F + Im F,
+    the parts of the Fourier character table taken a block of rows at a
+    time."""
     _check_degree(m)
-    mat = _fourier(m)
-    mat.real += mat.imag
-    mat.imag = 0.0
+    mat = _characters(np.arange(m)[:, None], (m,), parts=np.full(m, 3))
     return UnitaryTransform._from_trusted(mat, f"cyclic:{m}", tuple(f"cas={k}" for k in range(m)))
 
 
@@ -241,9 +257,13 @@ def dct2_matrix(m: int) -> UnitaryTransform:
     """Orthonormal DCT-II: sqrt(2/m) w_k cos(pi (2j+1) k / (2m)), w_0 = 1/sqrt(2)."""
     _check_degree(m)
     # read from a table of 4m cosines at the integer phase (2j+1) k mod 4m,
-    # so no entry drifts as (2j+1) k grows
+    # so no entry drifts as (2j+1) k grows, a block of rows at a time
     table = np.sqrt(2.0 / m) * np.cos(np.pi * np.arange(4 * m) / (2 * m))
-    mat = table[(2 * np.arange(m)[:, None] + 1) * np.arange(m) % (4 * m)]
+    odd, mat = 2 * np.arange(m)[:, None] + 1, np.empty((m, m))
+    rows = max(1, (1 << 16) // m)
+    for at in range(0, m, rows):
+        np.take(table, odd[at : at + rows] * np.arange(m) % (4 * m), out=mat[at : at + rows],
+                mode="clip")
     mat[:, 0] /= np.sqrt(2.0)
     return UnitaryTransform._from_trusted(mat, f"dihedral:{m}", tuple(f"k={t}" for t in range(m)))
 
@@ -381,7 +401,7 @@ def compose_direct(u: UnitaryTransform, v: UnitaryTransform) -> UnitaryTransform
 def even_extension_isometry(m: int) -> np.ndarray:
     """2m x m isometry S with columns (e_j + e_{2m-1-j}) / sqrt(2)."""
     _check_degree(2 * m, lo=2)
-    s = np.zeros((2 * m, m), dtype=np.complex128)
+    s = np.zeros((2 * m, m))
     j = np.arange(m)
     s[j, j] = 1.0 / np.sqrt(2.0)
     s[2 * m - 1 - j, j] = 1.0 / np.sqrt(2.0)
@@ -437,12 +457,14 @@ def _node_base(k: int, kind: str) -> np.ndarray:
     # Z_2 = S_2: a binary node of either kind takes the real Helmert base
     if kind == "cyclic" and k > 2:
         return _fourier(k)
-    base = np.zeros((k, k), dtype=np.complex128)
+    base = np.zeros((k, k))
     base[:, 0] = 1.0 / np.sqrt(k)
     for col in range(1, k):
         base[:col, col] = 1.0
         base[col, col] = -col
-        base[:, col] /= np.sqrt(col * (col + 1))
+        # times the reciprocal norm: these are the pinned bytes, which
+        # dividing by the norm misses in the last bit
+        base[:, col] *= 1.0 / np.sqrt(col * (col + 1))
     return base
 
 
@@ -565,32 +587,18 @@ def _orbital(orbits, name: str) -> tuple:
     return u, sizes, certificate, lambda: _cluster_labels(sizes)
 
 
-def _fold_conjugates(u: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> None:
-    """Make a character table real in place, a block of rows at a time.
-
-    cos and sin are the columns holding chi_k and chi_-k for the conjugate
-    pairs, k the smaller: they become sqrt(2) Re chi_k and sqrt(2) Im chi_k
-    (Im chi_k = -Im chi_-k), an orthonormal basis of the same span.  The
-    other columns are self-conjugate characters, real up to the rounding
-    of the roots of unity, and keep their real part."""
-    m = u.shape[0]
-    rows = max(1, (1 << 17) // m)
-    for at in range(0, m, rows):
-        block = u[at : at + rows]
-        block.real[:, cos] *= np.sqrt(2.0)
-        block.real[:, sin] = block.imag[:, sin] * -np.sqrt(2.0)
-        block.imag = 0.0
-
-
 def _semidirect(images: list, m: int):
     """The semidirect route, or None: the characters of A, grouped by the
     orbits of H (`_affine_coordinates`, `_character_orbits`), orbits in
     order of their smallest character and characters ascending within
     each, filled in that order; with H = 1 each character is its own
     orbit, in order.  When H != 1 and every orbit holds the conjugate -k
-    of each of its characters k (the self-paired case), the basis is made
-    real (`_fold_conjugates`): labels cos=(k) and sin=(k) for a pair,
-    char=(k) for a self-conjugate character."""
+    of each of its characters k (the self-paired case), the basis is real:
+    a conjugate pair chi_k, chi_-k, k the smaller, gives the orthonormal
+    columns sqrt(2) Re chi_k and -sqrt(2) Im chi_-k = sqrt(2) Im chi_k,
+    labels cos=(k) and sin=(k), and a self-conjugate character its real
+    part, label char=(k); `_characters` writes these parts straight into
+    a float64 table."""
     found = _affine_coordinates(images, m)
     if found is None:
         return None
@@ -606,9 +614,7 @@ def _semidirect(images: list, m: int):
         conjugate = np.ravel_multi_index(tuple(-chars % np.array(d)[:, None]), d)
         if np.array_equal(smallest[conjugate], smallest):
             kinds = np.sign(conjugate[order] - order) % 3  # +1 cos, -1 -> 2 sin
-    u = _characters(coords, d, order)
-    if kinds.any():
-        _fold_conjugates(u, np.flatnonzero(kinds == 1), np.flatnonzero(kinds == 2))
+    u = _characters(coords, d, order, kinds if kinds.any() else None)
 
     def labels():
         names, first = ("char", "cos", "sin"), chars.T.tolist()
@@ -633,7 +639,7 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     top, top_sizes, top_ratio, _ = k_route
     inner, inner_sizes, inner_ratio, _ = h_route
     const = int(np.argmax(np.abs(inner.sum(axis=0))))
-    u = np.zeros((b * w, b * w), dtype=np.complex128)
+    u = np.zeros((b * w, b * w), dtype=np.result_type(top, inner))  # real from real factors
     for a, rows in enumerate(points):
         u[rows, :b] = top[a] * inner[:, const : const + 1]  # rows of top (x) h
     sizes, col = list(top_sizes), b
@@ -719,6 +725,8 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     action's KLT, the semidirect route, which builds U with no sample and
     no eigensolve, the wreath route, which eigensolves only the factors
     that need it, and the orbital route.  Only the KLT reads the seed.
+    Every route gives a float64 U for a self-paired action, and complex128
+    for the rest and for the KLT.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
@@ -737,8 +745,8 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     byte for byte.  When every orbit holds the conjugate of each of its
     characters, as for every self-paired action (dihedral, AGL(1, p)), U is
     real: each pair chi_k, chi_-k becomes sqrt(2) Re chi_k and
-    sqrt(2) Im chi_k, labels cos=(k),orbit=o and sin=(k),orbit=o
-    (`_fold_conjugates`).  A is proposed from the generators and their
+    sqrt(2) Im chi_k, labels cos=(k),orbit=o and sin=(k),orbit=o, written
+    as float64 by `_characters`.  A is proposed from the generators and their
     products in pairs; the proof is not a sample but exact integer checks,
     and an action that fails them costs O(kM) integer work.
 
@@ -802,12 +810,12 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     in column order.
     """
     if all(g.is_identity() for g in action.generators):
-        # random_psd is Hermitian bit for bit: no check or symmetrized copy
+        # random_psd is Hermitian bit for bit: no check or symmetrized copy;
+        # the vectors pass the Gram check and are stored without a copy
         _, vectors = np.linalg.eigh(random_psd(action.degree, seed))
-        transform = UnitaryTransform(
-            vectors, action.name,
-            tuple(f"klt={k}" for k in range(action.degree)),
-        )
+        _check_unitary(vectors)
+        transform = UnitaryTransform._from_trusted(
+            vectors, action.name, tuple(f"klt={k}" for k in range(action.degree)))
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)
     images, m = [g.as_array() for g in action.generators], action.degree
     found, tried = _semidirect(images, m), {}

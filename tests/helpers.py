@@ -4,9 +4,10 @@ invariant sample (the oracle every synthesis route is held to), the
 orbital route on its own, a loop-by-loop reference for subspace_match's
 clustering and column assignment, a reference for discovery's refinement
 that signs both rows and columns, a scalar reference for the rng stream,
-and actions outside the catalog families."""
+actions outside the catalog families, and the tracemalloc peak of a call."""
 
 import itertools
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -46,6 +47,16 @@ def catalog_actions() -> list:
         make_hybrid(4, 3),
         make_product(make_cyclic(3), make_cyclic(4)),
     ]
+
+
+def traced_peak(call):
+    """(call(), the peak bytes tracemalloc saw allocated during the call)."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def all_permutations(m: int) -> np.ndarray:

@@ -174,7 +174,7 @@ def test_criterion_8_property_suites():
     rng = np.random.default_rng(1)
     z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     q = np.linalg.qr(z)[0]
-    rotated = u.matrix.copy()
+    rotated = u.matrix.astype(np.complex128)  # Haar is real; the rotation is not
     rotated[:, 2:4] = rotated[:, 2:4] @ q
     from matched_transforms.transforms import UnitaryTransform
 

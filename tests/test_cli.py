@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -11,12 +12,15 @@ from hypothesis import example, given, settings, strategies as st
 
 from matched_transforms import (
     InputError,
+    arithmetic_matrix,
     cli,
+    dct2_matrix,
     dft_matrix,
     discovery,
     fp_rm_matrix,
     groups,
     haar_matrix,
+    hartley_matrix,
     make_cyclic,
     numkernel,
     parse_matrix,
@@ -26,6 +30,7 @@ from matched_transforms import (
     rm_matrix,
     sample_invariant_cov,
     synthesize_matched,
+    wht_matrix,
     write_matrix_file,
 )
 
@@ -160,6 +165,42 @@ class TestKernel:
     def test_bad_size(self, capsys):
         assert run(["kernel", "wht", "--size", "0"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv, build", [
+        (("dft", "--size", "5"), lambda: dft_matrix(5)),
+        (("dct2", "--size", "7"), lambda: dct2_matrix(7)),
+        (("hartley", "--size", "6"), lambda: hartley_matrix(6)),
+        (("wht", "--size", "3"), lambda: wht_matrix(3)),
+        (("haar", "--size", "3"), lambda: haar_matrix(3)),
+        (("rm", "--size", "3"), lambda: rm_matrix(3)),
+        (("arith", "--size", "3"), lambda: arithmetic_matrix(3)),
+        (("fprm", "--polarity", "101"), lambda: fp_rm_matrix("101")),
+    ], ids=["dft", "dct2", "hartley", "wht", "haar", "rm", "arith", "fprm"])
+    def test_text_is_the_complex_text(self, argv, build, capsys):
+        # every kernel is rendered as it is stored, real ones with no
+        # complex copy, and gives the text of its complex128 cast
+        assert run(["kernel", *argv]) == 0
+        matrix = build().matrix
+        assert capsys.readouterr().out == render_matrix(matrix.astype(np.complex128))
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("wht", "--size", "6"), "218fe0db1a4d4ef1db31c9ee6e5cde7f77a70c383ed682198bcb5a5dff8e335f"),
+        (("haar", "--size", "6"), "2ce58af43dc30b5f5b7f566073b67df0b547a4c1cf8f7020d75ab4464804f9a6"),
+        (("rm", "--size", "3"), "f9679448c5e90cb70b48ee8cab8e4fb5f579fa27cc41234318a45850c6ac3173"),
+        (("arith", "--size", "6"), "04f758104d1415e5dc2fc6318f068ea6898456eec4d0bd56dcba797017c6123f"),
+        (("fprm", "--polarity", "0110"), "02204febcdb3c9f0ed4e5889e279e320b77a1c176ba49c58b0ae297a7d5fe7ce"),
+    ])
+    def test_exact_kernel_text_pinned(self, argv, digest, capsys):
+        # kernels built from sqrt and division alone, or integers, have
+        # fixed text: these SHA-256 pins are that of rendering them complex
+        assert run(["kernel", *argv]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("matrix", [
+        rm_matrix(3).matrix, np.array([[-0.0, 1e-300], [2.5, -7.0]]), np.array([[True, False]])])
+    def test_real_text_equals_complex_text(self, matrix):
+        # an IntTransform's int64 matrix, signed zeros and booleans included
+        assert render_matrix(matrix) == render_matrix(matrix.astype(np.complex128))
 
     @pytest.mark.parametrize("name", ["wht", "haar", "rm", "arith"])
     def test_huge_log2_size_is_usage_error(self, name, capsys):

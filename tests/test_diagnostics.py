@@ -240,7 +240,7 @@ class TestSubspaceMatch:
         rng = np.random.default_rng(0)
         z = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         q = np.linalg.qr(z)[0]
-        rotated = u.matrix.copy()
+        rotated = u.matrix.astype(np.complex128)  # Haar is real; the rotation is not
         rotated[:, 2:4] = rotated[:, 2:4] @ q
         rep = subspace_match(r, UnitaryTransform(rotated, u.group_name, u.column_labels))
         assert abs(rep.min_match - base.min_match) <= 1e-9

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +42,7 @@ from matched_transforms.groups import (
 
 from helpers import (
     affine_line, catalog_actions, closure_set, compose, hamming_action, images_of,
-    is_invariant, johnson_action, permutation_matrix, random_action, relabel,
+    is_invariant, johnson_action, permutation_matrix, random_action, relabel, traced_peak,
 )
 
 CATALOG = catalog_actions()
@@ -374,12 +372,7 @@ class TestPairOrbits:
         # 1 MiB of orbit ids: the pairs are joined a chunk at a time over
         # M labels, never as edge lists over all M^2 pairs
         act = make_dyadic_wreath(9)
-        tracemalloc.start()
-        try:
-            pair_orbits(act)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: pair_orbits(act))
         assert peak <= 16 * 2**20
 
     def test_orbit_ids_are_int32(self):
@@ -616,12 +609,8 @@ class TestRegularAbelianCoordinates:
         # 16 MiB is M^2 bytes at M = 4096: no M x M array of any dtype fits
         act = parse_group_spec(spec)
         images = [g.as_array() for g in act.generators]
-        tracemalloc.start()
-        try:
-            assert _regular_abelian_coordinates(images, act.degree) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        found, peak = traced_peak(lambda: _regular_abelian_coordinates(images, act.degree))
+        assert found is None
         assert peak < 16 * 2**20
 
 
@@ -679,12 +668,8 @@ class TestAffineCoordinates:
     def test_rejection_builds_no_m_by_m_array(self, spec):
         act = parse_group_spec(spec)
         images = images_of(act)
-        tracemalloc.start()
-        try:
-            assert _affine_coordinates(images, act.degree) is None
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        found, peak = traced_peak(lambda: _affine_coordinates(images, act.degree))
+        assert found is None
         assert peak < 16 * 2**20
 
 

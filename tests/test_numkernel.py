@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 
@@ -12,7 +10,7 @@ from matched_transforms import (
 from matched_transforms.numkernel import _check_hermitian
 from matched_transforms.rng import _splitmix64, _xoshiro_outputs, normal_rows
 
-from helpers import reference_splitmix64, reference_xoshiro
+from helpers import reference_splitmix64, reference_xoshiro, traced_peak
 
 
 class TestHermEig:
@@ -30,12 +28,7 @@ class TestHermEig:
         # 16 MiB of input: the result is the one M x M temporary (the whole
         # expression held the adjoint, the difference and its modulus too)
         a = random_psd(1024, 3)
-        tracemalloc.start()
-        try:
-            _check_hermitian(a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: _check_hermitian(a))
         assert peak <= 1.5 * a.nbytes
 
     def test_diagonal(self):
@@ -122,6 +115,17 @@ class TestRandomPsd:
         a = random_psd(6, 9)
         assert np.max(np.abs(a - a.conj().T)) < 1e-15
 
+    @pytest.mark.parametrize("m, seed", [(1, 1), (2, 3), (7, 5), (64, 2), (300, 9)])
+    def test_pairs_read_in_place(self, m, seed):
+        # the Gaussian pairs are read in place as complex entries: the bytes
+        # of pairing them by slicing, through the same products
+        z = normal_rows(seed, m, 2 * m)
+        a = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
+        h = a @ a.conj().T
+        h += h.conj().T
+        h /= 2.0
+        assert random_psd(m, seed).tobytes() == h.tobytes()
+
 
 class TestNormalRows:
     def test_shape_and_determinism(self):
@@ -177,10 +181,5 @@ class TestNormalRows:
     def test_peak_memory(self):
         # 16 MiB of output: the raw draws are freed before the float buffer
         # is transformed in place
-        tracemalloc.start()
-        try:
-            normal_rows(4, 1024, 2048)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(lambda: normal_rows(4, 1024, 2048))
         assert peak <= 48 * 2**20

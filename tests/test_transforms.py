@@ -1,6 +1,5 @@
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -64,6 +63,7 @@ from helpers import (
     random_action,
     relabel,
     sampled_basis,
+    traced_peak,
 )
 
 
@@ -380,8 +380,9 @@ class TestCompose:
 
 
 def _digests(transform):
-    """SHA-256 of the matrix (signed zeros made +0) and of its labels."""
-    return (hashlib.sha256((transform.matrix + 0.0).tobytes()).hexdigest(),
+    """SHA-256 of the matrix as complex128 (signed zeros made +0) and of
+    its labels."""
+    return (hashlib.sha256((transform.matrix.astype(np.complex128) + 0.0).tobytes()).hexdigest(),
             hashlib.sha256("\n".join(transform.column_labels).encode()).hexdigest())
 
 
@@ -434,11 +435,15 @@ def _branching(text):
 class TestWreathMatrix:
     @pytest.mark.parametrize("levels, matrix, labels", _HAAR_DIGESTS)
     def test_haar_bytes_pinned(self, levels, matrix, labels):
-        assert _digests(haar_matrix(levels)) == (matrix, labels)
+        u = haar_matrix(levels)
+        assert u.matrix.dtype == np.float64
+        assert _digests(u) == (matrix, labels)
 
     @pytest.mark.parametrize("tree, matrix, labels", _HELMERT_TREE_DIGESTS)
     def test_helmert_tree_bytes_pinned(self, tree, matrix, labels):
-        assert _digests(wreath_matrix(_branching(tree))) == (matrix, labels)
+        u = wreath_matrix(_branching(tree))
+        assert u.matrix.dtype == np.float64
+        assert _digests(u) == (matrix, labels)
 
     @pytest.mark.parametrize("columns, sizes", [([1, 0, 2, 3], [1, 1, 2]),
                                                 ([1, 2, 3, 0], [1, 2, 1])])
@@ -527,15 +532,11 @@ class TestCascadeAndFold:
         assert unitarity_error(semidirect_dct_cascade(8)) <= 1e-10
 
     def test_cascade_peak_memory(self):
-        # the semidirect route fills one complex character table a block of
-        # rows at a time and folds it real in place: no second M x M array
-        tracemalloc.start()
-        try:
-            nbytes = semidirect_dct_cascade(512).matrix.nbytes
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.3 * nbytes
+        # the semidirect route writes the real cos/sin columns straight into
+        # one float64 table, a block of rows at a time: no second M x M array
+        u, peak = traced_peak(lambda: semidirect_dct_cascade(512))
+        assert u.matrix.dtype == np.float64
+        assert peak <= 1.3 * u.matrix.nbytes
 
 
 class TestClassicalKernelsAreRouteBases:
@@ -888,7 +889,8 @@ class TestSemidirectRoute:
                 labels += [f"cos=({k}),orbit={k}", f"sin=({k}),orbit={k}"]
                 columns += [f[:, k].real * np.sqrt(2.0), f[:, m - k].imag * -np.sqrt(2.0)]
         assert basis.transform.column_labels == tuple(labels)
-        expected = np.stack(columns, axis=1).astype(np.complex128)
+        expected = np.stack(columns, axis=1)
+        assert basis.transform.matrix.dtype == np.float64
         assert basis.transform.matrix.tobytes() == expected.tobytes()
         assert np.allclose(expected[:, 2::2][:, : (m - 1) // 2],
                            np.sqrt(2.0) * f[:, 1 : (m + 1) // 2].imag, atol=1e-15)
@@ -1275,6 +1277,7 @@ class TestTrustedKernels:
             kernel = build(size)
             assert transforms._gram_error(kernel.matrix) <= transforms.UNITARITY_TOL
             checked = UnitaryTransform(kernel.matrix, kernel.group_name, kernel.column_labels)
+            assert checked.matrix.dtype == kernel.matrix.dtype
             assert checked.matrix.tobytes() == kernel.matrix.tobytes()
             assert checked.column_labels == kernel.column_labels
             assert kernel.matrix.flags.c_contiguous and not kernel.matrix.flags.writeable
@@ -1358,9 +1361,14 @@ class TestUnitaryTransformType:
         else:
             UnitaryTransform(u, "ok", ("a", "b", "c"))
 
-    def test_real_input_stored_complex(self):
-        u = UnitaryTransform(dct2_matrix(8).matrix.real, "dct", tuple(range(8)))
-        assert u.matrix.dtype == np.complex128
+    @pytest.mark.parametrize("dtype, stored", [
+        (np.float64, np.float64), (np.int64, np.float64), (np.float32, np.float64),
+        (np.complex128, np.complex128), (np.complex64, np.complex128)])
+    def test_real_input_stays_real(self, dtype, stored):
+        # a complex input stays complex, even with every imaginary part 0
+        u = UnitaryTransform(np.eye(3, dtype=dtype)[::-1], "flip", tuple(range(3)))
+        assert u.matrix.dtype == stored
+        assert np.array_equal(u.matrix, np.eye(3)[::-1])
 
     def test_label_count_enforced(self):
         with pytest.raises(DimensionError):
@@ -1370,3 +1378,69 @@ class TestUnitaryTransformType:
         u = dft_matrix(4)
         with pytest.raises(ValueError):
             u.matrix[0, 0] = 0.0
+
+
+def _self_paired(action) -> bool:
+    """Every orbital is its own transpose: the invariant matrices are real
+    symmetric, and a real orthogonal matched basis exists."""
+    transpose = pair_orbits(action).transpose
+    return bool(np.array_equal(transpose, np.arange(transpose.size)))
+
+
+class TestRealStorage:
+    """A basis is stored as float64 exactly when its action is self-paired,
+    at half the bytes of complex128: the semidirect, wreath and orbital
+    routes, the kernels they reproduce and the trivial action's KLT, which
+    is complex.  The Hartley and DCT-II kernels and the even extension are
+    real whatever group they are named after."""
+
+    @pytest.mark.parametrize("kernel", [
+        dft_matrix(1), dft_matrix(2), dft_matrix(3), dft_matrix(64), wht_matrix(1),
+        wht_matrix(5), haar_matrix(1), haar_matrix(5), semidirect_dct_cascade(2),
+        semidirect_dct_cascade(9), wreath_matrix([(3, "symmetric"), (5, "cyclic")]),
+        wreath_matrix([(2, "cyclic"), (4, "symmetric")]), wreath_matrix([(4, "cyclic")]),
+        compose_direct(wht_matrix(2), haar_matrix(2)), compose_direct(dft_matrix(3), wht_matrix(2)),
+    ], ids=lambda kernel: kernel.group_name)
+    def test_kernel_is_real_iff_its_action_is_self_paired(self, kernel):
+        real = _self_paired(parse_group_spec(kernel.group_name))
+        assert kernel.matrix.dtype == (np.float64 if real else np.complex128)
+
+    @pytest.mark.parametrize("build, size", [
+        (hartley_matrix, 1), (hartley_matrix, 2), (hartley_matrix, 7), (dct2_matrix, 1),
+        (dct2_matrix, 8), (lambda m: even_extension_isometry(m), 5)])
+    def test_real_kernels_off_their_group(self, build, size):
+        built = build(size)
+        assert getattr(built, "matrix", built).dtype == np.float64
+
+    @pytest.mark.parametrize("action", relabelled([parse_group_spec(spec) for spec in (
+        "cyclic:2", "cyclic:6", "dihedral:5", "dihedralM:8", "boolean:3", "dyadic-wreath:4",
+        "hybrid:4,3", "wreath:3s,2c", "wreath:4c,3c", "wreath:2s,4c",
+        "product:(cyclic:3,cyclic:4)", "product:(dihedralM:6,boolean:2)",
+        "product:(hybrid:4,3,cyclic:3)", "product:(dyadic-wreath:3,cyclic:4)", "trivial:4",
+    )] + [johnson_action(7), hamming_action(4), affine_line(7, 3)]))
+    def test_route_basis_is_real_iff_self_paired(self, action):
+        u = synthesize_matched(action, seed=1).transform.matrix
+        assert u.dtype == (np.float64 if _self_paired(action) else np.complex128)
+
+    def test_wht_peak_memory(self):
+        # the +-1 table is filled as float64 a block of rows at a time,
+        # straight into the result: no complex table and no buffered block
+        u, peak = traced_peak(lambda: wht_matrix(10))
+        assert u.matrix.dtype == np.float64
+        assert peak <= 1.3 * u.matrix.nbytes
+
+    def test_dihedral_synthesis_peak_memory(self):
+        action = parse_group_spec("dihedralM:1024")
+        basis, peak = traced_peak(lambda: synthesize_matched(action, seed=1))
+        assert basis.transform.matrix.dtype == np.float64
+        assert peak <= 1.3 * basis.transform.matrix.nbytes
+
+    @pytest.mark.parametrize("build", [lambda: wht_matrix(10).matrix,
+                                       lambda: dft_matrix(1024).matrix], ids=["real", "complex"])
+    def test_gram_check_holds_no_m_by_m_array(self, build):
+        # a block of rows of U* U at a time; a float64 U is never given an
+        # M x M imaginary part of zeros to test
+        u = build()
+        err, peak = traced_peak(lambda: transforms._gram_error(u))
+        assert err <= transforms.UNITARITY_TOL
+        assert peak <= 0.75 * u.nbytes
