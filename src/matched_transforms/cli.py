@@ -332,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="commutation residual of a permutation")
     p.add_argument("--perm", required=True,
-                   help="cycle notation '(0 1)' or image list '1 0 2'")
+                   help="disjoint cycles '(0 1)(2 3)' or image list '1 0 2'")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_residual)

@@ -133,12 +133,12 @@ def _parse_ints(tokens) -> list:
 
 
 def parse_permutation(text: str, degree: int | None = None) -> Permutation:
-    """Parse '(0 1 2)(4 5)' cycle notation (degree required) or an image list."""
+    """Parse disjoint cycles '(0 1 2)(4 5)' (degree required) or an image list."""
     text = text.strip()
     if "(" in text:
         if degree is None:
             raise InputError("cycle notation needs an explicit degree")
-        images = list(range(degree))
+        images, used = list(range(degree)), set()
         body = text.replace(")", ")\x00").split("\x00")
         for chunk in body:
             chunk = chunk.strip()
@@ -150,8 +150,10 @@ def parse_permutation(text: str, degree: int | None = None) -> Permutation:
             cyc = _parse_ints(entries)
             if any(not 0 <= c < degree for c in cyc):
                 raise InputError(f"cycle entry out of range 0..{degree - 1}: {chunk}")
-            if len(set(cyc)) != len(cyc):
-                raise InputError(f"repeated entry in cycle: {chunk}")
+            for c in cyc:
+                if c in used:
+                    raise InputError(f"point {c} appears twice; cycles must be disjoint")
+                used.add(c)
             for a, b in zip(cyc, cyc[1:] + cyc[:1]):
                 images[a] = b
         return Permutation(images)
@@ -1001,12 +1003,9 @@ def _wreath_splits(images: list, m: int, orbits=None):
     gives a split, and counts yields the rank bounds as orbit counts.
     With the pair partition orbits, x is taken from the smallest orbits of
     its row 0, the stabilizer of 0's own; every distinct proper block of
-    the first _BLOCK_CANDIDATES gives a split, and counts is the rank,
-    (orbit_count,).  Nothing is yielded when the action is intransitive or
-    its degree is prime.  The caller proves a split: by the
-    Krasner-Kaloujnine embedding the group lies in H wr K, so its rank is
-    at least rank(H) + rank(K) - 1, and a bound equal to that proves the
-    ranks equal, hence the same orbitals and commutant."""
+    the first _BLOCK_CANDIDATES gives a split, and counts is None: the
+    caller proves it on the partition, from the rows of block 0.  Nothing
+    is yielded when the action is intransitive or its degree is prime."""
     if all(m % w for w in range(2, int(m**0.5) + 1)):
         return  # a block's size divides m: a prime degree has no proper block
     entries = _moved_entries(images, m)
@@ -1021,7 +1020,7 @@ def _wreath_splits(images: list, m: int, orbits=None):
                   for bound in itertools.chain([first], bounds))
     else:
         _, reps, sizes = np.unique(orbits.orbit_id[0], return_index=True, return_counts=True)
-        counts = (orbits.orbit_count,)
+        counts = None
     by_gen = _by_generator(entries, m)
     seen = set()
     # reps[0] = 0 is its own orbit

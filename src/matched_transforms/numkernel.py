@@ -108,14 +108,19 @@ def herm_eig(a) -> HermEigResult:
 
 def random_psd(degree: int, seed: int) -> np.ndarray:
     """Seeded Hermitian PSD sample A A* from i.i.d. standard complex
-    Gaussian entries; deterministic per the documented stream."""
+    Gaussian entries; deterministic per the documented stream.  The draws,
+    conjugated in place, and A A* are the only M x M arrays it holds."""
     if degree < 1:
         raise DimensionError("degree must be >= 1")
     # a[:, k] = z[:, 2k] + i z[:, 2k + 1], read in place from the draws
-    a = normal_rows(seed, degree, 2 * degree).view(np.complex128)
-    a /= np.sqrt(2.0)
-    h = a @ a.conj().T
-    del a
-    h += h.conj().T
-    h /= 2.0
-    return h
+    c = normal_rows(seed, degree, 2 * degree).view(np.complex128)
+    c /= np.sqrt(2.0)
+    np.conjugate(c, out=c)
+    h = np.empty_like(c)
+    rows = -(-degree // min(8, -(-degree // 64)))  # whole, or blocks of over 32: gemm, not gemv
+    for at in range(0, degree, rows):
+        np.matmul(c[at : at + rows].conj(), c.T, out=h[at : at + rows])
+    for at in range(0, degree, rows):  # h_ij + conj(h_ji), each from its own sum
+        np.add(h[at : at + rows], h[:, at : at + rows].conj().T, out=c[at : at + rows])
+    c /= 2.0
+    return c

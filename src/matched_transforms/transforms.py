@@ -655,37 +655,43 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     return u, sizes, max(ratios, default=None), lambda: _cluster_labels(sizes)
 
 
-def _wreath(images: list, m: int, name: str, orbits=None, tried=None):
+def _wreath(images: list, m: int, name: str, orbits=None):
     """The wreath route as (rank, build), build() giving the basis, or
-    None.  `_wreath_splits` gives the block systems to try (with no pair
-    partition, the first minimal one; with the partition orbits, up to
-    _BLOCK_CANDIDATES of them) and the rank bounds (Schreier bounds, or
-    orbits' orbit_count).  Each factor takes its route (`_factor_route`),
-    which gives its rank, and rank(H) + rank(K) - 1 must equal a bound;
-    only then is a held factor routed, by build().  tried, when given,
-    keeps the factor routes of a split the Schreier bounds did not prove,
-    by its points, for the attempt on the partition to take up again."""
+    None, on the block systems `_wreath_splits` gives.  With no pair
+    partition, a split's factors take their routes (`_factor_route`) and
+    rank(H) + rank(K) - 1 must equal a Schreier bound; with the partition
+    orbits, a split must pass `_block_rows_prove` before its factors are
+    routed.  A held factor is routed only by build()."""
     for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
-        (b, w), key = points.shape, points.tobytes()
-        routes = tried.pop(key, None) if tried else None
-        top, inner = routes or (_factor_route(k_images, b, name),
-                                _factor_route(h_images, w, name))
+        if counts is None and not _block_rows_prove(orbits.orbit_id, points):
+            continue
+        b, w = points.shape
+        top, inner = _factor_route(k_images, b, name), _factor_route(h_images, w, name)
         rank = top[0] + inner[0] - 1
-        if rank in counts:
+        if counts is None or rank in counts:
             return rank, lambda: _compose(top[1](), inner[1](), points)
-        if tried is not None and orbits is None:
-            tried[key] = top, inner
     return None
 
 
+def _block_rows_prove(ids: np.ndarray, points: np.ndarray) -> bool:
+    """Whether the pair partition ids proves the wreath rule on the block
+    system points: in the rows of block 0, the columns of each other block
+    hold one orbit id.  These w M entries decide all M^2, as an element
+    that takes a point of block a to 0 maps each pair of blocks (a, c) onto
+    one through block 0 and keeps orbitals; each pair of distinct blocks
+    then lies inside one orbital, so the rank is rank(H) + rank(K) - 1."""
+    cross = ids[points[0]][:, points[1:]]
+    return bool(np.all(cross == cross[:1, :, :1]))
+
+
 def _factor_route(images: list, m: int, name: str) -> tuple:
-    """A wreath factor's route as (rank, build): a further wreath split
+    """A route as (rank, build): a wreath split the Schreier bounds prove
     first, as the factors of an iterated wreath are wreaths themselves,
-    then the semidirect route; otherwise the factor is held as its own
-    pair partition, whose orbit count is its rank, and routed on it
-    (`_partitioned`) only when build() is called."""
-    tried = {}
-    found = _wreath(images, m, name, tried=tried)
+    then the semidirect route.  Otherwise the action is held as its own
+    pair partition, whose orbit count is its rank, and build() takes the
+    wreath route on it, else the orbital route; a split it proves drops
+    the partition before the basis is built."""
+    found = _wreath(images, m, name)
     if found is not None:
         return found
     found = _semidirect(images, m)
@@ -693,22 +699,16 @@ def _factor_route(images: list, m: int, name: str) -> tuple:
         return found[1].size, lambda: found
     action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
     partition = pair_orbits(action)
-    return partition.orbit_count, lambda: _partitioned(images, m, partition, name, tried)
 
+    def build():
+        nonlocal partition
+        found = _wreath(images, m, name, partition)
+        if found is None:
+            return _orbital(partition, name)
+        partition = None
+        return found[1]()
 
-def _partitioned(images: list, m: int, partition, name: str, tried: dict) -> tuple:
-    """The routes once the Schreier bounds prove nothing: the wreath route
-    on the pair partition, else the orbital route on it.  Once a split is
-    proved, the action's own partition is dropped before its M x M basis
-    is built; a held factor's partition, w^2 labels, stays alive in
-    `_factor_route`'s build closure until the parent's (bw)^2 basis is
-    composed."""
-    found = _wreath(images, m, name, partition, tried)
-    tried.clear()  # a split the partition did not give again is dropped too
-    if found is None:
-        return _orbital(partition, name)
-    del partition
-    return found[1]()
+    return partition.orbit_count, build
 
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
@@ -726,7 +726,8 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     no eigensolve, the wreath route, which eigensolves only the factors
     that need it, and the orbital route.  Only the KLT reads the seed.
     Every route gives a float64 U for a self-paired action, and complex128
-    for the rest and for the KLT.
+    for the rest and for the KLT.  The wreath and orbital routes label the
+    columns cluster=c,col=i, c numbering the eigenspaces in column order.
 
     The trivial action has no fixed basis: the KLT of random_psd(M, seed) is
     returned flagged data_dependent.
@@ -754,24 +755,24 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     of H wr K, with K its action on a block system and H the block
     stabilizer's action on one block (`_wreath`).  A block system is the
     minimal one holding point 0 and a point x of a small orbit of the
-    stabilizer of 0 (`_wreath_splits`).  By the Krasner-Kaloujnine
-    embedding the rank of the action is at least rank(H) + rank(K) - 1,
-    and a rank bound equal to that proves the orbitals those of H wr K.
-    First the bounds are the orbit counts of subgroups of the stabilizer
-    of 0, generated by Schreier generators (`_rank_bounds`), and only the
-    first proper block is tried; no pair partition of the action is
-    computed.  Once those bounds prove nothing, the bound is the orbit
-    count of the action's pair partition, computed anyway for the orbital
-    route, and x is taken from the smallest orbits of its row 0, up to
-    _BLOCK_CANDIDATES of them.  Each factor takes a route with no pair
-    partition if one applies (a further wreath split, then the semidirect
-    route), which gives its rank, or is held as its own pair partition,
-    whose orbit count is its rank (`_factor_route`); a held factor is
-    routed on that partition, by the orbital route if no split proves it,
-    only once the split is proved.  U composes the factors' bases with
-    `_compose`, the rule haar_matrix and wreath_matrix fold over their
-    trees; labels are cluster=c,col=i with c numbering the eigenspaces in
-    column order.
+    stabilizer of 0 (`_wreath_splits`).  Each factor takes a route with no
+    pair partition if one applies (a further wreath split, then the
+    semidirect route), or is held as its own pair partition, routed on it
+    only by the split's build (`_factor_route`); either gives its rank.  By
+    the Krasner-Kaloujnine embedding the rank of the action is at least
+    rank(H) + rank(K) - 1, and a bound equal to that proves the orbitals
+    those of H wr K.  First the bounds are the orbit counts of subgroups of
+    the stabilizer of 0, generated by Schreier generators (`_rank_bounds`),
+    and only the first proper block is tried; no pair partition of the
+    action is computed.  Once those bounds prove nothing, the action's pair
+    partition, computed anyway for the orbital route, gives up to
+    _BLOCK_CANDIDATES points x from the smallest orbits of its row 0 and
+    proves a split itself, before any factor is routed: in the rows of
+    block 0, the columns of every other block must hold a single orbit id
+    (`_block_rows_prove`), as an element that takes a point of block a to
+    0 maps every pair of blocks (a, c) onto a pair through block 0.  U
+    composes the factors' bases with `_compose`, the rule haar_matrix and
+    wreath_matrix fold over their trees.
 
     Otherwise the orbital route (`_orbital`) reads the action's pair
     partition, computed once per call and shared with the wreath route on
@@ -805,9 +806,7 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     a self-paired action (boolean, dyadic-wreath, dihedral, J(n, 2)).  U
     passes the Gram check, and certificate, the largest sum of a
     factorization's final Schur diagonal (the trace of E_j - L L*, in
-    magnitude) over m_j, must be <= DIAGONAL_TOL, else NumericError.  The
-    columns are labelled cluster=c,col=i with c numbering the eigenspaces
-    in column order.
+    magnitude) over m_j, must be <= DIAGONAL_TOL, else NumericError.
     """
     if all(g.is_identity() for g in action.generators):
         # random_psd is Hermitian bit for bit: no check or symmetrized copy;
@@ -818,9 +817,5 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             vectors, action.name, tuple(f"klt={k}" for k in range(action.degree)))
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)
     images, m = [g.as_array() for g in action.generators], action.degree
-    found, tried = _semidirect(images, m), {}
-    if found is None:
-        wreath = _wreath(images, m, action.name, tried=tried)
-        found = (_partitioned(images, m, pair_orbits(action), action.name, tried)
-                 if wreath is None else wreath[1]())
+    found = _semidirect(images, m) or _factor_route(images, m, action.name)[1]()
     return _synthesized(action.name, found)

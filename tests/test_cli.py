@@ -420,6 +420,14 @@ class TestResidual:
         assert run(["residual", "--perm", "0 0", "--in", path]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("perm, point", [("(0 1)(0 1)", 0), ("(0 1)(1 2)", 1)])
+    def test_shared_cycle_point_exit_2(self, tmp_path, perm, point, capsys):
+        path = write_cov(tmp_path / "diag123.mtx", np.diag([1.0, 2.0, 3.0]))
+        assert run(["residual", "--perm", perm, "--in", path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: point {point} appears twice; cycles must be disjoint\n"
+
     @pytest.mark.parametrize("perm", ["(a b)", "1,x"])
     def test_non_integer_perm_exit_2(self, tmp_path, perm, capsys):
         path = write_cov(tmp_path / "diag12.mtx", np.diag([1.0, 2.0]))

@@ -210,6 +210,16 @@ class TestParsePermutation:
         with pytest.raises(InputError):
             parse_permutation("0 0 1")
 
+    @pytest.mark.parametrize("text, point", [
+        ("(0 1)(0 1)", 0), ("(0 1 2)(2 1 0)", 2), ("(0 1)(1 2)", 1), ("(2)(1 2)", 2),
+        ("(0 1 0)", 0),
+    ])
+    def test_cycles_must_be_disjoint(self, text, point):
+        # a product of cycles that share a point is not read as one
+        # permutation: the first point seen again is named
+        with pytest.raises(InputError, match=rf"point {point} appears twice"):
+            parse_permutation(text, degree=3)
+
     @pytest.mark.parametrize("text", ["(a b)", "1,x", "0 1.5"])
     def test_non_integer_entries(self, text):
         with pytest.raises(InputError, match="must be integers"):
@@ -674,17 +684,18 @@ class TestAffineCoordinates:
 
 
 def proved_split(action):
-    """The split the wreath route proves on the action's pair partition:
-    the first that `_wreath_splits` yields whose factors' own pair orbits
-    give rank(H) + rank(K) - 1 = orbit_count, with those partitions, or
-    None."""
+    """The split the wreath route should prove on the action's pair
+    partition: the first that `_wreath_splits` yields whose factors' own
+    pair orbits give rank(H) + rank(K) - 1 = orbit_count, with those
+    partitions, or None."""
     orbits = pair_orbits(action)
     for points, k_images, h_images, counts in _wreath_splits(
             images_of(action), action.degree, orbits):
+        assert counts is None  # the route proves a split on the partition itself
         k_orbits, h_orbits = (pair_orbits(from_generators([Permutation(x) for x in images],
                                                           "factor"))
                               for images in (k_images, h_images))
-        if k_orbits.orbit_count + h_orbits.orbit_count - 1 in counts:
+        if k_orbits.orbit_count + h_orbits.orbit_count - 1 == orbits.orbit_count:
             return points, k_images, k_orbits, h_images, h_orbits
     return None
 
@@ -819,8 +830,9 @@ class TestWreathSplits:
             assert len(splits) <= (1 if orbits is None else _BLOCK_CANDIDATES)
             assert len({s[0][0].tobytes() for s in splits}) == len(splits)
             for points, k_images, h_images, counts in splits:
-                if orbits is not None:
-                    assert counts == (orbits.orbit_count,)
+                # rank bounds with no partition; with it, the caller proves
+                # the split on the partition and no count is given
+                assert (counts is None) == (orbits is not None)
                 b, w = points.shape
                 assert 1 < w < m and points[0, 0] == 0
                 assert np.array_equal(np.sort(points.ravel()), np.arange(m))
@@ -835,6 +847,53 @@ class TestWreathSplits:
                 on_block0 = {local[g[points[0]]].tobytes() for g in elements
                              if block_of[g[0]] == 0}
                 assert closure_of(h_images) == on_block0
+
+
+def closure_rank(rows, n: int) -> int:
+    """The orbital count of a group given as all its image arrays on n
+    points: the orbit of (i, j) is {(g(i), g(j))}, named by its smallest
+    pair index."""
+    rows = np.array(rows)
+    return np.unique((rows[:, :, None] * n + rows[:, None, :]).min(axis=0)).size
+
+
+class TestBlockRowsProof:
+    """The wreath route's proof on the pair partition, against ranks read
+    from the enumerated group alone, with no route."""
+
+    @pytest.mark.parametrize("action", SPLIT_ACTIONS + [
+        a if seed is None else relabel(a, seed)
+        for a in (parse_group_spec("product:(hybrid:4,3,cyclic:3)"),
+                  parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"))
+        for seed in (None, 1, 2)
+    ], ids=lambda a: a.name)
+    def test_block_rows_decide_the_rank(self, action):
+        # on every block system of a minimal block, the rows of block 0
+        # pass exactly when rank(H) + rank(K) - 1 = rank(G)
+        m = action.degree
+        elements = [p.as_array() for p in closure_set(action)]
+        if {int(g[0]) for g in elements} != set(range(m)):
+            assert list(_wreath_splits(images_of(action), m)) == []
+            return
+        ids = closure_pair_orbit_ids(action)
+        rank = int(ids.max()) + 1
+        systems = {l.tobytes(): l for l in (reference_blocks(elements, m, x)
+                                            for x in range(1, m))}
+        for labels in systems.values():
+            reps = np.flatnonzero(labels == np.arange(m))
+            points = np.array([np.flatnonzero(labels == r) for r in reps])
+            b, w = points.shape
+            if w == m:
+                continue
+            block_of = np.searchsorted(reps, labels)
+            local = np.empty(m, dtype=np.int64)
+            local[points] = np.arange(w)
+            # H: the elements that map block 0 onto itself, on block 0;
+            # K: every element's action on the blocks
+            h_rank = closure_rank([local[g[points[0]]] for g in elements
+                                   if labels[g[0]] == 0], w)
+            k_rank = closure_rank([block_of[g[reps]] for g in elements], b)
+            assert transforms._block_rows_prove(ids, points) == (h_rank + k_rank - 1 == rank)
 
 
 class TestReynolds:

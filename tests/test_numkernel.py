@@ -115,16 +115,24 @@ class TestRandomPsd:
         a = random_psd(6, 9)
         assert np.max(np.abs(a - a.conj().T)) < 1e-15
 
-    @pytest.mark.parametrize("m, seed", [(1, 1), (2, 3), (7, 5), (64, 2), (300, 9)])
+    @pytest.mark.parametrize("m, seed", [(1, 1), (2, 3), (7, 5), (64, 2), (300, 9)] + [
+        (m, seed) for m in (3, 5, 8, 65, 255, 256, 257, 1000, 1024) for seed in (0, 4)])
     def test_pairs_read_in_place(self, m, seed):
-        # the Gaussian pairs are read in place as complex entries: the bytes
-        # of pairing them by slicing, through the same products
+        # the Gaussian pairs are read in place as complex entries, and the
+        # product and its symmetrization are taken in blocks: the bytes of
+        # pairing them by slicing, through whole-matrix products
         z = normal_rows(seed, m, 2 * m)
         a = (z[:, 0::2] + 1j * z[:, 1::2]) / np.sqrt(2.0)
         h = a @ a.conj().T
         h += h.conj().T
         h /= 2.0
         assert random_psd(m, seed).tobytes() == h.tobytes()
+
+    def test_peak_memory(self):
+        # the draws and the result are the only M x M arrays: the product
+        # and the symmetrization take blocks, not a conjugated copy of each
+        h, peak = traced_peak(lambda: random_psd(1024, 3))
+        assert peak <= 2.25 * h.nbytes
 
 
 class TestNormalRows:

@@ -987,7 +987,7 @@ class TestWreathRoute:
     def test_partition_candidates(self, action, held, monkeypatch):
         # no split passes the Schreier bounds, so the action's pair
         # partition is computed once; its row 0 gives the candidates, its
-        # orbit count the proof, and only held factors take the orbital route
+        # block rows the proof, and only held factors take the orbital route
         images, m = images_of(action), action.degree
         assert transforms._wreath(images, m, action.name) is None
         assert transforms._wreath(images, m, action.name, pair_orbits(action)) is not None
@@ -1000,42 +1000,48 @@ class TestWreathRoute:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
-    @pytest.mark.parametrize("spec, numbering, degrees, rebuilt", [
-        ("hybrid:8,8", 1, [32, 64, 8], [32, 64, 32, 8]),
-        ("wreath:4s,4c,4c", 2, [4, 64, 4], [4, 64, 4, 4]),
+    @pytest.mark.parametrize("spec, numbering, degrees", [
+        ("hybrid:8,8", 1, [32, 64, 8]),
+        ("wreath:4s,4c,4c", 2, [4, 64, 4]),
     ])
-    def test_partition_reuses_the_schreier_split(self, spec, numbering, degrees, rebuilt,
-                                                 monkeypatch):
-        # the Schreier bounds do not prove the first block's split, and the
-        # partition tries that block again: its factors' routes, with the
-        # held factor's partition, are taken up rather than built again
+    def test_partition_routes_only_the_proved_split(self, spec, numbering, degrees,
+                                                    monkeypatch):
+        # the Schreier bounds do not prove the first block's split, whose
+        # held factor is partitioned once; the action's partition rejects
+        # that block without routing its factors again, and the basis is
+        # the composition of the split it proves
         action = relabel(parse_group_spec(spec), numbering)
+        images, m = images_of(action), action.degree
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == degrees
-        wreath = transforms._wreath
+        u, sizes, certificate, labels = transforms._wreath(images, m, action.name,
+                                                            pair_orbits(action))[1]()
+        assert basis.transform.matrix.tobytes() == u.tobytes()
+        assert basis.transform.column_labels == labels()
+        assert (basis.degeneracy_pattern, basis.certificate) == (
+            tuple(sorted(sizes.tolist())), certificate)
 
-        def forgetful(images, m, name, orbits=None, tried=None):
-            return wreath(images, m, name, orbits)
-
-        calls.clear()
-        monkeypatch.setattr(transforms, "_wreath", forgetful)
-        again = synthesize_matched(action, seed=3)
-        assert calls == rebuilt
-        assert again.transform.matrix.tobytes() == basis.transform.matrix.tobytes()
-        assert again.transform.column_labels == basis.transform.column_labels
-        assert (again.degeneracy_pattern, again.certificate) == (
-            basis.degeneracy_pattern, basis.certificate)
+    @pytest.mark.parametrize("spec, degrees", [
+        ("product:(hybrid:8,8,cyclic:4)", [8, 256]),
+        ("product:(wreath:4s,4c,cyclic:3)", [4, 48]),
+        ("product:(hybrid:4,3,cyclic:3)", [36]),
+    ])
+    def test_partition_routes_no_failed_split(self, spec, degrees, monkeypatch):
+        # a split the partition does not prove has no factor routed, so no
+        # held factor of it is partitioned
+        calls, _ = spy_partitions_and_solves(monkeypatch)
+        synthesize_matched(parse_group_spec(spec), seed=3)
+        assert calls == degrees
 
     def test_failed_splits_solve_nothing(self, monkeypatch):
-        # no block system of this product passes; the held factors of the
-        # failed splits are partitioned but never eigensolved, and the
-        # whole action takes the orbital route on its own partition
+        # no block system of this product passes; the factors of the
+        # failed splits are neither routed nor partitioned, and the whole
+        # action takes the orbital route on its own partition
         action = parse_group_spec("product:(dyadic-wreath:6,cyclic:16)")
         calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
-        assert len(calls) <= 5 and calls.count(action.degree) == 1
-        assert solved == [action.degree] and basis.certificate is not None
+        assert calls == solved == [action.degree] and basis.certificate is not None
 
     @pytest.mark.parametrize("spec, held", [
         ("dyadic-wreath:4", False), ("hybrid:4,3", False), ("hybrid:3,4", True),
