@@ -387,7 +387,7 @@ def _hook_and_compress(n: int, edges: list, labels=None) -> tuple:
     """Connected components of {0..n-1} by Shiloach-Vishkin hook-and-compress.
 
     edges is a list of (src, dst) int32 index arrays, joined into one edge
-    set.  labels, when given, is a flat labelling to join further (every
+    set.  labels, when given, is a flat labelling joined in place (every
     entry its class's smallest element); it defaults to the singletons.
     Each round reads the labels of every live edge's ends, drops the edges
     whose ends share a label, hooks the larger label onto the smaller
@@ -848,11 +848,10 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.diff(x, prepend=-1) != 0]
 
 
-def _split(images: list, entries: tuple, by_gen: tuple, block: np.ndarray,
-           block_of: np.ndarray, reps: np.ndarray) -> tuple:
-    """The wreath rule's two factors for a block system: blocks numbered by
-    their smallest point reps[a], block_of[p] the block of point p, and
-    block the sorted points of block 0, which holds point 0.
+def _split(images: list, entries: tuple, by_gen: tuple, labels: np.ndarray) -> tuple:
+    """The wreath rule's two factors for a block system, labels[p] the
+    smallest point of p's block: blocks numbered by their smallest point
+    reps[a], and block the sorted points of block 0, which holds point 0.
 
     A generator acts as the identity on every block that holds none of the
     points it moves, so only the (generator, block) pairs that entries
@@ -863,7 +862,9 @@ def _split(images: list, entries: tuple, by_gen: tuple, block: np.ndarray,
     tree on the blocks names a group element t_a that takes block 0 to
     block a; points[a, p] = t_a(block[p]).  Returns (points, K's images,
     H's images), each list of images without repeats."""
-    m, w, b = block_of.size, block.size, reps.size
+    m, block = labels.size, np.flatnonzero(labels == 0)
+    reps = np.flatnonzero(labels == np.arange(m))
+    block_of, w, b = np.searchsorted(reps, labels), block.size, reps.size
     src, gen, _, _ = entries
     pairs = _distinct(gen * b + block_of[src])
     gens, blocks = pairs // b, pairs % b
@@ -924,10 +925,12 @@ def _rank_bounds(images: list, m: int, entries: tuple, tree: tuple):
     Its Schreier generators t_g(i)^-1 g t_i (tree is `_schreier_forest`'s,
     rooted at 0) are read for the tree's rows i in breadth-first order, in
     batches of 1, 1, 2, 4, ... rows up to _BOUND_ROWS, and their edges
-    (x, s(x)) joined by a union-find; each batch yields the labels.  The
-    group S they generate lies in G_0, so it has at least as many orbits,
-    and as many once every row is read (Schreier's lemma).  For a
-    generator that fixes i the edges are those of the points it moves."""
+    (x, s(x)) joined in place by a union-find; each batch yields a copy,
+    kept by `_wreath_splits` while it reads on.  The group S they generate
+    lies in G_0, so it has at least as many orbits, and G_0's once as many,
+    as when every row is read (Schreier's lemma): a bound that proves a
+    split passes the block check.  For a generator that fixes i the edges
+    are those of the points it moves."""
     src, gen, dst, first = entries
     queue, parent, via = tree
     memo = {0: np.arange(m)}
@@ -946,7 +949,7 @@ def _rank_bounds(images: list, m: int, entries: tuple, tree: tuple):
                 edges.append((ti, _transversal_inverse(images, parent, via, memo, gi)[images[g]]))
         labels, _ = _hook_and_compress(m, edges, labels)
         done, size = size, 2 * size
-        yield labels
+        yield labels.copy()
 
 
 def _entries_of(first: np.ndarray, pts: np.ndarray) -> tuple:
@@ -991,36 +994,52 @@ def _minimal_block(entries: tuple, by_gen: tuple, m: int, x: int):
 _BLOCK_CANDIDATES = 8  # points `_wreath_splits` tries for a block with point 0
 
 
+def _blocks_hold_one_label(rows: np.ndarray, labels: np.ndarray) -> bool:
+    """The wreath route's one block check: in each of rows (orbit labels of
+    the points), the columns of every block but block 0 hold one label;
+    labels[p] is the smallest point of p's block.  On the pair partition's
+    rows of block 0 it proves the rank is rank(H) + rank(K) - 1, as an
+    element taking a point of block a to 0 maps each pair of blocks onto
+    one through block 0.  On a rank bound as one row it must pass before
+    the bound can prove a split: a split puts every other block inside
+    one orbit of G_0, and a bound whose count is the rank has G_0's."""
+    out = labels != 0
+    return bool(np.all(rows[:, out] == rows[:1, labels[out]]))
+
+
 def _wreath_splits(images: list, m: int, orbits=None):
     """Yield the wreath rule's two factors of a transitive action, one
-    block system at a time: (points, K's images, H's images, counts).
+    block system at a time: (points, K's images, H's images, proves).
 
-    A candidate point x gives the finest block system in which 0 and x
-    share a block (`_minimal_block`), and `_split` its factors.  With no
-    pair partition, x is taken from the orbits of the first rank bound
-    (`_rank_bounds`, the Schreier generators of row 0), smallest orbit
-    first; only the first x among _BLOCK_CANDIDATES whose block is proper
-    gives a split, and counts yields the rank bounds as orbit counts.
-    With the pair partition orbits, x is taken from the smallest orbits of
-    its row 0, the stabilizer of 0's own; every distinct proper block of
-    the first _BLOCK_CANDIDATES gives a split, and counts is None: the
-    caller proves it on the partition, from the rows of block 0.  Nothing
-    is yielded when the action is intransitive or its degree is prime."""
+    x runs over the first _BLOCK_CANDIDATES points of the smallest orbits
+    of G_0, the stabilizer of 0 (row 0 of the pair partition orbits), or
+    with none of a rank bound (`_rank_bounds`); each distinct proper block
+    holding 0 and x (`_minimal_block`) gets `_split` once it passes
+    `_blocks_hold_one_label`, on the partition's rows of block 0 or on the
+    bound, read on while it fails (a bound that proves a split has G_0's
+    orbits, and so passes).  proves(rank) reads the bound on while its
+    orbit count exceeds rank, and tells whether they are equal.  No block
+    is tried when every orbit is a point, nor when intransitive."""
     if all(m % w for w in range(2, int(m**0.5) + 1)):
         return  # a block's size divides m: a prime degree has no proper block
     entries = _moved_entries(images, m)
     tree = _schreier_forest(images, m, entries)
     if tree[2].count(-1) != 1:
         return  # intransitive: the tree has a root per point orbit
-    if orbits is None:
-        bounds = _rank_bounds(images, m, entries, tree)
-        first = next(bounds)
-        reps, sizes = np.unique(first, return_counts=True)
-        counts = (int(np.count_nonzero(bound == np.arange(m)))
-                  for bound in itertools.chain([first], bounds))
-    else:
-        _, reps, sizes = np.unique(orbits.orbit_id[0], return_index=True, return_counts=True)
-        counts = None
+    bounds = (_rank_bounds(images, m, entries, tree) if orbits is None
+              else iter([orbits.orbit_id[0]]))
+    bound = next(bounds)
+    _, reps, sizes = np.unique(bound, return_index=True, return_counts=True)
+    if reps.size == m:
+        return
+
+    def proves(rank: int) -> bool:
+        nonlocal bound
+        for bound in itertools.chain([bound], bounds):
+            if _distinct(bound).size <= rank:
+                break
+        return _distinct(bound).size == rank
+
     by_gen = _by_generator(entries, m)
     seen = set()
     # reps[0] = 0 is its own orbit
@@ -1029,11 +1048,11 @@ def _wreath_splits(images: list, m: int, orbits=None):
         if labels is None or labels.tobytes() in seen:
             continue
         seen.add(labels.tobytes())
-        blocks = np.flatnonzero(labels == np.arange(m))
-        yield _split(images, entries, by_gen, np.flatnonzero(labels == 0),
-                     np.searchsorted(blocks, labels), blocks) + (counts,)
-        if orbits is None:
-            return
+        for bound in itertools.chain([bound], bounds):
+            rows = bound[None] if orbits is None else orbits.orbit_id[labels == 0]
+            if _blocks_hold_one_label(rows, labels):
+                yield _split(images, entries, by_gen, labels) + (proves,)
+                break
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

@@ -657,46 +657,32 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
 
 def _wreath(images: list, m: int, name: str, orbits=None):
     """The wreath route as (rank, build), build() giving the basis, or
-    None, on the block systems `_wreath_splits` gives.  With no pair
-    partition, a split's factors take their routes (`_factor_route`) and
-    rank(H) + rank(K) - 1 must equal a Schreier bound; with the partition
-    orbits, a split must pass `_block_rows_prove` before its factors are
-    routed.  A held factor is routed only by build()."""
-    for points, k_images, h_images, counts in _wreath_splits(images, m, orbits):
-        if counts is None and not _block_rows_prove(orbits.orbit_id, points):
-            continue
+    None: the first block system of `_wreath_splits`' one rule, past its
+    one check (which a bound that proves a split passes), whose factors'
+    routes (`_factor_route`) give a rank rank(H) + rank(K) - 1 it proves.
+    A held factor is routed only by build()."""
+    for points, k_images, h_images, proves in _wreath_splits(images, m, orbits):
         b, w = points.shape
         top, inner = _factor_route(k_images, b, name), _factor_route(h_images, w, name)
         rank = top[0] + inner[0] - 1
-        if counts is None or rank in counts:
+        if proves(rank):
             return rank, lambda: _compose(top[1](), inner[1](), points)
     return None
-
-
-def _block_rows_prove(ids: np.ndarray, points: np.ndarray) -> bool:
-    """Whether the pair partition ids proves the wreath rule on the block
-    system points: in the rows of block 0, the columns of each other block
-    hold one orbit id.  These w M entries decide all M^2, as an element
-    that takes a point of block a to 0 maps each pair of blocks (a, c) onto
-    one through block 0 and keeps orbitals; each pair of distinct blocks
-    then lies inside one orbital, so the rank is rank(H) + rank(K) - 1."""
-    cross = ids[points[0]][:, points[1:]]
-    return bool(np.all(cross == cross[:1, :, :1]))
 
 
 def _factor_route(images: list, m: int, name: str) -> tuple:
     """A route as (rank, build): a wreath split the Schreier bounds prove
     first, as the factors of an iterated wreath are wreaths themselves,
-    then the semidirect route.  Otherwise the action is held as its own
-    pair partition, whose orbit count is its rank, and build() takes the
-    wreath route on it, else the orbital route; a split it proves drops
-    the partition before the basis is built."""
+    then the semidirect route, then `_held`."""
     found = _wreath(images, m, name)
-    if found is not None:
-        return found
-    found = _semidirect(images, m)
-    if found is not None:
-        return found[1].size, lambda: found
+    if found is None and (basis := _semidirect(images, m)) is not None:
+        found = basis[1].size, lambda: basis
+    return found or _held(images, m, name)
+
+
+def _held(images: list, m: int, name: str) -> tuple:
+    """The action held as its own pair partition, whose orbit count is its
+    rank: build() takes the wreath route on it, else the orbital route."""
     action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
     partition = pair_orbits(action)
 
@@ -752,25 +738,20 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     and an action that fails them costs O(kM) integer work.
 
     The wreath route takes an imprimitive action whose orbitals are those
-    of H wr K, with K its action on a block system and H the block
-    stabilizer's action on one block (`_wreath`).  A block system is the
-    minimal one holding point 0 and a point x of a small orbit of the
-    stabilizer of 0 (`_wreath_splits`).  Each factor takes a route with no
-    pair partition if one applies (a further wreath split, then the
-    semidirect route), or is held as its own pair partition, routed on it
-    only by the split's build (`_factor_route`); either gives its rank.  By
-    the Krasner-Kaloujnine embedding the rank of the action is at least
-    rank(H) + rank(K) - 1, and a bound equal to that proves the orbitals
-    those of H wr K.  First the bounds are the orbit counts of subgroups of
-    the stabilizer of 0, generated by Schreier generators (`_rank_bounds`),
-    and only the first proper block is tried; no pair partition of the
-    action is computed.  Once those bounds prove nothing, the action's pair
-    partition, computed anyway for the orbital route, gives up to
-    _BLOCK_CANDIDATES points x from the smallest orbits of its row 0 and
-    proves a split itself, before any factor is routed: in the rows of
-    block 0, the columns of every other block must hold a single orbit id
-    (`_block_rows_prove`), as an element that takes a point of block a to
-    0 maps every pair of blocks (a, c) onto a pair through block 0.  U
+    of H wr K, K its action on a block system and H the block stabilizer's
+    on one block (`_wreath`): its rank is at least rank(H) + rank(K) - 1
+    (Krasner-Kaloujnine), and equality proves it.  Each factor takes a
+    route with no pair partition if one applies (a wreath split, then the
+    semidirect route), or is held as its own pair partition (`_held`).
+    One rule gives the blocks, the minimal ones holding 0 and one of the
+    first _BLOCK_CANDIDATES points of the smallest orbits of G_0, the
+    stabilizer of 0, and one check runs before a block's factors are
+    built: every other block lies in one orbit (`_wreath_splits`).  First
+    a rank bound stands in for G_0 (`_rank_bounds`) and no pair partition
+    of the action is computed; a bound that reaches the rank has G_0's
+    orbits, so the check rejects no block it proves.  Otherwise the
+    action's pair partition, computed anyway for the orbital route, gives
+    G_0's orbits, and the check on the rows of block 0 proves a split.  U
     composes the factors' bases with `_compose`, the rule haar_matrix and
     wreath_matrix fold over their trees.
 
@@ -816,6 +797,6 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
         transform = UnitaryTransform._from_trusted(
             vectors, action.name, tuple(f"klt={k}" for k in range(action.degree)))
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)
-    images, m = [g.as_array() for g in action.generators], action.degree
-    found = _semidirect(images, m) or _factor_route(images, m, action.name)[1]()
-    return _synthesized(action.name, found)
+    images, m, name = [g.as_array() for g in action.generators], action.degree, action.name
+    found = _semidirect(images, m) or (_wreath(images, m, name) or _held(images, m, name))[1]()
+    return _synthesized(name, found)

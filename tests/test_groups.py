@@ -25,9 +25,11 @@ from matched_transforms import (
     transforms,
 )
 
+from matched_transforms import groups
 from matched_transforms.groups import (
     _BLOCK_CANDIDATES,
     _affine_coordinates,
+    _blocks_hold_one_label,
     _by_generator,
     _character_orbits,
     _hook_and_compress,
@@ -685,18 +687,19 @@ class TestAffineCoordinates:
 
 def proved_split(action):
     """The split the wreath route should prove on the action's pair
-    partition: the first that `_wreath_splits` yields whose factors' own
-    pair orbits give rank(H) + rank(K) - 1 = orbit_count, with those
-    partitions, or None."""
+    partition: the first that `_wreath_splits` yields, with its factors'
+    own pair partitions, or None.  Every split it yields passed the block
+    check, so its factors' own pair orbits must give rank(H) + rank(K) - 1
+    = orbit_count, and proves() must say so."""
     orbits = pair_orbits(action)
-    for points, k_images, h_images, counts in _wreath_splits(
+    for points, k_images, h_images, proves in _wreath_splits(
             images_of(action), action.degree, orbits):
-        assert counts is None  # the route proves a split on the partition itself
         k_orbits, h_orbits = (pair_orbits(from_generators([Permutation(x) for x in images],
                                                           "factor"))
                               for images in (k_images, h_images))
-        if k_orbits.orbit_count + h_orbits.orbit_count - 1 == orbits.orbit_count:
-            return points, k_images, k_orbits, h_images, h_orbits
+        rank = k_orbits.orbit_count + h_orbits.orbit_count - 1
+        assert rank == orbits.orbit_count and proves(rank)
+        return points, k_images, k_orbits, h_images, h_orbits
     return None
 
 
@@ -733,7 +736,7 @@ class TestPartitionSplits:
     ])
     def test_block_system_that_passes(self, spec, width):
         # hybrid:4,3 and wreath:2s,4c have blocks of 2 inside their blocks
-        # of 4, which fail the rank count
+        # of 4, which fail the block check and are never split
         assert proved_split(parse_group_spec(spec))[0].shape[1] == width
 
     @pytest.mark.parametrize("action", [
@@ -814,25 +817,49 @@ class TestWreathSplits:
         assert all(c >= rank for c in counts) and counts == sorted(counts, reverse=True)
         assert counts[-1] == rank
 
+    def test_bounds_outlive_later_batches(self):
+        # the union-find writes into its labels, so each bound is a copy:
+        # one kept while later batches are read keeps its own orbits
+        action = relabel(parse_group_spec("hybrid:16,16"), 1)
+        m, images = action.degree, images_of(action)
+        entries = _moved_entries(images, m)
+        tree = _schreier_forest(images, m, entries)
+
+        def counts(bounds):
+            return [int(np.count_nonzero(b == np.arange(m))) for b in bounds]
+
+        assert counts(list(_rank_bounds(images, m, entries, tree))) == counts(
+            _rank_bounds(images, m, entries, tree)) == [225, 209, 17, 17, 17, 17, 17]
+
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):
-        # with no pair partition, the first proper minimal block; with it,
-        # every distinct one of up to _BLOCK_CANDIDATES points
+        # one rule on both paths: the distinct proper minimal blocks of up
+        # to _BLOCK_CANDIDATES points of the smallest orbits of G_0 (row 0
+        # of the partition) or of the first rank bound, each split only when
+        # it passes the check; on the partition the check proves the rank,
+        # and on bounds read to their end (G_0's orbits here, as M <= 64)
+        # it puts every other block inside one orbit of G_0
         m = action.degree
+        images = images_of(action)
         elements = [p.as_array() for p in closure_set(action)]
-        transitive = {int(g[0]) for g in elements} == set(range(m))
-        blocks = [reference_blocks(elements, m, x) for x in range(1, m)]
-        imprimitive = any(2 * np.count_nonzero(l == 0) <= m for l in blocks)
+        if {int(g[0]) for g in elements} != set(range(m)):
+            assert list(_wreath_splits(images, m)) == []
+            assert list(_wreath_splits(images, m, pair_orbits(action))) == []
+            return
+        g0 = g0_orbits(elements)
+        rank = closure_rank(elements, m)
+        entries = _moved_entries(images, m)
+        first = next(_rank_bounds(images, m, entries, _schreier_forest(images, m, entries)))
         for orbits in (None, pair_orbits(action)):
-            splits = list(_wreath_splits(images_of(action), m, orbits))
-            # a split exactly when the action is transitive and imprimitive
-            assert bool(splits) == (transitive and imprimitive)
-            assert len(splits) <= (1 if orbits is None else _BLOCK_CANDIDATES)
-            assert len({s[0][0].tobytes() for s in splits}) == len(splits)
-            for points, k_images, h_images, counts in splits:
-                # rank bounds with no partition; with it, the caller proves
-                # the split on the partition and no count is given
-                assert (counts is None) == (orbits is not None)
+            splits = list(_wreath_splits(images, m, orbits))
+            candidates = candidate_systems(first if orbits is None else g0, elements, m)
+            if orbits is None:
+                expected = [l for l in candidates if one_orbit_per_block(g0, l)]
+            else:
+                expected = [l for l in candidates if sum(factor_ranks(elements, l)) - 1 == rank]
+            assert [block_labels(s[0]).tobytes() for s in splits] == [
+                l.tobytes() for l in expected]
+            for points, k_images, h_images, proves in splits:
                 b, w = points.shape
                 assert 1 < w < m and points[0, 0] == 0
                 assert np.array_equal(np.sort(points.ravel()), np.arange(m))
@@ -847,6 +874,89 @@ class TestWreathSplits:
                 on_block0 = {local[g[points[0]]].tobytes() for g in elements
                              if block_of[g[0]] == 0}
                 assert closure_of(h_images) == on_block0
+                # proves() accepts the split's rank exactly when it is the
+                # enumerated group's
+                split_rank = sum(factor_ranks(elements, block_labels(points))) - 1
+                assert proves(split_rank) == (split_rank == rank)
+
+    @pytest.mark.parametrize("action", [
+        relabel(parse_group_spec("hybrid:8,8"), 1),
+        relabel(parse_group_spec("wreath:4s,4c,4c"), 2),
+        parse_group_spec("product:(hybrid:8,8,cyclic:4)"),
+        parse_group_spec("product:(wreath:4s,4c,cyclic:3)"),
+        parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
+        parse_group_spec("hybrid:64,4"),
+    ], ids=lambda a: a.name)
+    def test_only_checked_blocks_are_split(self, action, monkeypatch):
+        # synthesis builds a block's factors only after it passes the check
+        passed, failed, split = set(), [], []
+        check, build = groups._blocks_hold_one_label, groups._split
+
+        def checked(rows, labels):
+            ok = check(rows, labels)
+            if ok:
+                passed.add(labels.tobytes())
+            else:
+                failed.append(labels)
+            return ok
+
+        def built(images, entries, by_gen, labels):
+            split.append(labels.tobytes())
+            return build(images, entries, by_gen, labels)
+
+        monkeypatch.setattr(groups, "_blocks_hold_one_label", checked)
+        monkeypatch.setattr(groups, "_split", built)
+        transforms.synthesize_matched(action, 3)
+        assert failed and set(split) <= passed
+
+
+def g0_orbits(elements) -> np.ndarray:
+    """Each point's smallest image under G_0, the stabilizer of point 0:
+    its G_0 orbit, named by the orbit's smallest point."""
+    return np.min([g for g in elements if g[0] == 0], axis=0)
+
+
+def one_orbit_per_block(orbit, labels) -> bool:
+    """Whether every block but block 0 lies inside one orbit."""
+    return all(len({orbit[p] for p in np.flatnonzero(labels == r)}) == 1
+               for r in set(labels.tolist()) - {0})
+
+
+def candidate_systems(orbit, elements, m: int) -> list:
+    """The distinct proper block systems of the first _BLOCK_CANDIDATES
+    points of the smallest orbits (ties by smallest point, 0's skipped),
+    in the order tried; none when every orbit is a single point."""
+    _, reps, sizes = np.unique(orbit, return_index=True, return_counts=True)
+    if reps.size == m:
+        return []
+    systems = {}
+    for x in reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES].tolist():
+        labels = reference_blocks(elements, m, x)
+        if 2 * np.count_nonzero(labels == 0) <= m:
+            systems.setdefault(labels.tobytes(), labels)
+    return list(systems.values())
+
+
+def block_labels(points) -> np.ndarray:
+    """Each point labelled by its block's smallest point."""
+    labels = np.empty(points.size, dtype=np.int64)
+    labels[points] = points.min(axis=1)[:, None]
+    return labels
+
+
+def factor_ranks(elements, labels) -> tuple:
+    """(rank(H), rank(K)) from the enumerated group: H the elements that
+    map block 0 onto itself, on block 0, and K every element's action on
+    the blocks; labels names each point's block by its smallest point."""
+    m = labels.size
+    reps = np.flatnonzero(labels == np.arange(m))
+    points = np.array([np.flatnonzero(labels == r) for r in reps])
+    b, w = points.shape
+    block_of = np.searchsorted(reps, labels)
+    local = np.empty(m, dtype=np.int64)
+    local[points] = np.arange(w)
+    return (closure_rank([local[g[points[0]]] for g in elements if labels[g[0]] == 0], w),
+            closure_rank([block_of[g[reps]] for g in elements], b))
 
 
 def closure_rank(rows, n: int) -> int:
@@ -880,20 +990,33 @@ class TestBlockRowsProof:
         systems = {l.tobytes(): l for l in (reference_blocks(elements, m, x)
                                             for x in range(1, m))}
         for labels in systems.values():
-            reps = np.flatnonzero(labels == np.arange(m))
-            points = np.array([np.flatnonzero(labels == r) for r in reps])
-            b, w = points.shape
-            if w == m:
+            if np.all(labels == 0):
                 continue
-            block_of = np.searchsorted(reps, labels)
-            local = np.empty(m, dtype=np.int64)
-            local[points] = np.arange(w)
-            # H: the elements that map block 0 onto itself, on block 0;
-            # K: every element's action on the blocks
-            h_rank = closure_rank([local[g[points[0]]] for g in elements
-                                   if labels[g[0]] == 0], w)
-            k_rank = closure_rank([block_of[g[reps]] for g in elements], b)
-            assert transforms._block_rows_prove(ids, points) == (h_rank + k_rank - 1 == rank)
+            h_rank, k_rank = factor_ranks(elements, labels)
+            assert _blocks_hold_one_label(ids[labels == 0], labels) == (
+                h_rank + k_rank - 1 == rank)
+
+    @pytest.mark.parametrize("action", [
+        a if seed is None else relabel(a, seed)
+        for a in SPLIT_ACTIONS + [parse_group_spec("product:(hybrid:4,3,cyclic:3)")]
+        for seed in (None, 1, 2)
+    ], ids=lambda a: a.name)
+    def test_a_proved_split_has_every_other_block_in_one_orbit_of_g0(self, action):
+        # why the check may run on a rank bound before any factor is built:
+        # on every block system with rank(H) + rank(K) - 1 = rank(G), every
+        # other block lies inside one orbit of G_0; all from the enumerated
+        # group, no route
+        m = action.degree
+        elements = [p.as_array() for p in closure_set(action)]
+        if {int(g[0]) for g in elements} != set(range(m)):
+            return
+        rank, g0 = closure_rank(elements, m), g0_orbits(elements)
+        systems = {l.tobytes(): l for l in (reference_blocks(elements, m, x)
+                                            for x in range(1, m))}
+        for labels in systems.values():
+            if not np.all(labels == 0) and sum(factor_ranks(elements, labels)) - 1 == rank:
+                assert one_orbit_per_block(g0, labels)
+                assert _blocks_hold_one_label(g0[None], labels)
 
 
 class TestReynolds:

@@ -96,6 +96,31 @@ def test_every_private_helper_has_a_caller():
     assert not unused, unused
 
 
+def test_every_module_level_import_is_used():
+    # a name a module imports at its top level is read in that module
+    # (as a name or as x.attr's x), or, in __init__.py, listed in __all__;
+    # `from __future__` imports are directives, not names
+    package = os.path.dirname(matched_transforms.__file__)
+    unused = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        imported = set()
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                imported |= {(a.asname or a.name).split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported |= {a.asname or a.name for a in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        if name == "__init__.py":
+            read |= set(matched_transforms.__all__)
+        unused += [f"{name}:{ident}" for ident in sorted(imported - read)]
+    assert not unused, unused
+
+
 def _public_callables():
     """(qualified name, function, leading parameters to skip) for every
     function in __all__ and every public method of a class in __all__."""

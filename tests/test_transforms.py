@@ -951,12 +951,15 @@ class TestWreathRoute:
             "wreath:2s,4c", "wreath:3c,2s,3c", "hybrid:4,3")])
     ] + [
         (parse_group_spec("wreath:4c,4c,4c,4c"), False),
+        # this numbering's first block, {0, 2} inside a Z_4 leaf group,
+        # fails the check; the next candidate passes and is proved
+        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), False),
     ] + [
         # an S_k factor with k >= 4 has neither route without a pair
         # partition: it is held as its own pair partition, of the factor's
         # degree, and takes the orbital route
         (parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed), True)
-        for spec, seeds in (("wreath:4s,4c,4c", (None, 1)), ("hybrid:3,4", (None, 1, 2)),
+        for spec, seeds in (("wreath:4s,4c,4c", (None, 1, 2)), ("hybrid:3,4", (None, 1, 2)),
                             ("hybrid:8,8", (None,)), ("wreath:5s,2c", (None, 1, 2)),
                             ("hybrid:16,16", (None, 1)))
         for seed in seeds
@@ -974,15 +977,9 @@ class TestWreathRoute:
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
     @pytest.mark.parametrize("action, held", [
-        # this numbering's first block is {0, 2} inside a Z_4 leaf group,
-        # whose split fails the rank bound; the partition's next candidate
-        # proves a split with every factor exact
-        (relabel(parse_group_spec("wreath:4c,4c,4c,4c"), 1), False),
-    ] + [
         # the other numberings of the S_k actions above
         (relabel(parse_group_spec(spec), seed), True) for spec, seed in (
-            ("wreath:4s,4c,4c", 2), ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2),
-            ("hybrid:16,16", 3))
+            ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2), ("hybrid:16,16", 3))
     ], ids=lambda v: getattr(v, "name", str(v)))
     def test_partition_candidates(self, action, held, monkeypatch):
         # no split passes the Schreier bounds, so the action's pair
@@ -1001,15 +998,16 @@ class TestWreathRoute:
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
     @pytest.mark.parametrize("spec, numbering, degrees", [
-        ("hybrid:8,8", 1, [32, 64, 8]),
-        ("wreath:4s,4c,4c", 2, [4, 64, 4]),
+        ("hybrid:8,8", 1, [64, 8]),
+        ("wreath:4s,4c,4c", 2, [4]),
     ])
     def test_partition_routes_only_the_proved_split(self, spec, numbering, degrees,
                                                     monkeypatch):
-        # the Schreier bounds do not prove the first block's split, whose
-        # held factor is partitioned once; the action's partition rejects
-        # that block without routing its factors again, and the basis is
-        # the composition of the split it proves
+        # no block that fails the check has a factor routed or partitioned:
+        # hybrid:8,8's split is proved on the action's partition, then its
+        # held S_8 factor is partitioned; wreath:4s,4c,4c's is proved by
+        # the Schreier bounds, and only its held S_4 factor is partitioned.
+        # Either basis is the composition of the split the partition proves
         action = relabel(parse_group_spec(spec), numbering)
         images, m = images_of(action), action.degree
         calls, _ = spy_partitions_and_solves(monkeypatch)
@@ -1023,22 +1021,51 @@ class TestWreathRoute:
             tuple(sorted(sizes.tolist())), certificate)
 
     @pytest.mark.parametrize("spec, degrees", [
-        ("product:(hybrid:8,8,cyclic:4)", [8, 256]),
-        ("product:(wreath:4s,4c,cyclic:3)", [4, 48]),
+        ("product:(hybrid:8,8,cyclic:4)", [256]),
+        ("product:(wreath:4s,4c,cyclic:3)", [48]),
         ("product:(hybrid:4,3,cyclic:3)", [36]),
     ])
     def test_partition_routes_no_failed_split(self, spec, degrees, monkeypatch):
-        # a split the partition does not prove has no factor routed, so no
-        # held factor of it is partitioned
+        # a block that fails the check, on the Schreier bounds or on the
+        # partition, has no factor routed, so no held factor of it is
+        # partitioned
         calls, _ = spy_partitions_and_solves(monkeypatch)
         synthesize_matched(parse_group_spec(spec), seed=3)
         assert calls == degrees
 
-    def test_failed_splits_solve_nothing(self, monkeypatch):
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_relabelled_iterated_wreath_reads_no_pair_partition(self, seed, monkeypatch):
+        # the check passes over the blocks inside a Z_4 leaf group at degree
+        # 4096, so no pair partition is computed under any of these numberings
+        action = relabel(parse_group_spec("wreath:4c,4c,4c,4c,4c,4c"), seed)
+        calls, _ = spy_partitions_and_solves(monkeypatch)
+        basis = synthesize_matched(action, seed=3)
+        assert calls == [] and basis.certificate is None
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"), johnson_action(12),
+    ], ids=lambda a: a.name)
+    def test_semidirect_runs_once_per_action(self, action, monkeypatch):
+        # the route chain tries each route once at the action's own degree
+        degrees, semidirect = [], transforms._semidirect
+
+        def spied(images, m):
+            degrees.append(m)
+            return semidirect(images, m)
+
+        monkeypatch.setattr(transforms, "_semidirect", spied)
+        synthesize_matched(action, seed=3)
+        assert degrees.count(action.degree) == 1
+
+    @pytest.mark.parametrize("numbering", [None, 1, 2])
+    def test_failed_splits_solve_nothing(self, numbering, monkeypatch):
         # no block system of this product passes; the factors of the
         # failed splits are neither routed nor partitioned, and the whole
-        # action takes the orbital route on its own partition
+        # action takes the orbital route on its own partition, under any
+        # numbering
         action = parse_group_spec("product:(dyadic-wreath:6,cyclic:16)")
+        if numbering is not None:
+            action = relabel(action, numbering)
         calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == solved == [action.degree] and basis.certificate is not None
