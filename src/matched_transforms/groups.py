@@ -9,8 +9,9 @@ a covariance onto the invariant algebra never enumerates group elements.
 Matched-basis synthesis also reads structure off an action here: the
 coordinates of an affine action A x| H, proved by exact integer checks,
 and the two factors of an imprimitive one for a minimal block system,
-with bounds on its rank from Schreier generators of the stabilizer of
-point 0, against which the caller proves the wreath rule.
+with bounds on its rank against which the caller proves the wreath rule:
+the orbits of the Schreier generators of a point stabilizer, the same join
+of one Schreier reader per action that gives the pair partition.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import itertools
 import operator
 import os
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -29,14 +31,6 @@ MAX_DEGREE = 4096  # dense-matrix scale ceiling for the whole toolkit
 # product specs nest at most this deep: each level with non-trivial factors
 # at least doubles the degree, so 12 levels already reach MAX_DEGREE
 MAX_SPEC_DEPTH = 32
-
-
-def _pick_dtype(degree: int):
-    if degree <= 256:
-        return np.uint8
-    if degree <= 65536:
-        return np.uint16
-    return np.int64
 
 
 class Permutation:
@@ -444,18 +438,17 @@ def _moved_entries(images: list, m: int) -> tuple:
     return src, gen, dst, np.searchsorted(src, np.arange(m + 1))
 
 
-def _schreier_forest(images: list, m: int, entries=None) -> tuple:
-    """Breadth-first Schreier trees of an action, one per point orbit.
+def _schreier_forest(entries: tuple, m: int) -> tuple:
+    """Breadth-first Schreier trees of an action on m points, one per orbit.
 
-    images are the generators' image arrays.  Each orbit's tree is grown
-    from its smallest point, orbits in order of that point, along the
-    generators that move each point (`_moved_entries`, or entries when
-    given).  Returns (order, parent, via) as lists: order holds the points
-    in the order they were reached, each root first in its orbit; the tree
-    edge into j is generator via[j] applied to parent[j] (both -1 at a
-    root).
+    Each orbit's tree is grown from its smallest point, orbits in order of
+    that point, along the generators that move each point (entries, the
+    action's `_moved_entries`).  Returns (order, parent, via) as lists:
+    order holds the points in the order they were reached, each root first
+    in its orbit; the tree edge into j is generator via[j] applied to
+    parent[j] (both -1 at a root).
     """
-    _, gen, dst, first = _moved_entries(images, m) if entries is None else entries
+    _, gen, dst, first = entries
     gen, dst, first = gen.tolist(), dst.tolist(), first.tolist()
     via, parent, queue = [-2] * m, [-1] * m, []
     for b in range(m):
@@ -475,121 +468,146 @@ def _schreier_forest(images: list, m: int, entries=None) -> tuple:
     return queue, parent, via
 
 
-def _schreier_inverses(images: list, m: int) -> tuple:
-    """Point orbits and breadth-first Schreier trees of an action.
+class _SchreierReader:
+    """An action's Schreier data, from its generators' image arrays on m
+    points, each part built once: the moved entries (`_moved_entries`), the
+    breadth-first forest (`_schreier_forest`), and on first use the entries
+    by generator (`by_gen`, for `_image`), the minimal blocks grown from 0
+    (`blocks`, by point) and an (m, m) int32 table of pair labels: (i, j) is
+    labelled a*m + t_i^-1(j), a numbering i's point orbit (bases[a] its root
+    b) and t_i the generators' product along the tree path from b to i.  The
+    labels of (i, j) and (g i, g j) are x and s(x) for the Schreier
+    generator s = t_{g(i)}^-1 g t_i of the stabilizer G_b: joined over some
+    tree rows i (`join`) they give the orbits of a subgroup of G_b
+    (`_rank_bounds`), and over every row G_b's, so the pair orbits
+    (`_pair_partition`; Schreier's lemma, Seress 2003, section 4.1)."""
 
-    images are the non-identity generators' image arrays.  Point orbits are
-    numbered in order of their smallest point b, and each orbit's tree is
-    `_schreier_forest`'s.  t_i is the product of generators along the tree
-    path from b to i, so t_i(b) = i, and its inverse is filled row by row
-    from its parent's through t_{g(i)}^-1 g = t_i^-1, a scatter that never
-    forms g^-1.  Returns (tinv, orbit, bases, via): tinv[i] = t_i^-1 as an
-    (m, m) int32 array, orbit[i] the number of i's point orbit, bases[a]
-    its smallest point, and via[i] the generator of i's tree edge (-1 at a
-    base).
-    """
-    points = np.arange(m)
-    queue, parent, via = _schreier_forest(images, m)
-    orbit, bases = [0] * m, []
-    tinv = np.empty((m, m), dtype=np.int32)
-    for j in queue:
-        if via[j] < 0:
-            orbit[j] = len(bases)
-            bases.append(j)
-            tinv[j] = points
+    def __init__(self, images: list, m: int):
+        self.images, self.m, self.blocks, self.table = images, m, {}, None
+        self.entries = _moved_entries(images, m)
+        self.tree = _schreier_forest(self.entries, m)
+
+    @cached_property
+    def by_gen(self) -> tuple:
+        """The entries sorted by generator: the keys g*m + p and images g(p)."""
+        src, gen, dst, _ = self.entries
+        keys = gen * self.m + src
+        order = np.argsort(keys, kind="stable")
+        return keys[order], dst[order]
+
+    def inverses(self, count: int) -> np.ndarray:
+        """The table, its rows t_i^-1 filled for the first count points in
+        breadth-first order, each from its parent's through
+        t_{g(i)}^-1 g = t_i^-1, a scatter that never forms g^-1.  The rows sit
+        in that order (ordered) until every point is asked for, so a partial
+        fill touches only the first of the huge pages numpy maps the table
+        in; then row i is point i's, as `_pair_partition` takes it."""
+        m, (queue, parent, via) = self.m, self.tree
+        if self.table is None:
+            self.table, self.filled, self.bases = np.empty((m, m), np.int32), 0, []
+            self.ordered = count < m
+        t = self.table
+        if count == m and self.ordered:
+            t[queue[: self.filled]] = t[: self.filled].copy()
+            self.ordered = False
+        todo = queue[self.filled : count]
+        up, rows = parent, todo  # the rows of each point's parent and of todo's points
+        if self.ordered:
+            rows = range(self.filled, count)
+            up = dict(zip(todo, self.position[[parent[j] for j in todo]].tolist()))
+        for i, j in zip(rows, todo):
+            if via[j] < 0:
+                t[i] = np.arange(len(self.bases) * m, (len(self.bases) + 1) * m)
+                self.bases.append(j)
+            else:
+                t[i, self.images[via[j]]] = t[up[j]]
+        self.filled = max(self.filled, count)
+        return t
+
+    def join(self, rows=None):
+        """Yield (u, v) label arrays, a chunk at a time, that hold the labels
+        of (i, j) and (g i, g j) for every generator g that moves the pair
+        and every point i of rows (tree rows in breadth-first order, all of
+        them when None), and may hold equal labels too: by generator
+        (`_generator_pairs`) or by row, whichever are fewer, or for every row
+        in one gather when the pairs are few (on a few rows it would map the
+        full rows of the generators that fix them)."""
+        m, images, every = self.m, self.images, rows is None
+        src, gen, dst, first = self.entries
+        if every:
+            t, n = self.inverses(m), m
+        else:  # fill the table as far as the rows and their images
+            rows = np.asarray(rows)
+            reached = np.append(rows, dst[_entries_of(first, rows)[1]])
+            t, n = self.inverses(int(self.position[reached].max()) + 1), rows.size
+        at = self.position if self.ordered else np.arange(m)  # each point's row
+        if every and 0 < len(images) * m * m <= _CHUNK:
+            gs = np.stack(images)
+            v = t[gs[:, :, None], gs[:, None, :]]
+            yield np.broadcast_to(t, v.shape), v
+        elif len(images) <= n:
+            via = np.array(self.tree[2])
+            for k, g in enumerate(images):
+                yield from self._generator_pairs(g, via[g] != k, None if every else rows, at)
         else:
-            orbit[j] = orbit[parent[j]]
-            tinv[j, images[via[j]]] = tinv[parent[j]]
-    return tinv, np.array(orbit), np.array(bases), np.array(via)
+            for i in (range(m) if every else rows.tolist()):
+                u, lo, hi = t[at[i]], first[i], first[i + 1]
+                movers, moved = gen[lo:hi], dst[lo:hi]
+                fixes = np.ones(len(images), dtype=bool)
+                fixes[movers] = False
+                keep = fixes[gen]
+                yield u[src[keep]], u[dst[keep]]
+                for g, gi in zip(movers.tolist(), moved.tolist()):
+                    yield u, t[at[gi]][images[g]]
+
+    @cached_property
+    def position(self) -> np.ndarray:
+        """Each point's place in the forest's breadth-first order."""
+        position = np.empty(self.m, dtype=np.int64)
+        position[self.tree[0]] = np.arange(self.m)
+        return position
+
+    def _generator_pairs(self, g: np.ndarray, untree: np.ndarray, rows, at: np.ndarray):
+        """`join`'s pairs for generator g, in chunks: untree marks the rows i
+        whose tree edge is not g from i (one that is keeps its pairs' labels);
+        rows is None for every row, and at[i] is point i's row."""
+        m, t = self.m, self.table
+        moved = g != np.arange(m)
+        # moved rows x all columns
+        live = moved & untree
+        live = np.flatnonzero(live) if rows is None else rows[live[rows]]
+        step = max(1, _CHUNK // m)
+        for lo in range(0, live.size, step):
+            rr = live[lo : lo + step]
+            u, v = t[at[rr]], np.take(t[at[g[rr]]], g, axis=1)
+            join = u != v
+            if join.any():
+                yield u[join], v[join]
+        # fixed rows x the moved columns, read in slabs of rows with the
+        # moved rows made equal; g permutes the moved columns, so v is a
+        # column permutation of u
+        support = np.flatnonzero(moved)
+        if support.size in (0, m):
+            return
+        shift = np.searchsorted(support, g[support])
+        step = max(1, _CHUNK // support.size)
+        for lo in range(0, m if rows is None else rows.size, step):
+            rr = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
+            u = np.take(t[rr] if rows is None else t[at[rr]], support, axis=1)
+            v = u[:, shift]
+            v[moved[rr]] = u[moved[rr]]
+            yield u, v
 
 
-def _moved_pair_labels(tinv: np.ndarray, images: list, via: np.ndarray, offset):
-    """Yield (u, v) label arrays, a chunk at a time, that hold the labels of
-    p and g.p for every generator g and every pair p that g moves (and may
-    hold equal pairs too).
-
-    tinv and via are `_schreier_inverses`' table and tree edges; a row i
-    whose tree edge is g from i keeps its pairs' labels under g.  offset is
-    a*M per row, or None for a transitive action.  When the generators map
-    few pairs in all, every pair of every generator is mapped in one
-    gather; otherwise each generator's moved pairs are read on their own.
-    """
-    m = tinv.shape[0]
-    if not images:
-        return
-    if len(images) * m * m <= _CHUNK:
-        gs = np.stack(images)
-        v = tinv[gs[:, :, None], gs[:, None, :]]
-        u = tinv
-        if offset is not None:
-            u, v = u + offset, v + offset
-        yield np.broadcast_to(u, v.shape), v
-        return
-    for k, g in enumerate(images):
-        yield from _generator_pair_labels(tinv, g, via[g] == k, offset)
-
-
-def _generator_pair_labels(tinv: np.ndarray, g: np.ndarray, tree: np.ndarray, offset):
-    """`_moved_pair_labels` for one generator g, in chunks: tree marks the
-    rows i whose tree edge is g from i."""
-    m = g.size
-    points = np.arange(m)
-    moved = g != points
-    # moved rows x all columns
-    rows = np.flatnonzero(moved & ~tree)
-    step = max(1, _CHUNK // m)
-    for at in range(0, rows.size, step):
-        rr = rows[at : at + step]
-        u, v = tinv[rr], np.take(tinv[g[rr]], g, axis=1)
-        if offset is not None:
-            u += offset[rr]
-            v += offset[rr]
-        join = u != v
-        if join.any():
-            yield u[join], v[join]
-    # fixed rows x the moved columns, read in slabs of all rows with the
-    # moved rows made equal; g permutes the moved columns, so v is a column
-    # permutation of u
-    support = np.flatnonzero(moved)
-    if support.size == m:
-        return
-    shift = np.searchsorted(support, g[support])
-    step = max(1, _CHUNK // support.size)
-    for at in range(0, m, step):
-        rr = slice(at, at + step)
-        u = np.take(tinv[rr], support, axis=1)
-        if offset is not None:
-            u += offset[rr]
-        v = u[:, shift]
-        v[moved[rr]] = u[moved[rr]]
-        yield u, v
-
-
-def pair_orbits(action: GroupAction) -> PairOrbitPartition:
-    """Partition ordered index pairs into orbits of the diagonal action.
-
-    Take a Schreier tree for every point orbit (`_schreier_inverses`), with
-    t_i(b) = i for the orbit's smallest point b.  t_i^-1 maps the pair
-    (i, j) to (b, t_i^-1(j)) in the same orbit, so (i, j) gets the label
-    a*M + t_i^-1(j), where a numbers i's point orbit: at most (point
-    orbits) * M labels, never M^2.  For every generator g and every pair p
-    that g moves, the labels of p and g.p are joined by a numpy union-find
-    (`_hook_and_compress`), a chunk of pairs at a time
-    (`_moved_pair_labels`); a tree edge's pairs keep their labels and are
-    skipped.  On a regular action (cyclic, boolean) no label merges.  A
-    class's labels are a*M + x over the pairs (b, x) it holds in row b, the
-    orbit's first row, so its smallest label names its first pair in a
-    row-major scan.  The rank of each class's smallest label is therefore
-    its canonical label, and that first pair, transposed, gives o^T.
-    """
-    m = action.degree
-    images = [g.as_array() for g in action.generators if not g.is_identity()]
-    tinv, orbit, bases, via = _schreier_inverses(images, m)
-    # int32 suffices: labels < M^2 <= MAX_DEGREE^2 < 2^31
-    offset = (orbit * m).astype(np.int32)[:, None] if bases.size > 1 else None
-    labels = np.arange(bases.size * m, dtype=np.int32)
+def _pair_partition(reader: _SchreierReader) -> PairOrbitPartition:
+    """The pair orbits of reader's action: its labels joined over every tree
+    row, then its table relabelled in place by the rank of each class's
+    smallest label a*M + x, which names the class's first pair (b, x) in a
+    row-major scan (b its orbit's first row); that pair transposed gives o^T."""
+    m = reader.m  # a label per point of each tree root's row
+    labels = np.arange(reader.tree[2].count(-1) * m, dtype=np.int32)
     pending, held = [], 0
-    for u, v in _moved_pair_labels(tinv, images, via, offset):
+    for u, v in reader.join():
         a, b = np.take(labels, u), np.take(labels, v)
         join = a != b
         if not join.any():
@@ -600,17 +618,28 @@ def pair_orbits(action: GroupAction) -> PairOrbitPartition:
             labels, _ = _hook_and_compress(labels.size, pending, labels)
             pending, held = [], 0
     labels, _ = _hook_and_compress(labels.size, pending, labels)
+    ids, bases, reader.table = reader.table, np.array(reader.bases), None
     is_root = labels == np.arange(labels.size, dtype=np.int32)
     rank = (np.cumsum(is_root, dtype=np.int32) - 1)[labels]
-    ids = tinv  # relabelled in place, a block of rows at a time
     step = max(1, _CHUNK // m)
-    for at in range(0, m, step):
+    for at in range(0, m, step):  # a block of rows at a time
         block = ids[at : at + step]
-        if offset is not None:
-            block += offset[at : at + step]
         block[...] = rank[block]
     roots = np.flatnonzero(is_root)
     return PairOrbitPartition(m, ids, roots.size, ids[roots % m, bases[roots // m]])
+
+
+def pair_orbits(action: GroupAction) -> PairOrbitPartition:
+    """Partition ordered index pairs into orbits of the diagonal action.
+
+    Each pair is labelled by its image in its point orbit's first row,
+    through a breadth-first Schreier tree (`_SchreierReader`): at most
+    (point orbits) * M labels, never M^2.  The labels of p and g.p are
+    joined for every generator g and pair p that g moves, a chunk at a time
+    (`_pair_partition`); on a regular action no label merges.
+    """
+    images = [g.as_array() for g in action.generators if not g.is_identity()]
+    return _pair_partition(_SchreierReader(images, action.degree))
 
 
 def _smith_form(a: list) -> tuple:
@@ -825,17 +854,9 @@ def _character_orbits(d: tuple, linear: list) -> np.ndarray:
     return _hook_and_compress(m, edges)[0]
 
 
-def _by_generator(entries: tuple, m: int) -> tuple:
-    """`_moved_entries` sorted by generator: the keys g*m + p and images g(p)."""
-    src, gen, dst, _ = entries
-    keys = gen * m + src
-    order = np.argsort(keys, kind="stable")
-    return keys[order], dst[order]
-
-
 def _image(by_gen: tuple, m: int, g: np.ndarray, points: np.ndarray) -> np.ndarray:
     """g(p) for arrays of generator numbers and points (broadcast), read
-    from `_by_generator`'s table: p itself when g does not move it."""
+    from a reader's `by_gen` table: p itself when g does not move it."""
     keys, images = by_gen
     query = g * m + points
     at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
@@ -848,24 +869,24 @@ def _distinct(x: np.ndarray) -> np.ndarray:
     return x[np.diff(x, prepend=-1) != 0]
 
 
-def _split(images: list, entries: tuple, by_gen: tuple, labels: np.ndarray) -> tuple:
-    """The wreath rule's two factors for a block system, labels[p] the
-    smallest point of p's block: blocks numbered by their smallest point
-    reps[a], and block the sorted points of block 0, which holds point 0.
+def _split(reader: _SchreierReader, labels: np.ndarray) -> tuple:
+    """The wreath rule's two factors of reader's action for a block system,
+    labels[p] the smallest point of p's block: blocks numbered by their
+    smallest point reps[a], and block the sorted points of point 0's block.
 
     A generator acts as the identity on every block that holds none of the
-    points it moves, so only the (generator, block) pairs that entries
-    (`_moved_entries`) name are read, and by_gen (`_by_generator`) gives
-    the images: K's image of block a is the block of g(reps[a]), and H's
-    Schreier generators are the rows of points[a] mapped by g and read in
-    local numbering.  A breadth-first Schreier
-    tree on the blocks names a group element t_a that takes block 0 to
-    block a; points[a, p] = t_a(block[p]).  Returns (points, K's images,
-    H's images), each list of images without repeats."""
-    m, block = labels.size, np.flatnonzero(labels == 0)
+    points it moves, so only the (generator, block) pairs that the moved
+    entries name are read, and the reader's `by_gen` gives the images: K's
+    image of block a is the block of g(reps[a]), and H's Schreier
+    generators are the rows of points[a] mapped by g and read in local
+    numbering.  A breadth-first Schreier tree on the blocks names a group
+    element t_a that takes block 0 to block a; points[a, p] = t_a(block[p]).
+    Returns (points, K's images, H's images), each list of images without
+    repeats."""
+    m, block, by_gen = labels.size, np.flatnonzero(labels == 0), reader.by_gen
     reps = np.flatnonzero(labels == np.arange(m))
     block_of, w, b = np.searchsorted(reps, labels), block.size, reps.size
-    src, gen, _, _ = entries
+    src, gen, _, _ = reader.entries
     pairs = _distinct(gen * b + block_of[src])
     gens, blocks = pairs // b, pairs % b
     targets = block_of[_image(by_gen, m, gens, reps[blocks])]
@@ -884,11 +905,11 @@ def _split(images: list, entries: tuple, by_gen: tuple, labels: np.ndarray) -> t
     k_table = np.tile(np.arange(b), (len(kept), 1))
     k_table[row[row >= 0], moved[row >= 0]] = targets[row >= 0]
     k_images, movers = list(k_table), movers[list(kept.values())]
-    queue, parent, via = _schreier_forest(k_images, b)
+    queue, parent, via = _schreier_forest(_moved_entries(k_images, b), b)
     points = np.empty((b, w), dtype=np.int64)
     points[0] = block
     for a in queue[1:]:
-        points[a] = images[movers[via[a]]][points[parent[a]]]
+        points[a] = reader.images[movers[via[a]]][points[parent[a]]]
     local = np.empty(m, dtype=np.int64)
     local[points] = np.arange(w)
     schreier = local[_image(by_gen, m, gens[:, None], points[blocks])]
@@ -900,54 +921,21 @@ def _split(images: list, entries: tuple, by_gen: tuple, labels: np.ndarray) -> t
 _BOUND_ROWS = 64  # Schreier tree rows `_rank_bounds` reads at most
 
 
-def _transversal_inverse(images: list, parent: list, via: list, memo: dict, j: int) -> np.ndarray:
-    """t_j^-1 as an image array, t_j the product of generators along the
-    Schreier tree's path from its root to j: t_j = g t_parent with g the
-    tree edge into j, so t_j^-1 g = t_parent^-1, filled by a scatter.
-    Rows are kept in memo, which starts with the root's identity."""
-    path = []
-    while j not in memo:
-        path.append(j)
-        j = parent[j]
-    row = memo[j]
-    for j in reversed(path):
-        inverse = np.empty_like(row)
-        inverse[images[via[j]]] = row
-        memo[j] = row = inverse
-    return row
-
-
-def _rank_bounds(images: list, m: int, entries: tuple, tree: tuple):
-    """Yield upper bounds on the rank of a transitive action, as labels of
-    point orbits (each point labelled by its orbit's smallest point).
-
-    The rank is the number of orbits of G_0, the stabilizer of point 0.
-    Its Schreier generators t_g(i)^-1 g t_i (tree is `_schreier_forest`'s,
-    rooted at 0) are read for the tree's rows i in breadth-first order, in
-    batches of 1, 1, 2, 4, ... rows up to _BOUND_ROWS, and their edges
-    (x, s(x)) joined in place by a union-find; each batch yields a copy,
-    kept by `_wreath_splits` while it reads on.  The group S they generate
-    lies in G_0, so it has at least as many orbits, and G_0's once as many,
-    as when every row is read (Schreier's lemma): a bound that proves a
-    split passes the block check.  For a generator that fixes i the edges
-    are those of the points it moves."""
-    src, gen, dst, first = entries
-    queue, parent, via = tree
-    memo = {0: np.arange(m)}
+def _rank_bounds(reader: _SchreierReader):
+    """Yield upper bounds on the rank of reader's transitive action, as
+    labels of point orbits (each its smallest point): the orbits of the
+    Schreier generators of G_0, the stabilizer of point 0, that the join
+    reads from tree rows in breadth-first order, in batches of 1, 1, 2, 4,
+    ... rows up to _BOUND_ROWS, each joined by one union-find and yielded
+    as a copy.  They generate a
+    subgroup of G_0, so a bound that proves a split has G_0's orbits and
+    passes the block check."""
+    m, queue = reader.m, reader.tree[0]
     labels = np.arange(m, dtype=np.int32)
     done, size = 0, 1
     while done < min(m, _BOUND_ROWS):
-        edges = []
-        for i in queue[done:size]:
-            ti = _transversal_inverse(images, parent, via, memo, i)
-            fixes = np.ones(len(images), dtype=bool)
-            fixes[gen[first[i] : first[i + 1]]] = False
-            keep = fixes[gen]
-            edges.append((ti[src[keep]], ti[dst[keep]]))
-            for g, gi in zip(gen[first[i] : first[i + 1]].tolist(),
-                             dst[first[i] : first[i + 1]].tolist()):
-                edges.append((ti, _transversal_inverse(images, parent, via, memo, gi)[images[g]]))
-        labels, _ = _hook_and_compress(m, edges, labels)
+        pairs = [(u.ravel(), v.ravel()) for u, v in reader.join(queue[done:size])]
+        labels, _ = _hook_and_compress(m, pairs, labels)
         done, size = size, 2 * size
         yield labels.copy()
 
@@ -961,18 +949,18 @@ def _entries_of(first: np.ndarray, pts: np.ndarray) -> tuple:
     return owner, np.repeat(first[pts] - starts, counts) + np.arange(owner.size)
 
 
-def _minimal_block(entries: tuple, by_gen: tuple, m: int, x: int):
-    """Atkinson's algorithm: the finest block system in which points 0 and
-    x share a block, as labels (each point labelled by its block's
-    smallest point), or None when that block holds more than half the
-    points, so all of them.
+def _minimal_block(reader: _SchreierReader, x: int):
+    """Atkinson's algorithm: the finest block system of reader's action in
+    which points 0 and x share a block, as labels (each point labelled by
+    its block's smallest point), or None when that block holds more than
+    half the points, so all of them.
 
     Every pair joined is mapped by every generator and the image pairs
     joined in turn, until no image pair is new.  Only the generators that
-    move p or q move the pair (p, q): the entries of p and q name them
-    (`_moved_entries`), and by_gen (`_by_generator`) gives the other
-    point's image."""
-    _, gen, dst, first = entries
+    move p or q move the pair (p, q): the moved entries of p and q name
+    them, and the reader's `by_gen` gives the other point's image."""
+    m, by_gen = reader.m, reader.by_gen
+    _, gen, dst, first = reader.entries
     labels = np.arange(m, dtype=np.int32)
     p, q = np.zeros(1, dtype=np.int64), np.full(1, x, dtype=np.int64)
     while p.size:
@@ -1007,27 +995,26 @@ def _blocks_hold_one_label(rows: np.ndarray, labels: np.ndarray) -> bool:
     return bool(np.all(rows[:, out] == rows[:1, labels[out]]))
 
 
-def _wreath_splits(images: list, m: int, orbits=None):
-    """Yield the wreath rule's two factors of a transitive action, one
-    block system at a time: (points, K's images, H's images, proves).
+def _wreath_splits(reader: _SchreierReader, orbits=None):
+    """Yield the wreath rule's two factors of reader's transitive action,
+    one block system at a time: (points, K's images, H's images, proves).
 
     x runs over the first _BLOCK_CANDIDATES points of the smallest orbits
     of G_0, the stabilizer of 0 (row 0 of the pair partition orbits), or
     with none of a rank bound (`_rank_bounds`); each distinct proper block
-    holding 0 and x (`_minimal_block`) gets `_split` once it passes
-    `_blocks_hold_one_label`, on the partition's rows of block 0 or on the
-    bound, read on while it fails (a bound that proves a split has G_0's
-    orbits, and so passes).  proves(rank) reads the bound on while its
-    orbit count exceeds rank, and tells whether they are equal.  No block
-    is tried when every orbit is a point, nor when intransitive."""
+    holding 0 and x (`_minimal_block`, kept in the reader's `blocks`) gets
+    `_split` once it passes `_blocks_hold_one_label`, on the partition's
+    rows of block 0 or on the bound, read on while it fails (a bound that
+    proves a split has G_0's orbits, and so passes).
+    proves(rank) reads the bound on while its orbit count exceeds rank,
+    and tells whether they are equal.  No block is tried when every orbit
+    is a point, nor when intransitive."""
+    m = reader.m
     if all(m % w for w in range(2, int(m**0.5) + 1)):
         return  # a block's size divides m: a prime degree has no proper block
-    entries = _moved_entries(images, m)
-    tree = _schreier_forest(images, m, entries)
-    if tree[2].count(-1) != 1:
+    if reader.tree[2].count(-1) != 1:
         return  # intransitive: the tree has a root per point orbit
-    bounds = (_rank_bounds(images, m, entries, tree) if orbits is None
-              else iter([orbits.orbit_id[0]]))
+    bounds = _rank_bounds(reader) if orbits is None else iter([orbits.orbit_id[0]])
     bound = next(bounds)
     _, reps, sizes = np.unique(bound, return_index=True, return_counts=True)
     if reps.size == m:
@@ -1040,18 +1027,19 @@ def _wreath_splits(images: list, m: int, orbits=None):
                 break
         return _distinct(bound).size == rank
 
-    by_gen = _by_generator(entries, m)
     seen = set()
     # reps[0] = 0 is its own orbit
     for x in reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES].tolist():
-        labels = _minimal_block(entries, by_gen, m, x)
+        if x not in reader.blocks:
+            reader.blocks[x] = _minimal_block(reader, x)
+        labels = reader.blocks[x]
         if labels is None or labels.tobytes() in seen:
             continue
         seen.add(labels.tobytes())
         for bound in itertools.chain([bound], bounds):
             rows = bound[None] if orbits is None else orbits.orbit_id[labels == 0]
             if _blocks_hold_one_label(rows, labels):
-                yield _split(images, entries, by_gen, labels) + (proves,)
+                yield _split(reader, labels) + (proves,)
                 break
 
 
@@ -1071,7 +1059,7 @@ def closure_enumerate(action: GroupAction, cap: int) -> ClosureResult:
     if cap < 1:
         raise InputError("cap must be >= 1")
     m = action.degree
-    dtype = _pick_dtype(m)
+    dtype = np.uint8 if m <= 256 else np.uint16  # MAX_DEGREE < 2^16
     gens = [g.as_array().astype(dtype) for g in action.generators]
     frontier = np.arange(m, dtype=dtype)[None, :]
     seen = {frontier[0].tobytes()}

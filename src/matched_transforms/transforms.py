@@ -35,16 +35,16 @@ from .errors import (
 )
 from .groups import (
     GroupAction,
-    Permutation,
+    _SchreierReader,
     _branching_name,
     _check_degree,
     _check_log2_degree,
     _affine_coordinates,
     _character_orbits,
     _normalize_branching,
+    _pair_partition,
     _wreath_splits,
     make_dihedral,
-    pair_orbits,
 )
 from .numkernel import as_matrix, herm_eig, random_psd
 from .rng import normal_rows
@@ -655,13 +655,13 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     return u, sizes, max(ratios, default=None), lambda: _cluster_labels(sizes)
 
 
-def _wreath(images: list, m: int, name: str, orbits=None):
+def _wreath(reader: _SchreierReader, name: str, orbits=None):
     """The wreath route as (rank, build), build() giving the basis, or
     None: the first block system of `_wreath_splits`' one rule, past its
     one check (which a bound that proves a split passes), whose factors'
     routes (`_factor_route`) give a rank rank(H) + rank(K) - 1 it proves.
     A held factor is routed only by build()."""
-    for points, k_images, h_images, proves in _wreath_splits(images, m, orbits):
+    for points, k_images, h_images, proves in _wreath_splits(reader, orbits):
         b, w = points.shape
         top, inner = _factor_route(k_images, b, name), _factor_route(h_images, w, name)
         rank = top[0] + inner[0] - 1
@@ -674,21 +674,22 @@ def _factor_route(images: list, m: int, name: str) -> tuple:
     """A route as (rank, build): a wreath split the Schreier bounds prove
     first, as the factors of an iterated wreath are wreaths themselves,
     then the semidirect route, then `_held`."""
-    found = _wreath(images, m, name)
+    reader = _SchreierReader(images, m)
+    found = _wreath(reader, name)
     if found is None and (basis := _semidirect(images, m)) is not None:
         found = basis[1].size, lambda: basis
-    return found or _held(images, m, name)
+    return found or _held(reader, name)
 
 
-def _held(images: list, m: int, name: str) -> tuple:
-    """The action held as its own pair partition, whose orbit count is its
-    rank: build() takes the wreath route on it, else the orbital route."""
-    action = GroupAction(name, m, tuple(Permutation._from_trusted(g) for g in images))
-    partition = pair_orbits(action)
+def _held(reader: _SchreierReader, name: str) -> tuple:
+    """The action held as its own pair partition, read on from its Schreier
+    attempt, whose orbit count is its rank: build() takes the wreath route
+    on it, else the orbital route."""
+    partition = _pair_partition(reader)
 
     def build():
-        nonlocal partition
-        found = _wreath(images, m, name, partition)
+        nonlocal partition, reader
+        found, reader = _wreath(reader, name, partition), None  # not read again
         if found is None:
             return _orbital(partition, name)
         partition = None
@@ -750,8 +751,8 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     a rank bound stands in for G_0 (`_rank_bounds`) and no pair partition
     of the action is computed; a bound that reaches the rank has G_0's
     orbits, so the check rejects no block it proves.  Otherwise the
-    action's pair partition, computed anyway for the orbital route, gives
-    G_0's orbits, and the check on the rows of block 0 proves a split.  U
+    action's pair partition, computed anyway for the orbital route on the
+    same reader, gives G_0's orbits, and the rows of block 0 prove a split.  U
     composes the factors' bases with `_compose`, the rule haar_matrix and
     wreath_matrix fold over their trees.
 
@@ -798,5 +799,10 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             vectors, action.name, tuple(f"klt={k}" for k in range(action.degree)))
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)
     images, m, name = [g.as_array() for g in action.generators], action.degree, action.name
-    found = _semidirect(images, m) or (_wreath(images, m, name) or _held(images, m, name))[1]()
+    found = _semidirect(images, m)
+    if found is None:
+        reader = _SchreierReader(images, m)
+        found = _wreath(reader, name) or _held(reader, name)
+        del reader  # a proved split's build reads none of the action's table
+        found = found[1]()
     return _synthesized(name, found)

@@ -330,6 +330,11 @@ def images_of(action) -> list:
     return [g.as_array() for g in action.generators]
 
 
+def reader_of(action):
+    """A fresh Schreier reader of the action, as synthesis builds one."""
+    return transforms._SchreierReader(images_of(action), action.degree)
+
+
 class SampledBasis(NamedTuple):
     """Whether sampled_basis's sample is real, and its sorted cluster sizes."""
 
@@ -355,5 +360,5 @@ def orbital_basis(action):
     """synthesize_matched's orbital route alone, on the action's own pair
     partition.  The partition is read through the transforms module, so a
     spy set on it there sees it."""
-    orbits = transforms.pair_orbits(action)
+    orbits = transforms._pair_partition(reader_of(action))
     return transforms._synthesized(action.name, transforms._orbital(orbits, action.name))

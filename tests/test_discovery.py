@@ -62,6 +62,25 @@ def discovered_closure(result: DiscoveryResult, degree: int) -> set:
 
 
 class TestDiscoverSequential:
+    def test_rejected_leaves_on_a_cubic_graph(self):
+        # R = 3I + A for a 3-regular graph on 8 points, drawn by stub
+        # pairing: refinement leaves cells whose individualization gives
+        # leaves that break an edge colour, and the search rejects them
+        rng = np.random.default_rng(0)
+        graphs = []
+        while len(graphs) < 2:
+            stubs = rng.permutation(np.repeat(np.arange(8), 3)).reshape(-1, 2)
+            a = np.zeros((8, 8))
+            np.add.at(a, (stubs[:, 0], stubs[:, 1]), 1)
+            a += a.T
+            if not np.any(stubs[:, 0] == stubs[:, 1]) and a.max() == 1:
+                graphs.append(a)
+        r = 3 * np.eye(8) + graphs[1]
+        result = discover_sequential(r)
+        assert result.rejected_count > 0 and result.stop_reason == "complete"
+        assert result.group_order == 4
+        assert discovered_closure(result, 8) == brute_force_matched_group(r)
+
     def test_cyclic6_matches_brute_force(self):
         r = sample_invariant_cov(make_cyclic(6), seed=1)
         result = discover_sequential(r)

@@ -30,21 +30,19 @@ from matched_transforms.groups import (
     _BLOCK_CANDIDATES,
     _affine_coordinates,
     _blocks_hold_one_label,
-    _by_generator,
     _character_orbits,
     _hook_and_compress,
     _minimal_block,
-    _moved_entries,
     _rank_bounds,
     _regular_abelian_coordinates,
-    _schreier_forest,
     _smith_form,
     _wreath_splits,
 )
 
 from helpers import (
     affine_line, catalog_actions, closure_set, compose, hamming_action, images_of,
-    is_invariant, johnson_action, permutation_matrix, random_action, relabel, traced_peak,
+    is_invariant, johnson_action, permutation_matrix, random_action, reader_of, relabel,
+    traced_peak,
 )
 
 CATALOG = catalog_actions()
@@ -684,6 +682,23 @@ class TestAffineCoordinates:
         assert found is None
         assert peak < 16 * 2**20
 
+    def test_a_generator_past_the_paired_ones_fails_the_affine_check(self, monkeypatch):
+        # the proposal reads only the first _PAIRED_GENERATORS, eight
+        # copies of cyclic:8's shift, so A = Z_8 is proved; the ninth
+        # generator, the transposition (1 2), is not affine on it
+        shift = images_of(make_cyclic(8))[0]
+        swap = parse_permutation("(1 2)", 8).as_array()
+        assert groups._PAIRED_GENERATORS == 8
+        results, linear_parts = [], groups._linear_parts
+
+        def spied(*args):
+            results.append(linear_parts(*args))
+            return results[-1]
+
+        monkeypatch.setattr(groups, "_linear_parts", spied)
+        assert _affine_coordinates([shift] * 8 + [swap], 8) is None
+        assert results and all(r is None for r in results)
+
 
 def proved_split(action):
     """The split the wreath route should prove on the action's pair
@@ -692,8 +707,7 @@ def proved_split(action):
     check, so its factors' own pair orbits must give rank(H) + rank(K) - 1
     = orbit_count, and proves() must say so."""
     orbits = pair_orbits(action)
-    for points, k_images, h_images, proves in _wreath_splits(
-            images_of(action), action.degree, orbits):
+    for points, k_images, h_images, proves in _wreath_splits(reader_of(action), orbits):
         k_orbits, h_orbits = (pair_orbits(from_generators([Permutation(x) for x in images],
                                                           "factor"))
                               for images in (k_images, h_images))
@@ -728,7 +742,7 @@ class TestPartitionSplits:
         assert (k_orbits.degree, h_orbits.degree) == (b, w)
         # the route proves a split of the same rank, its factors' ranks
         # read from their own routes
-        rank, _ = transforms._wreath(images_of(action), action.degree, action.name, orbits)
+        rank, _ = transforms._wreath(reader_of(action), action.name, orbits)
         assert rank == orbits.orbit_count
 
     @pytest.mark.parametrize("spec, width", [
@@ -747,8 +761,7 @@ class TestPartitionSplits:
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
         assert proved_split(action) is None
-        assert transforms._wreath(images_of(action), action.degree, action.name,
-                                  pair_orbits(action)) is None
+        assert transforms._wreath(reader_of(action), action.name, pair_orbits(action)) is None
 
 
 def closure_of(images, name="factor"):
@@ -789,11 +802,10 @@ class TestWreathSplits:
     def test_minimal_blocks(self, action):
         m = action.degree
         elements = [p.as_array() for p in closure_set(action)]
-        entries = _moved_entries(images_of(action), m)
-        by_gen = _by_generator(entries, m)
+        reader = reader_of(action)
         for x in range(1, m):
             expected = reference_blocks(elements, m, x)
-            labels = _minimal_block(entries, by_gen, m, x)
+            labels = _minimal_block(reader, x)
             if 2 * np.count_nonzero(expected == 0) > m:
                 assert labels is None
             else:
@@ -804,32 +816,45 @@ class TestWreathSplits:
         # each bound is at least the rank and never grows; with every row of
         # the Schreier tree read, the bound is the rank (Schreier's lemma)
         m = action.degree
-        images = images_of(action)
-        entries = _moved_entries(images, m)
-        tree = _schreier_forest(images, m, entries)
-        if tree[2].count(-1) != 1:
+        reader = reader_of(action)
+        if reader.tree[2].count(-1) != 1:
             # intransitive: no block system, and no bound is read
-            assert list(_wreath_splits(images, m)) == []
+            assert list(_wreath_splits(reader)) == []
             return
-        counts = [int(np.count_nonzero(b == np.arange(m)))
-                  for b in _rank_bounds(images, m, entries, tree)]
+        counts = [int(np.count_nonzero(b == np.arange(m))) for b in _rank_bounds(reader)]
         rank = pair_orbits(action).orbit_count
         assert all(c >= rank for c in counts) and counts == sorted(counts, reverse=True)
         assert counts[-1] == rank
+
+    @pytest.mark.parametrize("action", [
+        parse_group_spec("dyadic-wreath:7"),  # more generators than rows: read by row
+        relabel(parse_group_spec("hybrid:16,64"), 1),  # fewer: read by generator
+        relabel(parse_group_spec("hybrid:4,3"), 1),
+    ], ids=lambda a: a.name)
+    def test_joined_rows_give_the_stabilizer_orbits(self, action):
+        # every tree row, joined in batches of 64 by whichever loop the join
+        # picks, gives G_0's orbits, row 0 of the pair partition
+        m, reader = action.degree, reader_of(action)
+        labels = np.arange(m, dtype=np.int32)
+        for at in range(0, m, 64):
+            pairs = reader.join(reader.tree[0][at : at + 64])
+            labels, _ = _hook_and_compress(m, [(u.ravel(), v.ravel()) for u, v in pairs], labels)
+        row = pair_orbits(action).orbit_id[0]
+        first = {}
+        expected = [first.setdefault(int(o), x) for x, o in enumerate(row)]
+        assert labels.tolist() == expected
 
     def test_bounds_outlive_later_batches(self):
         # the union-find writes into its labels, so each bound is a copy:
         # one kept while later batches are read keeps its own orbits
         action = relabel(parse_group_spec("hybrid:16,16"), 1)
-        m, images = action.degree, images_of(action)
-        entries = _moved_entries(images, m)
-        tree = _schreier_forest(images, m, entries)
+        m = action.degree
 
         def counts(bounds):
             return [int(np.count_nonzero(b == np.arange(m))) for b in bounds]
 
-        assert counts(list(_rank_bounds(images, m, entries, tree))) == counts(
-            _rank_bounds(images, m, entries, tree)) == [225, 209, 17, 17, 17, 17, 17]
+        assert counts(list(_rank_bounds(reader_of(action)))) == counts(
+            _rank_bounds(reader_of(action))) == [225, 209, 17, 17, 17, 17, 17]
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):
@@ -840,18 +865,16 @@ class TestWreathSplits:
         # and on bounds read to their end (G_0's orbits here, as M <= 64)
         # it puts every other block inside one orbit of G_0
         m = action.degree
-        images = images_of(action)
         elements = [p.as_array() for p in closure_set(action)]
         if {int(g[0]) for g in elements} != set(range(m)):
-            assert list(_wreath_splits(images, m)) == []
-            assert list(_wreath_splits(images, m, pair_orbits(action))) == []
+            assert list(_wreath_splits(reader_of(action))) == []
+            assert list(_wreath_splits(reader_of(action), pair_orbits(action))) == []
             return
         g0 = g0_orbits(elements)
         rank = closure_rank(elements, m)
-        entries = _moved_entries(images, m)
-        first = next(_rank_bounds(images, m, entries, _schreier_forest(images, m, entries)))
+        first = next(_rank_bounds(reader_of(action)))
         for orbits in (None, pair_orbits(action)):
-            splits = list(_wreath_splits(images, m, orbits))
+            splits = list(_wreath_splits(reader_of(action), orbits))
             candidates = candidate_systems(first if orbits is None else g0, elements, m)
             if orbits is None:
                 expected = [l for l in candidates if one_orbit_per_block(g0, l)]
@@ -900,9 +923,9 @@ class TestWreathSplits:
                 failed.append(labels)
             return ok
 
-        def built(images, entries, by_gen, labels):
+        def built(reader, labels):
             split.append(labels.tobytes())
-            return build(images, entries, by_gen, labels)
+            return build(reader, labels)
 
         monkeypatch.setattr(groups, "_blocks_hold_one_label", checked)
         monkeypatch.setattr(groups, "_split", built)
@@ -983,7 +1006,7 @@ class TestBlockRowsProof:
         m = action.degree
         elements = [p.as_array() for p in closure_set(action)]
         if {int(g[0]) for g in elements} != set(range(m)):
-            assert list(_wreath_splits(images_of(action), m)) == []
+            assert list(_wreath_splits(reader_of(action))) == []
             return
         ids = closure_pair_orbit_ids(action)
         rank = int(ids.max()) + 1
@@ -1085,6 +1108,11 @@ class TestClosure:
     def test_partial_overflow_count(self):
         res = closure_enumerate(make_cyclic(10), cap=4)
         assert res.overflowed and res.count == 5
+
+    def test_count_above_degree_256(self):
+        # images above 255 are held as uint16
+        res = closure_enumerate(parse_group_spec("dihedralM:300"), cap=10**4)
+        assert not res.overflowed and res.count == 600
 
 
 class TestGroupSpecLanguage:

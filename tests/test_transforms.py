@@ -44,7 +44,7 @@ from matched_transforms import (
     wht_matrix,
     wreath_matrix,
 )
-from matched_transforms import transforms
+from matched_transforms import groups, transforms
 from matched_transforms.transforms import IntTransform, UnitaryTransform
 
 from helpers import (
@@ -61,6 +61,7 @@ from helpers import (
     orbitals_commute,
     pair_orbit_labels,
     random_action,
+    reader_of,
     relabel,
     sampled_basis,
     traced_peak,
@@ -668,17 +669,19 @@ class TestSynthesize:
     def test_one_orbit_partition_per_call(self, monkeypatch):
         calls = []
 
-        def counted(action):
-            calls.append(action.name)
-            return pair_orbits(action)
+        partition = transforms._pair_partition
 
-        monkeypatch.setattr(transforms, "pair_orbits", counted)
+        def counted(reader):
+            calls.append(reader.m)
+            return partition(reader)
+
+        monkeypatch.setattr(transforms, "_pair_partition", counted)
         # synthesize_matched takes the character route for cyclic:6
         synthesize_matched(make_cyclic(6), seed=7)
         assert calls == []
-        # J(6,2) takes the orbital route, on one partition
+        # J(6,2) takes the orbital route, on one partition of its 15 points
         synthesize_matched(johnson_action(6), seed=7)
-        assert calls == ["J(6,2)"]
+        assert calls == [15]
 
     def test_psd_draw_only_for_the_trivial_action(self, monkeypatch):
         calls = []
@@ -765,7 +768,7 @@ class TestCharacterRoute:
 
         # the character route eigensolves nothing and partitions no pairs
         monkeypatch.setattr(transforms, "herm_eig", refuse)
-        monkeypatch.setattr(transforms, "pair_orbits", refuse)
+        monkeypatch.setattr(transforms, "_pair_partition", refuse)
         basis = synthesize_matched(action, seed=3)
         assert basis.certificate is None
         assert not basis.data_dependent
@@ -823,17 +826,17 @@ def spy_partitions_and_solves(monkeypatch):
     """Record the degree of every pair partition synthesis computes and of
     every orbital route it runs, in two lists."""
     calls, solved = [], []
-    orbital = transforms._orbital
+    orbital, partition = transforms._orbital, transforms._pair_partition
 
-    def counted(act):
-        calls.append(act.degree)
-        return pair_orbits(act)
+    def counted(reader):
+        calls.append(reader.m)
+        return partition(reader)
 
     def recorded(orbits, name):
         solved.append(orbits.degree)
         return orbital(orbits, name)
 
-    monkeypatch.setattr(transforms, "pair_orbits", counted)
+    monkeypatch.setattr(transforms, "_pair_partition", counted)
     monkeypatch.setattr(transforms, "_orbital", recorded)
     return calls, solved
 
@@ -859,7 +862,7 @@ class TestSemidirectRoute:
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
         sampled = sampled_basis(action, seed=3)
-        for name in ("_orbital", "pair_orbits", "herm_eig"):
+        for name in ("_orbital", "_pair_partition", "herm_eig"):
             monkeypatch.setattr(transforms, name, refuse)
         basis = synthesize_matched(action, seed=3)
         assert basis.certificate is None
@@ -921,7 +924,7 @@ class TestWreathRoute:
     ]), ids=lambda a: a.name)
     def test_oracles(self, action, monkeypatch):
         sampled = sampled_basis(action, seed=3)
-        proved = transforms._wreath(images_of(action), action.degree, action.name)
+        proved = transforms._wreath(reader_of(action), action.name)
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         # the action's own pair partition is computed once, and only when
@@ -985,9 +988,9 @@ class TestWreathRoute:
         # no split passes the Schreier bounds, so the action's pair
         # partition is computed once; its row 0 gives the candidates, its
         # block rows the proof, and only held factors take the orbital route
-        images, m = images_of(action), action.degree
-        assert transforms._wreath(images, m, action.name) is None
-        assert transforms._wreath(images, m, action.name, pair_orbits(action)) is not None
+        m = action.degree
+        assert transforms._wreath(reader_of(action), action.name) is None
+        assert transforms._wreath(reader_of(action), action.name, pair_orbits(action)) is not None
         sampled = sampled_basis(action, seed=3)
         calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
@@ -1009,11 +1012,10 @@ class TestWreathRoute:
         # the Schreier bounds, and only its held S_4 factor is partitioned.
         # Either basis is the composition of the split the partition proves
         action = relabel(parse_group_spec(spec), numbering)
-        images, m = images_of(action), action.degree
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == degrees
-        u, sizes, certificate, labels = transforms._wreath(images, m, action.name,
+        u, sizes, certificate, labels = transforms._wreath(reader_of(action), action.name,
                                                             pair_orbits(action))[1]()
         assert basis.transform.matrix.tobytes() == u.tobytes()
         assert basis.transform.column_labels == labels()
@@ -1041,6 +1043,34 @@ class TestWreathRoute:
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == [] and basis.certificate is None
+
+    @pytest.mark.parametrize("spec, numbering, blocks", [
+        # the block search of the Schreier attempt is kept for the partition
+        # attempt, which grew each of these blocks a second time before
+        ("hybrid:16,256", 1, 9), ("hybrid:16,256", 2, 10), ("hybrid:64,64", 2, 9),
+        ("product:(dyadic-wreath:6,cyclic:16)", None, 8),
+        ("product:(hybrid:8,8,cyclic:4)", None, 8),
+    ])
+    def test_one_reader_per_action(self, spec, numbering, blocks, monkeypatch):
+        # the Schreier attempt, the held pair partition and the partition
+        # attempt share one reader: its moved entries, forest and minimal
+        # blocks are built once at the action's degree
+        action = parse_group_spec(spec)
+        if numbering is not None:
+            action = relabel(action, numbering)
+        degrees = {}
+        for name in ("_moved_entries", "_schreier_forest", "_minimal_block"):
+            def spied(*args, _name=name, _f=getattr(groups, name)):
+                m = args[0].m if _name == "_minimal_block" else args[1]
+                degrees.setdefault(_name, []).append(m)
+                return _f(*args)
+
+            monkeypatch.setattr(groups, name, spied)
+        calls, _ = spy_partitions_and_solves(monkeypatch)
+        synthesize_matched(action, seed=3)
+        assert calls.count(action.degree) == 1
+        assert {name: m.count(action.degree) for name, m in degrees.items()} == {
+            "_moved_entries": 1, "_schreier_forest": 1, "_minimal_block": blocks}
 
     @pytest.mark.parametrize("action", [
         parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"), johnson_action(12),
