@@ -10,13 +10,12 @@ Matched-basis synthesis also reads structure off an action here: the
 coordinates of an affine action A x| H, proved by exact integer checks,
 and the two factors of an imprimitive one for a minimal block system,
 with bounds on its rank against which the caller proves the wreath rule:
-the orbits of the Schreier generators of a point stabilizer, the same join
-of one Schreier reader per action that gives the pair partition.
+the orbits of the Schreier generators of a point stabilizer, read on until
+they settle; the last are the stabilizer's, which the pair partition takes.
 """
 
 from __future__ import annotations
 
-import itertools
 import operator
 import os
 from dataclasses import dataclass, field
@@ -477,8 +476,8 @@ class _SchreierReader:
     labelled a*m + t_i^-1(j), a numbering i's point orbit (bases[a] its root
     b) and t_i the generators' product along the tree path from b to i.  The
     labels of (i, j) and (g i, g j) are x and s(x) for the Schreier
-    generator s = t_{g(i)}^-1 g t_i of the stabilizer G_b: joined over some
-    tree rows i (`join`) they give the orbits of a subgroup of G_b
+    generator s = t_{g(i)}^-1 g t_i of the stabilizer G_b: joined over the
+    first tree rows (`read`) they give the orbits of a subgroup of G_b
     (`_rank_bounds`), and over every row G_b's, so the pair orbits
     (`_pair_partition`; Schreier's lemma, Seress 2003, section 4.1)."""
 
@@ -486,6 +485,8 @@ class _SchreierReader:
         self.images, self.m, self.blocks, self.table = images, m, {}, None
         self.entries = _moved_entries(images, m)
         self.tree = _schreier_forest(self.entries, m)
+        # the rows joined so far, and a label per point of each root's row
+        self.done, self.labels = 0, np.arange(self.tree[2].count(-1) * m, dtype=np.int32)
 
     @cached_property
     def by_gen(self) -> tuple:
@@ -495,26 +496,36 @@ class _SchreierReader:
         order = np.argsort(keys, kind="stable")
         return keys[order], dst[order]
 
+    def read(self, count: int) -> np.ndarray:
+        """The labels joined over the table's first count rows, on from those
+        joined before: `join`'s pairs are held until there are _FLUSH of them
+        (or as many as labels, up to _CHUNK), then joined by one union-find."""
+        labels, pending, held = self.labels, [], 0
+        for u, v in self.join(self.done, count):
+            a, b = np.take(labels, u), np.take(labels, v)
+            join = a != b
+            if not join.any():
+                continue
+            pending.append((a[join], b[join]))
+            held += pending[-1][0].size
+            if held >= min(_CHUNK, max(labels.size, _FLUSH)):
+                labels, _ = _hook_and_compress(labels.size, pending, labels)
+                pending, held = [], 0
+        self.labels, _ = _hook_and_compress(labels.size, pending, labels)
+        self.done = max(self.done, count)
+        return self.labels
+
     def inverses(self, count: int) -> np.ndarray:
         """The table, its rows t_i^-1 filled for the first count points in
         breadth-first order, each from its parent's through
-        t_{g(i)}^-1 g = t_i^-1, a scatter that never forms g^-1.  The rows sit
-        in that order (ordered) until every point is asked for, so a partial
-        fill touches only the first of the huge pages numpy maps the table
-        in; then row i is point i's, as `_pair_partition` takes it."""
+        t_{g(i)}^-1 g = t_i^-1, a scatter that never forms g^-1, into row
+        at[i]."""
         m, (queue, parent, via) = self.m, self.tree
-        if self.table is None:
-            self.table, self.filled, self.bases = np.empty((m, m), np.int32), 0, []
-            self.ordered = count < m
-        t = self.table
-        if count == m and self.ordered:
-            t[queue[: self.filled]] = t[: self.filled].copy()
-            self.ordered = False
-        todo = queue[self.filled : count]
+        t, todo = self.table, queue[self.filled : count]
         up, rows = parent, todo  # the rows of each point's parent and of todo's points
         if self.ordered:
             rows = range(self.filled, count)
-            up = dict(zip(todo, self.position[[parent[j] for j in todo]].tolist()))
+            up = dict(zip(todo, self.at[[parent[j] for j in todo]].tolist()))
         for i, j in zip(rows, todo):
             if via[j] < 0:
                 t[i] = np.arange(len(self.bases) * m, (len(self.bases) + 1) * m)
@@ -524,35 +535,38 @@ class _SchreierReader:
         self.filled = max(self.filled, count)
         return t
 
-    def join(self, rows=None):
-        """Yield (u, v) label arrays, a chunk at a time, that hold the labels
-        of (i, j) and (g i, g j) for every generator g that moves the pair
-        and every point i of rows (tree rows in breadth-first order, all of
-        them when None), and may hold equal labels too: by generator
-        (`_generator_pairs`) or by row, whichever are fewer, or for every row
-        in one gather when the pairs are few (on a few rows it would map the
-        full rows of the generators that fix them)."""
-        m, images, every = self.m, self.images, rows is None
+    def join(self, lo: int, hi: int):
+        """Yield (u, v) label arrays, a chunk at a time, holding the labels of
+        (i, j) and (g i, g j) for every generator g that moves the pair and
+        every point i of table rows lo:hi, and maybe equal labels too: by
+        generator (`_generator_pairs`) or by row, whichever are fewer, or in
+        one gather when every row's pairs are few.  Unless the first join
+        reads every row, point i's row at[i] is its breadth-first place
+        (ordered), so the first rows touch few of the table's huge pages."""
+        m, images = self.m, self.images
         src, gen, dst, first = self.entries
-        if every:
-            t, n = self.inverses(m), m
-        else:  # fill the table as far as the rows and their images
-            rows = np.asarray(rows)
-            reached = np.append(rows, dst[_entries_of(first, rows)[1]])
-            t, n = self.inverses(int(self.position[reached].max()) + 1), rows.size
-        at = self.position if self.ordered else np.arange(m)  # each point's row
-        if every and 0 < len(images) * m * m <= _CHUNK:
+        if lo >= hi:
+            return
+        if self.table is None:
+            self.table, self.filled, self.bases = np.empty((m, m), np.int32), 0, []
+            self.ordered = hi - lo < m
+            self.order = np.array(self.tree[0]) if self.ordered else np.arange(m)
+            self.at = np.argsort(self.order) if self.ordered else self.order
+        points, at = self.order[lo:hi], self.at
+        if self.ordered:  # fill the table as far as the rows and their images
+            reached = at[np.append(points, dst[_entries_of(first, points)[1]])]
+        t = self.inverses(int(reached.max()) + 1 if self.ordered else m)
+        if not self.ordered and 0 < len(images) * m * m <= _CHUNK:
             gs = np.stack(images)
             v = t[gs[:, :, None], gs[:, None, :]]
             yield np.broadcast_to(t, v.shape), v
-        elif len(images) <= n:
-            via = np.array(self.tree[2])
+        elif len(images) <= hi - lo:
             for k, g in enumerate(images):
-                yield from self._generator_pairs(g, via[g] != k, None if every else rows, at)
+                yield from self._generator_pairs(g, self.via[g] != k, lo, hi)
         else:
-            for i in (range(m) if every else rows.tolist()):
-                u, lo, hi = t[at[i]], first[i], first[i + 1]
-                movers, moved = gen[lo:hi], dst[lo:hi]
+            for r, i in zip(range(lo, hi), points.tolist()):
+                u, start, end = t[r], first[i], first[i + 1]
+                movers, moved = gen[start:end], dst[start:end]
                 fixes = np.ones(len(images), dtype=bool)
                 fixes[movers] = False
                 keep = fixes[gen]
@@ -561,24 +575,22 @@ class _SchreierReader:
                     yield u, t[at[gi]][images[g]]
 
     @cached_property
-    def position(self) -> np.ndarray:
-        """Each point's place in the forest's breadth-first order."""
-        position = np.empty(self.m, dtype=np.int64)
-        position[self.tree[0]] = np.arange(self.m)
-        return position
+    def via(self) -> np.ndarray:
+        """The generator of each point's tree edge, -1 at a root."""
+        return np.array(self.tree[2])
 
-    def _generator_pairs(self, g: np.ndarray, untree: np.ndarray, rows, at: np.ndarray):
-        """`join`'s pairs for generator g, in chunks: untree marks the rows i
-        whose tree edge is not g from i (one that is keeps its pairs' labels);
-        rows is None for every row, and at[i] is point i's row."""
-        m, t = self.m, self.table
+    def _generator_pairs(self, g: np.ndarray, untree: np.ndarray, lo: int, hi: int):
+        """`join`'s pairs for generator g on table rows lo:hi, in chunks:
+        untree marks the points i whose tree edge is not g from i (one that
+        is keeps its pairs' labels)."""
+        m, t, at = self.m, self.table, self.at
+        points = self.order[lo:hi]
         moved = g != np.arange(m)
         # moved rows x all columns
-        live = moved & untree
-        live = np.flatnonzero(live) if rows is None else rows[live[rows]]
+        live = points[(moved & untree)[points]]
         step = max(1, _CHUNK // m)
-        for lo in range(0, live.size, step):
-            rr = live[lo : lo + step]
+        for start in range(0, live.size, step):
+            rr = live[start : start + step]
             u, v = t[at[rr]], np.take(t[at[g[rr]]], g, axis=1)
             join = u != v
             if join.any():
@@ -591,40 +603,28 @@ class _SchreierReader:
             return
         shift = np.searchsorted(support, g[support])
         step = max(1, _CHUNK // support.size)
-        for lo in range(0, m if rows is None else rows.size, step):
-            rr = slice(lo, lo + step) if rows is None else rows[lo : lo + step]
-            u = np.take(t[rr] if rows is None else t[at[rr]], support, axis=1)
+        for start in range(lo, hi, step):
+            end = min(start + step, hi)
+            u = np.take(t[start:end], support, axis=1)
             v = u[:, shift]
-            v[moved[rr]] = u[moved[rr]]
+            rows = moved[self.order[start:end]]
+            v[rows] = u[rows]
             yield u, v
 
 
 def _pair_partition(reader: _SchreierReader) -> PairOrbitPartition:
-    """The pair orbits of reader's action: its labels joined over every tree
-    row, then its table relabelled in place by the rank of each class's
-    smallest label a*M + x, which names the class's first pair (b, x) in a
-    row-major scan (b its orbit's first row); that pair transposed gives o^T."""
-    m = reader.m  # a label per point of each tree root's row
-    labels = np.arange(reader.tree[2].count(-1) * m, dtype=np.int32)
-    pending, held = [], 0
-    for u, v in reader.join():
-        a, b = np.take(labels, u), np.take(labels, v)
-        join = a != b
-        if not join.any():
-            continue
-        pending.append((a[join], b[join]))
-        held += pending[-1][0].size
-        if held >= min(_CHUNK, max(labels.size, _FLUSH)):
-            labels, _ = _hook_and_compress(labels.size, pending, labels)
-            pending, held = [], 0
-    labels, _ = _hook_and_compress(labels.size, pending, labels)
-    ids, bases, reader.table = reader.table, np.array(reader.bases), None
+    """The pair orbits of reader's action: its labels read on over every
+    tree row, then its table relabelled into point order by the rank of
+    each class's smallest label a*M + x, the class's first pair (b, x) in a
+    row-major scan (b its orbit's first row), whose transpose gives o^T."""
+    m, labels = reader.m, reader.read(reader.m)
+    table, bases, reader.table = reader.table, np.array(reader.bases), None
     is_root = labels == np.arange(labels.size, dtype=np.int32)
     rank = (np.cumsum(is_root, dtype=np.int32) - 1)[labels]
+    ids = np.empty_like(table) if reader.ordered else table
     step = max(1, _CHUNK // m)
     for at in range(0, m, step):  # a block of rows at a time
-        block = ids[at : at + step]
-        block[...] = rank[block]
+        ids[reader.order[at : at + step]] = rank[table[at : at + step]]
     roots = np.flatnonzero(is_root)
     return PairOrbitPartition(m, ids, roots.size, ids[roots % m, bases[roots // m]])
 
@@ -918,26 +918,17 @@ def _split(reader: _SchreierReader, labels: np.ndarray) -> tuple:
     return points, k_images, h_images
 
 
-_BOUND_ROWS = 64  # Schreier tree rows `_rank_bounds` reads at most
-
-
 def _rank_bounds(reader: _SchreierReader):
     """Yield upper bounds on the rank of reader's transitive action, as
     labels of point orbits (each its smallest point): the orbits of the
-    Schreier generators of G_0, the stabilizer of point 0, that the join
-    reads from tree rows in breadth-first order, in batches of 1, 1, 2, 4,
-    ... rows up to _BOUND_ROWS, each joined by one union-find and yielded
-    as a copy.  They generate a
-    subgroup of G_0, so a bound that proves a split has G_0's orbits and
-    passes the block check."""
-    m, queue = reader.m, reader.tree[0]
-    labels = np.arange(m, dtype=np.int32)
-    done, size = 0, 1
-    while done < min(m, _BOUND_ROWS):
-        pairs = [(u.ravel(), v.ravel()) for u, v in reader.join(queue[done:size])]
-        labels, _ = _hook_and_compress(m, pairs, labels)
-        done, size = size, 2 * size
-        yield labels.copy()
+    Schreier generators of G_0, the stabilizer of point 0, that the
+    reader's labels join (`read`) from tree rows in breadth-first order, in
+    batches of 1, 1, 2, 4, ... rows through the last, each yielded as a
+    copy.  They generate a subgroup of G_0, so a bound whose count is the
+    rank has G_0's orbits, and the last is G_0's: row 0 of the pair
+    partition, which `_pair_partition` relabels from the same labels."""
+    while reader.done < reader.m:
+        yield reader.read(min(reader.m, 2 * reader.done or 1)).copy()
 
 
 def _entries_of(first: np.ndarray, pts: np.ndarray) -> tuple:
@@ -985,8 +976,8 @@ _BLOCK_CANDIDATES = 8  # points `_wreath_splits` tries for a block with point 0
 def _blocks_hold_one_label(rows: np.ndarray, labels: np.ndarray) -> bool:
     """The wreath route's one block check: in each of rows (orbit labels of
     the points), the columns of every block but block 0 hold one label;
-    labels[p] is the smallest point of p's block.  On the pair partition's
-    rows of block 0 it proves the rank is rank(H) + rank(K) - 1, as an
+    labels[p] is the smallest point of p's block.  On the pair orbits of
+    the rows of block 0 it proves the rank is rank(H) + rank(K) - 1, as an
     element taking a point of block a to 0 maps each pair of blocks onto
     one through block 0.  On a rank bound as one row it must pass before
     the bound can prove a split: a split puts every other block inside
@@ -995,51 +986,70 @@ def _blocks_hold_one_label(rows: np.ndarray, labels: np.ndarray) -> bool:
     return bool(np.all(rows[:, out] == rows[:1, labels[out]]))
 
 
-def _wreath_splits(reader: _SchreierReader, orbits=None):
+def _wreath_splits(reader: _SchreierReader):
     """Yield the wreath rule's two factors of reader's transitive action,
     one block system at a time: (points, K's images, H's images, proves).
 
-    x runs over the first _BLOCK_CANDIDATES points of the smallest orbits
-    of G_0, the stabilizer of 0 (row 0 of the pair partition orbits), or
-    with none of a rank bound (`_rank_bounds`); each distinct proper block
-    holding 0 and x (`_minimal_block`, kept in the reader's `blocks`) gets
-    `_split` once it passes `_blocks_hold_one_label`, on the partition's
-    rows of block 0 or on the bound, read on while it fails (a bound that
-    proves a split has G_0's orbits, and so passes).
-    proves(rank) reads the bound on while its orbit count exceeds rank,
-    and tells whether they are equal.  No block is tried when every orbit
-    is a point, nor when intransitive."""
+    One attempt reads the rank bounds (`_rank_bounds`) until their orbit
+    count has held over two doublings of rows.  Then x runs over the first
+    _BLOCK_CANDIDATES points of the bound's smallest orbits; each distinct
+    proper block holding 0 and x (`_minimal_block`, grown when first
+    reached, kept in the reader's `blocks` and shared by x's orbit) gets
+    `_split` once it passes `_blocks_hold_one_label` on the bound, read on
+    for it only while the count still falls.  When the points run out, the
+    bound is read on until its count falls and they are drawn again.  The
+    last bound is G_0's orbits: there the check runs on the rows of block
+    0, the same joined labels, and is the proof.  proves(rank) reads the
+    bound on while its count exceeds rank, and tells whether they are
+    equal.  No block is tried when intransitive or of prime degree, nor
+    while over half the points are their own orbit: they all lie in block
+    0, which holds at most half."""
     m = reader.m
     if all(m % w for w in range(2, int(m**0.5) + 1)):
         return  # a block's size divides m: a prime degree has no proper block
     if reader.tree[2].count(-1) != 1:
         return  # intransitive: the tree has a root per point orbit
-    bounds = _rank_bounds(reader) if orbits is None else iter([orbits.orbit_id[0]])
-    bound = next(bounds)
-    _, reps, sizes = np.unique(bound, return_index=True, return_counts=True)
-    if reps.size == m:
-        return
+    bounds, counts, bound = _rank_bounds(reader), [], None
+
+    def read_on():
+        nonlocal bound
+        bound = next(bounds)
+        counts.append(np.count_nonzero(bound == np.arange(m)))  # one root per orbit
 
     def proves(rank: int) -> bool:
-        nonlocal bound
-        for bound in itertools.chain([bound], bounds):
-            if _distinct(bound).size <= rank:
-                break
-        return _distinct(bound).size == rank
+        while counts[-1] > rank and reader.done < m:
+            read_on()
+        return counts[-1] == rank
 
-    seen = set()
-    # reps[0] = 0 is its own orbit
-    for x in reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES].tolist():
-        if x not in reader.blocks:
-            reader.blocks[x] = _minimal_block(reader, x)
-        labels = reader.blocks[x]
-        if labels is None or labels.tobytes() in seen:
-            continue
-        seen.add(labels.tobytes())
-        for bound in itertools.chain([bound], bounds):
-            rows = bound[None] if orbits is None else orbits.orbit_id[labels == 0]
-            if _blocks_hold_one_label(rows, labels):
-                yield _split(reader, labels) + (proves,)
+    read_on()
+    while reader.done < m and (len(counts) < 3 or counts[-3] > counts[-1]):
+        read_on()
+    while True:
+        last, seen = reader.done == m, set()
+        _, reps, sizes = np.unique(bound, return_index=True, return_counts=True)
+        drawn = reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES]  # 0's is first
+        for x in drawn.tolist() if 2 * np.count_nonzero(sizes == 1) <= m else []:
+            x = next((y for y in reader.blocks if bound[y] == bound[x]), x)
+            if x not in reader.blocks:
+                reader.blocks[x] = _minimal_block(reader, x)
+            labels = reader.blocks[x]
+            if labels is None or labels.tobytes() in seen:
+                continue
+            seen.add(labels.tobytes())
+            while True:
+                rows = bound[None] if reader.done < m else (  # block 0's pair labels
+                    reader.labels[reader.table[reader.at[labels == 0]]])
+                if _blocks_hold_one_label(rows, labels):
+                    yield _split(reader, labels) + (proves,)
+                    break
+                if reader.done == m or counts[-2] == counts[-1]:
+                    break
+                read_on()
+        if last:
+            return
+        while reader.done < m:
+            read_on()
+            if counts[-2] > counts[-1]:
                 break
 
 

@@ -655,13 +655,12 @@ def _compose(k_route: tuple, h_route: tuple, points: np.ndarray) -> tuple:
     return u, sizes, max(ratios, default=None), lambda: _cluster_labels(sizes)
 
 
-def _wreath(reader: _SchreierReader, name: str, orbits=None):
+def _wreath(reader: _SchreierReader, name: str):
     """The wreath route as (rank, build), build() giving the basis, or
-    None: the first block system of `_wreath_splits`' one rule, past its
-    one check (which a bound that proves a split passes), whose factors'
-    routes (`_factor_route`) give a rank rank(H) + rank(K) - 1 it proves.
-    A held factor is routed only by build()."""
-    for points, k_images, h_images, proves in _wreath_splits(reader, orbits):
+    None: the first block system of `_wreath_splits`' one attempt, past its
+    check, whose factors' routes (`_factor_route`) give a rank
+    rank(H) + rank(K) - 1 it proves.  A held factor is routed only by build()."""
+    for points, k_images, h_images, proves in _wreath_splits(reader):
         b, w = points.shape
         top, inner = _factor_route(k_images, b, name), _factor_route(h_images, w, name)
         rank = top[0] + inner[0] - 1
@@ -671,9 +670,9 @@ def _wreath(reader: _SchreierReader, name: str, orbits=None):
 
 
 def _factor_route(images: list, m: int, name: str) -> tuple:
-    """A route as (rank, build): a wreath split the Schreier bounds prove
-    first, as the factors of an iterated wreath are wreaths themselves,
-    then the semidirect route, then `_held`."""
+    """A route as (rank, build): a wreath split first, as the factors of an
+    iterated wreath are wreaths themselves, then the semidirect route, then
+    `_held`."""
     reader = _SchreierReader(images, m)
     found = _wreath(reader, name)
     if found is None and (basis := _semidirect(images, m)) is not None:
@@ -682,20 +681,11 @@ def _factor_route(images: list, m: int, name: str) -> tuple:
 
 
 def _held(reader: _SchreierReader, name: str) -> tuple:
-    """The action held as its own pair partition, read on from its Schreier
-    attempt, whose orbit count is its rank: build() takes the wreath route
-    on it, else the orbital route."""
+    """The action held as its own pair partition, relabelled from the
+    labels its wreath attempt joined, whose orbit count is its rank:
+    build() takes the orbital route on it."""
     partition = _pair_partition(reader)
-
-    def build():
-        nonlocal partition, reader
-        found, reader = _wreath(reader, name, partition), None  # not read again
-        if found is None:
-            return _orbital(partition, name)
-        partition = None
-        return found[1]()
-
-    return partition.orbit_count, build
+    return partition.orbit_count, lambda: _orbital(partition, name)
 
 
 def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
@@ -744,21 +734,21 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     (Krasner-Kaloujnine), and equality proves it.  Each factor takes a
     route with no pair partition if one applies (a wreath split, then the
     semidirect route), or is held as its own pair partition (`_held`).
-    One rule gives the blocks, the minimal ones holding 0 and one of the
-    first _BLOCK_CANDIDATES points of the smallest orbits of G_0, the
-    stabilizer of 0, and one check runs before a block's factors are
-    built: every other block lies in one orbit (`_wreath_splits`).  First
-    a rank bound stands in for G_0 (`_rank_bounds`) and no pair partition
-    of the action is computed; a bound that reaches the rank has G_0's
-    orbits, so the check rejects no block it proves.  Otherwise the
-    action's pair partition, computed anyway for the orbital route on the
-    same reader, gives G_0's orbits, and the rows of block 0 prove a split.  U
-    composes the factors' bases with `_compose`, the rule haar_matrix and
-    wreath_matrix fold over their trees.
+    Each action makes one attempt (`_wreath_splits`): a rank bound stands
+    in for G_0, the stabilizer of 0 (`_rank_bounds`), read on until its
+    orbit count has held over two doublings of rows.  One rule gives the
+    blocks, the minimal ones holding 0 and one of the first
+    _BLOCK_CANDIDATES points of the bound's smallest orbits, and one check
+    runs before a block's factors are built: every other block lies in one
+    orbit, which a bound that reaches the rank passes for each block it
+    proves.  When no block passes, the bound is read on and the blocks are
+    drawn again; at its last row it is G_0's orbits, and the check on the
+    rows of block 0 is a proof.  U composes the factors' bases with
+    `_compose`, the rule haar_matrix and wreath_matrix fold over their trees.
 
     Otherwise the orbital route (`_orbital`) reads the action's pair
-    partition, computed once per call and shared with the wreath route on
-    it.  The orbitals O_0 (the diagonal) ... O_{r-1} span the commutant,
+    partition, relabelled once per call from the wreath attempt's joined
+    labels.  The orbitals O_0 (the diagonal) ... O_{r-1} span the commutant,
     with A_i A_j = sum_k p_ij^k A_k for their indicator matrices A_i.  The
     intersection numbers p_ij^k = #{z : (0, z) in O_i, (z, y_k) in O_j},
     (0, y_k) in O_k, are integers read from row 0 and one column per

@@ -701,13 +701,13 @@ class TestAffineCoordinates:
 
 
 def proved_split(action):
-    """The split the wreath route should prove on the action's pair
-    partition: the first that `_wreath_splits` yields, with its factors'
-    own pair partitions, or None.  Every split it yields passed the block
-    check, so its factors' own pair orbits must give rank(H) + rank(K) - 1
-    = orbit_count, and proves() must say so."""
+    """The split the wreath route should prove: the first that the one
+    attempt of `_wreath_splits` yields, with its factors' own pair
+    partitions, or None.  On these actions the first split it yields is
+    the proved one, so its factors' own pair orbits must give
+    rank(H) + rank(K) - 1 = orbit_count, and proves() must say so."""
     orbits = pair_orbits(action)
-    for points, k_images, h_images, proves in _wreath_splits(reader_of(action), orbits):
+    for points, k_images, h_images, proves in _wreath_splits(reader_of(action)):
         k_orbits, h_orbits = (pair_orbits(from_generators([Permutation(x) for x in images],
                                                           "factor"))
                               for images in (k_images, h_images))
@@ -718,8 +718,8 @@ def proved_split(action):
 
 
 class TestPartitionSplits:
-    """The wreath route's block systems on the pair partition and its
-    proof, checked against each factor's own pair orbits."""
+    """The wreath route's block systems and its proof, checked against
+    each factor's own pair orbits and the action's pair partition."""
 
     @pytest.mark.parametrize("action", [
         parse_group_spec(spec) if seed is None else relabel(parse_group_spec(spec), seed)
@@ -742,7 +742,7 @@ class TestPartitionSplits:
         assert (k_orbits.degree, h_orbits.degree) == (b, w)
         # the route proves a split of the same rank, its factors' ranks
         # read from their own routes
-        rank, _ = transforms._wreath(reader_of(action), action.name, orbits)
+        rank, _ = transforms._wreath(reader_of(action), action.name)
         assert rank == orbits.orbit_count
 
     @pytest.mark.parametrize("spec, width", [
@@ -760,8 +760,15 @@ class TestPartitionSplits:
         parse_group_spec("product:(cyclic:3,trivial:2)"), parse_group_spec("wreath:5s"),
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
+        # the one attempt reads a transitive action's bound to its last
+        # row, G_0's orbits, before it gives up
         assert proved_split(action) is None
-        assert transforms._wreath(reader_of(action), action.name, pair_orbits(action)) is None
+        reader = reader_of(action)
+        assert transforms._wreath(reader, action.name) is None
+        m = action.degree
+        transitive = reader.tree[2].count(-1) == 1
+        composite = any(m % w == 0 for w in range(2, m))
+        assert reader.done == (m if transitive and composite else 0)
 
 
 def closure_of(images, name="factor"):
@@ -832,13 +839,11 @@ class TestWreathSplits:
         relabel(parse_group_spec("hybrid:4,3"), 1),
     ], ids=lambda a: a.name)
     def test_joined_rows_give_the_stabilizer_orbits(self, action):
-        # every tree row, joined in batches of 64 by whichever loop the join
+        # every tree row, read in batches of 64 by whichever loop the join
         # picks, gives G_0's orbits, row 0 of the pair partition
         m, reader = action.degree, reader_of(action)
-        labels = np.arange(m, dtype=np.int32)
-        for at in range(0, m, 64):
-            pairs = reader.join(reader.tree[0][at : at + 64])
-            labels, _ = _hook_and_compress(m, [(u.ravel(), v.ravel()) for u, v in pairs], labels)
+        for at in range(64, m + 64, 64):
+            labels = reader.read(min(at, m))
         row = pair_orbits(action).orbit_id[0]
         first = {}
         expected = [first.setdefault(int(o), x) for x, o in enumerate(row)]
@@ -846,7 +851,8 @@ class TestWreathSplits:
 
     def test_bounds_outlive_later_batches(self):
         # the union-find writes into its labels, so each bound is a copy:
-        # one kept while later batches are read keeps its own orbits
+        # one kept while later batches are read keeps its own orbits; the
+        # bounds run to the last row, 256, where they are G_0's orbits
         action = relabel(parse_group_spec("hybrid:16,16"), 1)
         m = action.degree
 
@@ -854,53 +860,56 @@ class TestWreathSplits:
             return [int(np.count_nonzero(b == np.arange(m))) for b in bounds]
 
         assert counts(list(_rank_bounds(reader_of(action)))) == counts(
-            _rank_bounds(reader_of(action))) == [225, 209, 17, 17, 17, 17, 17]
+            _rank_bounds(reader_of(action))) == [225, 209, 17, 17, 17, 17, 17, 17, 17]
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):
-        # one rule on both paths: the distinct proper minimal blocks of up
-        # to _BLOCK_CANDIDATES points of the smallest orbits of G_0 (row 0
-        # of the partition) or of the first rank bound, each split only when
-        # it passes the check; on the partition the check proves the rank,
-        # and on bounds read to their end (G_0's orbits here, as M <= 64)
-        # it puts every other block inside one orbit of G_0
+        # one attempt: the distinct proper minimal blocks of up to
+        # _BLOCK_CANDIDATES points of the smallest orbits of a bound, each
+        # split only when it passes the check.  On a bound before the last
+        # row the check puts every other block inside one orbit of G_0; on
+        # the last, G_0's orbits, it runs on block 0's rows, where it proves
+        # the rank, so every split of G_0's candidates with the rank
+        # rank(H) + rank(K) - 1 = rank(G) is yielded there, and no other
         m = action.degree
         elements = [p.as_array() for p in closure_set(action)]
         if {int(g[0]) for g in elements} != set(range(m)):
             assert list(_wreath_splits(reader_of(action))) == []
-            assert list(_wreath_splits(reader_of(action), pair_orbits(action))) == []
             return
         g0 = g0_orbits(elements)
         rank = closure_rank(elements, m)
-        first = next(_rank_bounds(reader_of(action)))
-        for orbits in (None, pair_orbits(action)):
-            splits = list(_wreath_splits(reader_of(action), orbits))
-            candidates = candidate_systems(first if orbits is None else g0, elements, m)
-            if orbits is None:
-                expected = [l for l in candidates if one_orbit_per_block(g0, l)]
-            else:
-                expected = [l for l in candidates if sum(factor_ranks(elements, l)) - 1 == rank]
-            assert [block_labels(s[0]).tobytes() for s in splits] == [
-                l.tobytes() for l in expected]
-            for points, k_images, h_images, proves in splits:
-                b, w = points.shape
-                assert 1 < w < m and points[0, 0] == 0
-                assert np.array_equal(np.sort(points.ravel()), np.arange(m))
-                block_of = np.empty(m, dtype=np.int64)
-                block_of[points] = np.arange(b)[:, None]
-                local = np.empty(m, dtype=np.int64)
-                local[points] = np.arange(w)
-                # K is the group's action on the blocks, H the block
-                # stabilizer's on block 0, in local numbering
-                on_blocks = {block_of[g[points[:, 0]]].tobytes() for g in elements}
-                assert closure_of(k_images) == on_blocks
-                on_block0 = {local[g[points[0]]].tobytes() for g in elements
-                             if block_of[g[0]] == 0}
-                assert closure_of(h_images) == on_block0
-                # proves() accepts the split's rank exactly when it is the
-                # enumerated group's
-                split_rank = sum(factor_ranks(elements, block_labels(points))) - 1
-                assert proves(split_rank) == (split_rank == rank)
+        systems = {reference_blocks(elements, m, x).tobytes() for x in range(1, m)}
+        reader, splits, last = reader_of(action), [], []
+        for split in _wreath_splits(reader):
+            splits.append(split)
+            last.append(reader.done == m)
+        assert reader.done == m
+        expected = [l.tobytes() for l in candidate_systems(g0, elements, m)
+                    if sum(factor_ranks(elements, l)) - 1 == rank]
+        yielded = [block_labels(s[0]) for s in splits]
+        assert set(expected) <= {l.tobytes() for l, at_last in zip(yielded, last) if at_last}
+        for labels, at_last in zip(yielded, last):
+            assert labels.tobytes() in systems and one_orbit_per_block(g0, labels)
+            assert not at_last or sum(factor_ranks(elements, labels)) - 1 == rank
+        for points, k_images, h_images, proves in splits:
+            b, w = points.shape
+            assert 1 < w < m and points[0, 0] == 0
+            assert np.array_equal(np.sort(points.ravel()), np.arange(m))
+            block_of = np.empty(m, dtype=np.int64)
+            block_of[points] = np.arange(b)[:, None]
+            local = np.empty(m, dtype=np.int64)
+            local[points] = np.arange(w)
+            # K is the group's action on the blocks, H the block
+            # stabilizer's on block 0, in local numbering
+            on_blocks = {block_of[g[points[:, 0]]].tobytes() for g in elements}
+            assert closure_of(k_images) == on_blocks
+            on_block0 = {local[g[points[0]]].tobytes() for g in elements
+                         if block_of[g[0]] == 0}
+            assert closure_of(h_images) == on_block0
+            # proves() accepts the split's rank exactly when it is the
+            # enumerated group's
+            split_rank = sum(factor_ranks(elements, block_labels(points))) - 1
+            assert proves(split_rank) == (split_rank == rank)
 
     @pytest.mark.parametrize("action", [
         relabel(parse_group_spec("hybrid:8,8"), 1),
@@ -908,7 +917,8 @@ class TestWreathSplits:
         parse_group_spec("product:(hybrid:8,8,cyclic:4)"),
         parse_group_spec("product:(wreath:4s,4c,cyclic:3)"),
         parse_group_spec("product:(dyadic-wreath:3,cyclic:3)"),
-        parse_group_spec("hybrid:64,4"),
+        # its 16-point block inside the 64-point one fails the check
+        relabel(parse_group_spec("hybrid:64,4"), 1),
     ], ids=lambda a: a.name)
     def test_only_checked_blocks_are_split(self, action, monkeypatch):
         # synthesis builds a block's factors only after it passes the check
@@ -948,9 +958,10 @@ def one_orbit_per_block(orbit, labels) -> bool:
 def candidate_systems(orbit, elements, m: int) -> list:
     """The distinct proper block systems of the first _BLOCK_CANDIDATES
     points of the smallest orbits (ties by smallest point, 0's skipped),
-    in the order tried; none when every orbit is a single point."""
+    in the order tried; none while over half the points are their own
+    orbit."""
     _, reps, sizes = np.unique(orbit, return_index=True, return_counts=True)
-    if reps.size == m:
+    if 2 * np.count_nonzero(sizes == 1) > m:
         return []
     systems = {}
     for x in reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES].tolist():

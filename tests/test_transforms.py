@@ -979,44 +979,49 @@ class TestWreathRoute:
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
-    @pytest.mark.parametrize("action, held", [
-        # the other numberings of the S_k actions above
-        (relabel(parse_group_spec(spec), seed), True) for spec, seed in (
+    @pytest.mark.parametrize("action, last, held", [
+        # the other numberings of the S_k actions above, which a bound read
+        # to 64 rows did not prove: read on until it settles, it does
+        (relabel(parse_group_spec(spec), seed), False, True) for spec, seed in (
             ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2), ("hybrid:16,16", 3))
+    ] + [
+        # proved at the last row, G_0's orbits, by the check on block 0's
+        # rows; an S_3 block action is affine, an S_4 one is held
+        (parse_group_spec(spec), True, held) for spec, held in (
+            ("hybrid:4,3", False), ("hybrid:3,4", True), ("hybrid:2,4", True),
+            ("hybrid:3,3", False))
     ], ids=lambda v: getattr(v, "name", str(v)))
-    def test_partition_candidates(self, action, held, monkeypatch):
-        # no split passes the Schreier bounds, so the action's pair
-        # partition is computed once; its row 0 gives the candidates, its
-        # block rows the proof, and only held factors take the orbital route
-        m = action.degree
-        assert transforms._wreath(reader_of(action), action.name) is None
-        assert transforms._wreath(reader_of(action), action.name, pair_orbits(action)) is not None
+    def test_partition_candidates(self, action, last, held, monkeypatch):
+        # the one wreath attempt proves the split, at the last row or
+        # before it, and no pair partition of the action is computed; only
+        # held factors are partitioned and take the orbital route
+        m, reader = action.degree, reader_of(action)
+        assert transforms._wreath(reader, action.name) is not None
+        assert (reader.done == m) == last
         sampled = sampled_basis(action, seed=3)
         calls, solved = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
-        assert calls.count(m) == 1 and max(solved, default=0) < m
+        assert m not in calls and set(solved) <= set(calls) and max(calls, default=0) < m
         assert bool(solved) == (basis.certificate is not None) == held
         assert basis.degeneracy_pattern == sampled.degeneracy_pattern
         r3 = sample_invariant_cov(action, seed=500)
         assert offdiag_rel(basis.transform, r3) <= 1e-8
 
     @pytest.mark.parametrize("spec, numbering, degrees", [
-        ("hybrid:8,8", 1, [64, 8]),
+        ("hybrid:8,8", 1, [8]),
         ("wreath:4s,4c,4c", 2, [4]),
     ])
     def test_partition_routes_only_the_proved_split(self, spec, numbering, degrees,
                                                     monkeypatch):
         # no block that fails the check has a factor routed or partitioned:
-        # hybrid:8,8's split is proved on the action's partition, then its
-        # held S_8 factor is partitioned; wreath:4s,4c,4c's is proved by
-        # the Schreier bounds, and only its held S_4 factor is partitioned.
-        # Either basis is the composition of the split the partition proves
+        # both splits are proved on the bound, and only the held S_8 or S_4
+        # factor is partitioned.  The basis is the composition of the split
+        # the route proves
         action = relabel(parse_group_spec(spec), numbering)
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == degrees
-        u, sizes, certificate, labels = transforms._wreath(reader_of(action), action.name,
-                                                            pair_orbits(action))[1]()
+        u, sizes, certificate, labels = transforms._wreath(reader_of(action), action.name)[1]()
         assert basis.transform.matrix.tobytes() == u.tobytes()
         assert basis.transform.column_labels == labels()
         assert (basis.degeneracy_pattern, basis.certificate) == (
@@ -1038,39 +1043,71 @@ class TestWreathRoute:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     def test_relabelled_iterated_wreath_reads_no_pair_partition(self, seed, monkeypatch):
         # the check passes over the blocks inside a Z_4 leaf group at degree
-        # 4096, so no pair partition is computed under any of these numberings
+        # 4096, so no pair partition is computed under any of these
+        # numberings; the action's reader has filled 22 table rows when the
+        # split is proved, where a bound read on for each failing candidate
+        # filled 173
         action = relabel(parse_group_spec("wreath:4c,4c,4c,4c,4c,4c"), seed)
+        readers, reader = [], transforms._SchreierReader
+        monkeypatch.setattr(transforms, "_SchreierReader",
+                            lambda images, m: readers.append(reader(images, m)) or readers[-1])
         calls, _ = spy_partitions_and_solves(monkeypatch)
         basis = synthesize_matched(action, seed=3)
         assert calls == [] and basis.certificate is None
+        assert readers[0].m == action.degree and readers[0].filled == 22
 
-    @pytest.mark.parametrize("spec, numbering, blocks", [
-        # the block search of the Schreier attempt is kept for the partition
-        # attempt, which grew each of these blocks a second time before
-        ("hybrid:16,256", 1, 9), ("hybrid:16,256", 2, 10), ("hybrid:64,64", 2, 9),
-        ("product:(dyadic-wreath:6,cyclic:16)", None, 8),
-        ("product:(hybrid:8,8,cyclic:4)", None, 8),
-    ])
-    def test_one_reader_per_action(self, spec, numbering, blocks, monkeypatch):
-        # the Schreier attempt, the held pair partition and the partition
-        # attempt share one reader: its moved entries, forest and minimal
-        # blocks are built once at the action's degree
+    @pytest.mark.parametrize("spec", ["hybrid:8,64", "hybrid:16,64"])
+    @pytest.mark.parametrize("numbering", [None, 1, 2, 3])
+    def test_partitions_do_not_depend_on_the_numbering(self, spec, numbering, monkeypatch):
+        # the bound is read on until its count settles, so a relabelled copy
+        # proves its split with no pair partition of the action, as the
+        # catalog numbering does: only the held S_64 factor is partitioned
         action = parse_group_spec(spec)
         if numbering is not None:
             action = relabel(action, numbering)
-        degrees = {}
+        calls, _ = spy_partitions_and_solves(monkeypatch)
+        synthesize_matched(action, seed=3)
+        assert calls == [64]
+
+    @pytest.mark.parametrize("spec, numbering, partitions, blocks", [
+        # the relabelled hybrids' bounds settle on G_0's orbits, whose
+        # single points are point 0's block: the blocks grown are inside
+        # it, and the split is proved with no pair partition of the action
+        ("hybrid:16,256", 1, 0, 1), ("hybrid:16,256", 2, 0, 3), ("hybrid:64,64", 2, 0, 2),
+        # no split: the bound is read to its last row, and the pair
+        # partition the orbital route takes relabels its labels
+        ("product:(dyadic-wreath:6,cyclic:16)", None, 1, 8),
+        ("product:(hybrid:8,8,cyclic:4)", None, 1, 8),
+    ])
+    def test_one_reader_per_action(self, spec, numbering, partitions, blocks, monkeypatch):
+        # the wreath attempt and the held pair partition share one reader:
+        # its moved entries, forest and minimal blocks are built once at
+        # the action's degree
+        action = parse_group_spec(spec)
+        if numbering is not None:
+            action = relabel(action, numbering)
+        m, degrees, grown = action.degree, {}, []
         for name in ("_moved_entries", "_schreier_forest", "_minimal_block"):
             def spied(*args, _name=name, _f=getattr(groups, name)):
-                m = args[0].m if _name == "_minimal_block" else args[1]
-                degrees.setdefault(_name, []).append(m)
+                if _name == "_minimal_block" and args[0].m == m:
+                    grown.append(args[1])
+                degrees.setdefault(_name, []).append(args[0].m if _name == "_minimal_block"
+                                                     else args[1])
                 return _f(*args)
 
             monkeypatch.setattr(groups, name, spied)
         calls, _ = spy_partitions_and_solves(monkeypatch)
         synthesize_matched(action, seed=3)
-        assert calls.count(action.degree) == 1
-        assert {name: m.count(action.degree) for name, m in degrees.items()} == {
+        assert calls.count(m) == partitions
+        assert {name: d.count(m) for name, d in degrees.items()} == {
             "_moved_entries": 1, "_schreier_forest": 1, "_minimal_block": blocks}
+        if numbering is not None:
+            # relabel renames point i s(i): point 0's block is s of the
+            # catalog block of s^-1(0)
+            w = int(spec.split(":")[1].split(",")[0])
+            s = np.random.default_rng(numbering).permutation(m)
+            first = int(np.flatnonzero(s == 0)[0]) // w * w
+            assert set(grown) <= set(s[first : first + w].tolist())
 
     @pytest.mark.parametrize("action", [
         parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"), johnson_action(12),
