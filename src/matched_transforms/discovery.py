@@ -318,6 +318,8 @@ class LibraryReport:
 def match_library(r, library, enumeration_cap: int = 10**4) -> LibraryReport:
     """Rank candidate actions by their worst-generator residual on R.
 
+    The score is the largest delta over the action's generators: 0 exactly
+    when R is invariant; on any other R it depends on the generating set.
     Entries whose degree does not match R are skipped with a warning
     record, not an error.  Scores are compared after quantization to 1e-12
     so floating-point near-ties resolve by the preference rules: larger

@@ -291,40 +291,37 @@ def make_wreath(branching) -> GroupAction:
     """Iterated wreath action on a rooted tree of uniform branching.
 
     branching is root-first: entry 0 = (child count, node kind) at the root
-    (level 1), the last entry is the level adjacent to the leaves.  A cyclic
-    node contributes one rotation of its child blocks; a symmetric node
-    contributes the adjacent block transpositions.  Generators are emitted
-    level by level from the root, nodes left to right.
+    (level 1), the last entry is the level adjacent to the leaves.  H wr K is
+    generated by K's generators on the blocks and H's generators on one block
+    (Dixon & Mortimer, Permutation Groups, 1996, sec. 2.6), so the iterated
+    wreath is generated by each level's leftmost node: a cyclic node gives
+    one rotation of its child blocks, a symmetric node its k - 1 adjacent
+    block transpositions.  Generators are emitted level by level from the
+    root: 6 for wreath:4c,4c,4c,4c,4c,4c, 18 for wreath:4s,4s,4s,4s,4s,4s.
     """
     branching, degree = _normalize_branching(branching)
     gens = []
-    span = degree  # leaf span of a node at the current level
-    node_count = 1
+    span = degree  # leaf span of the leftmost node at the current level
     for k, kind in branching:
         width = span // k  # leaf span of each child block
-        for node in range(node_count):
-            a = node * span
-            if kind == "cyclic":
+        if kind == "cyclic":
+            images = np.arange(degree)
+            images[:span] = (np.arange(span) + width) % span
+            gens.append(Permutation(images))
+        else:
+            for lo in range(0, span - width, width):
                 images = np.arange(degree)
-                for c in range(k):
-                    dest = a + ((c + 1) % k) * width
-                    images[a + c * width : a + (c + 1) * width] = np.arange(dest, dest + width)
+                # swap blocks lo and lo + width
+                images[lo : lo + 2 * width] = np.roll(images[lo : lo + 2 * width], width)
                 gens.append(Permutation(images))
-            else:
-                for c in range(k - 1):
-                    images = np.arange(degree)
-                    lo, hi = a + c * width, a + (c + 1) * width
-                    images[lo : lo + width] = np.arange(hi, hi + width)
-                    images[hi : hi + width] = np.arange(lo, lo + width)
-                    gens.append(Permutation(images))
-        node_count *= k
         span = width
     return GroupAction(_branching_name(branching), degree, tuple(gens))
 
 
 def make_dyadic_wreath(levels: int) -> GroupAction:
-    """Binary-tree action on 2^levels leaves: one left/right subtree swap per
-    internal node (root = level 1), 2^levels - 1 generators in all."""
+    """Binary-tree action on 2^levels leaves: the left/right subtree swap of
+    each level's leftmost node (root = level 1), `levels` generators in all,
+    which generate every node's swap (see make_wreath)."""
     _check_log2_degree(levels)
     base = make_wreath([(2, "cyclic")] * levels)
     return GroupAction(f"dyadic-wreath:{levels}", base.degree, base.generators)

@@ -4,7 +4,8 @@ invariant sample (the oracle every synthesis route is held to), the
 orbital route on its own, a loop-by-loop reference for subspace_match's
 clustering and column assignment, a reference for discovery's refinement
 that signs both rows and columns, a scalar reference for the rng stream,
-actions outside the catalog families, and the tracemalloc peak of a call."""
+a wreath's every-node generators, actions outside the catalog families,
+and the tracemalloc peak of a call."""
 
 import itertools
 import tracemalloc
@@ -114,6 +115,34 @@ def relabel(action, seed: int):
         images[s] = s[g.as_array()]
         gens.append(Permutation(images))
     return from_generators(gens, f"relabel({action.name},{seed})")
+
+
+def every_node_generators(branching) -> tuple:
+    """The iterated wreath's generators on every node of every level, root
+    first, nodes left to right: one block rotation per cyclic node and k - 1
+    adjacent block transpositions per symmetric node.  A reference for
+    make_wreath, which emits the leftmost node's generators only."""
+    degree = int(np.prod([k for k, _ in branching]))
+    gens = []
+    span = degree
+    for k, kind in branching:
+        width = span // k
+        for a in range(0, degree, span):
+            if kind == "cyclic":
+                images = np.arange(degree)
+                for c in range(k):
+                    dest = a + ((c + 1) % k) * width
+                    images[a + c * width : a + (c + 1) * width] = np.arange(dest, dest + width)
+                gens.append(Permutation(images))
+            else:
+                for c in range(k - 1):
+                    images = np.arange(degree)
+                    lo, hi = a + c * width, a + (c + 1) * width
+                    images[lo : lo + width] = np.arange(hi, hi + width)
+                    images[hi : hi + width] = np.arange(lo, lo + width)
+                    gens.append(Permutation(images))
+        span = width
+    return tuple(gens)
 
 
 def random_action(m: int, k: int, seed: int):

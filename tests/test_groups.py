@@ -40,9 +40,9 @@ from matched_transforms.groups import (
 )
 
 from helpers import (
-    affine_line, catalog_actions, closure_set, compose, hamming_action, images_of,
-    is_invariant, johnson_action, permutation_matrix, random_action, reader_of, relabel,
-    traced_peak,
+    affine_line, catalog_actions, closure_set, compose, every_node_generators, hamming_action,
+    images_of, is_invariant, johnson_action, permutation_matrix, random_action, reader_of,
+    relabel, traced_peak,
 )
 
 CATALOG = catalog_actions()
@@ -268,11 +268,34 @@ class TestConstructors:
 
     def test_dyadic_wreath_l2_order(self):
         act = make_dyadic_wreath(2)
-        assert len(act.generators) == 3
+        assert len(act.generators) == 2
         assert closure_enumerate(act, cap=1000).count == 8
 
     def test_dyadic_wreath_generator_count(self):
-        assert len(make_dyadic_wreath(5).generators) == 31
+        # one swap per level, that of its leftmost node
+        assert len(make_dyadic_wreath(5).generators) == 5
+
+    @pytest.mark.parametrize("spec", [f"dyadic-wreath:{l}" for l in range(1, 11)] + [
+        "wreath:4s,2c", "wreath:2s,4c", "wreath:3s,2c", "wreath:3c,2s,3c", "wreath:4c,4c,4c,4c",
+        "wreath:4c,4c,4c,4c,4c", "wreath:4s,4s,4s,4s"])
+    def test_leftmost_node_generators_give_the_every_node_group(self, spec):
+        # H wr K is generated by K's generators and H's on one block, so each
+        # level's leftmost node generates what every node's generators do:
+        # the same pair orbits, and the same group where it can be listed
+        head, levels = spec.split(":")
+        branching = ([(2, "cyclic")] * int(levels) if head == "dyadic-wreath" else
+                     [(int(e[:-1]), {"c": "cyclic", "s": "symmetric"}[e[-1]])
+                      for e in levels.split(",")])
+        action = parse_group_spec(spec)
+        reference = from_generators(every_node_generators(branching), spec)
+        assert len(action.generators) == sum(1 if kind == "cyclic" else k - 1
+                                             for k, kind in branching)
+        ours, theirs = pair_orbits(action), pair_orbits(reference)
+        assert ours.orbit_count == theirs.orbit_count
+        assert ours.orbit_id.tobytes() == theirs.orbit_id.tobytes()
+        assert ours.transpose.tobytes() == theirs.transpose.tobytes()
+        if action.degree <= 16:
+            assert closure_set(action) == closure_set(reference)
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_dyadic_wreath_order_formula(self, level):
@@ -834,7 +857,8 @@ class TestWreathSplits:
         assert counts[-1] == rank
 
     @pytest.mark.parametrize("action", [
-        parse_group_spec("dyadic-wreath:7"),  # more generators than rows: read by row
+        # more generators than rows: read by row
+        from_generators(every_node_generators([(2, "cyclic")] * 7), "dyadic-wreath:7 every node"),
         relabel(parse_group_spec("hybrid:16,64"), 1),  # fewer: read by generator
         relabel(parse_group_spec("hybrid:4,3"), 1),
     ], ids=lambda a: a.name)
