@@ -24,6 +24,7 @@ from .errors import (
     NotMultiplicityFreeError,
     NumericError,
     ToolkitError,
+    UndefinedResidualError,
 )
 
 _GROUP_SPEC_FORMS = (
@@ -369,7 +370,7 @@ def main(argv=None) -> int:
             parser.error(f"{name}: expected one argument, got '--'")
     try:
         return args.func(args)
-    except (InputError, DimensionError) as exc:
+    except (InputError, DimensionError, UndefinedResidualError) as exc:
         return _fail(str(exc), 2)
     except OSError as exc:
         return _fail(f"I/O failure: {exc}", 3)

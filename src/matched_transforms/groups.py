@@ -9,9 +9,8 @@ a covariance onto the invariant algebra never enumerates group elements.
 Matched-basis synthesis also reads structure off an action here: the
 coordinates of an affine action A x| H, proved by exact integer checks,
 and the two factors of an imprimitive one for a minimal block system,
-with bounds on its rank against which the caller proves the wreath rule:
-the orbits of the Schreier generators of a point stabilizer, read on until
-they settle; the last are the stabilizer's, which the pair partition takes.
+with bounds on its rank against which the caller proves the wreath rule
+(`_wreath_splits`).
 """
 
 from __future__ import annotations
@@ -475,7 +474,7 @@ class _SchreierReader:
     labels of (i, j) and (g i, g j) are x and s(x) for the Schreier
     generator s = t_{g(i)}^-1 g t_i of the stabilizer G_b: joined over the
     first tree rows (`read`) they give the orbits of a subgroup of G_b
-    (`_rank_bounds`), and over every row G_b's, so the pair orbits
+    (`_wreath_splits`), and over every row G_b's, so the pair orbits
     (`_pair_partition`; Schreier's lemma, Seress 2003, section 4.1)."""
 
     def __init__(self, images: list, m: int):
@@ -915,19 +914,6 @@ def _split(reader: _SchreierReader, labels: np.ndarray) -> tuple:
     return points, k_images, h_images
 
 
-def _rank_bounds(reader: _SchreierReader):
-    """Yield upper bounds on the rank of reader's transitive action, as
-    labels of point orbits (each its smallest point): the orbits of the
-    Schreier generators of G_0, the stabilizer of point 0, that the
-    reader's labels join (`read`) from tree rows in breadth-first order, in
-    batches of 1, 1, 2, 4, ... rows through the last, each yielded as a
-    copy.  They generate a subgroup of G_0, so a bound whose count is the
-    rank has G_0's orbits, and the last is G_0's: row 0 of the pair
-    partition, which `_pair_partition` relabels from the same labels."""
-    while reader.done < reader.m:
-        yield reader.read(min(reader.m, 2 * reader.done or 1)).copy()
-
-
 def _entries_of(first: np.ndarray, pts: np.ndarray) -> tuple:
     """For each point pts[n], the indices of its entries first[p]:first[p + 1],
     concatenated, with the position n each comes from."""
@@ -987,16 +973,20 @@ def _wreath_splits(reader: _SchreierReader):
     """Yield the wreath rule's two factors of reader's transitive action,
     one block system at a time: (points, K's images, H's images, proves).
 
-    One attempt reads the rank bounds (`_rank_bounds`) until their orbit
-    count has held over two doublings of rows.  Then x runs over the first
-    _BLOCK_CANDIDATES points of the bound's smallest orbits; each distinct
-    proper block holding 0 and x (`_minimal_block`, grown when first
-    reached, kept in the reader's `blocks` and shared by x's orbit) gets
-    `_split` once it passes `_blocks_hold_one_label` on the bound, read on
-    for it only while the count still falls.  When the points run out, the
-    bound is read on until its count falls and they are drawn again.  The
-    last bound is G_0's orbits: there the check runs on the rows of block
-    0, the same joined labels, and is the proof.  proves(rank) reads the
+    One attempt is one loop over a bound on the rank: the orbits of the
+    Schreier generators of G_0, the stabilizer of point 0, that the
+    reader's labels join (`read`) from tree rows in breadth-first order,
+    in batches of 1, 1, 2, 4, ... rows, each kept as a copy.  They generate
+    a subgroup of G_0, so the bound's orbit count is at least the rank, and
+    at the last row the bound is G_0's orbits.  Each pass reads the bound
+    on until its count has held over two doublings.  Then x runs over the
+    first _BLOCK_CANDIDATES points of the bound's smallest orbits; each
+    distinct proper block holding 0 and x (`_minimal_block`, grown when
+    first reached, kept in the reader's `blocks` and shared by x's orbit)
+    gets `_split` when it passes `_blocks_hold_one_label` on the bound,
+    once per attempt.  At the last row the check runs on the rows of block
+    0, the same joined labels, and is the proof; that pass is the last, and
+    every other ends by reading one more batch.  proves(rank) reads the
     bound on while its count exceeds rank, and tells whether they are
     equal.  No block is tried when intransitive or of prime degree, nor
     while over half the points are their own orbit: they all lie in block
@@ -1006,11 +996,11 @@ def _wreath_splits(reader: _SchreierReader):
         return  # a block's size divides m: a prime degree has no proper block
     if reader.tree[2].count(-1) != 1:
         return  # intransitive: the tree has a root per point orbit
-    bounds, counts, bound = _rank_bounds(reader), [], None
+    counts, bound, yielded = [], None, set()
 
     def read_on():
         nonlocal bound
-        bound = next(bounds)
+        bound = reader.read(min(m, 2 * reader.done or 1)).copy()  # read writes its labels
         counts.append(np.count_nonzero(bound == np.arange(m)))  # one root per orbit
 
     def proves(rank: int) -> bool:
@@ -1018,11 +1008,10 @@ def _wreath_splits(reader: _SchreierReader):
             read_on()
         return counts[-1] == rank
 
-    read_on()
-    while reader.done < m and (len(counts) < 3 or counts[-3] > counts[-1]):
-        read_on()
     while True:
-        last, seen = reader.done == m, set()
+        while reader.done < m and (len(counts) < 3 or counts[-3] > counts[-1]):
+            read_on()
+        last, checked = reader.done == m, set(yielded)
         _, reps, sizes = np.unique(bound, return_index=True, return_counts=True)
         drawn = reps[np.argsort(sizes, kind="stable")][1 : 1 + _BLOCK_CANDIDATES]  # 0's is first
         for x in drawn.tolist() if 2 * np.count_nonzero(sizes == 1) <= m else []:
@@ -1030,24 +1019,17 @@ def _wreath_splits(reader: _SchreierReader):
             if x not in reader.blocks:
                 reader.blocks[x] = _minimal_block(reader, x)
             labels = reader.blocks[x]
-            if labels is None or labels.tobytes() in seen:
+            if labels is None or labels.tobytes() in checked:
                 continue
-            seen.add(labels.tobytes())
-            while True:
-                rows = bound[None] if reader.done < m else (  # block 0's pair labels
-                    reader.labels[reader.table[reader.at[labels == 0]]])
-                if _blocks_hold_one_label(rows, labels):
-                    yield _split(reader, labels) + (proves,)
-                    break
-                if reader.done == m or counts[-2] == counts[-1]:
-                    break
-                read_on()
+            checked.add(labels.tobytes())
+            rows = bound[None] if reader.done < m else (  # block 0's pair labels
+                reader.labels[reader.table[reader.at[labels == 0]]])
+            if _blocks_hold_one_label(rows, labels):
+                yielded.add(labels.tobytes())
+                yield _split(reader, labels) + (proves,)
         if last:
             return
-        while reader.done < m:
-            read_on()
-            if counts[-2] > counts[-1]:
-                break
+        read_on()
 
 
 def reynolds_project(r: np.ndarray, action: GroupAction) -> np.ndarray:

@@ -734,17 +734,13 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     (Krasner-Kaloujnine), and equality proves it.  Each factor takes a
     route with no pair partition if one applies (a wreath split, then the
     semidirect route), or is held as its own pair partition (`_held`).
-    Each action makes one attempt (`_wreath_splits`): a rank bound stands
-    in for G_0, the stabilizer of 0 (`_rank_bounds`), read on until its
-    orbit count has held over two doublings of rows.  One rule gives the
-    blocks, the minimal ones holding 0 and one of the first
-    _BLOCK_CANDIDATES points of the bound's smallest orbits, and one check
-    runs before a block's factors are built: every other block lies in one
-    orbit, which a bound that reaches the rank passes for each block it
-    proves.  When no block passes, the bound is read on and the blocks are
-    drawn again; at its last row it is G_0's orbits, and the check on the
-    rows of block 0 is a proof.  U composes the factors' bases with
-    `_compose`, the rule haar_matrix and wreath_matrix fold over their trees.
+    Each action makes one attempt (`_wreath_splits`, which states how it
+    reads): a bound on the rank stands in for G_0, the stabilizer of 0,
+    the blocks are minimal ones holding 0 and a point of the bound's
+    smallest orbits, and one check runs before a block's factors are
+    built; at the last row the bound is G_0's orbits and the check is a
+    proof.  U composes the factors' bases with `_compose`, the rule
+    haar_matrix and wreath_matrix fold over their trees.
 
     Otherwise the orbital route (`_orbital`) reads the action's pair
     partition, relabelled once per call from the wreath attempt's joined

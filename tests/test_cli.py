@@ -102,6 +102,23 @@ class TestMatrixFile:
         assert captured.err.startswith("error: matrix scale is too")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", [
+        ["residual", "--perm", "(0 1)", "--in"],
+        ["alpha", "--group", "cyclic:2", "--in"],
+        ["match-library", "--library", "cyclic:2,trivial:2", "--in"],
+        ["discover"],
+    ])
+    def test_zero_matrix_exit_2(self, tmp_path, command, capsys):
+        # a normalized residual is undefined for the zero matrix: an input
+        # error, not a failed verification
+        path = tmp_path / "zero.mtx"
+        path.write_text("# rows=2 cols=2 field=real\n0 0\n0 0\n", encoding="ascii")
+        assert run(command + [str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "undefined for the zero matrix" in captured.err
+
     def test_zero_matrix_parses(self):
         assert not parse_matrix("# rows=2 cols=2 field=real\n0 0\n0 -0\n").any()
 

@@ -31,6 +31,7 @@ from matched_transforms import (
     make_hybrid,
     make_trivial,
     match_library,
+    pair_orbits,
     parse_group_spec,
     random_psd,
     residual_delta,
@@ -47,6 +48,8 @@ from helpers import (
     brute_force_matched_group,
     catalog_actions,
     closure_set,
+    hamming_action,
+    johnson_action,
     reference_edge_colours,
     reference_refine,
     random_action,
@@ -401,6 +404,48 @@ class TestRandomGroups:
     def test_degree_8(self, k, seed):
         # (2, 0) generates S_8, past the enumeration cap
         self.check(random_action(8, k, seed))
+
+
+def colour_partition(r: np.ndarray, tau: float) -> tuple:
+    """R's colour classes at gap tau (`_edge_colours`), numbered as
+    PairOrbitPartition numbers orbits: (ids, count, transpose), ids by first
+    appearance in a row-major scan, transpose[c] the class of the transpose
+    of class c's first pair."""
+    colours = discovery._edge_colours(r, tau)
+    _, first, inverse = np.unique(colours, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(first.size)
+    ids = rank[inverse].reshape(colours.shape)
+    return ids, first.size, ids.T.ravel()[np.sort(first)]
+
+
+_ORACLE_ACTIONS = catalog_actions() + [parse_group_spec(spec) for spec in (
+    "cyclic:64", "dihedral:32", "dihedralM:64", "boolean:6", "dyadic-wreath:6",
+    "wreath:4s,4c,4c", "hybrid:8,8", "product:(cyclic:4,dyadic-wreath:4)")]
+
+
+class TestColourPartitionOracle:
+    """A complete stop's generators have R's colour classes as their pair
+    orbits: an invariant sample is coloured by its orbitals, and the
+    search returns the group of every colour-preserving permutation."""
+
+    @pytest.mark.parametrize("action", _ORACLE_ACTIONS + [
+        relabel(a, 1) for a in _ORACLE_ACTIONS
+    ] + [
+        random_action(7, 2, 1), random_action(8, 1, 5), hamming_action(4), hamming_action(7),
+        johnson_action(6), johnson_action(16),
+    ], ids=lambda a: a.name)
+    def test_pair_orbits_are_the_colour_classes(self, action):
+        m, tau = action.degree, 1e-8
+        r = sample_invariant_cov(action, 3)
+        result = discover_sequential(r, tau=tau)
+        assert result.stop_reason == "complete"
+        orbits = pair_orbits(from_generators(
+            result.generators or (Permutation.identity(m),), "discovered"))
+        ids, count, transpose = colour_partition(r, tau)
+        assert orbits.orbit_count == count
+        assert np.array_equal(orbits.orbit_id, ids)
+        assert np.array_equal(orbits.transpose, transpose)
 
 
 class TestTrace:

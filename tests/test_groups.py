@@ -33,7 +33,6 @@ from matched_transforms.groups import (
     _character_orbits,
     _hook_and_compress,
     _minimal_block,
-    _rank_bounds,
     _regular_abelian_coordinates,
     _smith_form,
     _wreath_splits,
@@ -851,7 +850,7 @@ class TestWreathSplits:
             # intransitive: no block system, and no bound is read
             assert list(_wreath_splits(reader)) == []
             return
-        counts = [int(np.count_nonzero(b == np.arange(m))) for b in _rank_bounds(reader)]
+        _, counts = doubling_bounds(reader)
         rank = pair_orbits(action).orbit_count
         assert all(c >= rank for c in counts) and counts == sorted(counts, reverse=True)
         assert counts[-1] == rank
@@ -873,28 +872,39 @@ class TestWreathSplits:
         expected = [first.setdefault(int(o), x) for x, o in enumerate(row)]
         assert labels.tolist() == expected
 
-    def test_bounds_outlive_later_batches(self):
-        # the union-find writes into its labels, so each bound is a copy:
-        # one kept while later batches are read keeps its own orbits; the
-        # bounds run to the last row, 256, where they are G_0's orbits
+    def test_bounds_outlive_later_batches(self, monkeypatch):
+        # the union-find writes into its labels, so a bound held while later
+        # batches are read must be a copy: copies keep their own orbits, the
+        # arrays read returns do not; the bounds run to the last row, 256,
+        # where they are G_0's orbits
         action = relabel(parse_group_spec("hybrid:16,16"), 1)
-        m = action.degree
-
-        def counts(bounds):
-            return [int(np.count_nonzero(b == np.arange(m))) for b in bounds]
-
-        assert counts(list(_rank_bounds(reader_of(action)))) == counts(
-            _rank_bounds(reader_of(action))) == [225, 209, 17, 17, 17, 17, 17, 17, 17]
+        m, reader = action.degree, reader_of(action)
+        returned, read = [], reader.read
+        monkeypatch.setattr(reader, "read", lambda count: returned.append(read(count)) or
+                            returned[-1])
+        bounds, counts = doubling_bounds(reader)
+        assert [int(np.count_nonzero(b == np.arange(m))) for b in bounds] == counts == [
+            225, 209, 17, 17, 17, 17, 17, 17, 17]
+        assert [int(np.count_nonzero(b == np.arange(m))) for b in returned] != counts
+        # the attempt checks its blocks on a bound that is a copy, never
+        # on the reader's own labels
+        reader, rows = reader_of(action), []
+        check = groups._blocks_hold_one_label
+        monkeypatch.setattr(groups, "_blocks_hold_one_label", lambda r, labels: rows.append(
+            np.shares_memory(r, reader.labels)) or check(r, labels))
+        list(_wreath_splits(reader))
+        assert rows and not any(rows)
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):
         # one attempt: the distinct proper minimal blocks of up to
         # _BLOCK_CANDIDATES points of the smallest orbits of a bound, each
-        # split only when it passes the check.  On a bound before the last
-        # row the check puts every other block inside one orbit of G_0; on
-        # the last, G_0's orbits, it runs on block 0's rows, where it proves
-        # the rank, so every split of G_0's candidates with the rank
-        # rank(H) + rank(K) - 1 = rank(G) is yielded there, and no other
+        # split only when it passes the check, and at most once.  On a
+        # bound before the last row the check puts every other block inside
+        # one orbit of G_0; on the last, G_0's orbits, it runs on block 0's
+        # rows, where it proves the rank, so every split of G_0's
+        # candidates with the rank rank(H) + rank(K) - 1 = rank(G) is
+        # yielded at some row, and every split yielded there has that rank
         m = action.degree
         elements = [p.as_array() for p in closure_set(action)]
         if {int(g[0]) for g in elements} != set(range(m)):
@@ -911,7 +921,8 @@ class TestWreathSplits:
         expected = [l.tobytes() for l in candidate_systems(g0, elements, m)
                     if sum(factor_ranks(elements, l)) - 1 == rank]
         yielded = [block_labels(s[0]) for s in splits]
-        assert set(expected) <= {l.tobytes() for l, at_last in zip(yielded, last) if at_last}
+        assert len({l.tobytes() for l in yielded}) == len(yielded)
+        assert set(expected) <= {l.tobytes() for l in yielded}
         for labels, at_last in zip(yielded, last):
             assert labels.tobytes() in systems and one_orbit_per_block(g0, labels)
             assert not at_last or sum(factor_ranks(elements, labels)) - 1 == rank
@@ -965,6 +976,17 @@ class TestWreathSplits:
         monkeypatch.setattr(groups, "_split", built)
         transforms.synthesize_matched(action, 3)
         assert failed and set(split) <= passed
+
+
+def doubling_bounds(reader) -> tuple:
+    """The rank bounds `_wreath_splits` reads, as (bounds, counts): the
+    labels `read` joins over 1, 1, 2, 4, ... tree rows through the last,
+    each a copy, and the orbits each leaves when it is read."""
+    m, bounds, counts = reader.m, [], []
+    while reader.done < m:
+        bounds.append(reader.read(min(m, 2 * reader.done or 1)).copy())
+        counts.append(int(np.count_nonzero(bounds[-1] == np.arange(m))))
+    return bounds, counts
 
 
 def g0_orbits(elements) -> np.ndarray:

@@ -1,10 +1,12 @@
 import ast
 import inspect
+import io
 import os
 import re
 import subprocess
 import sys
 import textwrap
+import tokenize
 import types
 
 import pytest
@@ -94,6 +96,35 @@ def test_every_private_helper_has_a_caller():
     assert defined
     unused = sorted(f"{module}:{ident}" for module, ident in defined if ident not in loaded)
     assert not unused, unused
+
+
+def test_documents_name_only_defined_helpers():
+    # a backticked private name (`_name`, or `module._name`) in a src/
+    # docstring or comment, or in README, names a function, class, method or
+    # constant the package defines, so no document outlives a deleted helper
+    package = os.path.dirname(matched_transforms.__file__)
+    defined, texts = set(), []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name), encoding="utf-8") as fh:
+            source = fh.read()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+            if isinstance(node, (ast.Module, ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                texts.append(ast.get_docstring(node) or "")
+        texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline)
+                  if tok.type == tokenize.COMMENT]
+    with open(os.path.join(_ROOT, "README.md"), encoding="utf-8") as fh:
+        texts.append(fh.read())
+    named = {m.group(1) for text in texts for m in re.finditer(r"`(?:\w+\.)*(_\w+)`", text)}
+    stale = sorted(named - defined)
+    assert named and not stale, stale
 
 
 def test_every_module_level_import_is_used():

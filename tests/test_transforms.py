@@ -981,7 +981,7 @@ class TestWreathRoute:
 
     @pytest.mark.parametrize("action, last, held", [
         # the other numberings of the S_k actions above, which a bound read
-        # to 64 rows did not prove: read on until it settles, it does
+        # to 64 rows did not prove: read by `_wreath_splits`' rule, it does
         (relabel(parse_group_spec(spec), seed), False, True) for spec, seed in (
             ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2), ("hybrid:16,16", 3))
     ] + [
@@ -1047,8 +1047,8 @@ class TestWreathRoute:
         # numberings.  The action's reader has filled only some of its 4096
         # table rows when the split is proved: from the 6 leftmost-node
         # generators each row gives few Schreier generators, so the bound
-        # reaches the rank only at 64 or 128 rows, and is read two
-        # doublings on before a candidate is drawn
+        # reaches the rank only at 64 or 128 rows, and is read on until it
+        # settles (`_wreath_splits`) before a candidate is drawn
         action = relabel(parse_group_spec("wreath:4c,4c,4c,4c,4c,4c"), seed)
         readers, reader = [], transforms._SchreierReader
         monkeypatch.setattr(transforms, "_SchreierReader",
@@ -1061,9 +1061,10 @@ class TestWreathRoute:
     @pytest.mark.parametrize("spec", ["hybrid:8,64", "hybrid:16,64"])
     @pytest.mark.parametrize("numbering", [None, 1, 2, 3])
     def test_partitions_do_not_depend_on_the_numbering(self, spec, numbering, monkeypatch):
-        # the bound is read on until its count settles, so a relabelled copy
-        # proves its split with no pair partition of the action, as the
-        # catalog numbering does: only the held S_64 factor is partitioned
+        # candidates are drawn from a settled bound (`_wreath_splits`), so a
+        # relabelled copy proves its split with no pair partition of the
+        # action, as the catalog numbering does: only the held S_64 factor
+        # is partitioned
         action = parse_group_spec(spec)
         if numbering is not None:
             action = relabel(action, numbering)
@@ -1076,7 +1077,7 @@ class TestWreathRoute:
         # single points are point 0's block: the blocks grown are inside
         # it, and the split is proved with no pair partition of the action
         ("hybrid:16,256", 1, 0, 1), ("hybrid:16,256", 2, 0, 3), ("hybrid:64,64", 2, 0, 2),
-        # no split: the bound is read to its last row, and the pair
+        # no split: the attempt reads the bound to its last row, and the pair
         # partition the orbital route takes relabels its labels
         ("product:(dyadic-wreath:6,cyclic:16)", None, 1, 8),
         ("product:(hybrid:8,8,cyclic:4)", None, 1, 8),
@@ -1110,6 +1111,23 @@ class TestWreathRoute:
             s = np.random.default_rng(numbering).permutation(m)
             first = int(np.flatnonzero(s == 0)[0]) // w * w
             assert set(grown) <= set(s[first : first + w].tolist())
+
+    def test_blocks_grow_only_from_a_settled_bound(self, monkeypatch):
+        # J(12, 2) is primitive, so every minimal block holds over half the
+        # points.  Its bound leaves 56 orbits at 4 rows and 37, 22 and 3 at
+        # 8, 16 and 32; read on until it settles before candidates are
+        # drawn, it has G_0's three orbits by then, and at most two blocks
+        # are grown
+        action = relabel(johnson_action(12), 2)
+        grown, minimal_block = [], groups._minimal_block
+
+        def spied(reader, x):
+            grown.append(x)
+            return minimal_block(reader, x)
+
+        monkeypatch.setattr(groups, "_minimal_block", spied)
+        synthesize_matched(action, seed=3)
+        assert 0 < len(grown) <= 2
 
     @pytest.mark.parametrize("action", [
         parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"), johnson_action(12),
