@@ -190,7 +190,7 @@ def cmd_discover(args) -> int:
             doc.add(f"delta_{i}", f"{delta:.3e}")
     else:
         doc.add("generators", "none")
-    if result.order_exceeded_cap:
+    if result.group_order is None:
         doc.add("order", f">{args.cap}")
     else:
         doc.add("order", int(result.group_order))
@@ -317,7 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("discover", help="search for symmetries of a covariance file")
     p.add_argument("input", help="matrix file (Hermitian)")
     p.add_argument("--tau", type=float, default=1e-8)
-    p.add_argument("--cap", type=int, default=10**4)
+    p.add_argument("--cap", type=int, default=10**4,
+                   help="closure cap of a coarse-colors stop, whose order past it "
+                        "prints as >CAP; any other stop prints the exact order")
     p.add_argument("--seed", type=int, default=1,
                    help="no effect: synthesis of a discovered action reads no seed")
     p.add_argument("--trace", default=None,

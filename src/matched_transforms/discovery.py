@@ -77,10 +77,11 @@ class SearchLevel:
 
 @dataclass(frozen=True)
 class DiscoveryResult:
-    """Reported generators with their residuals, the group order (None when
-    it exceeds the enumeration cap), the invariant energy fraction of the
-    discovered action, search accounting, and one `SearchLevel` per base
-    level in base order."""
+    """Reported generators with their residuals, the group order (exact
+    whenever the search produced it; None only when a coarse-colors closure
+    overflows the enumeration cap), whether that order exceeds the cap, the
+    invariant energy fraction of the discovered action, search accounting,
+    and one `SearchLevel` per base level in base order."""
 
     generators: tuple
     residuals: tuple
@@ -248,8 +249,9 @@ def discover_sequential(
     "coarse-colors": a colour-preserving generator failed
     residual_delta <= tau, so the colours merged entries that differ by
     more than tau allows; only the passing generators are reported, with
-    the order of their closure.  group_order is None and order_exceeded_cap
-    is True when the order exceeds enumeration_cap.
+    the order of their closure, counted up to enumeration_cap.
+    order_exceeded_cap is True when the order exceeds enumeration_cap;
+    group_order is None only when that closure overflows the cap.
 
     tau must be finite and > 0, else InputError.  `basis` is checked
     against the degree of R but does not narrow the search.
@@ -282,12 +284,11 @@ def discover_sequential(
     else:
         stop_reason = "saturated" if saturated else "complete"
         order = math.prod(level.orbit_length for level in levels)
-        order = order if order <= enumeration_cap else None
     return DiscoveryResult(
         generators=tuple(accepted),
         residuals=tuple(residuals),
         group_order=order,
-        order_exceeded_cap=order is None,
+        order_exceeded_cap=order is None or order > enumeration_cap,
         alpha=_coloring_alpha(discovered, r_arr, r_norm),
         iterations=iterations,
         rejected_count=rejected_count,

@@ -238,18 +238,16 @@ def make_cyclic(m: int) -> GroupAction:
 
 
 def make_dihedral(m: int, degree_m: bool = False) -> GroupAction:
-    """Dihedral action: default on 2m points (shift + reflection j -> 2m-1-j,
-    closure order 4m); with degree_m=True, on m points (closure order 2m)."""
-    if degree_m:
-        _check_degree(m, lo=2)
-        rot = Permutation((np.arange(m) + 1) % m)
-        refl = Permutation(np.arange(m)[::-1])
-        return GroupAction(f"dihedralM:{m}", m, (rot, refl))
-    n = 2 * m
-    _check_degree(n)
+    """Dihedral action by shift j -> j+1 and reflection j -> n-1-j on n
+    points: dihedral:m on n = 2m (closure order 4m), dihedralM:m with
+    degree_m=True on n = m (closure order 2m).  On 2 points the shift is the
+    reflection, and it is emitted once."""
+    n = m if degree_m else 2 * m
+    _check_degree(n, lo=2)
     rot = Permutation((np.arange(n) + 1) % n)
     refl = Permutation(np.arange(n)[::-1])
-    return GroupAction(f"dihedral:{m}", n, (rot, refl))
+    name = f"dihedralM:{m}" if degree_m else f"dihedral:{m}"
+    return GroupAction(name, n, (rot, refl) if n > 2 else (rot,))
 
 
 def make_boolean(n: int) -> GroupAction:
@@ -293,26 +291,25 @@ def make_wreath(branching) -> GroupAction:
     (level 1), the last entry is the level adjacent to the leaves.  H wr K is
     generated by K's generators on the blocks and H's generators on one block
     (Dixon & Mortimer, Permutation Groups, 1996, sec. 2.6), so the iterated
-    wreath is generated by each level's leftmost node: a cyclic node gives
-    one rotation of its child blocks, a symmetric node its k - 1 adjacent
-    block transpositions.  Generators are emitted level by level from the
-    root: 6 for wreath:4c,4c,4c,4c,4c,4c, 18 for wreath:4s,4s,4s,4s,4s,4s.
+    wreath is generated by each level's leftmost node: the rotation of its k
+    child blocks, and for a symmetric node with k > 2 the swap of its first
+    two blocks as well, since a k-cycle and a transposition of neighbours in
+    it generate S_k.  Generators are emitted level by level from the root,
+    rotation first: 6 for wreath:4c,4c,4c,4c,4c,4c, 12 for
+    wreath:4s,4s,4s,4s,4s,4s.
     """
     branching, degree = _normalize_branching(branching)
     gens = []
     span = degree  # leaf span of the leftmost node at the current level
     for k, kind in branching:
         width = span // k  # leaf span of each child block
-        if kind == "cyclic":
+        images = np.arange(degree)
+        images[:span] = (np.arange(span) + width) % span
+        gens.append(Permutation(images))
+        if kind == "symmetric" and k > 2:
             images = np.arange(degree)
-            images[:span] = (np.arange(span) + width) % span
+            images[: 2 * width] = np.roll(images[: 2 * width], width)
             gens.append(Permutation(images))
-        else:
-            for lo in range(0, span - width, width):
-                images = np.arange(degree)
-                # swap blocks lo and lo + width
-                images[lo : lo + 2 * width] = np.roll(images[lo : lo + 2 * width], width)
-                gens.append(Permutation(images))
         span = width
     return GroupAction(_branching_name(branching), degree, tuple(gens))
 
@@ -327,24 +324,13 @@ def make_dyadic_wreath(levels: int) -> GroupAction:
 
 
 def make_hybrid(w: int, k: int) -> GroupAction:
-    """K blocks of W samples: cyclic shift inside block 0 only, the (0 1)
-    block transposition, and the block K-cycle.  Closure is the full wreath
-    of Z_W by S_K (order W^K * K!)."""
+    """K blocks of W samples under Z_W wr S_K (order W^K * K!): the
+    action of wreath:Ks,Wc, whose generators are the block K-cycle, the
+    (0 1) block swap when K > 2, and the cyclic shift inside block 0."""
     if w < 2 or k < 2:
         raise InputError("hybrid needs W >= 2 and K >= 2")
-    degree = w * k
-    _check_degree(degree)
-    shift0 = np.arange(degree)
-    shift0[:w] = (np.arange(w) + 1) % w
-    swap01 = np.arange(degree)
-    swap01[:w] = np.arange(w, 2 * w)
-    swap01[w : 2 * w] = np.arange(w)
-    cycle = np.empty(degree, dtype=np.int64)
-    for b in range(k):
-        dest = ((b + 1) % k) * w
-        cycle[b * w : (b + 1) * w] = np.arange(dest, dest + w)
-    gens = (Permutation(shift0), Permutation(swap01), Permutation(cycle))
-    return GroupAction(f"hybrid:{w},{k}", degree, gens)
+    base = make_wreath([(k, "symmetric"), (w, "cyclic")])
+    return GroupAction(f"hybrid:{w},{k}", base.degree, base.generators)
 
 
 def make_product(left: GroupAction, right: GroupAction) -> GroupAction:

@@ -4,7 +4,8 @@ invariant sample (the oracle every synthesis route is held to), the
 orbital route on its own, a loop-by-loop reference for subspace_match's
 clustering and column assignment, a reference for discovery's refinement
 that signs both rows and columns, a scalar reference for the rng stream,
-a wreath's every-node generators, actions outside the catalog families,
+a wreath's every-node generators, the hybrid's three generators listed
+leaf level first, actions outside the catalog families,
 and the tracemalloc peak of a call."""
 
 import itertools
@@ -121,7 +122,9 @@ def every_node_generators(branching) -> tuple:
     """The iterated wreath's generators on every node of every level, root
     first, nodes left to right: one block rotation per cyclic node and k - 1
     adjacent block transpositions per symmetric node.  A reference for
-    make_wreath, which emits the leftmost node's generators only."""
+    make_wreath, which emits each level's leftmost node only: its block
+    rotation, plus the swap of its first two blocks if it is symmetric with
+    k > 2."""
     degree = int(np.prod([k for k, _ in branching]))
     gens = []
     span = degree
@@ -143,6 +146,22 @@ def every_node_generators(branching) -> tuple:
                     gens.append(Permutation(images))
         span = width
     return tuple(gens)
+
+
+def hybrid_generators(w: int, k: int) -> tuple:
+    """Z_W wr S_K on K blocks of W points from three generators listed leaf
+    level first: the cyclic shift inside block 0, the (0 1) block swap and
+    the block K-cycle (the swap twice over when K = 2).  A reference for
+    make_hybrid, which emits the same permutations root first, through
+    make_wreath."""
+    m = w * k
+    shift0 = np.arange(m)
+    shift0[:w] = (np.arange(w) + 1) % w
+    swap01 = np.arange(m)
+    swap01[:w] = np.arange(w, 2 * w)
+    swap01[w : 2 * w] = np.arange(w)
+    cycle = (np.arange(m) + w) % m
+    return tuple(Permutation(g) for g in (shift0, swap01, cycle))
 
 
 def random_action(m: int, k: int, seed: int):

@@ -312,13 +312,26 @@ class TestDiscover:
             assert doc[f"delta_{i}"] == text[f"delta_{i}"] == f"{delta:.3e}"
 
     def test_identity_completes_with_degenerate_spectrum(self, tmp_path, capsys):
-        # S_8 has order 40320, above the default cap
+        # S_8 has order 40320, above the default cap; a complete search
+        # proves it, so the report gives it
         path = write_cov(tmp_path / "eye.mtx", np.eye(8))
         assert run(["discover", path, "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["alpha"] == 1.0
         assert payload["stop"] == "complete"
-        assert payload["order"] == ">10000"
+        assert payload["order"] == 40320
+
+    def test_coarse_colors_past_the_cap_print_the_cap(self, tmp_path, capsys):
+        # the one order a report cannot give: a coarse-colors closure that
+        # overflows the cap (see test_discovery for this matrix)
+        p = np.arange(11)
+        r = np.eye(14)
+        r[:11, :11] = (p[:, None] + p[None, :]) / 20
+        path = write_cov(tmp_path / "coarse.mtx", r)
+        assert run(["discover", path, "--tau", "0.06", "--cap", "50"]) == 0
+        text = dict(line.split(": ", 1) for line in capsys.readouterr().out.splitlines())
+        assert text["stop"] == "coarse-colors"
+        assert text["order"] == ">50"
 
     def test_trace_lines_equal_the_result_trace(self, tmp_path, capsys, monkeypatch):
         from matched_transforms import discovery

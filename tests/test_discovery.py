@@ -154,11 +154,12 @@ class TestDiscoverSequential:
         assert result.alpha == pytest.approx(1.0, abs=1e-12)
 
     def test_enumeration_cap_overflow(self):
+        # a complete search proves its order exactly, and the cap only
+        # decides whether that order is flagged as exceeding it
         result = discover_sequential(np.eye(4), enumeration_cap=10)
         assert result.order_exceeded_cap
-        assert result.group_order is None
-        # the cap only decides whether the order is reported; the
-        # generators found must still give all of S_M at every cap and BLAS
+        assert result.group_order == 24
+        # the generators found must still give all of S_M at every cap and BLAS
         # thread count.  The thread count is fixed at interpreter start, so
         # each count runs in its own process.
         probe = textwrap.dedent("""
@@ -212,6 +213,20 @@ class TestDiscoverSequential:
         assert result.iterations == 1 and result.rejected_count == 0
         assert result.generators == () and result.group_order == 1
         assert residual_delta(Permutation((1, 0)), r) > 0.6
+
+    def test_coarse_colors_closure_past_the_cap_has_no_order(self):
+        # entries 0, 0.05, ..., 1 chain into one colour at tau = 0.06, so the
+        # search finds S_14; its swaps inside the graded 11-point block or
+        # inside the identity block pass delta <= tau, and one between them
+        # fails.  The passing ones generate S_11 x S_3, whose order is known
+        # only by closure, and that closure overflows the cap
+        p = np.arange(11)
+        r = np.eye(14)
+        r[:11, :11] = (p[:, None] + p[None, :]) / 20
+        result = discover_sequential(r, tau=0.06)
+        assert result.stop_reason == "coarse-colors"
+        assert result.group_order is None and result.order_exceeded_cap
+        assert 0 < len(result.generators) < 13
 
     def test_basis_does_not_narrow_the_search(self):
         r = sample_invariant_cov(make_dihedral(8, degree_m=True), seed=1)
@@ -392,7 +407,7 @@ class TestRandomGroups:
         oracle = brute_force_matched_group(r)
         assert result.stop_reason == "complete"
         assert discovered_closure(result, action.degree) == oracle
-        assert result.group_order in (len(oracle), None)
+        assert result.group_order == len(oracle)
         assert result.order_exceeded_cap == (len(oracle) > 10**4)
 
     @given(st.integers(2, 7), st.integers(1, 3), st.integers(0, 2**32 - 1))

@@ -40,7 +40,7 @@ from matched_transforms.groups import (
 
 from helpers import (
     affine_line, catalog_actions, closure_set, compose, every_node_generators, hamming_action,
-    images_of, is_invariant, johnson_action, permutation_matrix, random_action, reader_of,
+    hybrid_generators, images_of, is_invariant, johnson_action, permutation_matrix, random_action, reader_of,
     relabel, traced_peak,
 )
 
@@ -276,25 +276,78 @@ class TestConstructors:
 
     @pytest.mark.parametrize("spec", [f"dyadic-wreath:{l}" for l in range(1, 11)] + [
         "wreath:4s,2c", "wreath:2s,4c", "wreath:3s,2c", "wreath:3c,2s,3c", "wreath:4c,4c,4c,4c",
-        "wreath:4c,4c,4c,4c,4c", "wreath:4s,4s,4s,4s"])
+        "wreath:4c,4c,4c,4c,4c", "wreath:4s,4s,4s,4s", "wreath:3s,3s", "hybrid:2,2",
+        "hybrid:4,3", "hybrid:3,4", "hybrid:2,5", "hybrid:16,16", "hybrid:8,32"])
     def test_leftmost_node_generators_give_the_every_node_group(self, spec):
-        # H wr K is generated by K's generators and H's on one block, so each
-        # level's leftmost node generates what every node's generators do:
-        # the same pair orbits, and the same group where it can be listed
+        # H wr K is generated by K's generators and H's on one block, and
+        # S_k by a k-cycle and a swap of neighbours in it, so each level's
+        # leftmost node, its block rotation plus one block swap at a
+        # symmetric node with k > 2, generates what every node's generators
+        # do: the same pair orbits, and the same group where it can be
+        # listed.  A hybrid is held to its three generators listed leaf
+        # level first as well
         head, levels = spec.split(":")
-        branching = ([(2, "cyclic")] * int(levels) if head == "dyadic-wreath" else
-                     [(int(e[:-1]), {"c": "cyclic", "s": "symmetric"}[e[-1]])
-                      for e in levels.split(",")])
+        if head == "dyadic-wreath":
+            branching = [(2, "cyclic")] * int(levels)
+        elif head == "hybrid":
+            w, k = (int(x) for x in levels.split(","))
+            branching = [(k, "symmetric"), (w, "cyclic")]
+        else:
+            branching = [(int(e[:-1]), {"c": "cyclic", "s": "symmetric"}[e[-1]])
+                         for e in levels.split(",")]
         action = parse_group_spec(spec)
-        reference = from_generators(every_node_generators(branching), spec)
-        assert len(action.generators) == sum(1 if kind == "cyclic" else k - 1
+        references = [from_generators(every_node_generators(branching), spec)]
+        if head == "hybrid":
+            references.append(from_generators(hybrid_generators(w, k), spec))
+        assert len(action.generators) == sum(1 + (kind == "symmetric" and k > 2)
                                              for k, kind in branching)
-        ours, theirs = pair_orbits(action), pair_orbits(reference)
-        assert ours.orbit_count == theirs.orbit_count
-        assert ours.orbit_id.tobytes() == theirs.orbit_id.tobytes()
-        assert ours.transpose.tobytes() == theirs.transpose.tobytes()
-        if action.degree <= 16:
-            assert closure_set(action) == closure_set(reference)
+        ours = pair_orbits(action)
+        for reference in references:
+            theirs = pair_orbits(reference)
+            assert ours.orbit_count == theirs.orbit_count
+            assert ours.orbit_id.tobytes() == theirs.orbit_id.tobytes()
+            assert ours.transpose.tobytes() == theirs.transpose.tobytes()
+            if action.degree <= 16:
+                assert closure_set(action) == closure_set(reference)
+
+    @pytest.mark.parametrize("spec, count", [
+        ("wreath:4s,4s,4s,4s,4s,4s", 12), ("wreath:256s,16c", 3), ("wreath:2s,2s", 2),
+        ("hybrid:16,256", 3), ("hybrid:5,3", 3), ("hybrid:7,2", 2), ("dihedral:1", 1),
+        ("dihedralM:2", 1), ("dihedral:2", 2), ("dihedralM:3", 2)])
+    def test_generator_counts(self, spec, count):
+        # one block rotation per level, one more block swap per symmetric
+        # level with k > 2; on 2 points the dihedral shift is its reflection
+        assert len(parse_group_spec(spec).generators) == count
+
+    @pytest.mark.parametrize("w, k", [(2, 2), (3, 2), (4, 3), (2, 5), (16, 16), (64, 64)])
+    def test_hybrid_is_the_wreath_of_its_blocks(self, w, k):
+        # hybrid:W,K is wreath:Ks,Wc under another name: the same generators
+        # in the same order, the hybrid's three permutations root first
+        hybrid, wreath = parse_group_spec(f"hybrid:{w},{k}"), parse_group_spec(f"wreath:{k}s,{w}c")
+        assert hybrid.name == f"hybrid:{w},{k}" and hybrid.degree == wreath.degree == w * k
+        assert hybrid.generators == wreath.generators
+        shift0, swap01, cycle = hybrid_generators(w, k)
+        assert hybrid.generators == ((cycle, swap01, shift0) if k > 2 else (cycle, shift0))
+        assert (swap01 == cycle) == (k == 2)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 8, 2048])
+    def test_dihedral_is_dihedral_m_on_twice_the_points(self, m):
+        dihedral, doubled = parse_group_spec(f"dihedral:{m}"), parse_group_spec(f"dihedralM:{2 * m}")
+        assert dihedral.name == f"dihedral:{m}" and dihedral.degree == 2 * m
+        assert dihedral.generators == doubled.generators
+
+    def test_catalog_generators_are_distinct(self):
+        # no catalog constructor lists one permutation twice; products are
+        # left out, since a trivial factor lifts its identity generator
+        specs = [f"{head}:{m}" for head in ("trivial", "cyclic", "dihedral") for m in (1, 2, 3, 8)]
+        specs += [f"dihedralM:{m}" for m in (2, 3, 4, 9)]
+        specs += [f"boolean:{n}" for n in (1, 2, 5)] + [f"dyadic-wreath:{l}" for l in (1, 2, 5)]
+        specs += [f"hybrid:{w},{k}" for w in (2, 3, 5) for k in (2, 3, 4)]
+        specs += ["wreath:2s", "wreath:3s", "wreath:2s,2s", "wreath:4s,2s,3c", "wreath:2c,5s",
+                  "wreath:3c,3c", "wreath:4s,4s,4s"]
+        for spec in specs:
+            gens = parse_group_spec(spec).generators
+            assert len(set(gens)) == len(gens), spec
 
     @pytest.mark.parametrize("level", [1, 2, 3, 4])
     def test_dyadic_wreath_order_formula(self, level):

@@ -54,6 +54,7 @@ from helpers import (
     compose,
     det_exact,
     hamming_action,
+    hybrid_generators,
     images_of,
     is_invariant,
     johnson_action,
@@ -986,8 +987,14 @@ class TestWreathRoute:
             ("hybrid:8,8", 1), ("hybrid:8,8", 2), ("hybrid:16,16", 2), ("hybrid:16,16", 3))
     ] + [
         # proved at the last row, G_0's orbits, by the check on block 0's
-        # rows; an S_3 block action is affine, an S_4 one is held
-        (parse_group_spec(spec), True, held) for spec, held in (
+        # rows; an S_3 block action is affine, an S_4 one is held.  Listed
+        # leaf level first, the hybrid's generators reach the last row
+        (from_generators(hybrid_generators(w, k), f"hybrid:{w},{k} leaf first"), True, held)
+        for w, k, held in ((4, 3, False), (3, 4, True), (2, 4, True), (3, 3, False))
+    ] + [
+        # the catalog lists them root first, and all but hybrid:2,4 (8
+        # points) are proved before the last row
+        (parse_group_spec(spec), spec == "hybrid:2,4", held) for spec, held in (
             ("hybrid:4,3", False), ("hybrid:3,4", True), ("hybrid:2,4", True),
             ("hybrid:3,3", False))
     ], ids=lambda v: getattr(v, "name", str(v)))
