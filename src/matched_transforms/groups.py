@@ -7,8 +7,10 @@ pairs into orbits, and the breadth-first closure that counts the group's
 elements.  Orbit averaging is what keeps large groups tractable: projecting
 a covariance onto the invariant algebra never enumerates group elements.
 Matched-basis synthesis also reads structure off an action here: the
-coordinates of an affine action A x| H, proved by exact integer checks,
-and the two factors of an imprimitive one for a minimal block system,
+coordinates of an affine action A x| H, with A grown from the generators
+or from the elements `_proposal` keeps and proved by one exact integer
+check (`_linear_parts`), and the two factors of an imprimitive one for a
+minimal block system,
 with bounds on its rank against which the caller proves the wreath rule
 (`_wreath_splits`).
 """
@@ -659,29 +661,30 @@ def _smith_form(a: list) -> tuple:
 
 
 def _regular_abelian_coordinates(images: list, m: int):
-    """Coordinates for a regular abelian action, or None for any other.
+    """Coordinates for the abelian group A that images grow from point 0,
+    or None when they grow no orbit of all m points.
 
-    images are the generators' image arrays on m points.  Returns (c, d):
-    c[p] is point p's coordinate vector in A = Z_d[0] + Z_d[1] + ...
-    (d[0] | d[1] | ..., each > 1, product m), with c[0] = 0 and every
-    generator acting as a translation.  The orbit of point 0 is grown one
-    generator at a time: a generator g that takes 0 outside it is kept,
-    with its relative order r (g^r(0) is the q-th orbit point), and the
-    orbit becomes itself, then g of it, ..., then g^(r-1) of it, so point i
-    of the orbit has exponent i in mixed radix over the kept orders.  Each
-    kept generator multiplies the orbit by r >= 2, so at most log2(m) are
-    kept.  Their relations g^r = (exponents of q) form a triangular integer
-    matrix whose Smith form gives A, and c = (exponents) v mod d.  All of
-    this is exact integer arithmetic, O(m) per generator.  The guesses it
-    makes are not trusted: the orbit must cover all m points without
-    overlap, and every generator g must satisfy c(g(p)) = c(p) + c(g(0))
-    mod d for every p.  That check proves the group is the translation
-    group of A acting regularly, hence abelian.
+    images are image arrays on m points.  Returns (c, d, grown): c[p] is
+    point p's coordinate vector in A = Z_d[0] + Z_d[1] + ... (d[0] | d[1] |
+    ..., each > 1, product m), with c[0] = 0, and grown lists the elements
+    that grew the orbit.  The orbit of point 0 is grown one element at a
+    time: an element g that takes 0 outside it is kept, with its relative
+    order r (g^r(0) is the q-th orbit point), and the orbit becomes itself,
+    then g of it, ..., then g^(r-1) of it, so point i of the orbit has
+    exponent i in mixed radix over the kept orders.  Each kept element
+    multiplies the orbit by r >= 2, so at most log2(m) are kept.  Their
+    relations g^r = (exponents of q) form a triangular integer matrix whose
+    Smith form gives A, and c = (exponents) v mod d.  All of this is exact
+    integer arithmetic, O(m) per element.  The orbit must cover all m
+    points without overlap; the rest is a guess that `_linear_parts`
+    proves: when every grown element g satisfies c(g(p)) = c(p) + c(g(0))
+    mod d for every p, they generate the translation group of A acting
+    regularly.
     """
     order = np.zeros(1, dtype=np.int64)  # the orbit of 0, in exponent order
     index = np.full(m, -1, dtype=np.int64)
     index[0] = 0
-    radices, relations = [], []
+    radices, relations, grown = [], [], []
     for g in images:
         if index[g[0]] >= 0:
             continue
@@ -700,6 +703,7 @@ def _regular_abelian_coordinates(images: list, m: int):
             row.append(-digit)
         radices.append(len(blocks))
         relations.append(row + [len(blocks)])
+        grown.append(g)
         order = np.concatenate(blocks)
         index[order] = np.arange(order.size)
         if np.count_nonzero(index >= 0) != order.size:
@@ -716,10 +720,7 @@ def _regular_abelian_coordinates(images: list, m: int):
     exponents = np.arange(m)[:, None] // strides % radices
     coords = np.empty((m, d.size), dtype=np.int64)
     coords[order] = exponents @ v % d
-    for g in images:
-        if np.any((coords[g] - coords - coords[g[0]]) % d):
-            return None
-    return coords, tuple(d.tolist())
+    return coords, tuple(d.tolist()), grown
 
 
 _PAIRED_GENERATORS = 8  # the affine proposal multiplies the first this many in pairs
@@ -734,80 +735,77 @@ def _cycle_through_zero(g: np.ndarray) -> int:
     return length
 
 
-def _conjugate(g: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """g c g^-1 on image arrays: it maps g(x) to g(c(x))."""
-    out = np.empty_like(c)
-    out[g] = g[c]
-    return out
-
-
 def _commuting(c: np.ndarray, stack: np.ndarray) -> np.ndarray:
     """Which rows g of stack commute with c, as image arrays: g c = c g."""
     return np.all(stack[:, c] == c[stack], axis=1)
 
 
-def _proposal(candidates: list, paired: list) -> list:
-    """The fixed-point-free candidates that commute with their conjugates by
-    the paired generators, longest cycle through 0 first, each kept if it
-    commutes with those kept before."""
-    points = np.arange(candidates[0].size)
+def _proposal(images: list) -> list:
+    """Elements proposed to grow a normal regular abelian A, from the
+    generators' image arrays: of the generators and the products in pairs
+    of the first _PAIRED_GENERATORS of them, those that fix no point and
+    commute with their conjugates g c g^-1 by those generators, as
+    elements of a normal abelian A do; longest cycle through 0 first, each
+    kept if it commutes with those kept before."""
+    paired, points = np.stack(images[:_PAIRED_GENERATORS]), np.arange(images[0].size)
+    candidates = images + [g[h] for g in paired for h in paired]
     free = {c.tobytes(): c for c in candidates if c[0] != 0 and np.all(c != points)}
-    kept, paired_stack = [], np.stack(paired)
+    kept = []
     for c in sorted(free.values(), key=_cycle_through_zero, reverse=True):
         if kept and not _commuting(c, np.stack(kept)).all():
             continue
-        stuck = [g for g, ok in zip(paired, _commuting(c, paired_stack)) if not ok]
-        if not stuck or _commuting(c, np.stack([_conjugate(g, c) for g in stuck])).all():
+        stuck = paired[~_commuting(c, paired)]
+        conjugates = np.empty_like(stuck)  # g c g^-1 takes g(x) to g(c(x))
+        np.put_along_axis(conjugates, stuck, stuck[:, c], axis=1)
+        if _commuting(c, conjugates).all():
             kept.append(c)
     return kept
 
 
-def _affine_coordinates(images: list, m: int):
-    """Coordinates for an affine action A x| H, or None for any other.
+def _affine_coordinates(images: list, m: int, candidates: list):
+    """Coordinates for an affine action A x| H, with A grown from
+    candidates, or None.
 
-    images are the generators' image arrays on m points.  The generators
-    themselves are tried first as A's: when `_regular_abelian_coordinates`
-    proves them all translations, the action is regular abelian (H = 1).
-    Otherwise a regular abelian A is proposed (`_proposal`) from the
-    generators, and if that fails from the generators and the products of
-    the first _PAIRED_GENERATORS of them in pairs: the fixed-point-free
-    ones that commute with their conjugates by those generators (as
-    elements of a normal abelian A do), longest cycle through 0 first,
-    each kept if it commutes with those kept before.
-    `_regular_abelian_coordinates` proves that the kept ones generate a
-    regular abelian group and gives its coordinates c, with c[0] = 0.  The
-    proposal is not trusted: every generator g must act affinely,
-    c(g(p)) = L_g c(p) + c(g(0)) mod d for every p, with L_g read off the
-    points whose coordinates are unit vectors, and L_g must be well defined
-    on A (d_j L_g e_j = 0 mod d).  Then each g normalizes A, which lies in
-    the group, so the group is A x| H with H = <L_g>.  Returns (c, d,
-    linear): linear lists the L_g that are not the identity, as integer
-    arrays whose row j is L_g e_j.  All of this is integer work, O(m) per
-    candidate and per generator.
+    images are the generators' image arrays on m points, and candidates
+    image arrays of elements of the group: the generators themselves, or
+    those `_proposal` keeps.  `_regular_abelian_coordinates` grows the
+    orbit of 0 from the candidates and gives coordinates c, with c[0] = 0,
+    for the A they would generate.  Nothing of it is trusted:
+    `_linear_parts` checks that the elements that grew the orbit are
+    translations, c(g(p)) = c(p) + c(g(0)) mod d for every p, so A is
+    regular abelian and lies in the group, and that every generator acts
+    affinely, c(g(p)) = L_g c(p) + c(g(0)) mod d, with L_g read off the
+    points whose coordinates are unit vectors and well defined on A
+    (d_j L_g e_j = 0 mod d).  Then each generator normalizes A, so the
+    group is A x| H with H = <L_g>.  Returns (c, d, linear): linear lists
+    the L_g that are not the identity, as integer arrays whose row j is
+    L_g e_j; it is empty exactly when the action is regular abelian
+    (H = 1).  All of this is integer work, O(m) per candidate and per
+    generator.
     """
-    found = _regular_abelian_coordinates(images, m)
-    if found is not None:
-        return found + ([],)
-    paired = images[:_PAIRED_GENERATORS]
-    for candidates in (images, images + [g[h] for g in paired for h in paired]):
-        found = _regular_abelian_coordinates(_proposal(candidates, paired), m)
-        linear = None if found is None else _linear_parts(images, *found)
-        if linear is not None:
-            return found + (linear,)
-    return None
+    found = _regular_abelian_coordinates(candidates, m)
+    linear = None if found is None else _linear_parts(images, *found)
+    return None if linear is None else found[:2] + (linear,)
 
 
-def _linear_parts(images: list, coords: np.ndarray, d: tuple):
-    """Each generator's L_g for the coordinates c, or None when one of them
-    is not affine (`_affine_coordinates`)."""
+def _linear_parts(images: list, coords: np.ndarray, d: tuple, grown: list):
+    """Each generator's L_g for the coordinates c, or None when an element
+    of grown is not a translation or a generator is not affine
+    (`_affine_coordinates`).  A translation needs no L_g, so a generator
+    among grown is checked once, as a translation."""
     d = np.array(d)
+    if any(np.any((coords[g] - coords - coords[g[0]]) % d) for g in grown):
+        return None
+    rest = [g for g in images if not any(g is h for h in grown)]
+    if not rest:
+        return []  # every generator grew A: the action is regular abelian
     strides = np.cumprod(np.concatenate(([1], d[:0:-1])))[::-1]
     at = np.empty(coords.shape[0], dtype=np.int64)
     at[coords @ strides] = np.arange(coords.shape[0])
     units = at[strides]  # the points with coordinates e_0, e_1, ...
     identity = np.eye(d.size, dtype=np.int64)
     linear = []
-    for g in images:
+    for g in rest:
         shift = coords[g[0]]
         lin = (coords[g[units]] - shift) % d
         translation = np.array_equal(lin, identity)

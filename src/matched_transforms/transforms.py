@@ -43,6 +43,7 @@ from .groups import (
     _character_orbits,
     _normalize_branching,
     _pair_partition,
+    _proposal,
     _wreath_splits,
     make_dihedral,
 )
@@ -417,7 +418,8 @@ def semidirect_dct_cascade(m: int) -> UnitaryTransform:
     order: dc, cos/sin per frequency, then the alternating Nyquist column.
     """
     _check_degree(2 * m, lo=4)
-    u = _semidirect([g.as_array() for g in make_dihedral(m).generators], 2 * m)[0]
+    images = [g.as_array() for g in make_dihedral(m).generators]
+    u = _semidirect(images, 2 * m, images)[0]
     labels = ["dc"] + [f"{part}={k}" for k in range(1, m) for part in ("cos", "sin")]
     return UnitaryTransform._from_trusted(u, f"dihedral:{m}", tuple(labels + ["nyquist"]))
 
@@ -587,19 +589,19 @@ def _orbital(orbits, name: str) -> tuple:
     return u, sizes, certificate, lambda: _cluster_labels(sizes)
 
 
-def _semidirect(images: list, m: int):
-    """The semidirect route, or None: the characters of A, grouped by the
-    orbits of H (`_affine_coordinates`, `_character_orbits`), orbits in
-    order of their smallest character and characters ascending within
-    each, filled in that order; with H = 1 each character is its own
-    orbit, in order.  When H != 1 and every orbit holds the conjugate -k
+def _semidirect(images: list, m: int, candidates: list):
+    """The semidirect route on the A that candidates grow, or None: the
+    characters of A, grouped by the orbits of H (`_affine_coordinates`,
+    `_character_orbits`), orbits in order of their smallest character and
+    characters ascending within each, filled in that order; with H = 1
+    each character is its own orbit, in order.  When H != 1 and every orbit holds the conjugate -k
     of each of its characters k (the self-paired case), the basis is real:
     a conjugate pair chi_k, chi_-k, k the smaller, gives the orthonormal
     columns sqrt(2) Re chi_k and -sqrt(2) Im chi_-k = sqrt(2) Im chi_k,
     labels cos=(k) and sin=(k), and a self-conjugate character its real
     part, label char=(k); `_characters` writes these parts straight into
     a float64 table."""
-    found = _affine_coordinates(images, m)
+    found = _affine_coordinates(images, m, candidates)
     if found is None:
         return None
     coords, d, linear = found
@@ -670,14 +672,19 @@ def _wreath(reader: _SchreierReader, name: str):
 
 
 def _factor_route(images: list, m: int, name: str) -> tuple:
-    """A route as (rank, build): a wreath split first, as the factors of an
-    iterated wreath are wreaths themselves, then the semidirect route, then
-    `_held`."""
-    reader = _SchreierReader(images, m)
-    found = _wreath(reader, name)
-    if found is None and (basis := _semidirect(images, m)) is not None:
-        found = basis[1].size, lambda: basis
-    return found or _held(reader, name)
+    """The route chain, for an action and for each factor of a split, as
+    (rank, build): the semidirect route on the A the generators grow, a
+    wreath split, the semidirect route on the A `_proposal` proposes, then
+    `_held`.  A split comes before a proposal, so an action that is both
+    affine and a wreath, as D_4 on 4 points given by wreath generators is,
+    takes the wreath rule, and a wreath-type action proposes nothing."""
+    if (basis := _semidirect(images, m, images)) is None:
+        reader = _SchreierReader(images, m)
+        if (found := _wreath(reader, name)) is not None:
+            return found
+        if (basis := _semidirect(images, m, _proposal(images))) is None:
+            return _held(reader, name)
+    return basis[1].size, lambda: basis
 
 
 def _held(reader: _SchreierReader, name: str) -> tuple:
@@ -698,10 +705,16 @@ def _synthesized(name: str, found: tuple) -> SynthesizedBasis:
 
 def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     """The matched basis of a multiplicity-free action: a U that diagonalizes
-    every invariant matrix.  Four routes, tried in this order: the trivial
-    action's KLT, the semidirect route, which builds U with no sample and
-    no eigensolve, the wreath route, which eigensolves only the factors
-    that need it, and the orbital route.  Only the KLT reads the seed.
+    every invariant matrix.  The trivial action takes the KLT; every other
+    runs the one route chain of `_factor_route`, the same for the action
+    and for each factor of a split: the semidirect route on the A the
+    generators grow, which builds U with no sample and no eigensolve, the
+    wreath route, which eigensolves only the factors that need it, the
+    semidirect route on a proposed A, and the orbital route.  A split is
+    tried before an A is proposed, so an action that is both affine and a
+    wreath takes the rule its generators name: dihedral:2's rotation grows
+    A, and dyadic-wreath:2, the same D_4 on 4 points, takes the wreath
+    rule and gives haar_matrix(2).  Only the KLT reads the seed.
     Every route gives a float64 U for a self-paired action, and complex128
     for the rest and for the KLT.  The wreath and orbital routes label the
     columns cluster=c,col=i, c numbering the eigenspaces in column order.
@@ -724,16 +737,17 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
     characters, as for every self-paired action (dihedral, AGL(1, p)), U is
     real: each pair chi_k, chi_-k becomes sqrt(2) Re chi_k and
     sqrt(2) Im chi_k, labels cos=(k),orbit=o and sin=(k),orbit=o, written
-    as float64 by `_characters`.  A is proposed from the generators and their
-    products in pairs; the proof is not a sample but exact integer checks,
-    and an action that fails them costs O(kM) integer work.
+    as float64 by `_characters`.  A is grown from the generators, and only
+    after a failed wreath attempt proposed from them and their products in
+    pairs (`_proposal`); the proof is not a sample but exact integer
+    checks, and an action that fails them costs O(kM) integer work.
 
     The wreath route takes an imprimitive action whose orbitals are those
     of H wr K, K its action on a block system and H the block stabilizer's
     on one block (`_wreath`): its rank is at least rank(H) + rank(K) - 1
-    (Krasner-Kaloujnine), and equality proves it.  Each factor takes a
-    route with no pair partition if one applies (a wreath split, then the
-    semidirect route), or is held as its own pair partition (`_held`).
+    (Krasner-Kaloujnine), and equality proves it.  Each factor runs the
+    same route chain: a route with no pair partition if one applies, or
+    it is held as its own pair partition (`_held`).
     Each action makes one attempt (`_wreath_splits`, which states how it
     reads): a bound on the rank stands in for G_0, the stabilizer of 0,
     the blocks are minimal ones holding 0 and a point of the bound's
@@ -785,10 +799,6 @@ def synthesize_matched(action: GroupAction, seed: int) -> SynthesizedBasis:
             vectors, action.name, tuple(f"klt={k}" for k in range(action.degree)))
         return SynthesizedBasis(transform, (1,) * action.degree, True, None)
     images, m, name = [g.as_array() for g in action.generators], action.degree, action.name
-    found = _semidirect(images, m)
-    if found is None:
-        reader = _SchreierReader(images, m)
-        found = _wreath(reader, name) or _held(reader, name)
-        del reader  # a proved split's build reads none of the action's table
-        found = found[1]()
-    return _synthesized(name, found)
+    # the reader is dropped with _factor_route's frame: a proved split's
+    # build reads none of the action's table
+    return _synthesized(name, _factor_route(images, m, name)[1]())

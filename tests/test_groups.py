@@ -32,7 +32,9 @@ from matched_transforms.groups import (
     _blocks_hold_one_label,
     _character_orbits,
     _hook_and_compress,
+    _linear_parts,
     _minimal_block,
+    _proposal,
     _regular_abelian_coordinates,
     _smith_form,
     _wreath_splits,
@@ -665,8 +667,12 @@ class TestRegularAbelianCoordinates:
         act = parse_group_spec(spec)
         if seed is not None:
             act = relabel(act, seed)
-        m = act.degree
-        coords, d = _regular_abelian_coordinates([g.as_array() for g in act.generators], m)
+        m, images = act.degree, images_of(act)
+        coords, d, grown = _regular_abelian_coordinates(images, m)
+        # the orbit grows from at most log2(m) generators, and every
+        # generator is a translation: no linear part
+        assert 0 < len(grown) <= np.log2(m) and all(any(g is h for h in images) for g in grown)
+        assert _linear_parts(images, coords, d, grown) == []
         assert d == invariants and int(np.prod(d)) == m
         assert not coords[0].any() and np.all((coords >= 0) & (coords < d))
         assert len({tuple(c) for c in coords.tolist()}) == m
@@ -684,19 +690,42 @@ class TestRegularAbelianCoordinates:
         quaternion_action(), relabel(quaternion_action(), 3),
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
+        # not regular abelian: the orbit of 0 does not grow to every point,
+        # or `_linear_parts` finds a generator that is not a translation
+        images = images_of(action)
+        found = _regular_abelian_coordinates(images, action.degree)
+        assert found is None or _linear_parts(images, *found) != []
+
+    @pytest.mark.parametrize("action", [quaternion_action(), relabel(quaternion_action(), 3)],
+                             ids=lambda a: a.name)
+    def test_only_the_translation_check_rejects_q8(self, action):
         # Q8 is regular and every orbit step succeeds on it: only the
-        # translation check can reject it
-        assert _regular_abelian_coordinates(
-            [g.as_array() for g in action.generators], action.degree) is None
+        # check that the elements that grew the orbit are translations
+        # can reject it
+        images = images_of(action)
+        coords, d, grown = _regular_abelian_coordinates(images, action.degree)
+        assert _linear_parts(grown, coords, d, grown) is None
 
     @pytest.mark.parametrize("spec", ["dyadic-wreath:12", "dihedralM:4096"])
     def test_rejection_builds_no_m_by_m_array(self, spec):
         # 16 MiB is M^2 bytes at M = 4096: no M x M array of any dtype fits
         act = parse_group_spec(spec)
-        images = [g.as_array() for g in act.generators]
-        found, peak = traced_peak(lambda: _regular_abelian_coordinates(images, act.degree))
-        assert found is None
+        images = images_of(act)
+
+        def regular_abelian():
+            found = _regular_abelian_coordinates(images, act.degree)
+            return found is not None and _linear_parts(images, *found) == []
+
+        found, peak = traced_peak(regular_abelian)
+        assert not found
         assert peak < 16 * 2**20
+
+
+def affine_coordinates(images: list, m: int):
+    """The semidirect route's two attempts: A grown from the generators,
+    then from the elements `_proposal` keeps."""
+    return (_affine_coordinates(images, m, images)
+            or _affine_coordinates(images, m, _proposal(images)))
 
 
 class TestAffineCoordinates:
@@ -711,7 +740,7 @@ class TestAffineCoordinates:
         ids=lambda a: a.name)
     def test_every_element_is_affine(self, action):
         m = action.degree
-        coords, d, linear = _affine_coordinates(images_of(action), m)
+        coords, d, linear = affine_coordinates(images_of(action), m)
         d = np.array(d)
         assert int(np.prod(d)) == m and not coords[0].any()
         assert len({tuple(c) for c in coords.tolist()}) == m
@@ -735,7 +764,7 @@ class TestAffineCoordinates:
     def test_character_orbits_of_the_hamming_scheme(self, n):
         # S_n permutes the bits of the characters: an orbit per weight,
         # named by its smallest character
-        coords, d, linear = _affine_coordinates(images_of(hamming_action(n)), 1 << n)
+        coords, d, linear = affine_coordinates(images_of(hamming_action(n)), 1 << n)
         smallest = _character_orbits(d, linear)
         k = np.arange(1 << n)
         weight = np.bitwise_count(k)
@@ -747,32 +776,39 @@ class TestAffineCoordinates:
         parse_group_spec("product:(cyclic:4,trivial:2)"), parse_group_spec("trivial:4"),
     ], ids=lambda a: a.name)
     def test_rejects_other_actions(self, action):
-        assert _affine_coordinates(images_of(action), action.degree) is None
+        assert affine_coordinates(images_of(action), action.degree) is None
 
     @pytest.mark.parametrize("spec", ["dyadic-wreath:12", "hybrid:64,64"])
     def test_rejection_builds_no_m_by_m_array(self, spec):
         act = parse_group_spec(spec)
         images = images_of(act)
-        found, peak = traced_peak(lambda: _affine_coordinates(images, act.degree))
+        found, peak = traced_peak(lambda: affine_coordinates(images, act.degree))
         assert found is None
         assert peak < 16 * 2**20
 
     def test_a_generator_past_the_paired_ones_fails_the_affine_check(self, monkeypatch):
-        # the proposal reads only the first _PAIRED_GENERATORS, eight
-        # copies of cyclic:8's shift, so A = Z_8 is proved; the ninth
-        # generator, the transposition (1 2), is not affine on it
+        # the proposal multiplies only the first _PAIRED_GENERATORS, eight
+        # copies of cyclic:8's shift, and keeps the shift and its square;
+        # in both attempts the shift alone grows A = Z_8 and passes as a
+        # translation, and the ninth generator, the transposition (1 2),
+        # is not affine on it
         shift = images_of(make_cyclic(8))[0]
         swap = parse_permutation("(1 2)", 8).as_array()
+        images = [shift] * 8 + [swap]
         assert groups._PAIRED_GENERATORS == 8
-        results, linear_parts = [], groups._linear_parts
+        proposed = _proposal(images)
+        assert [c.tobytes() for c in proposed] == [shift.tobytes(), shift[shift].tobytes()]
+        grown, results, linear_parts = [], [], groups._linear_parts
 
-        def spied(*args):
-            results.append(linear_parts(*args))
+        def spied(images, coords, d, translations):
+            grown.append([g.tobytes() for g in translations])
+            results.append(linear_parts(images, coords, d, translations))
             return results[-1]
 
         monkeypatch.setattr(groups, "_linear_parts", spied)
-        assert _affine_coordinates([shift] * 8 + [swap], 8) is None
-        assert results and all(r is None for r in results)
+        assert _affine_coordinates(images, 8, images) is None
+        assert _affine_coordinates(images, 8, proposed) is None
+        assert grown == [[shift.tobytes()]] * 2 and results == [None, None]
 
 
 def proved_split(action):
@@ -947,6 +983,27 @@ class TestWreathSplits:
             np.shares_memory(r, reader.labels)) or check(r, labels))
         list(_wreath_splits(reader))
         assert rows and not any(rows)
+
+    def test_proves_reads_on_past_a_settled_bound(self):
+        # seven words in wreath:3s,3s,3s's generators: the bound's count
+        # holds at 5 over 1, 2 and 4 rows, above the rank 4, and the first
+        # block passes the check on it; proves() reads on to 8 rows, where
+        # the count falls to the rank
+        words = [
+            [9, 10, 11, 12, 13, 14, 15, 16, 17, 0, 1, 2, 3, 4, 5, 6, 7, 8] + list(range(18, 27)),
+            [12, 13, 14, 15, 16, 17, 9, 10, 11] + list(range(18, 27)) + [5, 4, 3, 6, 7, 8, 0, 1, 2],
+            [6, 7, 8, 0, 1, 2, 3, 4, 5] + list(range(18, 27)) + list(range(9, 18)),
+            [24, 25, 26, 21, 22, 23, 18, 19, 20, 3, 4, 5, 0, 1, 2, 6, 7, 8] + list(range(9, 18)),
+            [12, 13, 14, 10, 11, 9, 15, 16, 17] + list(range(18, 27)) + [3, 4, 5, 6, 7, 8, 0, 1, 2],
+            [9, 10, 11, 12, 13, 14, 15, 16, 17, 4, 5, 3, 6, 7, 8, 0, 1, 2] + list(range(18, 27)),
+            [12, 13, 14, 15, 16, 17, 9, 10, 11, 1, 0, 2, 3, 4, 5, 6, 7, 8] + list(range(18, 27)),
+        ]
+        action = from_generators([Permutation(w) for w in words], "words(wreath:3s,3s,3s)")
+        reader, rank = reader_of(action), pair_orbits(action).orbit_count
+        assert rank == pair_orbits(parse_group_spec("wreath:3s,3s,3s")).orbit_count == 4
+        *_, proves = next(_wreath_splits(reader))
+        assert reader.done == 4
+        assert proves(rank) and reader.done == 8
 
     @pytest.mark.parametrize("action", SPLIT_ACTIONS, ids=lambda a: a.name)
     def test_splits(self, action):

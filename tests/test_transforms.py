@@ -555,20 +555,24 @@ class TestClassicalKernelsAreRouteBases:
         assert cascade.column_labels[0] == "dc" and cascade.column_labels[-1] == "nyquist"
         assert cascade.column_labels[1:3] == ("cos=1", "sin=1")
 
-    @pytest.mark.parametrize("levels", [1, 3, 4, 5, 6, 7, 8, 9])
+    @pytest.mark.parametrize("levels", range(1, 10))
     def test_haar_is_the_dyadic_wreath_basis(self, levels):
         basis = synthesize_matched(make_dyadic_wreath(levels), seed=1).transform
         assert basis.matrix.tobytes() == haar_matrix(levels).matrix.tobytes()
 
-    def test_dyadic_wreath_2_takes_the_semidirect_route(self):
-        # D_4 on 4 points is affine (it is dihedralM:4), so the semidirect
-        # route names it before the wreath route is tried
-        action = make_dyadic_wreath(2)
-        basis = synthesize_matched(action, seed=1)
-        assert basis.certificate is None
-        assert basis.transform.column_labels[:3] == (
+    def test_d4_on_4_points_takes_the_rule_its_generators_name(self):
+        # D_4 on 4 points is both affine and Z_2 wr Z_2.  dihedral:2's
+        # rotation grows A = Z_4, so the semidirect route proves it before
+        # a split is tried; dyadic-wreath:2's block swap and inner swap
+        # grow no A, so the wreath split comes first and gives Haar's node
+        dihedral = synthesize_matched(make_dihedral(2), seed=1)
+        assert dihedral.certificate is None
+        assert dihedral.transform.column_labels[:3] == (
             "char=(0),orbit=0", "cos=(1),orbit=1", "sin=(1),orbit=1")
-        assert basis.degeneracy_pattern == sampled_basis(action, seed=1).degeneracy_pattern == (1, 1, 2)
+        wreath = synthesize_matched(make_dyadic_wreath(2), seed=1)
+        assert wreath.certificate is None
+        assert all(l.startswith("cluster=") for l in wreath.transform.column_labels)
+        assert dihedral.degeneracy_pattern == wreath.degeneracy_pattern == (1, 1, 2)
 
 
 class TestSynthesize:
@@ -840,6 +844,18 @@ def spy_partitions_and_solves(monkeypatch):
     monkeypatch.setattr(transforms, "_pair_partition", counted)
     monkeypatch.setattr(transforms, "_orbital", recorded)
     return calls, solved
+
+
+def spy_proposals(monkeypatch) -> list:
+    """Record the degree of every A that synthesis proposes."""
+    degrees, proposal = [], transforms._proposal
+
+    def spied(images):
+        degrees.append(images[0].size)
+        return proposal(images)
+
+    monkeypatch.setattr(transforms, "_proposal", spied)
+    return degrees
 
 
 def relabelled(actions):
@@ -1139,17 +1155,25 @@ class TestWreathRoute:
     @pytest.mark.parametrize("action", [
         parse_group_spec("product:(dyadic-wreath:6,cyclic:16)"), johnson_action(12),
     ], ids=lambda a: a.name)
-    def test_semidirect_runs_once_per_action(self, action, monkeypatch):
-        # the route chain tries each route once at the action's own degree
-        degrees, semidirect = [], transforms._semidirect
-
-        def spied(images, m):
-            degrees.append(m)
-            return semidirect(images, m)
-
-        monkeypatch.setattr(transforms, "_semidirect", spied)
+    def test_proposal_runs_once_per_action(self, action, monkeypatch):
+        # the route chain proposes an A at most once at the action's own
+        # degree; these two grow none from their generators and pass no
+        # split, so they reach the proposal
+        degrees = spy_proposals(monkeypatch)
         synthesize_matched(action, seed=3)
         assert degrees.count(action.degree) == 1
+
+    @pytest.mark.parametrize("action", relabelled([parse_group_spec(spec) for spec in (
+        "dyadic-wreath:5", "hybrid:4,3", "wreath:4s,4s,4s", "dihedral:6", "dihedralM:9",
+        "product:(cyclic:3,dihedralM:4)")] + [hamming_action(4), affine_line(7, 3)]),
+        ids=lambda a: a.name)
+    def test_no_proposal_at_the_action_degree(self, action, monkeypatch):
+        # a wreath-type action is split before any A is proposed, and an
+        # affine one whose generators grow A is proved from them; only a
+        # held factor, of smaller degree, may propose one
+        degrees = spy_proposals(monkeypatch)
+        synthesize_matched(action, seed=3)
+        assert action.degree not in degrees
 
     @pytest.mark.parametrize("numbering", [None, 1, 2])
     def test_failed_splits_solve_nothing(self, numbering, monkeypatch):
@@ -1178,8 +1202,8 @@ class TestWreathRoute:
         make_product(parse_group_spec("wreath:3s,2c"), parse_group_spec("cyclic:2")),
     ], ids=lambda a: a.name)
     def test_other_actions_fall_through(self, action):
-        # dihedral:m is imprimitive, but its orbitals are not those of a
-        # wreath product; it takes the semidirect route instead
+        # dihedral:m is imprimitive, but its rotation grows A, so the
+        # semidirect route proves it before a split is tried
         basis = synthesize_matched(action, seed=1)
         label = basis.transform.column_labels[0]
         assert label.startswith("char=") or basis.certificate is not None
