@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import sys
+import time
 
 from . import diagnostics, discovery, groups, matrixio, numkernel, transforms
 from .errors import (
@@ -52,9 +53,15 @@ def _emit(doc: matrixio.ReportDocument, as_json: bool) -> None:
 # ---------------------------------------------------------------------------
 # kernel
 
-_KERNEL_SIZES = {
-    "dft": "points", "dct2": "points", "hartley": "points",
-    "wht": "bits", "rm": "bits", "arith": "bits", "haar": "levels",
+# name: (builder, what --size counts); fprm takes its size from --polarity
+_KERNELS = {
+    "dft": (transforms.dft_matrix, "points"),
+    "dct2": (transforms.dct2_matrix, "points"),
+    "hartley": (transforms.hartley_matrix, "points"),
+    "wht": (transforms.wht_matrix, "bits"),
+    "rm": (transforms.rm_matrix, "bits"),
+    "arith": (transforms.arithmetic_matrix, "bits"),
+    "haar": (transforms.haar_matrix, "levels"),
 }
 
 
@@ -67,101 +74,61 @@ def _build_kernel(name: str, size: int | None, polarity: str | None):
         return transforms.fp_rm_matrix(polarity.strip()).matrix
     if polarity is not None:
         raise InputError("--polarity only applies to fprm")
+    build, counts = _KERNELS[name]
     if size is None:
-        raise InputError(f"{name} requires --size ({_KERNEL_SIZES[name]})")
-    builders = {
-        "dft": transforms.dft_matrix,
-        "dct2": transforms.dct2_matrix,
-        "hartley": transforms.hartley_matrix,
-        "wht": transforms.wht_matrix,
-        "haar": transforms.haar_matrix,
-        "rm": transforms.rm_matrix,
-        "arith": transforms.arithmetic_matrix,
-    }
-    built = builders[name](size)
-    return built.matrix
+        raise InputError(f"{name} requires --size ({counts})")
+    return build(size).matrix
 
 
 def cmd_kernel(args) -> int:
     matrix = _build_kernel(args.name, args.size, args.polarity)
-    text = matrixio.render_matrix(matrix)
     if args.out:
-        with open(args.out, "w", encoding="ascii") as fh:
-            fh.write(text)
+        matrixio.write_matrix_file(args.out, matrix)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(matrixio.render_matrix(matrix))
     return 0
 
 
 # ---------------------------------------------------------------------------
 # verify
 
-_VERIFY_CASES = ("dft", "wht", "dct", "haar", "circle64")
+def _sampled_match(action: groups.GroupAction, seed: int, kernel):
+    return diagnostics.subspace_match(diagnostics.sample_invariant_cov(action, seed), kernel)
 
 
-def _run_verify_case(case: str, seed: int):
-    """Returns (group label, MatchReport)."""
-    if case == "dft":
-        r = diagnostics.sample_invariant_cov(groups.make_cyclic(16), seed)
-        return "cyclic:16", diagnostics.subspace_match(r, transforms.dft_matrix(16))
-    if case == "wht":
-        r = diagnostics.sample_invariant_cov(groups.make_boolean(4), seed)
-        return "boolean:4", diagnostics.subspace_match(r, transforms.wht_matrix(4))
-    if case == "dct":
-        r = diagnostics.dct_fold_cov(8, seed)
-        return "dihedral:8", diagnostics.subspace_match(r, transforms.dct2_matrix(8))
-    if case == "haar":
-        r = diagnostics.sample_invariant_cov(groups.make_dyadic_wreath(5), seed)
-        return "dyadic-wreath:5", diagnostics.subspace_match(r, transforms.haar_matrix(5))
-    if case == "circle64":
-        return "dihedral:32", diagnostics.circle_check(64, seed)
-    raise InputError(f"unknown verify case {case!r}")
+# case: seed -> (group label, MatchReport); each builds its kernel only when
+# run, so that importing the module builds no matrix
+_VERIFY_CASES = {
+    "dft": lambda seed: ("cyclic:16", _sampled_match(
+        groups.make_cyclic(16), seed, transforms.dft_matrix(16))),
+    "wht": lambda seed: ("boolean:4", _sampled_match(
+        groups.make_boolean(4), seed, transforms.wht_matrix(4))),
+    "dct": lambda seed: ("dihedral:8", diagnostics.subspace_match(
+        diagnostics.dct_fold_cov(8, seed), transforms.dct2_matrix(8))),
+    "haar": lambda seed: ("dyadic-wreath:5", _sampled_match(
+        groups.make_dyadic_wreath(5), seed, transforms.haar_matrix(5))),
+    "circle64": lambda seed: ("dihedral:32", diagnostics.circle_check(64, seed)),
+}
 
 
 def cmd_verify(args) -> int:
-    import time
-    names = _VERIFY_CASES if args.case == "all" else (args.case,)
-    rows = []
-    all_pass = True
-    for name in names:
+    rows, all_pass = [], True
+    for name in _VERIFY_CASES if args.case == "all" else (args.case,):
         start = time.perf_counter()
+        row = matrixio.ReportDocument().add("case", name)
         try:
-            group, report = _run_verify_case(name, args.seed)
-            ok = report.min_match >= 1.0 - 1e-6
-            rows.append({
-                "case": name,
-                "group": group,
-                "min_match": matrixio._round6(report.min_match),
-                "pattern": [int(v) for v in report.degeneracy_pattern],
-                "pass": ok,
-            })
+            group, report = _VERIFY_CASES[name](args.seed)
         except ToolkitError as exc:
-            rows.append({
-                "case": name, "group": "-", "min_match": None,
-                "pattern": [], "pass": False, "error": str(exc),
-            })
             ok = False
-        rows[-1]["seconds"] = matrixio._round6(time.perf_counter() - start)
-        all_pass = all_pass and ok
-    if args.json:
-        sys.stdout.write(json.dumps({"cases": rows, "pass": all_pass}, indent=2) + "\n")
-    else:
-        for row in rows:
-            status = "pass" if row["pass"] else "FAIL"
-            match_txt = "-" if row["min_match"] is None else f"{row['min_match']:.6f}"
-            pattern_txt = " ".join(str(v) for v in row["pattern"])
-            line = (
-                f"case={row['case']} status={status} group={row['group']} "
-                f"min_match={match_txt} seconds={row['seconds']:.6f} pattern={pattern_txt}"
-            )
-            if "error" in row:
-                line += f" error={row['error']}"
-            print(line)
-        if all_pass:
-            print("verify: PASS")
+            row.add("group", "-").add("min_match", None).add("pattern", [])
+            row.add("pass", ok).add("error", str(exc))
         else:
-            failing = " ".join(r["case"] for r in rows if not r["pass"])
-            print(f"verify: FAIL (failing: {failing})")
+            ok = report.min_match >= 1.0 - 1e-6
+            row.add("group", group).add("min_match", report.min_match)
+            row.add("pattern", report.degeneracy_pattern).add("pass", ok)
+        rows.append(row.add("seconds", time.perf_counter() - start))
+        all_pass = all_pass and ok
+    _emit(matrixio.ReportDocument().add("cases", rows).add("pass", all_pass), args.json)
     return 0 if all_pass else 1
 
 
@@ -249,27 +216,15 @@ def cmd_match_library(args) -> int:
     report = discovery.match_library(r, actions, enumeration_cap=args.cap)
     for warning in report.warnings:
         print(f"warning: {warning}", file=sys.stderr)
-    entries = report.matches
-    if not entries:
+    if not report.matches:
         return _fail(f"no library entry has the matrix degree {r.shape[0]}", 2)
-    if args.json:
-        payload = []
-        for rank, e in enumerate(entries, start=1):
-            payload.append({
-                "rank": rank,
-                "group": e.name,
-                "score": matrixio._round6(e.score),
-                "alpha": matrixio._round6(e.alpha),
-                "order": f">{args.cap}" if e.order_exceeded_cap else int(e.group_order),
-            })
-        sys.stdout.write(json.dumps({"entries": payload}, indent=2) + "\n")
-    else:
-        for rank, e in enumerate(entries, start=1):
-            order = f">{args.cap}" if e.order_exceeded_cap else str(int(e.group_order))
-            print(
-                f"rank={rank} group={e.name} score={matrixio._round6(e.score):.6f} "
-                f"alpha={matrixio._round6(e.alpha):.6f} order={order}"
-            )
+    rows = [
+        matrixio.ReportDocument().add("rank", rank).add("group", e.name)
+        .add("score", e.score).add("alpha", e.alpha)
+        .add("order", f">{args.cap}" if e.order_exceeded_cap else e.group_order)
+        for rank, e in enumerate(report.matches, start=1)
+    ]
+    _emit(matrixio.ReportDocument().add("entries", rows), args.json)
     return 0
 
 
@@ -301,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kernel", help="emit a transform matrix")
-    p.add_argument("name", choices=sorted(set(_KERNEL_SIZES) | {"fprm"}))
+    p.add_argument("name", choices=sorted([*_KERNELS, "fprm"]))
     p.add_argument("--size", type=int, default=None,
                    help="points (dft/dct2/hartley), bits (wht/rm/arith), or levels (haar)")
     p.add_argument("--polarity", default=None, help="fprm polarity bit string")
@@ -309,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_kernel)
 
     p = sub.add_parser("verify", help="run the end-to-end pipeline checks")
-    p.add_argument("--case", choices=_VERIFY_CASES + ("all",), default="all")
+    p.add_argument("--case", choices=[*_VERIFY_CASES, "all"], default="all")
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)

@@ -5,9 +5,9 @@ followed by M whitespace-separated rows.  Real entries are printed with
 %.17g (lossless for float64); complex entries are `re:im` pairs in the
 same format, so parse(render(A)) reproduces A exactly.
 
-Reports render the same ordered key/value pairs as aligned text or JSON;
-floats pass through one shared 6-decimal rounding so the two formats can
-never disagree numerically.
+Reports render the same ordered key/value pairs, and lists of rows of
+them, as text or JSON; floats pass through one shared 6-decimal rounding
+so the two formats can never disagree numerically.
 """
 
 from __future__ import annotations
@@ -116,7 +116,10 @@ class ReportDocument:
     """Ordered key/value report rendering identically to text and JSON.
 
     Values may be floats (rounded to 6 decimals in both formats), ints,
-    bools, strings, or flat int sequences (degeneracy patterns).
+    bools, strings, None, flat int sequences (degeneracy patterns), or a
+    non-empty list of ReportDocument rows of such scalars.  Text prints a
+    scalar as `key: value` and each row as one `key=value ...` line; JSON
+    prints the rows as a list of objects.
     """
 
     def __init__(self):
@@ -135,6 +138,9 @@ class ReportDocument:
                 out.append((key, _round6(value)))
             elif isinstance(value, str):
                 out.append((key, value))
+            elif isinstance(value, list) and value and all(
+                    isinstance(v, ReportDocument) for v in value):
+                out.append((key, [dict(row._normalized()) for row in value]))
             elif isinstance(value, (list, tuple)):
                 out.append((key, [int(v) for v in value]))
             elif value is None:
@@ -146,18 +152,24 @@ class ReportDocument:
     def to_text(self) -> str:
         lines = []
         for key, value in self._normalized():
-            if isinstance(value, bool):
-                rendered = "true" if value else "false"
-            elif isinstance(value, float):
-                rendered = f"{value:.6f}"
-            elif isinstance(value, list):
-                rendered = " ".join(str(v) for v in value)
-            elif value is None:
-                rendered = "-"
+            if isinstance(value, list) and value and isinstance(value[0], dict):
+                lines += (" ".join(f"{k}={_text(v)}" for k, v in row.items()) for row in value)
             else:
-                rendered = str(value)
-            lines.append(f"{key}: {rendered}")
+                lines.append(f"{key}: {_text(value)}")
         return "\n".join(lines) + "\n"
 
     def to_json(self) -> str:
         return json.dumps(dict(self._normalized()), indent=2) + "\n"
+
+
+def _text(value) -> str:
+    """One normalized scalar as the text report prints it."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
+    if isinstance(value, list):
+        return " ".join(str(v) for v in value)
+    if value is None:
+        return "-"
+    return str(value)

@@ -290,8 +290,9 @@ def haar_matrix(levels: int) -> UnitaryTransform:
     and the negative on the second.  Columns are ordered scale-major, then
     position, and labeled scale=s,pos=p.
     """
-    _check_log2_degree(levels)
-    return _wreath_transform(((2, "cyclic"),) * levels, f"dyadic-wreath:{levels}")
+    _check_log2_degree(levels)  # before a tuple of `levels` nodes is built
+    u = wreath_matrix(((2, "cyclic"),) * levels)
+    return UnitaryTransform._from_trusted(u.matrix, f"dyadic-wreath:{levels}", u.column_labels)
 
 
 # ---------------------------------------------------------------------------
@@ -434,16 +435,13 @@ def wreath_matrix(branching) -> UnitaryTransform:
     its K blocks' constant directions, and the subtree's basis is copied
     into every block.  Columns come out scale-major: scale 0 is the global
     constant, scale 1 the root's non-trivial block mixes, scale s+1 the
-    per-block copies of inner scale-s columns, blocks left to right.
+    per-block copies of inner scale-s columns, blocks left to right; each
+    is labeled scale=s,pos=p.
     """
     branching, _ = _normalize_branching(branching)
-    return _wreath_transform(branching, _branching_name(branching))
 
-
-def _wreath_transform(branching, name: str) -> UnitaryTransform:
-    """The tree's basis with columns labeled scale=s,pos=p.  A node of
-    width k is the route of its base with eigenspaces [1, k - 1], and
-    scale s is the composed basis's eigenspace s."""
+    # a node of width k is the route of its base with eigenspaces [1, k - 1],
+    # and scale s is the composed basis's eigenspace s
     def node(k, kind):
         return _node_base(k, kind), np.array([1, k - 1]), None, None
 
@@ -452,7 +450,7 @@ def _wreath_transform(branching, name: str) -> UnitaryTransform:
         points = np.arange(k * u.shape[0]).reshape(k, -1)
         u, sizes, _, _ = _compose(node(k, kind), (u, sizes, None, None), points)
     labels = tuple(f"scale={s},pos={p}" for s, n in enumerate(sizes.tolist()) for p in range(n))
-    return UnitaryTransform._from_trusted(u, name, labels)
+    return UnitaryTransform._from_trusted(u, _branching_name(branching), labels)
 
 
 def _node_base(k: int, kind: str) -> np.ndarray:

@@ -4,7 +4,10 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
+import textwrap
 
 import numpy as np
 import pytest
@@ -12,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from matched_transforms import (
     InputError,
+    NumericError,
     arithmetic_matrix,
     cli,
     dct2_matrix,
@@ -230,8 +234,9 @@ class TestVerify:
     def test_single_case(self, capsys):
         assert run(["verify", "--case", "dft", "--seed", "1"]) == 0
         out = capsys.readouterr().out
-        assert "case=dft status=pass group=cyclic:16 min_match=1.000000" in out
-        assert out.strip().endswith("verify: PASS")
+        assert out.startswith("case=dft group=cyclic:16 min_match=1.000000 pattern=1 ")
+        assert " pass=true seconds=" in out
+        assert out.endswith("\npass: true\n")
 
     def test_haar_pattern(self, capsys):
         assert run(["verify", "--case", "haar"]) == 0
@@ -267,9 +272,53 @@ class TestVerify:
         rows = json.loads(capsys.readouterr().out)["cases"]
         assert [r["case"] for r in rows] == [l.split()[0][len("case="):] for l in lines]
         for line, row in zip(lines, rows):
-            token = re.search(r" seconds=([0-9]+\.[0-9]{6}) pattern=", line).group(1)
+            token = re.search(r" pass=true seconds=([0-9]+\.[0-9]{6})$", line).group(1)
             assert float(token) >= 0.0
             assert row["seconds"] >= 0.0 and row["seconds"] == round(row["seconds"], 6)
+            assert list(row)[-1] == "seconds"
+
+    def test_failing_case_row(self, monkeypatch, capsys):
+        def broken(seed):
+            raise NumericError("broken case")
+
+        monkeypatch.setitem(cli._VERIFY_CASES, "dct", broken)
+        assert run(["verify", "--seed", "3"]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith(
+            "case=dct group=- min_match=- pattern= pass=false error=broken case seconds=")
+        assert [l.split()[0] for l in lines] == [
+            "case=dft", "case=wht", "case=dct", "case=haar", "case=circle64", "pass:"]
+        assert lines[-1] == "pass: false"
+        assert sum(" pass=true " in l for l in lines) == 4
+        assert run(["verify", "--seed", "3", "--json"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        row = payload["cases"][2]
+        del row["seconds"]
+        assert row == {"case": "dct", "group": "-", "min_match": None, "pattern": [],
+                       "pass": False, "error": "broken case"}
+        assert [r["pass"] for r in payload["cases"]] == [True, True, False, True, True]
+        assert payload["pass"] is False
+
+    def test_import_builds_no_matrix(self):
+        # the verify and kernel tables name their builders without calling them
+        probe = textwrap.dedent("""
+            from matched_transforms import diagnostics, groups, transforms
+
+            def refuse(*args):
+                raise AssertionError("built at import")
+
+            for module in (diagnostics, groups, transforms):
+                for name in dir(module):
+                    if name.endswith(("_matrix", "_cov", "_check")) or name.startswith("make_"):
+                        setattr(module, name, refuse)
+            import matched_transforms.cli
+        """)
+        src = os.path.dirname(os.path.dirname(cli.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
 
 
 class TestDiscover:
@@ -758,7 +807,7 @@ class TestContract:
         self.check(["match-library", "--in", "{in}", "--library", library])
 
     @settings(max_examples=25, deadline=None)
-    @given(st.sampled_from(sorted(cli._KERNEL_SIZES)),
+    @given(st.sampled_from(sorted(cli._KERNELS)),
            st.one_of(st.integers(-3, 6), st.integers(groups.MAX_DEGREE + 1, 10**18)))
     @example("wht", 10**17)
     @example("haar", 10**17)

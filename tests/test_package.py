@@ -49,7 +49,7 @@ def _collect_loads(node, names: set, attributes: set, enclosing=frozenset()) -> 
 
 # the paper's direct and wreath composition rules and the README's
 # fixed-polarity search are public for their own sake
-_STANDALONE = {"compose_direct", "wreath_matrix", "best_polarity"}
+_STANDALONE = {"compose_direct", "best_polarity"}
 
 
 def test_every_public_name_has_a_caller():

@@ -280,6 +280,16 @@ class TestIntegerTransforms:
         with pytest.raises(NumericError):
             IntTransform(np.array([[2]]), None, "bad")
 
+    def test_zero_pivot_swaps_rows(self):
+        # every builder's matrix has non-zero pivots; this one needs a swap
+        assert transforms._bareiss_det(np.array([[0, 1], [1, 0]])) == -1
+        assert IntTransform(np.array([[0, 1], [1, 0]]), None, "swap").degree == 2
+
+    def test_zero_pivot_column_rejected(self):
+        # no row below the zero pivot to swap in: the determinant is 0
+        with pytest.raises(NumericError, match="not unimodular"):
+            IntTransform(np.array([[0, 1], [0, 1]]), None, "bad")
+
     def test_mod2_requires_binary_entries(self):
         with pytest.raises(InputError):
             IntTransform(np.array([[1, 0], [-1, 1]]), 2, "bad")
@@ -1362,6 +1372,23 @@ class TestOrbitalRoute:
         monkeypatch.setattr(transforms, "herm_eig", refuse)
         with pytest.raises(NotMultiplicityFreeError):
             orbital_basis(action)
+
+    @pytest.mark.parametrize("perturb, message", [
+        # E_0 = J/m has rank 1, so a second column of it finds no pivot
+        (lambda e, sizes: (e, sizes + [1, -1, 0]), "eigenspace 0 has rank 1 < 2"),
+        # E_1 + 1e-3 E_2 has rank 14, so 5 columns leave E_2's part behind;
+        # a scaled E_1 would keep its rank and fail the Gram check instead
+        (lambda e, sizes: (e + 1e-3 * np.outer([0, 1, 0], e[2]), sizes),
+         "U misses the eigenspaces by"),
+    ], ids=["rank", "certificate"])
+    def test_numeric_guards(self, perturb, message, monkeypatch):
+        action = johnson_action(6)  # eigenspaces of sizes 1, 5, 9
+        orbits = pair_orbits(action)
+        e, sizes = transforms._orbital_algebra(orbits, action.name)
+        assert sizes.tolist() == [1, 5, 9]
+        monkeypatch.setattr(transforms, "_orbital_algebra", lambda *_: perturb(e, sizes))
+        with pytest.raises(NumericError, match=message):
+            transforms._orbital(orbits, action.name)
 
     def test_merged_combination_raises(self, monkeypatch):
         # with every coefficient 1 the combination is the all-ones matrix,
